@@ -511,7 +511,11 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except MechliftError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        where = ""
+        if exc.step is not None:
+            state = ", ".join(_FMT % v for v in exc.state)
+            where = f" at step {exc.step} from state [{state}]"
+        print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,6 @@ from .geometry import (
     SECOND_ORDER_STEP,
     float_array,
     numeric_jacobian,
-    solve_dense,
 )
 
 _KINDS = ("explicit-euler", "implicit-euler", "midpoint", "lifted", "tangent-lift")
@@ -74,7 +73,7 @@ class DiscretizationMap:
         """Derivative of the packed forward map at (x, v)."""
         if self._jacobian is not None:
             return self._jacobian(float_array(x), float_array(v))
-        xv = np.concatenate([float_array(x).astype(float), float_array(v).astype(float)])
+        xv = np.concatenate([float_array(x), float_array(v)])
         return numeric_jacobian(self.forward_packed, xv, step)
 
 
@@ -260,14 +259,14 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
 
     def inv(xv):
         x = phi.inverse(xv[:n])
-        v = solve_dense(phi.jacobian(x), xv[n:])
+        v = np.linalg.solve(phi.jacobian(x), xv[n:])
         return np.concatenate([x, v])
 
     def jac(xv):
         x, v = xv[:n], xv[n:]
         d = phi.jacobian(x)
         s = np.column_stack([phi.second_deriv(x, e, v) for e in np.eye(n)])
-        out = np.zeros((2 * n, 2 * n), dtype=np.result_type(d, s))
+        out = np.zeros((2 * n, 2 * n))
         out[:n, :n] = d
         out[n:, :n] = s
         out[n:, n:] = d
@@ -296,22 +295,22 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
     def inverse(a, b):
         z, w = dmap.inverse(phi.forward(a), phi.forward(b))
         x = phi.inverse(z)
-        return x, solve_dense(phi.jacobian(x), w)
+        return x, np.linalg.solve(phi.jacobian(x), w)
 
     def jacobian(x, v):
         # chain rule through Tphi, the base map, and the two pullbacks
         d = phi.jacobian(x)
         s = np.column_stack([phi.second_deriv(x, e, v) for e in np.eye(n)])
-        jt = np.zeros((2 * n, 2 * n), dtype=np.result_type(d, s))
+        jt = np.zeros((2 * n, 2 * n))
         jt[:n, :n] = d
         jt[n:, :n] = s
         jt[n:, n:] = d
         jb = dmap.jacobian(phi.forward(x), d @ v)
         a, b = forward(x, v)
         pulled = jb @ jt
-        out = np.zeros((2 * n, 2 * n), dtype=pulled.dtype)
-        out[:n] = solve_dense(phi.jacobian(a), pulled[:n])
-        out[n:] = solve_dense(phi.jacobian(b), pulled[n:])
+        out = np.zeros((2 * n, 2 * n))
+        out[:n] = np.linalg.solve(phi.jacobian(a), pulled[:n])
+        out[n:] = np.linalg.solve(phi.jacobian(b), pulled[n:])
         return out
 
     return DiscretizationMap(n, "lifted", forward, inverse, jacobian, affine=False)
@@ -328,8 +327,14 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     The inverse is structural: recover (x, y) from the base inverse,
     then solve the base Jacobian for (xdot, ydot).  When the base
     Jacobian is itself exact (built-ins, chain-rule lifts) this inverse
-    is exact; a Newton polish on the forward map covers base maps that
-    only expose finite-difference Jacobians.
+    is exact; base maps that only expose finite-difference Jacobians
+    get a Newton solve on the forward map.
+
+    The lift commutes with chart transport (criterion 3): the lift of
+    ``lift_by_diffeo(dmap, phi)`` is ``lift_by_diffeo(tangent_lift(dmap),
+    tangent_map(phi))``.  ``fl_discretize`` relies on this to solve each
+    closed-loop step with the lift of the base map itself, in the
+    linearizing chart: the step is exactly the same.
     """
     n = dmap.dim
 
@@ -344,7 +349,7 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     def inverse(s0, s1):
         x, y = dmap.inverse(s0[:n], s1[:n])
         j = dmap.jacobian(x, y)
-        sol = solve_dense(j, np.concatenate([s0[n:], s1[n:]]))
+        sol = np.linalg.solve(j, np.concatenate([s0[n:], s1[n:]]))
         s = np.concatenate([x, sol[:n]])
         w = np.concatenate([y, sol[n:]])
         if dmap._jacobian is None and not dmap.affine:

@@ -2,7 +2,14 @@
 
 
 class MechliftError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``step`` and ``state`` name the failed step of a stepping loop and
+    the state it started from; None elsewhere.
+    """
+
+    step = None
+    state = None
 
 
 class NonFinite(MechliftError):

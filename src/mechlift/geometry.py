@@ -20,48 +20,12 @@ SECOND_ORDER_STEP = 1e-4
 
 
 def float_array(a):
-    """View as a floating array, keeping extended precision if present.
+    """View as a float64 array; integer and object inputs are promoted.
 
-    Plain float64 otherwise; integer and object inputs are promoted.
-    The distinction matters on the precision-critical stepping path,
-    where residuals may be evaluated in longdouble.
+    Every numerical path of the package runs in plain float64, the
+    implicit closed-loop step included.
     """
-    arr = np.asarray(a)
-    if arr.dtype == np.longdouble:
-        return arr
-    return arr.astype(float, copy=False)
-
-
-def solve_dense(a, b):
-    """Dense linear solve that honors longdouble operands.
-
-    LAPACK only handles float64, so extended-precision systems go
-    through partial-pivot Gaussian elimination; everything else takes
-    the fast path.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype != np.longdouble and b.dtype != np.longdouble:
-        return np.linalg.solve(a, b)
-    a = a.astype(np.longdouble, copy=True)
-    x = b.astype(np.longdouble, copy=True)
-    n = a.shape[0]
-    for i in range(n):
-        p = int(np.argmax(np.abs(a[i:, i]))) + i
-        if a[p, i] == 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if p != i:
-            a[[i, p]] = a[[p, i]]
-            x[[i, p]] = x[[p, i]]
-        factors = a[i + 1:, i] / a[i, i]
-        a[i + 1:] -= factors[:, None] * a[i]
-        if x.ndim > 1:
-            x[i + 1:] -= factors[:, None] * x[i]
-        else:
-            x[i + 1:] -= factors * x[i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+    return np.asarray(a, dtype=float)
 
 
 def _vec(a, name):

@@ -15,11 +15,11 @@ rotation group, a reference integrator, and the order-study harness.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .discretization import DiscretizationMap, lift_by_diffeo, tangent_lift
+from .discretization import DiscretizationMap, tangent_lift, tangent_map
 from .errors import (
     DimensionMismatch,
+    MechliftError,
     MultiInputUnsupported,
     NoConvergence,
     NotLinearityPreserving,
@@ -27,7 +27,15 @@ from .errors import (
     StepUnderflow,
     Uncontrollable,
 )
-from .geometry import CoordState, Rotation, float_array, so3_exp, so3_log
+from .geometry import (
+    FIRST_ORDER_STEP,
+    CoordState,
+    Rotation,
+    float_array,
+    numeric_jacobian,
+    so3_exp,
+    so3_log,
+)
 from .mechanics import (
     LinearMechanicalSystem,
     MechanicalSystem,
@@ -51,12 +59,18 @@ class StepResult:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid trajectory with recorded controls."""
+    """Uniform-grid trajectory with recorded controls.
+
+    ``fl_discretize`` also records, one entry per step, the step's
+    Newton ``iterations`` and its final residual norm (``residuals``).
+    """
 
     t: np.ndarray
     states: np.ndarray
     u: np.ndarray | None = None
     utilde: np.ndarray | None = None
+    iterations: np.ndarray | None = None
+    residuals: np.ndarray | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, float)
@@ -69,57 +83,52 @@ class Trajectory:
             raise DimensionMismatch("one state row per grid point required")
 
 
-def _component_scaled_jacobian(residual, q, fd_step):
-    """Central-difference Jacobian with per-component relative steps."""
-    cols = []
-    for j in range(q.size):
-        e = np.zeros_like(q)
-        e[j] = fd_step * (1.0 + abs(q[j]))
-        cols.append((residual(q + e) - residual(q - e)) / (2.0 * e[j]))
-    return np.column_stack(cols)
-
-
 def _damped_newton(residual, guess, scale=1.0, tol=NEWTON_TOL,
-                   max_iter=NEWTON_MAX_ITER, fd_step=1e-7):
-    """Damped Newton iteration with a polish phase.
+                   max_iter=NEWTON_MAX_ITER):
+    """Damped Newton iteration in plain float64, reusing its Jacobian.
 
-    Iterates until the residual drops below ``tol * scale``, then keeps
-    going while full steps still reduce it, returning the best iterate
-    seen.  That polish costs a couple of extra evaluations and buys the
-    last few digits, which the conjugacy checks need.
+    The Jacobian, a central difference (``geometry.numeric_jacobian``)
+    with a step scaled to the iterate, is kept while full steps at least
+    halve the residual norm; a fresh one's full step is halved until the
+    norm drops.  Past ``tol * scale`` one more step takes the residual
+    to its rounding floor, which the step-conjugacy checks need.
+    Returns the best iterate, the iteration count and the final norm.
     """
     q = np.asarray(guess, float)
     r = residual(q)
-    best_q, best_norm = q.copy(), float(np.linalg.norm(r))
-    converged = best_norm < tol * scale
-    for it in range(1, max_iter + 1):
-        jac = _component_scaled_jacobian(residual, q, fd_step)
+    norm = float(np.linalg.norm(r))
+    converged = norm < tol * scale
+    jac = None
+    it = 0
+    while norm > 0.0 and it < max_iter:
+        it += 1
+        fresh = jac is None
+        if fresh:
+            step = FIRST_ORDER_STEP * (1.0 + float(np.abs(q).max()))
+            jac = numeric_jacobian(residual, q, step)
         try:
             dq = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError:
             break
-        # once converged, deep damping searches cannot pay for themselves
-        lam_floor = 0.2 if converged else 1e-8
-        lam, accepted = 1.0, False
-        while lam > lam_floor:
+        lam = 1.0
+        while True:
             q_try = q - lam * dq
             r_try = residual(q_try)
             norm_try = float(np.linalg.norm(r_try))
-            if norm_try < best_norm:
-                q, r = q_try, r_try
-                best_q, best_norm = q.copy(), norm_try
-                accepted = True
+            if norm_try < norm or not fresh or converged or lam < 1e-8:
                 break
             lam /= 2.0
-        if not accepted:
-            break
-        if best_norm < tol * scale:
-            converged = True
-        if best_norm == 0.0:
-            break
+        improved, halved = norm_try < norm, norm_try < 0.5 * norm
+        if improved:
+            q, r, norm = q_try, r_try, norm_try
+        if converged or (fresh and not improved):
+            break  # the polish step is done, or the solve has stalled
+        if not halved:
+            jac = None
+        converged = norm < tol * scale
     if not converged:
-        raise NoConvergence(it, best_norm)
-    return best_q, it, best_norm
+        raise NoConvergence(it, norm)
+    return q, it, norm
 
 
 def step_first_order(dmap: DiscretizationMap, x_field, x_k, h) -> StepResult:
@@ -151,9 +160,12 @@ def step_sode(lifted_map: DiscretizationMap, sys: MechanicalSystem,
               u_supplier, s_k, h) -> StepResult:
     """One step of the second-order scheme on the tangent chart.
 
-    ``lifted_map`` acts on the packed 2n chart; ``u_supplier`` is called
-    with the recovered base state (xbar, ybar) and must return the
-    m-vector control applied over the step.
+    Solves for ``s_next`` such that, with (z, v) the ``lifted_map``
+    inverse of (s_k, s_next), v = h * f(z): f is the system's field
+    under the m-vector control ``u_supplier(xbar, ybar)`` at the base
+    state z = (xbar, ybar).  Newton starts at s_k, whose base state is
+    s_k itself, and its tolerance is relative to the largest entry of
+    s_k: both live in the chart the step is taken in.
     """
     if isinstance(s_k, CoordState):
         s_k = s_k.stacked()
@@ -172,100 +184,100 @@ def step_sode(lifted_map: DiscretizationMap, sys: MechanicalSystem,
         z, v = lifted_map.inverse(s_k, s_next)
         return v - h * field(z)
 
-    guess = s_k + h * field(s_k)
-    scale = 1.0 + max(float(np.abs(s_k).max()), float(np.abs(guess).max()))
-    state, iters, res = _damped_newton(residual, guess, scale=scale)
-    state, res = _refine_step(residual, s_k, state, h, field, lifted_map, res)
+    scale = 1.0 + float(np.abs(s_k).max())
+    state, iters, res = _damped_newton(residual, s_k, scale=scale)
     return StepResult(state, iters, res)
-
-
-def _refine_step(residual, s_k, state, h, field, lifted_map, res):
-    """Iterative refinement with an extended-precision residual.
-
-    Double-precision Newton stalls when the residual's rounding floor is
-    reached; two refinement sweeps against a longdouble residual recover
-    the remaining digits, which the step-conjugacy guarantees need.  On
-    platforms where longdouble is float64 this is a harmless no-op pass.
-    """
-    try:
-        jac = _component_scaled_jacobian(residual, state, 1e-7)
-        s_k_ld = s_k.astype(np.longdouble)
-        q = state.astype(np.longdouble)
-        best_q, best_norm = q, res
-        for _ in range(2):
-            z, v = lifted_map.inverse(s_k_ld, q)
-            r = v - np.longdouble(h) * field(z)
-            norm = float(np.linalg.norm(r.astype(float)))
-            if norm < best_norm:
-                best_q, best_norm = q, norm
-            try:
-                dq = np.linalg.solve(jac, r.astype(float))
-            except np.linalg.LinAlgError:
-                break
-            q = q - dq.astype(np.longdouble)
-        z, v = lifted_map.inverse(s_k_ld, q)
-        norm = float(np.linalg.norm((v - np.longdouble(h) * field(z)).astype(float)))
-        if norm < best_norm:
-            best_q, best_norm = q, norm
-        return best_q.astype(float), best_norm
-    except TypeError:
-        # user-supplied maps need not accept extended-precision inputs
-        return state, res
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
                   gains=None, utilde=None) -> Trajectory:
     """Feedback-linearizable discretization of a mechanical system.
 
-    Builds the tangent lift of the diffeomorphism-lifted base map and
-    steps the system's second-order field with the physical control
-    evaluated at the recovered base state.  Either closed-loop ``gains``
-    (utilde = -K ztilde at the base state) or an open-loop ``utilde``
-    sequence must be given.
+    The scheme is the tangent lift of the base map transported by the
+    linearizing chart change phi.  By the lift-order commutation
+    (criterion 3) it is exactly the tangent lift of ``base_map`` acting,
+    in the linearizing chart, on the closed-loop field pushed there, so
+    each step is solved in that chart: push the state through
+    Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
+    z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
+    pull the result back.  There the residual is nearly affine and
+    Newton converges in a couple of iterations.  Each step starts from
+    the push of its stored state, so a chain of calls computes the
+    states of one.
+
+    Either closed-loop ``gains`` (utilde = -K ztilde at the base state)
+    or an open-loop ``utilde`` sequence must be given.  The trajectory
+    records each step's controls at its converged base state, Newton
+    iterations and final residual.  A ``MechliftError`` raised in step k
+    carries ``step = k`` and the ``state`` that step started from.
 
     The defining property, used by the tests: pushing each step through
-    the tangent-lifted chart change reproduces, step by step, the linear
-    one-step update the base map induces on the linear target system.
+    Tphi reproduces, step by step, the linear one-step update the base
+    map induces on the linear target system.
     """
     if (gains is None) == (utilde is None):
         raise ValueError("provide exactly one of gains / utilde sequence")
-    sys, transform, linear = bundle.system, bundle.transform, bundle.linear
-    lifted = tangent_lift(lift_by_diffeo(base_map, transform.phi))
+    sys, transform = bundle.system, bundle.transform
+    phi = transform.phi
+    tmap = tangent_map(phi)
+    lifted = tangent_lift(base_map)
 
     if isinstance(s0, CoordState):
         s0 = s0.stacked()
     s0 = np.asarray(s0, float)
     n, m = sys.n, sys.m
+    # step_sode sees the conjugate chart as a fully actuated double
+    # integrator whose input is the pushed closed-loop acceleration
+    flat = LinearMechanicalSystem(np.zeros((n, n)), np.eye(n)).as_mechanical_system()
 
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
     else:
         utilde = np.atleast_2d(np.asarray(utilde, float).reshape(steps, m))
 
-    def utilde_at(k, x, y):
+    def utilde_at(k, Z):
         if gains is not None:
-            return np.atleast_1d(-K @ transform.push_state(x, y))
+            return np.atleast_1d(-K @ Z)
         return utilde[k]
+
+    def control(k, Z):
+        """Original-chart state and physical control at the pushed state Z."""
+        z = tmap.inverse(Z)
+        return z, apply_feedback(transform, z[:n], z[n:], utilde_at(k, Z))
+
+    def acceleration(k, x, y):
+        """Second half of DTphi(z) f(z): D2phi(x)[y, y] + Dphi(x) ydot."""
+        z, u = control(k, np.concatenate([x, y]))
+        xz, yz = z[:n], z[n:]
+        ydot = sode_field_stacked(sys, z, u)[n:]
+        return phi.second_deriv(xz, yz, yz) + phi.jacobian(xz) @ ydot
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
     u_log = np.empty((steps, m))
     ut_log = np.empty((steps, m))
+    iterations = np.empty(steps, int)
+    residuals = np.empty(steps)
 
     for k in range(steps):
-        def supplier(x, y, k=k):
-            return apply_feedback(transform, x, y, utilde_at(k, x, y))
-
-        result = step_sode(lifted, sys, supplier, states[k], h)
-        states[k + 1] = result.state
-        # log the controls at the converged base state of the step
-        base, _ = lifted.inverse(states[k], states[k + 1])
-        xb, yb = base[:n], base[n:]
-        ut_log[k] = utilde_at(k, xb, yb)
-        u_log[k] = apply_feedback(transform, xb, yb, ut_log[k])
+        try:
+            z_k = tmap.forward(states[k])
+            result = step_sode(lifted, flat,
+                               lambda x, y, k=k: acceleration(k, x, y), z_k, h)
+            states[k + 1] = tmap.inverse(result.state)
+            # log the controls at the converged base state of the step
+            base, _ = lifted.inverse(z_k, result.state)
+            ut_log[k] = utilde_at(k, base)
+            u_log[k] = control(k, base)[1]
+        except MechliftError as exc:
+            exc.step = k
+            exc.state = states[k].copy()
+            raise
+        iterations[k] = result.iterations
+        residuals[k] = result.residual
 
     t = h * np.arange(steps + 1)
-    return Trajectory(t, states, u_log, ut_log)
+    return Trajectory(t, states, u_log, ut_log, iterations, residuals)
 
 
 def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
@@ -452,6 +464,9 @@ def reference_integrate(x_field, s0, t_final, tol, t_eval=None) -> Trajectory:
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 101)
     t_eval = np.asarray(t_eval, float)
+    # imported here: scipy.integrate dominates the import time of the package
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(lambda t, y: np.asarray(x_field(y), float), (0.0, t_final), s0,
                     method="RK45", rtol=tol, atol=tol, t_eval=t_eval,
                     dense_output=False)

@@ -61,6 +61,15 @@ class TestSimulatePendulum:
         assert np.abs(states[:, 1:]).max() == 0.0
         assert np.abs(errors[:, 1:]).max() == 0.0
 
+    def test_chart_exit_names_step_and_state(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_state": [1.2, 0.0, 0.0, 0.0]}))
+        assert main(["simulate-pendulum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure at step 5 from state [-1.22")
+        assert err.rstrip().endswith("point not in chart image")
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(["simulate-pendulum", "--t-final", "0.2", "--out", str(out1)])

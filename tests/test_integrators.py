@@ -1,7 +1,13 @@
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mechlift
 from mechlift import (
     DiscretizationMap,
     LinearMechanicalSystem,
@@ -9,6 +15,7 @@ from mechlift import (
     MechanicalSystem,
     MultiInputUnsupported,
     NotLinearityPreserving,
+    OutsideChart,
     Rotation,
     SingularStep,
     StepUnderflow,
@@ -118,25 +125,65 @@ class TestStepSode:
             s = out
 
 
-def pendulum_closed_loop(pendulum, h=0.01, steps=100):
+S0 = np.array([np.pi / 4, 0.0, 0.0, 0.0])
+# its explicit-Euler loop at h = 0.01 reaches |z| = 5.1e5 in the linear chart
+S_PRECISION = np.array([-0.5278014962057567, -0.15471922756090906,
+                        -0.8334948748998636, -0.8437071161801359])
+
+
+def pendulum_closed_loop(pendulum, h=0.01, steps=100, make_map=make_midpoint, s0=S0):
     gains = pole_place(pendulum.linear, POLES)
-    s0 = np.array([np.pi / 4, 0.0, 0.0, 0.0])
-    traj = fl_discretize(pendulum, make_midpoint(2), s0, h, steps, gains=gains)
+    traj = fl_discretize(pendulum, make_map(2), s0, h, steps, gains=gains)
     a_full, b_full = pendulum.linear.stacked()
     return traj, a_full - b_full @ gains
 
 
+def conjugacy_defect(bundle, traj, one_step):
+    """Worst per-step gap between the pushed trajectory and a linear update."""
+    push = bundle.transform.push_state
+    z = np.array([push(s[:2], s[2:]) for s in traj.states])
+    return np.abs(z[1:] - z[:-1] @ one_step.T).max()
+
+
 class TestFlDiscretize:
     def test_conjugate_to_linear_one_step(self, pendulum):
-        traj, a_cl = pendulum_closed_loop(pendulum)
-        cay = cayley_matrix(a_cl, 0.01)
-        push = pendulum.transform.push_state
-        worst = 0.0
-        for k in range(100):
-            zk = push(traj.states[k][:2], traj.states[k][2:])
-            zn = push(traj.states[k + 1][:2], traj.states[k + 1][2:])
-            worst = max(worst, np.abs(zn - cay @ zk).max())
-        assert worst < 1e-8
+        # criterion 4's run; a coarse step whose exact update exists at every
+        # step; an explicit-Euler loop far out in the linear chart
+        cases = [(make_midpoint, S0, 0.01, 100), (make_midpoint, S0, 0.1, 10),
+                 (make_explicit_euler, S_PRECISION, 0.01, 100)]
+        for make_map, s0, h, steps in cases:
+            traj, a_cl = pendulum_closed_loop(pendulum, h, steps, make_map, s0)
+            if make_map is make_midpoint:
+                one_step = cayley_matrix(a_cl, h)
+            else:
+                one_step = np.eye(4) + h * a_cl
+            assert conjugacy_defect(pendulum, traj, one_step) < 1e-8, (make_map, h)
+
+    def test_conjugacy_checks_the_physical_feedback(self, pendulum):
+        # the step runs on the real model: a feedback off by one part in a
+        # million must break the conjugacy
+        t = pendulum.transform
+        bent = dataclasses.replace(t, alpha=lambda x: (1.0 + 1e-6) * t.alpha(x))
+        bundle = pendulum._replace(transform=bent)
+        traj, a_cl = pendulum_closed_loop(bundle)
+        assert conjugacy_defect(bundle, traj, cayley_matrix(a_cl, 0.01)) > 1e-8
+
+    def test_newton_work_per_step(self, pendulum):
+        traj, _ = pendulum_closed_loop(pendulum)
+        assert traj.iterations.shape == traj.residuals.shape == (100,)
+        assert traj.iterations.max() <= 4
+
+    def test_chart_exit_names_the_step(self, pendulum):
+        s0 = np.array([1.2, 0.0, 0.0, 0.0])
+        traj, a_cl = pendulum_closed_loop(pendulum, steps=5, s0=s0)
+        # the exact midpoint loop leaves the chart in the step with index 5
+        z = pendulum.transform.push_state(traj.states[-1][:2], traj.states[-1][2:])
+        with pytest.raises(OutsideChart):
+            pendulum.transform.phi.inverse((cayley_matrix(a_cl, 0.01) @ z)[:2])
+        with pytest.raises(OutsideChart) as info:
+            pendulum_closed_loop(pendulum, s0=s0)
+        assert info.value.step == 5
+        npt.assert_array_equal(info.value.state, traj.states[-1])
 
     def test_identity_chart_matches_plain_stepper(self, rng):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -377,6 +424,13 @@ class TestReferenceIntegrate:
     def test_finite_time_blowup_raises(self):
         with pytest.raises(StepUnderflow):
             reference_integrate(lambda y: y**2, np.array([1.0]), 2.0, 1e-10)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        src = Path(mechlift.__file__).resolve().parents[1]
+        code = "import sys, mechlift; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestOrderStudy:
