@@ -74,6 +74,7 @@ from .integrators import (
     cayley_matrix,
     cayley_step,
     fl_discretize,
+    linear_flow,
     linear_one_step,
     linear_two_step,
     order_study,

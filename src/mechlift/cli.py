@@ -34,9 +34,9 @@ from .errors import MechliftError, UnknownSystem
 from .geometry import so3_exp, so3_log
 from .integrators import (
     fl_discretize,
+    linear_flow,
     order_study,
     pole_place,
-    reference_integrate,
     so3_closed_loop_step,
     step_sode,
 )
@@ -63,7 +63,6 @@ class ExperimentConfig:
     map_kind: str = "midpoint"
     poles: list = field(default_factory=lambda: [-10.0, -20.0, -30.0, -40.0])
     gains: list | None = None
-    reference_tol: float = 1e-10
     out_dir: str = "."
 
     def validate(self):
@@ -109,30 +108,35 @@ def _write_summary(out_dir, cfg, metrics):
 # simulate-pendulum
 # ---------------------------------------------------------------------------
 
+def _pendulum_loop(poles, gains=None):
+    """Pendulum bundle, feedback gains (pole-placed unless given), A - B K."""
+    bundle = pendulum_system()
+    if gains is None:
+        gains = pole_place(bundle.linear, poles)
+    gains = np.atleast_2d(np.asarray(gains, float))
+    a, b = bundle.linear.stacked()
+    if gains.shape != b.T.shape:
+        raise ValueError(f"pendulum gains must be {b.shape[0]} numbers, got {gains.size}")
+    return bundle, gains, a - b @ gains
+
+
+def _pendulum_reference(bundle, a_cl, s0, times):
+    """Exact linear flow from the pushed s0, pulled back through the chart."""
+    tmap = tangent_map(bundle.transform.phi)
+    return np.array([tmap.inverse(z) for z in linear_flow(a_cl, tmap.forward(s0), times)])
+
+
 def run_simulate_pendulum(cfg: ExperimentConfig) -> int:
     """Closed-loop pendulum run against the exact-linear reference."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = pendulum_system()
-    gains = pole_place(bundle.linear, cfg.poles)
+    bundle, gains, a_cl = _pendulum_loop(cfg.poles, cfg.gains)
     steps = int(round(cfg.t_final / cfg.h))
     s0 = np.asarray(cfg.initial_state, float)
     base_map = _MAP_BUILDERS[cfg.map_kind](2)
 
     traj = fl_discretize(bundle, base_map, s0, cfg.h, steps, gains=gains)
-
-    a_full, b_full = bundle.linear.stacked()
-    a_cl = a_full - b_full @ gains
-    z0 = bundle.transform.push_state(s0[:2], s0[2:])
-    ref = reference_integrate(lambda z: a_cl @ z, z0, cfg.t_final,
-                              cfg.reference_tol, t_eval=traj.t)
-
-    phi = bundle.transform.phi
-    ref_states = np.empty_like(traj.states)
-    for i, z in enumerate(ref.states):
-        x = phi.inverse(z[:2])
-        y = np.linalg.solve(phi.jacobian(x), z[2:])
-        ref_states[i] = np.concatenate([x, y])
+    ref_states = _pendulum_reference(bundle, a_cl, s0, traj.t)
 
     e1 = np.abs(traj.states[:, 0] - ref_states[:, 0])
     ed1 = np.abs(traj.states[:, 2] - ref_states[:, 2])
@@ -168,8 +172,13 @@ def so3_default_config() -> ExperimentConfig:
         map_kind="explicit-euler",
         poles=[],
         gains=[5.0, 10.0],
-        reference_tol=1e-10,
     )
+
+
+def _attitude_closed_loop(k1, k2):
+    """A_cl of the attitude loop in the exponential chart, z = (xi, Omega)."""
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    return np.block([[zero, eye], [-k1 * eye, -k2 * eye]])
 
 
 def run_simulate_so3(cfg: ExperimentConfig) -> int:
@@ -191,14 +200,9 @@ def run_simulate_so3(cfg: ExperimentConfig) -> int:
         trace_err[k + 1] = 3.0 - np.trace(rotation.r)
         omegas[k + 1] = omega
 
-    a_cl = np.zeros((6, 6))
-    a_cl[:3, 3:] = np.eye(3)
-    a_cl[3:, :3] = -k1 * np.eye(3)
-    a_cl[3:, 3:] = -k2 * np.eye(3)
     t = cfg.h * np.arange(steps + 1)
-    ref = reference_integrate(lambda z: a_cl @ z, z0, cfg.t_final,
-                              cfg.reference_tol, t_eval=t)
-    trace_ref = np.array([3.0 - np.trace(so3_exp(z[:3]).r) for z in ref.states])
+    ref = linear_flow(_attitude_closed_loop(k1, k2), z0, t)
+    trace_ref = np.array([3.0 - np.trace(so3_exp(z[:3]).r) for z in ref])
 
     _write_csv(out / "rigid_body.csv",
                ["t", "trace_err", "trace_err_ref", "p", "q", "r"],
@@ -343,24 +347,14 @@ def run_verify_maps(extra_maps=None, n=2, samples_per_map=50, seed=11) -> int:
 # ---------------------------------------------------------------------------
 
 def _pendulum_order_case(map_kind, t_final):
-    bundle = pendulum_system()
-    gains = pole_place(bundle.linear, [-10.0, -20.0, -30.0, -40.0])
+    bundle, gains, a_cl = _pendulum_loop([-10.0, -20.0, -30.0, -40.0])
     s0 = np.array([np.pi / 4, 0.0, 0.0, 0.0])
 
     def stepper(s, h, steps):
         return fl_discretize(bundle, _MAP_BUILDERS[map_kind](2), s, h, steps,
                              gains=gains).states[-1]
 
-    a_full, b_full = bundle.linear.stacked()
-    a_cl = a_full - b_full @ gains
-    z0 = bundle.transform.push_state(s0[:2], s0[2:])
-    ref = reference_integrate(lambda z: a_cl @ z, z0, t_final, 1e-12,
-                              t_eval=np.array([0.0, t_final]))
-    phi = bundle.transform.phi
-    zf = ref.states[-1]
-    xf = phi.inverse(zf[:2])
-    yf = np.linalg.solve(phi.jacobian(xf), zf[2:])
-    return stepper, np.concatenate([xf, yf]), s0
+    return stepper, _pendulum_reference(bundle, a_cl, s0, [t_final])[-1], s0
 
 
 def _harmonic_order_case(map_kind, t_final):
@@ -394,13 +388,7 @@ def _so3_order_case(t_final):
             rotation, omega = so3_closed_loop_step(rotation, omega, k1, k2, h)
         return np.concatenate([so3_log(rotation), omega])
 
-    a_cl = np.zeros((6, 6))
-    a_cl[:3, 3:] = np.eye(3)
-    a_cl[3:, :3] = -k1 * np.eye(3)
-    a_cl[3:, 3:] = -k2 * np.eye(3)
-    ref = reference_integrate(lambda z: a_cl @ z, z0, t_final, 1e-12,
-                              t_eval=np.array([0.0, t_final]))
-    return stepper, ref.states[-1], z0
+    return stepper, linear_flow(_attitude_closed_loop(k1, k2), z0, [t_final])[-1], z0
 
 
 def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int:
@@ -452,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--t-final", type=float, default=None)
-        p.add_argument("--map", default=None, choices=sorted(_MAP_BUILDERS))
+        if name == "simulate-pendulum":
+            p.add_argument("--map", default=None, choices=sorted(_MAP_BUILDERS))
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
 

@@ -9,7 +9,8 @@ conjugate to a linear one-step update.
 
 The toolbox side carries single-input pole placement, the Cayley
 one-step map for linear closed loops, the closed-loop stepper on the
-rotation group, a reference integrator, and the order-study harness.
+rotation group, the exact flow of a linear system, an adaptive reference
+integrator, and the order-study harness.
 """
 
 from dataclasses import dataclass
@@ -475,6 +476,33 @@ def reference_integrate(x_field, s0, t_final, tol, t_eval=None) -> Trajectory:
             raise StepUnderflow(sol.message)
         raise NoConvergence(0, np.nan, sol.message)
     return Trajectory(sol.t, sol.y.T)
+
+
+def linear_flow(a, z0, times) -> np.ndarray:
+    """Exact flow expm(a t) z0 of z' = a z, one row per entry of ``times``.
+
+    Scaling and squaring (Moler and Van Loan, "Nineteen dubious ways to
+    compute the exponential of a matrix", SIAM Review 2003), batched
+    over the times: each a t is scaled by 2^-s until its 1-norm is at
+    most 1/2, exponentiated by a degree-18 Taylor sum (truncation below
+    1e-22) and squared s times.  No eigendecomposition, so defective
+    matrices such as a double integrator are handled as well; t = 0
+    returns ``z0`` bit for bit.
+    """
+    a = np.atleast_2d(np.asarray(a, float))
+    at = np.asarray(times, float)[:, None, None] * a
+    # s = e + 1 gives |a t|_1 2^-s = m / 2 < 1/2, where frexp splits the
+    # 1-norm (largest column sum) as m 2^e with 1/2 <= m < 1
+    squarings = np.maximum(np.frexp(np.abs(at).sum(axis=1).max(axis=1))[1] + 1, 0)
+    x = np.ldexp(at, -squarings[:, None, None])
+    eye = np.eye(a.shape[0])
+    e = eye + x / 18.0
+    for k in range(17, 0, -1):
+        e = eye + (x @ e) / k
+    for i in range(int(squarings.max(initial=0))):
+        more = squarings > i
+        e[more] = e[more] @ e[more]
+    return e @ np.asarray(z0, float)
 
 
 @dataclass

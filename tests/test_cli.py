@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mechlift
+from mechlift import cayley_matrix, pendulum_system, pole_place, so3_exp
 from mechlift.cli import main, run_verify_maps
 from mechlift.discretization import DiscretizationMap
 
@@ -61,6 +66,30 @@ class TestSimulatePendulum:
         assert np.abs(states[:, 1:]).max() == 0.0
         assert np.abs(errors[:, 1:]).max() == 0.0
 
+    def test_config_gains_drive_the_loop(self, tmp_path):
+        bundle = pendulum_system()
+        gains = pole_place(bundle.linear, [-5.0, -6.0, -7.0, -8.0])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gains": gains.tolist()}))
+        out = tmp_path / "o"
+        assert main(["simulate-pendulum", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metrics"]["gain"] == gains.ravel().tolist()
+
+        _, states = read_csv(out / "pendulum_states.csv")
+        push = bundle.transform.push_state
+        z = np.array([push(s[:2], s[2:]) for s in states[:, 1:]])
+        a, b = bundle.linear.stacked()
+        one_step = cayley_matrix(a - b @ gains, 0.01)
+        assert np.abs(z[1:] - z[:-1] @ one_step.T).max() < 1e-8
+
+    def test_wrong_number_of_gains_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gains": [1.0, 2.0]}))
+        assert main(["simulate-pendulum", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 4
+        assert "pendulum gains must be 4 numbers, got 2" in capsys.readouterr().err
+
     def test_chart_exit_names_step_and_state(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"initial_state": [1.2, 0.0, 0.0, 0.0]}))
@@ -98,6 +127,13 @@ class TestSimulatePendulum:
         assert main(["simulate-pendulum", "--h", "-0.01",
                      "--out", str(tmp_path / "x")]) == 4
 
+    def test_reference_tol_is_no_longer_a_key(self, tmp_path):
+        # the references are exact; a tolerance for them has no effect
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reference_tol": 1e-10}))
+        assert main(["simulate-pendulum", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 4
+
 
 class TestSimulateSo3:
     def test_default_run(self, tmp_path):
@@ -125,6 +161,25 @@ class TestSimulateSo3:
         assert main(["simulate-so3", "--config", str(cfg), "--out", str(out)]) == 0
         _, data = read_csv(out / "rigid_body.csv")
         assert np.abs(data[:, 1:]).max() == 0.0
+
+    def test_reference_on_the_loop_grid_past_t_final(self, tmp_path):
+        # round(1 / 0.35) = 3 steps end at t = 1.05, past the requested t_final
+        from scipy.linalg import expm
+
+        out = tmp_path / "so3"
+        assert main(["simulate-so3", "--h", "0.35", "--t-final", "1",
+                     "--out", str(out)]) == 0
+        _, data = read_csv(out / "rigid_body.csv")
+        assert data.shape[0] == 4
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        a_cl = np.block([[zero, eye], [-5.0 * eye, -10.0 * eye]])
+        z = expm(a_cl * 1.05) @ np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
+        assert abs(data[-1, 2] - (3.0 - np.trace(so3_exp(z[:3]).r))) < 1e-12
+
+    def test_map_flag_is_usage_error(self, tmp_path):
+        # the attitude loop has one scheme; --map belongs to simulate-pendulum
+        assert main(["simulate-so3", "--map", "midpoint",
+                     "--out", str(tmp_path / "x")]) == 4
 
 
 class TestCheck:
@@ -202,6 +257,21 @@ class TestOrderStudy:
 
     def test_unknown_system(self):
         assert main(["order-study", "wobbler"]) == 4
+
+
+def test_cli_runs_import_no_scipy(tmp_path):
+    src = Path(mechlift.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from mechlift.cli import main\n"
+        "for argv in (['simulate-pendulum', '--t-final', '0.1'],\n"
+        "             ['simulate-so3', '--t-final', '1'], ['order-study', 'so3']):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestUsage:

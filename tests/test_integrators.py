@@ -25,6 +25,7 @@ from mechlift import (
     cayley_step,
     fl_discretize,
     identity_diffeomorphism,
+    linear_flow,
     linear_one_step,
     linear_two_step,
     make_explicit_euler,
@@ -173,16 +174,22 @@ class TestFlDiscretize:
         assert traj.iterations.shape == traj.residuals.shape == (100,)
         assert traj.iterations.max() <= 4
 
-    def test_chart_exit_names_the_step(self, pendulum):
-        s0 = np.array([1.2, 0.0, 0.0, 0.0])
-        traj, a_cl = pendulum_closed_loop(pendulum, steps=5, s0=s0)
-        # the exact midpoint loop leaves the chart in the step with index 5
+    @pytest.mark.parametrize("s0, step", [
+        ((1.2, 0.0, 0.0, 0.0), 5),
+        ((1.4, 0.0, 0.0, 0.0), 4),
+        ((0.5, 0.0, 5.0, 0.0), 4),
+        ((0.5, 0.0, 20.0, 0.0), 1),
+    ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
+    def test_chart_exit_names_the_step(self, pendulum, s0, step):
+        s0 = np.array(s0)
+        traj, a_cl = pendulum_closed_loop(pendulum, steps=step, s0=s0)
+        # the exact midpoint loop leaves the chart in the step with index `step`
         z = pendulum.transform.push_state(traj.states[-1][:2], traj.states[-1][2:])
         with pytest.raises(OutsideChart):
             pendulum.transform.phi.inverse((cayley_matrix(a_cl, 0.01) @ z)[:2])
         with pytest.raises(OutsideChart) as info:
             pendulum_closed_loop(pendulum, s0=s0)
-        assert info.value.step == 5
+        assert info.value.step == step
         npt.assert_array_equal(info.value.state, traj.states[-1])
 
     def test_identity_chart_matches_plain_stepper(self, rng):
@@ -431,6 +438,42 @@ class TestReferenceIntegrate:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+
+class TestLinearFlow:
+    def test_pendulum_closed_loop_matches_expm(self, pendulum):
+        # A_cl has entries up to 2.4e5 and the flow reaches |z| = 4.4e5
+        from scipy.linalg import expm
+
+        _, a_cl = pendulum_closed_loop(pendulum, steps=0)
+        z0 = pendulum.transform.push_state(S0[:2], S0[2:])
+        t = 0.01 * np.arange(101)
+        exact = np.array([expm(a_cl * tk) @ z0 for tk in t])
+        err = np.abs(linear_flow(a_cl, z0, t) - exact).max()
+        assert err <= 1e-10 * np.abs(exact).max()
+
+    def test_attitude_closed_loop_matches_expm(self):
+        from scipy.linalg import expm
+
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        a_cl = np.block([[zero, eye], [-5.0 * eye, -10.0 * eye]])
+        z0 = np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
+        t = np.linspace(0.0, 10.0, 1001)
+        exact = np.array([expm(a_cl * tk) @ z0 for tk in t])
+        assert np.abs(linear_flow(a_cl, z0, t) - exact).max() <= 1e-12 * np.abs(z0).max()
+
+    def test_exact_on_a_jordan_block(self):
+        # defective: no eigenbasis, expm(N t) = [[1, t], [0, 1]]
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        t = np.array([0.0, 0.37, 1.3, 7.1e3])
+        first_row = np.column_stack([linear_flow(jordan, e, t)[:, 0] for e in np.eye(2)])
+        npt.assert_array_equal(first_row, np.column_stack([np.ones_like(t), t]))
+        npt.assert_array_equal(linear_flow(jordan, [0.0, 1.0], t)[:, 1], 1.0)
+
+    def test_time_zero_returns_the_start_bit_for_bit(self, pendulum, rng):
+        _, a_cl = pendulum_closed_loop(pendulum, steps=0)
+        z0 = rng.normal(size=4) * 1e3
+        assert np.array_equal(linear_flow(a_cl, z0, [0.0])[0], z0)
 
 
 class TestOrderStudy:
