@@ -18,17 +18,12 @@ from .errors import (
     WrongDimensions,
 )
 from .geometry import (
-    AngularVelocity,
     CoordState,
-    DoubleTangent,
     Rotation,
-    devectorize,
     hat,
-    kappa,
     numeric_jacobian,
     so3_exp,
     so3_log,
-    vectorize,
     vee,
 )
 from .discretization import (

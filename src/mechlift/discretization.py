@@ -15,10 +15,10 @@ and commute; the test suite checks that pointwise.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import DimensionMismatch
 from .geometry import (
-    FIRST_ORDER_STEP,
     SECOND_ORDER_STEP,
+    _damped_newton,
     float_array,
     numeric_jacobian,
 )
@@ -65,16 +65,13 @@ class DiscretizationMap:
     def inverse(self, x0, x1):
         return self._inverse(float_array(x0), float_array(x1))
 
-    def forward_packed(self, xv):
-        x0, x1 = self.forward(xv[: self.dim], xv[self.dim :])
-        return np.concatenate([x0, x1])
-
-    def jacobian(self, x, v, step=FIRST_ORDER_STEP):
+    def jacobian(self, x, v):
         """Derivative of the packed forward map at (x, v)."""
         if self._jacobian is not None:
             return self._jacobian(float_array(x), float_array(v))
+        n = self.dim
         xv = np.concatenate([float_array(x), float_array(v)])
-        return numeric_jacobian(self.forward_packed, xv, step)
+        return numeric_jacobian(lambda p: np.concatenate(self.forward(p[:n], p[n:])), xv)
 
 
 def make_explicit_euler(n) -> DiscretizationMap:
@@ -161,8 +158,7 @@ class AxiomReport:
         )
 
 
-def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6,
-                  step=FIRST_ORDER_STEP) -> AxiomReport:
+def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomReport:
     """Check both discretization-map axioms at each sample point.
 
     Axiom 1: forward(x, 0) == (x, x).  Axiom 2: the velocity derivative
@@ -181,7 +177,7 @@ def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6,
             lo, hi = dmap.forward(x, v)
             return hi - lo
 
-        dv = numeric_jacobian(second_minus_first, zero, step)
+        dv = numeric_jacobian(second_minus_first, zero)
         jac_defects.append(np.abs(dv - np.eye(n)).max())
     return AxiomReport(dmap.kind, points, zero_defects, jac_defects,
                        (zero_tol, jacobian_tol))
@@ -195,14 +191,14 @@ class Diffeomorphism:
     dim : int
     fwd, inv : callable
         The map and its inverse on n-vectors.
-    jac : callable, optional
-        x -> n x n derivative; finite differences when omitted.
+    jac : callable
+        x -> n x n derivative.
     second : callable, optional
         (x, u, v) -> n-vector bilinear second-derivative action
         D2(x)[u, v]; central differences of ``jac`` when omitted.
     """
 
-    def __init__(self, dim, fwd, inv, jac=None, second=None):
+    def __init__(self, dim, fwd, inv, jac, second=None):
         self.dim = int(dim)
         self._fwd = fwd
         self._inv = inv
@@ -216,9 +212,7 @@ class Diffeomorphism:
         return float_array(self._inv(float_array(x)))
 
     def jacobian(self, x):
-        if self._jac is not None:
-            return float_array(self._jac(float_array(x)))
-        return numeric_jacobian(self._fwd, np.asarray(x, float), FIRST_ORDER_STEP)
+        return float_array(self._jac(float_array(x)))
 
     def second_deriv(self, x, u, v):
         """Bilinear action D2(x)[u, v] of the second derivative."""
@@ -287,6 +281,7 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
             f"map dimension {dmap.dim} != diffeomorphism dimension {phi.dim}"
         )
     n = dmap.dim
+    tphi = tangent_map(phi)
 
     def forward(x, v):
         a, b = dmap.forward(phi.forward(x), phi.jacobian(x) @ v)
@@ -299,13 +294,8 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
 
     def jacobian(x, v):
         # chain rule through Tphi, the base map, and the two pullbacks
-        d = phi.jacobian(x)
-        s = np.column_stack([phi.second_deriv(x, e, v) for e in np.eye(n)])
-        jt = np.zeros((2 * n, 2 * n))
-        jt[:n, :n] = d
-        jt[n:, :n] = s
-        jt[n:, n:] = d
-        jb = dmap.jacobian(phi.forward(x), d @ v)
+        jt = tphi.jacobian(np.concatenate([x, v]))
+        jb = dmap.jacobian(phi.forward(x), jt[:n, :n] @ v)
         a, b = forward(x, v)
         pulled = jb @ jt
         out = np.zeros((2 * n, 2 * n))
@@ -327,8 +317,9 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     The inverse is structural: recover (x, y) from the base inverse,
     then solve the base Jacobian for (xdot, ydot).  When the base
     Jacobian is itself exact (built-ins, chain-rule lifts) this inverse
-    is exact; base maps that only expose finite-difference Jacobians
-    get a Newton solve on the forward map.
+    is exact; a nonlinear base map that only exposes finite-difference
+    Jacobians gets that solve refined by ``geometry._damped_newton`` on
+    the forward map.
 
     The lift commutes with chart transport (criterion 3): the lift of
     ``lift_by_diffeo(dmap, phi)`` is ``lift_by_diffeo(tangent_lift(dmap),
@@ -353,55 +344,24 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
         s = np.concatenate([x, sol[:n]])
         w = np.concatenate([y, sol[n:]])
         if dmap._jacobian is None and not dmap.affine:
-            s, w = _polish_inverse(forward, s, w, s0, s1)
+            target = np.concatenate([s0, s1])
+            q, _, _ = _damped_newton(
+                lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])) - target,
+                np.concatenate([s, w]), scale=1.0 + np.abs(target).max())
+            s, w = q[:2 * n], q[2 * n:]
         return s, w
 
     jacobian = None
     if dmap.affine:
         jb = dmap.jacobian(np.zeros(n), np.zeros(n))
+        # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1):
+        # jb maps the base entries (x, y) -> (x0, x1), and the tangent
+        # entries, n places later, (xd, yd) -> (v0, v1)
+        base = np.r_[0:n, 2 * n:3 * n]
         full = np.zeros((4 * n, 4 * n))
-        # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1)
-        full[0 * n:1 * n, 0 * n:1 * n] = jb[:n, :n]
-        full[0 * n:1 * n, 2 * n:3 * n] = jb[:n, n:]
-        full[1 * n:2 * n, 1 * n:2 * n] = jb[:n, :n]
-        full[1 * n:2 * n, 3 * n:4 * n] = jb[:n, n:]
-        full[2 * n:3 * n, 0 * n:1 * n] = jb[n:, :n]
-        full[2 * n:3 * n, 2 * n:3 * n] = jb[n:, n:]
-        full[3 * n:4 * n, 1 * n:2 * n] = jb[n:, :n]
-        full[3 * n:4 * n, 3 * n:4 * n] = jb[n:, n:]
+        full[np.ix_(base, base)] = jb
+        full[np.ix_(base + n, base + n)] = jb
         jacobian = lambda s, w: full
 
     return DiscretizationMap(2 * n, "tangent-lift", forward, inverse, jacobian,
                              affine=dmap.affine)
-
-
-def _polish_inverse(forward, s, w, s0, s1, tol=1e-12, max_iter=50):
-    """Damped Newton refinement of an approximate tangent-lift inverse."""
-    target = np.concatenate([s0, s1])
-
-    def residual(q):
-        m = q.size // 2
-        a, b = forward(q[:m], q[m:])
-        return np.concatenate([a, b]) - target
-
-    q = np.concatenate([s, w])
-    scale = 1.0 + np.abs(target).max()
-    r = residual(q)
-    for it in range(max_iter):
-        if np.abs(r).max() < tol * scale:
-            break
-        j = numeric_jacobian(residual, q, FIRST_ORDER_STEP)
-        dq = np.linalg.solve(j, r)
-        lam = 1.0
-        while lam > 1e-6:
-            r_new = residual(q - lam * dq)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                q, r = q - lam * dq, r_new
-                break
-            lam /= 2.0
-        else:
-            break
-    else:
-        raise NoConvergence(max_iter, float(np.abs(r).max()))
-    m = q.size // 2
-    return q[:m], q[m:]

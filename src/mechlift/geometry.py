@@ -1,22 +1,23 @@
-"""Chart-coordinate state types and the matrix primitives used everywhere else.
+"""Chart-coordinate state types and the numerical primitives used everywhere else.
 
 Positions and velocities live in local chart coordinates on an
-n-dimensional configuration manifold.  Double-tangent elements carry the
-four n-vectors (x, y, xdot, ydot) that second-order schemes shuffle
-around.  Rotations are 3x3 orthogonal matrices with unit determinant;
-the hat/vee pair, the exponential and the logarithm connect them to
-axis-angle 3-vectors.
+n-dimensional configuration manifold.  Rotations are 3x3 orthogonal
+matrices with unit determinant; the hat/vee pair, the exponential and
+the logarithm connect them to axis-angle 3-vectors.  The package's one
+central-difference Jacobian and its one damped Newton solver live here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleAtPi, DimensionMismatch, NonFinite, NotSkew
+from .errors import AngleAtPi, DimensionMismatch, NoConvergence, NonFinite, NotSkew
 
 # central-difference defaults: eps**(1/3) and eps**(1/4) ballparks
 FIRST_ORDER_STEP = 1e-6
 SECOND_ORDER_STEP = 1e-4
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 def float_array(a):
@@ -66,37 +67,6 @@ class CoordState:
 
 
 @dataclass
-class DoubleTangent:
-    """Element (x, y, xdot, ydot) of the double tangent bundle in chart coordinates."""
-
-    x: np.ndarray
-    y: np.ndarray
-    xdot: np.ndarray
-    ydot: np.ndarray
-
-    def __post_init__(self):
-        self.x = _vec(self.x, "x")
-        self.y = _vec(self.y, "y")
-        self.xdot = _vec(self.xdot, "xdot")
-        self.ydot = _vec(self.ydot, "ydot")
-        if not (self.x.shape == self.y.shape == self.xdot.shape == self.ydot.shape):
-            raise DimensionMismatch("all four component vectors must share length n")
-
-    @property
-    def n(self):
-        return self.x.size
-
-
-def kappa(w: DoubleTangent) -> DoubleTangent:
-    """Canonical involution (x, y, xdot, ydot) -> (x, xdot, y, ydot).
-
-    Swaps the two vector-bundle structures of the double tangent bundle.
-    A pure permutation, hence bit-exact and its own inverse.
-    """
-    return DoubleTangent(w.x, w.xdot, w.y, w.ydot)
-
-
-@dataclass
 class Rotation:
     """Orthogonal 3x3 matrix with determinant +1.
 
@@ -125,22 +95,6 @@ class Rotation:
             if np.linalg.det(r) < 0:
                 raise ValueError("nearest orthogonal matrix is a reflection")
         self.r = r
-
-    @property
-    def matrix(self):
-        return self.r
-
-
-@dataclass
-class AngularVelocity:
-    """Body angular velocity, rad/s."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = _vec(self.w, "w")
-        if self.w.size != 3:
-            raise DimensionMismatch("angular velocity must be a 3-vector")
 
 
 def hat(w) -> np.ndarray:
@@ -219,22 +173,6 @@ def so3_log(r) -> np.ndarray:
     return factor * axis
 
 
-def vectorize(m) -> np.ndarray:
-    """Row-major flattening of a 3x3 matrix to a 9-vector."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise DimensionMismatch("vectorize expects a 3x3 matrix")
-    return m.reshape(9).copy()
-
-
-def devectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = _vec(v, "v")
-    if v.size != 9:
-        raise DimensionMismatch("devectorize expects a 9-vector")
-    return v.reshape(3, 3).copy()
-
-
 def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     """Central-difference Jacobian of ``f`` at ``x0``.
 
@@ -266,23 +204,50 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def directional_derivative(f, x, v, step=FIRST_ORDER_STEP, richardson=False):
-    """Central-difference derivative of ``f`` at ``x`` along ``v``.
+def _damped_newton(residual, guess, scale):
+    """Damped Newton iteration in plain float64, reusing its Jacobian.
 
-    With ``richardson=True`` one level of Richardson extrapolation is
-    applied (recovers roughly half the digits lost to nesting).
+    The Jacobian, a central difference (:func:`numeric_jacobian`) with a
+    step scaled to the iterate, is kept while full steps at least halve
+    the residual norm; a fresh one's full step is halved until the norm
+    drops.  Past ``NEWTON_TOL * scale`` one more step takes the residual
+    to its rounding floor, which the step-conjugacy checks need.
+    Returns the best iterate, the iteration count and the final norm;
+    raises ``NoConvergence`` when ``NEWTON_MAX_ITER`` iterations or a
+    stalled line search leave the norm above the tolerance.
     """
-    x = _vec(x, "x")
-    v = np.asarray(v, dtype=float)
-
-    def central(s):
-        fp = np.asarray(f(x + s * v), dtype=float)
-        fm = np.asarray(f(x - s * v), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NonFinite("function evaluation returned NaN/Inf")
-        return (fp - fm) / (2.0 * s)
-
-    d = central(step)
-    if richardson:
-        d = (4.0 * central(step / 2.0) - d) / 3.0
-    return d
+    q = np.asarray(guess, float)
+    r = residual(q)
+    norm = float(np.linalg.norm(r))
+    converged = norm < NEWTON_TOL * scale
+    jac = None
+    it = 0
+    while norm > 0.0 and it < NEWTON_MAX_ITER:
+        it += 1
+        fresh = jac is None
+        if fresh:
+            step = FIRST_ORDER_STEP * (1.0 + float(np.abs(q).max()))
+            jac = numeric_jacobian(residual, q, step)
+        try:
+            dq = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while True:
+            q_try = q - lam * dq
+            r_try = residual(q_try)
+            norm_try = float(np.linalg.norm(r_try))
+            if norm_try < norm or not fresh or converged or lam < 1e-8:
+                break
+            lam /= 2.0
+        improved, halved = norm_try < norm, norm_try < 0.5 * norm
+        if improved:
+            q, r, norm = q_try, r_try, norm_try
+        if converged or (fresh and not improved):
+            break  # the polish step is done, or the solve has stalled
+        if not halved:
+            jac = None
+        converged = norm < NEWTON_TOL * scale
+    if not converged:
+        raise NoConvergence(it, norm)
+    return q, it, norm

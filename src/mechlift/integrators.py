@@ -29,11 +29,9 @@ from .errors import (
     Uncontrollable,
 )
 from .geometry import (
-    FIRST_ORDER_STEP,
-    CoordState,
     Rotation,
+    _damped_newton,
     float_array,
-    numeric_jacobian,
     so3_exp,
     so3_log,
 )
@@ -44,9 +42,6 @@ from .mechanics import (
     apply_feedback,
     sode_field_stacked,
 )
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
 
 
 @dataclass
@@ -82,54 +77,6 @@ class Trajectory:
             raise ValueError("time grid must be uniform and strictly increasing")
         if self.states.shape[0] != self.t.size:
             raise DimensionMismatch("one state row per grid point required")
-
-
-def _damped_newton(residual, guess, scale=1.0, tol=NEWTON_TOL,
-                   max_iter=NEWTON_MAX_ITER):
-    """Damped Newton iteration in plain float64, reusing its Jacobian.
-
-    The Jacobian, a central difference (``geometry.numeric_jacobian``)
-    with a step scaled to the iterate, is kept while full steps at least
-    halve the residual norm; a fresh one's full step is halved until the
-    norm drops.  Past ``tol * scale`` one more step takes the residual
-    to its rounding floor, which the step-conjugacy checks need.
-    Returns the best iterate, the iteration count and the final norm.
-    """
-    q = np.asarray(guess, float)
-    r = residual(q)
-    norm = float(np.linalg.norm(r))
-    converged = norm < tol * scale
-    jac = None
-    it = 0
-    while norm > 0.0 and it < max_iter:
-        it += 1
-        fresh = jac is None
-        if fresh:
-            step = FIRST_ORDER_STEP * (1.0 + float(np.abs(q).max()))
-            jac = numeric_jacobian(residual, q, step)
-        try:
-            dq = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        while True:
-            q_try = q - lam * dq
-            r_try = residual(q_try)
-            norm_try = float(np.linalg.norm(r_try))
-            if norm_try < norm or not fresh or converged or lam < 1e-8:
-                break
-            lam /= 2.0
-        improved, halved = norm_try < norm, norm_try < 0.5 * norm
-        if improved:
-            q, r, norm = q_try, r_try, norm_try
-        if converged or (fresh and not improved):
-            break  # the polish step is done, or the solve has stalled
-        if not halved:
-            jac = None
-        converged = norm < tol * scale
-    if not converged:
-        raise NoConvergence(it, norm)
-    return q, it, norm
 
 
 def step_first_order(dmap: DiscretizationMap, x_field, x_k, h) -> StepResult:
@@ -168,8 +115,6 @@ def step_sode(lifted_map: DiscretizationMap, sys: MechanicalSystem,
     s_k itself, and its tolerance is relative to the largest entry of
     s_k: both live in the chart the step is taken in.
     """
-    if isinstance(s_k, CoordState):
-        s_k = s_k.stacked()
     s_k = np.asarray(s_k, float)
     n = sys.n
     if s_k.size != 2 * n or lifted_map.dim != 2 * n:
@@ -223,8 +168,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     tmap = tangent_map(phi)
     lifted = tangent_lift(base_map)
 
-    if isinstance(s0, CoordState):
-        s0 = s0.stacked()
     s0 = np.asarray(s0, float)
     n, m = sys.n, sys.m
     # step_sode sees the conjugate chart as a fully actuated double
@@ -457,7 +400,9 @@ def reference_integrate(x_field, s0, t_final, tol, t_eval=None) -> Trajectory:
 
     Wraps an embedded Runge-Kutta 5(4) pair with dense output; ``tol``
     controls both relative and absolute local error and must lie in
-    [1e-12, 1e-6].
+    [1e-12, 1e-6].  The only function that needs scipy, which the
+    package installs as the ``reference`` extra (``pip install
+    mechlift[reference]``) rather than as a runtime dependency.
     """
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-12, 1e-6]")
@@ -505,6 +450,9 @@ def linear_flow(a, z0, times) -> np.ndarray:
     return e @ np.asarray(z0, float)
 
 
+ORDER_FLOOR = 1e-10
+
+
 @dataclass
 class OrderStudy:
     """Log-log fit of global error against step size."""
@@ -514,7 +462,6 @@ class OrderStudy:
     slope: float | None
     fit_residual: float | None
     floored: bool
-    floor: float = 1e-10
 
     def __repr__(self):
         if self.slope is None:
@@ -523,30 +470,40 @@ class OrderStudy:
         return f"OrderStudy(slope {self.slope:.3f}{tag})"
 
 
-def order_study(stepper, reference_state, s0, t_final, h_list,
-                floor=1e-10) -> OrderStudy:
+def grid_steps(t_final, h) -> int:
+    """Steps of size h to t_final; ``ValueError`` unless both are positive
+    and t_final / h is a whole number to 1e-9 relative."""
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    if not t_final > 0:
+        raise ValueError(f"final time must be positive, got {t_final}")
+    steps = int(round(t_final / h))
+    if abs(steps * h - t_final) > 1e-9 * t_final:
+        raise ValueError(f"t_final is not an integer multiple of h = {h}")
+    return steps
+
+
+def order_study(stepper, reference_state, s0, t_final, h_list) -> OrderStudy:
     """Estimate the global convergence order of a stepper.
 
     ``stepper(s0, h, steps)`` must return the state at t_final = h * steps;
     ``reference_state`` is the accurate terminal state the errors are
-    measured against.  Errors at or below ``floor`` flag the fit as
+    measured against.  Errors below ``ORDER_FLOOR`` flag the fit as
     floored (self-comparison / interpolation noise).
     """
     h_list = np.asarray(h_list, float)
     reference_state = np.asarray(reference_state, float)
     errors = []
     for h in h_list:
-        steps = int(round(t_final / h))
-        if abs(steps * h - t_final) > 1e-9 * t_final:
-            raise ValueError(f"t_final is not an integer multiple of h = {h}")
+        steps = grid_steps(t_final, h)
         final = np.asarray(stepper(s0, h, steps), float)
         errors.append(float(np.linalg.norm(final - reference_state)))
     errors = np.asarray(errors)
 
-    floored = bool(np.max(errors) < floor)
+    floored = bool(np.max(errors) < ORDER_FLOOR)
     if h_list.size < 2 or np.any(errors == 0.0) or floored:
-        return OrderStudy(h_list, errors, None, None, floored, floor)
+        return OrderStudy(h_list, errors, None, None, floored)
     logs_h, logs_e = np.log(h_list), np.log(errors)
     slope, intercept = np.polyfit(logs_h, logs_e, 1)
     resid = float(np.sqrt(np.mean((logs_e - (slope * logs_h + intercept)) ** 2)))
-    return OrderStudy(h_list, errors, float(slope), resid, floored, floor)
+    return OrderStudy(h_list, errors, float(slope), resid, floored)

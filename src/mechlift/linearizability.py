@@ -19,38 +19,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, WrongDimensions
-from .geometry import FIRST_ORDER_STEP, SECOND_ORDER_STEP, numeric_jacobian
+from .geometry import SECOND_ORDER_STEP, numeric_jacobian
 from .mechanics import MechanicalSystem
 
 RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-6
 
 
-def lie_bracket(x_field, y_field, x, step=FIRST_ORDER_STEP,
-                jac_x=None, jac_y=None) -> np.ndarray:
-    """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x).
-
-    Jacobians come from central differences unless analytic callables
-    are supplied.
-    """
+def lie_bracket(x_field, y_field, x) -> np.ndarray:
+    """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x), Jacobians by central differences."""
     x = np.asarray(x, float)
     xv = np.asarray(x_field(x), float)
     yv = np.asarray(y_field(x), float)
-    dy = jac_y(x) if jac_y is not None else numeric_jacobian(y_field, x, step)
-    dx = jac_x(x) if jac_x is not None else numeric_jacobian(x_field, x, step)
+    dy = numeric_jacobian(y_field, x)
+    dx = numeric_jacobian(x_field, x)
     out = dy @ xv - dx @ yv
     if not np.all(np.isfinite(out)):
         raise NonFinite("lie bracket evaluation returned NaN/Inf")
     return out
 
 
-def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x,
-                         step=FIRST_ORDER_STEP) -> np.ndarray:
+def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarray:
     """(nabla_X Y)^i = dY^i/dx^j X^j + Gamma^i_jk X^j Y^k."""
     x = np.asarray(x, float)
     xv = np.asarray(x_field(x), float)
     yv = np.asarray(y_field(x), float)
-    dy = numeric_jacobian(y_field, x, step)
+    dy = numeric_jacobian(y_field, x)
     G = np.asarray(sys.gamma(x), float)
     out = dy @ xv + np.einsum("ijk,j,k->i", G, xv, yv)
     if not np.all(np.isfinite(out)):
@@ -58,13 +52,15 @@ def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x,
     return out
 
 
-def _second_directional(f, x, u, v, step, richardson):
+def _second_directional(f, x, u, v):
     """Mixed second derivative D2f(x)[u, v] by symmetric polarization.
 
     Directions are normalized before differencing and the norms factored
     back in, and the step grows with |f|^(1/4) so function-value rounding
     does not swamp the quotient when the fields are large.  The
-    polarization is symmetric in (u, v) by construction.
+    polarization is symmetric in (u, v) by construction.  One level of
+    Richardson extrapolation, from twice the step, recovers roughly half
+    the digits lost to the second difference.
     """
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
@@ -72,9 +68,7 @@ def _second_directional(f, x, u, v, step, richardson):
         return np.zeros_like(np.asarray(f(x), float))
     uh, vh = np.asarray(u, float) / nu, np.asarray(v, float) / nv
     f0 = np.asarray(f(x), float)
-    s = step * (1.0 + float(np.abs(f0).max())) ** 0.25
-    if richardson:
-        s *= 2.0
+    s = 2.0 * SECOND_ORDER_STEP * (1.0 + float(np.abs(f0).max())) ** 0.25
 
     def quad(w, s_):
         fp = np.asarray(f(x + s_ * w), float)
@@ -84,15 +78,12 @@ def _second_directional(f, x, u, v, step, richardson):
     def mixed(s_):
         return (quad(uh + vh, s_) - quad(uh - vh, s_)) / 4.0
 
-    d = mixed(s)
-    if richardson:
-        d = (4.0 * mixed(s / 2.0) - d) / 3.0
+    d = (4.0 * mixed(s / 2.0) - mixed(s)) / 3.0
     return nu * nv * d
 
 
 def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field,
-                                x, step=SECOND_ORDER_STEP,
-                                richardson=True) -> np.ndarray:
+                                x) -> np.ndarray:
     """nabla^2_{X,Y} Z = nabla_X (nabla_Y Z) - nabla_{nabla_X Y} Z.
 
     The outer derivative is expanded by the product rule, so only
@@ -108,22 +99,22 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     xv = np.asarray(x_field(x), float)
     yv = np.asarray(y_field(x), float)
     zv = np.asarray(z_field(x), float)
-    dz = numeric_jacobian(z_field, x, FIRST_ORDER_STEP)
+    dz = numeric_jacobian(z_field, x)
     G = np.asarray(sys.gamma(x), float)
 
     def gam(a, b):
         return np.einsum("ijk,j,k->i", G, a, b)
 
-    d2z = _second_directional(z_field, x, xv, yv, step, richardson)
+    d2z = _second_directional(z_field, x, xv, yv)
 
     nxv = float(np.linalg.norm(xv))
     if nxv == 0.0:
         dgam_term = np.zeros(sys.n)
     else:
-        s = SECOND_ORDER_STEP
         xh = xv / nxv
-        dG = (np.asarray(sys.gamma(x + s * xh), float)
-              - np.asarray(sys.gamma(x - s * xh), float)) / (2.0 * s) * nxv
+        dG = numeric_jacobian(lambda t: np.asarray(sys.gamma(x + t[0] * xh), float).ravel(),
+                              np.zeros(1), SECOND_ORDER_STEP)
+        dG = dG.reshape(sys.n, sys.n, sys.n) * nxv
         dgam_term = np.einsum("ijk,j,k->i", dG, yv, zv)
 
     out = (d2z + dgam_term + gam(yv, dz @ xv) + gam(xv, dz @ yv)
@@ -133,19 +124,14 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     return out
 
 
-def curvature_tensor(sys: MechanicalSystem, x, step=FIRST_ORDER_STEP) -> np.ndarray:
+def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
     """Curvature R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj."""
     x = np.asarray(x, float)
     n = sys.n
     G = np.asarray(sys.gamma(x), float)
-    dG = np.empty((n, n, n, n))  # dG[m] = d Gamma / d x_m
-    for m_ in range(n):
-        e = np.zeros(n)
-        e[m_] = step
-        dG[m_] = (np.asarray(sys.gamma(x + e), float)
-                  - np.asarray(sys.gamma(x - e), float)) / (2.0 * step)
-    if not np.all(np.isfinite(dG)):
-        raise NonFinite("curvature differencing returned NaN/Inf")
+    # dG[m] = d Gamma / d x_m
+    dG = numeric_jacobian(lambda p: np.asarray(sys.gamma(p), float).ravel(), x)
+    dG = dG.T.reshape(n, n, n, n)
     term1 = np.einsum("kilj->ijkl", dG)
     term2 = np.einsum("likj->ijkl", dG)
     term3 = np.einsum("ikm,mlj->ijkl", G, G)
@@ -208,15 +194,14 @@ def _drift_bracket_fields(sys):
     return fields
 
 
-def check_planar(sys: MechanicalSystem, samples, rank_tol=RANK_TOL,
-                 membership_tol=MEMBERSHIP_TOL) -> ConditionReport:
+def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     """Planar (n = 2, m = 1) linearizability conditions on a sample grid.
 
     MD1: g and its drift bracket independent (singular-value ratio above
-    ``rank_tol``).  MD2: nabla_g g and nabla_{ad_e g} g lie in span(g).
+    ``RANK_TOL``).  MD2: nabla_g g and nabla_{ad_e g} g lie in span(g).
     MD3: the commutator of second covariant derivatives of ad_e g lies
     in span(g).  Membership defects are projection residuals, compared
-    against ``membership_tol`` times the magnitude of the tested vector.
+    against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
@@ -256,22 +241,22 @@ def check_planar(sys: MechanicalSystem, samples, rank_tol=RANK_TOL,
     def verdict(ok):
         return "pass" if ok else "fail"
 
-    md1_ok = md1_ratio > rank_tol
+    md1_ok = md1_ratio > RANK_TOL
     return ConditionReport([
         ConditionResult("MD1", verdict(md1_ok), md1_ratio,
-                        None if md1_ok else md1_wit, rank_tol),
-        ConditionResult("MD2", verdict(md2_def < membership_tol * md2_scale),
-                        md2_def, md2_wit, membership_tol * md2_scale),
-        ConditionResult("MD3", verdict(md3_def < membership_tol * md3_scale),
-                        md3_def, md3_wit, membership_tol * md3_scale),
+                        None if md1_ok else md1_wit, RANK_TOL),
+        ConditionResult("MD2", verdict(md2_def < MEMBERSHIP_TOL * md2_scale),
+                        md2_def, md2_wit, MEMBERSHIP_TOL * md2_scale),
+        ConditionResult("MD3", verdict(md3_def < MEMBERSHIP_TOL * md3_scale),
+                        md3_def, md3_wit, MEMBERSHIP_TOL * md3_scale),
     ])
 
 
-def _numeric_rank(matrix, rank_tol):
+def _numeric_rank(matrix):
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0, np.inf
-    ranks = int(np.sum(sv / sv[0] > rank_tol))
+    ranks = int(np.sum(sv / sv[0] > RANK_TOL))
     margin = sv[ranks - 1] / sv[0] if ranks > 0 else np.inf
     return ranks, margin
 
@@ -304,12 +289,11 @@ def _nabla2_e_tensor(sys, x):
     return out
 
 
-def check_general(sys: MechanicalSystem, samples, rank_tol=RANK_TOL,
-                  membership_tol=MEMBERSHIP_TOL) -> ConditionReport:
+def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     """General linearizability conditions on a sample grid.
 
     ML1: both control distributions keep a constant numeric rank across
-    the samples (a margin within 10x of ``rank_tol`` downgrades the
+    the samples (a margin within 10x of ``RANK_TOL`` downgrades the
     verdict to inconclusive).  ML2: brackets of control fields do not
     enlarge the control span.  ML3/ML4/ML5: an orthonormal basis of the
     relevant annihilator kills the curvature tensor, the covariant
@@ -331,8 +315,8 @@ def check_general(sys: MechanicalSystem, samples, rank_tol=RANK_TOL,
         brackets = np.column_stack([ad(x) for _, ad in fields])
         e1 = np.column_stack([e0, brackets])
 
-        r0, m0_ = _numeric_rank(e0, rank_tol)
-        r1, m1_ = _numeric_rank(e1, rank_tol)
+        r0, m0_ = _numeric_rank(e0)
+        r1, m1_ = _numeric_rank(e1)
         ranks0.append(r0)
         ranks1.append(r1)
         if min(m0_, m1_) < ml1_margin:
@@ -373,22 +357,22 @@ def check_general(sys: MechanicalSystem, samples, rank_tol=RANK_TOL,
 
     rank_constant = len(set(ranks0)) <= 1 and len(set(ranks1)) <= 1
     if not rank_constant:
-        ml1 = ConditionResult("ML1", "fail", ml1_margin, ml1_wit, rank_tol)
-    elif ml1_margin < 10 * rank_tol:
-        ml1 = ConditionResult("ML1", "inconclusive", ml1_margin, ml1_wit, rank_tol)
+        ml1 = ConditionResult("ML1", "fail", ml1_margin, ml1_wit, RANK_TOL)
+    elif ml1_margin < 10 * RANK_TOL:
+        ml1 = ConditionResult("ML1", "inconclusive", ml1_margin, ml1_wit, RANK_TOL)
     else:
-        ml1 = ConditionResult("ML1", "pass", ml1_margin, None, rank_tol)
+        ml1 = ConditionResult("ML1", "pass", ml1_margin, None, RANK_TOL)
 
     def membership(name, defect, wit, scale):
-        ok = defect < membership_tol * scale
+        ok = defect < MEMBERSHIP_TOL * scale
         return ConditionResult(name, "pass" if ok else "fail", defect,
-                               None if ok else wit, membership_tol * scale)
+                               None if ok else wit, MEMBERSHIP_TOL * scale)
 
-    ml2_ok = ml2_def <= rank_tol
+    ml2_ok = ml2_def <= RANK_TOL
     return ConditionReport([
         ml1,
         ConditionResult("ML2", "pass" if ml2_ok else "fail", ml2_def,
-                        None if ml2_ok else ml2_wit, rank_tol),
+                        None if ml2_ok else ml2_wit, RANK_TOL),
         membership("ML3", ml3_def, ml3_wit, ml3_scale),
         membership("ML4", ml4_def, ml4_wit, ml4_scale),
         membership("ML5", ml5_def, ml5_wit, ml5_scale),

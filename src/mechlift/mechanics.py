@@ -27,9 +27,9 @@ from .geometry import (
     Rotation,
     float_array,
     hat,
+    numeric_jacobian,
     so3_exp,
     so3_log,
-    vectorize,
 )
 
 
@@ -116,26 +116,12 @@ class LinearMechanicalSystem:
         )
 
 
-def sode_field(sys: MechanicalSystem, s: CoordState, u):
-    """Second-order vector field of a mechanical system.
-
-    Returns the pair (xdot, ydot) with xdot = y and
-    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i.
-    """
-    u = np.atleast_1d(np.asarray(u, float))
-    if s.n != sys.n or u.size != sys.m:
-        raise DimensionMismatch(
-            f"state dim {s.n} / control dim {u.size} do not match system ({sys.n}, {sys.m})"
-        )
-    x, y = s.x, s.y
-    G = np.asarray(sys.gamma(x), float)
-    ydot = -np.einsum("ijk,j,k->i", G, y, y) + np.asarray(sys.e(x), float) \
-        + np.asarray(sys.g(x), float) @ u
-    return y.copy(), ydot
-
-
 def sode_field_stacked(sys: MechanicalSystem, s, u):
-    """Same field on the packed 2n-vector (x, y); used by the steppers."""
+    """Second-order vector field of a mechanical system on the packed (x, y).
+
+    Returns the 2n-vector (xdot, ydot) with xdot = y and
+    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i; used by the steppers.
+    """
     n = sys.n
     x, y = s[:n], s[n:]
     u = np.atleast_1d(float_array(u))
@@ -143,6 +129,17 @@ def sode_field_stacked(sys: MechanicalSystem, s, u):
     ydot = -np.einsum("ijk,j,k->i", G, y, y) + float_array(sys.e(x)) \
         + float_array(sys.g(x)) @ u
     return np.concatenate([y, ydot])
+
+
+def sode_field(sys: MechanicalSystem, s: CoordState, u):
+    """The same field on a :class:`CoordState`, as the pair (xdot, ydot)."""
+    u = np.atleast_1d(np.asarray(u, float))
+    if s.n != sys.n or u.size != sys.m:
+        raise DimensionMismatch(
+            f"state dim {s.n} / control dim {u.size} do not match system ({sys.n}, {sys.m})"
+        )
+    out = sode_field_stacked(sys, s.stacked(), u)
+    return out[:sys.n], out[sys.n:]
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
@@ -245,23 +242,23 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
 
     phi = Diffeomorphism(2, fwd, inv, jac, second)
 
-    def beta(x):
+    def regular_cos(x):
+        """cos x1, guarded: the feedback is singular where it vanishes."""
         c = np.cos(x[0])
         if abs(c) < 1e-9:
             raise SingularFeedback("feedback singular at x1 = +/- pi/2")
-        return np.array([[-md * J2 / (m0 * c)]])
+        return c
+
+    def beta(x):
+        return np.array([[-md * J2 / (m0 * regular_cos(x))]])
 
     def alpha(x):
-        c = np.cos(x[0])
-        if abs(c) < 1e-9:
-            raise SingularFeedback("feedback singular at x1 = +/- pi/2")
+        regular_cos(x)
         # -(md J2/(m0 cos)) * (-(m0^2/(2 md J2)) sin 2x1) = m0 sin x1
         return np.array([m0 * np.sin(x[0])])
 
     def gammaF(x):
-        c = np.cos(x[0])
-        if abs(c) < 1e-9:
-            raise SingularFeedback("feedback singular at x1 = +/- pi/2")
+        c = regular_cos(x)
         out = np.zeros((1, 2, 2))
         out[0, 0, 0] = -md * np.sin(x[0]) / c
         return out
@@ -306,8 +303,8 @@ class RigidBodySystem:
 
     Carries the group-level state evolution, the torque/control
     substitution, the log/exp chart, the flat linear target, and the
-    two mechanical-system chart views used by the linearizability and
-    equivalence checks.
+    exponential-chart mechanical system with its linearizing feedback,
+    used by the linearizability and equivalence checks.
     """
 
     inertia: np.ndarray
@@ -367,14 +364,11 @@ class RigidBodySystem:
         g(xi) = A(xi)^-1.  Valid for |xi| < pi.
         """
 
-        def gamma(x, step=1e-6):
+        def gamma(x):
             A = _rotation_rates_matrix(x)
-            dB = np.empty((3, 3, 3))  # dB[j] = d(Binv)/dxi_j
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = step
-                dB[j] = (_rotation_rates_matrix_inv(x + e)
-                         - _rotation_rates_matrix_inv(x - e)) / (2 * step)
+            # dB[j] = d(Binv)/dxi_j
+            dB = numeric_jacobian(lambda p: _rotation_rates_matrix_inv(p).ravel(), x)
+            dB = dB.T.reshape(3, 3, 3)
             # quadratic term of xi'' is  dB[y] A y; Gamma is minus its symmetrization
             t = np.einsum("jil,lk->ijk", dB, A)
             return -0.5 * (t + t.transpose(0, 2, 1))
@@ -406,42 +400,6 @@ class RigidBodySystem:
             gammaF=gammaF,
         )
 
-    def vector_chart_system(self) -> MechanicalSystem:
-        """Read-only control-affine view on the flattened 3x3 chart.
-
-        The state is the row-major 9-vector of the rotation matrix, the
-        quadratic term reproduces y x^T y, and the control fields are
-        the columns x hat(e_r).  Provided for testing; simulation stays
-        on the group.
-        """
-
-        def gamma(x9):
-            X = x9.reshape(3, 3)
-            G = np.zeros((9, 9, 9))
-            for a_ in range(3):
-                for b_ in range(3):
-                    i = 3 * a_ + b_
-                    for c_ in range(3):
-                        for d_ in range(3):
-                            j = 3 * a_ + c_
-                            k = 3 * d_ + b_
-                            G[i, j, k] -= 0.5 * X[d_, c_]
-                            G[i, k, j] -= 0.5 * X[d_, c_]
-            return G
-
-        def g(x9):
-            X = x9.reshape(3, 3)
-            return np.column_stack(
-                [vectorize(X @ hat(np.eye(3)[r])) for r in range(3)]
-            )
-
-        return MechanicalSystem(
-            n=9, m=3,
-            gamma=gamma,
-            e=lambda x: np.zeros(9),
-            g=g,
-        )
-
 
 def rigid_body_system(inertia) -> RigidBodySystem:
     """Rigid-body bundle for a symmetric positive definite inertia matrix."""
@@ -451,6 +409,9 @@ def rigid_body_system(inertia) -> RigidBodySystem:
 # ---------------------------------------------------------------------------
 # equivalence check
 # ---------------------------------------------------------------------------
+
+MF_EQUIVALENCE_TOL = 1e-7
+
 
 @dataclass
 class MFEquivalenceReport:
@@ -464,8 +425,7 @@ class MFEquivalenceReport:
 
 
 def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
-                          lms: LinearMechanicalSystem, samples,
-                          tol=1e-7) -> MFEquivalenceReport:
+                          lms: LinearMechanicalSystem, samples) -> MFEquivalenceReport:
     """Check that feedback plus chart change linearizes the system.
 
     At each sample (x, y, utilde) the closed-loop second-order field is
@@ -480,11 +440,10 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
         _, ydot = sode_field(sys, CoordState(x, y), u)
         d = t.phi.jacobian(x)
         xt = t.phi.forward(x)
-        yt = d @ y
         # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
         pushed = t.phi.second_deriv(x, y, y) + d @ ydot
         target = lms.A @ xt + lms.B @ np.atleast_1d(np.asarray(utilde, float))
         defect = float(np.abs(pushed - target).max())
         if defect > worst:
             worst, witness = defect, (x.copy(), y.copy(), np.copy(utilde))
-    return MFEquivalenceReport(worst, witness, tol)
+    return MFEquivalenceReport(worst, witness, MF_EQUIVALENCE_TOL)

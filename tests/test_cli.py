@@ -123,6 +123,22 @@ class TestSimulatePendulum:
         assert main(["simulate-pendulum", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 4
 
+    def test_system_is_not_a_key(self, tmp_path, capsys):
+        # the command names the system; a config key for it would go unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "so3"}))
+        assert main(["simulate-pendulum", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 4
+        assert "unknown config keys: ['system']" in capsys.readouterr().err
+
+    def test_t_final_off_the_step_grid_is_usage_error(self, tmp_path, capsys):
+        # round(1 / 0.3) = 3 steps would end at t = 0.9
+        out = tmp_path / "x"
+        assert main(["simulate-pendulum", "--h", "0.3", "--t-final", "1",
+                     "--out", str(out)]) == 4
+        assert "t_final is not an integer multiple of h = 0.3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_step_size_is_usage_error(self, tmp_path):
         assert main(["simulate-pendulum", "--h", "-0.01",
                      "--out", str(tmp_path / "x")]) == 4
@@ -162,19 +178,36 @@ class TestSimulateSo3:
         _, data = read_csv(out / "rigid_body.csv")
         assert np.abs(data[:, 1:]).max() == 0.0
 
-    def test_reference_on_the_loop_grid_past_t_final(self, tmp_path):
-        # round(1 / 0.35) = 3 steps end at t = 1.05, past the requested t_final
+    def test_reference_on_the_loop_grid_past_t_final(self, tmp_path, capsys):
+        # round(1 / 0.35) = 3 steps would end at t = 1.05, past t_final: refused
+        assert main(["simulate-so3", "--h", "0.35", "--t-final", "1",
+                     "--out", str(tmp_path / "x")]) == 4
+        assert "t_final is not an integer multiple of h = 0.35" in capsys.readouterr().err
         from scipy.linalg import expm
 
         out = tmp_path / "so3"
-        assert main(["simulate-so3", "--h", "0.35", "--t-final", "1",
+        assert main(["simulate-so3", "--h", "0.25", "--t-final", "1",
                      "--out", str(out)]) == 0
         _, data = read_csv(out / "rigid_body.csv")
-        assert data.shape[0] == 4
+        assert data.shape[0] == 5
         eye, zero = np.eye(3), np.zeros((3, 3))
         a_cl = np.block([[zero, eye], [-5.0 * eye, -10.0 * eye]])
-        z = expm(a_cl * 1.05) @ np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
+        z = expm(a_cl * 1.0) @ np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
         assert abs(data[-1, 2] - (3.0 - np.trace(so3_exp(z[:3]).r))) < 1e-12
+
+    def test_summary_echoes_only_the_keys_it_reads(self, tmp_path):
+        out = tmp_path / "so3"
+        assert main(["simulate-so3", "--t-final", "0.1", "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert sorted(config) == ["gains", "h", "initial_state", "out_dir", "t_final"]
+
+    def test_pendulum_keys_are_usage_errors(self, tmp_path):
+        # the attitude loop has one scheme and PD gains: no base map, no poles
+        for key, value in (("map_kind", "midpoint"), ("poles", [-1.0, -2.0])):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            assert main(["simulate-so3", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 4
 
     def test_map_flag_is_usage_error(self, tmp_path):
         # the attitude loop has one scheme; --map belongs to simulate-pendulum
@@ -257,6 +290,11 @@ class TestOrderStudy:
 
     def test_unknown_system(self):
         assert main(["order-study", "wobbler"]) == 4
+
+    def test_nonpositive_step_is_usage_error(self, capsys):
+        # the simulate commands' step-grid rule: no zero-step "study"
+        assert main(["order-study", "harmonic", "--h-list=-0.1"]) == 4
+        assert "step size must be positive, got -0.1" in capsys.readouterr().err
 
 
 def test_cli_runs_import_no_scipy(tmp_path):

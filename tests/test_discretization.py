@@ -15,6 +15,8 @@ from mechlift import (
     tangent_map,
     verify_axioms,
 )
+from mechlift import discretization
+from mechlift.geometry import _damped_newton
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
 
@@ -158,6 +160,38 @@ class TestTangentLift:
         report = verify_axioms(tangent_lift(builder(2)),
                                [rng.normal(size=4) for _ in range(10)])
         assert report.passed
+
+    def test_newton_inverse_of_a_jacobian_less_map(self, monkeypatch):
+        # a nonlinear base map with no Jacobian: the lift's inverse refines
+        # its structural solve with the package's damped Newton solver
+        def forward(x, v):
+            return x - v / 2.0, x + v / 2.0 + 0.2 * v**3
+
+        def inverse(a, b):
+            roots = np.roots([0.2, 0.0, 1.0, -(b[0] - a[0])])
+            v = float(np.real(roots[np.argmin(np.abs(np.imag(roots)))]))
+            return np.array([a[0] + v / 2.0]), np.array([v])
+
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return _damped_newton(*args, **kwargs)
+
+        monkeypatch.setattr(discretization, "_damped_newton", counted)
+        lifted = tangent_lift(DiscretizationMap(1, "midpoint", forward, inverse))
+        for s, w in (([0.3, -1.2], [0.8, 0.5]), ([-1.0, 0.4], [-1.5, 2.0]),
+                     ([2.0, 0.0], [0.1, -0.7]), ([0.0, 1.0], [3.0, 1.0])):
+            q = np.concatenate([s, w])
+            pair = np.concatenate(lifted.forward(q[:2], q[2:]))
+            q2 = np.concatenate(lifted.inverse(pair[:2], pair[2:]))
+            # Newton's own target: the recovered point maps onto the pair
+            replay = np.concatenate(lifted.forward(q2[:2], q2[2:]))
+            assert np.abs(replay - pair).max() <= 1e-12 * np.abs(pair).max()
+            # the forward map carries the central-difference noise of the
+            # base Jacobian (~1e-10 relative), which bounds the round trip
+            assert np.abs(q2 - q).max() <= 1e-9 * np.abs(q).max()
+        assert len(solves) == 4
 
 
 class TestTangentMap:

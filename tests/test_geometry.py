@@ -4,20 +4,15 @@ import pytest
 
 from mechlift import (
     AngleAtPi,
-    AngularVelocity,
     CoordState,
     DimensionMismatch,
-    DoubleTangent,
     NonFinite,
     NotSkew,
     Rotation,
-    devectorize,
     hat,
-    kappa,
     numeric_jacobian,
     so3_exp,
     so3_log,
-    vectorize,
     vee,
 )
 
@@ -32,29 +27,6 @@ def rodrigues(w):
     k = np.asarray(w) / th
     kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
     return np.eye(3) + np.sin(th) * kx + (1 - np.cos(th)) * (kx @ kx)
-
-
-class TestKappa:
-    def test_component_swap(self):
-        w = DoubleTangent([1.0], [2.0], [3.0], [4.0])
-        out = kappa(w)
-        assert (out.x[0], out.y[0], out.xdot[0], out.ydot[0]) == (1.0, 3.0, 2.0, 4.0)
-
-    def test_fixed_point_when_middle_entries_vanish(self):
-        w = DoubleTangent([0.7, -0.2], [0, 0], [0, 0], [0, 0])
-        out = kappa(w)
-        npt.assert_array_equal(out.x, w.x)
-        npt.assert_array_equal(out.y, np.zeros(2))
-        npt.assert_array_equal(out.xdot, np.zeros(2))
-
-    def test_involution_bit_exact(self, rng):
-        for _ in range(100):
-            n = rng.integers(1, 6)
-            w = DoubleTangent(*rng.normal(size=(4, n)))
-            out = kappa(kappa(w))
-            for a, b in zip((out.x, out.y, out.xdot, out.ydot),
-                            (w.x, w.y, w.xdot, w.ydot)):
-                npt.assert_array_equal(a, b)
 
 
 class TestHatVee:
@@ -130,21 +102,6 @@ class TestExpLog:
         npt.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-18)
 
 
-class TestVectorize:
-    def test_row_major_order(self):
-        m = np.arange(1.0, 10.0).reshape(3, 3)
-        npt.assert_array_equal(vectorize(m), np.arange(1.0, 10.0))
-
-    def test_identity(self):
-        npt.assert_array_equal(vectorize(np.eye(3)),
-                               [1, 0, 0, 0, 1, 0, 0, 0, 1])
-
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            m = rng.normal(size=(3, 3))
-            npt.assert_array_equal(devectorize(vectorize(m)), m)
-
-
 class TestNumericJacobian:
     def test_identity_map(self, rng):
         x0 = rng.normal(size=4)
@@ -188,10 +145,6 @@ class TestStateTypes:
         s2 = CoordState.from_stacked([1.0, 2.0, 3.0, 4.0])
         npt.assert_array_equal(s2.x, s.x)
 
-    def test_double_tangent_validation(self):
-        with pytest.raises(DimensionMismatch):
-            DoubleTangent([1.0], [1.0], [1.0, 2.0], [1.0])
-
     def test_rotation_accepts_exact(self):
         Rotation(np.eye(3))
 
@@ -208,10 +161,3 @@ class TestStateTypes:
     def test_rotation_rejects_reflection(self):
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, 1.0, -1.0]))
-
-    def test_angular_velocity_validation(self):
-        npt.assert_array_equal(AngularVelocity([1.0, 2.0, 3.0]).w, [1, 2, 3])
-        with pytest.raises(DimensionMismatch):
-            AngularVelocity([1.0, 2.0])
-        with pytest.raises(NonFinite):
-            AngularVelocity([np.inf, 0.0, 0.0])

@@ -13,8 +13,6 @@ from mechlift import (
     curvature_tensor,
     lie_bracket,
     second_covariant_derivative,
-    so3_exp,
-    vectorize,
 )
 
 M0, MD = PARAMS["m0"], PARAMS["md"]
@@ -231,16 +229,6 @@ class TestCheckGeneral:
             samples.append(xi)
         report = check_general(rigid_body.exp_chart_system(), samples)
         assert report.passed
-
-    def test_vector_chart_drift_condition_trivial(self, rigid_body, rng):
-        # zero drift makes the second-derivative condition hold identically
-        sys9 = rigid_body.vector_chart_system()
-        samples = [vectorize(so3_exp(rng.normal(size=3) * 0.6).r)
-                   for _ in range(3)]
-        report = check_general(sys9, samples)
-        ml5 = report["ML5"]
-        assert ml5.verdict == "pass"
-        assert ml5.defect == 0.0
 
     def test_linear_system_passes(self, rng):
         lms = LinearMechanicalSystem(

@@ -249,31 +249,6 @@ class TestRigidBody:
             xi = rng.normal(size=3) * 0.8
             assert sys3.gamma_symmetry_defect(xi) < 1e-12
 
-    def test_vector_chart_reproduces_matrix_quadratic(self, rigid_body, rng):
-        # the 9-dim quadratic term must equal y x^T y entrywise
-        from mechlift import devectorize, vectorize
-
-        sys9 = rigid_body.vector_chart_system()
-        x9 = vectorize(so3_exp(rng.normal(size=3) * 0.7).r)
-        y9 = rng.normal(size=9)
-        G = sys9.gamma(x9)
-        quad = -np.einsum("ijk,j,k->i", G, y9, y9)
-        ym, xm = devectorize(y9), devectorize(x9)
-        npt.assert_allclose(quad, vectorize(ym @ xm.T @ ym), atol=1e-12)
-        assert sys9.gamma_symmetry_defect(x9) < 1e-12
-
-    def test_vector_chart_control_fields(self, rigid_body, rng):
-        from mechlift import devectorize, hat, vectorize
-
-        sys9 = rigid_body.vector_chart_system()
-        x9 = vectorize(so3_exp(rng.normal(size=3) * 0.5).r)
-        g = sys9.g(x9)
-        xm = devectorize(x9)
-        for r in range(3):
-            npt.assert_allclose(g[:, r], vectorize(xm @ hat(np.eye(3)[r])),
-                                atol=1e-15)
-        npt.assert_array_equal(sys9.e(x9), np.zeros(9))
-
 
 class TestMFEquivalence:
     def test_pendulum_passes(self, pendulum, rng):
