@@ -12,13 +12,11 @@ from .errors import (
     OutsideChart,
     SingularFeedback,
     SingularStep,
-    StepUnderflow,
     Uncontrollable,
     UnknownSystem,
     WrongDimensions,
 )
 from .geometry import (
-    CoordState,
     Rotation,
     hat,
     numeric_jacobian,
@@ -67,16 +65,13 @@ from .integrators import (
     StepResult,
     Trajectory,
     cayley_matrix,
-    cayley_step,
     fl_discretize,
     linear_flow,
     linear_one_step,
     linear_two_step,
     order_study,
     pole_place,
-    reference_integrate,
     so3_closed_loop_step,
-    step_first_order,
     step_sode,
 )
 

@@ -42,7 +42,13 @@ from .integrators import (
     step_sode,
 )
 from .linearizability import check_general, check_planar
-from .mechanics import LinearMechanicalSystem, MechanicalSystem, pendulum_system, rigid_body_system
+from .mechanics import (
+    LinearMechanicalSystem,
+    MechanicalSystem,
+    pendulum_system,
+    rigid_body_system,
+    sode_field,
+)
 
 _MAP_BUILDERS = {
     "explicit-euler": make_explicit_euler,
@@ -347,7 +353,7 @@ def _harmonic_order_case(map_kind, t_final):
     def stepper(s, h, steps):
         state = s
         for _ in range(steps):
-            state = step_sode(lifted, sys_, lambda x, y: np.zeros(1), state, h).state
+            state = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)), state, h).state
         return state
 
     exact = np.array([np.cos(t_final), -np.sin(t_final)])

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .geometry import (
     SECOND_ORDER_STEP,
-    _damped_newton,
     float_array,
     numeric_jacobian,
 )
@@ -41,15 +40,14 @@ class DiscretizationMap:
     inverse : callable
         (x0, x1) -> (x, v); left inverse of ``forward`` on the map's
         domain of validity.
-    jacobian : callable, optional
-        (x, v) -> 2n x 2n derivative of the packed forward map.  Falls
-        back to central differences when omitted.
+    jacobian : callable
+        (x, v) -> 2n x 2n derivative of the packed forward map.
     affine : bool
-        True when ``forward`` is affine in (x, v); lets lifts assemble
-        exact Jacobians and lets linear reductions skip probing.
+        True when ``forward`` is affine in (x, v); lets the tangent lift
+        assemble its exact Jacobian once.
     """
 
-    def __init__(self, dim, kind, forward, inverse, jacobian=None, affine=False):
+    def __init__(self, dim, kind, forward, inverse, jacobian, affine=False):
         if kind not in _KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.dim = int(dim)
@@ -67,11 +65,7 @@ class DiscretizationMap:
 
     def jacobian(self, x, v):
         """Derivative of the packed forward map at (x, v)."""
-        if self._jacobian is not None:
-            return self._jacobian(float_array(x), float_array(v))
-        n = self.dim
-        xv = np.concatenate([float_array(x), float_array(v)])
-        return numeric_jacobian(lambda p: np.concatenate(self.forward(p[:n], p[n:])), xv)
+        return self._jacobian(float_array(x), float_array(v))
 
 
 def make_explicit_euler(n) -> DiscretizationMap:
@@ -315,10 +309,9 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     points (x0, v0) and (x1, v1).
 
     The inverse is structural: recover (x, y) from the base inverse,
-    then solve the base Jacobian for (xdot, ydot).  When the base
-    Jacobian is itself exact (built-ins, chain-rule lifts) this inverse
-    is exact; a nonlinear base map that only exposes finite-difference
-    Jacobians gets that solve refined by ``geometry._damped_newton`` on
+    then solve the base Jacobian for (xdot, ydot).  The lift's own
+    Jacobian is exact for an affine base map; otherwise it would need
+    the base map's second derivative, and is a central difference of
     the forward map.
 
     The lift commutes with chart transport (criterion 3): the lift of
@@ -341,17 +334,8 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
         x, y = dmap.inverse(s0[:n], s1[:n])
         j = dmap.jacobian(x, y)
         sol = np.linalg.solve(j, np.concatenate([s0[n:], s1[n:]]))
-        s = np.concatenate([x, sol[:n]])
-        w = np.concatenate([y, sol[n:]])
-        if dmap._jacobian is None and not dmap.affine:
-            target = np.concatenate([s0, s1])
-            q, _, _ = _damped_newton(
-                lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])) - target,
-                np.concatenate([s, w]), scale=1.0 + np.abs(target).max())
-            s, w = q[:2 * n], q[2 * n:]
-        return s, w
+        return np.concatenate([x, sol[:n]]), np.concatenate([y, sol[n:]])
 
-    jacobian = None
     if dmap.affine:
         jb = dmap.jacobian(np.zeros(n), np.zeros(n))
         # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1):
@@ -362,6 +346,10 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
         full[np.ix_(base, base)] = jb
         full[np.ix_(base + n, base + n)] = jb
         jacobian = lambda s, w: full
+    else:
+        def jacobian(s, w):
+            return numeric_jacobian(lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])),
+                                    np.concatenate([s, w]))
 
     return DiscretizationMap(2 * n, "tangent-lift", forward, inverse, jacobian,
                              affine=dmap.affine)

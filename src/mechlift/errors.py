@@ -68,9 +68,5 @@ class SingularStep(MechliftError):
     """One-step resolvent matrix is singular at this step size."""
 
 
-class StepUnderflow(MechliftError):
-    """Adaptive integrator required a step size below the representable limit."""
-
-
 class UnknownSystem(MechliftError):
     """Requested system name is not registered."""

@@ -1,12 +1,14 @@
-"""Chart-coordinate state types and the numerical primitives used everywhere else.
+"""Rotations and the numerical primitives used everywhere else.
 
 Positions and velocities live in local chart coordinates on an
-n-dimensional configuration manifold.  Rotations are 3x3 orthogonal
+n-dimensional configuration manifold, packed as one 2n-vector (x, y)
+wherever a state is passed.  Rotations are 3x3 orthogonal
 matrices with unit determinant; the hat/vee pair, the exponential and
 the logarithm connect them to axis-angle 3-vectors.  The package's one
 central-difference Jacobian and its one damped Newton solver live here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,34 +38,6 @@ def _vec(a, name):
     if not np.all(np.isfinite(v)):
         raise NonFinite(f"{name} contains NaN/Inf")
     return v
-
-
-@dataclass
-class CoordState:
-    """Point of the tangent bundle in chart coordinates: position x, velocity y."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = _vec(self.x, "x")
-        self.y = _vec(self.y, "y")
-        if self.x.shape != self.y.shape or self.x.size < 1:
-            raise DimensionMismatch("x and y must share length n >= 1")
-
-    @property
-    def n(self):
-        return self.x.size
-
-    def stacked(self):
-        """Concatenate to the 2n-vector (x, y)."""
-        return np.concatenate([self.x, self.y])
-
-    @classmethod
-    def from_stacked(cls, s):
-        s = _vec(s, "state")
-        n = s.size // 2
-        return cls(s[:n], s[n:])
 
 
 @dataclass
@@ -154,6 +128,9 @@ def _rotation_matrix(r):
 def so3_log(r) -> np.ndarray:
     """Axis-angle 3-vector of a rotation, principal branch (angle < pi).
 
+    Past 2 pi / 3 the axis comes from the symmetric part of r, so the
+    result keeps full accuracy up to the guard band.
+
     Raises
     ------
     AngleAtPi
@@ -164,8 +141,18 @@ def so3_log(r) -> np.ndarray:
     tr = np.trace(m)
     if tr <= -1.0 + 1e-9:
         raise AngleAtPi(f"trace {tr:.12f}: rotation angle too close to pi")
-    th = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    cos = (tr - 1.0) / 2.0
     axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    if cos <= -0.5:
+        # the skew part, 2 sin(angle) a, fades near pi; the symmetric part
+        # R + R^T - 2 cos I = 2 (1 - cos) a a^T keeps full accuracy: take
+        # its column with the largest diagonal entry, signed by the skew part
+        j = int(m.diagonal().argmax())
+        col = m[:, j] + m[j]
+        col[j] -= 2.0 * cos
+        th = math.atan2(math.hypot(*axis) / 2.0, cos)
+        return math.copysign(th, axis[j]) / math.sqrt(2.0 * (1.0 - cos) * col[j]) * col
+    th = np.arccos(np.clip(cos, -1.0, 1.0))
     if th < 1e-4:
         factor = 0.5 + th**2 / 12.0 + 7.0 * th**4 / 720.0
     else:

@@ -1,16 +1,17 @@
-"""Steppers built from discretization maps, plus the linear-control toolbox.
+"""The implicit stepper built from discretization maps, plus the linear-control toolbox.
 
-The generic first-order stepper solves, for a step of size h along a
-field X, the implicit relation "map-inverse of the step pair equals h
-times X at the recovered base point".  The second-order stepper does the
-same on a tangent-lifted map, with the control sampled at the recovered
-base state, which is what makes the feedback-linearizable closed loop
-conjugate to a linear one-step update.
+The one stepper solves, for a step of size h along a field X, the
+implicit relation "map-inverse of the step pair equals h times X at the
+recovered base point".  On a base map and a first-order field that is
+the scheme the map induces; on the tangent lift of a base map and the
+field of a second-order system under a control sampled at the recovered
+base state, it is the scheme that makes the feedback-linearizable
+closed loop conjugate to a linear one-step update.
 
 The toolbox side carries single-input pole placement, the Cayley
-one-step map for linear closed loops, the closed-loop stepper on the
-rotation group, the exact flow of a linear system, an adaptive reference
-integrator, and the order-study harness.
+one-step matrix for linear closed loops, the closed-loop stepper on the
+rotation group, the exact flow of a linear system, and the order-study
+harness.
 """
 
 from dataclasses import dataclass
@@ -22,25 +23,21 @@ from .errors import (
     DimensionMismatch,
     MechliftError,
     MultiInputUnsupported,
-    NoConvergence,
     NotLinearityPreserving,
     SingularStep,
-    StepUnderflow,
     Uncontrollable,
 )
 from .geometry import (
     Rotation,
     _damped_newton,
-    float_array,
     so3_exp,
     so3_log,
 )
 from .mechanics import (
     LinearMechanicalSystem,
-    MechanicalSystem,
     SystemBundle,
     apply_feedback,
-    sode_field_stacked,
+    sode_field,
 )
 
 
@@ -79,55 +76,24 @@ class Trajectory:
             raise DimensionMismatch("one state row per grid point required")
 
 
-def step_first_order(dmap: DiscretizationMap, x_field, x_k, h) -> StepResult:
-    """One step of the scheme a map induces on a first-order field.
+def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
+    """One step of the scheme ``dmap`` induces on the vector ``field``.
 
-    Solves for ``x_next`` such that, with (z, v) the map inverse of
-    (x_k, x_next), v = h * X(z).  The forward-Euler map yields the
-    explicit update in closed form; other maps go through damped Newton
-    seeded with the explicit predictor.
-    """
-    x_k = np.asarray(x_k, float)
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    fx = np.asarray(x_field(x_k), float)
-    if dmap.kind == "explicit-euler":
-        return StepResult(x_k + h * fx, 0, 0.0)
-
-    def residual(x_next):
-        z, v = dmap.inverse(x_k, x_next)
-        return v - h * np.asarray(x_field(z), float)
-
-    guess = x_k + h * fx
-    scale = 1.0 + max(float(np.abs(x_k).max()), float(np.abs(guess).max()))
-    state, iters, res = _damped_newton(residual, guess, scale=scale)
-    return StepResult(state, iters, res)
-
-
-def step_sode(lifted_map: DiscretizationMap, sys: MechanicalSystem,
-              u_supplier, s_k, h) -> StepResult:
-    """One step of the second-order scheme on the tangent chart.
-
-    Solves for ``s_next`` such that, with (z, v) the ``lifted_map``
-    inverse of (s_k, s_next), v = h * f(z): f is the system's field
-    under the m-vector control ``u_supplier(xbar, ybar)`` at the base
-    state z = (xbar, ybar).  Newton starts at s_k, whose base state is
-    s_k itself, and its tolerance is relative to the largest entry of
-    s_k: both live in the chart the step is taken in.
+    Solves for ``s_next`` such that, with (z, v) the ``dmap`` inverse of
+    (s_k, s_next), v = h * field(z).  On the tangent lift of a base map
+    and a second-order field this is the second-order scheme; on a base
+    map and a first-order field, the first-order one.  Newton starts at
+    s_k, and its tolerance is relative to the largest entry of s_k: both
+    live in the chart the step is taken in.
     """
     s_k = np.asarray(s_k, float)
-    n = sys.n
-    if s_k.size != 2 * n or lifted_map.dim != 2 * n:
-        raise DimensionMismatch("state/map dimensions do not match the system")
+    if s_k.size != dmap.dim:
+        raise DimensionMismatch("state dimension does not match the map")
     if h <= 0:
         raise ValueError("step size must be positive")
 
-    def field(base):
-        u = np.atleast_1d(float_array(u_supplier(base[:n], base[n:])))
-        return sode_field_stacked(sys, base, u)
-
     def residual(s_next):
-        z, v = lifted_map.inverse(s_k, s_next)
+        z, v = dmap.inverse(s_k, s_next)
         return v - h * field(z)
 
     scale = 1.0 + float(np.abs(s_k).max())
@@ -170,9 +136,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
 
     s0 = np.asarray(s0, float)
     n, m = sys.n, sys.m
-    # step_sode sees the conjugate chart as a fully actuated double
-    # integrator whose input is the pushed closed-loop acceleration
-    flat = LinearMechanicalSystem(np.zeros((n, n)), np.eye(n)).as_mechanical_system()
 
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
@@ -189,12 +152,12 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         z = tmap.inverse(Z)
         return z, apply_feedback(transform, z[:n], z[n:], utilde_at(k, Z))
 
-    def acceleration(k, x, y):
-        """Second half of DTphi(z) f(z): D2phi(x)[y, y] + Dphi(x) ydot."""
-        z, u = control(k, np.concatenate([x, y]))
+    def pushed_field(k, Z):
+        """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = Tphi^-1(Z)."""
+        z, u = control(k, Z)
         xz, yz = z[:n], z[n:]
-        ydot = sode_field_stacked(sys, z, u)[n:]
-        return phi.second_deriv(xz, yz, yz) + phi.jacobian(xz) @ ydot
+        ydot = sode_field(sys, z, u)[n:]
+        return np.concatenate([Z[n:], phi.second_deriv(xz, yz, yz) + phi.jacobian(xz) @ ydot])
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
@@ -206,8 +169,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     for k in range(steps):
         try:
             z_k = tmap.forward(states[k])
-            result = step_sode(lifted, flat,
-                               lambda x, y, k=k: acceleration(k, x, y), z_k, h)
+            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h)
             states[k + 1] = tmap.inverse(result.state)
             # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
@@ -236,18 +198,10 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
-
-    if gains is not None:
-        K = np.atleast_2d(np.asarray(gains, float))
+    K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
 
     def advance(z, ut):
-        def supplier(x, y):
-            base = np.concatenate([x, y])
-            if gains is not None:
-                return ut - K @ base
-            return ut
-
-        return step_sode(lifted, sys, supplier, z, h).state
+        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h).state
 
     zero = advance(np.zeros(2 * n), np.zeros(m))
     M = np.column_stack([advance(e, np.zeros(m)) - zero for e in np.eye(2 * n)])
@@ -352,23 +306,12 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     return K
 
 
-def cayley_step(a_cl, x_k, h) -> np.ndarray:
-    """One Cayley step x+ = (I - h/2 A)^-1 (I + h/2 A) x_k."""
-    a_cl = np.atleast_2d(np.asarray(a_cl, float))
-    x_k = np.asarray(x_k, float)
-    hp = h / 2.0
-    lhs = np.eye(a_cl.shape[0]) - hp * a_cl
-    try:
-        out = np.linalg.solve(lhs, x_k + hp * (a_cl @ x_k))
-    except np.linalg.LinAlgError as exc:
-        raise SingularStep("resolvent I - h/2 A is singular") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularStep("resolvent solve produced non-finite values")
-    return out
-
-
 def cayley_matrix(a_cl, h) -> np.ndarray:
-    """The full one-step matrix of :func:`cayley_step`."""
+    """One-step matrix (I - h/2 A)^-1 (I + h/2 A) of the Cayley update x+ = C x.
+
+    The midpoint scheme's update for the linear field x' = A x; raises
+    ``SingularStep`` when the resolvent I - h/2 A is singular.
+    """
     a_cl = np.atleast_2d(np.asarray(a_cl, float))
     hp = h / 2.0
     eye = np.eye(a_cl.shape[0])
@@ -393,34 +336,6 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     r_next = Rotation(R.r @ so3_exp(h * omega).r)
     omega_next = omega - h * (k1 @ xi) - h * (k2 @ omega)
     return r_next, omega_next
-
-
-def reference_integrate(x_field, s0, t_final, tol, t_eval=None) -> Trajectory:
-    """High-order adaptive reference solution sampled on a uniform grid.
-
-    Wraps an embedded Runge-Kutta 5(4) pair with dense output; ``tol``
-    controls both relative and absolute local error and must lie in
-    [1e-12, 1e-6].  The only function that needs scipy, which the
-    package installs as the ``reference`` extra (``pip install
-    mechlift[reference]``) rather than as a runtime dependency.
-    """
-    if not (1e-12 <= tol <= 1e-6):
-        raise ValueError("tol must lie in [1e-12, 1e-6]")
-    s0 = np.asarray(s0, float)
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_final, 101)
-    t_eval = np.asarray(t_eval, float)
-    # imported here: scipy.integrate dominates the import time of the package
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(lambda t, y: np.asarray(x_field(y), float), (0.0, t_final), s0,
-                    method="RK45", rtol=tol, atol=tol, t_eval=t_eval,
-                    dense_output=False)
-    if not sol.success:
-        if "step size" in sol.message.lower():
-            raise StepUnderflow(sol.message)
-        raise NoConvergence(0, np.nan, sol.message)
-    return Trajectory(sol.t, sol.y.T)
 
 
 def linear_flow(a, z0, times) -> np.ndarray:

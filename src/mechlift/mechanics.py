@@ -23,7 +23,6 @@ import numpy as np
 from .discretization import Diffeomorphism, identity_diffeomorphism
 from .errors import DimensionMismatch, OutsideChart, SingularFeedback
 from .geometry import (
-    CoordState,
     Rotation,
     float_array,
     hat,
@@ -46,10 +45,6 @@ class MechanicalSystem:
     gamma: Callable[[np.ndarray], np.ndarray]
     e: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-
-    def gamma_symmetry_defect(self, x):
-        G = np.asarray(self.gamma(np.asarray(x, float)))
-        return float(np.abs(G - G.transpose(0, 2, 1)).max())
 
 
 @dataclass
@@ -116,30 +111,25 @@ class LinearMechanicalSystem:
         )
 
 
-def sode_field_stacked(sys: MechanicalSystem, s, u):
+def sode_field(sys: MechanicalSystem, s, u):
     """Second-order vector field of a mechanical system on the packed (x, y).
 
     Returns the 2n-vector (xdot, ydot) with xdot = y and
-    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i; used by the steppers.
+    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i under the m-vector
+    control u; ``DimensionMismatch`` unless s has 2n entries and u m.
     """
     n = sys.n
-    x, y = s[:n], s[n:]
+    s = float_array(s)
     u = np.atleast_1d(float_array(u))
+    if s.size != 2 * n or u.size != sys.m:
+        raise DimensionMismatch(
+            f"state size {s.size} / control dim {u.size} do not match system ({sys.n}, {sys.m})"
+        )
+    x, y = s[:n], s[n:]
     G = float_array(sys.gamma(x))
     ydot = -np.einsum("ijk,j,k->i", G, y, y) + float_array(sys.e(x)) \
         + float_array(sys.g(x)) @ u
     return np.concatenate([y, ydot])
-
-
-def sode_field(sys: MechanicalSystem, s: CoordState, u):
-    """The same field on a :class:`CoordState`, as the pair (xdot, ydot)."""
-    u = np.atleast_1d(np.asarray(u, float))
-    if s.n != sys.n or u.size != sys.m:
-        raise DimensionMismatch(
-            f"state dim {s.n} / control dim {u.size} do not match system ({sys.n}, {sys.m})"
-        )
-    out = sode_field_stacked(sys, s.stacked(), u)
-    return out[:sys.n], out[sys.n:]
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
@@ -437,7 +427,7 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         u = apply_feedback(t, x, y, utilde)
-        _, ydot = sode_field(sys, CoordState(x, y), u)
+        ydot = sode_field(sys, np.concatenate([x, y]), u)[sys.n:]
         d = t.phi.jacobian(x)
         xt = t.phi.forward(x)
         # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y

@@ -250,6 +250,8 @@ class TestVerifyMaps:
             2, "explicit-euler",
             forward=lambda x, v: (x.copy(), x + 2.0 * v),
             inverse=lambda a, b: (a.copy(), (b - a) / 2.0),
+            jacobian=lambda x, v: np.block([[np.eye(2), np.zeros((2, 2))],
+                                            [np.eye(2), 2.0 * np.eye(2)]]),
         )
         samples = [rng.normal(size=2) for _ in range(10)]
         assert run_verify_maps(extra_maps=[("bad-map", bad, samples)]) == 1

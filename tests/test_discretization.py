@@ -15,8 +15,6 @@ from mechlift import (
     tangent_map,
     verify_axioms,
 )
-from mechlift import discretization
-from mechlift.geometry import _damped_newton
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
 
@@ -90,6 +88,8 @@ class TestVerifyAxioms:
             2, "explicit-euler",
             forward=lambda x, v: (x.copy(), x + 2.0 * v),
             inverse=lambda a, b: (a.copy(), (b - a) / 2.0),
+            jacobian=lambda x, v: np.block([[np.eye(2), np.zeros((2, 2))],
+                                            [np.eye(2), 2.0 * np.eye(2)]]),
         )
         report = verify_axioms(bad, [rng.normal(size=2) for _ in range(5)])
         assert not report.passed
@@ -161,37 +161,16 @@ class TestTangentLift:
                                [rng.normal(size=4) for _ in range(10)])
         assert report.passed
 
-    def test_newton_inverse_of_a_jacobian_less_map(self, monkeypatch):
-        # a nonlinear base map with no Jacobian: the lift's inverse refines
-        # its structural solve with the package's damped Newton solver
-        def forward(x, v):
-            return x - v / 2.0, x + v / 2.0 + 0.2 * v**3
-
-        def inverse(a, b):
-            roots = np.roots([0.2, 0.0, 1.0, -(b[0] - a[0])])
-            v = float(np.real(roots[np.argmin(np.abs(np.imag(roots)))]))
-            return np.array([a[0] + v / 2.0]), np.array([v])
-
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return _damped_newton(*args, **kwargs)
-
-        monkeypatch.setattr(discretization, "_damped_newton", counted)
-        lifted = tangent_lift(DiscretizationMap(1, "midpoint", forward, inverse))
-        for s, w in (([0.3, -1.2], [0.8, 0.5]), ([-1.0, 0.4], [-1.5, 2.0]),
-                     ([2.0, 0.0], [0.1, -0.7]), ([0.0, 1.0], [3.0, 1.0])):
-            q = np.concatenate([s, w])
-            pair = np.concatenate(lifted.forward(q[:2], q[2:]))
-            q2 = np.concatenate(lifted.inverse(pair[:2], pair[2:]))
-            # Newton's own target: the recovered point maps onto the pair
-            replay = np.concatenate(lifted.forward(q2[:2], q2[2:]))
-            assert np.abs(replay - pair).max() <= 1e-12 * np.abs(pair).max()
-            # the forward map carries the central-difference noise of the
-            # base Jacobian (~1e-10 relative), which bounds the round trip
-            assert np.abs(q2 - q).max() <= 1e-9 * np.abs(q).max()
-        assert len(solves) == 4
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_jacobian_of_a_non_affine_lift(self, builder, rng):
+        # a chart-transported map is not flagged affine, so its lift's
+        # Jacobian is a central difference of the lift; through the
+        # identity chart it must match the plain lift's exact Jacobian
+        plain = tangent_lift(builder(2))
+        lifted = tangent_lift(lift_by_diffeo(builder(2), identity_diffeomorphism(2)))
+        for _ in range(5):
+            s, w = rng.normal(size=4), rng.normal(size=4)
+            npt.assert_allclose(lifted.jacobian(s, w), plain.jacobian(s, w), atol=1e-8)
 
 
 class TestTangentMap:

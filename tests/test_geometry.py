@@ -4,8 +4,6 @@ import pytest
 
 from mechlift import (
     AngleAtPi,
-    CoordState,
-    DimensionMismatch,
     NonFinite,
     NotSkew,
     Rotation,
@@ -135,16 +133,6 @@ class TestNumericJacobian:
 
 
 class TestStateTypes:
-    def test_coord_state_validation(self):
-        with pytest.raises(DimensionMismatch):
-            CoordState([1.0, 2.0], [1.0])
-        with pytest.raises(NonFinite):
-            CoordState([np.nan], [1.0])
-        s = CoordState([1.0, 2.0], [3.0, 4.0])
-        npt.assert_array_equal(s.stacked(), [1, 2, 3, 4])
-        s2 = CoordState.from_stacked([1.0, 2.0, 3.0, 4.0])
-        npt.assert_array_equal(s2.x, s.x)
-
     def test_rotation_accepts_exact(self):
         Rotation(np.eye(3))
 

@@ -18,11 +18,9 @@ from mechlift import (
     OutsideChart,
     Rotation,
     SingularStep,
-    StepUnderflow,
     SystemBundle,
     Uncontrollable,
     cayley_matrix,
-    cayley_step,
     fl_discretize,
     identity_diffeomorphism,
     linear_flow,
@@ -33,11 +31,10 @@ from mechlift import (
     make_midpoint,
     order_study,
     pole_place,
-    reference_integrate,
     so3_closed_loop_step,
     so3_exp,
     so3_log,
-    step_first_order,
+    sode_field,
     step_sode,
     tangent_lift,
 )
@@ -59,34 +56,36 @@ def double_integrator_lms():
     return LinearMechanicalSystem(A=np.zeros((1, 1)), B=np.eye(1))
 
 
-def no_control(x, y):
-    return np.zeros(1)
+def unforced(sys):
+    """The system's second-order field under zero control."""
+    return lambda s: sode_field(sys, s, np.zeros(sys.m))
 
 
 class TestStepFirstOrder:
+    # step_sode on a base map and a first-order field: the scheme the map
+    # induces on that field
     def test_explicit_euler_bit_exact(self):
         m = make_explicit_euler(1)
         x0 = np.array([1.0])
-        out = step_first_order(m, lambda x: x, x0, 0.1)
+        out = step_sode(m, lambda x: x, x0, 0.1)
         assert out.state[0] == x0[0] + 0.1 * x0[0]
 
     def test_zero_field_fixed_point(self, rng):
         for builder in (make_explicit_euler, make_implicit_euler, make_midpoint):
             x0 = rng.normal(size=2)
-            out = step_first_order(builder(2), lambda x: np.zeros(2), x0, 0.3)
+            out = step_sode(builder(2), lambda x: np.zeros(2), x0, 0.3)
             npt.assert_allclose(out.state, x0, atol=1e-12)
 
     def test_midpoint_scalar_decay(self):
         # closed-form solve of (x1 - x0)/h = -(x0 + x1)/2
         h = 0.1
-        out = step_first_order(make_midpoint(1), lambda x: -x, np.array([1.0]), h)
+        out = step_sode(make_midpoint(1), lambda x: -x, np.array([1.0]), h)
         npt.assert_allclose(out.state, [(1 - h / 2) / (1 + h / 2)], rtol=1e-12)
 
     def test_implicit_euler_scalar_decay(self):
         # solve x1 = x0 - h x1 => x1 = x0 / (1 + h)
         h = 0.25
-        out = step_first_order(make_implicit_euler(1), lambda x: -x,
-                               np.array([2.0]), h)
+        out = step_sode(make_implicit_euler(1), lambda x: -x, np.array([2.0]), h)
         npt.assert_allclose(out.state, [2.0 / (1 + h)], rtol=1e-10)
 
 
@@ -95,8 +94,7 @@ class TestStepSode:
         # hand solve of the 2x2 linear system the scheme produces
         h = 0.1
         lift = tangent_lift(make_midpoint(1))
-        out = step_sode(lift, harmonic_oscillator(), no_control,
-                        np.array([1.0, 0.0]), h)
+        out = step_sode(lift, unforced(harmonic_oscillator()), np.array([1.0, 0.0]), h)
         x1 = (1 - h**2 / 4) / (1 + h**2 / 4)
         y1 = -h * (1 + x1) / 2
         npt.assert_allclose(out.state, [x1, y1], rtol=1e-12)
@@ -107,17 +105,17 @@ class TestStepSode:
                                e=lambda x: np.zeros(2),
                                g=lambda x: np.array([[1.0], [0.0]]))
         s0 = np.array([0.4, -0.7, 0.0, 0.0])
-        out = step_sode(tangent_lift(make_midpoint(2)), sys, no_control, s0, 0.05)
+        out = step_sode(tangent_lift(make_midpoint(2)), unforced(sys), s0, 0.05)
         npt.assert_allclose(out.state, s0, atol=1e-14)
 
     def test_scheme_residuals(self, rng):
         # the midpoint lift must satisfy both defining relations exactly
         h = 0.05
-        sys = harmonic_oscillator()
+        field = unforced(harmonic_oscillator())
         lift = tangent_lift(make_midpoint(1))
         s = np.array([0.8, -0.3])
         for _ in range(20):
-            out = step_sode(lift, sys, no_control, s, h).state
+            out = step_sode(lift, field, s, h).state
             x0, y0 = s
             x1, y1 = out
             r1 = (x1 - x0) / h - (y0 + y1) / 2
@@ -207,7 +205,7 @@ class TestFlDiscretize:
         lift = tangent_lift(make_midpoint(2))
         s = s0.copy()
         for k in range(20):
-            s = step_sode(lift, sys, lambda x, y, k=k: useq[k], s, 0.05).state
+            s = step_sode(lift, lambda z, k=k: sode_field(sys, z, useq[k]), s, 0.05).state
         npt.assert_allclose(traj.states[-1], s, atol=1e-12)
 
     def test_zero_state_zero_control(self, pendulum):
@@ -276,7 +274,10 @@ class TestLinearTwoStep:
             v = float(np.real(roots[np.argmin(np.abs(np.imag(roots)))]))
             return np.array([a[0] + v / 2.0]), np.array([v])
 
-        crooked = DiscretizationMap(1, "midpoint", forward, inverse)
+        def jacobian(x, v):
+            return np.array([[1.0, -0.5], [1.0, 0.5 + 0.6 * v[0] ** 2]])
+
+        crooked = DiscretizationMap(1, "midpoint", forward, inverse, jacobian)
         with pytest.raises(NotLinearityPreserving):
             linear_two_step(double_integrator_lms(), crooked, 0.1)
 
@@ -331,12 +332,12 @@ class TestPolePlace:
 
 class TestCayley:
     def test_scalar_multiplier(self):
-        out = cayley_step(np.array([[-10.0]]), np.array([1.0]), 0.01)
+        out = cayley_matrix(np.array([[-10.0]]), 0.01) @ np.array([1.0])
         npt.assert_allclose(out, [(1 - 0.05) / (1 + 0.05)], rtol=1e-15)
 
     def test_zero_matrix_identity(self, rng):
         x = rng.normal(size=3)
-        npt.assert_array_equal(cayley_step(np.zeros((3, 3)), x, 0.5), x)
+        npt.assert_array_equal(cayley_matrix(np.zeros((3, 3)), 0.5) @ x, x)
 
     def test_benchmark_iteration_eigenvalues(self, pendulum):
         # Moebius-map oracle applied to the placed poles
@@ -361,7 +362,7 @@ class TestCayley:
 
     def test_singular_resolvent(self):
         with pytest.raises(SingularStep):
-            cayley_step(np.eye(2), np.ones(2), 2.0)
+            cayley_matrix(np.eye(2), 2.0)
 
 
 class TestSo3ClosedLoop:
@@ -404,40 +405,12 @@ class TestSo3ClosedLoop:
         assert np.all(np.diff(tail) <= 1e-12)
 
 
-class TestReferenceIntegrate:
-    def test_exponential_decay(self):
-        traj = reference_integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-10,
-                                   t_eval=np.array([0.0, 1.0]))
-        assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
-
-    def test_energy_drift_over_ten_periods(self):
-        field = lambda s: np.array([s[1], -s[0]])
-        t_final = 20 * np.pi
-        traj = reference_integrate(field, np.array([1.0, 0.0]), t_final, 1e-10,
-                                   t_eval=np.linspace(0, t_final, 201))
-        energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
-        assert np.abs(energy - energy[0]).max() < 1e-7
-
-    def test_constant_field(self):
-        traj = reference_integrate(lambda y: np.array([2.0, -1.0]),
-                                   np.zeros(2), 3.0, 1e-10,
-                                   t_eval=np.array([0.0, 1.5, 3.0]))
-        npt.assert_allclose(traj.states[-1], [6.0, -3.0], atol=1e-12)
-
-    def test_tolerance_range_enforced(self):
-        with pytest.raises(ValueError):
-            reference_integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-4)
-
-    def test_finite_time_blowup_raises(self):
-        with pytest.raises(StepUnderflow):
-            reference_integrate(lambda y: y**2, np.array([1.0]), 2.0, 1e-10)
-
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        src = Path(mechlift.__file__).resolve().parents[1]
-        code = "import sys, mechlift; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+def test_import_leaves_scipy_unloaded():
+    src = Path(mechlift.__file__).resolve().parents[1]
+    code = "import sys, mechlift; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestLinearFlow:
@@ -478,13 +451,13 @@ class TestLinearFlow:
 
 class TestOrderStudy:
     def test_midpoint_sode_second_order(self):
-        sys = harmonic_oscillator()
+        field = unforced(harmonic_oscillator())
         lift = tangent_lift(make_midpoint(1))
 
         def stepper(s, h, steps):
             state = s
             for _ in range(steps):
-                state = step_sode(lift, sys, no_control, state, h).state
+                state = step_sode(lift, field, state, h).state
             return state
 
         exact = np.array([np.cos(1.0), -np.sin(1.0)])
@@ -498,7 +471,7 @@ class TestOrderStudy:
         def stepper(s, h, steps):
             state = s
             for _ in range(steps):
-                state = step_first_order(m, lambda x: -x, state, h).state
+                state = step_sode(m, lambda x: -x, state, h).state
             return state
 
         study = order_study(stepper, np.array([np.exp(-1.0)]), np.array([1.0]),
@@ -507,9 +480,7 @@ class TestOrderStudy:
 
     def test_self_comparison_flags_floor(self):
         def via_reference(s, h, steps):
-            traj = reference_integrate(lambda y: -y, s, 1.0, 1e-10,
-                                       t_eval=np.array([0.0, 1.0]))
-            return traj.states[-1]
+            return linear_flow(-np.eye(1), s, [1.0])[-1]
 
         ref = via_reference(np.array([1.0]), 0.0, 0)
         study = order_study(via_reference, ref, np.array([1.0]), 1.0,
@@ -523,7 +494,7 @@ class TestOrderStudy:
         def stepper(s, h, steps):
             state = s
             for _ in range(steps):
-                state = step_first_order(m, lambda x: -x, state, h).state
+                state = step_sode(m, lambda x: -x, state, h).state
             return state
 
         study = order_study(stepper, np.array([np.exp(-1.0)]), np.array([1.0]),
