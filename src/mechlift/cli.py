@@ -351,9 +351,11 @@ def _harmonic_order_case(map_kind, t_final):
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        state = s
+        state, jacobian = s, None
         for _ in range(steps):
-            state = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)), state, h).state
+            result = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
+                               state, h, jacobian)
+            state, jacobian = result.state, result.jacobian
         return state
 
     exact = np.array([np.cos(t_final), -np.sin(t_final)])

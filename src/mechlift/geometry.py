@@ -191,23 +191,28 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _damped_newton(residual, guess, scale):
+def _damped_newton(residual, guess, scale, jac=None):
     """Damped Newton iteration in plain float64, reusing its Jacobian.
 
-    The Jacobian, a central difference (:func:`numeric_jacobian`) with a
-    step scaled to the iterate, is kept while full steps at least halve
-    the residual norm; a fresh one's full step is halved until the norm
-    drops.  Past ``NEWTON_TOL * scale`` one more step takes the residual
-    to its rounding floor, which the step-conjugacy checks need.
-    Returns the best iterate, the iteration count and the final norm;
-    raises ``NoConvergence`` when ``NEWTON_MAX_ITER`` iterations or a
-    stalled line search leave the norm above the tolerance.
+    The Jacobian starts as ``jac`` when one is given (a chord step: a
+    caller solving a sequence of nearby systems passes the one the last
+    solve ended with) and otherwise as a central difference
+    (:func:`numeric_jacobian`) with a step scaled to the iterate.  It is
+    kept while full steps at least halve the residual norm and replaced
+    by a fresh one when a step does not; a fresh one's full step is
+    halved until the norm drops.  A given Jacobian never ends a solve:
+    when it is singular or its step fails, a fresh one takes over.  Past
+    ``NEWTON_TOL * scale`` one more step takes the residual to its
+    rounding floor, which the step-conjugacy checks need.  Returns the
+    best iterate, the iteration count, the final norm and the Jacobian
+    the solve ended with; raises ``NoConvergence`` when
+    ``NEWTON_MAX_ITER`` iterations or a stalled line search leave the
+    norm above the tolerance.
     """
     q = np.asarray(guess, float)
     r = residual(q)
     norm = float(np.linalg.norm(r))
     converged = norm < NEWTON_TOL * scale
-    jac = None
     it = 0
     while norm > 0.0 and it < NEWTON_MAX_ITER:
         it += 1
@@ -218,7 +223,10 @@ def _damped_newton(residual, guess, scale):
         try:
             dq = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError:
-            break
+            if fresh:
+                break
+            jac = None
+            continue
         lam = 1.0
         while True:
             q_try = q - lam * dq
@@ -237,4 +245,4 @@ def _damped_newton(residual, guess, scale):
         converged = norm < NEWTON_TOL * scale
     if not converged:
         raise NoConvergence(it, norm)
-    return q, it, norm
+    return q, it, norm, jac

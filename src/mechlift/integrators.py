@@ -43,11 +43,17 @@ from .mechanics import (
 
 @dataclass
 class StepResult:
-    """State after one implicit step plus solver diagnostics."""
+    """State after one implicit step plus solver diagnostics.
+
+    ``jacobian`` is the residual Jacobian the step's Newton solve ended
+    with; passing it to the next ``step_sode`` call of the same scheme
+    spares that step a fresh central difference.
+    """
 
     state: np.ndarray
     iterations: int
     residual: float
+    jacobian: np.ndarray | None
 
 
 @dataclass
@@ -76,7 +82,7 @@ class Trajectory:
             raise DimensionMismatch("one state row per grid point required")
 
 
-def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
+def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
     Solves for ``s_next`` such that, with (z, v) the ``dmap`` inverse of
@@ -84,7 +90,11 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     and a second-order field this is the second-order scheme; on a base
     map and a first-order field, the first-order one.  Newton starts at
     s_k, and its tolerance is relative to the largest entry of s_k: both
-    live in the chart the step is taken in.
+    live in the chart the step is taken in.  Newton's first Jacobian is
+    ``jacobian`` when given, typically the previous step's
+    ``StepResult.jacobian``; it only speeds the solve up, since a
+    Jacobian that fails to halve the residual is replaced by a fresh
+    central difference, and the step solves the same equation either way.
     """
     s_k = np.asarray(s_k, float)
     if s_k.size != dmap.dim:
@@ -97,8 +107,7 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
         return v - h * field(z)
 
     scale = 1.0 + float(np.abs(s_k).max())
-    state, iters, res = _damped_newton(residual, s_k, scale=scale)
-    return StepResult(state, iters, res)
+    return StepResult(*_damped_newton(residual, s_k, scale=scale, jac=jacobian))
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
@@ -112,10 +121,13 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     each step is solved in that chart: push the state through
     Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
     z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
-    pull the result back.  There the residual is nearly affine and
-    Newton converges in a couple of iterations.  Each step starts from
-    the push of its stored state, so a chain of calls computes the
-    states of one.
+    pull the result back.  There the residual is nearly affine, so its
+    Jacobian barely moves from step to step: each step's Newton solve
+    starts from the Jacobian the previous one ended with (the chord
+    method), and a fresh central difference is made only when a full
+    step fails to halve the residual norm, about once per call.  Each
+    step starts from the push of its stored state, so a chain of calls
+    computes the states of one to the Newton tolerance.
 
     Either closed-loop ``gains`` (utilde = -K ztilde at the base state)
     or an open-loop ``utilde`` sequence must be given.  The trajectory
@@ -166,10 +178,11 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     iterations = np.empty(steps, int)
     residuals = np.empty(steps)
 
+    jacobian = None
     for k in range(steps):
         try:
             z_k = tmap.forward(states[k])
-            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h)
+            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian)
             states[k + 1] = tmap.inverse(result.state)
             # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
@@ -181,6 +194,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             raise
         iterations[k] = result.iterations
         residuals[k] = result.residual
+        jacobian = result.jacobian
 
     t = h * np.arange(steps + 1)
     return Trajectory(t, states, u_log, ut_log, iterations, residuals)

@@ -108,6 +108,17 @@ class TestStepSode:
         out = step_sode(tangent_lift(make_midpoint(2)), unforced(sys), s0, 0.05)
         npt.assert_allclose(out.state, s0, atol=1e-14)
 
+    @pytest.mark.parametrize("carried", [np.zeros((2, 2)), -np.eye(2)],
+                             ids=["singular", "wrong-sign"])
+    def test_carried_jacobian_never_ends_a_solve(self, carried):
+        # a Jacobian carried in from elsewhere that cannot solve the step is
+        # replaced by a fresh one, not reported as a stall
+        lift = tangent_lift(make_midpoint(1))
+        field = unforced(harmonic_oscillator())
+        fresh = step_sode(lift, field, np.array([1.0, 0.0]), 0.1)
+        out = step_sode(lift, field, np.array([1.0, 0.0]), 0.1, jacobian=carried)
+        npt.assert_allclose(out.state, fresh.state, rtol=0, atol=1e-15)
+
     def test_scheme_residuals(self, rng):
         # the midpoint lift must satisfy both defining relations exactly
         h = 0.05
@@ -189,6 +200,42 @@ class TestFlDiscretize:
             pendulum_closed_loop(pendulum, s0=s0)
         assert info.value.step == step
         npt.assert_array_equal(info.value.state, traj.states[-1])
+
+    def test_one_fresh_jacobian_per_call(self, pendulum, monkeypatch):
+        # criterion 4's run: each step starts from the last step's Jacobian
+        jac = mechlift.geometry.numeric_jacobian
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return jac(*args, **kwargs)
+
+        monkeypatch.setattr(mechlift.geometry, "numeric_jacobian", counting)
+        pendulum_closed_loop(pendulum)
+        assert len(calls) <= 2
+
+    def test_carried_jacobian_matches_fresh_solves_on_a_nonlinear_loop(self, rng):
+        sys = MechanicalSystem(
+            2, 1,
+            gamma=lambda x: np.zeros((2, 2, 2)),
+            e=lambda x: np.array([-8.0 * np.sin(x[0]), -2.0 * np.sin(x[1]) * np.cos(x[0])]),
+            g=lambda x: np.array([[0.0], [1.0]]),
+        )
+        t = MFTransform(identity_diffeomorphism(2),
+                        alpha=lambda x: np.zeros(1),
+                        beta=lambda x: np.eye(1),
+                        gammaF=lambda x: np.zeros((1, 2, 2)))
+        bundle = SystemBundle(sys, t, LinearMechanicalSystem(A=np.zeros((2, 2)),
+                                                             B=np.array([[0.0], [1.0]])))
+        s0 = np.array([1.0, -0.5, 0.3, 0.8])
+        useq = rng.normal(size=(40, 1))
+        traj = fl_discretize(bundle, make_midpoint(2), s0, 0.1, 40, utilde=useq)
+        lift = tangent_lift(make_midpoint(2))
+        states = [s0]
+        for k in range(40):
+            field = lambda z, k=k: sode_field(sys, z, useq[k])
+            states.append(step_sode(lift, field, states[-1], 0.1).state)
+        npt.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
 
     def test_identity_chart_matches_plain_stepper(self, rng):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
