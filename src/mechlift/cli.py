@@ -33,6 +33,7 @@ from .discretization import (
 from .errors import MechliftError, UnknownSystem
 from .geometry import so3_exp, so3_log
 from .integrators import (
+    _linear_step_jacobian,
     fl_discretize,
     grid_steps,
     linear_flow,
@@ -346,12 +347,13 @@ def _pendulum_order_case(map_kind, t_final):
 
 
 def _harmonic_order_case(map_kind, t_final):
-    sys_ = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1)).as_mechanical_system()
+    lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
+    sys_ = lms.as_mechanical_system()
     lifted = tangent_lift(_MAP_BUILDERS[map_kind](1))
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        state, jacobian = s, None
+        state, jacobian = s, _linear_step_jacobian(lifted, lms, h)
         for _ in range(steps):
             result = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
                                state, h, jacobian)

@@ -309,10 +309,12 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     points (x0, v0) and (x1, v1).
 
     The inverse is structural: recover (x, y) from the base inverse,
-    then solve the base Jacobian for (xdot, ydot).  The lift's own
-    Jacobian is exact for an affine base map; otherwise it would need
-    the base map's second derivative, and is a central difference of
-    the forward map.
+    then solve the base Jacobian for (xdot, ydot).  An affine base map
+    has a constant Jacobian, inverted once when the lift is built, so
+    its lift's inverse is the base inverse plus one matrix product.
+    The lift's own Jacobian is exact for an affine base map; otherwise
+    it would need the base map's second derivative, and is a central
+    difference of the forward map.
 
     The lift commutes with chart transport (criterion 3): the lift of
     ``lift_by_diffeo(dmap, phi)`` is ``lift_by_diffeo(tangent_lift(dmap),
@@ -332,12 +334,13 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
 
     def inverse(s0, s1):
         x, y = dmap.inverse(s0[:n], s1[:n])
-        j = dmap.jacobian(x, y)
-        sol = np.linalg.solve(j, np.concatenate([s0[n:], s1[n:]]))
+        t = np.concatenate([s0[n:], s1[n:]])
+        sol = jb_inv @ t if dmap.affine else np.linalg.solve(dmap.jacobian(x, y), t)
         return np.concatenate([x, sol[:n]]), np.concatenate([y, sol[n:]])
 
     if dmap.affine:
         jb = dmap.jacobian(np.zeros(n), np.zeros(n))
+        jb_inv = np.linalg.inv(jb)
         # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1):
         # jb maps the base entries (x, y) -> (x0, x1), and the tangent
         # entries, n places later, (xd, yd) -> (v0, v1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscretizationMap, tangent_lift, tangent_map
+from .discretization import DiscretizationMap, tangent_lift
 from .errors import (
     DimensionMismatch,
     MechliftError,
@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import (
     Rotation,
     _damped_newton,
+    _vec,
     so3_exp,
     so3_log,
 )
@@ -82,6 +83,11 @@ class Trajectory:
             raise DimensionMismatch("one state row per grid point required")
 
 
+def _check_step_size(h):
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step size must be a finite positive number, got {h}")
+
+
 def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
@@ -91,16 +97,18 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
     map and a first-order field, the first-order one.  Newton starts at
     s_k, and its tolerance is relative to the largest entry of s_k: both
     live in the chart the step is taken in.  Newton's first Jacobian is
-    ``jacobian`` when given, typically the previous step's
-    ``StepResult.jacobian``; it only speeds the solve up, since a
-    Jacobian that fails to halve the residual is replaced by a fresh
-    central difference, and the step solves the same equation either way.
+    ``jacobian`` when given: the previous step's ``StepResult.jacobian``,
+    or the exact one of a linear field on an affine map.  It only speeds
+    the solve up, since a Jacobian that fails to halve the residual is
+    replaced by a fresh central difference, and the step solves the same
+    equation either way.  A state that is not a finite vector of the
+    map's dimension, or a step size that is not a finite positive
+    number, is refused before Newton starts.
     """
-    s_k = np.asarray(s_k, float)
+    s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
         raise DimensionMismatch("state dimension does not match the map")
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step_size(h)
 
     def residual(s_next):
         z, v = dmap.inverse(s_k, s_next)
@@ -108,6 +116,27 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
 
     scale = 1.0 + float(np.abs(s_k).max())
     return StepResult(*_damped_newton(residual, s_k, scale=scale, jac=jacobian))
+
+
+def _linear_step_jacobian(lifted: DiscretizationMap, lms: LinearMechanicalSystem, h,
+                          gains=None):
+    """Exact ``step_sode`` Jacobian of an affine lift on a linear field.
+
+    On the field z' = a z + b with a = A - B K (A, B the stacked pair of
+    ``lms``, K the ``gains``, zero without them), the step residual
+    v - h a z - h b is affine in s_next: (z, v) depends on it through
+    (Lz, Lv), the second-slot columns of the inverse of the lift's
+    constant Jacobian, so its Jacobian is Lv - h a Lz.  None unless
+    ``lifted`` is affine.
+    """
+    if not lifted.affine:
+        return None
+    d = lifted.dim
+    a, b = lms.stacked()
+    if gains is not None:
+        a = a - b @ np.atleast_2d(np.asarray(gains, float))
+    inv = np.linalg.inv(lifted.jacobian(np.zeros(d), np.zeros(d)))
+    return inv[d:, d:] - h * a @ inv[:d, d:]
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
@@ -121,16 +150,22 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     each step is solved in that chart: push the state through
     Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
     z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
-    pull the result back.  There the residual is nearly affine, so its
-    Jacobian barely moves from step to step: each step's Newton solve
-    starts from the Jacobian the previous one ended with (the chord
-    method), and a fresh central difference is made only when a full
-    step fails to halve the residual norm, about once per call.  Each
-    step starts from the push of its stored state, so a chain of calls
-    computes the states of one to the Newton tolerance.
+    pull the result back.  There that field is the linear target's
+    A Z + B utilde, so for an affine base map the step residual is
+    affine and its exact Jacobian follows from (A, B, K) and the map
+    alone (``_linear_step_jacobian``): every step's Newton solve starts
+    from it, lands in one iteration and polishes in a second.  Newton
+    still solves the physical residual, so a feedback or target that
+    does not linearize shows as a Jacobian that fails to halve the
+    residual; it is then replaced by a fresh central difference and
+    carried on to the next step (the chord method), which is also the
+    path of a non-affine base map.  Each step starts from the push of
+    its stored state, so a chain of calls computes the states of one to
+    the Newton tolerance.
 
     Either closed-loop ``gains`` (utilde = -K ztilde at the base state)
-    or an open-loop ``utilde`` sequence must be given.  The trajectory
+    or an open-loop ``utilde`` sequence must be given.  ``s0`` must be a
+    finite 2n-vector and h a finite positive number.  The trajectory
     records each step's controls at its converged base state, Newton
     iterations and final residual.  A ``MechliftError`` raised in step k
     carries ``step = k`` and the ``state`` that step started from.
@@ -143,11 +178,13 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         raise ValueError("provide exactly one of gains / utilde sequence")
     sys, transform = bundle.system, bundle.transform
     phi = transform.phi
-    tmap = tangent_map(phi)
     lifted = tangent_lift(base_map)
-
-    s0 = np.asarray(s0, float)
     n, m = sys.n, sys.m
+
+    s0 = _vec(s0, "s0")
+    if s0.size != 2 * n:
+        raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
+    _check_step_size(h)
 
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
@@ -159,17 +196,18 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             return np.atleast_1d(-K @ Z)
         return utilde[k]
 
-    def control(k, Z):
-        """Original-chart state and physical control at the pushed state Z."""
-        z = tmap.inverse(Z)
-        return z, apply_feedback(transform, z[:n], z[n:], utilde_at(k, Z))
+    def pull(Z):
+        """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
+        x = phi.inverse(Z[:n])
+        d = phi.jacobian(x)
+        return x, np.linalg.solve(d, Z[n:]), d
 
     def pushed_field(k, Z):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = Tphi^-1(Z)."""
-        z, u = control(k, Z)
-        xz, yz = z[:n], z[n:]
-        ydot = sode_field(sys, z, u)[n:]
-        return np.concatenate([Z[n:], phi.second_deriv(xz, yz, yz) + phi.jacobian(xz) @ ydot])
+        x, y, d = pull(Z)
+        u = apply_feedback(transform, x, y, utilde_at(k, Z))
+        ydot = sode_field(sys, np.concatenate([x, y]), u)[n:]
+        return np.concatenate([Z[n:], phi.second_deriv(x, y, y) + d @ ydot])
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
@@ -178,16 +216,18 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     iterations = np.empty(steps, int)
     residuals = np.empty(steps)
 
-    jacobian = None
+    jacobian = _linear_step_jacobian(lifted, bundle.linear, h, gains)
     for k in range(steps):
         try:
-            z_k = tmap.forward(states[k])
+            z_k = transform.push_state(states[k][:n], states[k][n:])
             result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian)
-            states[k + 1] = tmap.inverse(result.state)
+            x, y, _ = pull(result.state)
+            states[k + 1, :n], states[k + 1, n:] = x, y
             # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
             ut_log[k] = utilde_at(k, base)
-            u_log[k] = control(k, base)[1]
+            x, y, _ = pull(base)
+            u_log[k] = apply_feedback(transform, x, y, ut_log[k])
         except MechliftError as exc:
             exc.step = k
             exc.state = states[k].copy()
@@ -207,15 +247,18 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     The update is the second-order scheme of ``dmap`` applied to the
     (optionally closed-loop) linear system, recovered column by column;
     probing verifies it is affine and raises ``NotLinearityPreserving``
-    otherwise.
+    otherwise.  The probe solves of an affine ``dmap`` start from the
+    step's exact Jacobian.
     """
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
     K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
+    jacobian = _linear_step_jacobian(lifted, lms, h, K)
 
     def advance(z, ut):
-        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h).state
+        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h,
+                         jacobian).state
 
     zero = advance(np.zeros(2 * n), np.zeros(m))
     M = np.column_stack([advance(e, np.zeros(m)) - zero for e in np.eye(2 * n)])

@@ -127,8 +127,7 @@ def sode_field(sys: MechanicalSystem, s, u):
         )
     x, y = s[:n], s[n:]
     G = float_array(sys.gamma(x))
-    ydot = -np.einsum("ijk,j,k->i", G, y, y) + float_array(sys.e(x)) \
-        + float_array(sys.g(x)) @ u
+    ydot = -(G @ y @ y) + float_array(sys.e(x)) + float_array(sys.g(x)) @ u
     return np.concatenate([y, ydot])
 
 
@@ -141,8 +140,7 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     beta = np.atleast_2d(float_array(t.beta(x)))
     if beta.shape[1] != utilde.size or gam.shape[1] != y.size:
         raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
-    return np.einsum("rjk,j,k->r", gam, y, y) + float_array(t.alpha(x)) \
-        + beta @ utilde
+    return gam @ y @ y + float_array(t.alpha(x)) + beta @ utilde
 
 
 # ---------------------------------------------------------------------------

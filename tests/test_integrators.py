@@ -9,11 +9,13 @@ import pytest
 
 import mechlift
 from mechlift import (
+    DimensionMismatch,
     DiscretizationMap,
     LinearMechanicalSystem,
     MFTransform,
     MechanicalSystem,
     MultiInputUnsupported,
+    NonFinite,
     NotLinearityPreserving,
     OutsideChart,
     Rotation,
@@ -59,6 +61,20 @@ def double_integrator_lms():
 def unforced(sys):
     """The system's second-order field under zero control."""
     return lambda s: sode_field(sys, s, np.zeros(sys.m))
+
+
+@pytest.fixture()
+def central_differences(monkeypatch):
+    """The calls made to the package's central-difference Jacobian."""
+    jac = mechlift.geometry.numeric_jacobian
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return jac(*args, **kwargs)
+
+    monkeypatch.setattr(mechlift.geometry, "numeric_jacobian", counting)
+    return calls
 
 
 class TestStepFirstOrder:
@@ -118,6 +134,20 @@ class TestStepSode:
         fresh = step_sode(lift, field, np.array([1.0, 0.0]), 0.1)
         out = step_sode(lift, field, np.array([1.0, 0.0]), 0.1, jacobian=carried)
         npt.assert_allclose(out.state, fresh.state, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.01])
+    def test_rejects_a_step_size_that_is_not_finite_positive(self, pendulum, h):
+        lift = tangent_lift(make_midpoint(1))
+        with pytest.raises(ValueError, match="finite positive"):
+            step_sode(lift, unforced(harmonic_oscillator()), np.array([1.0, 0.0]), h)
+        with pytest.raises(ValueError, match="finite positive"):
+            fl_discretize(pendulum, make_midpoint(2), S0, h, 5,
+                          gains=pole_place(pendulum.linear, POLES))
+
+    def test_rejects_a_non_finite_state(self):
+        lift = tangent_lift(make_midpoint(1))
+        with pytest.raises(NonFinite):
+            step_sode(lift, unforced(harmonic_oscillator()), np.array([np.nan, 0.0]), 0.1)
 
     def test_scheme_residuals(self, rng):
         # the midpoint lift must satisfy both defining relations exactly
@@ -201,18 +231,24 @@ class TestFlDiscretize:
         assert info.value.step == step
         npt.assert_array_equal(info.value.state, traj.states[-1])
 
-    def test_one_fresh_jacobian_per_call(self, pendulum, monkeypatch):
-        # criterion 4's run: each step starts from the last step's Jacobian
-        jac = mechlift.geometry.numeric_jacobian
-        calls = []
+    def test_target_jacobian_needs_no_central_difference(self, pendulum,
+                                                         central_differences):
+        # criterion 4's run: in the linearizing chart the step residual is
+        # affine, and the linear target's Jacobian solves it in one iteration
+        # plus the polish step
+        for make_map in (make_midpoint, make_implicit_euler, make_explicit_euler):
+            traj, _ = pendulum_closed_loop(pendulum, make_map=make_map)
+            assert len(central_differences) == 0, make_map
+            assert traj.iterations.max() <= 2, make_map
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return jac(*args, **kwargs)
-
-        monkeypatch.setattr(mechlift.geometry, "numeric_jacobian", counting)
-        pendulum_closed_loop(pendulum)
-        assert len(calls) <= 2
+    @pytest.mark.parametrize("s0, error", [
+        ((np.nan, 0.0, 0.0, 0.0), NonFinite),
+        ((0.1, 0.0, np.inf, 0.0), NonFinite),
+        ((0.1, 0.0, 0.0), DimensionMismatch),
+    ], ids=["nan", "inf", "three-entries"])
+    def test_rejects_a_bad_initial_state(self, pendulum, s0, error):
+        with pytest.raises(error):
+            pendulum_closed_loop(pendulum, s0=np.array(s0))
 
     def test_carried_jacobian_matches_fresh_solves_on_a_nonlinear_loop(self, rng):
         sys = MechanicalSystem(
@@ -271,6 +307,11 @@ class TestFlDiscretize:
 
 
 class TestLinearTwoStep:
+    def test_probe_solves_need_no_central_difference(self, pendulum, central_differences):
+        for builder in (make_explicit_euler, make_implicit_euler, make_midpoint):
+            linear_two_step(pendulum.linear, builder(2), 0.01)
+        assert len(central_differences) == 0
+
     def test_double_integrator_midpoint(self):
         rec = linear_two_step(double_integrator_lms(), make_midpoint(1), 0.1)
         npt.assert_allclose(rec.A2, [[-1.0]], atol=1e-10)
