@@ -353,12 +353,11 @@ def _harmonic_order_case(map_kind, t_final):
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        state, jacobian = s, _linear_step_jacobian(lifted, lms, h)
+        jacobian = _linear_step_jacobian(lifted, lms, h)
         for _ in range(steps):
-            result = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
-                               state, h, jacobian)
-            state, jacobian = result.state, result.jacobian
-        return state
+            s = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
+                          s, h, jacobian).state
+        return s
 
     exact = np.array([np.cos(t_final), -np.sin(t_final)])
     return stepper, exact, s0

@@ -42,12 +42,14 @@ class DiscretizationMap:
         domain of validity.
     jacobian : callable
         (x, v) -> 2n x 2n derivative of the packed forward map.
-    affine : bool
-        True when ``forward`` is affine in (x, v); lets the tangent lift
-        assemble its exact Jacobian once.
+
+    ``theta`` is set on the members of the affine family built by
+    :func:`_theta_map` and is None on every other map.
     """
 
-    def __init__(self, dim, kind, forward, inverse, jacobian, affine=False):
+    theta = None
+
+    def __init__(self, dim, kind, forward, inverse, jacobian):
         if kind not in _KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.dim = int(dim)
@@ -55,7 +57,6 @@ class DiscretizationMap:
         self._forward = forward
         self._inverse = inverse
         self._jacobian = jacobian
-        self.affine = bool(affine)
 
     def forward(self, x, v):
         return self._forward(float_array(x), float_array(v))
@@ -68,49 +69,38 @@ class DiscretizationMap:
         return self._jacobian(float_array(x), float_array(v))
 
 
+def _theta_map(dim, kind, theta) -> DiscretizationMap:
+    """Map (x, v) -> (x - theta v, x + (1 - theta) v) on a dim-chart.
+
+    The built-in maps are its members theta = 0, 1 and 1/2; the inverse
+    is ((1 - theta) x0 + theta x1, x1 - x0).
+    """
+    eye = np.eye(dim)
+    jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
+    dmap = DiscretizationMap(
+        dim,
+        kind,
+        forward=lambda x, v: (x - theta * v, x + (1.0 - theta) * v),
+        inverse=lambda a, b: ((1.0 - theta) * a + theta * b, b - a),
+        jacobian=lambda x, v: jac,
+    )
+    dmap.theta = theta
+    return dmap
+
+
 def make_explicit_euler(n) -> DiscretizationMap:
     """Map (x, v) -> (x, x + v); the forward Euler scheme."""
-    n = int(n)
-    eye = np.eye(n)
-    jac = np.block([[eye, np.zeros((n, n))], [eye, eye]])
-    return DiscretizationMap(
-        n,
-        "explicit-euler",
-        forward=lambda x, v: (x.copy(), x + v),
-        inverse=lambda a, b: (a.copy(), b - a),
-        jacobian=lambda x, v: jac,
-        affine=True,
-    )
+    return _theta_map(int(n), "explicit-euler", 0.0)
 
 
 def make_implicit_euler(n) -> DiscretizationMap:
     """Map (x, v) -> (x - v, x); the backward Euler scheme."""
-    n = int(n)
-    eye = np.eye(n)
-    jac = np.block([[eye, -eye], [eye, np.zeros((n, n))]])
-    return DiscretizationMap(
-        n,
-        "implicit-euler",
-        forward=lambda x, v: (x - v, x.copy()),
-        inverse=lambda a, b: (b.copy(), b - a),
-        jacobian=lambda x, v: jac,
-        affine=True,
-    )
+    return _theta_map(int(n), "implicit-euler", 1.0)
 
 
 def make_midpoint(n) -> DiscretizationMap:
     """Map (x, v) -> (x - v/2, x + v/2); the symmetric (midpoint) scheme."""
-    n = int(n)
-    eye = np.eye(n)
-    jac = np.block([[eye, -eye / 2.0], [eye, eye / 2.0]])
-    return DiscretizationMap(
-        n,
-        "midpoint",
-        forward=lambda x, v: (x - v / 2.0, x + v / 2.0),
-        inverse=lambda a, b: ((a + b) / 2.0, b - a),
-        jacobian=lambda x, v: jac,
-        affine=True,
-    )
+    return _theta_map(int(n), "midpoint", 0.5)
 
 
 class AxiomReport:
@@ -297,7 +287,7 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
         out[n:] = np.linalg.solve(phi.jacobian(b), pulled[n:])
         return out
 
-    return DiscretizationMap(n, "lifted", forward, inverse, jacobian, affine=False)
+    return DiscretizationMap(n, "lifted", forward, inverse, jacobian)
 
 
 def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
@@ -308,13 +298,12 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     and the input vector is (y, ydot); the outputs are the two tangent
     points (x0, v0) and (x1, v1).
 
-    The inverse is structural: recover (x, y) from the base inverse,
-    then solve the base Jacobian for (xdot, ydot).  An affine base map
-    has a constant Jacobian, inverted once when the lift is built, so
-    its lift's inverse is the base inverse plus one matrix product.
-    The lift's own Jacobian is exact for an affine base map; otherwise
-    it would need the base map's second derivative, and is a central
-    difference of the forward map.
+    A member of the affine theta family is its own tangent: its lift is
+    the same member on the 2n chart.  For any other map the inverse is
+    structural: recover (x, y) from the base inverse, then solve the
+    base Jacobian for (xdot, ydot); the lift's Jacobian would need the
+    base map's second derivative, and is a central difference of the
+    forward map.
 
     The lift commutes with chart transport (criterion 3): the lift of
     ``lift_by_diffeo(dmap, phi)`` is ``lift_by_diffeo(tangent_lift(dmap),
@@ -323,6 +312,8 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     linearizing chart: the step is exactly the same.
     """
     n = dmap.dim
+    if dmap.theta is not None:
+        return _theta_map(2 * n, "tangent-lift", dmap.theta)
 
     def forward(s, w):
         x, xd = s[:n], s[n:]
@@ -335,24 +326,11 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     def inverse(s0, s1):
         x, y = dmap.inverse(s0[:n], s1[:n])
         t = np.concatenate([s0[n:], s1[n:]])
-        sol = jb_inv @ t if dmap.affine else np.linalg.solve(dmap.jacobian(x, y), t)
+        sol = np.linalg.solve(dmap.jacobian(x, y), t)
         return np.concatenate([x, sol[:n]]), np.concatenate([y, sol[n:]])
 
-    if dmap.affine:
-        jb = dmap.jacobian(np.zeros(n), np.zeros(n))
-        jb_inv = np.linalg.inv(jb)
-        # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1):
-        # jb maps the base entries (x, y) -> (x0, x1), and the tangent
-        # entries, n places later, (xd, yd) -> (v0, v1)
-        base = np.r_[0:n, 2 * n:3 * n]
-        full = np.zeros((4 * n, 4 * n))
-        full[np.ix_(base, base)] = jb
-        full[np.ix_(base + n, base + n)] = jb
-        jacobian = lambda s, w: full
-    else:
-        def jacobian(s, w):
-            return numeric_jacobian(lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])),
-                                    np.concatenate([s, w]))
+    def jacobian(s, w):
+        return numeric_jacobian(lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])),
+                                np.concatenate([s, w]))
 
-    return DiscretizationMap(2 * n, "tangent-lift", forward, inverse, jacobian,
-                             affine=dmap.affine)
+    return DiscretizationMap(2 * n, "tangent-lift", forward, inverse, jacobian)

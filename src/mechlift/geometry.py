@@ -198,9 +198,10 @@ def _damped_newton(residual, guess, scale, jac=None):
     caller solving a sequence of nearby systems passes the one the last
     solve ended with) and otherwise as a central difference
     (:func:`numeric_jacobian`) with a step scaled to the iterate.  It is
-    kept while full steps at least halve the residual norm and replaced
-    by a fresh one when a step does not; a fresh one's full step is
-    halved until the norm drops.  A given Jacobian never ends a solve:
+    kept while full steps cut the residual norm tenfold (one that merely
+    halves it can take tens of iterations to converge) and replaced by a
+    fresh one when a step does not; a fresh one's full step is halved
+    until the norm drops.  A given Jacobian never ends a solve:
     when it is singular or its step fails, a fresh one takes over.  Past
     ``NEWTON_TOL * scale`` one more step takes the residual to its
     rounding floor, which the step-conjugacy checks need.  Returns the
@@ -235,12 +236,12 @@ def _damped_newton(residual, guess, scale, jac=None):
             if norm_try < norm or not fresh or converged or lam < 1e-8:
                 break
             lam /= 2.0
-        improved, halved = norm_try < norm, norm_try < 0.5 * norm
+        improved, contracted = norm_try < norm, norm_try < 0.1 * norm
         if improved:
             q, r, norm = q_try, r_try, norm_try
         if converged or (fresh and not improved):
             break  # the polish step is done, or the solve has stalled
-        if not halved:
+        if not contracted:
             jac = None
         converged = norm < NEWTON_TOL * scale
     if not converged:

@@ -98,12 +98,12 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
     s_k, and its tolerance is relative to the largest entry of s_k: both
     live in the chart the step is taken in.  Newton's first Jacobian is
     ``jacobian`` when given: the previous step's ``StepResult.jacobian``,
-    or the exact one of a linear field on an affine map.  It only speeds
-    the solve up, since a Jacobian that fails to halve the residual is
-    replaced by a fresh central difference, and the step solves the same
-    equation either way.  A state that is not a finite vector of the
-    map's dimension, or a step size that is not a finite positive
-    number, is refused before Newton starts.
+    or the exact one of a linear field on a theta-family map.  It only
+    speeds the solve up, since a Jacobian whose full step fails to cut
+    the residual tenfold is replaced by a fresh central difference, and
+    the step solves the same equation either way.  A state that is not
+    a finite vector of the map's dimension, or a step size that is not a
+    finite positive number, is refused before Newton starts.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
@@ -120,23 +120,20 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
 
 def _linear_step_jacobian(lifted: DiscretizationMap, lms: LinearMechanicalSystem, h,
                           gains=None):
-    """Exact ``step_sode`` Jacobian of an affine lift on a linear field.
+    """Exact ``step_sode`` Jacobian of a theta-family lift on a linear field.
 
-    On the field z' = a z + b with a = A - B K (A, B the stacked pair of
-    ``lms``, K the ``gains``, zero without them), the step residual
-    v - h a z - h b is affine in s_next: (z, v) depends on it through
-    (Lz, Lv), the second-slot columns of the inverse of the lift's
-    constant Jacobian, so its Jacobian is Lv - h a Lz.  None unless
-    ``lifted`` is affine.
+    On z' = a z + b with a = A - B K (A, B the stacked pair of ``lms``,
+    K the ``gains``, zero without them), the lift's inverse gives
+    z = (1 - theta) s_k + theta s_next and v = s_next - s_k, so the step
+    residual v - h a z - h b has the constant Jacobian I - theta h a.
+    None for a map outside the family.
     """
-    if not lifted.affine:
+    if lifted.theta is None:
         return None
-    d = lifted.dim
     a, b = lms.stacked()
     if gains is not None:
         a = a - b @ np.atleast_2d(np.asarray(gains, float))
-    inv = np.linalg.inv(lifted.jacobian(np.zeros(d), np.zeros(d)))
-    return inv[d:, d:] - h * a @ inv[:d, d:]
+    return np.eye(lifted.dim) - (lifted.theta * h) * a
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
@@ -151,17 +148,17 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
     z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
     pull the result back.  There that field is the linear target's
-    A Z + B utilde, so for an affine base map the step residual is
-    affine and its exact Jacobian follows from (A, B, K) and the map
-    alone (``_linear_step_jacobian``): every step's Newton solve starts
-    from it, lands in one iteration and polishes in a second.  Newton
-    still solves the physical residual, so a feedback or target that
-    does not linearize shows as a Jacobian that fails to halve the
-    residual; it is then replaced by a fresh central difference and
-    carried on to the next step (the chord method), which is also the
-    path of a non-affine base map.  Each step starts from the push of
-    its stored state, so a chain of calls computes the states of one to
-    the Newton tolerance.
+    A Z + B utilde, so for a base map of the theta family the step
+    residual is affine with the constant Jacobian I - theta h (A - B K)
+    (``_linear_step_jacobian``): every step's Newton solve starts from
+    it, lands in one iteration and polishes in a second.  Newton still
+    solves the physical residual, so a feedback or target that does not
+    linearize shows as a Jacobian whose full step fails to cut the
+    residual tenfold; it is then replaced by a fresh central difference
+    and carried on to the next step (the chord method), which is also
+    the path of a base map outside the family.  Each step starts from
+    the push of its stored state, so a chain of calls computes the
+    states of one to the Newton tolerance.
 
     Either closed-loop ``gains`` (utilde = -K ztilde at the base state)
     or an open-loop ``utilde`` sequence must be given.  ``s0`` must be a
@@ -247,8 +244,8 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     The update is the second-order scheme of ``dmap`` applied to the
     (optionally closed-loop) linear system, recovered column by column;
     probing verifies it is affine and raises ``NotLinearityPreserving``
-    otherwise.  The probe solves of an affine ``dmap`` start from the
-    step's exact Jacobian.
+    otherwise.  The probe solves of a theta-family ``dmap`` start from
+    the step's exact Jacobian.
     """
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()

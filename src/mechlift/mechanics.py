@@ -241,7 +241,6 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         return np.array([[-md * J2 / (m0 * regular_cos(x))]])
 
     def alpha(x):
-        regular_cos(x)
         # -(md J2/(m0 cos)) * (-(m0^2/(2 md J2)) sin 2x1) = m0 sin x1
         return np.array([m0 * np.sin(x[0])])
 

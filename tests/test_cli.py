@@ -20,6 +20,29 @@ def read_csv(path):
     return header, data
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-pendulum", "--t-final", "0.2"],
+    ["simulate-so3"],
+    ["check", "pendulum"],
+    ["order-study", "harmonic", "--map", "explicit-euler,implicit-euler,midpoint"],
+    ["verify-maps"],
+], ids=["simulate-pendulum", "simulate-so3", "check-pendulum", "order-study-harmonic",
+        "verify-maps"])
+def test_deterministic_output(argv, tmp_path, capsys):
+    # both runs write to one directory, so summary.json's echo of --out agrees
+    out = tmp_path / "run"
+    if argv[0] != "verify-maps":
+        argv = argv + ["--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+        runs.append((capsys.readouterr().out, files))
+    stdout, files = runs[0]
+    assert stdout and (files or argv[0] == "verify-maps")
+    assert runs[1] == runs[0]
+
+
 class TestSimulatePendulum:
     def test_default_run_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -98,14 +121,6 @@ class TestSimulatePendulum:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure at step 5 from state [-1.22")
         assert err.rstrip().endswith("point not in chart image")
-
-    def test_deterministic_output(self, tmp_path):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        main(["simulate-pendulum", "--t-final", "0.2", "--out", str(out1)])
-        main(["simulate-pendulum", "--t-final", "0.2", "--out", str(out2)])
-        for name in ("pendulum_states.csv", "pendulum_reference.csv",
-                     "pendulum_errors.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_config_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

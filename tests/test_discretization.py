@@ -163,8 +163,8 @@ class TestTangentLift:
 
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_jacobian_of_a_non_affine_lift(self, builder, rng):
-        # a chart-transported map is not flagged affine, so its lift's
-        # Jacobian is a central difference of the lift; through the
+        # a chart-transported map is outside the theta family, so its
+        # lift's Jacobian is a central difference of the lift; through the
         # identity chart it must match the plain lift's exact Jacobian
         plain = tangent_lift(builder(2))
         lifted = tangent_lift(lift_by_diffeo(builder(2), identity_diffeomorphism(2)))

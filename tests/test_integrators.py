@@ -241,6 +241,20 @@ class TestFlDiscretize:
             assert len(central_differences) == 0, make_map
             assert traj.iterations.max() <= 2, make_map
 
+    def test_a_wrong_target_jacobian_is_replaced_at_once(self, pendulum,
+                                                         central_differences):
+        # a target of (3A, 2B) gives a step Jacobian whose full steps only
+        # halve the residual; kept, it would take 25 iterations in step 0, while
+        # one fresh central difference, carried on, solves every step
+        gains = pole_place(pendulum.linear, POLES)
+        lin = pendulum.linear
+        wrong = pendulum._replace(linear=LinearMechanicalSystem(A=3 * lin.A, B=2 * lin.B))
+        traj = fl_discretize(wrong, make_midpoint(2), S0, 0.01, 100, gains=gains)
+        assert traj.iterations.max() <= 4
+        assert len(central_differences) <= 1
+        right, _ = pendulum_closed_loop(pendulum)
+        npt.assert_allclose(traj.states, right.states, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("s0, error", [
         ((np.nan, 0.0, 0.0, 0.0), NonFinite),
         ((0.1, 0.0, np.inf, 0.0), NonFinite),
