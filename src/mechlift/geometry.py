@@ -35,18 +35,27 @@ def _vec(a, name):
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFinite(f"{name} contains NaN/Inf")
     return v
+
+
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass
 class Rotation:
     """Orthogonal 3x3 matrix with determinant +1.
 
-    Construction re-orthonormalizes by polar projection when the
-    orthogonality defect lies in (1e-12, 1e-9] and rejects anything
-    beyond, so accumulated drift cannot hide behind silent clean-up.
+    Construction checks, in order: the shape is 3x3
+    (``DimensionMismatch``); every entry is finite (``NonFinite``); the
+    orthogonality defect max|R^T R - I| is at most 1e-9 (``ValueError``
+    beyond it).  A defect of at most 1e-12 leaves the matrix as given,
+    and its determinant, expanded by cofactors, must lie within 1e-9 of
+    +1.  A defect in (1e-12, 1e-9] is re-orthonormalized by polar
+    projection, and a projection that lands on a reflection is
+    rejected.  So accumulated drift cannot hide behind silent clean-up.
     """
 
     r: np.ndarray
@@ -55,19 +64,23 @@ class Rotation:
         r = np.asarray(self.r, dtype=float)
         if r.shape != (3, 3):
             raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise NonFinite("rotation contains NaN/Inf")
-        defect = np.abs(r.T @ r - np.eye(3)).max()
+        gram = r.T @ r
+        gram -= _EYE3
+        defect = np.abs(gram, out=gram).max()
         if defect > 1e-9:
             raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
-        det = np.linalg.det(r)
-        if abs(det - 1.0) > 1e-9 and defect <= 1e-12:
-            raise ValueError(f"determinant {det:.12f} is not +1")
         if defect > 1e-12:
             u, _, vt = np.linalg.svd(r)
             r = u @ vt
             if np.linalg.det(r) < 0:
                 raise ValueError("nearest orthogonal matrix is a reflection")
+        else:
+            a, b, c, d, e, f, g, h, i = r.ravel().tolist()
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            if abs(det - 1.0) > 1e-9:
+                raise ValueError(f"determinant {det:.12f} is not +1")
         self.r = r
 
 
@@ -101,24 +114,30 @@ def vee(s) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
-def so3_exp(w) -> Rotation:
-    """Rotation about axis w/|w| by angle |w| (Rodrigues formula).
+def _rodrigues(w) -> np.ndarray:
+    """exp(hat(w)) as a plain 3x3 array, for a finite 3-vector w.
 
     Series expansions of sin(t)/t and (1-cos(t))/t^2 take over below
     t = 1e-4 to avoid cancellation.
     """
-    w = _vec(w, "w")
-    if w.size != 3:
-        raise DimensionMismatch("so3_exp expects a 3-vector")
-    th = np.linalg.norm(w)
-    k = hat(w)
+    th = math.sqrt(w.dot(w))
+    x, y, z = w.tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     if th < 1e-4:
         a = 1.0 - th**2 / 6.0 + th**4 / 120.0
         b = 0.5 - th**2 / 24.0 + th**4 / 720.0
     else:
         a = np.sin(th) / th
         b = (1.0 - np.cos(th)) / th**2
-    return Rotation(np.eye(3) + a * k + b * (k @ k))
+    return _EYE3 + a * k + b * (k @ k)
+
+
+def so3_exp(w) -> Rotation:
+    """Rotation about axis w/|w| by angle |w| (Rodrigues formula)."""
+    w = _vec(w, "w")
+    if w.size != 3:
+        raise DimensionMismatch("so3_exp expects a 3-vector")
+    return Rotation(_rodrigues(w))
 
 
 def _rotation_matrix(r):
@@ -161,12 +180,15 @@ def so3_log(r) -> np.ndarray:
 
 
 def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``x0``.
+    """Central-difference Jacobian of ``f`` at ``x0``, shape (m, n).
+
+    Column j is (f(x0 + e_j) - f(x0 - e_j)) / (2 step), with e_j the j-th
+    row of ``step * I``; the probes run in that order, + before -.
 
     Parameters
     ----------
     f : callable
-        Maps an n-vector to an m-vector.
+        Maps an n-vector to an m-vector; a scalar result counts as m = 1.
     x0 : array, shape (n,)
         Expansion point.
     step : float
@@ -176,19 +198,17 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     Raises
     ------
     NonFinite
-        If any probe evaluation returns NaN/Inf.
+        At the first probe pair with a NaN/Inf in either evaluation.
     """
     x0 = _vec(x0, "x0")
     cols = []
-    for j in range(x0.size):
-        e = np.zeros_like(x0)
-        e[j] = step
+    for e in step * np.eye(x0.size):
         fp = np.asarray(f(x0 + e), dtype=float)
         fm = np.asarray(f(x0 - e), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise NonFinite("function evaluation returned NaN/Inf")
         cols.append((fp - fm) / (2.0 * step))
-    return np.column_stack(cols)
+    return np.array(cols).reshape(x0.size, -1).T
 
 
 def _damped_newton(residual, guess, scale, jac=None):

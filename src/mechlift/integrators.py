@@ -30,8 +30,8 @@ from .errors import (
 from .geometry import (
     Rotation,
     _damped_newton,
+    _rodrigues,
     _vec,
-    so3_exp,
     so3_log,
 )
 from .mechanics import (
@@ -199,10 +199,14 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         d = phi.jacobian(x)
         return x, np.linalg.solve(d, Z[n:]), d
 
+    last = {}  # the (Z, utilde, u) of the latest pushed_field call
+
     def pushed_field(k, Z):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = Tphi^-1(Z)."""
         x, y, d = pull(Z)
-        u = apply_feedback(transform, x, y, utilde_at(k, Z))
+        ut = utilde_at(k, Z)
+        u = apply_feedback(transform, x, y, ut)
+        last.update(Z=Z, utilde=ut, u=u)
         ydot = sode_field(sys, np.concatenate([x, y]), u)[n:]
         return np.concatenate([Z[n:], phi.second_deriv(x, y, y) + d @ ydot])
 
@@ -220,11 +224,15 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian)
             x, y, _ = pull(result.state)
             states[k + 1, :n], states[k + 1, n:] = x, y
-            # log the controls at the converged base state of the step
+            # log the controls at the converged base state of the step;
+            # Newton's last residual was usually evaluated right there
             base, _ = lifted.inverse(z_k, result.state)
-            ut_log[k] = utilde_at(k, base)
-            x, y, _ = pull(base)
-            u_log[k] = apply_feedback(transform, x, y, ut_log[k])
+            if base.tobytes() == last["Z"].tobytes():
+                ut_log[k], u_log[k] = last["utilde"], last["u"]
+            else:
+                ut_log[k] = utilde_at(k, base)
+                x, y, _ = pull(base)
+                u_log[k] = apply_feedback(transform, x, y, ut_log[k])
         except MechliftError as exc:
             exc.step = k
             exc.state = states[k].copy()
@@ -375,20 +383,36 @@ def cayley_matrix(a_cl, h) -> np.ndarray:
         raise SingularStep("resolvent I - h/2 A is singular") from exc
 
 
+def _times_gain(k, v, name):
+    """K v for a gain K that is a scalar or a 3x3 matrix."""
+    k = np.asarray(k, float)
+    if k.ndim == 0:
+        return k * v
+    if k.shape != (3, 3):
+        raise DimensionMismatch(f"{name} must be a scalar or a 3x3 matrix, got shape {k.shape}")
+    return k @ v
+
+
 def so3_closed_loop_step(rotation, omega, k1, k2, h):
     """Proportional-derivative attitude step on the rotation group.
 
     R+ = R exp(h hat(Omega)); Omega+ = Omega - h K1 log(R) - h K2 Omega.
     The rotation update is a group product, so orthogonality is
-    preserved to roundoff regardless of step size.
+    preserved to roundoff regardless of step size; R+ is the one
+    ``Rotation`` the step builds, validated as every rotation is.  Each
+    gain is a scalar (K I) or a 3x3 matrix; any other shape raises
+    ``DimensionMismatch``, as does an ``omega`` that is not a 3-vector
+    (``NonFinite`` when it holds NaN/Inf).  h must be a finite positive
+    number.
     """
     R = rotation if isinstance(rotation, Rotation) else Rotation(np.asarray(rotation, float))
-    omega = np.asarray(omega, float)
-    k1 = np.asarray(k1, float) * np.eye(3) if np.ndim(k1) == 0 else np.asarray(k1, float)
-    k2 = np.asarray(k2, float) * np.eye(3) if np.ndim(k2) == 0 else np.asarray(k2, float)
+    omega = _vec(omega, "omega")
+    if omega.size != 3:
+        raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
+    _check_step_size(h)
     xi = so3_log(R)
-    r_next = Rotation(R.r @ so3_exp(h * omega).r)
-    omega_next = omega - h * (k1 @ xi) - h * (k2 @ omega)
+    r_next = Rotation(R.r @ _rodrigues(h * omega))
+    omega_next = omega - h * _times_gain(k1, xi, "K1") - h * _times_gain(k2, omega, "K2")
     return r_next, omega_next
 
 

@@ -34,7 +34,7 @@ def lie_bracket(x_field, y_field, x) -> np.ndarray:
     dy = numeric_jacobian(y_field, x)
     dx = numeric_jacobian(x_field, x)
     out = dy @ xv - dx @ yv
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("lie bracket evaluation returned NaN/Inf")
     return out
 
@@ -47,7 +47,7 @@ def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarr
     dy = numeric_jacobian(y_field, x)
     G = np.asarray(sys.gamma(x), float)
     out = dy @ xv + np.einsum("ijk,j,k->i", G, xv, yv)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("covariant derivative returned NaN/Inf")
     return out
 
@@ -119,7 +119,7 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
 
     out = (d2z + dgam_term + gam(yv, dz @ xv) + gam(xv, dz @ yv)
            + gam(xv, gam(yv, zv)) - dz @ gam(xv, yv) - gam(gam(xv, yv), zv))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("second covariant derivative returned NaN/Inf")
     return out
 

@@ -24,10 +24,13 @@ def read_csv(path):
     ["simulate-pendulum", "--t-final", "0.2"],
     ["simulate-so3"],
     ["check", "pendulum"],
+    ["check", "so3"],
+    ["check", "double-integrator"],
     ["order-study", "harmonic", "--map", "explicit-euler,implicit-euler,midpoint"],
+    ["order-study", "so3"],
     ["verify-maps"],
-], ids=["simulate-pendulum", "simulate-so3", "check-pendulum", "order-study-harmonic",
-        "verify-maps"])
+], ids=["simulate-pendulum", "simulate-so3", "check-pendulum", "check-so3",
+        "check-double-integrator", "order-study-harmonic", "order-study-so3", "verify-maps"])
 def test_deterministic_output(argv, tmp_path, capsys):
     # both runs write to one directory, so summary.json's echo of --out agrees
     out = tmp_path / "run"

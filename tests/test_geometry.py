@@ -4,6 +4,7 @@ import pytest
 
 from mechlift import (
     AngleAtPi,
+    DimensionMismatch,
     NonFinite,
     NotSkew,
     Rotation,
@@ -131,6 +132,25 @@ class TestNumericJacobian:
         with pytest.raises(NonFinite):
             numeric_jacobian(f, np.zeros(1))
 
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["plus-probe", "minus-probe"])
+    def test_non_finite_probe_ends_at_its_pair(self, side):
+        # only one probe of the second pair is non-finite; no later pair runs
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return np.array([np.inf if side * x[1] > 0 else x.sum()])
+
+        with pytest.raises(NonFinite):
+            numeric_jacobian(f, np.zeros(3))
+        assert len(probes) == 4
+
+    def test_scalar_valued_map_is_one_row(self, rng):
+        x0 = rng.normal(size=3)
+        jac = numeric_jacobian(lambda x: x @ x, x0)
+        assert jac.shape == (1, 3)
+        npt.assert_allclose(jac[0], 2.0 * x0, atol=1e-8)
+
 
 class TestStateTypes:
     def test_rotation_accepts_exact(self):
@@ -149,3 +169,33 @@ class TestStateTypes:
     def test_rotation_rejects_reflection(self):
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, 1.0, -1.0]))
+
+
+NOISY_R0 = PAPER_R0 + 5e-11 * np.ones((3, 3))
+
+
+@pytest.mark.parametrize("matrix, error, match", [
+    (np.eye(2), DimensionMismatch, "3x3"),
+    (np.eye(3).ravel(), DimensionMismatch, "3x3"),
+    (np.where(np.eye(3) > 0, np.nan, 0.0), NonFinite, "NaN"),
+    (np.diag([1.0, 1.0, np.inf]), NonFinite, "NaN"),
+    (np.diag([1.0, 1.0, -1.0]), ValueError, "determinant"),
+    (np.diag([1.0, 1.0, -1.0]) + 5e-11 * np.ones((3, 3)), ValueError, "reflection"),
+    (PAPER_R0 + 2e-9 * np.ones((3, 3)), ValueError, "orthogonality defect"),
+], ids=["2x2", "flat", "nan", "inf", "reflection", "drifted-reflection", "drift-2e-9"])
+def test_rotation_refuses(matrix, error, match):
+    with pytest.raises(error, match=match):
+        Rotation(matrix)
+
+
+@pytest.mark.parametrize("matrix, reprojected", [
+    (PAPER_R0, False),
+    (so3_exp([0.3, -0.2, 0.5]).r, False),
+    (NOISY_R0, True),
+], ids=["exact", "rodrigues", "drift-5e-11"])
+def test_rotation_accepts(matrix, reprojected):
+    r = Rotation(matrix).r
+    # a defect of at most 1e-12 is kept as given; 5e-11 of drift is projected
+    assert np.array_equal(r, matrix) != reprojected
+    assert np.abs(r.T @ r - np.eye(3)).max() <= (1e-15 if reprojected else 1e-12)
+    npt.assert_allclose(r, matrix, atol=1e-9)

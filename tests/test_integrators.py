@@ -77,6 +77,20 @@ def central_differences(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def rotations(monkeypatch):
+    """The rotations built and validated, one entry per construction."""
+    post_init = Rotation.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Rotation, "__post_init__", counting)
+    return built
+
+
 class TestStepFirstOrder:
     # step_sode on a base map and a first-order field: the scheme the map
     # induces on that field
@@ -319,6 +333,22 @@ class TestFlDiscretize:
         assert traj.u.shape == (5, 1) and traj.utilde.shape == (5, 1)
         assert np.all(np.isfinite(traj.u))
 
+    @pytest.mark.parametrize("make_map", [make_explicit_euler, make_implicit_euler,
+                                          make_midpoint])
+    def test_controls_are_those_of_the_converged_base_state(self, pendulum, make_map):
+        traj, _ = pendulum_closed_loop(pendulum, make_map=make_map)
+        gains = pole_place(pendulum.linear, POLES)
+        t, lifted = pendulum.transform, tangent_lift(make_map(2))
+        z = [t.push_state(s[:2], s[2:]) for s in traj.states]
+        for k in range(len(traj.u)):
+            base, _ = lifted.inverse(z[k], z[k + 1])
+            x = t.phi.inverse(base[:2])
+            y = np.linalg.solve(t.phi.jacobian(x), base[2:])
+            utilde = -gains @ base
+            npt.assert_allclose(traj.utilde[k], utilde, rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(traj.u[k], mechlift.apply_feedback(t, x, y, utilde),
+                                rtol=1e-10, atol=1e-12)
+
 
 class TestLinearTwoStep:
     def test_probe_solves_need_no_central_difference(self, pendulum, central_differences):
@@ -493,6 +523,36 @@ class TestSo3ClosedLoop:
             flat = xi + h * om
             defect = np.linalg.norm(so3_log(r) - flat)
             assert defect <= 1.0 * h * np.linalg.norm(xi) * np.linalg.norm(om) + 1e-12
+
+    def test_one_rotation_per_step(self, rotations):
+        r, om = so3_exp([0.3, -0.2, 0.5]), np.array([0.1, 0.2, 0.3])
+        rotations.clear()
+        for _ in range(10):
+            r, om = so3_closed_loop_step(r, om, 5.0, 10.0, 0.01)
+        assert len(rotations) == 10
+
+    @pytest.mark.parametrize("k1", [5.0, 5.0 * np.eye(3)], ids=["scalar", "matrix"])
+    def test_gain_shapes(self, k1):
+        # Omega+ = Omega - h K1 log(R) - h K2 Omega with K1 = 5, K2 = 10
+        r = so3_exp([0.3, -0.2, 0.5])
+        _, om = so3_closed_loop_step(r, [0.1, 0.2, 0.3], k1, 10.0, 0.01)
+        npt.assert_allclose(om, [0.075, 0.19, 0.245], rtol=1e-14)
+
+    @pytest.mark.parametrize("k1, k2, omega, error, match", [
+        ([5.0, 5.0, 5.0], 10.0, [0.1, 0.2, 0.3], DimensionMismatch, "K1"),
+        (5.0, np.ones((2, 2)), [0.1, 0.2, 0.3], DimensionMismatch, "K2"),
+        (5.0, 10.0, [0.1, 0.2], DimensionMismatch, "omega"),
+        (5.0, 10.0, [[0.1, 0.2, 0.3]], DimensionMismatch, "omega"),
+        (5.0, 10.0, [0.1, np.nan, 0.3], NonFinite, "omega"),
+    ], ids=["vector-K1", "2x2-K2", "short-omega", "row-omega", "nan-omega"])
+    def test_refuses_bad_gains_and_rates(self, k1, k2, omega, error, match):
+        with pytest.raises(error, match=match):
+            so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), omega, k1, k2, 0.01)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, np.inf, np.nan])
+    def test_refuses_bad_step_sizes(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), np.zeros(3), 5.0, 10.0, h)
 
     def test_benchmark_scenario_converges(self):
         r, om = Rotation(PAPER_R0), np.zeros(3)

@@ -20,8 +20,10 @@ from mechlift import (
     make_explicit_euler,
     make_implicit_euler,
     make_midpoint,
+    numeric_jacobian,
     pendulum_system,
     pole_place,
+    so3_closed_loop_step,
     so3_exp,
     so3_log,
     tangent_lift,
@@ -201,3 +203,40 @@ def test_so3_log_inverts_exp_outside_the_guard_band(axis, gap):
 def test_so3_log_refuses_angles_in_the_guard_band(axis, gap):
     with pytest.raises(AngleAtPi):
         so3_log(so3_exp((np.pi - gap) * axis))
+
+
+def written_out_central_difference(f, x0, step):
+    cols = []
+    for j in range(x0.size):
+        e = np.zeros_like(x0)
+        e[j] = step
+        cols.append((f(x0 + e) - f(x0 - e)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def sign_sensitive(x):
+    # copysign tells -0.0 from 0.0, so a probe whose arithmetic flips the
+    # sign of a zero changes the result
+    return np.concatenate([np.copysign(1.0, x), x * x[::-1], [np.sin(x).sum()]])
+
+
+@DERANDOMIZED
+@given(x0=st.lists(entries, min_size=1, max_size=5).map(np.array),
+       step=st.sampled_from([1e-6, 1e-4, 0.3]))
+def test_central_difference_is_the_written_out_one(x0, step):
+    jac = numeric_jacobian(sign_sensitive, x0, step)
+    want = written_out_central_difference(sign_sensitive, x0, step)
+    assert jac.shape == want.shape
+    assert jac.tobytes() == want.tobytes()
+
+
+@DERANDOMIZED
+@given(axis=axes, angle=st.floats(0.0, np.pi - 0.1),
+       omega=st.tuples(floats(3.0), floats(3.0), floats(3.0)).map(np.array),
+       k1=st.floats(0.0, 50.0), k2=st.floats(0.0, 50.0), h=st.floats(1e-4, 0.1))
+def test_scalar_gains_are_multiples_of_the_identity(axis, angle, omega, k1, k2, h):
+    r = so3_exp(angle * axis)
+    r_s, om_s = so3_closed_loop_step(r, omega, k1, k2, h)
+    r_m, om_m = so3_closed_loop_step(r, omega, k1 * np.eye(3), k2 * np.eye(3), h)
+    assert np.array_equal(r_s.r, r_m.r)
+    assert np.array_equal(om_s, om_m)
