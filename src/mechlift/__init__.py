@@ -73,6 +73,7 @@ from .integrators import (
     pole_place,
     so3_closed_loop_step,
     step_sode,
+    theta_update_matrix,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

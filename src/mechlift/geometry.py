@@ -228,12 +228,17 @@ def _damped_newton(residual, guess, scale, jac=None):
     best iterate, the iteration count, the final norm and the Jacobian
     the solve ended with; raises ``NoConvergence`` when
     ``NEWTON_MAX_ITER`` iterations or a stalled line search leave the
-    norm above the tolerance.
+    norm above the tolerance.  A guess whose residual norm is already
+    below the tolerance is returned as it is, after that one evaluation,
+    with 0 iterations and no polish step: a caller that predicts the
+    solution certifies it this way.
     """
     q = np.asarray(guess, float)
     r = residual(q)
     norm = float(np.linalg.norm(r))
-    converged = norm < NEWTON_TOL * scale
+    if norm < NEWTON_TOL * scale:
+        return q, 0, norm, jac
+    converged = False
     it = 0
     while norm > 0.0 and it < NEWTON_MAX_ITER:
         it += 1

@@ -8,10 +8,10 @@ field of a second-order system under a control sampled at the recovered
 base state, it is the scheme that makes the feedback-linearizable
 closed loop conjugate to a linear one-step update.
 
-The toolbox side carries single-input pole placement, the Cayley
-one-step matrix for linear closed loops, the closed-loop stepper on the
-rotation group, the exact flow of a linear system, and the order-study
-harness.
+The toolbox side carries single-input pole placement, the one-step
+matrix of the theta family (the Cayley matrix at theta = 1/2) for linear
+closed loops, the closed-loop stepper on the rotation group, the exact
+flow of a linear system, and the order-study harness.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     MechliftError,
     MultiInputUnsupported,
+    NonFinite,
     NotLinearityPreserving,
     SingularStep,
     Uncontrollable,
@@ -63,6 +64,10 @@ class Trajectory:
 
     ``fl_discretize`` also records, one entry per step, the step's
     Newton ``iterations`` and its final residual norm (``residuals``).
+    ``iterations == 0`` means the step was certified, not solved: the
+    residual at the state Newton starts from (for closed-loop gains on a
+    theta-family map, the predicted M Z_k) was already within the
+    Newton tolerance, and no Newton step ran.
     """
 
     t: np.ndarray
@@ -88,34 +93,45 @@ def _check_step_size(h):
         raise ValueError(f"step size must be a finite positive number, got {h}")
 
 
-def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResult:
+def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None,
+              guess=None) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
     Solves for ``s_next`` such that, with (z, v) the ``dmap`` inverse of
     (s_k, s_next), v = h * field(z).  On the tangent lift of a base map
     and a second-order field this is the second-order scheme; on a base
     map and a first-order field, the first-order one.  Newton starts at
-    s_k, and its tolerance is relative to the largest entry of s_k: both
-    live in the chart the step is taken in.  Newton's first Jacobian is
+    ``guess`` when one is given and at s_k otherwise; its tolerance is
+    relative to the largest entry of s_k, both living in the chart the
+    step is taken in.  A start whose residual is already within the
+    tolerance is the next state, after that one evaluation, with
+    ``iterations == 0`` and no polish step: a guess that predicts the
+    next state is thus the step's certificate, and Newton only runs
+    when the prediction fails it.  Newton's first Jacobian is
     ``jacobian`` when given: the previous step's ``StepResult.jacobian``,
     or the exact one of a linear field on a theta-family map.  It only
     speeds the solve up, since a Jacobian whose full step fails to cut
     the residual tenfold is replaced by a fresh central difference, and
-    the step solves the same equation either way.  A state that is not
-    a finite vector of the map's dimension, or a step size that is not a
-    finite positive number, is refused before Newton starts.
+    the step solves the same equation either way.  A state or guess that
+    is not a finite vector of the map's dimension, or a step size that
+    is not a finite positive number, is refused before Newton starts.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
         raise DimensionMismatch("state dimension does not match the map")
     _check_step_size(h)
+    start = s_k
+    if guess is not None:
+        start = _vec(guess, "guess")
+        if start.size != dmap.dim:
+            raise DimensionMismatch("guess dimension does not match the map")
 
     def residual(s_next):
         z, v = dmap.inverse(s_k, s_next)
         return v - h * field(z)
 
     scale = 1.0 + float(np.abs(s_k).max())
-    return StepResult(*_damped_newton(residual, s_k, scale=scale, jac=jacobian))
+    return StepResult(*_damped_newton(residual, start, scale=scale, jac=jacobian))
 
 
 def _linear_step_jacobian(lifted: DiscretizationMap, lms: LinearMechanicalSystem, h,
@@ -148,21 +164,31 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
     z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
     pull the result back.  There that field is the linear target's
-    A Z + B utilde, so for a base map of the theta family the step
-    residual is affine with the constant Jacobian I - theta h (A - B K)
-    (``_linear_step_jacobian``): every step's Newton solve starts from
-    it, lands in one iteration and polishes in a second.  Newton still
-    solves the physical residual, so a feedback or target that does not
-    linearize shows as a Jacobian whose full step fails to cut the
-    residual tenfold; it is then replaced by a fresh central difference
-    and carried on to the next step (the chord method), which is also
-    the path of a base map outside the family.  Each step starts from
-    the push of its stored state, so a chain of calls computes the
-    states of one to the Newton tolerance.
+    A Z + B utilde, so for a base map of the theta family the step is
+    the linear update the map induces on the target.  Under ``gains`` K
+    that update is Z+ = M Z with M = ``theta_update_matrix(A - B K, h,
+    theta)``, built once per call.  Each step passes M Z_k to
+    ``step_sode`` as its guess, and the physical residual there is the
+    step's certificate: within the Newton tolerance the step is done
+    after that one evaluation, with ``iterations == 0``.  A feedback or
+    target that does not linearize fails the certificate, and Newton
+    then solves the physical residual from M Z_k.  Newton starts from
+    the constant step Jacobian I - theta h (A - B K)
+    (``_linear_step_jacobian``, I - theta h A for an open-loop
+    ``utilde``, whose steps start from Z_k).  A Jacobian whose full step
+    fails to cut the residual tenfold is replaced by a fresh central
+    difference and carried on to the next step (the chord method),
+    which is also the path of a base map outside the family.  Each step
+    starts from the push of its stored state, so a chain of calls
+    computes the states of one to the Newton tolerance.
 
-    Either closed-loop ``gains`` (utilde = -K ztilde at the base state)
-    or an open-loop ``utilde`` sequence must be given.  ``s0`` must be a
-    finite 2n-vector and h a finite positive number.  The trajectory
+    Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
+    at the base state) or an open-loop ``utilde`` sequence must be
+    given.  Refused at entry: an ``s0`` that is not a finite 2n-vector,
+    an h that is not a finite positive number, ``steps`` that is not a
+    non-negative integer (``ValueError``), gains of another shape
+    (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and a
+    singular I - theta h (A - B K) (``SingularStep``).  The trajectory
     records each step's controls at its converged base state, Newton
     iterations and final residual.  A ``MechliftError`` raised in step k
     carries ``step = k`` and the ``state`` that step started from.
@@ -173,6 +199,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     """
     if (gains is None) == (utilde is None):
         raise ValueError("provide exactly one of gains / utilde sequence")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     sys, transform = bundle.system, bundle.transform
     phi = transform.phi
     lifted = tangent_lift(base_map)
@@ -185,6 +213,10 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
 
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
+        if K.shape != (m, 2 * n):
+            raise DimensionMismatch(f"gains must have shape {(m, 2 * n)}, got {K.shape}")
+        if not np.isfinite(K).all():
+            raise NonFinite("gains contain NaN/Inf")
     else:
         utilde = np.atleast_2d(np.asarray(utilde, float).reshape(steps, m))
 
@@ -218,14 +250,20 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     residuals = np.empty(steps)
 
     jacobian = _linear_step_jacobian(lifted, bundle.linear, h, gains)
+    update = None
+    if gains is not None and lifted.theta is not None:
+        a, b = bundle.linear.stacked()
+        update = theta_update_matrix(a - b @ K, h, lifted.theta)
     for k in range(steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
-            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian)
+            guess = None if update is None else update @ z_k
+            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian,
+                               guess)
             x, y, _ = pull(result.state)
             states[k + 1, :n], states[k + 1, n:] = x, y
             # log the controls at the converged base state of the step;
-            # Newton's last residual was usually evaluated right there
+            # the step's last residual was usually evaluated right there
             base, _ = lifted.inverse(z_k, result.state)
             if base.tobytes() == last["Z"].tobytes():
                 ut_log[k], u_log[k] = last["utilde"], last["u"]
@@ -368,19 +406,25 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     return K
 
 
-def cayley_matrix(a_cl, h) -> np.ndarray:
-    """One-step matrix (I - h/2 A)^-1 (I + h/2 A) of the Cayley update x+ = C x.
+def theta_update_matrix(a, h, theta) -> np.ndarray:
+    """One-step matrix (I - theta h A)^-1 (I + (1 - theta) h A) of x+ = M x.
 
-    The midpoint scheme's update for the linear field x' = A x; raises
-    ``SingularStep`` when the resolvent I - h/2 A is singular.
+    The update the theta-family map induces on the linear field x' = A x:
+    explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
+    at 1/2.  Raises ``SingularStep`` when the resolvent I - theta h A is
+    singular.
     """
-    a_cl = np.atleast_2d(np.asarray(a_cl, float))
-    hp = h / 2.0
-    eye = np.eye(a_cl.shape[0])
+    a = np.atleast_2d(np.asarray(a, float))
+    eye = np.eye(a.shape[0])
     try:
-        return np.linalg.solve(eye - hp * a_cl, eye + hp * a_cl)
+        return np.linalg.solve(eye - (theta * h) * a, eye + ((1.0 - theta) * h) * a)
     except np.linalg.LinAlgError as exc:
-        raise SingularStep("resolvent I - h/2 A is singular") from exc
+        raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
+
+
+def cayley_matrix(a_cl, h) -> np.ndarray:
+    """Cayley update (I - h/2 A)^-1 (I + h/2 A), the midpoint scheme's on x' = A x."""
+    return theta_update_matrix(a_cl, h, 0.5)
 
 
 def _times_gain(k, v, name):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mechlift
 from mechlift import pendulum_system, rigid_body_system
 
 
@@ -24,3 +25,37 @@ PARAMS = {
     "L1": 0.063, "m1": 0.02, "m2": 0.3, "J1": 47e-6, "J2": 32e-6,
     "a": 9.81, "m0": 0.3832, "md": 49e-4,
 }
+
+
+@pytest.fixture()
+def central_differences(monkeypatch):
+    """The calls made to the package's central-difference Jacobian."""
+    jac = mechlift.geometry.numeric_jacobian
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return jac(*args, **kwargs)
+
+    monkeypatch.setattr(mechlift.geometry, "numeric_jacobian", counting)
+    return calls
+
+
+@pytest.fixture()
+def field_evaluations(monkeypatch):
+    """Evaluations of the field each ``step_sode`` call of ``fl_discretize``
+    is given (the closed-loop field, once per residual), one count per step."""
+    step_sode = mechlift.integrators.step_sode
+    counts = []
+
+    def counting(dmap, field, *args, **kwargs):
+        counts.append(0)
+
+        def counted(z):
+            counts[-1] += 1
+            return field(z)
+
+        return step_sode(dmap, counted, *args, **kwargs)
+
+    monkeypatch.setattr(mechlift.integrators, "step_sode", counting)
+    return counts

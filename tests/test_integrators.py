@@ -39,6 +39,8 @@ from mechlift import (
     sode_field,
     step_sode,
     tangent_lift,
+    tangent_map,
+    theta_update_matrix,
 )
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -61,20 +63,6 @@ def double_integrator_lms():
 def unforced(sys):
     """The system's second-order field under zero control."""
     return lambda s: sode_field(sys, s, np.zeros(sys.m))
-
-
-@pytest.fixture()
-def central_differences(monkeypatch):
-    """The calls made to the package's central-difference Jacobian."""
-    jac = mechlift.geometry.numeric_jacobian
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return jac(*args, **kwargs)
-
-    monkeypatch.setattr(mechlift.geometry, "numeric_jacobian", counting)
-    return calls
 
 
 @pytest.fixture()
@@ -158,6 +146,31 @@ class TestStepSode:
             fl_discretize(pendulum, make_midpoint(2), S0, h, 5,
                           gains=pole_place(pendulum.linear, POLES))
 
+    def test_a_guess_within_tolerance_is_the_step(self):
+        # the hand solve of the midpoint step certifies itself; a guess off by
+        # 1e-3 is solved from, to the same state
+        h = 0.1
+        lift = tangent_lift(make_midpoint(1))
+        field = unforced(harmonic_oscillator())
+        x1 = (1 - h**2 / 4) / (1 + h**2 / 4)
+        exact = np.array([x1, -h * (1 + x1) / 2])
+        out = step_sode(lift, field, np.array([1.0, 0.0]), h, guess=exact)
+        assert out.iterations == 0 and out.residual < 1e-15
+        npt.assert_array_equal(out.state, exact)
+        out = step_sode(lift, field, np.array([1.0, 0.0]), h, guess=exact + 1e-3)
+        assert out.iterations >= 1
+        npt.assert_allclose(out.state, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("guess, error", [
+        ([0.9, np.nan], NonFinite),
+        ([0.9, 0.0, 0.0], DimensionMismatch),
+    ], ids=["nan", "three-entries"])
+    def test_rejects_a_bad_guess(self, guess, error):
+        lift = tangent_lift(make_midpoint(1))
+        with pytest.raises(error, match="guess"):
+            step_sode(lift, unforced(harmonic_oscillator()), np.array([1.0, 0.0]), 0.1,
+                      guess=np.array(guess))
+
     def test_rejects_a_non_finite_state(self):
         lift = tangent_lift(make_midpoint(1))
         with pytest.raises(NonFinite):
@@ -199,19 +212,37 @@ def conjugacy_defect(bundle, traj, one_step):
     return np.abs(z[1:] - z[:-1] @ one_step.T).max()
 
 
+def original_chart_defect(bundle, traj, one_step):
+    """Worst per-step gap, in the original chart, between each next state
+    and the linear update of the pushed state pulled back through Tphi."""
+    tphi = tangent_map(bundle.transform.phi)
+    return max(np.abs(s_next - tphi.inverse(one_step @ tphi.forward(s))).max()
+               for s, s_next in zip(traj.states[:-1], traj.states[1:]))
+
+
+def bent_feedback(bundle):
+    """The bundle with its feedback alpha off by one part in a million."""
+    t = bundle.transform
+    return bundle._replace(
+        transform=dataclasses.replace(t, alpha=lambda x: (1.0 + 1e-6) * t.alpha(x)))
+
+
+THETA_MAPS = [make_explicit_euler, make_implicit_euler, make_midpoint]
+
+
 class TestFlDiscretize:
     def test_conjugate_to_linear_one_step(self, pendulum):
         # criterion 4's run; a coarse step whose exact update exists at every
-        # step; an explicit-Euler loop far out in the linear chart
+        # step; an implicit-Euler loop; an explicit-Euler loop far out in the
+        # linear chart
         cases = [(make_midpoint, S0, 0.01, 100), (make_midpoint, S0, 0.1, 10),
+                 (make_implicit_euler, S0, 0.01, 100),
                  (make_explicit_euler, S_PRECISION, 0.01, 100)]
         for make_map, s0, h, steps in cases:
             traj, a_cl = pendulum_closed_loop(pendulum, h, steps, make_map, s0)
-            if make_map is make_midpoint:
-                one_step = cayley_matrix(a_cl, h)
-            else:
-                one_step = np.eye(4) + h * a_cl
+            one_step = theta_update_matrix(a_cl, h, make_map(2).theta)
             assert conjugacy_defect(pendulum, traj, one_step) < 1e-8, (make_map, h)
+            assert original_chart_defect(pendulum, traj, one_step) < 1e-8, (make_map, h)
 
     def test_conjugacy_checks_the_physical_feedback(self, pendulum):
         # the step runs on the real model: a feedback off by one part in a
@@ -221,6 +252,26 @@ class TestFlDiscretize:
         bundle = pendulum._replace(transform=bent)
         traj, a_cl = pendulum_closed_loop(bundle)
         assert conjugacy_defect(bundle, traj, cayley_matrix(a_cl, 0.01)) > 1e-8
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_each_step_is_certified(self, pendulum, make_map, field_evaluations):
+        # criterion 4's run: the physical residual at the exact linear update
+        # is within the tolerance, so each step is that one evaluation
+        traj, _ = pendulum_closed_loop(pendulum, make_map=make_map)
+        assert field_evaluations == [1] * 100
+        npt.assert_array_equal(traj.iterations, 0)
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_bent_feedback_fails_certificate(self, pendulum, make_map,
+                                             field_evaluations):
+        # off by one part in a million, the feedback no longer linearizes:
+        # every step falls back to Newton, and the conjugacy shows the fault
+        bundle = bent_feedback(pendulum)
+        traj, a_cl = pendulum_closed_loop(bundle, make_map=make_map)
+        assert len(field_evaluations) == 100 and min(field_evaluations) > 1
+        assert traj.iterations.min() >= 1
+        one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
+        assert conjugacy_defect(bundle, traj, one_step) > 1e-8
 
     def test_newton_work_per_step(self, pendulum):
         traj, _ = pendulum_closed_loop(pendulum)
@@ -248,8 +299,8 @@ class TestFlDiscretize:
     def test_target_jacobian_needs_no_central_difference(self, pendulum,
                                                          central_differences):
         # criterion 4's run: in the linearizing chart the step residual is
-        # affine, and the linear target's Jacobian solves it in one iteration
-        # plus the polish step
+        # affine and each step is certified at the linear target's update,
+        # so no Jacobian is ever estimated
         for make_map in (make_midpoint, make_implicit_euler, make_explicit_euler):
             traj, _ = pendulum_closed_loop(pendulum, make_map=make_map)
             assert len(central_differences) == 0, make_map
@@ -277,6 +328,21 @@ class TestFlDiscretize:
     def test_rejects_a_bad_initial_state(self, pendulum, s0, error):
         with pytest.raises(error):
             pendulum_closed_loop(pendulum, s0=np.array(s0))
+
+    @pytest.mark.parametrize("steps", [-1, 2.0], ids=["negative", "float"])
+    def test_rejects_a_bad_step_count(self, pendulum, steps):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            pendulum_closed_loop(pendulum, steps=steps)
+
+    @pytest.mark.parametrize("gains, error", [
+        (np.ones((1, 3)), DimensionMismatch),
+        (np.ones((2, 4)), DimensionMismatch),
+        (np.array([[240000.0, np.nan, 50000.0, 100.0]]), NonFinite),
+        (np.array([[np.inf, 3500.0, 50000.0, 100.0]]), NonFinite),
+    ], ids=["1x3", "2x4", "nan", "inf"])
+    def test_rejects_bad_gains(self, pendulum, gains, error):
+        with pytest.raises(error, match="gains"):
+            fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, gains=gains)
 
     def test_carried_jacobian_matches_fresh_solves_on_a_nonlinear_loop(self, rng):
         sys = MechanicalSystem(

@@ -2,7 +2,8 @@
 the same examples: the map axioms and the lift-order commutation on the
 pendulum chart, the closed forms of the built-in maps' tangent lift and
 step Jacobian against their structural derivations, the pendulum's
-midpoint closed loop against the Cayley update, and the rotation
+closed loop under each built-in map against that map's exact linear
+update, and the rotation
 logarithm around its pi guard band."""
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from mechlift import (
     AngleAtPi,
     OutsideChart,
-    cayley_matrix,
     fl_discretize,
     lift_by_diffeo,
     make_explicit_euler,
@@ -28,6 +28,7 @@ from mechlift import (
     so3_log,
     tangent_lift,
     tangent_map,
+    theta_update_matrix,
     verify_axioms,
 )
 from mechlift.integrators import _linear_step_jacobian
@@ -159,33 +160,35 @@ def test_step_jacobian_is_its_assembled_derivation(builder, h, closed_loop):
     npt.assert_array_equal(got, assembled_step_jacobian(base.kind, 2, a, h))
 
 
+@pytest.mark.parametrize("builder", BUILDERS)
 @settings(derandomize=True, max_examples=36, deadline=None)
 @given(s0=st.tuples(floats(1.2), floats(1.0), floats(5.0), floats(100.0)).map(np.array),
        h=st.floats(0.002, 0.1))
-def test_midpoint_loop_is_cayley_until_the_exact_loop_leaves_the_chart(s0, h):
-    # every step maps s_k onto the Cayley update pulled back through the
-    # chart, or the loop raises OutsideChart in the first step whose exact
-    # Cayley orbit leaves the chart image
+def test_theta_loop_is_its_linear_update_or_exits_the_chart(builder, s0, h):
+    # every step maps s_k onto the map's exact linear update pulled back
+    # through the chart, or the loop raises OutsideChart in the first step
+    # whose exact orbit leaves the chart image
     gains = pole_place(PENDULUM.linear, [-10.0, -20.0, -30.0, -40.0])
     a, b = PENDULUM.linear.stacked()
-    cay = cayley_matrix(a - b @ gains, h)
+    base = builder(2)
+    one_step = theta_update_matrix(a - b @ gains, h, base.theta)
     tphi = tangent_map(PHI)
     z, exit_step = tphi.forward(s0), None
     for k in range(30):
-        z = cay @ z
+        z = one_step @ z
         try:
             PHI.inverse(z[:2])
         except OutsideChart:
             exit_step = k
             break
     try:
-        traj = fl_discretize(PENDULUM, make_midpoint(2), s0, h, 30, gains=gains)
+        traj = fl_discretize(PENDULUM, base, s0, h, 30, gains=gains)
     except OutsideChart as exc:
         assert exc.step == exit_step
         return
     assert exit_step is None
     for s, s_next in zip(traj.states[:-1], traj.states[1:]):
-        assert np.abs(s_next - tphi.inverse(cay @ tphi.forward(s))).max() < 1e-8
+        assert np.abs(s_next - tphi.inverse(one_step @ tphi.forward(s))).max() < 1e-8
 
 
 @DERANDOMIZED
