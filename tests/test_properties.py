@@ -3,8 +3,7 @@ the same examples: the map axioms and the lift-order commutation on the
 pendulum chart, the closed forms of the built-in maps' tangent lift and
 step Jacobian against their structural derivations, the pendulum's
 closed loop under each built-in map against that map's exact linear
-update, and the rotation
-logarithm around its pi guard band."""
+update, and the rotation logarithm around its pi guard band."""
 
 import numpy as np
 import numpy.testing as npt
