@@ -353,7 +353,7 @@ def _harmonic_order_case(map_kind, t_final):
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        jacobian = _linear_step_jacobian(lifted, lms, h)
+        jacobian = _linear_step_jacobian(lifted, lms.stacked()[0], h)
         for _ in range(steps):
             s = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
                           s, h, jacobian).state

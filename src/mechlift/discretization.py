@@ -73,16 +73,25 @@ def _theta_map(dim, kind, theta) -> DiscretizationMap:
     """Map (x, v) -> (x - theta v, x + (1 - theta) v) on a dim-chart.
 
     The built-in maps are its members theta = 0, 1 and 1/2; the inverse
-    is ((1 - theta) x0 + theta x1, x1 - x0).
+    is ((1 - theta) x0 + theta x1, x1 - x0).  Both act row by row on
+    stacks of (..., dim) points.  The constant Jacobian is built on the
+    first ``jacobian`` call, since most users of a map never ask for it.
     """
-    eye = np.eye(dim)
-    jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
+    jac = None
+
+    def jacobian(x, v):
+        nonlocal jac
+        if jac is None:
+            eye = np.eye(dim)
+            jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
+        return jac
+
     dmap = DiscretizationMap(
         dim,
         kind,
         forward=lambda x, v: (x - theta * v, x + (1.0 - theta) * v),
         inverse=lambda a, b: ((1.0 - theta) * a + theta * b, b - a),
-        jacobian=lambda x, v: jac,
+        jacobian=jacobian,
     )
     dmap.theta = theta
     return dmap

@@ -148,7 +148,8 @@ def so3_log(r) -> np.ndarray:
     """Axis-angle 3-vector of a rotation, principal branch (angle < pi).
 
     Past 2 pi / 3 the axis comes from the symmetric part of r, so the
-    result keeps full accuracy up to the guard band.
+    result keeps full accuracy up to the guard band.  The nine entries
+    are read once as Python floats; the scalar work runs in ``math``.
 
     Raises
     ------
@@ -157,26 +158,28 @@ def so3_log(r) -> np.ndarray:
         guard band and the axis sign is ambiguous.
     """
     m = _rotation_matrix(r)
-    tr = np.trace(m)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = m.ravel().tolist()
+    tr = r00 + r11 + r22
     if tr <= -1.0 + 1e-9:
         raise AngleAtPi(f"trace {tr:.12f}: rotation angle too close to pi")
     cos = (tr - 1.0) / 2.0
-    axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    axis = (r21 - r12, r02 - r20, r10 - r01)
     if cos <= -0.5:
         # the skew part, 2 sin(angle) a, fades near pi; the symmetric part
         # R + R^T - 2 cos I = 2 (1 - cos) a a^T keeps full accuracy: take
         # its column with the largest diagonal entry, signed by the skew part
-        j = int(m.diagonal().argmax())
+        diagonal = (r00, r11, r22)
+        j = diagonal.index(max(diagonal))
         col = m[:, j] + m[j]
         col[j] -= 2.0 * cos
         th = math.atan2(math.hypot(*axis) / 2.0, cos)
         return math.copysign(th, axis[j]) / math.sqrt(2.0 * (1.0 - cos) * col[j]) * col
-    th = np.arccos(np.clip(cos, -1.0, 1.0))
+    th = math.acos(min(cos, 1.0))
     if th < 1e-4:
         factor = 0.5 + th**2 / 12.0 + 7.0 * th**4 / 720.0
     else:
-        factor = th / (2.0 * np.sin(th))
-    return factor * axis
+        factor = th / (2.0 * math.sin(th))
+    return np.array([factor * axis[0], factor * axis[1], factor * axis[2]])
 
 
 def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
@@ -209,6 +212,14 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
             raise NonFinite("function evaluation returned NaN/Inf")
         cols.append((fp - fm) / (2.0 * step))
     return np.array(cols).reshape(x0.size, -1).T
+
+
+def _matvec(a, v):
+    """a v for a stack of matrices and a stack of vectors, ``(..., m, n)``
+    by ``(..., n)``; the leading axes broadcast."""
+    if v.ndim == 1:
+        return a @ v
+    return (a @ v[..., None])[..., 0]
 
 
 def _damped_newton(residual, guess, scale, jac=None):

@@ -29,8 +29,10 @@ from .errors import (
     Uncontrollable,
 )
 from .geometry import (
+    NEWTON_TOL,
     Rotation,
     _damped_newton,
+    _matvec,
     _rodrigues,
     _vec,
     so3_log,
@@ -134,22 +136,42 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None,
     return StepResult(*_damped_newton(residual, start, scale=scale, jac=jacobian))
 
 
-def _linear_step_jacobian(lifted: DiscretizationMap, lms: LinearMechanicalSystem, h,
-                          gains=None):
+def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
     """Exact ``step_sode`` Jacobian of a theta-family lift on a linear field.
 
-    On z' = a z + b with a = A - B K (A, B the stacked pair of ``lms``,
-    K the ``gains``, zero without them), the lift's inverse gives
-    z = (1 - theta) s_k + theta s_next and v = s_next - s_k, so the step
-    residual v - h a z - h b has the constant Jacobian I - theta h a.
-    None for a map outside the family.
+    On z' = a z + b, with a the stacked (closed-loop) matrix, the lift's
+    inverse gives z = (1 - theta) s_k + theta s_next and v = s_next - s_k,
+    so the step residual v - h a z - h b has the constant Jacobian
+    I - theta h a.  None for a map outside the family.
     """
     if lifted.theta is None:
         return None
-    a, b = lms.stacked()
-    if gains is not None:
-        a = a - b @ np.atleast_2d(np.asarray(gains, float))
     return np.eye(lifted.dim) - (lifted.theta * h) * a
+
+
+_ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
+
+
+def _certified_prefix(certify, steps):
+    """The steps [0, p) that ``certify`` evaluates without raising, as
+    (p, its result), with p as large as it gets; (0, None) when step 0 raises.
+
+    ``certify(p)`` evaluates the steps [0, p) row by row, so a step raises
+    on its own, whatever steps come with it; bisection finds the first
+    one that does in about log2(steps) passes.
+    """
+    try:
+        return steps, certify(steps)
+    except _ORBIT_FAULTS:
+        pass
+    lo, hi, result = 0, steps, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            result, lo = certify(mid), mid
+        except _ORBIT_FAULTS:
+            hi = mid
+    return lo, result
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
@@ -167,20 +189,35 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     A Z + B utilde, so for a base map of the theta family the step is
     the linear update the map induces on the target.  Under ``gains`` K
     that update is Z+ = M Z with M = ``theta_update_matrix(A - B K, h,
-    theta)``, built once per call.  Each step passes M Z_k to
-    ``step_sode`` as its guess, and the physical residual there is the
-    step's certificate: within the Newton tolerance the step is done
-    after that one evaluation, with ``iterations == 0``.  A feedback or
-    target that does not linearize fails the certificate, and Newton
-    then solves the physical residual from M Z_k.  Newton starts from
-    the constant step Jacobian I - theta h (A - B K)
-    (``_linear_step_jacobian``, I - theta h A for an open-loop
-    ``utilde``, whose steps start from Z_k).  A Jacobian whose full step
-    fails to cut the residual tenfold is replaced by a fresh central
-    difference and carried on to the next step (the chord method),
-    which is also the path of a base map outside the family.  Each step
-    starts from the push of its stored state, so a chain of calls
-    computes the states of one to the Newton tolerance.
+    theta)``, built once per call, and the physical step residual at
+    M Z_k is the step's certificate: within the Newton tolerance the
+    step is done after that one evaluation, with ``iterations == 0``.
+
+    Orbit pass: for a ``bundle.batched`` system the whole orbit
+    Z_k = M^k Z_0 is certified at once.  One call pulls back every
+    orbit state and every step's base point (1 - theta) Z_k +
+    theta Z_{k+1}; one evaluation gives every step's residual
+    (Z_{k+1} - Z_k) - h DTphi f at its base point, its bound
+    ``NEWTON_TOL * (1 + max|Z_k|)`` and its controls.  No ``step_sode``
+    call is made for a certified step.  From the first step that fails
+    its certificate, or whose pull-back or feedback raises (any
+    ``MechliftError`` or ``LinAlgError``) or is not finite, the per-step
+    path below takes over for the rest of the call.
+
+    Per-step path: each step passes M Z_k, with Z_k the push of its
+    stored state, to ``step_sode`` as its guess.  A feedback or target
+    that does not linearize fails the certificate, and Newton then
+    solves the physical residual from M Z_k, starting from the constant
+    step Jacobian I - theta h (A - B K) (``_linear_step_jacobian``,
+    I - theta h A for an open-loop ``utilde``, whose steps start from
+    Z_k).  A Jacobian whose full step fails to cut the residual tenfold
+    is replaced by a fresh central difference and carried on to the
+    next step (the chord method), which is also the path of a base map
+    outside the family.  Every step of a bundle that is not ``batched``
+    takes this per-step path.  A chain of calls computes the states of
+    one call to rounding: the orbit pass of each call starts from the
+    push of its ``s0``, not from the orbit point the previous call ended
+    at.
 
     Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
     at the base state) or an open-loop ``utilde`` sequence must be
@@ -189,9 +226,9 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     non-negative integer (``ValueError``), gains of another shape
     (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and a
     singular I - theta h (A - B K) (``SingularStep``).  The trajectory
-    records each step's controls at its converged base state, Newton
-    iterations and final residual.  A ``MechliftError`` raised in step k
-    carries ``step = k`` and the ``state`` that step started from.
+    records each step's controls at its base state, Newton iterations
+    and final residual.  A ``MechliftError`` raised in step k carries
+    ``step = k`` and the ``state`` that step started from.
 
     The defining property, used by the tests: pushing each step through
     Tphi reproduces, step by step, the linear one-step update the base
@@ -211,36 +248,37 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
     _check_step_size(h)
 
+    a, b = bundle.linear.stacked()
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
         if K.shape != (m, 2 * n):
             raise DimensionMismatch(f"gains must have shape {(m, 2 * n)}, got {K.shape}")
         if not np.isfinite(K).all():
             raise NonFinite("gains contain NaN/Inf")
+        a = a - b @ K
+        minus_kt = -K.T
     else:
         utilde = np.atleast_2d(np.asarray(utilde, float).reshape(steps, m))
 
     def utilde_at(k, Z):
+        """utilde of step k at the (stacked) pushed base state Z."""
         if gains is not None:
-            return np.atleast_1d(-K @ Z)
+            return Z @ minus_kt
         return utilde[k]
 
     def pull(Z):
         """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
-        x = phi.inverse(Z[:n])
+        x = phi.inverse(Z[..., :n])
         d = phi.jacobian(x)
-        return x, np.linalg.solve(d, Z[n:]), d
+        return x, np.linalg.solve(d, Z[..., n:, None])[..., 0], d
 
-    last = {}  # the (Z, utilde, u) of the latest pushed_field call
-
-    def pushed_field(k, Z):
-        """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = Tphi^-1(Z)."""
-        x, y, d = pull(Z)
-        ut = utilde_at(k, Z)
+    def pushed_field(Z, x, y, d, ut):
+        """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
+        Tphi^-1(Z) under utilde ``ut``, and the physical control u."""
         u = apply_feedback(transform, x, y, ut)
-        last.update(Z=Z, utilde=ut, u=u)
-        ydot = sode_field(sys, np.concatenate([x, y]), u)[n:]
-        return np.concatenate([Z[n:], phi.second_deriv(x, y, y) + d @ ydot])
+        ydot = sode_field(sys, np.concatenate([x, y], axis=-1), u)[..., n:]
+        return np.concatenate([Z[..., n:], phi.second_deriv(x, y, y) + _matvec(d, ydot)],
+                              axis=-1), u
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
@@ -249,16 +287,53 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     iterations = np.empty(steps, int)
     residuals = np.empty(steps)
 
-    jacobian = _linear_step_jacobian(lifted, bundle.linear, h, gains)
     update = None
     if gains is not None and lifted.theta is not None:
-        a, b = bundle.linear.stacked()
-        update = theta_update_matrix(a - b @ K, h, lifted.theta)
-    for k in range(steps):
+        update = theta_update_matrix(a, h, lifted.theta)
+    done = 0
+    if update is not None and bundle.batched and steps:
+        orbit = np.empty((steps + 1, 2 * n))
+        orbit[0] = transform.push_state(s0[:n], s0[n:])
+        for k in range(steps):
+            orbit[k + 1] = update @ orbit[k]
+
+        def certify(p):
+            """Steps [0, p) of the orbit: their end states, certified flags,
+            residual norms, utilde and u."""
+            base, v = lifted.inverse(orbit[:p], orbit[1:p + 1])
+            x, y, d = pull(np.concatenate([orbit[1:p + 1], base]))
+            ut = base @ minus_kt
+            field, u = pushed_field(base, x[p:], y[p:], d[p:], ut)
+            norms = np.linalg.norm(v - h * field, axis=1)
+            ends = np.concatenate([x[:p], y[:p]], axis=1)
+            certified = ((norms < NEWTON_TOL * (1.0 + np.abs(orbit[:p]).max(axis=1)))
+                         & np.isfinite(ends).all(axis=1))
+            return ends, certified, norms, ut, u
+
+        done, result = _certified_prefix(certify, steps)
+        if done:
+            ends, certified, norms, ut, u = result
+            if not certified.all():
+                done = int(certified.argmin())
+            states[1:done + 1] = ends[:done]
+            ut_log[:done], u_log[:done] = ut[:done], u[:done]
+            iterations[:done] = 0
+            residuals[:done] = norms[:done]
+
+    last = {}  # the (Z, utilde, u) of the latest step field evaluation
+
+    def step_field(k, Z):
+        ut = utilde_at(k, Z)
+        field, u = pushed_field(Z, *pull(Z), ut)
+        last.update(Z=Z, utilde=ut, u=u)
+        return field
+
+    jacobian = _linear_step_jacobian(lifted, a, h) if done < steps else None
+    for k in range(done, steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
             guess = None if update is None else update @ z_k
-            result = step_sode(lifted, lambda Z, k=k: pushed_field(k, Z), z_k, h, jacobian,
+            result = step_sode(lifted, lambda Z, k=k: step_field(k, Z), z_k, h, jacobian,
                                guess)
             x, y, _ = pull(result.state)
             states[k + 1, :n], states[k + 1, n:] = x, y
@@ -297,7 +372,8 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
     K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
-    jacobian = _linear_step_jacobian(lifted, lms, h, K)
+    a, b = lms.stacked()
+    jacobian = _linear_step_jacobian(lifted, a - b @ K, h)
 
     def advance(z, ut):
         return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h,

@@ -24,6 +24,7 @@ from .discretization import Diffeomorphism, identity_diffeomorphism
 from .errors import DimensionMismatch, OutsideChart, SingularFeedback
 from .geometry import (
     Rotation,
+    _matvec,
     float_array,
     hat,
     numeric_jacobian,
@@ -61,9 +62,13 @@ class MFTransform:
     gammaF: Callable[[np.ndarray], np.ndarray]
 
     def push_state(self, x, y):
-        """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked."""
+        """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked.
+
+        Row by row on (..., n) stacks when the chart's callables are.
+        """
         x = float_array(x)
-        return np.concatenate([self.phi.forward(x), self.phi.jacobian(x) @ float_array(y)])
+        return np.concatenate([self.phi.forward(x), _matvec(self.phi.jacobian(x), float_array(y))],
+                              axis=-1)
 
 
 @dataclass
@@ -111,41 +116,60 @@ class LinearMechanicalSystem:
         )
 
 
+def _quadratic(q, y):
+    """The forms q_i(y, y) = q_ijk y_j y_k of a (..., r, n, n) stack."""
+    return _matvec(_matvec(q, y[..., None, :]), y)
+
+
 def sode_field(sys: MechanicalSystem, s, u):
     """Second-order vector field of a mechanical system on the packed (x, y).
 
     Returns the 2n-vector (xdot, ydot) with xdot = y and
     ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i under the m-vector
     control u; ``DimensionMismatch`` unless s has 2n entries and u m.
+    On a (..., 2n) stack of states and a (..., m) stack of controls it
+    returns the stack of fields, for a system whose callables act row
+    by row (see ``SystemBundle``).
     """
     n = sys.n
     s = float_array(s)
     u = np.atleast_1d(float_array(u))
-    if s.size != 2 * n or u.size != sys.m:
+    if s.shape[-1] != 2 * n or u.shape[-1] != sys.m:
         raise DimensionMismatch(
-            f"state size {s.size} / control dim {u.size} do not match system ({sys.n}, {sys.m})"
+            f"state size {s.shape[-1]} / control dim {u.shape[-1]} do not match system "
+            f"({sys.n}, {sys.m})"
         )
-    x, y = s[:n], s[n:]
+    x, y = s[..., :n], s[..., n:]
     G = float_array(sys.gamma(x))
-    ydot = -(G @ y @ y) + float_array(sys.e(x)) + float_array(sys.g(x)) @ u
-    return np.concatenate([y, ydot])
+    ydot = -_quadratic(G, y) + float_array(sys.e(x)) + _matvec(float_array(sys.g(x)), u)
+    return np.concatenate([y, ydot], axis=-1)
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
-    """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde."""
+    """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde.
+
+    Row by row on (..., n) stacks of (x, y) and (..., m) stacks of
+    utilde, for feedback callables that act row by row.
+    """
     x = float_array(x)
     y = float_array(y)
     utilde = np.atleast_1d(float_array(utilde))
     gam = float_array(t.gammaF(x))
     beta = np.atleast_2d(float_array(t.beta(x)))
-    if beta.shape[1] != utilde.size or gam.shape[1] != y.size:
+    if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
         raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
-    return gam @ y @ y + float_array(t.alpha(x)) + beta @ utilde
+    return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
 
 
 # ---------------------------------------------------------------------------
 # inertia wheel pendulum
 # ---------------------------------------------------------------------------
+
+def _any(flags):
+    """Whether any flag is set: a reduction over an array of flags, a plain
+    test of a numpy scalar one (a reduction costs microseconds per point)."""
+    return flags.any() if flags.ndim else flags
+
 
 @dataclass(frozen=True)
 class PendulumParams:
@@ -177,11 +201,24 @@ class PendulumParams:
 
 
 class SystemBundle(NamedTuple):
-    """A mechanical system together with its linearizing transformation."""
+    """A mechanical system together with its linearizing transformation.
+
+    ``batched`` declares that every callable of the system and of the
+    transform, the chart ``phi`` included, is batch-aware: given a
+    (..., n) stack of points (and of vectors, for ``phi``'s second
+    derivative), it returns the stack of its values, each row exactly
+    the value at that row's point, broadcasting over the leading axes.
+    A callable whose value does not depend on the point may return its
+    one shared value instead.  A guard raises when any row offends.
+    ``fl_discretize`` then certifies a closed loop's steps in one pass
+    over the whole linear-chart orbit; without the flag every step is
+    taken on its own.
+    """
 
     system: MechanicalSystem
     transform: MFTransform
     linear: LinearMechanicalSystem
+    batched: bool = False
 
 
 def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
@@ -202,58 +239,78 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     m0, md, J2 = p.m0, p.md, p.J2
     c1 = (md + J2) / J2
     c2 = m0 / J2
-    g_col = np.array([-1.0 / md, (md + J2) / (md * J2)])
+    g_mat = np.array([[-1.0 / md], [(md + J2) / (md * J2)]])
     zero_gamma = np.zeros((2, 2, 2))
+
+    # Every callable acts row by row on (..., 2) stacks: it reads coordinate
+    # i as x.T[i] (leading axes reversed), and np.array([...]).T puts the
+    # components of its value back last; a matrix value lists its entries
+    # in row-major order and is reshaped.  On one point this stays scalar
+    # numpy work.  The chart Jacobian, whose rows hold two entries, is
+    # filled in place instead: every matrix of a stack is then C-contiguous
+    # like a single one, and numpy's matrix product rounds them alike only
+    # on a like memory layout.
+    def e(x):
+        s = m0 / md * np.sin(x.T[0])
+        return np.array([s, -s]).T
 
     system = MechanicalSystem(
         n=2, m=1,
         gamma=lambda x: zero_gamma,
-        e=lambda x: np.array([m0 / md * np.sin(x[0]), -m0 / md * np.sin(x[0])]),
-        g=lambda x: g_col[:, None],
+        e=e,
+        g=lambda x: g_mat,
     )
 
     def fwd(x):
-        return np.array([c1 * x[0] + x[1], c2 * np.sin(x[0])])
+        x1, x2 = x.T[0], x.T[1]
+        return np.array([c1 * x1 + x2, c2 * np.sin(x1)]).T
 
     def inv(z):
-        s = z[1] / c2
-        if abs(s) > 1.0:
-            raise OutsideChart(f"|sin x1| = {abs(s):.6f} > 1: point not in chart image")
+        zt = z.T
+        s = zt[1] / c2
+        if _any(abs(s) > 1.0):
+            raise OutsideChart(f"|sin x1| = {abs(s).max():.6f} > 1: point not in chart image")
         x1 = np.arcsin(s)
-        return np.array([x1, z[0] - c1 * x1])
+        return np.array([x1, zt[0] - c1 * x1]).T
 
     def jac(x):
-        return np.array([[c1, 1.0], [c2 * np.cos(x[0]), 0.0]])
+        out = np.empty(x.shape + (2,))
+        out[..., 0, 0] = c1
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = c2 * np.cos(x[..., 0])
+        out[..., 1, 1] = 0.0
+        return out
 
     def second(x, u, v):
-        return np.array([0.0, -c2 * np.sin(x[0]) * u[0] * v[0]])
+        w = -c2 * np.sin(x.T[0]) * u.T[0] * v.T[0]
+        return np.array([0.0 * w, w]).T
 
     phi = Diffeomorphism(2, fwd, inv, jac, second)
 
     def regular_cos(x):
         """cos x1, guarded: the feedback is singular where it vanishes."""
-        c = np.cos(x[0])
-        if abs(c) < 1e-9:
+        c = np.cos(x.T[0])
+        if _any(abs(c) < 1e-9):
             raise SingularFeedback("feedback singular at x1 = +/- pi/2")
         return c
 
     def beta(x):
-        return np.array([[-md * J2 / (m0 * regular_cos(x))]])
+        return np.array([-md * J2 / (m0 * regular_cos(x))]).T.reshape(x.shape[:-1] + (1, 1))
 
     def alpha(x):
         # -(md J2/(m0 cos)) * (-(m0^2/(2 md J2)) sin 2x1) = m0 sin x1
-        return np.array([m0 * np.sin(x[0])])
+        return np.array([m0 * np.sin(x.T[0])]).T
 
     def gammaF(x):
         c = regular_cos(x)
-        out = np.zeros((1, 2, 2))
-        out[0, 0, 0] = -md * np.sin(x[0]) / c
-        return out
+        zero = 0.0 * c
+        return np.array([-md * np.sin(x.T[0]) / c, zero, zero, zero]).T.reshape(
+            x.shape[:-1] + (1, 2, 2))
 
     transform = MFTransform(phi, alpha, beta, gammaF)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     B=np.array([[0.0], [1.0]]))
-    return SystemBundle(system, transform, linear)
+    return SystemBundle(system, transform, linear, batched=True)
 
 
 # ---------------------------------------------------------------------------

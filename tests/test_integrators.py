@@ -10,6 +10,7 @@ import pytest
 import mechlift
 from mechlift import (
     DimensionMismatch,
+    Diffeomorphism,
     DiscretizationMap,
     LinearMechanicalSystem,
     MFTransform,
@@ -42,6 +43,7 @@ from mechlift import (
     tangent_map,
     theta_update_matrix,
 )
+from mechlift.geometry import NEWTON_TOL
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 POLES = [-10.0, -20.0, -30.0, -40.0]
@@ -254,12 +256,18 @@ class TestFlDiscretize:
         assert conjugacy_defect(bundle, traj, cayley_matrix(a_cl, 0.01)) > 1e-8
 
     @pytest.mark.parametrize("make_map", THETA_MAPS)
-    def test_each_step_is_certified(self, pendulum, make_map, field_evaluations):
+    def test_each_step_is_certified(self, pendulum, make_map, field_evaluations,
+                                    central_differences):
         # criterion 4's run: the physical residual at the exact linear update
-        # is within the tolerance, so each step is that one evaluation
+        # is within the tolerance at every step, so the orbit pass certifies
+        # them all, with no step solved on its own
         traj, _ = pendulum_closed_loop(pendulum, make_map=make_map)
-        assert field_evaluations == [1] * 100
+        assert field_evaluations == []
+        assert central_differences == []
         npt.assert_array_equal(traj.iterations, 0)
+        push = pendulum.transform.push_state
+        scale = np.array([1.0 + np.abs(push(s[:2], s[2:])).max() for s in traj.states[:-1]])
+        assert np.all(traj.residuals < NEWTON_TOL * scale)
 
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_bent_feedback_fails_certificate(self, pendulum, make_map,
@@ -272,6 +280,74 @@ class TestFlDiscretize:
         assert traj.iterations.min() >= 1
         one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
         assert conjugacy_defect(bundle, traj, one_step) > 1e-8
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_feedback_bent_from_a_step_falls_back_from_it(self, pendulum, make_map,
+                                                          field_evaluations):
+        # one 10-step segment of criterion 4's run, its feedback bent only
+        # where x1 has swung below the base point of step j = 4: the steps
+        # before j are the unbent run's, bit for bit, and from j on every
+        # step falls back to Newton
+        j, steps = 4, 10
+        right, a_cl = pendulum_closed_loop(pendulum, steps=steps, make_map=make_map)
+        t, lifted = pendulum.transform, tangent_lift(make_map(2))
+        z = np.array([t.push_state(s[:2], s[2:]) for s in right.states])
+        base_x1 = t.phi.inverse(lifted.inverse(z[:-1], z[1:])[0][:, :2])[:, 0]
+        cut = (base_x1[j - 1] + base_x1[j]) / 2.0
+        assert base_x1[:j].min() > cut > base_x1[j:].max()
+        bundle = pendulum._replace(transform=dataclasses.replace(
+            t, alpha=lambda x: np.where(x[..., :1] < cut, 1.0 + 1e-6, 1.0) * t.alpha(x)))
+        traj, _ = pendulum_closed_loop(bundle, steps=steps, make_map=make_map)
+        npt.assert_array_equal(traj.states[:j + 1], right.states[:j + 1])
+        for got, want in [(traj.u, right.u), (traj.utilde, right.utilde),
+                          (traj.residuals, right.residuals)]:
+            npt.assert_array_equal(got[:j], want[:j])
+        npt.assert_array_equal(traj.iterations[:j], 0)
+        assert traj.iterations[j:].min() >= 1
+        assert len(field_evaluations) == steps - j and min(field_evaluations) > 1
+        one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
+        assert conjugacy_defect(bundle, traj, one_step) > 1e-8
+
+    def test_a_per_point_bundle_takes_the_per_step_path(self, pendulum, field_evaluations):
+        # a bundle whose callables refuse stacks, left undeclared, runs as
+        # before: every step through step_sode, certified at M Z_k
+        def per_point(f):
+            def g(*args):
+                assert all(np.ndim(a) == 1 for a in args)
+                return f(*args)
+            return g
+
+        sys, t = pendulum.system, pendulum.transform
+        phi = t.phi
+        bundle = SystemBundle(
+            MechanicalSystem(2, 1, per_point(sys.gamma), per_point(sys.e), per_point(sys.g)),
+            MFTransform(Diffeomorphism(
+                2, per_point(phi.forward), per_point(phi.inverse), per_point(phi.jacobian),
+                per_point(phi.second_deriv)),
+                per_point(t.alpha), per_point(t.beta), per_point(t.gammaF)),
+            pendulum.linear)
+        assert not bundle.batched
+        traj, _ = pendulum_closed_loop(bundle)
+        assert field_evaluations == [1] * 100
+        npt.assert_array_equal(traj.iterations, 0)
+        orbit, _ = pendulum_closed_loop(pendulum)
+        npt.assert_allclose(traj.states, orbit.states, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("s0, step", [
+        ((1.2, 0.0, 0.0, 0.0), 5),
+        ((1.4, 0.0, 0.0, 0.0), 4),
+        ((0.5, 0.0, 5.0, 0.0), 4),
+        ((0.5, 0.0, 20.0, 0.0), 1),
+    ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
+    def test_chart_exit_is_that_of_the_per_step_path(self, pendulum, s0, step):
+        exits = []
+        for bundle in (pendulum, pendulum._replace(batched=False)):
+            with pytest.raises(OutsideChart) as info:
+                pendulum_closed_loop(bundle, s0=np.array(s0))
+            exits.append(info.value)
+        orbit, per_step = exits
+        assert orbit.step == per_step.step == step
+        npt.assert_allclose(orbit.state, per_step.state, rtol=1e-12, atol=1e-12)
 
     def test_newton_work_per_step(self, pendulum):
         traj, _ = pendulum_closed_loop(pendulum)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -161,6 +163,93 @@ class TestPendulumSystem:
         npt.assert_array_equal(a_full, [[0, 0, 1, 0], [0, 0, 0, 1],
                                         [0, 1, 0, 0], [0, 0, 0, 0]])
         npt.assert_array_equal(b_full.ravel(), [0, 0, 0, 1])
+
+
+def stack_rows_are_the_points(f, *stacks):
+    """f on (k, ...) stacks gives, bit for bit, f on each row; a value
+    shared by every row (a constant callable's) counts for each row."""
+    out = np.asarray(f(*stacks))
+    for i in range(len(stacks[0])):
+        point = np.asarray(f(*(s[i] for s in stacks)))
+        row = np.broadcast_to(out, (len(stacks[0]),) + point.shape)[i]
+        assert row.shape == point.shape
+        assert row.tobytes() == point.tobytes(), i
+
+
+def refused_without_warning(error, f, *args):
+    """The exception f raises, under numpy warnings turned into errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            f(*args)
+    return info.value
+
+
+class TestBatchAware:
+    """The pendulum bundle is declared ``batched``: each of its callables,
+    and apply_feedback and sode_field on it, acts row by row."""
+
+    def stacks(self, rng, k=9):
+        # in-chart points, both signs of each coordinate, one exact zero row
+        x = np.column_stack([rng.uniform(-1.4, 1.4, k), rng.normal(size=k)])
+        y = rng.normal(size=(k, 2)) * 3.0
+        x[0] = y[0] = 0.0
+        return x, y, rng.normal(size=(k, 1))
+
+    def test_declared(self, pendulum):
+        assert pendulum.batched
+        assert not pendulum._replace(batched=False).batched
+
+    @pytest.mark.parametrize("name", ["gamma", "e", "g"])
+    def test_system_callables(self, pendulum, rng, name):
+        x, _, _ = self.stacks(rng)
+        stack_rows_are_the_points(getattr(pendulum.system, name), x)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gammaF"])
+    def test_feedback_callables(self, pendulum, rng, name):
+        x, _, _ = self.stacks(rng)
+        stack_rows_are_the_points(getattr(pendulum.transform, name), x)
+
+    def test_chart(self, pendulum, rng):
+        phi = pendulum.transform.phi
+        x, y, _ = self.stacks(rng)
+        stack_rows_are_the_points(phi.forward, x)
+        stack_rows_are_the_points(phi.inverse, phi.forward(x))
+        stack_rows_are_the_points(phi.jacobian, x)
+        stack_rows_are_the_points(phi.second_deriv, x, y, y[::-1])
+        stack_rows_are_the_points(pendulum.transform.push_state, x, y)
+
+    def test_feedback_and_field(self, pendulum, rng):
+        x, y, ut = self.stacks(rng)
+        stack_rows_are_the_points(lambda *a: apply_feedback(pendulum.transform, *a), x, y, ut)
+        stack_rows_are_the_points(lambda *a: sode_field(pendulum.system, *a),
+                                  np.concatenate([x, y], axis=1), ut)
+
+    def test_leading_axes(self, pendulum, rng):
+        # a (3, 3, 2) stack gives what its nine rows give as a (9, 2) stack
+        x, y, ut = self.stacks(rng)
+        t = pendulum.transform
+        for f, args in [(t.phi.forward, (x,)), (t.phi.jacobian, (x,)),
+                        (t.phi.second_deriv, (x, y, y)), (pendulum.system.e, (x,)),
+                        (lambda *a: apply_feedback(t, *a), (x, y, ut))]:
+            flat = np.asarray(f(*args))
+            npt.assert_array_equal(np.asarray(f(*(a.reshape(3, 3, -1) for a in args))),
+                                   flat.reshape((3, 3) + flat.shape[1:]))
+
+    def test_chart_guard_refuses_one_offending_row(self, pendulum, rng):
+        phi = pendulum.transform.phi
+        x, _, _ = self.stacks(rng)
+        z = phi.forward(x)
+        z[4, 1] = 12500.0
+        exc = refused_without_warning(OutsideChart, phi.inverse, z)
+        assert str(exc) == str(refused_without_warning(OutsideChart, phi.inverse, z[4]))
+
+    @pytest.mark.parametrize("name", ["beta", "gammaF"])
+    def test_feedback_guard_refuses_one_offending_row(self, pendulum, rng, name):
+        x, y, ut = self.stacks(rng)
+        x[6, 0] = -np.pi / 2
+        refused_without_warning(SingularFeedback, getattr(pendulum.transform, name), x)
+        refused_without_warning(SingularFeedback, apply_feedback, pendulum.transform, x, y, ut)
 
 
 class TestRigidBody:

@@ -3,7 +3,8 @@ the same examples: the map axioms and the lift-order commutation on the
 pendulum chart, the closed forms of the built-in maps' tangent lift and
 step Jacobian against their structural derivations, the pendulum's
 closed loop under each built-in map against that map's exact linear
-update, and the rotation logarithm around its pi guard band."""
+update and its orbit pass against the per-step path, and the rotation
+logarithm around its pi guard band."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from mechlift import (
     AngleAtPi,
+    MechliftError,
     OutsideChart,
     fl_discretize,
     lift_by_diffeo,
@@ -155,7 +157,7 @@ def test_step_jacobian_is_its_assembled_derivation(builder, h, closed_loop):
     if closed_loop:
         a = a - b @ gains
     base = builder(2)
-    got = _linear_step_jacobian(tangent_lift(base), lms, h, gains)
+    got = _linear_step_jacobian(tangent_lift(base), a, h)
     npt.assert_array_equal(got, assembled_step_jacobian(base.kind, 2, a, h))
 
 
@@ -188,6 +190,32 @@ def test_theta_loop_is_its_linear_update_or_exits_the_chart(builder, s0, h):
     assert exit_step is None
     for s, s_next in zip(traj.states[:-1], traj.states[1:]):
         assert np.abs(s_next - tphi.inverse(one_step @ tphi.forward(s))).max() < 1e-8
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@settings(derandomize=True, max_examples=36, deadline=None)
+@given(s0=st.tuples(floats(1.2), floats(1.0), floats(5.0), floats(100.0)).map(np.array),
+       h=st.floats(0.002, 0.1))
+def test_orbit_pass_is_the_per_step_path(builder, s0, h):
+    # the pendulum bundle certifies the whole orbit in one pass; declared
+    # per-point, it takes every step on its own: both certify every step
+    # and agree to rounding, or leave the chart in the same step
+    gains = pole_place(PENDULUM.linear, [-10.0, -20.0, -30.0, -40.0])
+    outcomes = []
+    for bundle in (PENDULUM, PENDULUM._replace(batched=False)):
+        try:
+            outcomes.append(fl_discretize(bundle, builder(2), s0, h, 30, gains=gains))
+        except MechliftError as exc:
+            outcomes.append(exc)
+    orbit, per_step = outcomes
+    if isinstance(per_step, MechliftError):
+        assert type(orbit) is type(per_step)
+        assert orbit.step == per_step.step
+        return
+    npt.assert_array_equal(orbit.iterations, 0)
+    npt.assert_array_equal(per_step.iterations, 0)
+    scale = 1.0 + np.abs(per_step.states).max(axis=1, keepdims=True)
+    assert np.all(np.abs(orbit.states - per_step.states) <= 1e-12 * scale)
 
 
 @DERANDOMIZED
