@@ -188,12 +188,21 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     Column j is (f(x0 + e_j) - f(x0 - e_j)) / (2 step), with e_j the j-th
     row of ``step * I``; the probes run in that order, + before -.
 
+    On a (..., n) stack of points ``f`` is called once, on the
+    (..., 2n, n) stack of all probes (the n + probes, then the n -
+    probes), and the result is the (..., m, n) stack of Jacobians.
+    ``f`` must then act row by row on stacks and return one value per
+    probe, a (..., 2n) + value-shape stack; a value of any shape is
+    flattened to its m entries.  Each Jacobian of the stack is, bit for
+    bit, the one of a 1-d call at its point when ``f`` gives each row
+    exactly its value at that row.
+
     Parameters
     ----------
     f : callable
         Maps an n-vector to an m-vector; a scalar result counts as m = 1.
-    x0 : array, shape (n,)
-        Expansion point.
+    x0 : array, shape (n,) or (..., n)
+        Expansion point, or a stack of them.
     step : float
         Absolute difference step; entrywise error is O(step**2) for
         smooth ``f``.
@@ -201,8 +210,13 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     Raises
     ------
     NonFinite
-        At the first probe pair with a NaN/Inf in either evaluation.
+        At the first probe pair with a NaN/Inf in either evaluation; on
+        a stack, when any probe's value has one.
+    DimensionMismatch
+        On a stack, when ``f`` does not return one value per probe.
     """
+    if np.ndim(x0) > 1:
+        return _stacked_jacobian(f, float_array(x0), step)
     x0 = _vec(x0, "x0")
     cols = []
     for e in step * np.eye(x0.size):
@@ -212,6 +226,30 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
             raise NonFinite("function evaluation returned NaN/Inf")
         cols.append((fp - fm) / (2.0 * step))
     return np.array(cols).reshape(x0.size, -1).T
+
+
+def _stacked_jacobian(f, x0, step):
+    if not np.isfinite(x0).all():
+        raise NonFinite("x0 contains NaN/Inf")
+    n = x0.shape[-1]
+    e = step * np.eye(n)
+    probes = x0[..., None, :] + np.concatenate([e, -e])
+    lead = probes.shape[:-1]
+    vals = float_array(f(probes))
+    if vals.shape[:len(lead)] != lead:
+        raise DimensionMismatch(
+            f"f returned shape {vals.shape} on a stack of probes of shape {probes.shape}")
+    if not np.isfinite(vals).all():
+        raise NonFinite("function evaluation returned NaN/Inf")
+    vals = vals.reshape(lead + (math.prod(vals.shape[len(lead):]),))
+    return np.swapaxes((vals[..., :n, :] - vals[..., n:, :]) / (2.0 * step), -1, -2)
+
+
+def _norms(v):
+    """Euclidean norms of a stack of vectors along the last axis, each
+    equal to ``np.linalg.norm`` of its row (both take the dot product of
+    the row with itself)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _matvec(a, v):

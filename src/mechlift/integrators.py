@@ -82,10 +82,12 @@ class Trajectory:
     def __post_init__(self):
         self.t = np.asarray(self.t, float)
         self.states = np.asarray(self.states, float)
-        dt = np.diff(self.t)
-        if self.t.size > 1 and not (np.all(dt > 0)
-                                    and np.allclose(dt, dt[0], rtol=1e-9, atol=0)):
-            raise ValueError("time grid must be uniform and strictly increasing")
+        if self.t.size > 1:
+            dt = np.diff(self.t)
+            # every step positive and within 1e-9 of the first, relative; a
+            # NaN step fails both comparisons
+            if not ((dt > 0.0).all() and (np.abs(dt - dt[0]) <= 1e-9 * dt[0]).all()):
+                raise ValueError("time grid must be uniform and strictly increasing")
         if self.states.shape[0] != self.t.size:
             raise DimensionMismatch("one state row per grid point required")
 

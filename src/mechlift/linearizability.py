@@ -18,35 +18,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, WrongDimensions
-from .geometry import SECOND_ORDER_STEP, numeric_jacobian
+from .errors import DimensionMismatch, NonFinite, WrongDimensions
+from .geometry import SECOND_ORDER_STEP, _matvec, _norms, float_array, numeric_jacobian
 from .mechanics import MechanicalSystem
 
 RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-6
 
 
+def _values(sys: MechanicalSystem, f, x, shape) -> np.ndarray:
+    """``f``, a callable of ``sys``, at a point or a (..., n) stack of
+    points, as the full C-contiguous (...,) + ``shape`` stack of values.
+
+    This is the checker's one row adapter.  A ``batched`` system's
+    callable takes the whole stack in one call, and a shared value it
+    returns is broadcast to every row; any other system's callable is
+    called on one row at a time, so it never sees a stack.  Both give
+    the same values in the same memory layout, so what is computed from
+    them rounds alike.
+    """
+    lead = x.shape[:-1]
+    if sys.batched:
+        return np.ascontiguousarray(np.broadcast_to(float_array(f(x)), lead + shape))
+    rows = [float_array(f(p)) for p in x.reshape(-1, sys.n)]
+    return np.array(rows).reshape(lead + shape)
+
+
+def _drift_field(sys):
+    return lambda p: _values(sys, sys.e, p, (sys.n,))
+
+
+def _control_field(sys, r):
+    return lambda p: _values(sys, sys.g, p, (sys.n, sys.m))[..., r]
+
+
+def _gam(G, a, b):
+    """The quadratic forms Gamma^i_jk a^j b^k, row by row on stacks."""
+    return np.einsum("...ijk,...j,...k->...i", G, a, b)
+
+
 def lie_bracket(x_field, y_field, x) -> np.ndarray:
-    """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x), Jacobians by central differences."""
-    x = np.asarray(x, float)
-    xv = np.asarray(x_field(x), float)
-    yv = np.asarray(y_field(x), float)
+    """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x), Jacobians by central differences.
+
+    ``x`` may be a (..., n) stack of points; the fields must then act
+    row by row and return the full stack of their values, and the
+    result is the stack of brackets.
+    """
+    x = float_array(x)
+    xv = float_array(x_field(x))
+    yv = float_array(y_field(x))
     dy = numeric_jacobian(y_field, x)
     dx = numeric_jacobian(x_field, x)
-    out = dy @ xv - dx @ yv
+    out = _matvec(dy, xv) - _matvec(dx, yv)
     if not np.isfinite(out).all():
         raise NonFinite("lie bracket evaluation returned NaN/Inf")
     return out
 
 
 def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarray:
-    """(nabla_X Y)^i = dY^i/dx^j X^j + Gamma^i_jk X^j Y^k."""
-    x = np.asarray(x, float)
-    xv = np.asarray(x_field(x), float)
-    yv = np.asarray(y_field(x), float)
+    """(nabla_X Y)^i = dY^i/dx^j X^j + Gamma^i_jk X^j Y^k.
+
+    On a (..., n) stack of points as for :func:`lie_bracket`; the
+    connection goes through the row adapter, so ``sys`` need not be
+    ``batched``.
+    """
+    x = float_array(x)
+    xv = float_array(x_field(x))
+    yv = float_array(y_field(x))
     dy = numeric_jacobian(y_field, x)
-    G = np.asarray(sys.gamma(x), float)
-    out = dy @ xv + np.einsum("ijk,j,k->i", G, xv, yv)
+    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
+    out = _matvec(dy, xv) + _gam(G, xv, yv)
     if not np.isfinite(out).all():
         raise NonFinite("covariant derivative returned NaN/Inf")
     return out
@@ -61,25 +102,34 @@ def _second_directional(f, x, u, v):
     polarization is symmetric in (u, v) by construction.  One level of
     Richardson extrapolation, from twice the step, recovers roughly half
     the digits lost to the second difference.
+
+    Row by row on a (..., n) stack of points and of directions, for a
+    field ``f`` that acts row by row: ``f`` is called twice, at the
+    points and then on the stack of every point's eight probes.  At a
+    single point it takes the probes one at a time.  A row with a zero
+    direction gives 0.
     """
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return np.zeros_like(np.asarray(f(x), float))
-    uh, vh = np.asarray(u, float) / nu, np.asarray(v, float) / nv
-    f0 = np.asarray(f(x), float)
-    s = 2.0 * SECOND_ORDER_STEP * (1.0 + float(np.abs(f0).max())) ** 0.25
-
-    def quad(w, s_):
-        fp = np.asarray(f(x + s_ * w), float)
-        fm = np.asarray(f(x - s_ * w), float)
-        return (fp - 2.0 * f0 + fm) / s_**2
-
-    def mixed(s_):
-        return (quad(uh + vh, s_) - quad(uh - vh, s_)) / 4.0
-
-    d = (4.0 * mixed(s / 2.0) - mixed(s)) / 3.0
-    return nu * nv * d
+    nu, nv = _norms(u), _norms(v)
+    uh = u / np.where(nu > 0.0, nu, 1.0)[..., None]
+    vh = v / np.where(nv > 0.0, nv, 1.0)[..., None]
+    f0 = float_array(f(x))
+    # the fourth root as two square roots: numpy's power rounds a scalar
+    # and an array differently, and a stack's rows must be its points'
+    s = 2.0 * SECOND_ORDER_STEP * np.sqrt(np.sqrt(1.0 + np.abs(f0).max(axis=-1)))
+    # axes after the points': step (s/2, s), direction (u + v, u - v), sign (+, -)
+    h = np.stack([s / 2.0, s], axis=-1)[..., None, None]
+    hw = h * np.stack([uh + vh, uh - vh], axis=-2)[..., None, :, :]
+    xp = x[..., None, None, :]
+    probes = np.stack([xp + hw, xp - hw], axis=-2)
+    if x.ndim == 1:  # a field of one point takes one probe at a time
+        fs = float_array([f(p) for p in probes.reshape(-1, x.size)]).reshape(
+            probes.shape[:-1] + f0.shape)
+    else:
+        fs = float_array(f(probes))
+    quad = (fs[..., 0, :] - 2.0 * f0[..., None, None, :] + fs[..., 1, :]) / (h * h)
+    mixed = (quad[..., 0, :] - quad[..., 1, :]) / 4.0
+    d = (4.0 * mixed[..., 0, :] - mixed[..., 1, :]) / 3.0
+    return (nu * nv)[..., None] * d
 
 
 def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field,
@@ -93,49 +143,56 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     nesting of the covariant derivative amplifies rounding noise by the
     field magnitudes over the squared step, which is fatal for systems
     with large control fields; the expanded form is mathematically
-    identical and loses nothing to nesting.
+    identical and loses nothing to nesting.  On a (..., n) stack of
+    points as for :func:`covariant_derivative`.
     """
-    x = np.asarray(x, float)
-    xv = np.asarray(x_field(x), float)
-    yv = np.asarray(y_field(x), float)
-    zv = np.asarray(z_field(x), float)
+    n = sys.n
+    x = float_array(x)
+    xv = float_array(x_field(x))
+    yv = float_array(y_field(x))
+    zv = float_array(z_field(x))
     dz = numeric_jacobian(z_field, x)
-    G = np.asarray(sys.gamma(x), float)
-
-    def gam(a, b):
-        return np.einsum("ijk,j,k->i", G, a, b)
-
+    G = _values(sys, sys.gamma, x, (n,) * 3)
     d2z = _second_directional(z_field, x, xv, yv)
 
-    nxv = float(np.linalg.norm(xv))
-    if nxv == 0.0:
-        dgam_term = np.zeros(sys.n)
-    else:
-        xh = xv / nxv
-        dG = numeric_jacobian(lambda t: np.asarray(sys.gamma(x + t[0] * xh), float).ravel(),
-                              np.zeros(1), SECOND_ORDER_STEP)
-        dG = dG.reshape(sys.n, sys.n, sys.n) * nxv
-        dgam_term = np.einsum("ijk,j,k->i", dG, yv, zv)
+    # the connection's derivative along X: a central difference in t of
+    # Gamma(x + t X/|X|) at t = 0, scaled back by |X|; t is a (..., 1, 1)
+    # stack, so every point's two probes go to gamma in one call
+    nxv = _norms(xv)
+    xh = xv / np.where(nxv == 0.0, 1.0, nxv)[..., None]
 
-    out = (d2z + dgam_term + gam(yv, dz @ xv) + gam(xv, dz @ yv)
-           + gam(xv, gam(yv, zv)) - dz @ gam(xv, yv) - gam(gam(xv, yv), zv))
+    def along(t):
+        p = x[..., None, None, :] + t * xh[..., None, None, :]
+        return _values(sys, sys.gamma, p, (n,) * 3).reshape(t.shape[:-1] + (n**3,))
+
+    dG = numeric_jacobian(along, np.zeros(x.shape[:-1] + (1, 1)), SECOND_ORDER_STEP)
+    dG = dG[..., 0, :, 0].reshape(x.shape[:-1] + (n,) * 3) * nxv[..., None, None, None]
+    dgam_term = _gam(dG, yv, zv)
+
+    out = (d2z + dgam_term + _gam(G, yv, _matvec(dz, xv)) + _gam(G, xv, _matvec(dz, yv))
+           + _gam(G, xv, _gam(G, yv, zv)) - _matvec(dz, _gam(G, xv, yv))
+           - _gam(G, _gam(G, xv, yv), zv))
     if not np.isfinite(out).all():
         raise NonFinite("second covariant derivative returned NaN/Inf")
     return out
 
 
 def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
-    """Curvature R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj."""
-    x = np.asarray(x, float)
+    """Curvature R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
+
+    At a point, or row by row on a (..., n) stack of points.
+    """
+    x = float_array(x)
     n = sys.n
-    G = np.asarray(sys.gamma(x), float)
-    # dG[m] = d Gamma / d x_m
-    dG = numeric_jacobian(lambda p: np.asarray(sys.gamma(p), float).ravel(), x)
-    dG = dG.T.reshape(n, n, n, n)
-    term1 = np.einsum("kilj->ijkl", dG)
-    term2 = np.einsum("likj->ijkl", dG)
-    term3 = np.einsum("ikm,mlj->ijkl", G, G)
-    term4 = np.einsum("ilm,mkj->ijkl", G, G)
+    G = _values(sys, sys.gamma, x, (n,) * 3)
+    # dG[..., m] = d Gamma / d x_m
+    dG = numeric_jacobian(
+        lambda p: _values(sys, sys.gamma, p, (n,) * 3).reshape(p.shape[:-1] + (n**3,)), x)
+    dG = np.swapaxes(dG, -1, -2).reshape(x.shape[:-1] + (n,) * 4)
+    term1 = np.einsum("...kilj->...ijkl", dG)
+    term2 = np.einsum("...likj->...ijkl", dG)
+    term3 = np.einsum("...ikm,...mlj->...ijkl", G, G)
+    term4 = np.einsum("...ilm,...mkj->...ijkl", G, G)
     return term1 - term2 + term3 - term4
 
 
@@ -184,14 +241,24 @@ def _membership_residual(basis, v):
 
 
 def _drift_bracket_fields(sys):
-    """Control fields g_r and their drift brackets ad_e g_r as callables."""
+    """Control fields g_r and their drift brackets ad_e g_r as callables
+    of a point or a (..., n) stack of points."""
+    e_field = _drift_field(sys)
     fields = []
     for r in range(sys.m):
-        g_r = (lambda r: lambda p: np.asarray(sys.g(p), float)[:, r])(r)
-        ad_r = (lambda g_r: lambda p: lie_bracket(
-            lambda q: np.asarray(sys.e(q), float), g_r, p))(g_r)
-        fields.append((g_r, ad_r))
+        g_r = _control_field(sys, r)
+        fields.append((g_r, lambda p, g_r=g_r: lie_bracket(e_field, g_r, p)))
     return fields
+
+
+def _sample_stack(sys, samples):
+    """The sample points as one (k, n) stack."""
+    xs = float_array(list(samples))
+    if xs.size == 0:
+        return xs.reshape(0, sys.n)
+    if xs.ndim != 2 or xs.shape[1] != sys.n:
+        raise DimensionMismatch(f"samples must be {sys.n}-vectors, got shape {xs.shape}")
+    return xs
 
 
 def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
@@ -202,38 +269,42 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     MD3: the commutator of second covariant derivatives of ad_e g lies
     in span(g).  Membership defects are projection residuals, compared
     against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
+    Every differentiated quantity is evaluated for the whole grid at
+    once (see ``MechanicalSystem.batched``); the rank and projection
+    algebra then runs point by point, in sample order.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
 
+    xs = _sample_stack(sys, samples)
     g_field, ad_field = _drift_bracket_fields(sys)[0]
+    gvs, advs = g_field(xs), ad_field(xs)
+    md2_vecs = (covariant_derivative(sys, g_field, g_field, xs),
+                covariant_derivative(sys, ad_field, g_field, xs))
+    d1s = second_covariant_derivative(sys, g_field, ad_field, ad_field, xs)
+    d2s = second_covariant_derivative(sys, ad_field, g_field, ad_field, xs)
 
     md1_ratio, md1_wit = np.inf, None
     md2_def, md2_wit, md2_scale = 0.0, None, 1.0
     md3_def, md3_wit, md3_scale = 0.0, None, 1.0
 
-    for x in samples:
-        x = np.asarray(x, float)
-        gv = g_field(x)
-        adv = ad_field(x)
-        pair = np.column_stack([gv, adv])
+    for i, x in enumerate(xs):
+        gv = gvs[i]
+        pair = np.column_stack([gv, advs[i]])
         sv = np.linalg.svd(pair, compute_uv=False)
         ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
         if ratio < md1_ratio:
             md1_ratio, md1_wit = ratio, x.copy()
 
         basis = gv[:, None]
-        for vec in (covariant_derivative(sys, g_field, g_field, x),
-                    covariant_derivative(sys, ad_field, g_field, x)):
+        for vec in (md2_vecs[0][i], md2_vecs[1][i]):
             res = _membership_residual(basis, vec)
             scale = max(float(np.linalg.norm(vec)), 1.0)
             if res / scale > md2_def / md2_scale:
                 md2_def, md2_wit, md2_scale = res, x.copy(), scale
 
-        d1 = second_covariant_derivative(sys, g_field, ad_field, ad_field, x)
-        d2 = second_covariant_derivative(sys, ad_field, g_field, ad_field, x)
-        diff = d1 - d2
-        res = _membership_residual(basis, diff)
+        d1, d2 = d1s[i], d2s[i]
+        res = _membership_residual(basis, d1 - d2)
         scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)), 1.0)
         if res / scale > md3_def / md3_scale:
             md3_def, md3_wit, md3_scale = res, x.copy(), scale
@@ -268,24 +339,26 @@ def _annihilator(matrix, rank):
 
 
 def _nabla_g_matrix(sys, x, r):
-    """Covariant derivative of control field r as an n x n matrix (upper index first)."""
-    g_r = lambda p: np.asarray(sys.g(p), float)[:, r]
+    """Covariant derivative of control field r as an n x n matrix (upper
+    index first), at a point or row by row on a (..., n) stack."""
+    g_r = _control_field(sys, r)
     dg = numeric_jacobian(g_r, x)
-    G = np.asarray(sys.gamma(x), float)
-    return dg + np.einsum("ijk,k->ij", G, g_r(x))
+    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
+    return dg + np.einsum("...ijk,...k->...ij", G, g_r(x))
 
 
 def _nabla2_e_tensor(sys, x):
-    """Second covariant derivative of the drift as an (n, n, n) array [i, j, k]."""
+    """Second covariant derivative of the drift as an (n, n, n) array
+    [i, j, k], at a point or row by row on a (..., n) stack."""
     n = sys.n
-    e_field = lambda p: np.asarray(sys.e(p), float)
+    e_field = _drift_field(sys)
     basis = np.eye(n)
-    out = np.empty((n, n, n))
+    out = np.empty(x.shape[:-1] + (n, n, n))
     for j in range(n):
-        xj = (lambda v: lambda p: v)(basis[j])
+        xj = lambda p, v=basis[j]: np.broadcast_to(v, p.shape)
         for k in range(n):
-            xk = (lambda v: lambda p: v)(basis[k])
-            out[:, j, k] = second_covariant_derivative(sys, xj, xk, e_field, x)
+            xk = lambda p, v=basis[k]: np.broadcast_to(v, p.shape)
+            out[..., :, j, k] = second_covariant_derivative(sys, xj, xk, e_field, x)
     return out
 
 
@@ -298,9 +371,16 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     enlarge the control span.  ML3/ML4/ML5: an orthonormal basis of the
     relevant annihilator kills the curvature tensor, the covariant
     derivatives of the control fields, and the second covariant
-    derivative of the drift.
+    derivative of the drift.  As in :func:`check_planar`, every
+    differentiated quantity is evaluated for all the points that need it
+    at once, and the rank algebra runs point by point.
     """
+    xs = _sample_stack(sys, samples)
     fields = _drift_bracket_fields(sys)
+    e0s = _values(sys, sys.g, xs, (sys.n, sys.m))
+    e1s = np.concatenate([e0s, np.stack([ad(xs) for _, ad in fields], axis=-1)], axis=-1)
+    control_brackets = [lie_bracket(fields[r][0], fields[s_][0], xs)
+                        for r in range(sys.m) for s_ in range(r + 1, sys.m)]
 
     ranks0, ranks1 = [], []
     ml1_margin, ml1_wit = np.inf, None
@@ -309,12 +389,9 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     ml4_def, ml4_wit, ml4_scale = 0.0, None, 1.0
     ml5_def, ml5_wit, ml5_scale = 0.0, None, 1.0
 
-    pts = [np.asarray(x, float) for x in samples]
-    for x in pts:
-        e0 = np.asarray(sys.g(x), float)
-        brackets = np.column_stack([ad(x) for _, ad in fields])
-        e1 = np.column_stack([e0, brackets])
-
+    ann0s, ann1s = [], []
+    for i, x in enumerate(xs):
+        e0, e1 = e0s[i], e1s[i]
         r0, m0_ = _numeric_rank(e0)
         r1, m1_ = _numeric_rank(e1)
         ranks0.append(r0)
@@ -322,38 +399,43 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
         if min(m0_, m1_) < ml1_margin:
             ml1_margin, ml1_wit = min(m0_, m1_), x.copy()
 
-        # ML2: a control-field bracket must not add rank beyond the control span
-        for r in range(sys.m):
-            for s_ in range(r + 1, sys.m):
-                br = lie_bracket(fields[r][0], fields[s_][0], x)
-                aug = np.column_stack([e0, br])
-                sv = np.linalg.svd(aug, compute_uv=False)
-                defect = sv[r0] / sv[0] if r0 < sv.size else 0.0
-                if defect > ml2_def:
-                    ml2_def, ml2_wit = defect, x.copy()
+        # ML2: a control-field bracket must not add rank beyond the control
+        # span; all-zero fields and brackets add none
+        for br in control_brackets:
+            sv = np.linalg.svd(np.column_stack([e0, br[i]]), compute_uv=False)
+            defect = sv[r0] / sv[0] if r0 < sv.size and sv[0] > 0 else 0.0
+            if defect > ml2_def:
+                ml2_def, ml2_wit = defect, x.copy()
 
-        ann0 = _annihilator(e0, r0)
-        ann1 = _annihilator(e1, r1)
+        ann0s.append(_annihilator(e0, r0))
+        ann1s.append(_annihilator(e1, r1))
 
-        if ann0.shape[1] > 0:
-            curv = curvature_tensor(sys, x)
-            scale = max(float(np.abs(curv).max()), 1.0)
-            d = float(np.abs(np.einsum("ia,ijkl->ajkl", ann0, curv)).max())
-            if d / scale > ml3_def / ml3_scale:
-                ml3_def, ml3_wit, ml3_scale = d, x.copy(), scale
-            for r in range(sys.m):
-                ng = _nabla_g_matrix(sys, x, r)
-                scale = max(float(np.abs(ng).max()), 1.0)
-                d = float(np.abs(ann0.T @ ng).max())
-                if d / scale > ml4_def / ml4_scale:
-                    ml4_def, ml4_wit, ml4_scale = d, x.copy(), scale
+    at0 = [i for i, ann in enumerate(ann0s) if ann.shape[1] > 0]
+    if at0:
+        curvs = curvature_tensor(sys, xs[at0])
+        ngs = [_nabla_g_matrix(sys, xs[at0], r) for r in range(sys.m)]
+    for j, i in enumerate(at0):
+        ann0 = ann0s[i]
+        curv = curvs[j]
+        scale = max(float(np.abs(curv).max()), 1.0)
+        d = float(np.abs(np.einsum("ia,ijkl->ajkl", ann0, curv)).max())
+        if d / scale > ml3_def / ml3_scale:
+            ml3_def, ml3_wit, ml3_scale = d, xs[i].copy(), scale
+        for ng in ngs:
+            scale = max(float(np.abs(ng[j]).max()), 1.0)
+            d = float(np.abs(ann0.T @ ng[j]).max())
+            if d / scale > ml4_def / ml4_scale:
+                ml4_def, ml4_wit, ml4_scale = d, xs[i].copy(), scale
 
-        if ann1.shape[1] > 0:
-            n2e = _nabla2_e_tensor(sys, x)
-            scale = max(float(np.abs(n2e).max()), 1.0)
-            d = float(np.abs(np.einsum("ia,ijk->ajk", ann1, n2e)).max())
-            if d / scale > ml5_def / ml5_scale:
-                ml5_def, ml5_wit, ml5_scale = d, x.copy(), scale
+    at1 = [i for i, ann in enumerate(ann1s) if ann.shape[1] > 0]
+    if at1:
+        n2es = _nabla2_e_tensor(sys, xs[at1])
+    for j, i in enumerate(at1):
+        n2e = n2es[j]
+        scale = max(float(np.abs(n2e).max()), 1.0)
+        d = float(np.abs(np.einsum("ia,ijk->ajk", ann1s[i], n2e)).max())
+        if d / scale > ml5_def / ml5_scale:
+            ml5_def, ml5_wit, ml5_scale = d, xs[i].copy(), scale
 
     rank_constant = len(set(ranks0)) <= 1 and len(set(ranks1)) <= 1
     if not rank_constant:

@@ -23,8 +23,10 @@ import numpy as np
 from .discretization import Diffeomorphism, identity_diffeomorphism
 from .errors import DimensionMismatch, OutsideChart, SingularFeedback
 from .geometry import (
+    _EYE3,
     Rotation,
     _matvec,
+    _norms,
     float_array,
     hat,
     numeric_jacobian,
@@ -39,6 +41,13 @@ class MechanicalSystem:
 
     gamma(x) returns the n x n x n array Gamma^i_jk, symmetric in (j, k);
     e(x) the drift n-vector; g(x) the n x m matrix of control fields.
+
+    ``batched`` declares that the three callables are batch-aware, as
+    for ``SystemBundle``: given a (..., n) stack of points each returns
+    the stack of its values, row by row, or its one shared value when
+    that does not depend on the point.  The linearizability checker then
+    evaluates them on a whole sample grid in one call; without the flag
+    it calls them one point at a time.
     """
 
     n: int
@@ -46,6 +55,7 @@ class MechanicalSystem:
     gamma: Callable[[np.ndarray], np.ndarray]
     e: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    batched: bool = False
 
 
 @dataclass
@@ -212,7 +222,8 @@ class SystemBundle(NamedTuple):
     one shared value instead.  A guard raises when any row offends.
     ``fl_discretize`` then certifies a closed loop's steps in one pass
     over the whole linear-chart orbit; without the flag every step is
-    taken on its own.
+    taken on its own.  The linearizability checker reads the system's
+    own flag, ``MechanicalSystem.batched``.
     """
 
     system: MechanicalSystem
@@ -259,6 +270,7 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         gamma=lambda x: zero_gamma,
         e=e,
         g=lambda x: g_mat,
+        batched=True,
     )
 
     def fwd(x):
@@ -317,28 +329,40 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
 # rigid body on SO(3)
 # ---------------------------------------------------------------------------
 
+def _exp_chart_terms(xi):
+    """|xi|, hat(xi), the flags of |xi| < 1e-4 (where the series take over)
+    and |xi| with 1 in place of the flagged ones, row by row on (..., 3)
+    stacks.  Powers are written as products: numpy's power rounds a
+    scalar and an array differently."""
+    th = _norms(xi)
+    X = np.zeros(xi.shape + (3,))
+    X[..., 0, 1], X[..., 0, 2] = -xi[..., 2], xi[..., 1]
+    X[..., 1, 0], X[..., 1, 2] = xi[..., 2], -xi[..., 0]
+    X[..., 2, 0], X[..., 2, 1] = -xi[..., 1], xi[..., 0]
+    small = th < 1e-4
+    return th, X, small, np.where(small, 1.0, th)
+
+
 def _rotation_rates_matrix(xi):
-    """Matrix mapping exp-chart rates to body angular velocity."""
-    th = np.linalg.norm(xi)
-    X = hat(xi)
-    if th < 1e-4:
-        a = 0.5 - th**2 / 24.0
-        b = 1.0 / 6.0 - th**2 / 120.0
-    else:
-        a = (1.0 - np.cos(th)) / th**2
-        b = (th - np.sin(th)) / th**3
-    return np.eye(3) - a * X + b * (X @ X)
+    """Matrix mapping exp-chart rates to body angular velocity.
+
+    Row by row on (..., 3) stacks.
+    """
+    th, X, small, t = _exp_chart_terms(float_array(xi))
+    a = np.where(small, 0.5 - th * th / 24.0, (1.0 - np.cos(t)) / (t * t))
+    b = np.where(small, 1.0 / 6.0 - th * th / 120.0, (t - np.sin(t)) / (t * t * t))
+    return _EYE3 - a[..., None, None] * X + b[..., None, None] * (X @ X)
 
 
 def _rotation_rates_matrix_inv(xi):
-    """Inverse of :func:`_rotation_rates_matrix` in closed form."""
-    th = np.linalg.norm(xi)
-    X = hat(xi)
-    if th < 1e-4:
-        c = 1.0 / 12.0 + th**2 / 720.0
-    else:
-        c = 1.0 / th**2 - (1.0 + np.cos(th)) / (2.0 * th * np.sin(th))
-    return np.eye(3) + 0.5 * X + c * (X @ X)
+    """Inverse of :func:`_rotation_rates_matrix` in closed form.
+
+    Row by row on (..., 3) stacks.
+    """
+    th, X, small, t = _exp_chart_terms(float_array(xi))
+    c = np.where(small, 1.0 / 12.0 + th * th / 720.0,
+                 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+    return _EYE3 + 0.5 * X + c[..., None, None] * (X @ X)
 
 
 @dataclass
@@ -405,23 +429,29 @@ class RigidBodySystem:
         Body angular velocity relates to chart rates via Omega = A(xi) y;
         differentiating gives a velocity-quadratic drift term that
         defines the connection coefficients, and control fields
-        g(xi) = A(xi)^-1.  Valid for |xi| < pi.
+        g(xi) = A(xi)^-1.  Valid for |xi| < pi.  Its callables act row
+        by row on (..., 3) stacks (``batched``).
         """
 
         def gamma(x):
+            x = float_array(x)
             A = _rotation_rates_matrix(x)
-            # dB[j] = d(Binv)/dxi_j
-            dB = numeric_jacobian(lambda p: _rotation_rates_matrix_inv(p).ravel(), x)
-            dB = dB.T.reshape(3, 3, 3)
+            # dB[..., j, i, l] = d(Binv)_il/dxi_j; the six probes of every
+            # point go to Binv in one call
+            dB = numeric_jacobian(
+                lambda p: _rotation_rates_matrix_inv(p).reshape(p.shape[:-1] + (9,)),
+                x[..., None, :])
+            dB = np.swapaxes(dB[..., 0, :, :], -1, -2).reshape(x.shape[:-1] + (3, 3, 3))
             # quadratic term of xi'' is  dB[y] A y; Gamma is minus its symmetrization
-            t = np.einsum("jil,lk->ijk", dB, A)
-            return -0.5 * (t + t.transpose(0, 2, 1))
+            t = np.einsum("...jil,...lk->...ijk", dB, A)
+            return -0.5 * (t + np.swapaxes(t, -1, -2))
 
         return MechanicalSystem(
             n=3, m=3,
             gamma=gamma,
             e=lambda x: np.zeros(3),
             g=_rotation_rates_matrix_inv,
+            batched=True,
         )
 
     def exp_chart_transform(self) -> MFTransform:
@@ -435,7 +465,7 @@ class RigidBodySystem:
 
         def gammaF(x):
             A = _rotation_rates_matrix(x)
-            return np.einsum("ri,ijk->rjk", A, sys3.gamma(x))
+            return np.einsum("...ri,...ijk->...rjk", A, sys3.gamma(x))
 
         return MFTransform(
             phi=identity_diffeomorphism(3),

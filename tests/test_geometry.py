@@ -152,6 +152,53 @@ class TestNumericJacobian:
         npt.assert_allclose(jac[0], 2.0 * x0, atol=1e-8)
 
 
+def stacked_field(x):
+    """A smooth map R^3 -> R^3 that acts row by row on (..., 3) stacks."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([np.sin(x0) * x1, x0 * x2 - x1, np.cos(x2) * np.exp(x0)], axis=-1)
+
+
+class TestStackedNumericJacobian:
+    """On a (..., n) stack ``numeric_jacobian`` calls f once on every
+    probe, and each Jacobian is bit for bit the 1-d call at its point."""
+
+    def test_rows_are_the_one_point_calls(self, rng):
+        xs = rng.normal(size=(7, 3))
+        jacs = numeric_jacobian(stacked_field, xs)
+        assert jacs.shape == (7, 3, 3)
+        for x, jac in zip(xs, jacs):
+            assert jac.tobytes() == numeric_jacobian(stacked_field, x).tobytes()
+
+    def test_leading_axes_and_matrix_values(self, rng):
+        xs = rng.normal(size=(2, 4, 3))
+        outer = lambda x: stacked_field(x)[..., :, None] * x[..., None, :]
+        jacs = numeric_jacobian(outer, xs, step=1e-5)
+        assert jacs.shape == (2, 4, 9, 3)
+        assert jacs[1, 2].tobytes() == numeric_jacobian(outer, xs[1, 2], step=1e-5).tobytes()
+
+    def test_one_call_on_all_probes(self, rng):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return stacked_field(x)
+
+        numeric_jacobian(f, rng.normal(size=(5, 3)))
+        assert calls == [(5, 6, 3)]
+
+    def test_non_finite_probe_refused(self):
+        # only the second point's - probe along x0 leaves the domain
+        xs = np.array([[0.5, 0.0, 0.0], [1e-7, 0.0, 0.0]])
+        with pytest.raises(NonFinite):
+            numeric_jacobian(lambda x: np.where(x[..., :1] > 0.0, x, np.inf), xs)
+        with pytest.raises(NonFinite):
+            numeric_jacobian(stacked_field, np.array([[0.0, np.nan, 0.0]]))
+
+    def test_shared_value_refused(self):
+        with pytest.raises(DimensionMismatch):
+            numeric_jacobian(lambda x: np.ones(3), np.zeros((4, 3)))
+
+
 class TestStateTypes:
     def test_rotation_accepts_exact(self):
         Rotation(np.eye(3))

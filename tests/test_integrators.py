@@ -43,6 +43,7 @@ from mechlift import (
     tangent_map,
     theta_update_matrix,
 )
+from mechlift.integrators import Trajectory
 from mechlift.geometry import NEWTON_TOL
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -707,6 +708,46 @@ class TestSo3ClosedLoop:
         # monotone decay after the initial transient
         tail = np.array(errs[200:])
         assert np.all(np.diff(tail) <= 1e-12)
+
+
+class TestTrajectoryGrid:
+    """The time grid of a record must be strictly increasing with every
+    step within 1e-9 of the first, relative."""
+
+    def test_fl_discretize_grid_accepted(self):
+        t = 0.01 * np.arange(101)
+        traj = Trajectory(t, np.zeros((101, 4)))
+        npt.assert_array_equal(traj.t, t)
+        Trajectory([0.0], np.zeros((1, 4)))
+
+    def test_steps_within_the_tolerance_accepted(self):
+        Trajectory([0.0, 1.0, 2.0 + 0.9e-9], np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("t", [
+        [0.0, np.nan, 0.02],
+        [0.0, 0.01, np.nan],
+        [np.nan, 0.01, 0.02],
+    ], ids=["nan-inside", "nan-last", "nan-first"])
+    def test_nan_grid_refused(self, t):
+        with pytest.raises(ValueError, match="uniform and strictly increasing"):
+            Trajectory(t, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("t", [
+        [0.0, 0.0, 0.0],
+        [0.02, 0.01, 0.0],
+        [0.0, 0.01, 0.01],
+    ], ids=["constant", "decreasing", "repeated-last"])
+    def test_non_increasing_grid_refused(self, t):
+        with pytest.raises(ValueError, match="uniform and strictly increasing"):
+            Trajectory(t, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("t", [
+        [0.0, 1.0, 2.0 + 1.1e-9],
+        [0.0, 0.01, 0.03],
+    ], ids=["just-past-tolerance", "doubled-step"])
+    def test_non_uniform_grid_refused(self, t):
+        with pytest.raises(ValueError, match="uniform and strictly increasing"):
+            Trajectory(t, np.zeros((3, 1)))
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -245,3 +248,133 @@ class TestCheckGeneral:
         report = check_general(pendulum.system, samples)
         assert report["ML1"].verdict == "fail"
         assert report["ML1"].witness is not None
+
+
+# ---------------------------------------------------------------------------
+# one code path for batched and per-point systems
+# ---------------------------------------------------------------------------
+
+def one_point_only(sys):
+    """A per-point copy of ``sys`` whose callables refuse a stack of points."""
+    def refuse_stacks(f):
+        def one(x):
+            if np.ndim(x) > 1:
+                raise AssertionError(f"a per-point callable was handed a stack {np.shape(x)}")
+            return f(x)
+        return one
+
+    return MechanicalSystem(sys.n, sys.m, refuse_stacks(sys.gamma), refuse_stacks(sys.e),
+                            refuse_stacks(sys.g))
+
+
+def both_paths(check, sys, samples):
+    """The reports of ``check`` on the batched ``sys``, on its per-point
+    copy and on a copy that refuses stacks, checked to agree: the same
+    verdicts and witnesses, defects within 1e-12."""
+    assert sys.batched
+    reports = [check(s, samples)
+               for s in (sys, dataclasses.replace(sys, batched=False), one_point_only(sys))]
+    for other in reports[1:]:
+        for a, b in zip(reports[0].conditions, other.conditions):
+            assert (a.name, a.verdict, a.tol) == (b.name, b.verdict, b.tol)
+            assert a.defect == b.defect or abs(a.defect - b.defect) <= 1e-12
+            assert (a.witness is None) == (b.witness is None)
+            if a.witness is not None:
+                npt.assert_array_equal(a.witness, b.witness)
+    return reports[0]
+
+
+def round_sphere(e=lambda x: np.stack([np.sin(x[..., 0]), 0.0 * x[..., 0]], axis=-1)):
+    """The unit round sphere's connection, g = (1, 0), batch-aware."""
+    def gamma(x):
+        x1 = x[..., 0]
+        G = np.zeros(x.shape[:-1] + (2, 2, 2))
+        G[..., 0, 1, 1] = -np.sin(x1) * np.cos(x1)
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(x1)
+        return G
+
+    return MechanicalSystem(2, 1, gamma=gamma, e=e, g=lambda x: np.array([[1.0], [0.0]]),
+                            batched=True)
+
+
+def bent_control():
+    """Gamma = 0, e = (0, x1), g = (1, x1), batch-aware: nabla_g g leaves span(g)."""
+    def g(x):
+        x1 = x[..., 0]
+        return np.stack([1.0 + 0.0 * x1, x1], axis=-1)[..., None]
+
+    return MechanicalSystem(2, 1, gamma=lambda x: np.zeros((2, 2, 2)),
+                            e=lambda x: np.stack([0.0 * x[..., 0], x[..., 0]], axis=-1),
+                            g=g, batched=True)
+
+
+class TestStackedEvaluation:
+    def test_pendulum_grids(self, pendulum, rng):
+        inner = [np.array([x1, rng.uniform(-1.0, 1.0)])
+                 for x1 in np.sort(rng.uniform(-1.3, 1.3, 21))]
+        for check in (check_planar, check_general):
+            assert both_paths(check, pendulum.system, inner).passed
+
+    def test_rigid_body_grid(self, rigid_body, rng):
+        samples = []
+        for _ in range(13):
+            xi = rng.normal(size=3)
+            samples.append(xi * rng.uniform(0.05, np.pi - 0.15) / np.linalg.norm(xi))
+        assert both_paths(check_general, rigid_body.exp_chart_system(), samples).passed
+
+    def test_primitives_on_a_stack_are_their_one_point_calls(self, rng):
+        sys = round_sphere()
+        xs = np.column_stack([rng.uniform(0.4, 1.2, 6), rng.normal(size=6)])
+        e = lambda x: sys.e(x)
+        g = lambda x: np.broadcast_to(sys.g(x)[:, 0], x.shape)
+        ad = lambda x: lie_bracket(e, g, x)
+        stacked = [lie_bracket(e, g, xs), covariant_derivative(sys, ad, e, xs),
+                   second_covariant_derivative(sys, g, ad, e, xs), curvature_tensor(sys, xs)]
+        for i, x in enumerate(xs):
+            points = [lie_bracket(e, g, x), covariant_derivative(sys, ad, e, x),
+                      second_covariant_derivative(sys, g, ad, e, x), curvature_tensor(sys, x)]
+            for row, point in zip(stacked, points):
+                assert row[i].tobytes() == point.tobytes()
+
+    def test_empty_grid(self, pendulum):
+        for sys in (pendulum.system, one_point_only(pendulum.system)):
+            assert check_planar(sys, []).passed
+            assert check_general(sys, []).passed
+
+
+class TestFaultsStayDetected:
+    """Known non-linearizable systems fail the conditions they break, on
+    the batched path and on the per-point one."""
+
+    def test_round_sphere_fails_ml3_ml4_ml5(self):
+        samples = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
+        report = both_paths(check_general, round_sphere(), samples)
+        for name in ("ML3", "ML4", "ML5"):
+            assert report[name].verdict == "fail", name
+            assert report[name].witness is not None
+
+    def test_bent_control_fails_md2(self):
+        samples = [np.array([x1, 0.3]) for x1 in np.linspace(-1.0, 1.0, 11)]
+        report = both_paths(check_planar, bent_control(), samples)
+        assert report["MD2"].verdict == "fail"
+        assert report["MD2"].witness is not None
+
+    def test_crossing_grid_fails_md1_near_pi_half(self, pendulum):
+        samples = [np.array([x1, 0.0]) for x1 in np.linspace(-np.pi / 2, np.pi / 2, 21)]
+        md1 = both_paths(check_planar, pendulum.system, samples)["MD1"]
+        assert md1.verdict == "fail"
+        assert abs(abs(md1.witness[0]) - np.pi / 2) < 1e-3
+
+
+def test_ml2_with_zero_control_fields_has_a_finite_defect():
+    # g = 0 with m = 2: every singular value of [g, [g_1, g_2]] is 0, and
+    # the bracket adds no rank to the (empty) control span
+    sys = MechanicalSystem(2, 2, gamma=lambda x: np.zeros((2, 2, 2)),
+                           e=lambda x: np.array([np.sin(x[0]), 0.0]),
+                           g=lambda x: np.zeros((2, 2)))
+    samples = [np.array([x1, 0.0]) for x1 in np.linspace(-1.0, 1.0, 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ml2 = check_general(sys, samples)["ML2"]
+    assert ml2.defect == 0.0
+    assert ml2.verdict == "pass"

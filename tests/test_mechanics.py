@@ -186,8 +186,9 @@ def refused_without_warning(error, f, *args):
 
 
 class TestBatchAware:
-    """The pendulum bundle is declared ``batched``: each of its callables,
-    and apply_feedback and sode_field on it, acts row by row."""
+    """The pendulum bundle and the rigid body's exp-chart system are
+    declared ``batched``: each of their callables, and apply_feedback and
+    sode_field on the pendulum, acts row by row."""
 
     def stacks(self, rng, k=9):
         # in-chart points, both signs of each coordinate, one exact zero row
@@ -196,9 +197,20 @@ class TestBatchAware:
         x[0] = y[0] = 0.0
         return x, y, rng.normal(size=(k, 1))
 
-    def test_declared(self, pendulum):
-        assert pendulum.batched
+    def body_stack(self, rng, k=9):
+        # exp-chart points up to pi - 0.15, one zero row and one on the
+        # small-angle series (|xi| < 1e-4)
+        xi = rng.normal(size=(k, 3))
+        xi *= rng.uniform(0.05, np.pi - 0.15, size=(k, 1)) / np.linalg.norm(xi, axis=1)[:, None]
+        xi[0] = 0.0
+        xi[1] *= 1e-5
+        return xi
+
+    def test_declared(self, pendulum, rigid_body):
+        assert pendulum.batched and pendulum.system.batched
         assert not pendulum._replace(batched=False).batched
+        assert rigid_body.exp_chart_system().batched
+        assert not MechanicalSystem(1, 1, *[lambda x: x] * 3).batched
 
     @pytest.mark.parametrize("name", ["gamma", "e", "g"])
     def test_system_callables(self, pendulum, rng, name):
@@ -235,6 +247,23 @@ class TestBatchAware:
             flat = np.asarray(f(*args))
             npt.assert_array_equal(np.asarray(f(*(a.reshape(3, 3, -1) for a in args))),
                                    flat.reshape((3, 3) + flat.shape[1:]))
+
+    @pytest.mark.parametrize("name", ["gamma", "e", "g"])
+    def test_rigid_body_system_callables(self, rigid_body, rng, name):
+        stack_rows_are_the_points(getattr(rigid_body.exp_chart_system(), name),
+                                  self.body_stack(rng))
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gammaF"])
+    def test_rigid_body_feedback_callables(self, rigid_body, rng, name):
+        stack_rows_are_the_points(getattr(rigid_body.exp_chart_transform(), name),
+                                  self.body_stack(rng))
+
+    def test_rigid_body_leading_axes(self, rigid_body, rng):
+        xi = self.body_stack(rng)
+        sys3 = rigid_body.exp_chart_system()
+        for f in (sys3.gamma, sys3.g, rigid_body.exp_chart_transform().gammaF):
+            flat = f(xi)
+            npt.assert_array_equal(f(xi.reshape(3, 3, 3)), flat.reshape((3, 3) + flat.shape[1:]))
 
     def test_chart_guard_refuses_one_offending_row(self, pendulum, rng):
         phi = pendulum.transform.phi
