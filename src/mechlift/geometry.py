@@ -279,8 +279,7 @@ def _damped_newton(residual, guess, scale, jac=None):
     ``NEWTON_MAX_ITER`` iterations or a stalled line search leave the
     norm above the tolerance.  A guess whose residual norm is already
     below the tolerance is returned as it is, after that one evaluation,
-    with 0 iterations and no polish step: a caller that predicts the
-    solution certifies it this way.
+    with 0 iterations and no polish step.
     """
     q = np.asarray(guess, float)
     r = residual(q)

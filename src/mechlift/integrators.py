@@ -66,10 +66,10 @@ class Trajectory:
 
     ``fl_discretize`` also records, one entry per step, the step's
     Newton ``iterations`` and its final residual norm (``residuals``).
-    ``iterations == 0`` means the step was certified, not solved: the
-    residual at the state Newton starts from (for closed-loop gains on a
-    theta-family map, the predicted M Z_k) was already within the
-    Newton tolerance, and no Newton step ran.
+    ``iterations == 0`` means the step was certified, not solved: its
+    physical residual was already within the Newton tolerance where the
+    step started, the orbit point M Z_k for closed-loop gains on a
+    theta-family map and Z_k otherwise, and no Newton step ran.
     """
 
     t: np.ndarray
@@ -97,45 +97,36 @@ def _check_step_size(h):
         raise ValueError(f"step size must be a finite positive number, got {h}")
 
 
-def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None,
-              guess=None) -> StepResult:
+def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
     Solves for ``s_next`` such that, with (z, v) the ``dmap`` inverse of
     (s_k, s_next), v = h * field(z).  On the tangent lift of a base map
     and a second-order field this is the second-order scheme; on a base
     map and a first-order field, the first-order one.  Newton starts at
-    ``guess`` when one is given and at s_k otherwise; its tolerance is
-    relative to the largest entry of s_k, both living in the chart the
-    step is taken in.  A start whose residual is already within the
-    tolerance is the next state, after that one evaluation, with
-    ``iterations == 0`` and no polish step: a guess that predicts the
-    next state is thus the step's certificate, and Newton only runs
-    when the prediction fails it.  Newton's first Jacobian is
-    ``jacobian`` when given: the previous step's ``StepResult.jacobian``,
-    or the exact one of a linear field on a theta-family map.  It only
-    speeds the solve up, since a Jacobian whose full step fails to cut
-    the residual tenfold is replaced by a fresh central difference, and
-    the step solves the same equation either way.  A state or guess that
-    is not a finite vector of the map's dimension, or a step size that
-    is not a finite positive number, is refused before Newton starts.
+    s_k; its tolerance is relative to the largest entry of s_k, both
+    living in the chart the step is taken in, and a start already within
+    it is the next state with ``iterations == 0``.  Newton's first
+    Jacobian is ``jacobian`` when given: the previous step's
+    ``StepResult.jacobian``, or the exact one of a linear field on a
+    theta-family map.  It only speeds the solve up, since a Jacobian
+    whose full step fails to cut the residual tenfold is replaced by a
+    fresh central difference, and the step solves the same equation
+    either way.  A state that is not a finite vector of the map's
+    dimension, or a step size that is not a finite positive number, is
+    refused before Newton starts.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
         raise DimensionMismatch("state dimension does not match the map")
     _check_step_size(h)
-    start = s_k
-    if guess is not None:
-        start = _vec(guess, "guess")
-        if start.size != dmap.dim:
-            raise DimensionMismatch("guess dimension does not match the map")
 
     def residual(s_next):
         z, v = dmap.inverse(s_k, s_next)
         return v - h * field(z)
 
     scale = 1.0 + float(np.abs(s_k).max())
-    return StepResult(*_damped_newton(residual, start, scale=scale, jac=jacobian))
+    return StepResult(*_damped_newton(residual, s_k, scale=scale, jac=jacobian))
 
 
 def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
@@ -184,53 +175,44 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     linearizing chart change phi.  By the lift-order commutation
     (criterion 3) it is exactly the tangent lift of ``base_map`` acting,
     in the linearizing chart, on the closed-loop field pushed there, so
-    each step is solved in that chart: push the state through
-    Tphi = ``tangent_map(phi)``, run ``step_sode`` on DTphi(z) f(z) with
+    each step is taken in that chart: push the state through
+    Tphi = ``tangent_map(phi)``, step on DTphi(z) f(z) with
     z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
     pull the result back.  There that field is the linear target's
     A Z + B utilde, so for a base map of the theta family the step is
-    the linear update the map induces on the target.  Under ``gains`` K
-    that update is Z+ = M Z with M = ``theta_update_matrix(A - B K, h,
-    theta)``, built once per call, and the physical step residual at
-    M Z_k is the step's certificate: within the Newton tolerance the
-    step is done after that one evaluation, with ``iterations == 0``.
+    the linear update the map induces on the target: under ``gains`` K,
+    Z+ = M Z with M = ``theta_update_matrix(A - B K, h, theta)``.
 
-    Orbit pass: for a ``bundle.batched`` system the whole orbit
-    Z_k = M^k Z_0 is certified at once.  One call pulls back every
-    orbit state and every step's base point (1 - theta) Z_k +
-    theta Z_{k+1}; one evaluation gives every step's residual
-    (Z_{k+1} - Z_k) - h DTphi f at its base point, its bound
-    ``NEWTON_TOL * (1 + max|Z_k|)`` and its controls.  No ``step_sode``
-    call is made for a certified step.  From the first step that fails
-    its certificate, or whose pull-back or feedback raises (any
-    ``MechliftError`` or ``LinAlgError``) or is not finite, the per-step
-    path below takes over for the rest of the call.
-
-    Per-step path: each step passes M Z_k, with Z_k the push of its
-    stored state, to ``step_sode`` as its guess.  A feedback or target
-    that does not linearize fails the certificate, and Newton then
-    solves the physical residual from M Z_k, starting from the constant
-    step Jacobian I - theta h (A - B K) (``_linear_step_jacobian``,
-    I - theta h A for an open-loop ``utilde``, whose steps start from
-    Z_k).  A Jacobian whose full step fails to cut the residual tenfold
-    is replaced by a fresh central difference and carried on to the
-    next step (the chord method), which is also the path of a base map
-    outside the family.  Every step of a bundle that is not ``batched``
-    takes this per-step path.  A chain of calls computes the states of
-    one call to rounding: the orbit pass of each call starts from the
-    push of its ``s0``, not from the orbit point the previous call ended
-    at.
+    Such a call certifies its whole orbit Z_k = M^k Z_0 in one pass: it
+    pulls back every orbit state and every step's base point
+    (1 - theta) Z_k + theta Z_{k+1}, then evaluates every step's
+    physical residual (Z_{k+1} - Z_k) - h DTphi f, against its bound
+    ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls: on the whole
+    stack when ``bundle.system.batched``, else one row at a time, with
+    the same values.  A certified step has ``iterations == 0`` and makes
+    no ``step_sode`` call.  From the first step that fails its
+    certificate (as with a feedback or target that does not linearize)
+    or whose pull-back or feedback raises (any ``MechliftError`` or
+    ``LinAlgError``) or is not finite, and for every step of an
+    open-loop ``utilde`` or of a base map outside the family, Newton
+    solves the step by ``step_sode`` from Z_k, the push of its stored
+    state.  It starts from the constant step Jacobian I - theta h A_cl
+    (``_linear_step_jacobian``) and carries the one it ends with to the
+    next step (the chord method).  A chain of calls computes the states
+    of one call to rounding: each call's orbit starts from the push of
+    its ``s0``.
 
     Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
-    at the base state) or an open-loop ``utilde`` sequence must be
-    given.  Refused at entry: an ``s0`` that is not a finite 2n-vector,
-    an h that is not a finite positive number, ``steps`` that is not a
-    non-negative integer (``ValueError``), gains of another shape
-    (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and a
-    singular I - theta h (A - B K) (``SingularStep``).  The trajectory
-    records each step's controls at its base state, Newton iterations
-    and final residual.  A ``MechliftError`` raised in step k carries
-    ``step = k`` and the ``state`` that step started from.
+    at the base state) or an open-loop ``utilde`` sequence (steps x m
+    entries) must be given.  Refused at entry: an ``s0`` that is not a
+    finite 2n-vector, an h that is not a finite positive number,
+    ``steps`` that is not a non-negative integer (``ValueError``), gains
+    or ``utilde`` of another size (``DimensionMismatch``) or with NaN/Inf
+    (``NonFinite``), and a singular I - theta h (A - B K)
+    (``SingularStep``).  The trajectory records each step's controls at
+    its base state, Newton iterations and final residual.  A
+    ``MechliftError`` raised in step k carries ``step = k`` and the
+    ``state`` that step started from.
 
     The defining property, used by the tests: pushing each step through
     Tphi reproduces, step by step, the linear one-step update the base
@@ -260,10 +242,15 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         a = a - b @ K
         minus_kt = -K.T
     else:
-        utilde = np.atleast_2d(np.asarray(utilde, float).reshape(steps, m))
+        utilde = np.asarray(utilde, float)
+        if utilde.size != steps * m:
+            raise DimensionMismatch(f"utilde must have {steps} x {m} entries, not {utilde.size}")
+        if not np.isfinite(utilde).all():
+            raise NonFinite("utilde contains NaN/Inf")
+        utilde = utilde.reshape(steps, m)
 
     def utilde_at(k, Z):
-        """utilde of step k at the (stacked) pushed base state Z."""
+        """utilde of step k at the pushed base state Z."""
         if gains is not None:
             return Z @ minus_kt
         return utilde[k]
@@ -282,6 +269,13 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         return np.concatenate([Z[..., n:], phi.second_deriv(x, y, y) + _matvec(d, ydot)],
                               axis=-1), u
 
+    def rows(f, *stacks):
+        """f's values on stacks of rows: one call for a batched system,
+        else one call per row, stacked."""
+        if sys.batched:
+            return f(*stacks)
+        return [np.array(column) for column in zip(*(f(*row) for row in zip(*stacks)))]
+
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
     u_log = np.empty((steps, m))
@@ -293,7 +287,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     if gains is not None and lifted.theta is not None:
         update = theta_update_matrix(a, h, lifted.theta)
     done = 0
-    if update is not None and bundle.batched and steps:
+    if update is not None and steps:
         orbit = np.empty((steps + 1, 2 * n))
         orbit[0] = transform.push_state(s0[:n], s0[n:])
         for k in range(steps):
@@ -303,9 +297,10 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             """Steps [0, p) of the orbit: their end states, certified flags,
             residual norms, utilde and u."""
             base, v = lifted.inverse(orbit[:p], orbit[1:p + 1])
-            x, y, d = pull(np.concatenate([orbit[1:p + 1], base]))
+            x, y, d = rows(pull, np.concatenate([orbit[1:p + 1], base]))
             ut = base @ minus_kt
-            field, u = pushed_field(base, x[p:], y[p:], d[p:], ut)
+            # a batched chart may return one Jacobian shared by every row
+            field, u = rows(pushed_field, base, x[p:], y[p:], d[p:] if d.ndim > 2 else d, ut)
             norms = np.linalg.norm(v - h * field, axis=1)
             ends = np.concatenate([x[:p], y[:p]], axis=1)
             certified = ((norms < NEWTON_TOL * (1.0 + np.abs(orbit[:p]).max(axis=1)))
@@ -322,32 +317,18 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             iterations[:done] = 0
             residuals[:done] = norms[:done]
 
-    last = {}  # the (Z, utilde, u) of the latest step field evaluation
-
-    def step_field(k, Z):
-        ut = utilde_at(k, Z)
-        field, u = pushed_field(Z, *pull(Z), ut)
-        last.update(Z=Z, utilde=ut, u=u)
-        return field
-
     jacobian = _linear_step_jacobian(lifted, a, h) if done < steps else None
     for k in range(done, steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
-            guess = None if update is None else update @ z_k
-            result = step_sode(lifted, lambda Z, k=k: step_field(k, Z), z_k, h, jacobian,
-                               guess)
-            x, y, _ = pull(result.state)
-            states[k + 1, :n], states[k + 1, n:] = x, y
-            # log the controls at the converged base state of the step;
-            # the step's last residual was usually evaluated right there
+            result = step_sode(
+                lifted, lambda Z, k=k: pushed_field(Z, *pull(Z), utilde_at(k, Z))[0],
+                z_k, h, jacobian)
+            states[k + 1, :n], states[k + 1, n:], _ = pull(result.state)
+            # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
-            if base.tobytes() == last["Z"].tobytes():
-                ut_log[k], u_log[k] = last["utilde"], last["u"]
-            else:
-                ut_log[k] = utilde_at(k, base)
-                x, y, _ = pull(base)
-                u_log[k] = apply_feedback(transform, x, y, ut_log[k])
+            ut_log[k] = utilde_at(k, base)
+            u_log[k] = apply_feedback(transform, *pull(base)[:2], ut_log[k])
         except MechliftError as exc:
             exc.step = k
             exc.state = states[k].copy()

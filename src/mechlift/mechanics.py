@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .discretization import Diffeomorphism, identity_diffeomorphism
-from .errors import DimensionMismatch, OutsideChart, SingularFeedback
+from .errors import DimensionMismatch, NonFinite, OutsideChart, SingularFeedback
 from .geometry import (
     _EYE3,
     Rotation,
@@ -42,12 +42,17 @@ class MechanicalSystem:
     gamma(x) returns the n x n x n array Gamma^i_jk, symmetric in (j, k);
     e(x) the drift n-vector; g(x) the n x m matrix of control fields.
 
-    ``batched`` declares that the three callables are batch-aware, as
-    for ``SystemBundle``: given a (..., n) stack of points each returns
-    the stack of its values, row by row, or its one shared value when
-    that does not depend on the point.  The linearizability checker then
-    evaluates them on a whole sample grid in one call; without the flag
-    it calls them one point at a time.
+    ``batched`` declares that the three callables are batch-aware: given
+    a (..., n) stack of points each returns the stack of its values,
+    each row exactly the value at that row's point, broadcasting over
+    the leading axes, or its one shared value when that does not depend
+    on the point.  A guard raises when any row offends.  In a
+    ``SystemBundle`` the flag covers the bundle's chart ``phi`` (its
+    second derivative on stacks of vectors too) and feedback callables
+    as well.  The linearizability checker then evaluates the system on a
+    whole sample grid in one call, and ``fl_discretize`` certifies a
+    closed loop's orbit in one call; without the flag both call every
+    callable one point at a time.
     """
 
     n: int
@@ -94,7 +99,7 @@ class LinearMechanicalSystem:
         if self.A.shape[0] != self.A.shape[1] or self.B.shape[0] != self.A.shape[0]:
             raise DimensionMismatch("A must be n x n and B n x m")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
-            raise DimensionMismatch("A, B must be finite")
+            raise NonFinite("A, B must be finite")
 
     @property
     def n(self):
@@ -115,14 +120,16 @@ class LinearMechanicalSystem:
         return A_full, B_full
 
     def as_mechanical_system(self) -> MechanicalSystem:
-        """View as a flat-connection mechanical system with linear drift."""
+        """View as a flat-connection mechanical system with linear drift,
+        batch-aware."""
         n, m = self.n, self.m
         zero_gamma = np.zeros((n, n, n))
         return MechanicalSystem(
             n, m,
             gamma=lambda x: zero_gamma,
-            e=lambda x: self.A @ x,
+            e=lambda x: x @ self.A.T,
             g=lambda x: self.B,
+            batched=True,
         )
 
 
@@ -139,7 +146,7 @@ def sode_field(sys: MechanicalSystem, s, u):
     control u; ``DimensionMismatch`` unless s has 2n entries and u m.
     On a (..., 2n) stack of states and a (..., m) stack of controls it
     returns the stack of fields, for a system whose callables act row
-    by row (see ``SystemBundle``).
+    by row (see ``MechanicalSystem.batched``).
     """
     n = sys.n
     s = float_array(s)
@@ -213,23 +220,13 @@ class PendulumParams:
 class SystemBundle(NamedTuple):
     """A mechanical system together with its linearizing transformation.
 
-    ``batched`` declares that every callable of the system and of the
-    transform, the chart ``phi`` included, is batch-aware: given a
-    (..., n) stack of points (and of vectors, for ``phi``'s second
-    derivative), it returns the stack of its values, each row exactly
-    the value at that row's point, broadcasting over the leading axes.
-    A callable whose value does not depend on the point may return its
-    one shared value instead.  A guard raises when any row offends.
-    ``fl_discretize`` then certifies a closed loop's steps in one pass
-    over the whole linear-chart orbit; without the flag every step is
-    taken on its own.  The linearizability checker reads the system's
-    own flag, ``MechanicalSystem.batched``.
+    ``system.batched`` declares the whole bundle batch-aware (see
+    ``MechanicalSystem``).
     """
 
     system: MechanicalSystem
     transform: MFTransform
     linear: LinearMechanicalSystem
-    batched: bool = False
 
 
 def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
@@ -322,7 +319,7 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     transform = MFTransform(phi, alpha, beta, gammaF)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     B=np.array([[0.0], [1.0]]))
-    return SystemBundle(system, transform, linear, batched=True)
+    return SystemBundle(system, transform, linear)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import mechlift
-from mechlift import pendulum_system, rigid_body_system
+from mechlift import (
+    Diffeomorphism,
+    MFTransform,
+    MechanicalSystem,
+    SystemBundle,
+    pendulum_system,
+    rigid_body_system,
+)
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +25,26 @@ def rigid_body():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def per_point(bundle):
+    """The undeclared per-point twin of ``bundle``: the same callables,
+    each asserting that it is handed one point (1-d arguments)."""
+    def one_point(f):
+        def g(*args):
+            assert all(np.ndim(a) == 1 for a in args), [np.shape(a) for a in args]
+            return f(*args)
+        return g
+
+    sys, t = bundle.system, bundle.transform
+    phi = t.phi
+    return SystemBundle(
+        MechanicalSystem(sys.n, sys.m, one_point(sys.gamma), one_point(sys.e),
+                         one_point(sys.g)),
+        MFTransform(Diffeomorphism(phi.dim, one_point(phi.forward), one_point(phi.inverse),
+                                   one_point(phi.jacobian), one_point(phi.second_deriv)),
+                    one_point(t.alpha), one_point(t.beta), one_point(t.gammaF)),
+        bundle.linear)
 
 
 # inertia wheel pendulum constants used to derive expected numbers in tests

@@ -10,7 +10,6 @@ import pytest
 import mechlift
 from mechlift import (
     DimensionMismatch,
-    Diffeomorphism,
     DiscretizationMap,
     LinearMechanicalSystem,
     MFTransform,
@@ -45,6 +44,7 @@ from mechlift import (
 )
 from mechlift.integrators import Trajectory
 from mechlift.geometry import NEWTON_TOL
+from conftest import per_point
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 POLES = [-10.0, -20.0, -30.0, -40.0]
@@ -149,31 +149,6 @@ class TestStepSode:
             fl_discretize(pendulum, make_midpoint(2), S0, h, 5,
                           gains=pole_place(pendulum.linear, POLES))
 
-    def test_a_guess_within_tolerance_is_the_step(self):
-        # the hand solve of the midpoint step certifies itself; a guess off by
-        # 1e-3 is solved from, to the same state
-        h = 0.1
-        lift = tangent_lift(make_midpoint(1))
-        field = unforced(harmonic_oscillator())
-        x1 = (1 - h**2 / 4) / (1 + h**2 / 4)
-        exact = np.array([x1, -h * (1 + x1) / 2])
-        out = step_sode(lift, field, np.array([1.0, 0.0]), h, guess=exact)
-        assert out.iterations == 0 and out.residual < 1e-15
-        npt.assert_array_equal(out.state, exact)
-        out = step_sode(lift, field, np.array([1.0, 0.0]), h, guess=exact + 1e-3)
-        assert out.iterations >= 1
-        npt.assert_allclose(out.state, exact, rtol=1e-12)
-
-    @pytest.mark.parametrize("guess, error", [
-        ([0.9, np.nan], NonFinite),
-        ([0.9, 0.0, 0.0], DimensionMismatch),
-    ], ids=["nan", "three-entries"])
-    def test_rejects_a_bad_guess(self, guess, error):
-        lift = tangent_lift(make_midpoint(1))
-        with pytest.raises(error, match="guess"):
-            step_sode(lift, unforced(harmonic_oscillator()), np.array([1.0, 0.0]), 0.1,
-                      guess=np.array(guess))
-
     def test_rejects_a_non_finite_state(self):
         lift = tangent_lift(make_midpoint(1))
         with pytest.raises(NonFinite):
@@ -210,8 +185,9 @@ def pendulum_closed_loop(pendulum, h=0.01, steps=100, make_map=make_midpoint, s0
 
 def conjugacy_defect(bundle, traj, one_step):
     """Worst per-step gap between the pushed trajectory and a linear update."""
+    n = bundle.system.n
     push = bundle.transform.push_state
-    z = np.array([push(s[:2], s[2:]) for s in traj.states])
+    z = np.array([push(s[:n], s[n:]) for s in traj.states])
     return np.abs(z[1:] - z[:-1] @ one_step.T).max()
 
 
@@ -309,30 +285,32 @@ class TestFlDiscretize:
         one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
         assert conjugacy_defect(bundle, traj, one_step) > 1e-8
 
-    def test_a_per_point_bundle_takes_the_per_step_path(self, pendulum, field_evaluations):
-        # a bundle whose callables refuse stacks, left undeclared, runs as
-        # before: every step through step_sode, certified at M Z_k
-        def per_point(f):
-            def g(*args):
-                assert all(np.ndim(a) == 1 for a in args)
-                return f(*args)
-            return g
-
-        sys, t = pendulum.system, pendulum.transform
-        phi = t.phi
-        bundle = SystemBundle(
-            MechanicalSystem(2, 1, per_point(sys.gamma), per_point(sys.e), per_point(sys.g)),
-            MFTransform(Diffeomorphism(
-                2, per_point(phi.forward), per_point(phi.inverse), per_point(phi.jacobian),
-                per_point(phi.second_deriv)),
-                per_point(t.alpha), per_point(t.beta), per_point(t.gammaF)),
-            pendulum.linear)
-        assert not bundle.batched
-        traj, _ = pendulum_closed_loop(bundle)
-        assert field_evaluations == [1] * 100
+    def test_a_per_point_bundle_is_certified_row_by_row(self, pendulum, field_evaluations):
+        # a bundle whose callables refuse stacks takes the orbit pass one row
+        # at a time: no step_sode call, and the batched bundle's trajectory
+        # bit for bit
+        traj, _ = pendulum_closed_loop(per_point(pendulum))
+        assert field_evaluations == []
         npt.assert_array_equal(traj.iterations, 0)
         orbit, _ = pendulum_closed_loop(pendulum)
-        npt.assert_allclose(traj.states, orbit.states, rtol=1e-12, atol=1e-12)
+        for field in ("states", "u", "utilde", "iterations", "residuals"):
+            npt.assert_array_equal(getattr(traj, field), getattr(orbit, field), field)
+
+    def test_a_shared_chart_jacobian_is_certified(self, rigid_body):
+        # the exp-chart bundle's identity chart returns one Jacobian for a
+        # whole stack; the orbit pass certifies every step of the loop
+        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform(),
+                              rigid_body.linear)
+        gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
+        s0 = np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2])
+        traj = fl_discretize(bundle, make_midpoint(3), s0, 0.01, 100, gains=gains)
+        npt.assert_array_equal(traj.iterations, 0)
+        twin = fl_discretize(per_point(bundle), make_midpoint(3), s0, 0.01, 100, gains=gains)
+        for field in ("states", "u", "utilde", "iterations", "residuals"):
+            npt.assert_array_equal(getattr(traj, field), getattr(twin, field), field)
+        a_full, b_full = rigid_body.linear.stacked()
+        one_step = cayley_matrix(a_full - b_full @ gains, 0.01)
+        assert conjugacy_defect(bundle, traj, one_step) <= 1e-8
 
     @pytest.mark.parametrize("s0, step", [
         ((1.2, 0.0, 0.0, 0.0), 5),
@@ -342,7 +320,7 @@ class TestFlDiscretize:
     ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
     def test_chart_exit_is_that_of_the_per_step_path(self, pendulum, s0, step):
         exits = []
-        for bundle in (pendulum, pendulum._replace(batched=False)):
+        for bundle in (pendulum, per_point(pendulum)):
             with pytest.raises(OutsideChart) as info:
                 pendulum_closed_loop(bundle, s0=np.array(s0))
             exits.append(info.value)
@@ -420,6 +398,16 @@ class TestFlDiscretize:
     def test_rejects_bad_gains(self, pendulum, gains, error):
         with pytest.raises(error, match="gains"):
             fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, gains=gains)
+
+    @pytest.mark.parametrize("utilde, error", [
+        (np.zeros((4, 1)), DimensionMismatch),
+        (np.zeros((5, 2)), DimensionMismatch),
+        (np.array([0.1, np.nan, 0.0, 0.0, 0.0]), NonFinite),
+        (np.array([0.1, 0.0, 0.0, 0.0, -np.inf]), NonFinite),
+    ], ids=["4x1", "5x2", "nan", "inf"])
+    def test_rejects_a_bad_utilde(self, pendulum, utilde, error):
+        with pytest.raises(error, match="utilde"):
+            fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, utilde=utilde)
 
     def test_carried_jacobian_matches_fresh_solves_on_a_nonlinear_loop(self, rng):
         sys = MechanicalSystem(

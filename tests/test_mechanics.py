@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import PARAMS
+from conftest import PARAMS, per_point
 from mechlift import (
     DimensionMismatch,
     LinearMechanicalSystem,
     MFTransform,
     MechanicalSystem,
+    NonFinite,
     OutsideChart,
     PendulumParams,
     SingularFeedback,
@@ -186,7 +187,7 @@ def refused_without_warning(error, f, *args):
 
 
 class TestBatchAware:
-    """The pendulum bundle and the rigid body's exp-chart system are
+    """The pendulum's system and the rigid body's exp-chart system are
     declared ``batched``: each of their callables, and apply_feedback and
     sode_field on the pendulum, acts row by row."""
 
@@ -207,8 +208,8 @@ class TestBatchAware:
         return xi
 
     def test_declared(self, pendulum, rigid_body):
-        assert pendulum.batched and pendulum.system.batched
-        assert not pendulum._replace(batched=False).batched
+        assert pendulum.system.batched
+        assert not per_point(pendulum).system.batched
         assert rigid_body.exp_chart_system().batched
         assert not MechanicalSystem(1, 1, *[lambda x: x] * 3).batched
 
@@ -279,6 +280,26 @@ class TestBatchAware:
         x[6, 0] = -np.pi / 2
         refused_without_warning(SingularFeedback, getattr(pendulum.transform, name), x)
         refused_without_warning(SingularFeedback, apply_feedback, pendulum.transform, x, y, ut)
+
+
+class TestLinearMechanicalSystem:
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0, np.nan], [0.0, 0.0]], [[0.0], [1.0]]),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [np.inf]]),
+    ], ids=["nan-A", "inf-B"])
+    def test_refuses_non_finite_data(self, a, b):
+        with pytest.raises(NonFinite, match="finite"):
+            LinearMechanicalSystem(A=np.array(a), B=np.array(b))
+
+    @pytest.mark.parametrize("name", ["gamma", "e", "g"])
+    def test_mechanical_view_is_batch_aware(self, rng, name):
+        lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0, 0.0], [-2.0, 0.0, 1.0],
+                                                 [0.5, 0.0, -3.0]]), B=np.eye(3)[:, :2])
+        sys = lms.as_mechanical_system()
+        assert sys.batched
+        x = rng.normal(size=(9, 3))
+        stack_rows_are_the_points(getattr(sys, name), x)
+        npt.assert_array_equal(sys.e(x[0]), lms.A @ x[0])
 
 
 class TestRigidBody:
