@@ -156,23 +156,38 @@ def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomRepo
 
     Axiom 1: forward(x, 0) == (x, x).  Axiom 2: the velocity derivative
     of (second component - first component) at (x, 0) is the identity,
-    estimated by central differences.
+    estimated by central differences.  A theta-family map acts row by
+    row on stacks, so it is checked in one pass over the (N, n) stack
+    of samples, with one ``numeric_jacobian`` call for all N points;
+    any other map is checked one sample at a time.  Both give the same
+    defects.  An empty ``samples`` raises ``ValueError``, and a sample
+    that is not a ``dim``-vector ``DimensionMismatch`` naming its index.
     """
     n = dmap.dim
-    zero = np.zeros(n)
-    zero_defects, jac_defects = [], []
     points = [np.asarray(x, float) for x in samples]
-    for x in points:
+    if not points:
+        raise ValueError("verify_axioms needs at least one sample")
+    for i, x in enumerate(points):
+        if x.shape != (n,):
+            raise DimensionMismatch(f"sample {i} must be a {n}-vector, got shape {x.shape}")
+    if dmap.theta is not None:
+        x = np.array(points)
+        # the (N, 2n, n) stack of velocity probes meets the points as x[:, None]
+        cases = [(x, np.zeros_like(x), x[:, None])]
+    else:
+        cases = [(x, np.zeros(n), x) for x in points]
+    zero_defects, jac_defects = [], []
+    for x, zero, at in cases:
         a, b = dmap.forward(x, zero)
-        zero_defects.append(max(np.abs(a - x).max(), np.abs(b - x).max()))
+        zero_defects.append(np.maximum(np.abs(a - x).max(axis=-1), np.abs(b - x).max(axis=-1)))
 
-        def second_minus_first(v, x=x):
-            lo, hi = dmap.forward(x, v)
+        def second_minus_first(v, at=at):
+            lo, hi = dmap.forward(at, v)
             return hi - lo
 
         dv = numeric_jacobian(second_minus_first, zero)
-        jac_defects.append(np.abs(dv - np.eye(n)).max())
-    return AxiomReport(dmap.kind, points, zero_defects, jac_defects,
+        jac_defects.append(np.abs(dv - np.eye(n)).max(axis=(-2, -1)))
+    return AxiomReport(dmap.kind, points, np.hstack(zero_defects), np.hstack(jac_defects),
                        (zero_tol, jacobian_tol))
 
 

@@ -64,12 +64,15 @@ class Rotation:
         r = np.asarray(self.r, dtype=float)
         if r.shape != (3, 3):
             raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
-        if not np.isfinite(r).all():
+        entries = r.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise NonFinite("rotation contains NaN/Inf")
-        gram = r.T @ r
-        gram -= _EYE3
-        defect = np.abs(gram, out=gram).max()
-        if defect > 1e-9:
+        a, b, c, d, e, f, g, h, i = entries
+        # max|R^T R - I| over the six distinct entries of the symmetric Gram matrix
+        defect = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+                     abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+                     abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+        if not defect <= 1e-9:
             raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
         if defect > 1e-12:
             u, _, vt = np.linalg.svd(r)
@@ -77,7 +80,6 @@ class Rotation:
             if np.linalg.det(r) < 0:
                 raise ValueError("nearest orthogonal matrix is a reflection")
         else:
-            a, b, c, d, e, f, g, h, i = r.ravel().tolist()
             det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
             if abs(det - 1.0) > 1e-9:
                 raise ValueError(f"determinant {det:.12f} is not +1")
@@ -114,22 +116,26 @@ def vee(s) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
-def _rodrigues(w) -> np.ndarray:
-    """exp(hat(w)) as a plain 3x3 array, for a finite 3-vector w.
+def _rodrigues(x, y, z):
+    """The nine entries of exp(hat(w)), row by row, for finite floats
+    w = (x, y, z): I + a K + b K^2 with K = hat(w) and K^2 = w w^T - |w|^2 I.
 
-    Series expansions of sin(t)/t and (1-cos(t))/t^2 take over below
-    t = 1e-4 to avoid cancellation.
+    Series expansions of a = sin(t)/t and b = (1-cos(t))/t^2 take over
+    below t = 1e-4 to avoid cancellation.
     """
-    th = math.sqrt(w.dot(w))
-    x, y, z = w.tolist()
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    xx, yy, zz = x * x, y * y, z * z
+    th = math.sqrt(xx + yy + zz)
     if th < 1e-4:
         a = 1.0 - th**2 / 6.0 + th**4 / 120.0
         b = 0.5 - th**2 / 24.0 + th**4 / 720.0
     else:
-        a = np.sin(th) / th
-        b = (1.0 - np.cos(th)) / th**2
-    return _EYE3 + a * k + b * (k @ k)
+        a = math.sin(th) / th
+        b = (1.0 - math.cos(th)) / th**2
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    return (1.0 - b * (yy + zz), bxy - az, bxz + ay,
+            bxy + az, 1.0 - b * (xx + zz), byz - ax,
+            bxz - ay, byz + ax, 1.0 - b * (xx + yy))
 
 
 def so3_exp(w) -> Rotation:
@@ -137,11 +143,7 @@ def so3_exp(w) -> Rotation:
     w = _vec(w, "w")
     if w.size != 3:
         raise DimensionMismatch("so3_exp expects a 3-vector")
-    return Rotation(_rodrigues(w))
-
-
-def _rotation_matrix(r):
-    return r.r if isinstance(r, Rotation) else np.asarray(r, dtype=float)
+    return Rotation(np.array(_rodrigues(*w.tolist())).reshape(3, 3))
 
 
 def so3_log(r) -> np.ndarray:
@@ -157,8 +159,14 @@ def so3_log(r) -> np.ndarray:
         When trace(r) <= -1 + 1e-9: the angle is within the branch cut's
         guard band and the axis sign is ambiguous.
     """
-    m = _rotation_matrix(r)
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = m.ravel().tolist()
+    m = r.r if isinstance(r, Rotation) else np.asarray(r, dtype=float)
+    return np.array(_log(m.ravel().tolist()))
+
+
+def _log(entries):
+    """:func:`so3_log` of the rotation with these nine entries, row by
+    row, as three floats."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = entries
     tr = r00 + r11 + r22
     if tr <= -1.0 + 1e-9:
         raise AngleAtPi(f"trace {tr:.12f}: rotation angle too close to pi")
@@ -170,16 +178,17 @@ def so3_log(r) -> np.ndarray:
         # its column with the largest diagonal entry, signed by the skew part
         diagonal = (r00, r11, r22)
         j = diagonal.index(max(diagonal))
-        col = m[:, j] + m[j]
+        col = [entries[3 * i + j] + entries[3 * j + i] for i in range(3)]
         col[j] -= 2.0 * cos
         th = math.atan2(math.hypot(*axis) / 2.0, cos)
-        return math.copysign(th, axis[j]) / math.sqrt(2.0 * (1.0 - cos) * col[j]) * col
+        scale = math.copysign(th, axis[j]) / math.sqrt(2.0 * (1.0 - cos) * col[j])
+        return scale * col[0], scale * col[1], scale * col[2]
     th = math.acos(min(cos, 1.0))
     if th < 1e-4:
         factor = 0.5 + th**2 / 12.0 + 7.0 * th**4 / 720.0
     else:
         factor = th / (2.0 * math.sin(th))
-    return np.array([factor * axis[0], factor * axis[1], factor * axis[2]])
+    return factor * axis[0], factor * axis[1], factor * axis[2]
 
 
 def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:

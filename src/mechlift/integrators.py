@@ -33,9 +33,9 @@ from .geometry import (
     Rotation,
     _damped_newton,
     _matvec,
+    _log,
     _rodrigues,
     _vec,
-    so3_log,
 )
 from .mechanics import (
     LinearMechanicalSystem,
@@ -145,23 +145,23 @@ def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
 _ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
 
 
-def _certified_prefix(certify, steps):
-    """The steps [0, p) that ``certify`` evaluates without raising, as
+def _certified_prefix(evaluate, steps):
+    """The steps [0, p) that ``evaluate`` evaluates without raising, as
     (p, its result), with p as large as it gets; (0, None) when step 0 raises.
 
-    ``certify(p)`` evaluates the steps [0, p) row by row, so a step raises
-    on its own, whatever steps come with it; bisection finds the first
-    one that does in about log2(steps) passes.
+    ``evaluate(p)`` evaluates the steps [0, p) on one stack, and raises
+    when any of them does; bisection finds the first one that does in
+    about log2(steps) passes.
     """
     try:
-        return steps, certify(steps)
+        return steps, evaluate(steps)
     except _ORBIT_FAULTS:
         pass
     lo, hi, result = 0, steps, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            result, lo = certify(mid), mid
+            result, lo = evaluate(mid), mid
         except _ORBIT_FAULTS:
             hi = mid
     return lo, result
@@ -188,17 +188,18 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     (1 - theta) Z_k + theta Z_{k+1}, then evaluates every step's
     physical residual (Z_{k+1} - Z_k) - h DTphi f, against its bound
     ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls: on the whole
-    stack when ``bundle.system.batched``, else one row at a time, with
+    stack when ``bundle.system.batched``, else one step at a time, with
     the same values.  A certified step has ``iterations == 0`` and makes
     no ``step_sode`` call.  From the first step that fails its
     certificate (as with a feedback or target that does not linearize)
     or whose pull-back or feedback raises (any ``MechliftError`` or
-    ``LinAlgError``) or is not finite, and for every step of an
-    open-loop ``utilde`` or of a base map outside the family, Newton
-    solves the step by ``step_sode`` from Z_k, the push of its stored
-    state.  It starts from the constant step Jacobian I - theta h A_cl
-    (``_linear_step_jacobian``) and carries the one it ends with to the
-    next step (the chord method).  A chain of calls computes the states
+    ``LinAlgError``; the pass on a stack finds that step by bisection,
+    the step-by-step pass stops at it) or is not finite, and for every
+    step of an open-loop ``utilde`` or of a base map outside the family,
+    Newton solves the step by ``step_sode`` from Z_k, the push of its
+    stored state.  It starts from the constant step Jacobian
+    I - theta h A_cl (``_linear_step_jacobian``) and carries the one it
+    ends with to the next step (the chord method).  A chain of calls computes the states
     of one call to rounding: each call's orbit starts from the push of
     its ``s0``.
 
@@ -269,13 +270,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         return np.concatenate([Z[..., n:], phi.second_deriv(x, y, y) + _matvec(d, ydot)],
                               axis=-1), u
 
-    def rows(f, *stacks):
-        """f's values on stacks of rows: one call for a batched system,
-        else one call per row, stacked."""
-        if sys.batched:
-            return f(*stacks)
-        return [np.array(column) for column in zip(*(f(*row) for row in zip(*stacks)))]
-
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
     u_log = np.empty((steps, m))
@@ -293,23 +287,34 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         for k in range(steps):
             orbit[k + 1] = update @ orbit[k]
 
-        def certify(p):
-            """Steps [0, p) of the orbit: their end states, certified flags,
-            residual norms, utilde and u."""
-            base, v = lifted.inverse(orbit[:p], orbit[1:p + 1])
-            x, y, d = rows(pull, np.concatenate([orbit[1:p + 1], base]))
-            ut = base @ minus_kt
-            # a batched chart may return one Jacobian shared by every row
-            field, u = rows(pushed_field, base, x[p:], y[p:], d[p:] if d.ndim > 2 else d, ut)
-            norms = np.linalg.norm(v - h * field, axis=1)
-            ends = np.concatenate([x[:p], y[:p]], axis=1)
-            certified = ((norms < NEWTON_TOL * (1.0 + np.abs(orbit[:p]).max(axis=1)))
-                         & np.isfinite(ends).all(axis=1))
-            return ends, certified, norms, ut, u
+        base, v = lifted.inverse(orbit[:-1], orbit[1:])
+        ut = base @ minus_kt
 
-        done, result = _certified_prefix(certify, steps)
+        def evaluate(p):
+            """End points x, y, pushed fields and controls u of steps [0, p)."""
+            x, y, d = pull(np.concatenate([orbit[1:p + 1], base[:p]]))
+            # a batched chart may return one Jacobian shared by every row
+            field, u = pushed_field(base[:p], x[p:], y[p:], d[p:] if d.ndim > 2 else d, ut[:p])
+            return x[:p], y[:p], field, u
+
+        if sys.batched:
+            done, values = _certified_prefix(evaluate, steps)
+        else:
+            # evaluate(steps) one step at a time, up to the first that raises
+            rows = []
+            for k in range(steps):
+                try:
+                    x, y, _ = pull(orbit[k + 1])
+                    rows.append((x, y) + pushed_field(base[k], *pull(base[k]), ut[k]))
+                except _ORBIT_FAULTS:
+                    break
+            done, values = len(rows), [np.array(column) for column in zip(*rows)]
         if done:
-            ends, certified, norms, ut, u = result
+            x, y, field, u = values
+            norms = np.linalg.norm(v[:done] - h * field, axis=1)
+            ends = np.concatenate([x, y], axis=1)
+            certified = ((norms < NEWTON_TOL * (1.0 + np.abs(orbit[:done]).max(axis=1)))
+                         & np.isfinite(ends).all(axis=1))
             if not certified.all():
                 done = int(certified.argmin())
             states[1:done + 1] = ends[:done]
@@ -487,13 +492,15 @@ def cayley_matrix(a_cl, h) -> np.ndarray:
 
 
 def _times_gain(k, v, name):
-    """K v for a gain K that is a scalar or a 3x3 matrix."""
+    """K v as three floats, for a gain K that is a scalar or a 3x3 matrix
+    and three floats v."""
     k = np.asarray(k, float)
     if k.ndim == 0:
-        return k * v
+        k = float(k)
+        return [k * c for c in v]
     if k.shape != (3, 3):
         raise DimensionMismatch(f"{name} must be a scalar or a 3x3 matrix, got shape {k.shape}")
-    return k @ v
+    return (k @ v).tolist()
 
 
 def so3_closed_loop_step(rotation, omega, k1, k2, h):
@@ -502,21 +509,34 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     R+ = R exp(h hat(Omega)); Omega+ = Omega - h K1 log(R) - h K2 Omega.
     The rotation update is a group product, so orthogonality is
     preserved to roundoff regardless of step size; R+ is the one
-    ``Rotation`` the step builds, validated as every rotation is.  Each
-    gain is a scalar (K I) or a 3x3 matrix; any other shape raises
-    ``DimensionMismatch``, as does an ``omega`` that is not a 3-vector
-    (``NonFinite`` when it holds NaN/Inf).  h must be a finite positive
-    number.
+    ``Rotation`` the step builds, validated as every rotation is.  The
+    entries of R and Omega are read once as Python floats, and the
+    logarithm, the increment and the product R exp(h hat(Omega)) run on
+    them in ``math``.  Each gain is a scalar (K I) or a 3x3 matrix; any
+    other shape raises ``DimensionMismatch``, as does an ``omega`` that
+    is not a 3-vector (``NonFinite`` when it holds NaN/Inf).  h must be
+    a finite positive number.
     """
     R = rotation if isinstance(rotation, Rotation) else Rotation(np.asarray(rotation, float))
     omega = _vec(omega, "omega")
     if omega.size != 3:
         raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
     _check_step_size(h)
-    xi = so3_log(R)
-    r_next = Rotation(R.r @ _rodrigues(h * omega))
-    omega_next = omega - h * _times_gain(k1, xi, "K1") - h * _times_gain(k2, omega, "K2")
-    return r_next, omega_next
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = R.r.ravel().tolist()
+    w = omega.tolist()
+    xi = _log(r)
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
+    r_next = Rotation(np.array([
+        r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
+        r00 * e02 + r01 * e12 + r02 * e22, r10 * e00 + r11 * e10 + r12 * e20,
+        r10 * e01 + r11 * e11 + r12 * e21, r10 * e02 + r11 * e12 + r12 * e22,
+        r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
+        r20 * e02 + r21 * e12 + r22 * e22,
+    ]).reshape(3, 3))
+    a0, a1, a2 = _times_gain(k1, xi, "K1")
+    b0, b1, b2 = _times_gain(k2, w, "K2")
+    return r_next, np.array([w[0] - h * a0 - h * b0, w[1] - h * a1 - h * b1,
+                             w[2] - h * a2 - h * b2])
 
 
 def linear_flow(a, z0, times) -> np.ndarray:

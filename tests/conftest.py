@@ -4,6 +4,7 @@ import pytest
 import mechlift
 from mechlift import (
     Diffeomorphism,
+    DiscretizationMap,
     MFTransform,
     MechanicalSystem,
     SystemBundle,
@@ -27,15 +28,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def one_point(f):
+    """f, asserting that it is handed one point (1-d arguments)."""
+    def g(*args):
+        assert all(np.ndim(a) == 1 for a in args), [np.shape(a) for a in args]
+        return f(*args)
+    return g
+
+
 def per_point(bundle):
     """The undeclared per-point twin of ``bundle``: the same callables,
     each asserting that it is handed one point (1-d arguments)."""
-    def one_point(f):
-        def g(*args):
-            assert all(np.ndim(a) == 1 for a in args), [np.shape(a) for a in args]
-            return f(*args)
-        return g
-
     sys, t = bundle.system, bundle.transform
     phi = t.phi
     return SystemBundle(
@@ -45,6 +48,14 @@ def per_point(bundle):
                                    one_point(phi.jacobian), one_point(phi.second_deriv)),
                     one_point(t.alpha), one_point(t.beta), one_point(t.gammaF)),
         bundle.linear)
+
+
+def per_point_map(dmap):
+    """The per-point twin of a discretization map: the same callables,
+    each asserting that it is handed one point, and ``theta`` None, so
+    nothing treats it as a member of the theta family."""
+    return DiscretizationMap(dmap.dim, dmap.kind, one_point(dmap.forward),
+                             one_point(dmap.inverse), one_point(dmap.jacobian))
 
 
 # inertia wheel pendulum constants used to derive expected numbers in tests

@@ -263,16 +263,20 @@ class TestVerifyMaps:
     def test_shipped_maps_pass(self):
         assert run_verify_maps() == 0
 
-    def test_injected_bad_map_fails(self, rng):
+    def test_injected_bad_map_fails(self, capsys):
+        # only samples with x1 > 0 see the doubled velocity, so the first
+        # failing sample is the first with a positive x1
         bad = DiscretizationMap(
             2, "explicit-euler",
-            forward=lambda x, v: (x.copy(), x + 2.0 * v),
-            inverse=lambda a, b: (a.copy(), (b - a) / 2.0),
+            forward=lambda x, v: (x.copy(), x + (2.0 if x[0] > 0 else 1.0) * v),
+            inverse=lambda a, b: (a.copy(), b - a),
             jacobian=lambda x, v: np.block([[np.eye(2), np.zeros((2, 2))],
                                             [np.eye(2), 2.0 * np.eye(2)]]),
         )
-        samples = [rng.normal(size=2) for _ in range(10)]
+        samples = [np.array([-1.0, 0.5]), np.array([0.25, -3.0]), np.array([2.0, 1.0])]
         assert run_verify_maps(extra_maps=[("bad-map", bad, samples)]) == 1
+        line, = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bad-map")]
+        assert line.endswith("FAIL, first at sample (0.25, -3)")
 
     def test_cli_entry_reports_small_defects(self, capsys):
         assert main(["verify-maps"]) == 0

@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mechlift
 from mechlift import (
     Diffeomorphism,
+    DimensionMismatch,
     DiscretizationMap,
     OutsideChart,
     identity_diffeomorphism,
@@ -16,7 +18,13 @@ from mechlift import (
     verify_axioms,
 )
 
+from conftest import per_point_map
+
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
+# the six theta-family maps: each built-in and its tangent lift, on the 2-chart
+THETA_MAPS = [lambda b=b: b(2) for b in BUILDERS] + [lambda b=b: tangent_lift(b(2))
+                                                      for b in BUILDERS]
+THETA_IDS = [b.__name__[5:] for b in BUILDERS] + [b.__name__[5:] + "+tangent" for b in BUILDERS]
 
 
 def chart_points(rng, count, n=2, lim=1.2):
@@ -97,6 +105,44 @@ class TestVerifyAxioms:
         npt.assert_allclose(report.worst_jacobian, 1.0, atol=1e-6)
         assert report.worst_zero < 1e-10
         assert len(report.failures()) == 5
+
+    @pytest.mark.parametrize("make", THETA_MAPS, ids=THETA_IDS)
+    def test_stacked_check_is_the_per_point_one(self, make, rng):
+        dmap = make()
+        samples = [rng.normal(size=dmap.dim) * 10.0 ** rng.uniform(-3, 3) for _ in range(30)]
+        stacked = verify_axioms(dmap, samples)
+        one_by_one = verify_axioms(per_point_map(dmap), samples)
+        assert stacked.zero_defects.tobytes() == one_by_one.zero_defects.tobytes()
+        assert stacked.jacobian_defects.tobytes() == one_by_one.jacobian_defects.tobytes()
+
+    @pytest.mark.parametrize("make", THETA_MAPS, ids=THETA_IDS)
+    def test_a_theta_map_takes_one_central_difference(self, make, rng, monkeypatch):
+        calls = []
+        jacobian = mechlift.discretization.numeric_jacobian
+        monkeypatch.setattr(mechlift.discretization, "numeric_jacobian",
+                            lambda *args: calls.append(args) or jacobian(*args))
+        dmap = make()
+        samples = [rng.normal(size=dmap.dim) for _ in range(7)]
+        verify_axioms(dmap, samples)
+        assert len(calls) == 1
+        calls.clear()
+        verify_axioms(per_point_map(dmap), samples)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["stacked", "per-point"])
+    @pytest.mark.parametrize("sample", [np.zeros(3), np.zeros((1, 2)), np.float64(0.0)],
+                             ids=["3-vector", "row", "scalar"])
+    def test_refuses_a_sample_of_another_shape(self, twin, sample):
+        dmap = make_midpoint(2)
+        samples = [np.zeros(2), np.ones(2), sample]
+        with pytest.raises(DimensionMismatch, match="sample 2 must be a 2-vector"):
+            verify_axioms(per_point_map(dmap) if twin else dmap, samples)
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["stacked", "per-point"])
+    def test_refuses_no_samples(self, twin):
+        dmap = make_midpoint(2)
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_axioms(per_point_map(dmap) if twin else dmap, [])
 
 
 class TestLiftByDiffeo:

@@ -328,6 +328,29 @@ class TestFlDiscretize:
         assert orbit.step == per_step.step == step
         npt.assert_allclose(orbit.state, per_step.state, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("s0, step", [
+        ((1.2, 0.0, 0.0, 0.0), 5),
+        ((1.4, 0.0, 0.0, 0.0), 4),
+        ((0.5, 0.0, 5.0, 0.0), 4),
+        ((0.5, 0.0, 20.0, 0.0), 1),
+    ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
+    def test_a_per_point_chart_exit_is_found_in_one_pass(self, pendulum, monkeypatch, s0,
+                                                          step):
+        # the step-by-step orbit pass stops at the first step whose pull-back
+        # leaves the chart: two chart inversions per step up to it
+        bundle = per_point(pendulum)
+        phi, pulls = bundle.transform.phi, []
+        inverse = phi._inv
+        phi._inv = lambda x: pulls.append(x) or inverse(x)
+
+        def newton(*args):
+            raise RuntimeError("the orbit pass is over")
+
+        monkeypatch.setattr(mechlift.integrators, "step_sode", newton)
+        with pytest.raises(RuntimeError, match="orbit pass is over"):
+            pendulum_closed_loop(bundle, s0=np.array(s0))
+        assert len(pulls) <= 2 * step + 2
+
     def test_newton_work_per_step(self, pendulum):
         traj, _ = pendulum_closed_loop(pendulum)
         assert traj.iterations.shape == traj.residuals.shape == (100,)

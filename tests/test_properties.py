@@ -4,7 +4,8 @@ pendulum chart, the closed forms of the built-in maps' tangent lift and
 step Jacobian against their structural derivations, the pendulum's
 closed loop under each built-in map against that map's exact linear
 update and its orbit pass on stacks against the same pass row by row,
-and the rotation logarithm around its pi guard band."""
+the rotation logarithm around its pi guard band, and the attitude loop
+against a re-run of it on scipy's matrix exponential."""
 
 import numpy as np
 import numpy.testing as npt
@@ -270,3 +271,56 @@ def test_scalar_gains_are_multiples_of_the_identity(axis, angle, omega, k1, k2, 
     r_m, om_m = so3_closed_loop_step(r, omega, k1 * np.eye(3), k2 * np.eye(3), h)
     assert np.array_equal(r_s.r, r_m.r)
     assert np.array_equal(om_s, om_m)
+
+
+def attitude_rerun(r, omega, k1, k2, h, steps):
+    """R+ = R expm(h hat(Omega)), Omega+ = Omega - h K1 log R - h K2 Omega,
+    on scipy: the matrix exponential and the rotation vector of R."""
+    from scipy.linalg import expm
+    from scipy.spatial.transform import Rotation as ScipyRotation
+
+    rs, oms = [r], [omega]
+    for _ in range(steps):
+        xi = ScipyRotation.from_matrix(r).as_rotvec()
+        x, y, z = h * omega
+        r = r @ expm(np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]))
+        omega = omega - h * k1 * xi - h * k2 * omega
+        rs.append(r)
+        oms.append(omega)
+    return np.array(rs), np.array(oms)
+
+
+def attitude_loop_holds(r0, omega0, steps=1000, k1=5.0, k2=10.0, h=0.01):
+    r, omega = r0, omega0
+    rs, oms = [r0.r], [omega0]
+    for _ in range(steps):
+        r, omega = so3_closed_loop_step(r, omega, k1, k2, h)
+        rs.append(r.r)
+        oms.append(omega)
+    rs, oms = np.array(rs), np.array(oms)
+    r_ref, om_ref = attitude_rerun(r0.r, omega0, k1, k2, h, steps)
+    assert np.abs(rs - r_ref).max() <= 1e-12
+    assert np.abs(oms - om_ref).max() <= 1e-12
+    assert np.abs(np.einsum("kji,kjl->kil", rs, rs) - np.eye(3)).max() <= 1e-12
+    assert np.abs(np.linalg.det(rs) - 1.0).max() <= 1e-12
+    return oms
+
+
+# rates of at most 0.5 per axis: the loop's overshoot then stays below
+# 0.1 rad, so no attitude drawn with angle <= pi - 0.15 reaches the pi guard band
+rates = st.tuples(floats(0.5), floats(0.5), floats(0.5)).map(np.array)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(axis=axes, angle=st.floats(0.0, np.pi - 0.15), omega=rates)
+def test_attitude_loop_is_its_expm_rerun(axis, angle, omega):
+    attitude_loop_holds(so3_exp(angle * axis), omega)
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(axis=axes, angle=st.floats(0.0, 1e-3), omega=st.tuples(
+    floats(5e-3), floats(5e-3), floats(5e-3)).map(np.array))
+def test_attitude_loop_on_the_small_angle_series(axis, angle, omega):
+    # |h Omega| < 1e-4 on every step: every increment is the series branch
+    oms = attitude_loop_holds(so3_exp(angle * axis), omega)
+    assert 0.01 * np.linalg.norm(oms, axis=1).max() < 1e-4
