@@ -56,34 +56,53 @@ class Rotation:
     +1.  A defect in (1e-12, 1e-9] is re-orthonormalized by polar
     projection, and a projection that lands on a reflection is
     rejected.  So accumulated drift cannot hide behind silent clean-up.
+    The validated entries are kept: :func:`_entries` checks them again
+    only once ``r`` no longer holds them.
     """
 
     r: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (3, 3):
-            raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
-        entries = r.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
-            raise NonFinite("rotation contains NaN/Inf")
-        a, b, c, d, e, f, g, h, i = entries
-        # max|R^T R - I| over the six distinct entries of the symmetric Gram matrix
-        defect = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
-                     abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
-                     abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
-        if not defect <= 1e-9:
-            raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
-        if defect > 1e-12:
-            u, _, vt = np.linalg.svd(r)
-            r = u @ vt
-            if np.linalg.det(r) < 0:
-                raise ValueError("nearest orthogonal matrix is a reflection")
-        else:
-            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-            if abs(det - 1.0) > 1e-9:
-                raise ValueError(f"determinant {det:.12f} is not +1")
-        self.r = r
+        self.r, self._entries = _validated(self.r)
+
+
+def _entries(rotation):
+    """The nine entries, row by row, as floats, of a ``Rotation`` or of a
+    3x3 matrix, checked as ``Rotation`` checks a matrix."""
+    r = rotation.r if isinstance(rotation, Rotation) else rotation
+    entries = np.asarray(r, dtype=float).ravel().tolist()
+    return entries if entries == getattr(rotation, "_entries", None) else _validated(r)[1]
+
+
+def _validated(r):
+    """``r`` checked as :class:`Rotation` checks it, and re-orthonormalized
+    where the defect calls for it: the 3x3 float array and its nine
+    entries, row by row, as floats."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
+    entries = r.ravel().tolist()
+    a, b, c, d, e, f, g, h, i = entries
+    # the Gram matrix's diagonal sums squares, so it is finite unless an
+    # entry is not finite (or so large that its square overflows)
+    g00, g11, g22 = a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i
+    if not math.isfinite(g00 + g11 + g22) and not all(map(math.isfinite, entries)):
+        raise NonFinite("rotation contains NaN/Inf")
+    # max|R^T R - I| over the six distinct entries of the symmetric Gram matrix
+    defect = max(abs(g00 - 1.0), abs(g11 - 1.0), abs(g22 - 1.0), abs(a * b + d * e + g * h),
+                 abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    if not defect <= 1e-9:
+        raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
+    if defect > 1e-12:
+        u, _, vt = np.linalg.svd(r)
+        r = u @ vt
+        if np.linalg.det(r) < 0:
+            raise ValueError("nearest orthogonal matrix is a reflection")
+        return r, r.ravel().tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > 1e-9:
+        raise ValueError(f"determinant {det:.12f} is not +1")
+    return r, entries
 
 
 def hat(w) -> np.ndarray:
@@ -269,7 +288,7 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-def _damped_newton(residual, guess, scale, jac=None):
+def _damped_newton(residual, guess, jac=None):
     """Damped Newton iteration in plain float64, reusing its Jacobian.
 
     The Jacobian starts as ``jac`` when one is given (a chord step: a
@@ -280,20 +299,23 @@ def _damped_newton(residual, guess, scale, jac=None):
     halves it can take tens of iterations to converge) and replaced by a
     fresh one when a step does not; a fresh one's full step is halved
     until the norm drops.  A given Jacobian never ends a solve:
-    when it is singular or its step fails, a fresh one takes over.  Past
-    ``NEWTON_TOL * scale`` one more step takes the residual to its
-    rounding floor, which the step-conjugacy checks need.  Returns the
-    best iterate, the iteration count, the final norm and the Jacobian
-    the solve ended with; raises ``NoConvergence`` when
+    when it is singular or its step fails, a fresh one takes over.  The
+    tolerance is ``NEWTON_TOL * (1 + m)``, m the largest entry of the
+    guess or of the iterate, whichever is larger, as the residual's
+    rounding floor grows with the state.  Past it one more step takes
+    the residual to its rounding floor, which the step-conjugacy checks
+    need.  Returns the best iterate, the iteration count, the final norm
+    and the Jacobian the solve ended with; raises ``NoConvergence`` when
     ``NEWTON_MAX_ITER`` iterations or a stalled line search leave the
     norm above the tolerance.  A guess whose residual norm is already
     below the tolerance is returned as it is, after that one evaluation,
     with 0 iterations and no polish step.
     """
     q = np.asarray(guess, float)
+    start = float(np.abs(q).max())
     r = residual(q)
     norm = float(np.linalg.norm(r))
-    if norm < NEWTON_TOL * scale:
+    if norm < NEWTON_TOL * (1.0 + start):
         return q, 0, norm, jac
     converged = False
     it = 0
@@ -325,7 +347,7 @@ def _damped_newton(residual, guess, scale, jac=None):
             break  # the polish step is done, or the solve has stalled
         if not contracted:
             jac = None
-        converged = norm < NEWTON_TOL * scale
+        converged = norm < NEWTON_TOL * (1.0 + max(start, float(np.abs(q).max())))
     if not converged:
         raise NoConvergence(it, norm)
     return q, it, norm, jac

@@ -14,6 +14,7 @@ closed loops, the closed-loop stepper on the rotation group, the exact
 flow of a linear system, and the order-study harness.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .geometry import (
     _damped_newton,
     _matvec,
     _log,
+    _entries,
     _rodrigues,
     _vec,
 )
@@ -104,17 +106,17 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
     (s_k, s_next), v = h * field(z).  On the tangent lift of a base map
     and a second-order field this is the second-order scheme; on a base
     map and a first-order field, the first-order one.  Newton starts at
-    s_k; its tolerance is relative to the largest entry of s_k, both
-    living in the chart the step is taken in, and a start already within
-    it is the next state with ``iterations == 0``.  Newton's first
-    Jacobian is ``jacobian`` when given: the previous step's
-    ``StepResult.jacobian``, or the exact one of a linear field on a
-    theta-family map.  It only speeds the solve up, since a Jacobian
-    whose full step fails to cut the residual tenfold is replaced by a
-    fresh central difference, and the step solves the same equation
-    either way.  A state that is not a finite vector of the map's
-    dimension, or a step size that is not a finite positive number, is
-    refused before Newton starts.
+    s_k; its tolerance is relative to the largest entry of s_k or of the
+    iterate, whichever is larger, all in the chart the step is taken in,
+    and a start already within it is the next state with
+    ``iterations == 0``.  Newton's first Jacobian is ``jacobian`` when
+    given: the previous step's ``StepResult.jacobian``, or the exact one
+    of a linear field on a theta-family map.  It only speeds the solve
+    up, since a Jacobian whose full step fails to cut the residual
+    tenfold is replaced by a fresh central difference, and the step
+    solves the same equation either way.  A state that is not a finite
+    vector of the map's dimension, or a step size that is not a finite
+    positive number, is refused before Newton starts.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
@@ -125,8 +127,7 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
         z, v = dmap.inverse(s_k, s_next)
         return v - h * field(z)
 
-    scale = 1.0 + float(np.abs(s_k).max())
-    return StepResult(*_damped_newton(residual, s_k, scale=scale, jac=jacobian))
+    return StepResult(*_damped_newton(residual, s_k, jac=jacobian))
 
 
 def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
@@ -143,28 +144,6 @@ def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
 
 
 _ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
-
-
-def _certified_prefix(evaluate, steps):
-    """The steps [0, p) that ``evaluate`` evaluates without raising, as
-    (p, its result), with p as large as it gets; (0, None) when step 0 raises.
-
-    ``evaluate(p)`` evaluates the steps [0, p) on one stack, and raises
-    when any of them does; bisection finds the first one that does in
-    about log2(steps) passes.
-    """
-    try:
-        return steps, evaluate(steps)
-    except _ORBIT_FAULTS:
-        pass
-    lo, hi, result = 0, steps, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            result, lo = evaluate(mid), mid
-        except _ORBIT_FAULTS:
-            hi = mid
-    return lo, result
 
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
@@ -193,8 +172,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     no ``step_sode`` call.  From the first step that fails its
     certificate (as with a feedback or target that does not linearize)
     or whose pull-back or feedback raises (any ``MechliftError`` or
-    ``LinAlgError``; the pass on a stack finds that step by bisection,
-    the step-by-step pass stops at it) or is not finite, and for every
+    ``LinAlgError``; a pass on a stack that raises is rerun one step at
+    a time, up to that step) or is not finite, and for every
     step of an open-loop ``utilde`` or of a base map outside the family,
     Newton solves the step by ``step_sode`` from Z_k, the push of its
     stored state.  It starts from the constant step Jacobian
@@ -290,17 +269,17 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         base, v = lifted.inverse(orbit[:-1], orbit[1:])
         ut = base @ minus_kt
 
-        def evaluate(p):
-            """End points x, y, pushed fields and controls u of steps [0, p)."""
-            x, y, d = pull(np.concatenate([orbit[1:p + 1], base[:p]]))
-            # a batched chart may return one Jacobian shared by every row
-            field, u = pushed_field(base[:p], x[p:], y[p:], d[p:] if d.ndim > 2 else d, ut[:p])
-            return x[:p], y[:p], field, u
-
+        values = None
         if sys.batched:
-            done, values = _certified_prefix(evaluate, steps)
-        else:
-            # evaluate(steps) one step at a time, up to the first that raises
+            try:
+                x, y, d = pull(np.concatenate([orbit[1:], base]))
+                # a batched chart may return one Jacobian shared by every row
+                values = (x[:steps], y[:steps]) + pushed_field(
+                    base, x[steps:], y[steps:], d[steps:] if d.ndim > 2 else d, ut)
+            except _ORBIT_FAULTS:
+                pass  # the row loop finds the first step that raises
+        if values is None:
+            # one step at a time, up to the first that raises
             rows = []
             for k in range(steps):
                 try:
@@ -308,7 +287,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
                     rows.append((x, y) + pushed_field(base[k], *pull(base[k]), ut[k]))
                 except _ORBIT_FAULTS:
                     break
-            done, values = len(rows), [np.array(column) for column in zip(*rows)]
+            values = [np.array(column) for column in zip(*rows)]
+        done = len(values[0]) if values else 0
         if done:
             x, y, field, u = values
             norms = np.linalg.norm(v[:done] - h * field, axis=1)
@@ -494,10 +474,10 @@ def cayley_matrix(a_cl, h) -> np.ndarray:
 def _times_gain(k, v, name):
     """K v as three floats, for a gain K that is a scalar or a 3x3 matrix
     and three floats v."""
-    k = np.asarray(k, float)
-    if k.ndim == 0:
+    if isinstance(k, (int, float)) or np.ndim(k) == 0:
         k = float(k)
-        return [k * c for c in v]
+        return k * v[0], k * v[1], k * v[2]
+    k = np.asarray(k, float)
     if k.shape != (3, 3):
         raise DimensionMismatch(f"{name} must be a scalar or a 3x3 matrix, got shape {k.shape}")
     return (k @ v).tolist()
@@ -510,20 +490,23 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     The rotation update is a group product, so orthogonality is
     preserved to roundoff regardless of step size; R+ is the one
     ``Rotation`` the step builds, validated as every rotation is.  The
-    entries of R and Omega are read once as Python floats, and the
+    entries of R and Omega are read once as Python floats and checked
+    there: R as ``Rotation`` checks a matrix (a ``Rotation`` whose ``r``
+    was replaced is refused with the same error), Omega as a finite
+    3-vector (``DimensionMismatch``, ``NonFinite`` for NaN/Inf).  The
     logarithm, the increment and the product R exp(h hat(Omega)) run on
     them in ``math``.  Each gain is a scalar (K I) or a 3x3 matrix; any
-    other shape raises ``DimensionMismatch``, as does an ``omega`` that
-    is not a 3-vector (``NonFinite`` when it holds NaN/Inf).  h must be
-    a finite positive number.
+    other shape raises ``DimensionMismatch``.  h must be a finite
+    positive number.
     """
-    R = rotation if isinstance(rotation, Rotation) else Rotation(np.asarray(rotation, float))
-    omega = _vec(omega, "omega")
-    if omega.size != 3:
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
+    omega = np.asarray(omega, dtype=float)
+    # _vec's checks in floats; where one fails, _vec raises its error
+    if omega.ndim != 1 or not all(map(math.isfinite, w := omega.tolist())):
+        _vec(omega, "omega")
+    if len(w) != 3:
         raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
     _check_step_size(h)
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = R.r.ravel().tolist()
-    w = omega.tolist()
     xi = _log(r)
     e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
     r_next = Rotation(np.array([

@@ -234,10 +234,36 @@ class ConditionReport:
         ]
 
 
-def _membership_residual(basis, v):
-    """Least-squares residual of v against the column span of basis."""
-    coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    return float(np.linalg.norm(basis @ coef - v))
+def _line_residuals(g, v):
+    """Norms of the least-squares residuals of a (..., n) stack of vectors
+    ``v`` against the lines a (..., n) stack ``g`` spans, row by row: the
+    projection residual |v - g (g.v) / (g.g)|, and |v| where g is 0."""
+    gg = np.einsum("...i,...i->...", g, g)
+    coef = np.einsum("...i,...i->...", g, v) / np.where(gg > 0.0, gg, 1.0)
+    return _norms(v - coef[..., None] * g)
+
+
+def _worst(xs, defects, scales=1.0):
+    """(defect, witness, scale) where defect / scale, over (k, ...) stacks
+    with one row per point of ``xs``, is largest and above 0, first in
+    sample order and then along the row, as a scan keeping only strictly
+    larger quotients picks it; (0.0, None, 1.0) if none is."""
+    defects, scales = np.broadcast_arrays(defects, scales)
+    ratios = (defects / scales).reshape(-1)
+    if not ratios.size or not ratios.max() > 0.0:
+        return 0.0, None, 1.0
+    j = int(ratios.argmax())
+    return (float(defects.flat[j]), xs[j // (ratios.size // len(xs))].copy(),
+            float(scales.flat[j]))
+
+
+def _least(xs, values):
+    """(value, witness) where ``values``, one per point of ``xs``, is least
+    and below inf, first occurrence; (inf, None) if none is."""
+    if not len(xs) or not values.min() < np.inf:
+        return np.inf, None
+    i = int(values.argmin())
+    return values[i], xs[i].copy()
 
 
 def _drift_bracket_fields(sys):
@@ -270,8 +296,9 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     in span(g).  Membership defects are projection residuals, compared
     against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
     Every differentiated quantity is evaluated for the whole grid at
-    once (see ``MechanicalSystem.batched``); the rank and projection
-    algebra then runs point by point, in sample order.
+    once (see ``MechanicalSystem.batched``), and so is the rank and
+    projection algebra; each witness is the first point, in sample
+    order, with the worst defect.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
@@ -279,35 +306,18 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     xs = _sample_stack(sys, samples)
     g_field, ad_field = _drift_bracket_fields(sys)[0]
     gvs, advs = g_field(xs), ad_field(xs)
-    md2_vecs = (covariant_derivative(sys, g_field, g_field, xs),
-                covariant_derivative(sys, ad_field, g_field, xs))
+    md2_vecs = np.stack([covariant_derivative(sys, g_field, g_field, xs),
+                         covariant_derivative(sys, ad_field, g_field, xs)], axis=1)
     d1s = second_covariant_derivative(sys, g_field, ad_field, ad_field, xs)
     d2s = second_covariant_derivative(sys, ad_field, g_field, ad_field, xs)
 
-    md1_ratio, md1_wit = np.inf, None
-    md2_def, md2_wit, md2_scale = 0.0, None, 1.0
-    md3_def, md3_wit, md3_scale = 0.0, None, 1.0
-
-    for i, x in enumerate(xs):
-        gv = gvs[i]
-        pair = np.column_stack([gv, advs[i]])
-        sv = np.linalg.svd(pair, compute_uv=False)
-        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-        if ratio < md1_ratio:
-            md1_ratio, md1_wit = ratio, x.copy()
-
-        basis = gv[:, None]
-        for vec in (md2_vecs[0][i], md2_vecs[1][i]):
-            res = _membership_residual(basis, vec)
-            scale = max(float(np.linalg.norm(vec)), 1.0)
-            if res / scale > md2_def / md2_scale:
-                md2_def, md2_wit, md2_scale = res, x.copy(), scale
-
-        d1, d2 = d1s[i], d2s[i]
-        res = _membership_residual(basis, d1 - d2)
-        scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)), 1.0)
-        if res / scale > md3_def / md3_scale:
-            md3_def, md3_wit, md3_scale = res, x.copy(), scale
+    sv = np.linalg.svd(np.stack([gvs, advs], axis=-1), compute_uv=False)
+    md1_ratio, md1_wit = _least(xs, sv[:, -1] / np.where(sv[:, 0] > 0.0, sv[:, 0], 1.0))
+    md2_def, md2_wit, md2_scale = _worst(
+        xs, _line_residuals(gvs[:, None], md2_vecs), np.maximum(_norms(md2_vecs), 1.0))
+    md3_def, md3_wit, md3_scale = _worst(
+        xs, _line_residuals(gvs, d1s - d2s),
+        np.maximum(np.maximum(_norms(d1s), _norms(d2s)), 1.0))
 
     def verdict(ok):
         return "pass" if ok else "fail"
@@ -323,19 +333,23 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     ])
 
 
-def _numeric_rank(matrix):
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0, np.inf
-    ranks = int(np.sum(sv / sv[0] > RANK_TOL))
-    margin = sv[ranks - 1] / sv[0] if ranks > 0 else np.inf
-    return ranks, margin
+def _numeric_ranks(stack):
+    """Numeric ranks of a (k, n, c) stack of matrices, the singular values
+    above ``RANK_TOL`` relative to the largest, and each rank's margin
+    sv[rank - 1] / sv[0] (inf for a zero matrix)."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    rel = sv / np.where(sv[:, :1] > 0.0, sv[:, :1], 1.0)
+    ranks = (rel > RANK_TOL).sum(axis=-1)
+    margins = np.take_along_axis(rel, np.maximum(ranks - 1, 0)[:, None], axis=-1)[:, 0]
+    return ranks, np.where(ranks > 0, margins, np.inf)
 
 
-def _annihilator(matrix, rank):
-    """Orthonormal basis (columns) of the left null space of ``matrix``."""
-    u, _, _ = np.linalg.svd(matrix)
-    return u[:, rank:]
+def _annihilators(stack, ranks):
+    """Orthonormal bases (columns) of the left null spaces of a (k, n, c)
+    stack of matrices of these ranks, as a (k, n, n) stack whose first
+    rank columns are 0."""
+    u = np.linalg.svd(stack)[0]
+    return np.where(np.arange(u.shape[-1]) >= ranks[:, None, None], u, 0.0)
 
 
 def _nabla_g_matrix(sys, x, r):
@@ -372,8 +386,8 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     relevant annihilator kills the curvature tensor, the covariant
     derivatives of the control fields, and the second covariant
     derivative of the drift.  As in :func:`check_planar`, every
-    differentiated quantity is evaluated for all the points that need it
-    at once, and the rank algebra runs point by point.
+    differentiated quantity and the rank and annihilator algebra are
+    evaluated for all the points that need them at once.
     """
     xs = _sample_stack(sys, samples)
     fields = _drift_bracket_fields(sys)
@@ -382,62 +396,42 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     control_brackets = [lie_bracket(fields[r][0], fields[s_][0], xs)
                         for r in range(sys.m) for s_ in range(r + 1, sys.m)]
 
-    ranks0, ranks1 = [], []
-    ml1_margin, ml1_wit = np.inf, None
+    ranks0, margins0 = _numeric_ranks(e0s)
+    ranks1, margins1 = _numeric_ranks(e1s)
+    ml1_margin, ml1_wit = _least(xs, np.minimum(margins0, margins1))
+
+    # ML2: a control-field bracket must not add rank beyond the control
+    # span; all-zero fields and brackets add none
     ml2_def, ml2_wit = 0.0, None
-    ml3_def, ml3_wit, ml3_scale = 0.0, None, 1.0
-    ml4_def, ml4_wit, ml4_scale = 0.0, None, 1.0
-    ml5_def, ml5_wit, ml5_scale = 0.0, None, 1.0
+    if control_brackets:
+        spans = np.stack([np.concatenate([e0s, br[..., None]], axis=-1)
+                          for br in control_brackets], axis=1)
+        sv = np.linalg.svd(spans, compute_uv=False)
+        # the singular value past the control span's rank, 0 where there is none
+        past = np.take_along_axis(np.pad(sv, [(0, 0), (0, 0), (0, 1)]),
+                                  ranks0[:, None, None], axis=-1)[..., 0]
+        ml2_def, ml2_wit, _ = _worst(xs, past / np.where(sv[..., 0] > 0.0, sv[..., 0], 1.0))
 
-    ann0s, ann1s = [], []
-    for i, x in enumerate(xs):
-        e0, e1 = e0s[i], e1s[i]
-        r0, m0_ = _numeric_rank(e0)
-        r1, m1_ = _numeric_rank(e1)
-        ranks0.append(r0)
-        ranks1.append(r1)
-        if min(m0_, m1_) < ml1_margin:
-            ml1_margin, ml1_wit = min(m0_, m1_), x.copy()
+    ml3 = ml4 = ml5 = 0.0, None, 1.0
+    at0 = ranks0 < sys.n
+    if at0.any():
+        x0 = xs[at0]
+        ann0 = _annihilators(e0s[at0], ranks0[at0])
+        curv = curvature_tensor(sys, x0)
+        ml3 = _worst(x0, np.abs(np.einsum("...ia,...ijkl->...ajkl", ann0, curv)).max(
+            axis=(1, 2, 3, 4)), np.maximum(np.abs(curv).max(axis=(1, 2, 3, 4)), 1.0))
+        ngs = np.stack([_nabla_g_matrix(sys, x0, r) for r in range(sys.m)], axis=1)
+        ml4 = _worst(x0, np.abs(np.swapaxes(ann0, -1, -2)[:, None] @ ngs).max(axis=(2, 3)),
+                     np.maximum(np.abs(ngs).max(axis=(2, 3)), 1.0))
+    at1 = ranks1 < sys.n
+    if at1.any():
+        x1 = xs[at1]
+        n2e = _nabla2_e_tensor(sys, x1)
+        ann1 = _annihilators(e1s[at1], ranks1[at1])
+        ml5 = _worst(x1, np.abs(np.einsum("...ia,...ijk->...ajk", ann1, n2e)).max(axis=(1, 2, 3)),
+                     np.maximum(np.abs(n2e).max(axis=(1, 2, 3)), 1.0))
 
-        # ML2: a control-field bracket must not add rank beyond the control
-        # span; all-zero fields and brackets add none
-        for br in control_brackets:
-            sv = np.linalg.svd(np.column_stack([e0, br[i]]), compute_uv=False)
-            defect = sv[r0] / sv[0] if r0 < sv.size and sv[0] > 0 else 0.0
-            if defect > ml2_def:
-                ml2_def, ml2_wit = defect, x.copy()
-
-        ann0s.append(_annihilator(e0, r0))
-        ann1s.append(_annihilator(e1, r1))
-
-    at0 = [i for i, ann in enumerate(ann0s) if ann.shape[1] > 0]
-    if at0:
-        curvs = curvature_tensor(sys, xs[at0])
-        ngs = [_nabla_g_matrix(sys, xs[at0], r) for r in range(sys.m)]
-    for j, i in enumerate(at0):
-        ann0 = ann0s[i]
-        curv = curvs[j]
-        scale = max(float(np.abs(curv).max()), 1.0)
-        d = float(np.abs(np.einsum("ia,ijkl->ajkl", ann0, curv)).max())
-        if d / scale > ml3_def / ml3_scale:
-            ml3_def, ml3_wit, ml3_scale = d, xs[i].copy(), scale
-        for ng in ngs:
-            scale = max(float(np.abs(ng[j]).max()), 1.0)
-            d = float(np.abs(ann0.T @ ng[j]).max())
-            if d / scale > ml4_def / ml4_scale:
-                ml4_def, ml4_wit, ml4_scale = d, xs[i].copy(), scale
-
-    at1 = [i for i, ann in enumerate(ann1s) if ann.shape[1] > 0]
-    if at1:
-        n2es = _nabla2_e_tensor(sys, xs[at1])
-    for j, i in enumerate(at1):
-        n2e = n2es[j]
-        scale = max(float(np.abs(n2e).max()), 1.0)
-        d = float(np.abs(np.einsum("ia,ijk->ajk", ann1s[i], n2e)).max())
-        if d / scale > ml5_def / ml5_scale:
-            ml5_def, ml5_wit, ml5_scale = d, xs[i].copy(), scale
-
-    rank_constant = len(set(ranks0)) <= 1 and len(set(ranks1)) <= 1
+    rank_constant = len(set(ranks0.tolist())) <= 1 and len(set(ranks1.tolist())) <= 1
     if not rank_constant:
         ml1 = ConditionResult("ML1", "fail", ml1_margin, ml1_wit, RANK_TOL)
     elif ml1_margin < 10 * RANK_TOL:
@@ -455,7 +449,7 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
         ml1,
         ConditionResult("ML2", "pass" if ml2_ok else "fail", ml2_def,
                         None if ml2_ok else ml2_wit, RANK_TOL),
-        membership("ML3", ml3_def, ml3_wit, ml3_scale),
-        membership("ML4", ml4_def, ml4_wit, ml4_scale),
-        membership("ML5", ml5_def, ml5_wit, ml5_scale),
+        membership("ML3", *ml3),
+        membership("ML4", *ml4),
+        membership("ML5", *ml5),
     ])

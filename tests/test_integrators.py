@@ -22,6 +22,7 @@ from mechlift import (
     SingularStep,
     SystemBundle,
     Uncontrollable,
+    apply_feedback,
     cayley_matrix,
     fl_discretize,
     identity_diffeomorphism,
@@ -153,6 +154,23 @@ class TestStepSode:
         lift = tangent_lift(make_midpoint(1))
         with pytest.raises(NonFinite):
             step_sode(lift, unforced(harmonic_oscillator()), np.array([np.nan, 0.0]), 0.1)
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_a_step_to_a_far_larger_state_converges(self, pendulum, h):
+        # the pendulum's closed loop from pi/4 at rest, poles to -40: the
+        # next state's largest entry is ~1e4, where the residual's rounding
+        # floor (2^-39 = 1.8e-12) lies above a tolerance scaled to the start
+        # alone (1e-12 (1 + pi/4)); the step is solved, not a stall
+        sys, t = pendulum.system, pendulum.transform
+        gains = pole_place(pendulum.linear, POLES)
+
+        def field(s):
+            x, y = s[:2], s[2:]
+            return sode_field(sys, s, apply_feedback(t, x, y, -gains @ t.push_state(x, y)))
+
+        out = step_sode(tangent_lift(make_midpoint(2)), field, S0, h)
+        assert np.abs(out.state).max() > 1e3
+        assert out.residual < NEWTON_TOL * (1.0 + np.abs(out.state).max())
 
     def test_scheme_residuals(self, rng):
         # the midpoint lift must satisfy both defining relations exactly
@@ -326,7 +344,7 @@ class TestFlDiscretize:
             exits.append(info.value)
         orbit, per_step = exits
         assert orbit.step == per_step.step == step
-        npt.assert_allclose(orbit.state, per_step.state, rtol=1e-12, atol=1e-12)
+        npt.assert_array_equal(orbit.state, per_step.state)
 
     @pytest.mark.parametrize("s0, step", [
         ((1.2, 0.0, 0.0, 0.0), 5),
@@ -350,6 +368,30 @@ class TestFlDiscretize:
         with pytest.raises(RuntimeError, match="orbit pass is over"):
             pendulum_closed_loop(bundle, s0=np.array(s0))
         assert len(pulls) <= 2 * step + 2
+
+    @pytest.mark.parametrize("s0, step", [
+        ((1.2, 0.0, 0.0, 0.0), 5),
+        ((1.4, 0.0, 0.0, 0.0), 4),
+        ((0.5, 0.0, 5.0, 0.0), 4),
+        ((0.5, 0.0, 20.0, 0.0), 1),
+    ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
+    def test_a_raising_stacked_pass_is_rerun_row_by_row(self, pendulum, monkeypatch, s0,
+                                                         step):
+        # one pull-back of the whole orbit, which raises, then the row loop
+        # up to the first step that leaves the chart
+        phi, pulls = pendulum.transform.phi, []
+        inverse = phi._inv
+        monkeypatch.setattr(phi, "_inv", lambda x: pulls.append(np.shape(x)) or inverse(x))
+
+        def newton(*args):
+            raise RuntimeError("the orbit pass is over")
+
+        monkeypatch.setattr(mechlift.integrators, "step_sode", newton)
+        with pytest.raises(RuntimeError, match="orbit pass is over"):
+            pendulum_closed_loop(pendulum, s0=np.array(s0))
+        assert pulls[0] == (200, 2)
+        assert all(len(shape) == 1 for shape in pulls[1:])
+        assert len(pulls) - 1 <= 2 * step + 2
 
     def test_newton_work_per_step(self, pendulum):
         traj, _ = pendulum_closed_loop(pendulum)
@@ -685,12 +727,31 @@ class TestSo3ClosedLoop:
             r, om = so3_closed_loop_step(r, om, 5.0, 10.0, 0.01)
         assert len(rotations) == 10
 
-    @pytest.mark.parametrize("k1", [5.0, 5.0 * np.eye(3)], ids=["scalar", "matrix"])
-    def test_gain_shapes(self, k1):
-        # Omega+ = Omega - h K1 log(R) - h K2 Omega with K1 = 5, K2 = 10
+    @pytest.mark.parametrize("k1, k2", [
+        (5.0, 10.0), (5.0 * np.eye(3), 10.0 * np.eye(3)), (5, 10),
+        (np.float64(5.0), np.float64(10.0)), (np.array(5.0), np.array(10.0)),
+    ], ids=["scalar", "matrix", "int", "float64", "0-d"])
+    def test_gain_shapes(self, k1, k2):
+        # Omega+ = Omega - h K1 log(R) - h K2 Omega with K1 = 5, K2 = 10,
+        # bit for bit the same for every form of the gains
         r = so3_exp([0.3, -0.2, 0.5])
-        _, om = so3_closed_loop_step(r, [0.1, 0.2, 0.3], k1, 10.0, 0.01)
+        _, om = so3_closed_loop_step(r, [0.1, 0.2, 0.3], k1, k2, 0.01)
         npt.assert_allclose(om, [0.075, 0.19, 0.245], rtol=1e-14)
+        _, floats = so3_closed_loop_step(r, [0.1, 0.2, 0.3], 5.0, 10.0, 0.01)
+        assert om.tobytes() == floats.tobytes()
+
+    def test_a_replaced_matrix_is_refused_as_a_rotation_refuses_it(self):
+        # the step checks R itself: the defect of R+ = R exp(h hat(Omega))
+        # would read 2.021e-01 here
+        bad = np.diag([1.0, 1.0, 1.1])
+        bad[0, 1] = 0.05
+        with pytest.raises(ValueError) as built:
+            Rotation(bad)
+        r = so3_exp([0.3, -0.2, 0.5])
+        r.r = bad
+        with pytest.raises(ValueError) as stepped:
+            so3_closed_loop_step(r, [10.0, -20.0, 30.0], 5.0, 10.0, 0.01)
+        assert str(stepped.value) == str(built.value)
 
     @pytest.mark.parametrize("k1, k2, omega, error, match", [
         ([5.0, 5.0, 5.0], 10.0, [0.1, 0.2, 0.3], DimensionMismatch, "K1"),

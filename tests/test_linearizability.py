@@ -342,6 +342,19 @@ class TestStackedEvaluation:
             assert check_general(sys, []).passed
 
 
+def bracket_control():
+    """Gamma = 0, e = 0, g1 = (1, 0, 0), g2 = (0, 1, x1), batch-aware:
+    [g1, g2] = (0, 0, 1) leaves span(g1, g2)."""
+    def g(x):
+        x1 = x[..., 0]
+        zero, one = 0.0 * x1, 1.0 + 0.0 * x1
+        return np.stack([np.stack([one, zero], axis=-1), np.stack([zero, one], axis=-1),
+                         np.stack([zero, x1], axis=-1)], axis=-2)
+
+    return MechanicalSystem(3, 2, gamma=lambda x: np.zeros((3, 3, 3)),
+                            e=lambda x: np.zeros(x.shape), g=g, batched=True)
+
+
 class TestFaultsStayDetected:
     """Known non-linearizable systems fail the conditions they break, on
     the batched path and on the per-point one."""
@@ -364,6 +377,57 @@ class TestFaultsStayDetected:
         md1 = both_paths(check_planar, pendulum.system, samples)["MD1"]
         assert md1.verdict == "fail"
         assert abs(abs(md1.witness[0]) - np.pi / 2) < 1e-3
+
+
+# Every condition of each control above: (name, verdict, defect, index
+# of the witness in the samples or None, tol), as a point-by-point
+# evaluation (one SVD and one lstsq per point) gives them.  Defects read
+# off singular values (MD1, ML1, ML2) are pinned bit for bit; projection
+# defects to 1e-12 relative, as a stacked projection rounds differently.
+CROSSING = [np.array([x1, 0.0]) for x1 in np.linspace(-np.pi / 2, np.pi / 2, 21)]
+RANK_CHANGE = [np.array([x1, 0.0]) for x1 in (-1.0, 0.0, 1.0, np.pi / 2)]
+BENT = [np.array([x1, 0.3]) for x1 in np.linspace(-1.0, 1.0, 11)]
+SPHERE = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
+BRACKET = [np.array([x1, 0.2, -0.1]) for x1 in np.linspace(-1.0, 1.0, 7)]
+PINNED = {
+    "crossing-MD1": (check_planar, lambda p: p.system, CROSSING, [
+        ("MD1", "fail", 0.0, 0, 1e-8), ("MD2", "pass", 0.0, None, 1e-6),
+        ("MD3", "pass", 0.0, None, 1e-6)]),
+    "bent-MD2": (check_planar, lambda p: bent_control(), BENT, [
+        ("MD1", "pass", 0.38196601124553475, None, 1e-8), ("MD2", "fail", 1.0, 5, 1e-6),
+        ("MD3", "pass", 0.0, None, 1e-6)]),
+    "rank-change-ML1": (check_general, lambda p: p.system, RANK_CHANGE, [
+        ("ML1", "fail", 0.2517828289548124, 0, 1e-8), ("ML2", "pass", 0.0, None, 1e-8),
+        ("ML3", "pass", 0.0, None, 1e-6), ("ML4", "pass", 0.0, None, 1e-6),
+        ("ML5", "fail", 77.69503943693186, 3, 7.820408164962196e-05)]),
+    "sphere-ML3-ML5": (check_general, lambda p: round_sphere(), SPHERE, [
+        ("ML1", "pass", 1.0, None, 1e-8), ("ML2", "pass", 0.0, None, 1e-8),
+        ("ML3", "fail", 1.0000000001004392, 1, 1.0000000001004392e-06),
+        ("ML4", "fail", 2.3652224200391103, 0, 2.3652224200391103e-06),
+        ("ML5", "fail", 0.9320390911680705, 4, 1e-6)]),
+    "bracket-ML2": (check_general, lambda p: bracket_control(), BRACKET, [
+        ("ML1", "pass", 0.7071067811865475, None, 1e-8), ("ML2", "fail", 1.0, 3, 1e-8),
+        ("ML3", "pass", 0.0, None, 1e-6), ("ML4", "fail", 1.0, 3, 1e-6),
+        ("ML5", "pass", 0.0, None, 1e-6)]),
+}
+
+
+@pytest.mark.parametrize("control", PINNED)
+def test_controls_keep_their_pinned_reports(pendulum, control):
+    check, system, samples, expected = PINNED[control]
+    report = both_paths(check, system(pendulum), samples)
+    assert [c.name for c in report.conditions] == [e[0] for e in expected]
+    for c, (name, verdict, defect, witness, tol) in zip(report.conditions, expected):
+        assert c.verdict == verdict, name
+        if name in ("MD1", "ML1", "ML2"):
+            assert c.defect == defect and c.tol == tol, name
+        else:
+            assert c.defect == pytest.approx(defect, rel=1e-12, abs=1e-12), name
+            assert c.tol == pytest.approx(tol, rel=1e-12), name
+        if witness is None:
+            assert c.witness is None, name
+        else:
+            assert c.witness.tobytes() == samples[witness].tobytes(), name
 
 
 def test_ml2_with_zero_control_fields_has_a_finite_defect():
