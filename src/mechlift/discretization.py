@@ -10,17 +10,14 @@ the identity.
 Maps can be pushed through a diffeomorphism (to transport a scheme
 between charts) and lifted to the tangent bundle (to integrate
 second-order dynamics).  Both constructions are closed under each other
-and commute; the test suite checks that pointwise.
+and commute.  Charts and maps act row by row on (..., n) stacks of
+points, so the axioms of any map are checked on a whole stack at once.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import (
-    SECOND_ORDER_STEP,
-    float_array,
-    numeric_jacobian,
-)
+from .geometry import SECOND_ORDER_STEP, _matvec, float_array, numeric_jacobian
 
 _KINDS = ("explicit-euler", "implicit-euler", "midpoint", "lifted", "tangent-lift")
 
@@ -43,6 +40,9 @@ class DiscretizationMap:
     jacobian : callable
         (x, v) -> 2n x 2n derivative of the packed forward map.
 
+    All three act row by row on (..., n) stacks whose leading axes
+    agree, and a 1-d point is a stack of one; a Jacobian that does not
+    depend on the point may be one 2n x 2n matrix for the whole stack.
     ``theta`` is set on the members of the affine family built by
     :func:`_theta_map` and is None on every other map.
     """
@@ -156,12 +156,12 @@ def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomRepo
 
     Axiom 1: forward(x, 0) == (x, x).  Axiom 2: the velocity derivative
     of (second component - first component) at (x, 0) is the identity,
-    estimated by central differences.  A theta-family map acts row by
-    row on stacks, so it is checked in one pass over the (N, n) stack
-    of samples, with one ``numeric_jacobian`` call for all N points;
-    any other map is checked one sample at a time.  Both give the same
-    defects.  An empty ``samples`` raises ``ValueError``, and a sample
-    that is not a ``dim``-vector ``DimensionMismatch`` naming its index.
+    estimated by central differences.  The map acts row by row on
+    stacks, so both are checked in one pass over the (N, n) stack of
+    samples, with one ``numeric_jacobian`` call for all N points; each
+    sample's defects are the ones it gets when checked alone.  An empty
+    ``samples`` raises ``ValueError``, and a sample that is not a
+    ``dim``-vector ``DimensionMismatch`` naming its index.
     """
     n = dmap.dim
     points = [np.asarray(x, float) for x in samples]
@@ -170,24 +170,17 @@ def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomRepo
     for i, x in enumerate(points):
         if x.shape != (n,):
             raise DimensionMismatch(f"sample {i} must be a {n}-vector, got shape {x.shape}")
-    if dmap.theta is not None:
-        x = np.array(points)
-        # the (N, 2n, n) stack of velocity probes meets the points as x[:, None]
-        cases = [(x, np.zeros_like(x), x[:, None])]
-    else:
-        cases = [(x, np.zeros(n), x) for x in points]
-    zero_defects, jac_defects = [], []
-    for x, zero, at in cases:
-        a, b = dmap.forward(x, zero)
-        zero_defects.append(np.maximum(np.abs(a - x).max(axis=-1), np.abs(b - x).max(axis=-1)))
+    x, zero = np.array(points), np.zeros((len(points), n))
+    a, b = dmap.forward(x, zero)
+    zero_defects = np.maximum(np.abs(a - x).max(axis=-1), np.abs(b - x).max(axis=-1))
 
-        def second_minus_first(v, at=at):
-            lo, hi = dmap.forward(at, v)
-            return hi - lo
+    def second_minus_first(v):
+        # the (N, 2n, n) stack of velocity probes, each at its own point
+        lo, hi = dmap.forward(np.broadcast_to(x[:, None], v.shape), v)
+        return hi - lo
 
-        dv = numeric_jacobian(second_minus_first, zero)
-        jac_defects.append(np.abs(dv - np.eye(n)).max(axis=(-2, -1)))
-    return AxiomReport(dmap.kind, points, np.hstack(zero_defects), np.hstack(jac_defects),
+    dv = numeric_jacobian(second_minus_first, zero)
+    return AxiomReport(dmap.kind, points, zero_defects, np.abs(dv - np.eye(n)).max(axis=(-2, -1)),
                        (zero_tol, jacobian_tol))
 
 
@@ -204,6 +197,11 @@ class Diffeomorphism:
     second : callable, optional
         (x, u, v) -> n-vector bilinear second-derivative action
         D2(x)[u, v]; central differences of ``jac`` when omitted.
+
+    All four act row by row on (..., n) stacks, and a 1-d point is a
+    stack of one; ``second``'s three arguments broadcast against each
+    other, and a derivative that does not depend on the point may be
+    one n x n matrix for the whole stack.
     """
 
     def __init__(self, dim, fwd, inv, jac, second=None):
@@ -223,15 +221,14 @@ class Diffeomorphism:
         return float_array(self._jac(float_array(x)))
 
     def second_deriv(self, x, u, v):
-        """Bilinear action D2(x)[u, v] of the second derivative."""
+        """Bilinear action D2(x)[u, v] of the second derivative, with x, u
+        and v broadcast against each other."""
+        x, u, v = float_array(x), float_array(u), float_array(v)
         if self._second is not None:
-            return float_array(self._second(x, float_array(u), float_array(v)))
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
+            return float_array(self._second(x, u, v))
+        x, u, v = np.broadcast_arrays(x, u, v)
         s = SECOND_ORDER_STEP
-        jp = self.jacobian(x + s * u)
-        jm = self.jacobian(x - s * u)
-        return (jp - jm) @ np.asarray(v, float) / (2.0 * s)
+        return _matvec(self.jacobian(x + s * u) - self.jacobian(x - s * u), v) / (2.0 * s)
 
 
 def identity_diffeomorphism(n) -> Diffeomorphism:
@@ -242,7 +239,7 @@ def identity_diffeomorphism(n) -> Diffeomorphism:
         fwd=lambda x: x.copy(),
         inv=lambda x: x.copy(),
         jac=lambda x: eye,
-        second=lambda x, u, v: np.zeros(n),
+        second=lambda x, u, v: np.zeros(np.broadcast_shapes(x.shape, u.shape, v.shape)),
     )
 
 
@@ -256,22 +253,22 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     n = phi.dim
 
     def fwd(xv):
-        x, v = xv[:n], xv[n:]
-        return np.concatenate([phi.forward(x), phi.jacobian(x) @ v])
+        x = xv[..., :n]
+        return np.concatenate([phi.forward(x), _matvec(phi.jacobian(x), xv[..., n:])], axis=-1)
 
     def inv(xv):
-        x = phi.inverse(xv[:n])
-        v = np.linalg.solve(phi.jacobian(x), xv[n:])
-        return np.concatenate([x, v])
+        x = phi.inverse(xv[..., :n])
+        v = np.linalg.solve(phi.jacobian(x), xv[..., n:, None])[..., 0]
+        return np.concatenate([x, v], axis=-1)
 
     def jac(xv):
-        x, v = xv[:n], xv[n:]
-        d = phi.jacobian(x)
-        s = np.column_stack([phi.second_deriv(x, e, v) for e in np.eye(n)])
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = d
-        out[n:, :n] = s
-        out[n:, n:] = d
+        x, v = xv[..., None, :n], xv[..., None, n:]
+        d = phi.jacobian(xv[..., :n])
+        out = np.zeros(xv.shape[:-1] + (2 * n, 2 * n))
+        out[..., :n, :n] = d
+        # D2phi(x)[e_j, v], one row per direction e_j, is column j
+        out[..., n:, :n] = np.swapaxes(phi.second_deriv(x, np.eye(n), v), -1, -2)
+        out[..., n:, n:] = d
         return out
 
     return Diffeomorphism(2 * n, fwd, inv, jac)
@@ -292,24 +289,21 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
     tphi = tangent_map(phi)
 
     def forward(x, v):
-        a, b = dmap.forward(phi.forward(x), phi.jacobian(x) @ v)
+        a, b = dmap.forward(phi.forward(x), _matvec(phi.jacobian(x), v))
         return phi.inverse(a), phi.inverse(b)
 
     def inverse(a, b):
         z, w = dmap.inverse(phi.forward(a), phi.forward(b))
         x = phi.inverse(z)
-        return x, np.linalg.solve(phi.jacobian(x), w)
+        return x, np.linalg.solve(phi.jacobian(x), w[..., None])[..., 0]
 
     def jacobian(x, v):
         # chain rule through Tphi, the base map, and the two pullbacks
-        jt = tphi.jacobian(np.concatenate([x, v]))
-        jb = dmap.jacobian(phi.forward(x), jt[:n, :n] @ v)
+        jt = tphi.jacobian(np.concatenate([x, v], axis=-1))
+        pulled = dmap.jacobian(phi.forward(x), _matvec(jt[..., :n, :n], v)) @ jt
         a, b = forward(x, v)
-        pulled = jb @ jt
-        out = np.zeros((2 * n, 2 * n))
-        out[:n] = np.linalg.solve(phi.jacobian(a), pulled[:n])
-        out[n:] = np.linalg.solve(phi.jacobian(b), pulled[n:])
-        return out
+        return np.concatenate([np.linalg.solve(phi.jacobian(a), pulled[..., :n, :]),
+                               np.linalg.solve(phi.jacobian(b), pulled[..., n:, :])], axis=-2)
 
     return DiscretizationMap(n, "lifted", forward, inverse, jacobian)
 
@@ -340,21 +334,22 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
         return _theta_map(2 * n, "tangent-lift", dmap.theta)
 
     def forward(s, w):
-        x, xd = s[:n], s[n:]
-        y, yd = w[:n], w[n:]
+        x, y = s[..., :n], w[..., :n]
         a, b = dmap.forward(x, y)
-        j = dmap.jacobian(x, y)
-        t = j @ np.concatenate([xd, yd])
-        return np.concatenate([a, t[:n]]), np.concatenate([b, t[n:]])
+        t = _matvec(dmap.jacobian(x, y), np.concatenate([s[..., n:], w[..., n:]], axis=-1))
+        return (np.concatenate([a, t[..., :n]], axis=-1),
+                np.concatenate([b, t[..., n:]], axis=-1))
 
     def inverse(s0, s1):
-        x, y = dmap.inverse(s0[:n], s1[:n])
-        t = np.concatenate([s0[n:], s1[n:]])
-        sol = np.linalg.solve(dmap.jacobian(x, y), t)
-        return np.concatenate([x, sol[:n]]), np.concatenate([y, sol[n:]])
+        x, y = dmap.inverse(s0[..., :n], s1[..., :n])
+        t = np.concatenate([s0[..., n:], s1[..., n:]], axis=-1)
+        sol = np.linalg.solve(dmap.jacobian(x, y), t[..., None])[..., 0]
+        return (np.concatenate([x, sol[..., :n]], axis=-1),
+                np.concatenate([y, sol[..., n:]], axis=-1))
 
     def jacobian(s, w):
-        return numeric_jacobian(lambda q: np.concatenate(forward(q[:2 * n], q[2 * n:])),
-                                np.concatenate([s, w]))
+        return numeric_jacobian(
+            lambda q: np.concatenate(forward(q[..., :2 * n], q[..., 2 * n:]), axis=-1),
+            np.concatenate([s, w], axis=-1))
 
     return DiscretizationMap(2 * n, "tangent-lift", forward, inverse, jacobian)

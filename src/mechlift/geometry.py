@@ -302,14 +302,15 @@ def _damped_newton(residual, guess, jac=None):
     when it is singular or its step fails, a fresh one takes over.  The
     tolerance is ``NEWTON_TOL * (1 + m)``, m the largest entry of the
     guess or of the iterate, whichever is larger, as the residual's
-    rounding floor grows with the state.  Past it one more step takes
-    the residual to its rounding floor, which the step-conjugacy checks
-    need.  Returns the best iterate, the iteration count, the final norm
-    and the Jacobian the solve ended with; raises ``NoConvergence`` when
-    ``NEWTON_MAX_ITER`` iterations or a stalled line search leave the
-    norm above the tolerance.  A guess whose residual norm is already
-    below the tolerance is returned as it is, after that one evaluation,
-    with 0 iterations and no polish step.
+    rounding floor grows with the state.  Past it the solve takes one
+    more full step, the polish step, with the kept Jacobian when the last
+    step contracted, and accepts it only if it lowers the norm, so it can
+    end above the residual's rounding floor.  Returns the best iterate, the iteration
+    count, the final norm and the Jacobian the solve ended with; raises
+    ``NoConvergence`` when ``NEWTON_MAX_ITER`` iterations or a stalled
+    line search leave the norm above the tolerance.  A guess whose
+    residual norm is already below the tolerance is returned as it is,
+    after that one evaluation, with 0 iterations and no polish step.
     """
     q = np.asarray(guess, float)
     start = float(np.abs(q).max())

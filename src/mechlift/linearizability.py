@@ -297,8 +297,8 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
     Every differentiated quantity is evaluated for the whole grid at
     once (see ``MechanicalSystem.batched``), and so is the rank and
-    projection algebra; each witness is the first point, in sample
-    order, with the worst defect.
+    projection algebra; a failed condition's witness is the first point,
+    in sample order, with the worst defect, and a passed one has none.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
@@ -319,18 +319,21 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
         xs, _line_residuals(gvs, d1s - d2s),
         np.maximum(np.maximum(_norms(d1s), _norms(d2s)), 1.0))
 
-    def verdict(ok):
-        return "pass" if ok else "fail"
-
     md1_ok = md1_ratio > RANK_TOL
     return ConditionReport([
-        ConditionResult("MD1", verdict(md1_ok), md1_ratio,
+        ConditionResult("MD1", "pass" if md1_ok else "fail", md1_ratio,
                         None if md1_ok else md1_wit, RANK_TOL),
-        ConditionResult("MD2", verdict(md2_def < MEMBERSHIP_TOL * md2_scale),
-                        md2_def, md2_wit, MEMBERSHIP_TOL * md2_scale),
-        ConditionResult("MD3", verdict(md3_def < MEMBERSHIP_TOL * md3_scale),
-                        md3_def, md3_wit, MEMBERSHIP_TOL * md3_scale),
+        _membership("MD2", md2_def, md2_wit, md2_scale),
+        _membership("MD3", md3_def, md3_wit, md3_scale),
     ])
+
+
+def _membership(name, defect, witness, scale):
+    """The verdict on a membership defect against ``MEMBERSHIP_TOL`` times
+    ``scale``, with its witness on a failure only."""
+    ok = defect < MEMBERSHIP_TOL * scale
+    return ConditionResult(name, "pass" if ok else "fail", defect,
+                           None if ok else witness, MEMBERSHIP_TOL * scale)
 
 
 def _numeric_ranks(stack):
@@ -439,17 +442,12 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     else:
         ml1 = ConditionResult("ML1", "pass", ml1_margin, None, RANK_TOL)
 
-    def membership(name, defect, wit, scale):
-        ok = defect < MEMBERSHIP_TOL * scale
-        return ConditionResult(name, "pass" if ok else "fail", defect,
-                               None if ok else wit, MEMBERSHIP_TOL * scale)
-
     ml2_ok = ml2_def <= RANK_TOL
     return ConditionReport([
         ml1,
         ConditionResult("ML2", "pass" if ml2_ok else "fail", ml2_def,
                         None if ml2_ok else ml2_wit, RANK_TOL),
-        membership("ML3", *ml3),
-        membership("ML4", *ml4),
-        membership("ML5", *ml5),
+        _membership("ML3", *ml3),
+        _membership("ML4", *ml4),
+        _membership("ML5", *ml5),
     ])

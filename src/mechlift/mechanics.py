@@ -291,8 +291,8 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         return out
 
     def second(x, u, v):
-        w = -c2 * np.sin(x.T[0]) * u.T[0] * v.T[0]
-        return np.array([0.0 * w, w]).T
+        w = -c2 * np.sin(x[..., :1]) * u[..., :1] * v[..., :1]
+        return np.concatenate([0.0 * w, w], axis=-1)
 
     phi = Diffeomorphism(2, fwd, inv, jac, second)
 

@@ -4,7 +4,6 @@ import pytest
 import mechlift
 from mechlift import (
     Diffeomorphism,
-    DiscretizationMap,
     MFTransform,
     MechanicalSystem,
     SystemBundle,
@@ -50,12 +49,15 @@ def per_point(bundle):
         bundle.linear)
 
 
-def per_point_map(dmap):
-    """The per-point twin of a discretization map: the same callables,
-    each asserting that it is handed one point, and ``theta`` None, so
-    nothing treats it as a member of the theta family."""
-    return DiscretizationMap(dmap.dim, dmap.kind, one_point(dmap.forward),
-                             one_point(dmap.inverse), one_point(dmap.jacobian))
+def stack_rows_are_the_points(f, *stacks):
+    """f on (k, ...) stacks gives, bit for bit, f on each row; a value
+    shared by every row (a constant callable's) counts for each row."""
+    out = np.asarray(f(*stacks))
+    for i in range(len(stacks[0])):
+        point = np.asarray(f(*(s[i] for s in stacks)))
+        row = np.broadcast_to(out, (len(stacks[0]),) + point.shape)[i]
+        assert row.shape == point.shape
+        assert row.tobytes() == point.tobytes(), i
 
 
 # inertia wheel pendulum constants used to derive expected numbers in tests

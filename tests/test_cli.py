@@ -268,7 +268,7 @@ class TestVerifyMaps:
         # failing sample is the first with a positive x1
         bad = DiscretizationMap(
             2, "explicit-euler",
-            forward=lambda x, v: (x.copy(), x + (2.0 if x[0] > 0 else 1.0) * v),
+            forward=lambda x, v: (x.copy(), x + np.where(x[..., :1] > 0, 2.0, 1.0) * v),
             inverse=lambda a, b: (a.copy(), b - a),
             jacobian=lambda x, v: np.block([[np.eye(2), np.zeros((2, 2))],
                                             [np.eye(2), 2.0 * np.eye(2)]]),

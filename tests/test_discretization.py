@@ -13,24 +13,46 @@ from mechlift import (
     make_explicit_euler,
     make_implicit_euler,
     make_midpoint,
+    pendulum_system,
     tangent_lift,
     tangent_map,
     verify_axioms,
 )
 
-from conftest import per_point_map
+from conftest import stack_rows_are_the_points
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
+PHI = pendulum_system().transform.phi
 # the six theta-family maps: each built-in and its tangent lift, on the 2-chart
 THETA_MAPS = [lambda b=b: b(2) for b in BUILDERS] + [lambda b=b: tangent_lift(b(2))
                                                       for b in BUILDERS]
 THETA_IDS = [b.__name__[5:] for b in BUILDERS] + [b.__name__[5:] + "+tangent" for b in BUILDERS]
+# the maps outside the family: each built-in through the pendulum chart, and
+# the tangent lift of that
+CHART_MAPS = [lambda b=b: lift_by_diffeo(b(2), PHI) for b in BUILDERS] + [
+    lambda b=b: tangent_lift(lift_by_diffeo(b(2), PHI)) for b in BUILDERS]
+CHART_IDS = [b.__name__[5:] + "+pendulum-chart" for b in BUILDERS] + [
+    b.__name__[5:] + "+pendulum-chart+tangent" for b in BUILDERS]
+# charts whose second derivative is given, and one whose is a central difference
+CHARTS = {
+    "pendulum": PHI,
+    "identity": identity_diffeomorphism(2),
+    "no-second": Diffeomorphism(2, PHI.forward, PHI.inverse, PHI.jacobian),
+}
 
 
 def chart_points(rng, count, n=2, lim=1.2):
     # samples inside the pendulum chart (|x1| < pi/2)
     return [np.concatenate([[rng.uniform(-lim, lim)], rng.uniform(-1.5, 1.5, n - 1)])
             for _ in range(count)]
+
+
+def samples_for(dmap, rng, count):
+    """Samples of every scale for a theta-family map, and points inside
+    the pendulum chart, with velocities of every sign, for any other."""
+    if dmap.theta is not None:
+        return [rng.normal(size=dmap.dim) * 10.0 ** rng.uniform(-3, 3) for _ in range(count)]
+    return [np.concatenate([x, rng.normal(size=dmap.dim - 2)]) for x in chart_points(rng, count)]
 
 
 class TestBuiltins:
@@ -106,14 +128,17 @@ class TestVerifyAxioms:
         assert report.worst_zero < 1e-10
         assert len(report.failures()) == 5
 
-    @pytest.mark.parametrize("make", THETA_MAPS, ids=THETA_IDS)
+    @pytest.mark.parametrize("make", THETA_MAPS + CHART_MAPS, ids=THETA_IDS + CHART_IDS)
     def test_stacked_check_is_the_per_point_one(self, make, rng):
+        # the one pass over the stack gives each sample the defects it
+        # gets when checked alone
         dmap = make()
-        samples = [rng.normal(size=dmap.dim) * 10.0 ** rng.uniform(-3, 3) for _ in range(30)]
+        samples = samples_for(dmap, rng, 30)
         stacked = verify_axioms(dmap, samples)
-        one_by_one = verify_axioms(per_point_map(dmap), samples)
-        assert stacked.zero_defects.tobytes() == one_by_one.zero_defects.tobytes()
-        assert stacked.jacobian_defects.tobytes() == one_by_one.jacobian_defects.tobytes()
+        alone = [verify_axioms(dmap, [x]) for x in samples]
+        for name in ("zero_defects", "jacobian_defects"):
+            each = np.hstack([getattr(report, name) for report in alone])
+            assert getattr(stacked, name).tobytes() == each.tobytes()
 
     @pytest.mark.parametrize("make", THETA_MAPS, ids=THETA_IDS)
     def test_a_theta_map_takes_one_central_difference(self, make, rng, monkeypatch):
@@ -122,27 +147,23 @@ class TestVerifyAxioms:
         monkeypatch.setattr(mechlift.discretization, "numeric_jacobian",
                             lambda *args: calls.append(args) or jacobian(*args))
         dmap = make()
-        samples = [rng.normal(size=dmap.dim) for _ in range(7)]
-        verify_axioms(dmap, samples)
+        verify_axioms(dmap, samples_for(dmap, rng, 7))
         assert len(calls) == 1
-        calls.clear()
-        verify_axioms(per_point_map(dmap), samples)
-        assert len(calls) == 7
 
-    @pytest.mark.parametrize("twin", [False, True], ids=["stacked", "per-point"])
+    @pytest.mark.parametrize("make", CHART_MAPS, ids=CHART_IDS)
+    def test_a_chart_lifted_map_takes_one_central_difference(self, make, rng, monkeypatch):
+        self.test_a_theta_map_takes_one_central_difference(make, rng, monkeypatch)
+
     @pytest.mark.parametrize("sample", [np.zeros(3), np.zeros((1, 2)), np.float64(0.0)],
                              ids=["3-vector", "row", "scalar"])
-    def test_refuses_a_sample_of_another_shape(self, twin, sample):
-        dmap = make_midpoint(2)
+    def test_refuses_a_sample_of_another_shape(self, sample):
         samples = [np.zeros(2), np.ones(2), sample]
         with pytest.raises(DimensionMismatch, match="sample 2 must be a 2-vector"):
-            verify_axioms(per_point_map(dmap) if twin else dmap, samples)
+            verify_axioms(make_midpoint(2), samples)
 
-    @pytest.mark.parametrize("twin", [False, True], ids=["stacked", "per-point"])
-    def test_refuses_no_samples(self, twin):
-        dmap = make_midpoint(2)
+    def test_refuses_no_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            verify_axioms(per_point_map(dmap) if twin else dmap, [])
+            verify_axioms(make_midpoint(2), [])
 
 
 class TestLiftByDiffeo:
@@ -229,7 +250,7 @@ class TestTangentMap:
     def test_linear_map_has_no_curvature_term(self, rng):
         a = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         phi = Diffeomorphism(
-            2, lambda x: a @ x, lambda z: np.linalg.solve(a, z),
+            2, lambda x: x @ a.T, lambda z: np.linalg.solve(a, z[..., None])[..., 0],
             jac=lambda x: a,
         )
         tphi = tangent_map(phi)
@@ -311,3 +332,45 @@ class TestLiftInteraction:
                 x2, v2 = dmap.inverse(a, b)
                 assert np.abs(x2 - x).max() < 1e-8
                 assert np.abs(v2 - v).max() < 1e-8
+
+
+class TestStacks:
+    """Every construction on a chart acts row by row on stacks: on a
+    (k, n) stack it gives, bit for bit, its calls on the k rows."""
+
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    def test_tangent_map(self, chart, rng):
+        tphi = tangent_map(chart)
+        xv = np.hstack([np.array(chart_points(rng, 20)), rng.normal(size=(20, 2))])
+        stack_rows_are_the_points(tphi.forward, xv)
+        stack_rows_are_the_points(tphi.inverse, tphi.forward(xv))
+        stack_rows_are_the_points(tphi.jacobian, xv)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    @pytest.mark.parametrize("tangent", [False, True], ids=["lifted", "lifted+tangent"])
+    def test_chart_lifted_map(self, builder, chart, tangent, rng):
+        dmap = lift_by_diffeo(builder(2), chart)
+        if tangent:
+            dmap = tangent_lift(dmap)
+        x = np.array(samples_for(dmap, rng, 20))
+        v = rng.normal(size=x.shape) * 0.02
+        stack_rows_are_the_points(lambda *a: np.hstack(dmap.forward(*a)), x, v)
+        stack_rows_are_the_points(lambda *a: np.hstack(dmap.inverse(*a)), *dmap.forward(x, v))
+        stack_rows_are_the_points(dmap.jacobian, x, v)
+
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    def test_second_derivative_broadcasts(self, chart, rng):
+        x, u, v = np.array(chart_points(rng, 5)), np.eye(2), rng.normal(size=(5, 2))
+        assert chart.second_deriv(x, v, v).shape == (5, 2)
+        # the n directions of u meet every point of the stack
+        both = chart.second_deriv(x[:, None], u, v[:, None])
+        assert both.shape == (5, 2, 2)
+        for j in range(2):
+            npt.assert_array_equal(both[:, j], chart.second_deriv(x, u[j], v))
+
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    def test_second_derivative_at_a_listed_point(self, chart):
+        npt.assert_array_equal(chart.second_deriv([0.3, 0.1], [1.0, 0.0], [0.5, 2.0]),
+                               chart.second_deriv(np.array([0.3, 0.1]), np.array([1.0, 0.0]),
+                                                  np.array([0.5, 2.0])))

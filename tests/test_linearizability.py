@@ -206,6 +206,16 @@ class TestCheckPlanar:
         assert md1.verdict == "fail"
         assert min(abs(abs(md1.witness[0]) - np.pi / 2), 0.1) < 1e-9
 
+    def test_a_passed_membership_has_no_witness(self, pendulum):
+        # next to the singular feedback at x1 = pi/2 the commutator blows
+        # up, so MD3 passes on a rounding-level defect that is not zero
+        samples = [np.array([x1, x1 / 2]) for x1 in np.linspace(-1.57, 1.57, 9)]
+        report = check_planar(pendulum.system, samples)
+        md3 = report["MD3"]
+        assert md3.verdict == "pass" and md3.defect > 0.0
+        assert md3.witness is None and report["MD2"].witness is None
+        assert not any("witness=" in line for line in report.summary_lines())
+
     def test_double_integrator_passes(self):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                      B=np.array([[0.0], [1.0]]))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import PARAMS, per_point
+from conftest import PARAMS, per_point, stack_rows_are_the_points
 from mechlift import (
     DimensionMismatch,
     LinearMechanicalSystem,
@@ -164,17 +164,6 @@ class TestPendulumSystem:
         npt.assert_array_equal(a_full, [[0, 0, 1, 0], [0, 0, 0, 1],
                                         [0, 1, 0, 0], [0, 0, 0, 0]])
         npt.assert_array_equal(b_full.ravel(), [0, 0, 0, 1])
-
-
-def stack_rows_are_the_points(f, *stacks):
-    """f on (k, ...) stacks gives, bit for bit, f on each row; a value
-    shared by every row (a constant callable's) counts for each row."""
-    out = np.asarray(f(*stacks))
-    for i in range(len(stacks[0])):
-        point = np.asarray(f(*(s[i] for s in stacks)))
-        row = np.broadcast_to(out, (len(stacks[0]),) + point.shape)[i]
-        assert row.shape == point.shape
-        assert row.tobytes() == point.tobytes(), i
 
 
 def refused_without_warning(error, f, *args):

@@ -1,7 +1,8 @@
 """Property tests over generated inputs, derandomized so every run draws
-the same examples: the map axioms and the lift-order commutation on the
-pendulum chart, the closed forms of the built-in maps' tangent lift and
-step Jacobian against their structural derivations, the pendulum's
+the same examples: the map axioms, the lift-order commutation and the
+chart lifts on stacks against the same lifts row by row on the pendulum
+chart, the closed forms of the built-in maps' tangent lift and step
+Jacobian against their structural derivations, the pendulum's
 closed loop under each built-in map against that map's exact linear
 update and its orbit pass on stacks against the same pass row by row,
 the rotation logarithm around its pi guard band, and the attitude loop
@@ -34,7 +35,7 @@ from mechlift import (
     verify_axioms,
 )
 from mechlift.integrators import _linear_step_jacobian
-from conftest import per_point
+from conftest import per_point, stack_rows_are_the_points
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
 PENDULUM = pendulum_system()
@@ -73,6 +74,26 @@ def test_lift_orders_commute(builder, x, xdot, w):
     s, w = np.concatenate([x, xdot]), np.array(w)
     for a, b in zip(route_a.forward(s, w), route_b.forward(s, w)):
         assert np.abs(a - b).max() < 1e-8
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@DERANDOMIZED
+@given(rows=st.lists(st.tuples(chart_points, st.tuples(floats(1.0), floats(1.0)),
+                               st.tuples(*[floats(0.1)] * 4)), min_size=1, max_size=6))
+def test_chart_lifts_act_row_by_row(builder, rows):
+    # on a stack of tangent points, the chart-lifted map, its tangent lift
+    # and the tangent map give, bit for bit, their calls row by row
+    s = np.array([np.concatenate([x, xdot]) for x, xdot, _ in rows])
+    w = np.array([w for *_, w in rows])
+    lifted = lift_by_diffeo(builder(2), PHI)
+    for dmap, x, v in ((lifted, s[:, :2], w[:, :2]), (tangent_lift(lifted), s, w)):
+        stack_rows_are_the_points(lambda *a: np.hstack(dmap.forward(*a)), x, v)
+        stack_rows_are_the_points(lambda *a: np.hstack(dmap.inverse(*a)), *dmap.forward(x, v))
+        stack_rows_are_the_points(dmap.jacobian, x, v)
+    tphi = tangent_map(PHI)
+    for f in (tphi.forward, tphi.jacobian):
+        stack_rows_are_the_points(f, s)
+    stack_rows_are_the_points(tphi.inverse, tphi.forward(s))
 
 
 # The built-in maps written out one by one, as (x, v) -> (x0, x1), its
