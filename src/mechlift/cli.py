@@ -8,6 +8,9 @@ Subcommands::
     mechlift verify-maps
     mechlift order-study SYSTEM [--map KINDS] [--h-list H1,H2,...] [--out DIR]
 
+A negative LO must be joined to its flag, as in ``--grid=-1.3:1.3:21``:
+argparse reads a separate ``-1.3:1.3:21`` as an option.
+
 Exit codes: 0 success, 1 condition/check failure, 2 numerical failure,
 3 I/O failure, 4 usage error.  All floating-point output is printed with
 17 significant digits, so repeated runs produce bit-identical files.
@@ -227,8 +230,15 @@ def _double_integrator() -> MechanicalSystem:
 
 
 def _parse_grid(spec):
+    """LO:HI:N as N evenly spaced points from LO to HI; N must be at
+    least 1 and LO and HI finite, or the spec is a usage error."""
     lo, hi, count = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+    lo, hi, count = float(lo), float(hi), int(count)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"grid ends must be finite, got {spec}")
+    if count < 1:
+        raise ValueError(f"grid needs at least one point, got {spec}")
+    return np.linspace(lo, hi, count)
 
 
 def run_check(system, grid_spec, out_dir=None) -> int:
@@ -434,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check")
     p.add_argument("system")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, metavar="LO:HI:N",
+                   help="N sample points from LO to HI; write a negative LO as --grid=LO:HI:N")
     p.add_argument("--out", default=None)
 
     sub.add_parser("verify-maps")

@@ -57,13 +57,26 @@ class Rotation:
     projection, and a projection that lands on a reflection is
     rejected.  So accumulated drift cannot hide behind silent clean-up.
     The validated entries are kept: :func:`_entries` checks them again
-    only once ``r`` no longer holds them.
+    only once ``r`` no longer holds them.  A rotation the package
+    computes in floats (:func:`so3_exp`, the attitude step) is built by
+    :func:`_rotation`, with the same checks on those floats.
     """
 
     r: np.ndarray
+    _entries = None
 
     def __post_init__(self):
-        self.r, self._entries = _validated(self.r)
+        self.r, self._entries = _validated(self.r, self._entries)
+
+
+def _rotation(entries):
+    """The :class:`Rotation` with these nine entries, a list of floats,
+    row by row: checked on the floats as ``Rotation`` checks a matrix,
+    then made its one array."""
+    rotation = Rotation.__new__(Rotation)
+    rotation.r, rotation._entries = None, entries
+    rotation.__post_init__()
+    return rotation
 
 
 def _entries(rotation):
@@ -74,14 +87,16 @@ def _entries(rotation):
     return entries if entries == getattr(rotation, "_entries", None) else _validated(r)[1]
 
 
-def _validated(r):
+def _validated(r, entries=None):
     """``r`` checked as :class:`Rotation` checks it, and re-orthonormalized
     where the defect calls for it: the 3x3 float array and its nine
-    entries, row by row, as floats."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
-    entries = r.ravel().tolist()
+    entries, row by row, as floats.  With ``r`` None the nine ``entries``
+    are checked as they are, and the array is built from them."""
+    if r is not None or entries is None:
+        r = np.asarray(r, dtype=float)
+        if r.shape != (3, 3):
+            raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
+        entries = r.ravel().tolist()
     a, b, c, d, e, f, g, h, i = entries
     # the Gram matrix's diagonal sums squares, so it is finite unless an
     # entry is not finite (or so large that its square overflows)
@@ -93,6 +108,8 @@ def _validated(r):
                  abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if not defect <= 1e-9:
         raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
+    if r is None:
+        r = np.array(entries).reshape(3, 3)
     if defect > 1e-12:
         u, _, vt = np.linalg.svd(r)
         r = u @ vt
@@ -152,9 +169,9 @@ def _rodrigues(x, y, z):
         b = (1.0 - math.cos(th)) / th**2
     ax, ay, az = a * x, a * y, a * z
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
-    return (1.0 - b * (yy + zz), bxy - az, bxz + ay,
+    return [1.0 - b * (yy + zz), bxy - az, bxz + ay,
             bxy + az, 1.0 - b * (xx + zz), byz - ax,
-            bxz - ay, byz + ax, 1.0 - b * (xx + yy))
+            bxz - ay, byz + ax, 1.0 - b * (xx + yy)]
 
 
 def so3_exp(w) -> Rotation:
@@ -162,7 +179,7 @@ def so3_exp(w) -> Rotation:
     w = _vec(w, "w")
     if w.size != 3:
         raise DimensionMismatch("so3_exp expects a 3-vector")
-    return Rotation(np.array(_rodrigues(*w.tolist())).reshape(3, 3))
+    return _rotation(_rodrigues(*w.tolist()))
 
 
 def so3_log(r) -> np.ndarray:

@@ -31,12 +31,12 @@ from .errors import (
 )
 from .geometry import (
     NEWTON_TOL,
-    Rotation,
     _damped_newton,
     _matvec,
     _log,
     _entries,
     _rodrigues,
+    _rotation,
     _vec,
 )
 from .mechanics import (
@@ -489,7 +489,8 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     R+ = R exp(h hat(Omega)); Omega+ = Omega - h K1 log(R) - h K2 Omega.
     The rotation update is a group product, so orthogonality is
     preserved to roundoff regardless of step size; R+ is the one
-    ``Rotation`` the step builds, validated as every rotation is.  The
+    ``Rotation`` the step builds, validated as every rotation is, on the
+    nine floats of the product before they are put in its array.  The
     entries of R and Omega are read once as Python floats and checked
     there: R as ``Rotation`` checks a matrix (a ``Rotation`` whose ``r``
     was replaced is refused with the same error), Omega as a finite
@@ -509,13 +510,13 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     _check_step_size(h)
     xi = _log(r)
     e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
-    r_next = Rotation(np.array([
+    r_next = _rotation([
         r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
         r00 * e02 + r01 * e12 + r02 * e22, r10 * e00 + r11 * e10 + r12 * e20,
         r10 * e01 + r11 * e11 + r12 * e21, r10 * e02 + r11 * e12 + r12 * e22,
         r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
         r20 * e02 + r21 * e12 + r22 * e22,
-    ]).reshape(3, 3))
+    ])
     a0, a1, a2 = _times_gain(k1, xi, "K1")
     b0, b1, b2 = _times_gain(k2, w, "K2")
     return r_next, np.array([w[0] - h * a0 - h * b0, w[1] - h * a1 - h * b1,

@@ -39,7 +39,10 @@ def _values(sys: MechanicalSystem, f, x, shape) -> np.ndarray:
     """
     lead = x.shape[:-1]
     if sys.batched:
-        return np.ascontiguousarray(np.broadcast_to(float_array(f(x)), lead + shape))
+        values = float_array(f(x))
+        if values.shape != lead + shape:
+            values = np.broadcast_to(values, lead + shape)
+        return np.ascontiguousarray(values)
     rows = [float_array(f(p)) for p in x.reshape(-1, sys.n)]
     return np.array(rows).reshape(lead + shape)
 
@@ -48,8 +51,17 @@ def _drift_field(sys):
     return lambda p: _values(sys, sys.e, p, (sys.n,))
 
 
-def _control_field(sys, r):
-    return lambda p: _values(sys, sys.g, p, (sys.n, sys.m))[..., r]
+def _control_matrix(sys):
+    return lambda p: _values(sys, sys.g, p, (sys.n, sys.m))
+
+
+def _part(jac, rows=Ellipsis, entries=slice(None)):
+    """The Jacobians ``jac[rows]`` of a stack of them, restricted to these
+    entries of the differentiated value, laid out as ``numeric_jacobian``
+    lays out the Jacobians of that part alone, so that products with
+    them round as products with those would."""
+    probes_first = np.swapaxes(jac, -1, -2)[rows][..., entries]
+    return np.swapaxes(np.ascontiguousarray(probes_first), -1, -2)
 
 
 def _gam(G, a, b):
@@ -68,7 +80,11 @@ def lie_bracket(x_field, y_field, x) -> np.ndarray:
     xv = float_array(x_field(x))
     yv = float_array(y_field(x))
     dy = numeric_jacobian(y_field, x)
-    dx = numeric_jacobian(x_field, x)
+    return _bracket(xv, yv, dy, numeric_jacobian(x_field, x))
+
+
+def _bracket(xv, yv, dy, dx):
+    """[X, Y] from the values and the Jacobians of X and Y."""
     out = _matvec(dy, xv) - _matvec(dx, yv)
     if not np.isfinite(out).all():
         raise NonFinite("lie bracket evaluation returned NaN/Inf")
@@ -86,14 +102,19 @@ def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarr
     xv = float_array(x_field(x))
     yv = float_array(y_field(x))
     dy = numeric_jacobian(y_field, x)
-    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
+    return _covariant(xv, yv, dy, _values(sys, sys.gamma, x, (sys.n,) * 3))
+
+
+def _covariant(xv, yv, dy, G):
+    """nabla_X Y from the values of X and Y, the Jacobian of Y and the
+    connection coefficients."""
     out = _matvec(dy, xv) + _gam(G, xv, yv)
     if not np.isfinite(out).all():
         raise NonFinite("covariant derivative returned NaN/Inf")
     return out
 
 
-def _second_directional(f, x, u, v):
+def _second_directional(f, x, f0, u, v):
     """Mixed second derivative D2f(x)[u, v] by symmetric polarization.
 
     Directions are normalized before differencing and the norms factored
@@ -103,16 +124,15 @@ def _second_directional(f, x, u, v):
     Richardson extrapolation, from twice the step, recovers roughly half
     the digits lost to the second difference.
 
-    Row by row on a (..., n) stack of points and of directions, for a
-    field ``f`` that acts row by row: ``f`` is called twice, at the
-    points and then on the stack of every point's eight probes.  At a
-    single point it takes the probes one at a time.  A row with a zero
-    direction gives 0.
+    ``f0`` is f at x.  Row by row on a (..., n) stack of points and of
+    directions, for a field ``f`` that acts row by row: ``f`` is called
+    once, on the stack of every point's eight probes.  At a single point
+    it takes the probes one at a time.  A row with a zero direction
+    gives 0.
     """
     nu, nv = _norms(u), _norms(v)
     uh = u / np.where(nu > 0.0, nu, 1.0)[..., None]
     vh = v / np.where(nv > 0.0, nv, 1.0)[..., None]
-    f0 = float_array(f(x))
     # the fourth root as two square roots: numpy's power rounds a scalar
     # and an array differently, and a stack's rows must be its points'
     s = 2.0 * SECOND_ORDER_STEP * np.sqrt(np.sqrt(1.0 + np.abs(f0).max(axis=-1)))
@@ -146,18 +166,21 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     identical and loses nothing to nesting.  On a (..., n) stack of
     points as for :func:`covariant_derivative`.
     """
-    n = sys.n
     x = float_array(x)
     xv = float_array(x_field(x))
     yv = float_array(y_field(x))
     zv = float_array(z_field(x))
     dz = numeric_jacobian(z_field, x)
-    G = _values(sys, sys.gamma, x, (n,) * 3)
-    d2z = _second_directional(z_field, x, xv, yv)
+    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
+    return _second_covariant(z_field, x, xv, yv, zv, dz, G, _connection_along(sys, x, xv))
 
-    # the connection's derivative along X: a central difference in t of
-    # Gamma(x + t X/|X|) at t = 0, scaled back by |X|; t is a (..., 1, 1)
-    # stack, so every point's two probes go to gamma in one call
+
+def _connection_along(sys, x, xv):
+    """The derivative of the connection coefficients along X: a central
+    difference in t of Gamma(x + t X/|X|) at t = 0, scaled back by |X|.
+    t is a (..., 1, 1) stack, so every point's two probes go to gamma in
+    one call."""
+    n = sys.n
     nxv = _norms(xv)
     xh = xv / np.where(nxv == 0.0, 1.0, nxv)[..., None]
 
@@ -166,10 +189,15 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
         return _values(sys, sys.gamma, p, (n,) * 3).reshape(t.shape[:-1] + (n**3,))
 
     dG = numeric_jacobian(along, np.zeros(x.shape[:-1] + (1, 1)), SECOND_ORDER_STEP)
-    dG = dG[..., 0, :, 0].reshape(x.shape[:-1] + (n,) * 3) * nxv[..., None, None, None]
-    dgam_term = _gam(dG, yv, zv)
+    return dG[..., 0, :, 0].reshape(x.shape[:-1] + (n,) * 3) * nxv[..., None, None, None]
 
-    out = (d2z + dgam_term + _gam(G, yv, _matvec(dz, xv)) + _gam(G, xv, _matvec(dz, yv))
+
+def _second_covariant(z_field, x, xv, yv, zv, dz, G, dG):
+    """nabla^2_{X,Y} Z from the values of X, Y and Z, the Jacobian of Z,
+    the connection coefficients and their derivative along X; only the
+    mixed second derivative of Z is left to difference."""
+    d2z = _second_directional(z_field, x, zv, xv, yv)
+    out = (d2z + _gam(dG, yv, zv) + _gam(G, yv, _matvec(dz, xv)) + _gam(G, xv, _matvec(dz, yv))
            + _gam(G, xv, _gam(G, yv, zv)) - _matvec(dz, _gam(G, xv, yv))
            - _gam(G, _gam(G, xv, yv), zv))
     if not np.isfinite(out).all():
@@ -266,24 +294,17 @@ def _least(xs, values):
     return values[i], xs[i].copy()
 
 
-def _drift_bracket_fields(sys):
-    """Control fields g_r and their drift brackets ad_e g_r as callables
-    of a point or a (..., n) stack of points."""
-    e_field = _drift_field(sys)
-    fields = []
-    for r in range(sys.m):
-        g_r = _control_field(sys, r)
-        fields.append((g_r, lambda p, g_r=g_r: lie_bracket(e_field, g_r, p)))
-    return fields
-
-
 def _sample_stack(sys, samples):
-    """The sample points as one (k, n) stack."""
+    """The sample points as one (k, n) stack; a sample that is not
+    finite is refused, by its index, before any field sees it."""
     xs = float_array(list(samples))
     if xs.size == 0:
         return xs.reshape(0, sys.n)
     if xs.ndim != 2 or xs.shape[1] != sys.n:
         raise DimensionMismatch(f"samples must be {sys.n}-vectors, got shape {xs.shape}")
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise NonFinite(f"sample {int(finite.argmin())} contains NaN/Inf")
     return xs
 
 
@@ -297,19 +318,28 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
     Every differentiated quantity is evaluated for the whole grid at
     once (see ``MechanicalSystem.batched``), and so is the rank and
-    projection algebra; a failed condition's witness is the first point,
-    in sample order, with the worst defect, and a passed one has none.
+    projection algebra: g, ad_e g, their Jacobians and the connection
+    once each, and every derivative formed from them.  A failed
+    condition's witness is the first point, in sample order, with the
+    worst defect, and a passed one has none.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
 
     xs = _sample_stack(sys, samples)
-    g_field, ad_field = _drift_bracket_fields(sys)[0]
-    gvs, advs = g_field(xs), ad_field(xs)
-    md2_vecs = np.stack([covariant_derivative(sys, g_field, g_field, xs),
-                         covariant_derivative(sys, ad_field, g_field, xs)], axis=1)
-    d1s = second_covariant_derivative(sys, g_field, ad_field, ad_field, xs)
-    d2s = second_covariant_derivative(sys, ad_field, g_field, ad_field, xs)
+    e_field, g_matrix = _drift_field(sys), _control_matrix(sys)
+    g_field = lambda p: g_matrix(p)[..., 0]
+    ad_field = lambda p: lie_bracket(e_field, g_field, p)
+    evs, gvs = e_field(xs), g_field(xs)
+    dg = numeric_jacobian(g_field, xs)
+    advs = _bracket(evs, gvs, dg, numeric_jacobian(e_field, xs))
+    dad = numeric_jacobian(ad_field, xs)
+    G = _values(sys, sys.gamma, xs, (2,) * 3)
+    md2_vecs = np.stack([_covariant(gvs, gvs, dg, G), _covariant(advs, gvs, dg, G)], axis=1)
+    d1s = _second_covariant(ad_field, xs, gvs, advs, advs, dad, G,
+                            _connection_along(sys, xs, gvs))
+    d2s = _second_covariant(ad_field, xs, advs, gvs, advs, dad, G,
+                            _connection_along(sys, xs, advs))
 
     sv = np.linalg.svd(np.stack([gvs, advs], axis=-1), compute_uv=False)
     md1_ratio, md1_wit = _least(xs, sv[:, -1] / np.where(sv[:, 0] > 0.0, sv[:, 0], 1.0))
@@ -355,27 +385,20 @@ def _annihilators(stack, ranks):
     return np.where(np.arange(u.shape[-1]) >= ranks[:, None, None], u, 0.0)
 
 
-def _nabla_g_matrix(sys, x, r):
-    """Covariant derivative of control field r as an n x n matrix (upper
-    index first), at a point or row by row on a (..., n) stack."""
-    g_r = _control_field(sys, r)
-    dg = numeric_jacobian(g_r, x)
-    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
-    return dg + np.einsum("...ijk,...k->...ij", G, g_r(x))
-
-
-def _nabla2_e_tensor(sys, x):
+def _nabla2_e_tensor(sys, x, ev, de):
     """Second covariant derivative of the drift as an (n, n, n) array
-    [i, j, k], at a point or row by row on a (..., n) stack."""
+    [i, j, k], row by row on a (..., n) stack, from the drift's values
+    ``ev`` and Jacobians ``de`` there: the connection once, and its
+    derivative once per direction j."""
     n = sys.n
     e_field = _drift_field(sys)
-    basis = np.eye(n)
+    G = _values(sys, sys.gamma, x, (n,) * 3)
+    directions = [np.broadcast_to(v, x.shape) for v in np.eye(n)]
     out = np.empty(x.shape[:-1] + (n, n, n))
-    for j in range(n):
-        xj = lambda p, v=basis[j]: np.broadcast_to(v, p.shape)
-        for k in range(n):
-            xk = lambda p, v=basis[k]: np.broadcast_to(v, p.shape)
-            out[..., :, j, k] = second_covariant_derivative(sys, xj, xk, e_field, x)
+    for j, xj in enumerate(directions):
+        dG = _connection_along(sys, x, xj)
+        for k, xk in enumerate(directions):
+            out[..., :, j, k] = _second_covariant(e_field, x, xj, xk, ev, de, G, dG)
     return out
 
 
@@ -390,14 +413,24 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     derivatives of the control fields, and the second covariant
     derivative of the drift.  As in :func:`check_planar`, every
     differentiated quantity and the rank and annihilator algebra are
-    evaluated for all the points that need them at once.
+    evaluated for all the points that need them at once.  The drift and
+    the whole n x m matrix g are differentiated once each; every
+    bracket ad_e g_r and [g_r, g_s] and every nabla g_r is read from
+    those two Jacobians column by column.
     """
     xs = _sample_stack(sys, samples)
-    fields = _drift_bracket_fields(sys)
-    e0s = _values(sys, sys.g, xs, (sys.n, sys.m))
-    e1s = np.concatenate([e0s, np.stack([ad(xs) for _, ad in fields], axis=-1)], axis=-1)
-    control_brackets = [lie_bracket(fields[r][0], fields[s_][0], xs)
-                        for r in range(sys.m) for s_ in range(r + 1, sys.m)]
+    n, m = sys.n, sys.m
+    e_field, g_matrix = _drift_field(sys), _control_matrix(sys)
+    evs, e0s = e_field(xs), g_matrix(xs)
+    dgs = numeric_jacobian(g_matrix, xs)
+    de = numeric_jacobian(e_field, xs)
+    # column r of g and its Jacobian: g_r and Dg_r
+    gs = [e0s[..., r] for r in range(m)]
+    dg = [_part(dgs, entries=slice(r, None, m)) for r in range(m)]
+    e1s = np.concatenate(
+        [e0s, np.stack([_bracket(evs, gs[r], dg[r], de) for r in range(m)], axis=-1)], axis=-1)
+    control_brackets = [_bracket(gs[r], gs[s_], dg[s_], dg[r])
+                        for r in range(m) for s_ in range(r + 1, m)]
 
     ranks0, margins0 = _numeric_ranks(e0s)
     ranks1, margins1 = _numeric_ranks(e1s)
@@ -416,20 +449,23 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
         ml2_def, ml2_wit, _ = _worst(xs, past / np.where(sv[..., 0] > 0.0, sv[..., 0], 1.0))
 
     ml3 = ml4 = ml5 = 0.0, None, 1.0
-    at0 = ranks0 < sys.n
+    at0 = ranks0 < n
     if at0.any():
         x0 = xs[at0]
         ann0 = _annihilators(e0s[at0], ranks0[at0])
         curv = curvature_tensor(sys, x0)
         ml3 = _worst(x0, np.abs(np.einsum("...ia,...ijkl->...ajkl", ann0, curv)).max(
             axis=(1, 2, 3, 4)), np.maximum(np.abs(curv).max(axis=(1, 2, 3, 4)), 1.0))
-        ngs = np.stack([_nabla_g_matrix(sys, x0, r) for r in range(sys.m)], axis=1)
+        # nabla g_r as an n x n matrix (upper index first)
+        G0, g0 = _values(sys, sys.gamma, x0, (n,) * 3), e0s[at0]
+        ngs = np.stack([dg[r][at0] + np.einsum("...ijk,...k->...ij", G0, g0[..., r])
+                        for r in range(m)], axis=1)
         ml4 = _worst(x0, np.abs(np.swapaxes(ann0, -1, -2)[:, None] @ ngs).max(axis=(2, 3)),
                      np.maximum(np.abs(ngs).max(axis=(2, 3)), 1.0))
-    at1 = ranks1 < sys.n
+    at1 = ranks1 < n
     if at1.any():
         x1 = xs[at1]
-        n2e = _nabla2_e_tensor(sys, x1)
+        n2e = _nabla2_e_tensor(sys, x1, evs[at1], _part(de, at1))
         ann1 = _annihilators(e1s[at1], ranks1[at1])
         ml5 = _worst(x1, np.abs(np.einsum("...ia,...ijk->...ajk", ann1, n2e)).max(axis=(1, 2, 3)),
                      np.maximum(np.abs(n2e).max(axis=(1, 2, 3)), 1.0))

@@ -258,6 +258,30 @@ class TestCheck:
     def test_unknown_system_is_usage_error(self):
         assert main(["check", "wobbler"]) == 4
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0:1:0", "at least one point"), ("0:1:-3", "at least one point"),
+        ("nan:1:3", "must be finite"), ("0:inf:3", "must be finite"),
+        ("-inf:1:3", "must be finite"),
+    ], ids=["no-points", "negative-count", "nan-end", "inf-end", "minus-inf-end"])
+    def test_bad_grid_is_usage_error(self, grid, message, tmp_path, capsys):
+        # refused before any check runs: no report is written
+        out = tmp_path / "rep"
+        assert main(["check", "pendulum", f"--grid={grid}", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_negative_lo_joined_to_its_flag(self, tmp_path, capsys):
+        # the default pendulum grid spelled out; argparse takes a separate
+        # "-1.3:1.3:21" for an option
+        runs = []
+        for name, extra in (("default", []), ("spelled", ["--grid=-1.3:1.3:21"])):
+            assert main(["check", "pendulum", *extra, "--out", str(tmp_path / name)]) == 0
+            runs.append((capsys.readouterr().out,
+                         (tmp_path / name / "check_report.json").read_bytes()))
+        assert runs[1] == runs[0]
+        assert main(["check", "pendulum", "--grid", "-1.3:1.3:21"]) == 4
+
 
 class TestVerifyMaps:
     def test_shipped_maps_pass(self):

@@ -5,10 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mechlift
 from conftest import PARAMS
 from mechlift import (
     LinearMechanicalSystem,
     MechanicalSystem,
+    NonFinite,
     WrongDimensions,
     check_general,
     check_planar,
@@ -36,6 +38,21 @@ def flat(n, gamma=None, e=None, g=None):
         e=e or (lambda x: np.zeros(n)),
         g=g or (lambda x: np.ones((n, 1))),
     )
+
+
+@pytest.fixture()
+def checker_differences(monkeypatch):
+    """The calls the checker makes to the central-difference Jacobian,
+    one entry (the shape of the points) per call."""
+    jac = mechlift.linearizability.numeric_jacobian
+    calls = []
+
+    def counting(f, x0, *args, **kwargs):
+        calls.append(np.shape(x0))
+        return jac(f, x0, *args, **kwargs)
+
+    monkeypatch.setattr(mechlift.linearizability, "numeric_jacobian", counting)
+    return calls
 
 
 class TestLieBracket:
@@ -227,6 +244,37 @@ class TestCheckPlanar:
         with pytest.raises(WrongDimensions):
             check_planar(rigid_body.exp_chart_system(), [np.zeros(3)])
 
+    def test_each_field_is_differentiated_once(self, pendulum, checker_differences):
+        # Dg, De and D(ad_e g) on the samples, the last through two calls
+        # on its probes; then for each of the two second covariant
+        # derivatives one along X for the connection and two for ad_e g
+        # at the probes of its mixed second derivative
+        samples = [np.array([x1, 0.0]) for x1 in np.linspace(-1.3, 1.3, 21)]
+        check_planar(pendulum.system, samples)
+        assert len(checker_differences) == 11
+        assert checker_differences[:3] == [(21, 2)] * 3
+
+
+class TestRefusedSamples:
+    @pytest.mark.parametrize("check", [check_planar, check_general])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_named_before_any_field_runs(self, pendulum, check, bad):
+        evaluated = []
+
+        def record(f):
+            def g(x):
+                evaluated.append(f)
+                return f(x)
+            return g
+
+        sys = pendulum.system
+        watched = MechanicalSystem(sys.n, sys.m, record(sys.gamma), record(sys.e),
+                                   record(sys.g), batched=True)
+        samples = [np.array([0.1, 0.0]), np.array([0.2, 0.0]), np.array([0.3, bad])]
+        with pytest.raises(NonFinite, match="sample 2 contains NaN/Inf"):
+            check(watched, samples)
+        assert evaluated == []
+
 
 class TestCheckGeneral:
     def test_pendulum_passes(self, pendulum):
@@ -251,6 +299,14 @@ class TestCheckGeneral:
         samples = [rng.normal(size=3) for _ in range(8)]
         report = check_general(lms.as_mechanical_system(), samples)
         assert report.passed
+
+    def test_each_field_is_differentiated_once(self, rigid_body, checker_differences):
+        # e and the whole 3 x 3 g once each; every bracket is read from
+        # those two Jacobians (the exp chart has full rank, so ML3-ML5
+        # have no point to run on)
+        samples = [np.array([0.3, -0.2, 0.5]) * s for s in np.linspace(0.5, 4.0, 13)]
+        assert check_general(rigid_body.exp_chart_system(), samples).passed
+        assert checker_differences == [(13, 3)] * 2
 
     def test_rank_change_detected(self, pendulum):
         samples = [np.array([x1, 0.0])
@@ -365,6 +421,22 @@ def bracket_control():
                             e=lambda x: np.zeros(x.shape), g=g, batched=True)
 
 
+def tanh_control():
+    """Gamma = 0, e = sin(x), g = tanh(x B) as a 3 x 2 matrix, batch-aware:
+    generic fields, so the rank margins read the last bits of the drift
+    brackets, and [g_1, g_2] leaves span(g_1, g_2)."""
+    b = np.array([[0.9, -0.4, 0.3, 1.1, -0.7, 0.2], [0.5, 0.8, -1.2, 0.1, 0.6, -0.3],
+                  [-0.2, 0.4, 0.7, -0.9, 0.3, 1.0]])
+
+    def g(x):
+        # x B entry by entry, so that a stack's rows are its points' values
+        xb = x[..., 0, None] * b[0] + x[..., 1, None] * b[1] + x[..., 2, None] * b[2]
+        return np.tanh(xb).reshape(x.shape[:-1] + (3, 2))
+
+    return MechanicalSystem(3, 2, gamma=lambda x: np.zeros((3, 3, 3)), e=np.sin, g=g,
+                            batched=True)
+
+
 class TestFaultsStayDetected:
     """Known non-linearizable systems fail the conditions they break, on
     the batched path and on the per-point one."""
@@ -399,6 +471,7 @@ RANK_CHANGE = [np.array([x1, 0.0]) for x1 in (-1.0, 0.0, 1.0, np.pi / 2)]
 BENT = [np.array([x1, 0.3]) for x1 in np.linspace(-1.0, 1.0, 11)]
 SPHERE = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
 BRACKET = [np.array([x1, 0.2, -0.1]) for x1 in np.linspace(-1.0, 1.0, 7)]
+TANH = [np.array([x1, 0.4, -0.3]) for x1 in np.linspace(-1.0, 1.0, 7)]
 PINNED = {
     "crossing-MD1": (check_planar, lambda p: p.system, CROSSING, [
         ("MD1", "fail", 0.0, 0, 1e-8), ("MD2", "pass", 0.0, None, 1e-6),
@@ -418,6 +491,11 @@ PINNED = {
     "bracket-ML2": (check_general, lambda p: bracket_control(), BRACKET, [
         ("ML1", "pass", 0.7071067811865475, None, 1e-8), ("ML2", "fail", 1.0, 3, 1e-8),
         ("ML3", "pass", 0.0, None, 1e-6), ("ML4", "fail", 1.0, 3, 1e-6),
+        ("ML5", "pass", 0.0, None, 1e-6)]),
+    "tanh-ML2-ML4": (check_general, lambda p: tanh_control(), TANH, [
+        ("ML1", "pass", 0.03557291727081771, None, 1e-8),
+        ("ML2", "fail", 0.15451771359186978, 0, 1e-8),
+        ("ML3", "pass", 0.0, None, 1e-6), ("ML4", "fail", 0.87509076879964, 6, 1e-6),
         ("ML5", "pass", 0.0, None, 1e-6)]),
 }
 
