@@ -425,8 +425,9 @@ def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        """argparse's report of a parse error, with the usage exit code."""
         self.print_usage(sys.stderr)
-        raise SystemExit(4)
+        self.exit(4, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

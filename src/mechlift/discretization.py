@@ -44,10 +44,13 @@ class DiscretizationMap:
     agree, and a 1-d point is a stack of one; a Jacobian that does not
     depend on the point may be one 2n x 2n matrix for the whole stack.
     ``theta`` is set on the members of the affine family built by
-    :func:`_theta_map` and is None on every other map.
+    :func:`_theta_map` and is None on every other map.  ``_joint`` is
+    set on a map whose forward and Jacobian share work (a chart lift's)
+    and is None on every other map.
     """
 
     theta = None
+    _joint = None
 
     def __init__(self, dim, kind, forward, inverse, jacobian):
         if kind not in _KINDS:
@@ -67,6 +70,14 @@ class DiscretizationMap:
     def jacobian(self, x, v):
         """Derivative of the packed forward map at (x, v)."""
         return self._jacobian(float_array(x), float_array(v))
+
+    def _forward_and_jacobian(self, x, v):
+        """(x0, x1, J): ``forward`` and ``jacobian`` at (x, v) in one
+        evaluation, each bit for bit its own call's value."""
+        x, v = float_array(x), float_array(v)
+        if self._joint is not None:
+            return self._joint(x, v)
+        return (*self._forward(x, v), self._jacobian(x, v))
 
 
 def _theta_map(dim, kind, theta) -> DiscretizationMap:
@@ -279,7 +290,10 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
 
     The returned map acts on the source chart of ``phi``: push (x, v)
     through the tangent map, apply ``dmap``, pull both outputs back.
-    Chart-domain errors (``OutsideChart``) propagate from ``phi``.
+    Its Jacobian is one joint evaluation with the forward map, so
+    phi(x), the tangent map's Jacobian, the base map and the two
+    pull-backs each run once.  Chart-domain errors (``OutsideChart``)
+    propagate from ``phi``.
     """
     if dmap.dim != phi.dim:
         raise DimensionMismatch(
@@ -297,15 +311,20 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
         x = phi.inverse(z)
         return x, np.linalg.solve(phi.jacobian(x), w[..., None])[..., 0]
 
-    def jacobian(x, v):
-        # chain rule through Tphi, the base map, and the two pullbacks
-        jt = tphi.jacobian(np.concatenate([x, v], axis=-1))
-        pulled = dmap.jacobian(phi.forward(x), _matvec(jt[..., :n, :n], v)) @ jt
-        a, b = forward(x, v)
-        return np.concatenate([np.linalg.solve(phi.jacobian(a), pulled[..., :n, :]),
-                               np.linalg.solve(phi.jacobian(b), pulled[..., n:, :])], axis=-2)
+    def joint(x, v):
+        # chain rule through Tphi, the base map, and the two pullbacks;
+        # Dphi(x) is the top-left block of Tphi's Jacobian
+        z, jt = phi.forward(x), tphi.jacobian(np.concatenate([x, v], axis=-1))
+        a, b, jac = dmap._forward_and_jacobian(z, _matvec(jt[..., :n, :n], v))
+        pulled = jac @ jt
+        x0, x1 = phi.inverse(a), phi.inverse(b)
+        return x0, x1, np.concatenate([np.linalg.solve(phi.jacobian(x0), pulled[..., :n, :]),
+                                       np.linalg.solve(phi.jacobian(x1), pulled[..., n:, :])],
+                                      axis=-2)
 
-    return DiscretizationMap(n, "lifted", forward, inverse, jacobian)
+    lifted = DiscretizationMap(n, "lifted", forward, inverse, lambda x, v: joint(x, v)[2])
+    lifted._joint = joint
+    return lifted
 
 
 def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
@@ -335,8 +354,8 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
 
     def forward(s, w):
         x, y = s[..., :n], w[..., :n]
-        a, b = dmap.forward(x, y)
-        t = _matvec(dmap.jacobian(x, y), np.concatenate([s[..., n:], w[..., n:]], axis=-1))
+        a, b, jac = dmap._forward_and_jacobian(x, y)
+        t = _matvec(jac, np.concatenate([s[..., n:], w[..., n:]], axis=-1))
         return (np.concatenate([a, t[..., :n]], axis=-1),
                 np.concatenate([b, t[..., n:]], axis=-1))
 

@@ -497,8 +497,8 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     3-vector (``DimensionMismatch``, ``NonFinite`` for NaN/Inf).  The
     logarithm, the increment and the product R exp(h hat(Omega)) run on
     them in ``math``.  Each gain is a scalar (K I) or a 3x3 matrix; any
-    other shape raises ``DimensionMismatch``.  h must be a finite
-    positive number.
+    other shape raises ``DimensionMismatch``.  A ``float`` gain and h are
+    used as they are.  h must be a finite positive number.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
     omega = np.asarray(omega, dtype=float)
@@ -507,7 +507,8 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
         _vec(omega, "omega")
     if len(w) != 3:
         raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
-    _check_step_size(h)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be a finite positive number, got {h}")
     xi = _log(r)
     e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
     r_next = _rotation([
@@ -517,8 +518,10 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
         r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
         r20 * e02 + r21 * e12 + r22 * e22,
     ])
-    a0, a1, a2 = _times_gain(k1, xi, "K1")
-    b0, b1, b2 = _times_gain(k2, w, "K2")
+    a0, a1, a2 = (k1 * xi[0], k1 * xi[1], k1 * xi[2]) if type(k1) is float else \
+        _times_gain(k1, xi, "K1")
+    b0, b1, b2 = (k2 * w[0], k2 * w[1], k2 * w[2]) if type(k2) is float else \
+        _times_gain(k2, w, "K2")
     return r_next, np.array([w[0] - h * a0 - h * b0, w[1] - h * a1 - h * b1,
                              w[2] - h * a2 - h * b2])
 

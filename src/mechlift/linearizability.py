@@ -115,7 +115,8 @@ def _covariant(xv, yv, dy, G):
 
 
 def _second_directional(f, x, f0, u, v):
-    """Mixed second derivative D2f(x)[u, v] by symmetric polarization.
+    """Mixed second derivatives D2f(x)[u, v] and D2f(x)[v, u] by
+    symmetric polarization.
 
     Directions are normalized before differencing and the norms factored
     back in, and the step grows with |f|^(1/4) so function-value rounding
@@ -124,11 +125,16 @@ def _second_directional(f, x, f0, u, v):
     Richardson extrapolation, from twice the step, recovers roughly half
     the digits lost to the second difference.
 
+    The two orders differ only in rounding: they probe the same points,
+    the u - v ones with their signs swapped.  So ``f`` is evaluated once
+    for both, and each quotient is formed from the values in its own
+    order, bit for bit what that order alone would give.  Where ``v`` is
+    ``u``, the u - v probes are x itself, and ``f0`` stands for them.
+
     ``f0`` is f at x.  Row by row on a (..., n) stack of points and of
     directions, for a field ``f`` that acts row by row: ``f`` is called
-    once, on the stack of every point's eight probes.  At a single point
-    it takes the probes one at a time.  A row with a zero direction
-    gives 0.
+    once, on the stack of every point's probes.  At a single point it
+    takes the probes one at a time.  A row with a zero direction gives 0.
     """
     nu, nv = _norms(u), _norms(v)
     uh = u / np.where(nu > 0.0, nu, 1.0)[..., None]
@@ -138,7 +144,7 @@ def _second_directional(f, x, f0, u, v):
     s = 2.0 * SECOND_ORDER_STEP * np.sqrt(np.sqrt(1.0 + np.abs(f0).max(axis=-1)))
     # axes after the points': step (s/2, s), direction (u + v, u - v), sign (+, -)
     h = np.stack([s / 2.0, s], axis=-1)[..., None, None]
-    hw = h * np.stack([uh + vh, uh - vh], axis=-2)[..., None, :, :]
+    hw = h * np.stack([uh + vh] if v is u else [uh + vh, uh - vh], axis=-2)[..., None, :, :]
     xp = x[..., None, None, :]
     probes = np.stack([xp + hw, xp - hw], axis=-2)
     if x.ndim == 1:  # a field of one point takes one probe at a time
@@ -146,10 +152,20 @@ def _second_directional(f, x, f0, u, v):
             probes.shape[:-1] + f0.shape)
     else:
         fs = float_array(f(probes))
+    if v is u:
+        fs = np.concatenate([fs, np.broadcast_to(f0[..., None, None, None, :], fs.shape)],
+                            axis=-3)
+    swapped = np.stack([fs[..., 0, :, :], fs[..., 1, ::-1, :]], axis=-3)
+    return tuple(_polarized(values, f0, h, nu * nv) for values in (fs, swapped))
+
+
+def _polarized(fs, f0, h, scale):
+    """The extrapolated polarization quotient from f at the probes, with
+    axes step, direction and sign after the points', and f0 at x."""
     quad = (fs[..., 0, :] - 2.0 * f0[..., None, None, :] + fs[..., 1, :]) / (h * h)
     mixed = (quad[..., 0, :] - quad[..., 1, :]) / 4.0
     d = (4.0 * mixed[..., 0, :] - mixed[..., 1, :]) / 3.0
-    return (nu * nv)[..., None] * d
+    return scale[..., None] * d
 
 
 def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field,
@@ -172,7 +188,8 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     zv = float_array(z_field(x))
     dz = numeric_jacobian(z_field, x)
     G = _values(sys, sys.gamma, x, (sys.n,) * 3)
-    return _second_covariant(z_field, x, xv, yv, zv, dz, G, _connection_along(sys, x, xv))
+    return _second_covariant(_second_directional(z_field, x, zv, xv, yv)[0], xv, yv, zv, dz, G,
+                             _connection_along(sys, x, xv))
 
 
 def _connection_along(sys, x, xv):
@@ -192,11 +209,10 @@ def _connection_along(sys, x, xv):
     return dG[..., 0, :, 0].reshape(x.shape[:-1] + (n,) * 3) * nxv[..., None, None, None]
 
 
-def _second_covariant(z_field, x, xv, yv, zv, dz, G, dG):
-    """nabla^2_{X,Y} Z from the values of X, Y and Z, the Jacobian of Z,
-    the connection coefficients and their derivative along X; only the
-    mixed second derivative of Z is left to difference."""
-    d2z = _second_directional(z_field, x, zv, xv, yv)
+def _second_covariant(d2z, xv, yv, zv, dz, G, dG):
+    """nabla^2_{X,Y} Z from the mixed second derivative D2Z[X, Y], the
+    values of X, Y and Z, the Jacobian of Z, the connection coefficients
+    and their derivative along X."""
     out = (d2z + _gam(dG, yv, zv) + _gam(G, yv, _matvec(dz, xv)) + _gam(G, xv, _matvec(dz, yv))
            + _gam(G, xv, _gam(G, yv, zv)) - _matvec(dz, _gam(G, xv, yv))
            - _gam(G, _gam(G, xv, yv), zv))
@@ -336,10 +352,9 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     dad = numeric_jacobian(ad_field, xs)
     G = _values(sys, sys.gamma, xs, (2,) * 3)
     md2_vecs = np.stack([_covariant(gvs, gvs, dg, G), _covariant(advs, gvs, dg, G)], axis=1)
-    d1s = _second_covariant(ad_field, xs, gvs, advs, advs, dad, G,
-                            _connection_along(sys, xs, gvs))
-    d2s = _second_covariant(ad_field, xs, advs, gvs, advs, dad, G,
-                            _connection_along(sys, xs, advs))
+    d2_ga, d2_ag = _second_directional(ad_field, xs, advs, gvs, advs)
+    d1s = _second_covariant(d2_ga, gvs, advs, advs, dad, G, _connection_along(sys, xs, gvs))
+    d2s = _second_covariant(d2_ag, advs, gvs, advs, dad, G, _connection_along(sys, xs, advs))
 
     sv = np.linalg.svd(np.stack([gvs, advs], axis=-1), compute_uv=False)
     md1_ratio, md1_wit = _least(xs, sv[:, -1] / np.where(sv[:, 0] > 0.0, sv[:, 0], 1.0))
@@ -388,17 +403,21 @@ def _annihilators(stack, ranks):
 def _nabla2_e_tensor(sys, x, ev, de):
     """Second covariant derivative of the drift as an (n, n, n) array
     [i, j, k], row by row on a (..., n) stack, from the drift's values
-    ``ev`` and Jacobians ``de`` there: the connection once, and its
-    derivative once per direction j."""
+    ``ev`` and Jacobians ``de`` there: the connection once, its
+    derivative once per direction j, and the drift once per distinct
+    probe, the pairs (j, k) and (k, j) sharing theirs."""
     n = sys.n
     e_field = _drift_field(sys)
     G = _values(sys, sys.gamma, x, (n,) * 3)
     directions = [np.broadcast_to(v, x.shape) for v in np.eye(n)]
+    dGs = [_connection_along(sys, x, xj) for xj in directions]
     out = np.empty(x.shape[:-1] + (n, n, n))
     for j, xj in enumerate(directions):
-        dG = _connection_along(sys, x, xj)
-        for k, xk in enumerate(directions):
-            out[..., :, j, k] = _second_covariant(e_field, x, xj, xk, ev, de, G, dG)
+        for k in range(j, n):
+            xk = directions[k]
+            d2_jk, d2_kj = _second_directional(e_field, x, ev, xj, xk)
+            out[..., :, j, k] = _second_covariant(d2_jk, xj, xk, ev, de, G, dGs[j])
+            out[..., :, k, j] = _second_covariant(d2_kj, xk, xj, ev, de, G, dGs[k])
     return out
 
 

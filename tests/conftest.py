@@ -82,6 +82,20 @@ def central_differences(monkeypatch):
 
 
 @pytest.fixture()
+def chart_calls(monkeypatch):
+    """The calls made to the methods of every chart change (a
+    ``Diffeomorphism``, tangent maps included), one method name per call."""
+    calls = []
+    for name in ("forward", "inverse", "jacobian", "second_deriv"):
+        def counting(self, *args, method=getattr(Diffeomorphism, name), name=name):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(Diffeomorphism, name, counting)
+    return calls
+
+
+@pytest.fixture()
 def field_evaluations(monkeypatch):
     """Evaluations of the field each ``step_sode`` call of ``fl_discretize``
     is given (the closed-loop field, once per residual), one count per step."""

@@ -361,8 +361,19 @@ def test_cli_runs_import_no_scipy(tmp_path):
 
 
 class TestUsage:
-    def test_unknown_command(self):
+    def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mechlift")
+        assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+    def test_a_parse_error_says_why(self, capsys):
+        # a grid with a negative LO, apart from its flag, reads as an option
+        assert main(["check", "pendulum", "--grid", "-1:1:5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage: mechlift check [-h] [--grid LO:HI:N] [--out OUT] system\n"
+                                "mechlift check: error: argument --grid: expected one argument\n")
 
     def test_missing_command(self):
         assert main([]) == 4

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -374,3 +377,71 @@ class TestStacks:
         npt.assert_array_equal(chart.second_deriv([0.3, 0.1], [1.0, 0.0], [0.5, 2.0]),
                                chart.second_deriv(np.array([0.3, 0.1]), np.array([1.0, 0.0]),
                                                   np.array([0.5, 2.0])))
+
+
+def commutation_samples():
+    """100 (s, w) pairs on the pendulum chart's tangent bundle, seed 19."""
+    rng = np.random.default_rng(19)
+    s = np.column_stack([rng.uniform(-1.0, 1.0, (100, 2)), rng.normal(size=(100, 2)) * 0.5])
+    return s, rng.normal(size=(100, 4)) * 0.1
+
+
+def commutation_routes():
+    """The two lift orders of the midpoint map through the pendulum chart."""
+    base = make_midpoint(2)
+    return {"tangent-of-chart": tangent_lift(lift_by_diffeo(base, PHI)),
+            "chart-of-tangent": lift_by_diffeo(tangent_lift(base), tangent_map(PHI))}
+
+
+# each route's forward at the first sample, and the SHA-256 of its 100
+# forwards (both outputs side by side, one row per sample) on the samples
+PINNED_ROUTES = {
+    "tangent-of-chart": (
+        [-0.14473305522650787, 0.9041596018938627, -0.3818481894118972, -0.03361761752741901,
+         -0.17378565410191701, 0.8045414197057461, -0.34390610696554164, -0.0654682385786778],
+        "ee7bef04867072e054271a9c86acfd6aaccb05d0bcc8ca957c0313817db16a3f"),
+    "chart-of-tangent": (
+        [-0.14473305522650787, 0.9041596018938627, -0.3818481894118972, -0.03361761752741445,
+         -0.17378565410191701, 0.8045414197057461, -0.34390610696554147, -0.06546823857868504],
+        "5697ad2fa5cb8c7b16e84430d31450189a5c7ce3e5d34ebb6e53aa2cde2e93de"),
+}
+
+
+class TestJointEvaluation:
+    """A chart-lifted map evaluates phi(x), the tangent map's Jacobian, the
+    base map and the two pull-backs once for its forward map and Jacobian
+    together."""
+
+    def test_the_tangent_of_a_chart_lift_calls_the_chart_eight_times(self, chart_calls):
+        route = commutation_routes()["tangent-of-chart"]
+        s, w = commutation_samples()
+        route.forward(s[0], w[0])
+        # phi(x); the tangent map's Jacobian, with Dphi(x) and D2phi(x)
+        # inside it; and each output's pull-back and its Jacobian
+        assert Counter(chart_calls) == {"forward": 1, "jacobian": 4, "second_deriv": 1,
+                                        "inverse": 2}
+
+    @pytest.mark.parametrize("route", PINNED_ROUTES)
+    def test_the_routes_keep_their_values(self, route):
+        dmap = commutation_routes()[route]
+        s, w = commutation_samples()
+        first, digest = PINNED_ROUTES[route]
+        assert np.hstack(dmap.forward(s[0], w[0])).tolist() == first
+        stacked = np.hstack(dmap.forward(s, w))
+        each = np.array([np.hstack(dmap.forward(a, b)) for a, b in zip(s, w)])
+        assert hashlib.sha256(stacked.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(each.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    def test_the_joint_evaluation_is_the_forward_map_and_the_jacobian(self, builder, chart,
+                                                                       rng):
+        # a chart lift of a theta map, and one of a chart-lifted map
+        lifted = lift_by_diffeo(builder(2), chart)
+        for dmap in (lifted, lift_by_diffeo(lifted, identity_diffeomorphism(2))):
+            x = np.array(chart_points(rng, 6, lim=1.0))
+            v = rng.normal(size=x.shape) * 0.02
+            for args in ((x, v), (x[0], v[0])):
+                joint = dmap._forward_and_jacobian(*args)
+                apart = (*dmap.forward(*args), dmap.jacobian(*args))
+                assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]

@@ -246,12 +246,12 @@ class TestCheckPlanar:
 
     def test_each_field_is_differentiated_once(self, pendulum, checker_differences):
         # Dg, De and D(ad_e g) on the samples, the last through two calls
-        # on its probes; then for each of the two second covariant
-        # derivatives one along X for the connection and two for ad_e g
-        # at the probes of its mixed second derivative
+        # on its probes; one along each of g and ad_e g for the connection;
+        # and two for ad_e g at the probes the two mixed second derivatives
+        # share
         samples = [np.array([x1, 0.0]) for x1 in np.linspace(-1.3, 1.3, 21)]
         check_planar(pendulum.system, samples)
-        assert len(checker_differences) == 11
+        assert len(checker_differences) == 9
         assert checker_differences[:3] == [(21, 2)] * 3
 
 
@@ -307,6 +307,23 @@ class TestCheckGeneral:
         samples = [np.array([0.3, -0.2, 0.5]) * s for s in np.linspace(0.5, 4.0, 13)]
         assert check_general(rigid_body.exp_chart_system(), samples).passed
         assert checker_differences == [(13, 3)] * 2
+
+    def test_each_drift_probe_is_evaluated_once(self):
+        # ML5 runs on every point of the round sphere's grid: the drift at
+        # the 5 samples, at the 20 probes of its Jacobian, and at 16 probes
+        # a point for its mixed second derivatives, where the pairs (j, k)
+        # and (k, j) share theirs and x itself stands for the u - v probes
+        # of a pair j = k
+        sphere, points = round_sphere(), []
+
+        def drift(x):
+            points.extend(map(tuple, np.reshape(x, (-1, 2))))
+            return sphere.e(x)
+
+        samples = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
+        report = check_general(dataclasses.replace(sphere, e=drift), samples)
+        assert report["ML5"].verdict == "fail"
+        assert len(points) == len(set(points)) == 5 + 20 + 5 * 16
 
     def test_rank_change_detected(self, pendulum):
         samples = [np.array([x1, 0.0])
