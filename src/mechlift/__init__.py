@@ -1,5 +1,7 @@
 """Structure-preserving discretizations and mechanical feedback linearization."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AngleAtPi,
     DimensionMismatch,
@@ -64,7 +66,6 @@ from .integrators import (
     OrderStudy,
     StepResult,
     Trajectory,
-    cayley_matrix,
     fl_discretize,
     linear_flow,
     linear_one_step,
@@ -76,5 +77,6 @@ from .integrators import (
     theta_update_matrix,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

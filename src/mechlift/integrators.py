@@ -162,25 +162,24 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     the linear update the map induces on the target: under ``gains`` K,
     Z+ = M Z with M = ``theta_update_matrix(A - B K, h, theta)``.
 
-    Such a call certifies its whole orbit Z_k = M^k Z_0 in one pass: it
-    pulls back every orbit state and every step's base point
+    Such a call certifies its whole orbit Z_k = M^k Z_0 in one pass on
+    stacks: it pulls back every orbit state and every step's base point
     (1 - theta) Z_k + theta Z_{k+1}, then evaluates every step's
     physical residual (Z_{k+1} - Z_k) - h DTphi f, against its bound
-    ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls: on the whole
-    stack when ``bundle.system.batched``, else one step at a time, with
-    the same values.  A certified step has ``iterations == 0`` and makes
-    no ``step_sode`` call.  From the first step that fails its
-    certificate (as with a feedback or target that does not linearize)
-    or whose pull-back or feedback raises (any ``MechliftError`` or
-    ``LinAlgError``; a pass on a stack that raises is rerun one step at
-    a time, up to that step) or is not finite, and for every
-    step of an open-loop ``utilde`` or of a base map outside the family,
-    Newton solves the step by ``step_sode`` from Z_k, the push of its
-    stored state.  It starts from the constant step Jacobian
-    I - theta h A_cl (``_linear_step_jacobian``) and carries the one it
-    ends with to the next step (the chord method).  A chain of calls computes the states
-    of one call to rounding: each call's orbit starts from the push of
-    its ``s0``.
+    ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls.  A certified step
+    has ``iterations == 0`` and makes no ``step_sode`` call.  When the
+    pass raises (any ``MechliftError`` or ``LinAlgError``, as when the
+    orbit leaves the chart or meets a singular feedback), it is rerun
+    one step at a time up to the first step that raises, which locates
+    that step.  From the first step that fails its certificate (as with
+    a feedback or target that does not linearize), raises or is not
+    finite, and for every step of an open-loop ``utilde`` or of a base
+    map outside the family, Newton solves the step by ``step_sode`` from
+    Z_k, the push of its stored state.  It starts from the constant step
+    Jacobian I - theta h A_cl (``_linear_step_jacobian``) and carries
+    the one it ends with to the next step (the chord method).  A chain
+    of calls computes the states of one call to rounding: each call's
+    orbit starts from the push of its ``s0``.
 
     Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
     at the base state) or an open-loop ``utilde`` sequence (steps x m
@@ -269,17 +268,13 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         base, v = lifted.inverse(orbit[:-1], orbit[1:])
         ut = base @ minus_kt
 
-        values = None
-        if sys.batched:
-            try:
-                x, y, d = pull(np.concatenate([orbit[1:], base]))
-                # a batched chart may return one Jacobian shared by every row
-                values = (x[:steps], y[:steps]) + pushed_field(
-                    base, x[steps:], y[steps:], d[steps:] if d.ndim > 2 else d, ut)
-            except _ORBIT_FAULTS:
-                pass  # the row loop finds the first step that raises
-        if values is None:
-            # one step at a time, up to the first that raises
+        try:
+            x, y, d = pull(np.concatenate([orbit[1:], base]))
+            # a chart may return one Jacobian shared by every row
+            values = (x[:steps], y[:steps]) + pushed_field(
+                base, x[steps:], y[steps:], d[steps:] if d.ndim > 2 else d, ut)
+        except _ORBIT_FAULTS:
+            # the first step that raises: one step at a time, up to it
             rows = []
             for k in range(steps):
                 try:
@@ -466,11 +461,6 @@ def theta_update_matrix(a, h, theta) -> np.ndarray:
         raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
 
 
-def cayley_matrix(a_cl, h) -> np.ndarray:
-    """Cayley update (I - h/2 A)^-1 (I + h/2 A), the midpoint scheme's on x' = A x."""
-    return theta_update_matrix(a_cl, h, 0.5)
-
-
 def _times_gain(k, v, name):
     """K v as three floats, for a gain K that is a scalar or a 3x3 matrix
     and three floats v."""
@@ -530,8 +520,8 @@ def linear_flow(a, z0, times) -> np.ndarray:
     """Exact flow expm(a t) z0 of z' = a z, one row per entry of ``times``.
 
     Scaling and squaring (Moler and Van Loan, "Nineteen dubious ways to
-    compute the exponential of a matrix", SIAM Review 2003), batched
-    over the times: each a t is scaled by 2^-s until its 1-norm is at
+    compute the exponential of a matrix", SIAM Review 2003), on the
+    stack of times: each a t is scaled by 2^-s until its 1-norm is at
     most 1/2, exponentiated by a degree-18 Taylor sum (truncation below
     1e-22) and squared s times.  No eigendecomposition, so defective
     matrices such as a double integrator are handled as well; t = 0

@@ -26,33 +26,23 @@ RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-6
 
 
-def _values(sys: MechanicalSystem, f, x, shape) -> np.ndarray:
-    """``f``, a callable of ``sys``, at a point or a (..., n) stack of
-    points, as the full C-contiguous (...,) + ``shape`` stack of values.
-
-    This is the checker's one row adapter.  A ``batched`` system's
-    callable takes the whole stack in one call, and a shared value it
-    returns is broadcast to every row; any other system's callable is
-    called on one row at a time, so it never sees a stack.  Both give
-    the same values in the same memory layout, so what is computed from
-    them rounds alike.
-    """
+def _values(f, x, shape) -> np.ndarray:
+    """``f``, a callable of a system, at a point or a (..., n) stack of
+    points, as the full C-contiguous (...,) + ``shape`` stack of values:
+    a value shared by the whole stack is broadcast to every row."""
+    values = float_array(f(x))
     lead = x.shape[:-1]
-    if sys.batched:
-        values = float_array(f(x))
-        if values.shape != lead + shape:
-            values = np.broadcast_to(values, lead + shape)
-        return np.ascontiguousarray(values)
-    rows = [float_array(f(p)) for p in x.reshape(-1, sys.n)]
-    return np.array(rows).reshape(lead + shape)
+    if values.shape != lead + shape:
+        values = np.broadcast_to(values, lead + shape)
+    return np.ascontiguousarray(values)
 
 
 def _drift_field(sys):
-    return lambda p: _values(sys, sys.e, p, (sys.n,))
+    return lambda p: _values(sys.e, p, (sys.n,))
 
 
 def _control_matrix(sys):
-    return lambda p: _values(sys, sys.g, p, (sys.n, sys.m))
+    return lambda p: _values(sys.g, p, (sys.n, sys.m))
 
 
 def _part(jac, rows=Ellipsis, entries=slice(None)):
@@ -94,15 +84,13 @@ def _bracket(xv, yv, dy, dx):
 def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarray:
     """(nabla_X Y)^i = dY^i/dx^j X^j + Gamma^i_jk X^j Y^k.
 
-    On a (..., n) stack of points as for :func:`lie_bracket`; the
-    connection goes through the row adapter, so ``sys`` need not be
-    ``batched``.
+    On a (..., n) stack of points as for :func:`lie_bracket`.
     """
     x = float_array(x)
     xv = float_array(x_field(x))
     yv = float_array(y_field(x))
     dy = numeric_jacobian(y_field, x)
-    return _covariant(xv, yv, dy, _values(sys, sys.gamma, x, (sys.n,) * 3))
+    return _covariant(xv, yv, dy, _values(sys.gamma, x, (sys.n,) * 3))
 
 
 def _covariant(xv, yv, dy, G):
@@ -187,7 +175,7 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     yv = float_array(y_field(x))
     zv = float_array(z_field(x))
     dz = numeric_jacobian(z_field, x)
-    G = _values(sys, sys.gamma, x, (sys.n,) * 3)
+    G = _values(sys.gamma, x, (sys.n,) * 3)
     return _second_covariant(_second_directional(z_field, x, zv, xv, yv)[0], xv, yv, zv, dz, G,
                              _connection_along(sys, x, xv))
 
@@ -203,7 +191,7 @@ def _connection_along(sys, x, xv):
 
     def along(t):
         p = x[..., None, None, :] + t * xh[..., None, None, :]
-        return _values(sys, sys.gamma, p, (n,) * 3).reshape(t.shape[:-1] + (n**3,))
+        return _values(sys.gamma, p, (n,) * 3).reshape(t.shape[:-1] + (n**3,))
 
     dG = numeric_jacobian(along, np.zeros(x.shape[:-1] + (1, 1)), SECOND_ORDER_STEP)
     return dG[..., 0, :, 0].reshape(x.shape[:-1] + (n,) * 3) * nxv[..., None, None, None]
@@ -228,10 +216,10 @@ def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
     """
     x = float_array(x)
     n = sys.n
-    G = _values(sys, sys.gamma, x, (n,) * 3)
+    G = _values(sys.gamma, x, (n,) * 3)
     # dG[..., m] = d Gamma / d x_m
     dG = numeric_jacobian(
-        lambda p: _values(sys, sys.gamma, p, (n,) * 3).reshape(p.shape[:-1] + (n**3,)), x)
+        lambda p: _values(sys.gamma, p, (n,) * 3).reshape(p.shape[:-1] + (n**3,)), x)
     dG = np.swapaxes(dG, -1, -2).reshape(x.shape[:-1] + (n,) * 4)
     term1 = np.einsum("...kilj->...ijkl", dG)
     term2 = np.einsum("...likj->...ijkl", dG)
@@ -333,11 +321,10 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     in span(g).  Membership defects are projection residuals, compared
     against ``MEMBERSHIP_TOL`` times the magnitude of the tested vector.
     Every differentiated quantity is evaluated for the whole grid at
-    once (see ``MechanicalSystem.batched``), and so is the rank and
-    projection algebra: g, ad_e g, their Jacobians and the connection
-    once each, and every derivative formed from them.  A failed
-    condition's witness is the first point, in sample order, with the
-    worst defect, and a passed one has none.
+    once, and so is the rank and projection algebra: g, ad_e g, their
+    Jacobians and the connection once each, and every derivative formed
+    from them.  A failed condition's witness is the first point, in
+    sample order, with the worst defect, and a passed one has none.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
@@ -350,7 +337,7 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     dg = numeric_jacobian(g_field, xs)
     advs = _bracket(evs, gvs, dg, numeric_jacobian(e_field, xs))
     dad = numeric_jacobian(ad_field, xs)
-    G = _values(sys, sys.gamma, xs, (2,) * 3)
+    G = _values(sys.gamma, xs, (2,) * 3)
     md2_vecs = np.stack([_covariant(gvs, gvs, dg, G), _covariant(advs, gvs, dg, G)], axis=1)
     d2_ga, d2_ag = _second_directional(ad_field, xs, advs, gvs, advs)
     d1s = _second_covariant(d2_ga, gvs, advs, advs, dad, G, _connection_along(sys, xs, gvs))
@@ -408,7 +395,7 @@ def _nabla2_e_tensor(sys, x, ev, de):
     probe, the pairs (j, k) and (k, j) sharing theirs."""
     n = sys.n
     e_field = _drift_field(sys)
-    G = _values(sys, sys.gamma, x, (n,) * 3)
+    G = _values(sys.gamma, x, (n,) * 3)
     directions = [np.broadcast_to(v, x.shape) for v in np.eye(n)]
     dGs = [_connection_along(sys, x, xj) for xj in directions]
     out = np.empty(x.shape[:-1] + (n, n, n))
@@ -476,7 +463,7 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
         ml3 = _worst(x0, np.abs(np.einsum("...ia,...ijkl->...ajkl", ann0, curv)).max(
             axis=(1, 2, 3, 4)), np.maximum(np.abs(curv).max(axis=(1, 2, 3, 4)), 1.0))
         # nabla g_r as an n x n matrix (upper index first)
-        G0, g0 = _values(sys, sys.gamma, x0, (n,) * 3), e0s[at0]
+        G0, g0 = _values(sys.gamma, x0, (n,) * 3), e0s[at0]
         ngs = np.stack([dg[r][at0] + np.einsum("...ijk,...k->...ij", G0, g0[..., r])
                         for r in range(m)], axis=1)
         ml4 = _worst(x0, np.abs(np.swapaxes(ann0, -1, -2)[:, None] @ ngs).max(axis=(2, 3)),

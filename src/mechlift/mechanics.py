@@ -42,17 +42,12 @@ class MechanicalSystem:
     gamma(x) returns the n x n x n array Gamma^i_jk, symmetric in (j, k);
     e(x) the drift n-vector; g(x) the n x m matrix of control fields.
 
-    ``batched`` declares that the three callables are batch-aware: given
-    a (..., n) stack of points each returns the stack of its values,
-    each row exactly the value at that row's point, broadcasting over
-    the leading axes, or its one shared value when that does not depend
-    on the point.  A guard raises when any row offends.  In a
-    ``SystemBundle`` the flag covers the bundle's chart ``phi`` (its
-    second derivative on stacks of vectors too) and feedback callables
-    as well.  The linearizability checker then evaluates the system on a
-    whole sample grid in one call, and ``fl_discretize`` certifies a
-    closed loop's orbit in one call; without the flag both call every
-    callable one point at a time.
+    Every callable of a system, of its chart and of its feedback acts
+    row by row on (..., n) stacks of points: it returns the stack of its
+    values, each row exactly the value at that row's point, and a 1-d
+    point is a stack of one.  A value that does not depend on the point
+    may be returned once for the whole stack.  A guard raises when any
+    row offends.
     """
 
     n: int
@@ -60,7 +55,6 @@ class MechanicalSystem:
     gamma: Callable[[np.ndarray], np.ndarray]
     e: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    batched: bool = False
 
 
 @dataclass
@@ -77,10 +71,8 @@ class MFTransform:
     gammaF: Callable[[np.ndarray], np.ndarray]
 
     def push_state(self, x, y):
-        """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked.
-
-        Row by row on (..., n) stacks when the chart's callables are.
-        """
+        """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked,
+        row by row on (..., n) stacks."""
         x = float_array(x)
         return np.concatenate([self.phi.forward(x), _matvec(self.phi.jacobian(x), float_array(y))],
                               axis=-1)
@@ -120,8 +112,7 @@ class LinearMechanicalSystem:
         return A_full, B_full
 
     def as_mechanical_system(self) -> MechanicalSystem:
-        """View as a flat-connection mechanical system with linear drift,
-        batch-aware."""
+        """View as a flat-connection mechanical system with linear drift."""
         n, m = self.n, self.m
         zero_gamma = np.zeros((n, n, n))
         return MechanicalSystem(
@@ -129,7 +120,6 @@ class LinearMechanicalSystem:
             gamma=lambda x: zero_gamma,
             e=lambda x: x @ self.A.T,
             g=lambda x: self.B,
-            batched=True,
         )
 
 
@@ -145,8 +135,7 @@ def sode_field(sys: MechanicalSystem, s, u):
     ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i under the m-vector
     control u; ``DimensionMismatch`` unless s has 2n entries and u m.
     On a (..., 2n) stack of states and a (..., m) stack of controls it
-    returns the stack of fields, for a system whose callables act row
-    by row (see ``MechanicalSystem.batched``).
+    returns the stack of fields.
     """
     n = sys.n
     s = float_array(s)
@@ -166,7 +155,7 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde.
 
     Row by row on (..., n) stacks of (x, y) and (..., m) stacks of
-    utilde, for feedback callables that act row by row.
+    utilde.
     """
     x = float_array(x)
     y = float_array(y)
@@ -218,11 +207,7 @@ class PendulumParams:
 
 
 class SystemBundle(NamedTuple):
-    """A mechanical system together with its linearizing transformation.
-
-    ``system.batched`` declares the whole bundle batch-aware (see
-    ``MechanicalSystem``).
-    """
+    """A mechanical system together with its linearizing transformation."""
 
     system: MechanicalSystem
     transform: MFTransform
@@ -267,7 +252,6 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         gamma=lambda x: zero_gamma,
         e=e,
         g=lambda x: g_mat,
-        batched=True,
     )
 
     def fwd(x):
@@ -426,8 +410,7 @@ class RigidBodySystem:
         Body angular velocity relates to chart rates via Omega = A(xi) y;
         differentiating gives a velocity-quadratic drift term that
         defines the connection coefficients, and control fields
-        g(xi) = A(xi)^-1.  Valid for |xi| < pi.  Its callables act row
-        by row on (..., 3) stacks (``batched``).
+        g(xi) = A(xi)^-1.  Valid for |xi| < pi.
         """
 
         def gamma(x):
@@ -448,7 +431,6 @@ class RigidBodySystem:
             gamma=gamma,
             e=lambda x: np.zeros(3),
             g=_rotation_rates_matrix_inv,
-            batched=True,
         )
 
     def exp_chart_transform(self) -> MFTransform:
@@ -501,20 +483,23 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
 
     At each sample (x, y, utilde) the closed-loop second-order field is
     pushed through the tangent-lifted chart change and compared with the
-    flat field (ytilde, A xtilde + B utilde) at the image point.
+    flat field (ytilde, A xtilde + B utilde) at the image point.  The
+    samples go to each callable as one stack.  The witness is the first
+    sample with a defect that is not finite, else the first with the
+    largest defect above 0; a defect that is not finite fails.  An empty
+    ``samples`` raises ``ValueError``.
     """
-    worst, witness = 0.0, None
-    for x, y, utilde in samples:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        u = apply_feedback(t, x, y, utilde)
-        ydot = sode_field(sys, np.concatenate([x, y]), u)[sys.n:]
-        d = t.phi.jacobian(x)
-        xt = t.phi.forward(x)
-        # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
-        pushed = t.phi.second_deriv(x, y, y) + d @ ydot
-        target = lms.A @ xt + lms.B @ np.atleast_1d(np.asarray(utilde, float))
-        defect = float(np.abs(pushed - target).max())
-        if defect > worst:
-            worst, witness = defect, (x.copy(), y.copy(), np.copy(utilde))
+    samples = list(samples)
+    if not samples:
+        raise ValueError("verify_mf_equivalence needs at least one sample")
+    x, y, ut = (float_array([np.atleast_1d(s[i]) for s in samples]) for i in range(3))
+    u = apply_feedback(t, x, y, ut)
+    ydot = sode_field(sys, np.concatenate([x, y], axis=-1), u)[..., sys.n:]
+    # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
+    pushed = t.phi.second_deriv(x, y, y) + _matvec(t.phi.jacobian(x), ydot)
+    target = t.phi.forward(x) @ lms.A.T + ut @ lms.B.T
+    defects = np.abs(pushed - target).max(axis=-1)
+    i = int(np.where(np.isfinite(defects), defects, np.inf).argmax())
+    worst = float(defects[i])
+    witness = None if worst == 0.0 else (x[i].copy(), y[i].copy(), ut[i].copy())
     return MFEquivalenceReport(worst, witness, MF_EQUIVALENCE_TOL)

@@ -27,26 +27,35 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def one_point(f):
-    """f, asserting that it is handed one point (1-d arguments)."""
-    def g(*args):
-        assert all(np.ndim(a) == 1 for a in args), [np.shape(a) for a in args]
-        return f(*args)
-    return g
+def _rows(f):
+    """f keeping the stack contract one point at a time: on a (..., n)
+    stack it is handed each row as a 1-d point, and its values are
+    stacked.  A 1-d point goes to f as it is, and so does an empty
+    stack, which has no row to hand it."""
+    def stacked(*args):
+        args = np.broadcast_arrays(*(np.asarray(a, float) for a in args))
+        if args[0].ndim == 1 or not args[0].size:
+            return f(*args)
+        lead = args[0].shape[:-1]
+        rows = [np.asarray(f(*point), float)
+                for point in zip(*(a.reshape(-1, a.shape[-1]) for a in args))]
+        return np.array(rows).reshape(lead + rows[0].shape)
+    return stacked
 
 
-def per_point(bundle):
-    """The undeclared per-point twin of ``bundle``: the same callables,
-    each asserting that it is handed one point (1-d arguments)."""
-    sys, t = bundle.system, bundle.transform
-    phi = t.phi
-    return SystemBundle(
-        MechanicalSystem(sys.n, sys.m, one_point(sys.gamma), one_point(sys.e),
-                         one_point(sys.g)),
-        MFTransform(Diffeomorphism(phi.dim, one_point(phi.forward), one_point(phi.inverse),
-                                   one_point(phi.jacobian), one_point(phi.second_deriv)),
-                    one_point(t.alpha), one_point(t.beta), one_point(t.gammaF)),
-        bundle.linear)
+def row_by_row(obj):
+    """The twin of a system or a bundle whose every callable loops over
+    the rows of a stack: the reference a system written one point at a
+    time gives for the stacked paths."""
+    if isinstance(obj, SystemBundle):
+        t = obj.transform
+        phi = t.phi
+        chart = Diffeomorphism(phi.dim, *map(_rows, (phi.forward, phi.inverse, phi.jacobian,
+                                                     phi.second_deriv)))
+        return SystemBundle(row_by_row(obj.system),
+                            MFTransform(chart, *map(_rows, (t.alpha, t.beta, t.gammaF))),
+                            obj.linear)
+    return MechanicalSystem(obj.n, obj.m, *map(_rows, (obj.gamma, obj.e, obj.g)))
 
 
 def stack_rows_are_the_points(f, *stacks):

@@ -24,7 +24,6 @@ import numpy as np
 
 from mechlift import (
     Rotation,
-    cayley_matrix,
     check_general,
     check_planar,
     fl_discretize,
@@ -38,6 +37,7 @@ from mechlift import (
     so3_closed_loop_step,
     tangent_lift,
     tangent_map,
+    theta_update_matrix,
     verify_axioms,
 )
 from mechlift.cli import _harmonic_order_case, _pendulum_order_case, _so3_order_case
@@ -149,7 +149,7 @@ def _closed_loop_run(pendulum, h=0.01, steps=100):
 
 def test_criterion_4_step_conjugacy(pendulum):
     traj, a_cl = _closed_loop_run(pendulum)
-    cay = cayley_matrix(a_cl, 0.01)
+    cay = theta_update_matrix(a_cl, 0.01, 0.5)
     push = pendulum.transform.push_state
     worst = 0.0
     for k in range(100):

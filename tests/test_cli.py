@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import mechlift
-from mechlift import cayley_matrix, pendulum_system, pole_place, so3_exp
+from mechlift import pendulum_system, pole_place, so3_exp, theta_update_matrix
 from mechlift.cli import main, run_verify_maps
 from mechlift.discretization import DiscretizationMap
 
@@ -106,7 +106,7 @@ class TestSimulatePendulum:
         push = bundle.transform.push_state
         z = np.array([push(s[:2], s[2:]) for s in states[:, 1:]])
         a, b = bundle.linear.stacked()
-        one_step = cayley_matrix(a - b @ gains, 0.01)
+        one_step = theta_update_matrix(a - b @ gains, 0.01, 0.5)
         assert np.abs(z[1:] - z[:-1] @ one_step.T).max() < 1e-8
 
     def test_wrong_number_of_gains_is_usage_error(self, tmp_path, capsys):

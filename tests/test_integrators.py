@@ -19,11 +19,11 @@ from mechlift import (
     NotLinearityPreserving,
     OutsideChart,
     Rotation,
+    SingularFeedback,
     SingularStep,
     SystemBundle,
     Uncontrollable,
     apply_feedback,
-    cayley_matrix,
     fl_discretize,
     identity_diffeomorphism,
     linear_flow,
@@ -45,7 +45,7 @@ from mechlift import (
 )
 from mechlift.integrators import Trajectory
 from mechlift.geometry import NEWTON_TOL
-from conftest import per_point
+from conftest import row_by_row
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 POLES = [-10.0, -20.0, -30.0, -40.0]
@@ -248,7 +248,7 @@ class TestFlDiscretize:
         bent = dataclasses.replace(t, alpha=lambda x: (1.0 + 1e-6) * t.alpha(x))
         bundle = pendulum._replace(transform=bent)
         traj, a_cl = pendulum_closed_loop(bundle)
-        assert conjugacy_defect(bundle, traj, cayley_matrix(a_cl, 0.01)) > 1e-8
+        assert conjugacy_defect(bundle, traj, theta_update_matrix(a_cl, 0.01, 0.5)) > 1e-8
 
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_each_step_is_certified(self, pendulum, make_map, field_evaluations,
@@ -304,10 +304,10 @@ class TestFlDiscretize:
         assert conjugacy_defect(bundle, traj, one_step) > 1e-8
 
     def test_a_per_point_bundle_is_certified_row_by_row(self, pendulum, field_evaluations):
-        # a bundle whose callables refuse stacks takes the orbit pass one row
-        # at a time: no step_sode call, and the batched bundle's trajectory
-        # bit for bit
-        traj, _ = pendulum_closed_loop(per_point(pendulum))
+        # a bundle written one point at a time, kept to the stack contract by
+        # looping over the rows, is certified by the orbit pass: no step_sode
+        # call, and the stacked bundle's trajectory bit for bit
+        traj, _ = pendulum_closed_loop(row_by_row(pendulum))
         assert field_evaluations == []
         npt.assert_array_equal(traj.iterations, 0)
         orbit, _ = pendulum_closed_loop(pendulum)
@@ -323,11 +323,11 @@ class TestFlDiscretize:
         s0 = np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2])
         traj = fl_discretize(bundle, make_midpoint(3), s0, 0.01, 100, gains=gains)
         npt.assert_array_equal(traj.iterations, 0)
-        twin = fl_discretize(per_point(bundle), make_midpoint(3), s0, 0.01, 100, gains=gains)
+        twin = fl_discretize(row_by_row(bundle), make_midpoint(3), s0, 0.01, 100, gains=gains)
         for field in ("states", "u", "utilde", "iterations", "residuals"):
             npt.assert_array_equal(getattr(traj, field), getattr(twin, field), field)
         a_full, b_full = rigid_body.linear.stacked()
-        one_step = cayley_matrix(a_full - b_full @ gains, 0.01)
+        one_step = theta_update_matrix(a_full - b_full @ gains, 0.01, 0.5)
         assert conjugacy_defect(bundle, traj, one_step) <= 1e-8
 
     @pytest.mark.parametrize("s0, step", [
@@ -338,7 +338,7 @@ class TestFlDiscretize:
     ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
     def test_chart_exit_is_that_of_the_per_step_path(self, pendulum, s0, step):
         exits = []
-        for bundle in (pendulum, per_point(pendulum)):
+        for bundle in (pendulum, row_by_row(pendulum)):
             with pytest.raises(OutsideChart) as info:
                 pendulum_closed_loop(bundle, s0=np.array(s0))
             exits.append(info.value)
@@ -354,9 +354,10 @@ class TestFlDiscretize:
     ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
     def test_a_per_point_chart_exit_is_found_in_one_pass(self, pendulum, monkeypatch, s0,
                                                           step):
-        # the step-by-step orbit pass stops at the first step whose pull-back
-        # leaves the chart: two chart inversions per step up to it
-        bundle = per_point(pendulum)
+        # a bundle written one point at a time stops at the first step whose
+        # pull-back leaves the chart: one stacked inversion, then two per row
+        # up to the exit
+        bundle = row_by_row(pendulum)
         phi, pulls = bundle.transform.phi, []
         inverse = phi._inv
         phi._inv = lambda x: pulls.append(x) or inverse(x)
@@ -410,11 +411,39 @@ class TestFlDiscretize:
         # the exact midpoint loop leaves the chart in the step with index `step`
         z = pendulum.transform.push_state(traj.states[-1][:2], traj.states[-1][2:])
         with pytest.raises(OutsideChart):
-            pendulum.transform.phi.inverse((cayley_matrix(a_cl, 0.01) @ z)[:2])
+            pendulum.transform.phi.inverse((theta_update_matrix(a_cl, 0.01, 0.5) @ z)[:2])
         with pytest.raises(OutsideChart) as info:
             pendulum_closed_loop(pendulum, s0=s0)
         assert info.value.step == step
         npt.assert_array_equal(info.value.state, traj.states[-1])
+
+    def test_singular_feedback_is_located_at_its_step(self, pendulum):
+        # one 10-step segment of criterion 4's run, its feedback singular
+        # where x1 has swung below the base point of step k = 4: the stacked
+        # pass raises, and the error names step k and the state it started
+        # from, bit for bit as the row-looping twin's
+        k, steps = 4, 10
+        right, _ = pendulum_closed_loop(pendulum, steps=steps)
+        t, lifted = pendulum.transform, tangent_lift(make_midpoint(2))
+        z = np.array([t.push_state(s[:2], s[2:]) for s in right.states])
+        base_x1 = t.phi.inverse(lifted.inverse(z[:-1], z[1:])[0][:, :2])[:, 0]
+        cut = (base_x1[k - 1] + base_x1[k]) / 2.0
+        assert base_x1[:k].min() > cut > base_x1[k:].max()
+
+        def beta(x):
+            if (x[..., 0] < cut).any():
+                raise SingularFeedback("feedback singular below the cut")
+            return t.beta(x)
+
+        bundle = pendulum._replace(transform=dataclasses.replace(t, beta=beta))
+        errors = []
+        for twin in (bundle, row_by_row(bundle)):
+            with pytest.raises(SingularFeedback) as info:
+                pendulum_closed_loop(twin, steps=steps)
+            errors.append(info.value)
+        orbit, rows = errors
+        assert orbit.step == rows.step == k
+        assert orbit.state.tobytes() == rows.state.tobytes() == right.states[k].tobytes()
 
     def test_target_jacobian_needs_no_central_difference(self, pendulum,
                                                          central_differences):
@@ -478,7 +507,8 @@ class TestFlDiscretize:
         sys = MechanicalSystem(
             2, 1,
             gamma=lambda x: np.zeros((2, 2, 2)),
-            e=lambda x: np.array([-8.0 * np.sin(x[0]), -2.0 * np.sin(x[1]) * np.cos(x[0])]),
+            e=lambda x: np.stack([-8.0 * np.sin(x[..., 0]),
+                                  -2.0 * np.sin(x[..., 1]) * np.cos(x[..., 0])], axis=-1),
             g=lambda x: np.array([[0.0], [1.0]]),
         )
         t = MFTransform(identity_diffeomorphism(2),
@@ -589,7 +619,7 @@ class TestLinearTwoStep:
         m, _, zero = linear_one_step(pendulum.linear, make_midpoint(2), 0.01,
                                      gains=gains)
         npt.assert_allclose(zero, np.zeros(4), atol=1e-12)
-        npt.assert_allclose(m, cayley_matrix(a_full - b_full @ gains, 0.01),
+        npt.assert_allclose(m, theta_update_matrix(a_full - b_full @ gains, 0.01, 0.5),
                             rtol=1e-9, atol=1e-9)
 
     def test_nonlinear_map_rejected(self):
@@ -660,18 +690,18 @@ class TestPolePlace:
 
 class TestCayley:
     def test_scalar_multiplier(self):
-        out = cayley_matrix(np.array([[-10.0]]), 0.01) @ np.array([1.0])
+        out = theta_update_matrix(np.array([[-10.0]]), 0.01, 0.5) @ np.array([1.0])
         npt.assert_allclose(out, [(1 - 0.05) / (1 + 0.05)], rtol=1e-15)
 
     def test_zero_matrix_identity(self, rng):
         x = rng.normal(size=3)
-        npt.assert_array_equal(cayley_matrix(np.zeros((3, 3)), 0.5) @ x, x)
+        npt.assert_array_equal(theta_update_matrix(np.zeros((3, 3)), 0.5, 0.5) @ x, x)
 
     def test_benchmark_iteration_eigenvalues(self, pendulum):
         # Moebius-map oracle applied to the placed poles
         gains = pole_place(pendulum.linear, POLES)
         a_full, b_full = pendulum.linear.stacked()
-        cay = cayley_matrix(a_full - b_full @ gains, 0.01)
+        cay = theta_update_matrix(a_full - b_full @ gains, 0.01, 0.5)
         got = np.sort(np.linalg.eigvals(cay).real)
         want = np.sort([(1 + 0.005 * lam) / (1 - 0.005 * lam) for lam in POLES])
         npt.assert_allclose(got, want, rtol=1e-9)
@@ -685,12 +715,12 @@ class TestCayley:
             shift = max(np.real(np.linalg.eigvals(m)).max(), 0.0)
             a_cl = m - (shift + rng.uniform(0.2, 2.0)) * np.eye(4)
             h = 10.0 ** rng.uniform(-3, 2)
-            rho = np.abs(np.linalg.eigvals(cayley_matrix(a_cl, h))).max()
+            rho = np.abs(np.linalg.eigvals(theta_update_matrix(a_cl, h, 0.5))).max()
             assert rho < 1.0
 
     def test_singular_resolvent(self):
         with pytest.raises(SingularStep):
-            cayley_matrix(np.eye(2), 2.0)
+            theta_update_matrix(np.eye(2), 2.0, 0.5)
 
 
 class TestSo3ClosedLoop:

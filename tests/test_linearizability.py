@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import mechlift
-from conftest import PARAMS
+from conftest import PARAMS, row_by_row
 from mechlift import (
     LinearMechanicalSystem,
     MechanicalSystem,
@@ -35,7 +35,7 @@ def flat(n, gamma=None, e=None, g=None):
     return MechanicalSystem(
         n, 1,
         gamma=gamma or (lambda x: np.zeros((n, n, n))),
-        e=e or (lambda x: np.zeros(n)),
+        e=e or (lambda x: np.zeros(x.shape)),
         g=g or (lambda x: np.ones((n, 1))),
     )
 
@@ -108,9 +108,9 @@ class TestCovariantDerivative:
     def test_torsion_free(self, rng):
         # both sides computed independently; symmetric connection
         def gamma(x):
-            G = np.zeros((2, 2, 2))
-            G[0, 0, 1] = G[0, 1, 0] = np.sin(x[0])
-            G[1, 1, 1] = x[0] * x[1]
+            G = np.zeros(x.shape[:-1] + (2, 2, 2))
+            G[..., 0, 0, 1] = G[..., 0, 1, 0] = np.sin(x[..., 0])
+            G[..., 1, 1, 1] = x[..., 0] * x[..., 1]
             return G
 
         sys = flat(2, gamma=gamma)
@@ -180,10 +180,10 @@ class TestCurvature:
 
     def test_last_pair_antisymmetry(self, rng):
         def gamma(x):
-            G = np.zeros((2, 2, 2))
-            G[0, 1, 1] = np.sin(x[0]) * x[1]
-            G[1, 0, 1] = G[1, 1, 0] = np.cos(x[0] * x[1])
-            G[0, 0, 0] = x[0] ** 2
+            G = np.zeros(x.shape[:-1] + (2, 2, 2))
+            G[..., 0, 1, 1] = np.sin(x[..., 0]) * x[..., 1]
+            G[..., 1, 0, 1] = G[..., 1, 1, 0] = np.cos(x[..., 0] * x[..., 1])
+            G[..., 0, 0, 0] = x[..., 0] ** 2
             return G
 
         sys = flat(2, gamma=gamma)
@@ -195,12 +195,12 @@ class TestCurvature:
         # symbolic-formula oracle for the unit round sphere:
         # R^1_212 = sin(x1)^2
         def gamma(x):
-            G = np.zeros((2, 2, 2))
-            G[0, 1, 1] = -np.sin(x[0]) * np.cos(x[0])
-            G[1, 0, 1] = G[1, 1, 0] = 1.0 / np.tan(x[0])
+            G = np.zeros(x.shape[:-1] + (2, 2, 2))
+            G[..., 0, 1, 1] = -np.sin(x[..., 0]) * np.cos(x[..., 0])
+            G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(x[..., 0])
             return G
 
-        sys = MechanicalSystem(2, 1, gamma=gamma, e=lambda x: np.zeros(2),
+        sys = MechanicalSystem(2, 1, gamma=gamma, e=lambda x: np.zeros(x.shape),
                                g=lambda x: np.ones((2, 1)))
         r = curvature_tensor(sys, np.array([np.pi / 4, 0.3]))
         npt.assert_allclose(r[0, 1, 0, 1], 0.5, atol=1e-5)
@@ -269,7 +269,7 @@ class TestRefusedSamples:
 
         sys = pendulum.system
         watched = MechanicalSystem(sys.n, sys.m, record(sys.gamma), record(sys.e),
-                                   record(sys.g), batched=True)
+                                   record(sys.g))
         samples = [np.array([0.1, 0.0]), np.array([0.2, 0.0]), np.array([0.3, bad])]
         with pytest.raises(NonFinite, match="sample 2 contains NaN/Inf"):
             check(watched, samples)
@@ -334,41 +334,25 @@ class TestCheckGeneral:
 
 
 # ---------------------------------------------------------------------------
-# one code path for batched and per-point systems
+# the stacked checks and their row-by-row reference
 # ---------------------------------------------------------------------------
 
-def one_point_only(sys):
-    """A per-point copy of ``sys`` whose callables refuse a stack of points."""
-    def refuse_stacks(f):
-        def one(x):
-            if np.ndim(x) > 1:
-                raise AssertionError(f"a per-point callable was handed a stack {np.shape(x)}")
-            return f(x)
-        return one
-
-    return MechanicalSystem(sys.n, sys.m, refuse_stacks(sys.gamma), refuse_stacks(sys.e),
-                            refuse_stacks(sys.g))
-
-
 def both_paths(check, sys, samples):
-    """The reports of ``check`` on the batched ``sys``, on its per-point
-    copy and on a copy that refuses stacks, checked to agree: the same
-    verdicts and witnesses, defects within 1e-12."""
-    assert sys.batched
-    reports = [check(s, samples)
-               for s in (sys, dataclasses.replace(sys, batched=False), one_point_only(sys))]
-    for other in reports[1:]:
-        for a, b in zip(reports[0].conditions, other.conditions):
-            assert (a.name, a.verdict, a.tol) == (b.name, b.verdict, b.tol)
-            assert a.defect == b.defect or abs(a.defect - b.defect) <= 1e-12
-            assert (a.witness is None) == (b.witness is None)
-            if a.witness is not None:
-                npt.assert_array_equal(a.witness, b.witness)
-    return reports[0]
+    """The reports of ``check`` on ``sys`` and on its twin that evaluates
+    each callable one row at a time, checked to agree: the same verdicts
+    and witnesses, defects within 1e-12."""
+    report, other = (check(s, samples) for s in (sys, row_by_row(sys)))
+    for a, b in zip(report.conditions, other.conditions):
+        assert (a.name, a.verdict, a.tol) == (b.name, b.verdict, b.tol)
+        assert a.defect == b.defect or abs(a.defect - b.defect) <= 1e-12
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            npt.assert_array_equal(a.witness, b.witness)
+    return report
 
 
 def round_sphere(e=lambda x: np.stack([np.sin(x[..., 0]), 0.0 * x[..., 0]], axis=-1)):
-    """The unit round sphere's connection, g = (1, 0), batch-aware."""
+    """The unit round sphere's connection, g = (1, 0)."""
     def gamma(x):
         x1 = x[..., 0]
         G = np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -376,19 +360,18 @@ def round_sphere(e=lambda x: np.stack([np.sin(x[..., 0]), 0.0 * x[..., 0]], axis
         G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(x1)
         return G
 
-    return MechanicalSystem(2, 1, gamma=gamma, e=e, g=lambda x: np.array([[1.0], [0.0]]),
-                            batched=True)
+    return MechanicalSystem(2, 1, gamma=gamma, e=e, g=lambda x: np.array([[1.0], [0.0]]))
 
 
 def bent_control():
-    """Gamma = 0, e = (0, x1), g = (1, x1), batch-aware: nabla_g g leaves span(g)."""
+    """Gamma = 0, e = (0, x1), g = (1, x1): nabla_g g leaves span(g)."""
     def g(x):
         x1 = x[..., 0]
         return np.stack([1.0 + 0.0 * x1, x1], axis=-1)[..., None]
 
     return MechanicalSystem(2, 1, gamma=lambda x: np.zeros((2, 2, 2)),
                             e=lambda x: np.stack([0.0 * x[..., 0], x[..., 0]], axis=-1),
-                            g=g, batched=True)
+                            g=g)
 
 
 class TestStackedEvaluation:
@@ -420,14 +403,14 @@ class TestStackedEvaluation:
                 assert row[i].tobytes() == point.tobytes()
 
     def test_empty_grid(self, pendulum):
-        for sys in (pendulum.system, one_point_only(pendulum.system)):
+        for sys in (pendulum.system, row_by_row(pendulum.system)):
             assert check_planar(sys, []).passed
             assert check_general(sys, []).passed
 
 
 def bracket_control():
-    """Gamma = 0, e = 0, g1 = (1, 0, 0), g2 = (0, 1, x1), batch-aware:
-    [g1, g2] = (0, 0, 1) leaves span(g1, g2)."""
+    """Gamma = 0, e = 0, g1 = (1, 0, 0), g2 = (0, 1, x1): [g1, g2] =
+    (0, 0, 1) leaves span(g1, g2)."""
     def g(x):
         x1 = x[..., 0]
         zero, one = 0.0 * x1, 1.0 + 0.0 * x1
@@ -435,12 +418,12 @@ def bracket_control():
                          np.stack([zero, x1], axis=-1)], axis=-2)
 
     return MechanicalSystem(3, 2, gamma=lambda x: np.zeros((3, 3, 3)),
-                            e=lambda x: np.zeros(x.shape), g=g, batched=True)
+                            e=lambda x: np.zeros(x.shape), g=g)
 
 
 def tanh_control():
-    """Gamma = 0, e = sin(x), g = tanh(x B) as a 3 x 2 matrix, batch-aware:
-    generic fields, so the rank margins read the last bits of the drift
+    """Gamma = 0, e = sin(x), g = tanh(x B) as a 3 x 2 matrix: generic
+    fields, so the rank margins read the last bits of the drift
     brackets, and [g_1, g_2] leaves span(g_1, g_2)."""
     b = np.array([[0.9, -0.4, 0.3, 1.1, -0.7, 0.2], [0.5, 0.8, -1.2, 0.1, 0.6, -0.3],
                   [-0.2, 0.4, 0.7, -0.9, 0.3, 1.0]])
@@ -450,13 +433,12 @@ def tanh_control():
         xb = x[..., 0, None] * b[0] + x[..., 1, None] * b[1] + x[..., 2, None] * b[2]
         return np.tanh(xb).reshape(x.shape[:-1] + (3, 2))
 
-    return MechanicalSystem(3, 2, gamma=lambda x: np.zeros((3, 3, 3)), e=np.sin, g=g,
-                            batched=True)
+    return MechanicalSystem(3, 2, gamma=lambda x: np.zeros((3, 3, 3)), e=np.sin, g=g)
 
 
 class TestFaultsStayDetected:
     """Known non-linearizable systems fail the conditions they break, on
-    the batched path and on the per-point one."""
+    stacks and row by row."""
 
     def test_round_sphere_fails_ml3_ml4_ml5(self):
         samples = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
@@ -539,7 +521,7 @@ def test_ml2_with_zero_control_fields_has_a_finite_defect():
     # g = 0 with m = 2: every singular value of [g, [g_1, g_2]] is 0, and
     # the bracket adds no rank to the (empty) control span
     sys = MechanicalSystem(2, 2, gamma=lambda x: np.zeros((2, 2, 2)),
-                           e=lambda x: np.array([np.sin(x[0]), 0.0]),
+                           e=lambda x: np.stack([np.sin(x[..., 0]), 0.0 * x[..., 0]], axis=-1),
                            g=lambda x: np.zeros((2, 2)))
     samples = [np.array([x1, 0.0]) for x1 in np.linspace(-1.0, 1.0, 5)]
     with warnings.catch_warnings():

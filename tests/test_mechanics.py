@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import PARAMS, per_point, stack_rows_are_the_points
+from conftest import PARAMS, stack_rows_are_the_points
 from mechlift import (
+    Diffeomorphism,
     DimensionMismatch,
     LinearMechanicalSystem,
     MFTransform,
@@ -26,18 +27,9 @@ from mechlift import (
 M0, MD, J2 = PARAMS["m0"], PARAMS["md"], PARAMS["J2"]
 
 
-def flat_system(n, m):
-    return MechanicalSystem(
-        n, m,
-        gamma=lambda x: np.zeros((n, n, n)),
-        e=lambda x: np.zeros(n),
-        g=lambda x: np.eye(n)[:, :m],
-    )
-
-
 class TestSodeField:
     def test_free_particle(self, rng):
-        sys = flat_system(3, 3)
+        sys = LinearMechanicalSystem(A=np.zeros((3, 3)), B=np.eye(3)).as_mechanical_system()
         x, y = rng.normal(size=3), rng.normal(size=3)
         out = sode_field(sys, np.concatenate([x, y]), np.zeros(3))
         xdot, ydot = out[:3], out[3:]
@@ -176,8 +168,8 @@ def refused_without_warning(error, f, *args):
 
 
 class TestBatchAware:
-    """The pendulum's system and the rigid body's exp-chart system are
-    declared ``batched``: each of their callables, and apply_feedback and
+    """The pendulum's system and the rigid body's exp-chart system keep
+    the stack contract: each of their callables, and apply_feedback and
     sode_field on the pendulum, acts row by row."""
 
     def stacks(self, rng, k=9):
@@ -195,12 +187,6 @@ class TestBatchAware:
         xi[0] = 0.0
         xi[1] *= 1e-5
         return xi
-
-    def test_declared(self, pendulum, rigid_body):
-        assert pendulum.system.batched
-        assert not per_point(pendulum).system.batched
-        assert rigid_body.exp_chart_system().batched
-        assert not MechanicalSystem(1, 1, *[lambda x: x] * 3).batched
 
     @pytest.mark.parametrize("name", ["gamma", "e", "g"])
     def test_system_callables(self, pendulum, rng, name):
@@ -285,7 +271,6 @@ class TestLinearMechanicalSystem:
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0, 0.0], [-2.0, 0.0, 1.0],
                                                  [0.5, 0.0, -3.0]]), B=np.eye(3)[:, :2])
         sys = lms.as_mechanical_system()
-        assert sys.batched
         x = rng.normal(size=(9, 3))
         stack_rows_are_the_points(getattr(sys, name), x)
         npt.assert_array_equal(sys.e(x[0]), lms.A @ x[0])
@@ -423,3 +408,48 @@ class TestMFEquivalence:
         report = verify_mf_equivalence(sys3, t3, rigid_body.linear, samples)
         assert report.passed
         assert report.max_defect < 1e-10
+
+    def test_a_non_finite_defect_fails_at_its_sample(self, pendulum, rng):
+        # alpha is NaN at sample 3 alone: the check fails there, with that
+        # sample as its witness, not at the largest finite defect
+        samples = [(np.array([rng.uniform(-1.0, 1.0), rng.normal()]),
+                    rng.normal(size=2), rng.normal(size=1)) for _ in range(8)]
+        marked = samples[3][0][0]
+        t = pendulum.transform
+        bad = MFTransform(t.phi,
+                          alpha=lambda x: np.where(x[..., :1] == marked, np.nan, t.alpha(x)),
+                          beta=t.beta, gammaF=t.gammaF)
+        report = verify_mf_equivalence(pendulum.system, bad, pendulum.linear, samples)
+        assert np.isnan(report.max_defect)
+        assert not report.passed
+        for got, want in zip(report.witness, samples[3]):
+            npt.assert_array_equal(got, want)
+
+    def test_no_samples_is_refused(self, pendulum):
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_mf_equivalence(pendulum.system, pendulum.transform, pendulum.linear, [])
+
+    def test_one_call_per_callable_on_the_sample_stack(self, pendulum, rng):
+        shapes = {}
+
+        def watch(name, f):
+            def watched(x, *rest):
+                shapes.setdefault(name, []).append(np.shape(x))
+                return f(x, *rest)
+            return watched
+
+        sys, t = pendulum.system, pendulum.transform
+        phi = t.phi
+        chart = Diffeomorphism(2, *(watch(name, getattr(phi, name))
+                                    for name in ("forward", "inverse", "jacobian", "second_deriv")))
+        report = verify_mf_equivalence(
+            MechanicalSystem(2, 1, *(watch(name, getattr(sys, name))
+                                     for name in ("gamma", "e", "g"))),
+            MFTransform(chart, *(watch(name, getattr(t, name))
+                                 for name in ("alpha", "beta", "gammaF"))),
+            pendulum.linear,
+            [(np.array([x1, 0.2]), rng.normal(size=2), rng.normal(size=1))
+             for x1 in np.linspace(-1.0, 1.0, 10)])
+        assert report.passed
+        assert shapes == {name: [(10, 2)] for name in (
+            "alpha", "beta", "gammaF", "gamma", "e", "g", "second_deriv", "jacobian", "forward")}

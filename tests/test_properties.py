@@ -35,7 +35,7 @@ from mechlift import (
     verify_axioms,
 )
 from mechlift.integrators import _linear_step_jacobian
-from conftest import per_point, stack_rows_are_the_points
+from conftest import row_by_row, stack_rows_are_the_points
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
 PENDULUM = pendulum_system()
@@ -220,12 +220,12 @@ def test_theta_loop_is_its_linear_update_or_exits_the_chart(builder, s0, h):
 @given(s0=st.tuples(floats(1.2), floats(1.0), floats(5.0), floats(100.0)).map(np.array),
        h=st.floats(0.002, 0.1))
 def test_orbit_pass_is_the_per_step_path(builder, s0, h):
-    # the pendulum bundle certifies the whole orbit on stacks; its per-point
-    # twin takes the same pass one row at a time: the two give the same
+    # the pendulum bundle certifies the whole orbit on stacks; its twin
+    # evaluates every callable one row at a time: the two give the same
     # trajectory bit for bit, or fail alike in the same step and state
     gains = pole_place(PENDULUM.linear, [-10.0, -20.0, -30.0, -40.0])
     outcomes = []
-    for bundle in (PENDULUM, per_point(PENDULUM)):
+    for bundle in (PENDULUM, row_by_row(PENDULUM)):
         try:
             outcomes.append(fl_discretize(bundle, builder(2), s0, h, 30, gains=gains))
         except MechliftError as exc:
