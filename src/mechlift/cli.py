@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 condition/check failure, 2 numerical failure,
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from .discretization import (
 from .errors import MechliftError, UnknownSystem
 from .geometry import so3_exp, so3_log
 from .integrators import (
-    _linear_step_jacobian,
     fl_discretize,
     grid_steps,
     linear_flow,
@@ -86,15 +86,35 @@ class PendulumConfig(So3Config):
     gains: list | None = None
 
 
+def _json_type(value):
+    """A config value's type: float for a JSON number (not a boolean), list
+    for a list of numbers or of such lists (a gain matrix's rows)."""
+    if isinstance(value, list):
+        return list if all(_json_type(v) in (float, list) for v in value) else None
+    return float if type(value) in (int, float) else type(value)
+
+
+_TYPE_NAMES = {float: "a number", str: "a string", list: "a list of numbers", type(None): "null"}
+
+
 def load_config(path, overrides, cfg):
-    """``cfg`` with the JSON file's keys, then the flags, set; the run commands check values."""
+    """``cfg`` with the JSON file's keys, then the flags, set.  The file
+    holds one JSON object of ``cfg``'s fields, each value of its field's
+    type; the run commands check the values."""
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, got {json.dumps(data)}")
         unknown = set(data) - set(cfg.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
+            declared = cfg.__dataclass_fields__[key].type
+            kinds = typing.get_args(declared) or (declared,)
+            if _json_type(value) not in kinds:
+                wanted = " or ".join(map(_TYPE_NAMES.get, kinds))
+                raise ValueError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
             setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -185,6 +205,8 @@ def _attitude_closed_loop(k1, k2):
 def run_simulate_so3(cfg: So3Config) -> int:
     """Closed-loop rigid-body attitude run with the linear chart reference."""
     steps = grid_steps(cfg.t_final, cfg.h)
+    if np.shape(cfg.gains) != (2,):
+        raise ValueError(f"so3 gains must be 2 numbers (K1, K2), got {json.dumps(cfg.gains)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     z0 = np.asarray(cfg.initial_state, float)
@@ -364,10 +386,8 @@ def _harmonic_order_case(map_kind, t_final):
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        jacobian = _linear_step_jacobian(lifted, lms.stacked()[0], h)
         for _ in range(steps):
-            s = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)),
-                          s, h, jacobian).state
+            s = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)), s, h).state
         return s
 
     exact = np.array([np.cos(t_final), -np.sin(t_final)])

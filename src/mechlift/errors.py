@@ -43,13 +43,10 @@ class SingularFeedback(MechliftError):
 class NoConvergence(MechliftError):
     """Implicit solver failed to reach its residual tolerance."""
 
-    def __init__(self, iterations, residual, message=None):
+    def __init__(self, iterations, residual):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            message
-            or f"solver stalled after {iterations} iterations, residual {residual:.3e}"
-        )
+        super().__init__(f"solver stalled after {iterations} iterations, residual {residual:.3e}")
 
 
 class NotLinearityPreserving(MechliftError):

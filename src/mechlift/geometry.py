@@ -305,67 +305,52 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-def _damped_newton(residual, guess, jac=None):
-    """Damped Newton iteration in plain float64, reusing its Jacobian.
+def _damped_newton(residual, guess):
+    """Damped Newton iteration in plain float64.
 
-    The Jacobian starts as ``jac`` when one is given (a chord step: a
-    caller solving a sequence of nearby systems passes the one the last
-    solve ended with) and otherwise as a central difference
-    (:func:`numeric_jacobian`) with a step scaled to the iterate.  It is
-    kept while full steps cut the residual norm tenfold (one that merely
-    halves it can take tens of iterations to converge) and replaced by a
-    fresh one when a step does not; a fresh one's full step is halved
-    until the norm drops.  A given Jacobian never ends a solve:
-    when it is singular or its step fails, a fresh one takes over.  The
-    tolerance is ``NEWTON_TOL * (1 + m)``, m the largest entry of the
-    guess or of the iterate, whichever is larger, as the residual's
-    rounding floor grows with the state.  Past it the solve takes one
-    more full step, the polish step, with the kept Jacobian when the last
-    step contracted, and accepts it only if it lowers the norm, so it can
-    end above the residual's rounding floor.  Returns the best iterate, the iteration
-    count, the final norm and the Jacobian the solve ended with; raises
-    ``NoConvergence`` when ``NEWTON_MAX_ITER`` iterations or a stalled
-    line search leave the norm above the tolerance.  A guess whose
-    residual norm is already below the tolerance is returned as it is,
-    after that one evaluation, with 0 iterations and no polish step.
+    Each iteration takes a fresh central-difference Jacobian
+    (:func:`numeric_jacobian`, with a step scaled to the iterate) and
+    halves its step until the residual norm drops.  The tolerance is
+    ``NEWTON_TOL * (1 + m)``, m the largest entry of the guess or of the
+    iterate, whichever is larger, as the residual's rounding floor grows
+    with the state.  Past it the solve takes one more full step, the
+    polish step, and accepts it only if it lowers the norm, so it can
+    end above the residual's rounding floor.  Returns the best iterate,
+    the iteration count and the final norm; raises ``NoConvergence``
+    when ``NEWTON_MAX_ITER`` iterations, a singular Jacobian or a
+    stalled line search leave the norm above the tolerance.  A guess
+    whose residual norm is already below the tolerance is returned as it
+    is, after that one evaluation, with 0 iterations and no polish step.
     """
     q = np.asarray(guess, float)
     start = float(np.abs(q).max())
     r = residual(q)
     norm = float(np.linalg.norm(r))
     if norm < NEWTON_TOL * (1.0 + start):
-        return q, 0, norm, jac
+        return q, 0, norm
     converged = False
     it = 0
     while norm > 0.0 and it < NEWTON_MAX_ITER:
         it += 1
-        fresh = jac is None
-        if fresh:
-            step = FIRST_ORDER_STEP * (1.0 + float(np.abs(q).max()))
-            jac = numeric_jacobian(residual, q, step)
+        step = FIRST_ORDER_STEP * (1.0 + float(np.abs(q).max()))
         try:
-            dq = np.linalg.solve(jac, r)
+            dq = np.linalg.solve(numeric_jacobian(residual, q, step), r)
         except np.linalg.LinAlgError:
-            if fresh:
-                break
-            jac = None
-            continue
+            break
         lam = 1.0
         while True:
             q_try = q - lam * dq
             r_try = residual(q_try)
             norm_try = float(np.linalg.norm(r_try))
-            if norm_try < norm or not fresh or converged or lam < 1e-8:
+            if norm_try < norm or converged or lam < 1e-8:
                 break
             lam /= 2.0
-        improved, contracted = norm_try < norm, norm_try < 0.1 * norm
-        if improved:
-            q, r, norm = q_try, r_try, norm_try
-        if converged or (fresh and not improved):
-            break  # the polish step is done, or the solve has stalled
-        if not contracted:
-            jac = None
+        if not norm_try < norm:
+            break  # the solve has stalled, or the polish step does not help
+        q, r, norm = q_try, r_try, norm_try
+        if converged:
+            break  # the polish step is done
         converged = norm < NEWTON_TOL * (1.0 + max(start, float(np.abs(q).max())))
     if not converged:
         raise NoConvergence(it, norm)
-    return q, it, norm, jac
+    return q, it, norm

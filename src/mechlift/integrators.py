@@ -49,17 +49,11 @@ from .mechanics import (
 
 @dataclass
 class StepResult:
-    """State after one implicit step plus solver diagnostics.
-
-    ``jacobian`` is the residual Jacobian the step's Newton solve ended
-    with; passing it to the next ``step_sode`` call of the same scheme
-    spares that step a fresh central difference.
-    """
+    """State after one implicit step plus solver diagnostics."""
 
     state: np.ndarray
     iterations: int
     residual: float
-    jacobian: np.ndarray | None
 
 
 @dataclass
@@ -70,8 +64,8 @@ class Trajectory:
     Newton ``iterations`` and its final residual norm (``residuals``).
     ``iterations == 0`` means the step was certified, not solved: its
     physical residual was already within the Newton tolerance where the
-    step started, the orbit point M Z_k for closed-loop gains on a
-    theta-family map and Z_k otherwise, and no Newton step ran.
+    step started, the orbit point M Z_k (plus N utilde_k in open loop)
+    on a theta-family map and Z_k otherwise, and no Newton step ran.
     """
 
     t: np.ndarray
@@ -99,24 +93,19 @@ def _check_step_size(h):
         raise ValueError(f"step size must be a finite positive number, got {h}")
 
 
-def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResult:
+def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
     Solves for ``s_next`` such that, with (z, v) the ``dmap`` inverse of
     (s_k, s_next), v = h * field(z).  On the tangent lift of a base map
     and a second-order field this is the second-order scheme; on a base
-    map and a first-order field, the first-order one.  Newton starts at
-    s_k; its tolerance is relative to the largest entry of s_k or of the
-    iterate, whichever is larger, all in the chart the step is taken in,
-    and a start already within it is the next state with
-    ``iterations == 0``.  Newton's first Jacobian is ``jacobian`` when
-    given: the previous step's ``StepResult.jacobian``, or the exact one
-    of a linear field on a theta-family map.  It only speeds the solve
-    up, since a Jacobian whose full step fails to cut the residual
-    tenfold is replaced by a fresh central difference, and the step
-    solves the same equation either way.  A state that is not a finite
-    vector of the map's dimension, or a step size that is not a finite
-    positive number, is refused before Newton starts.
+    map and a first-order field, the first-order one.  Damped Newton
+    (``geometry._damped_newton``, a fresh central-difference Jacobian
+    each iteration) starts at s_k, in the chart the step is taken in; a
+    start already within its tolerance is the next state with
+    ``iterations == 0``.  A state that is not a finite vector of the
+    map's dimension, or a step size that is not a finite positive
+    number, is refused before Newton starts.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
@@ -127,20 +116,7 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h, jacobian=None) -> StepResu
         z, v = dmap.inverse(s_k, s_next)
         return v - h * field(z)
 
-    return StepResult(*_damped_newton(residual, s_k, jac=jacobian))
-
-
-def _linear_step_jacobian(lifted: DiscretizationMap, a, h):
-    """Exact ``step_sode`` Jacobian of a theta-family lift on a linear field.
-
-    On z' = a z + b, with a the stacked (closed-loop) matrix, the lift's
-    inverse gives z = (1 - theta) s_k + theta s_next and v = s_next - s_k,
-    so the step residual v - h a z - h b has the constant Jacobian
-    I - theta h a.  None for a map outside the family.
-    """
-    if lifted.theta is None:
-        return None
-    return np.eye(lifted.dim) - (lifted.theta * h) * a
+    return StepResult(*_damped_newton(residual, s_k))
 
 
 _ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
@@ -160,26 +136,26 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     pull the result back.  There that field is the linear target's
     A Z + B utilde, so for a base map of the theta family the step is
     the linear update the map induces on the target: under ``gains`` K,
-    Z+ = M Z with M = ``theta_update_matrix(A - B K, h, theta)``.
+    Z+ = M Z with M = ``theta_update_matrix(A - B K, h, theta)``; under
+    an open-loop ``utilde``, Z+ = M Z + N utilde_k with
+    M = ``theta_update_matrix(A, h, theta)`` and N = h (I - theta h A)^-1 B.
 
-    Such a call certifies its whole orbit Z_k = M^k Z_0 in one pass on
-    stacks: it pulls back every orbit state and every step's base point
-    (1 - theta) Z_k + theta Z_{k+1}, then evaluates every step's
-    physical residual (Z_{k+1} - Z_k) - h DTphi f, against its bound
-    ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls.  A certified step
-    has ``iterations == 0`` and makes no ``step_sode`` call.  When the
-    pass raises (any ``MechliftError`` or ``LinAlgError``, as when the
-    orbit leaves the chart or meets a singular feedback), it is rerun
-    one step at a time up to the first step that raises, which locates
-    that step.  From the first step that fails its certificate (as with
-    a feedback or target that does not linearize), raises or is not
-    finite, and for every step of an open-loop ``utilde`` or of a base
-    map outside the family, Newton solves the step by ``step_sode`` from
-    Z_k, the push of its stored state.  It starts from the constant step
-    Jacobian I - theta h A_cl (``_linear_step_jacobian``) and carries
-    the one it ends with to the next step (the chord method).  A chain
-    of calls computes the states of one call to rounding: each call's
-    orbit starts from the push of its ``s0``.
+    Such a call certifies its whole orbit Z_0, Z_1, ... of that update
+    in one pass on stacks: it pulls back every orbit state and every
+    step's base point (1 - theta) Z_k + theta Z_{k+1}, then evaluates
+    every step's physical residual (Z_{k+1} - Z_k) - h DTphi f, against
+    its bound ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls.  A
+    certified step has ``iterations == 0`` and makes no ``step_sode``
+    call.  When the pass raises (any ``MechliftError`` or
+    ``LinAlgError``, as when the orbit leaves the chart or meets a
+    singular feedback), it is rerun one step at a time up to the first
+    step that raises, which locates that step.  From the first step that
+    fails its certificate (as with a feedback, target or system that
+    does not linearize), raises or is not finite, and for every step of
+    a base map outside the family, Newton solves the step by
+    ``step_sode`` from Z_k, the push of its stored state.  A chain of
+    calls computes the states of one call to rounding: each call's orbit
+    starts from the push of its ``s0``.
 
     Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
     at the base state) or an open-loop ``utilde`` sequence (steps x m
@@ -187,15 +163,12 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     finite 2n-vector, an h that is not a finite positive number,
     ``steps`` that is not a non-negative integer (``ValueError``), gains
     or ``utilde`` of another size (``DimensionMismatch``) or with NaN/Inf
-    (``NonFinite``), and a singular I - theta h (A - B K)
+    (``NonFinite``), and, on a theta-family map, a singular resolvent
+    I - theta h (A - B K), or I - theta h A in open loop
     (``SingularStep``).  The trajectory records each step's controls at
     its base state, Newton iterations and final residual.  A
     ``MechliftError`` raised in step k carries ``step = k`` and the
     ``state`` that step started from.
-
-    The defining property, used by the tests: pushing each step through
-    Tphi reproduces, step by step, the linear one-step update the base
-    map induces on the linear target system.
     """
     if (gains is None) == (utilde is None):
         raise ValueError("provide exactly one of gains / utilde sequence")
@@ -230,9 +203,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
 
     def utilde_at(k, Z):
         """utilde of step k at the pushed base state Z."""
-        if gains is not None:
-            return Z @ minus_kt
-        return utilde[k]
+        return Z @ minus_kt if gains is not None else utilde[k]
 
     def pull(Z):
         """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
@@ -255,18 +226,22 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     iterations = np.empty(steps, int)
     residuals = np.empty(steps)
 
-    update = None
-    if gains is not None and lifted.theta is not None:
-        update = theta_update_matrix(a, h, lifted.theta)
+    update = None if lifted.theta is None else theta_update_matrix(a, h, lifted.theta)
     done = 0
     if update is not None and steps:
         orbit = np.empty((steps + 1, 2 * n))
         orbit[0] = transform.push_state(s0[:n], s0[n:])
-        for k in range(steps):
-            orbit[k + 1] = update @ orbit[k]
+        if gains is not None:
+            for k in range(steps):
+                orbit[k + 1] = update @ orbit[k]
+        else:
+            # N utilde_k for every step, N = h (I - theta h A)^-1 B
+            drive = h * utilde @ np.linalg.solve(np.eye(2 * n) - (lifted.theta * h) * a, b).T
+            for k in range(steps):
+                orbit[k + 1] = update @ orbit[k] + drive[k]
 
         base, v = lifted.inverse(orbit[:-1], orbit[1:])
-        ut = base @ minus_kt
+        ut = base @ minus_kt if gains is not None else utilde
 
         try:
             x, y, d = pull(np.concatenate([orbit[1:], base]))
@@ -297,13 +272,11 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             iterations[:done] = 0
             residuals[:done] = norms[:done]
 
-    jacobian = _linear_step_jacobian(lifted, a, h) if done < steps else None
     for k in range(done, steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
             result = step_sode(
-                lifted, lambda Z, k=k: pushed_field(Z, *pull(Z), utilde_at(k, Z))[0],
-                z_k, h, jacobian)
+                lifted, lambda Z, k=k: pushed_field(Z, *pull(Z), utilde_at(k, Z))[0], z_k, h)
             states[k + 1, :n], states[k + 1, n:], _ = pull(result.state)
             # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
@@ -315,7 +288,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             raise
         iterations[k] = result.iterations
         residuals[k] = result.residual
-        jacobian = result.jacobian
 
     t = h * np.arange(steps + 1)
     return Trajectory(t, states, u_log, ut_log, iterations, residuals)
@@ -328,19 +300,17 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     The update is the second-order scheme of ``dmap`` applied to the
     (optionally closed-loop) linear system, recovered column by column;
     probing verifies it is affine and raises ``NotLinearityPreserving``
-    otherwise.  The probe solves of a theta-family ``dmap`` start from
-    the step's exact Jacobian.
+    otherwise.  Each probe is one ``step_sode`` solve; on a theta-family
+    ``dmap`` the result is, to the Newton tolerance, the closed form
+    ``fl_discretize`` certifies.
     """
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
     K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
-    a, b = lms.stacked()
-    jacobian = _linear_step_jacobian(lifted, a - b @ K, h)
 
     def advance(z, ut):
-        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h,
-                         jacobian).state
+        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h).state
 
     zero = advance(np.zeros(2 * n), np.zeros(m))
     M = np.column_stack([advance(e, np.zeros(m)) - zero for e in np.eye(2 * n)])
@@ -564,12 +534,14 @@ class OrderStudy:
 
 
 def grid_steps(t_final, h) -> int:
-    """Steps of size h to t_final; ``ValueError`` unless both are positive
-    and t_final / h is a whole number to 1e-9 relative."""
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if not t_final > 0:
-        raise ValueError(f"final time must be positive, got {t_final}")
+    """Steps of size h to t_final; ``ValueError`` unless both are finite
+    and positive and t_final / h is a finite whole number to 1e-9
+    relative."""
+    for name, value in (("step size", h), ("final time", t_final)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
+    if t_final / h == math.inf:
+        raise ValueError(f"t_final / h overflows: {t_final} / {h}")
     steps = int(round(t_final / h))
     if abs(steps * h - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final is not an integer multiple of h = {h}")

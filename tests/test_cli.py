@@ -377,3 +377,41 @@ class TestUsage:
 
     def test_missing_command(self):
         assert main([]) == 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate-so3", "--t-final", "inf"], "final time must be finite, got inf"),
+        (["simulate-so3", "--h", "inf"], "step size must be finite, got inf"),
+        (["order-study", "so3", "--h-list", "inf,0.01"], "step size must be finite, got inf"),
+    ], ids=["t-final", "h", "h-list"])
+    def test_an_infinite_step_grid_is_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate-pendulum", "simulate-so3"])
+    @pytest.mark.parametrize("config, message", [
+        (5, "config file must hold a JSON object, got 5"),
+        ({"h": "abc"}, "config key 'h' must be a number, got \"abc\""),
+        ({"h": True}, "config key 'h' must be a number, got true"),
+        ({"t_final": None}, "config key 't_final' must be a number, got null"),
+        ({"out_dir": 7}, "config key 'out_dir' must be a string, got 7"),
+    ], ids=["not-an-object", "h-string", "h-boolean", "t_final-null", "out_dir-number"])
+    def test_a_config_value_of_another_type_is_usage_error(self, command, config, message,
+                                                           tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gains", [[1, 2, 3], [5.0]], ids=["three", "one"])
+    def test_so3_gains_other_than_two_numbers_are_usage_error(self, gains, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gains": gains}))
+        out = tmp_path / "x"
+        assert main(["simulate-so3", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: so3 gains must be 2 numbers (K1, K2), got {json.dumps(gains)}\n")
+        assert not out.exists()

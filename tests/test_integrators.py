@@ -130,17 +130,6 @@ class TestStepSode:
         out = step_sode(tangent_lift(make_midpoint(2)), unforced(sys), s0, 0.05)
         npt.assert_allclose(out.state, s0, atol=1e-14)
 
-    @pytest.mark.parametrize("carried", [np.zeros((2, 2)), -np.eye(2)],
-                             ids=["singular", "wrong-sign"])
-    def test_carried_jacobian_never_ends_a_solve(self, carried):
-        # a Jacobian carried in from elsewhere that cannot solve the step is
-        # replaced by a fresh one, not reported as a stall
-        lift = tangent_lift(make_midpoint(1))
-        field = unforced(harmonic_oscillator())
-        fresh = step_sode(lift, field, np.array([1.0, 0.0]), 0.1)
-        out = step_sode(lift, field, np.array([1.0, 0.0]), 0.1, jacobian=carried)
-        npt.assert_allclose(out.state, fresh.state, rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.01])
     def test_rejects_a_step_size_that_is_not_finite_positive(self, pendulum, h):
         lift = tangent_lift(make_midpoint(1))
@@ -455,17 +444,15 @@ class TestFlDiscretize:
             assert len(central_differences) == 0, make_map
             assert traj.iterations.max() <= 2, make_map
 
-    def test_a_wrong_target_jacobian_is_replaced_at_once(self, pendulum,
-                                                         central_differences):
-        # a target of (3A, 2B) gives a step Jacobian whose full steps only
-        # halve the residual; kept, it would take 25 iterations in step 0, while
-        # one fresh central difference, carried on, solves every step
+    def test_a_wrong_target_jacobian_is_replaced_at_once(self, pendulum):
+        # a target of (3A, 2B) fails the certificate, so Newton solves every
+        # step of the physical loop, in a few iterations each, and lands on
+        # the states of the right target
         gains = pole_place(pendulum.linear, POLES)
         lin = pendulum.linear
         wrong = pendulum._replace(linear=LinearMechanicalSystem(A=3 * lin.A, B=2 * lin.B))
         traj = fl_discretize(wrong, make_midpoint(2), S0, 0.01, 100, gains=gains)
         assert traj.iterations.max() <= 4
-        assert len(central_differences) <= 1
         right, _ = pendulum_closed_loop(pendulum)
         npt.assert_allclose(traj.states, right.states, rtol=0, atol=1e-9)
 
@@ -503,7 +490,10 @@ class TestFlDiscretize:
         with pytest.raises(error, match="utilde"):
             fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, utilde=utilde)
 
-    def test_carried_jacobian_matches_fresh_solves_on_a_nonlinear_loop(self, rng):
+    def test_a_nonlinear_open_loop_falls_back_to_per_step_solves(self, rng,
+                                                                 field_evaluations):
+        # the system is not the linear target, so step 0 fails its
+        # certificate and Newton solves every step, as step_sode alone does
         sys = MechanicalSystem(
             2, 1,
             gamma=lambda x: np.zeros((2, 2, 2)),
@@ -520,6 +510,7 @@ class TestFlDiscretize:
         s0 = np.array([1.0, -0.5, 0.3, 0.8])
         useq = rng.normal(size=(40, 1))
         traj = fl_discretize(bundle, make_midpoint(2), s0, 0.1, 40, utilde=useq)
+        assert len(field_evaluations) == 40 and traj.iterations.min() >= 1
         lift = tangent_lift(make_midpoint(2))
         states = [s0]
         for k in range(40):
@@ -544,6 +535,46 @@ class TestFlDiscretize:
         for k in range(20):
             s = step_sode(lift, lambda z, k=k: sode_field(sys, z, useq[k]), s, 0.05).state
         npt.assert_allclose(traj.states[-1], s, atol=1e-12)
+
+    def test_an_open_loop_run_is_certified(self, pendulum, field_evaluations):
+        # under an open-loop utilde the pushed field is the target's
+        # A Z + B utilde_k, so every step is the orbit's M Z_k + N utilde_k:
+        # no step_sode call, and the states of per-step Newton solves in the
+        # linearizing chart to rounding
+        t, tphi = pendulum.transform, tangent_map(pendulum.transform.phi)
+        s0 = np.array([0.3, -0.2, 0.5, -0.4])
+        useq = np.random.default_rng(3).normal(scale=2.0, size=(100, 1))
+        traj = fl_discretize(pendulum, make_midpoint(2), s0, 0.01, 100, utilde=useq)
+        assert field_evaluations == []
+        npt.assert_array_equal(traj.iterations, 0)
+        npt.assert_array_equal(traj.utilde, useq)
+
+        def pushed(k):
+            def field(z):
+                s = tphi.inverse(z)
+                u = apply_feedback(t, s[:2], s[2:], useq[k])
+                return tphi.jacobian(s) @ sode_field(pendulum.system, s, u)
+            return field
+
+        lift, states = tangent_lift(make_midpoint(2)), [s0]
+        for k in range(100):
+            z = step_sode(lift, pushed(k), tphi.forward(states[-1]), 0.01).state
+            states.append(tphi.inverse(z))
+        npt.assert_allclose(traj.states, states, rtol=0, atol=1e-11)
+
+    def test_an_open_loop_singular_resolvent_is_refused_at_entry(self, field_evaluations):
+        # x'' = x + u under implicit Euler at h = 1: I - h A is singular
+        lms = LinearMechanicalSystem(A=np.eye(1), B=np.eye(1))
+        t = MFTransform(identity_diffeomorphism(1),
+                        alpha=lambda x: np.zeros(1),
+                        beta=lambda x: np.eye(1),
+                        gammaF=lambda x: np.zeros((1, 1, 1)))
+        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        with pytest.raises(SingularStep) as info:
+            fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1.0, 3,
+                          utilde=np.zeros(3))
+        assert info.value.step is None
+        assert field_evaluations == []
 
     def test_zero_state_zero_control(self, pendulum):
         traj = fl_discretize(pendulum, make_midpoint(2), np.zeros(4), 0.01, 10,
@@ -577,11 +608,6 @@ class TestFlDiscretize:
 
 
 class TestLinearTwoStep:
-    def test_probe_solves_need_no_central_difference(self, pendulum, central_differences):
-        for builder in (make_explicit_euler, make_implicit_euler, make_midpoint):
-            linear_two_step(pendulum.linear, builder(2), 0.01)
-        assert len(central_differences) == 0
-
     def test_double_integrator_midpoint(self):
         rec = linear_two_step(double_integrator_lms(), make_midpoint(1), 0.1)
         npt.assert_allclose(rec.A2, [[-1.0]], atol=1e-10)

@@ -1,10 +1,11 @@
 """Property tests over generated inputs, derandomized so every run draws
 the same examples: the map axioms, the lift-order commutation and the
 chart lifts on stacks against the same lifts row by row on the pendulum
-chart, the closed forms of the built-in maps' tangent lift and step
-Jacobian against their structural derivations, the pendulum's
-closed loop under each built-in map against that map's exact linear
-update and its orbit pass on stacks against the same pass row by row,
+chart, the closed form of the built-in maps' tangent lift against its
+structural derivation, the orbit's one-step update against the one
+Newton probes, the pendulum's closed loop under each built-in map
+against that map's exact linear update and its orbit pass on stacks
+against the same pass row by row,
 the rotation logarithm around its pi guard band, and the attitude loop
 against a re-run of it on scipy's matrix exponential."""
 
@@ -16,10 +17,14 @@ from hypothesis import strategies as st
 
 from mechlift import (
     AngleAtPi,
+    MFTransform,
     MechliftError,
     OutsideChart,
+    SystemBundle,
     fl_discretize,
+    identity_diffeomorphism,
     lift_by_diffeo,
+    linear_one_step,
     make_explicit_euler,
     make_implicit_euler,
     make_midpoint,
@@ -34,7 +39,6 @@ from mechlift import (
     theta_update_matrix,
     verify_axioms,
 )
-from mechlift.integrators import _linear_step_jacobian
 from conftest import row_by_row, stack_rows_are_the_points
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
@@ -130,20 +134,6 @@ def structural_lift(kind, n):
     return jb, forward, inverse
 
 
-def assembled_step_jacobian(kind, n, a, h):
-    """Lv - h a Lz, with (Lz, Lv) the second-slot columns of the inverse of
-    the lift's 4n x 4n Jacobian assembled from the base Jacobian."""
-    jb, _, _ = structural_lift(kind, n)
-    # variable order (x, xd, y, yd) -> output order (x0, v0, x1, v1)
-    base = np.r_[0:n, 2 * n:3 * n]
-    full = np.zeros((4 * n, 4 * n))
-    full[np.ix_(base, base)] = jb
-    full[np.ix_(base + n, base + n)] = jb
-    inv = np.linalg.inv(full)
-    d = 2 * n
-    return inv[d:, d:] - h * a @ inv[:d, d:]
-
-
 # signed zeros on purpose; subnormals are left out, since there the
 # family's (1 - theta) x0 + theta x1 and the written-out (x0 + x1) / 2
 # of the midpoint round differently (by one subnormal unit)
@@ -170,18 +160,35 @@ def test_tangent_lift_is_its_structural_derivation(builder, s, w, n):
         npt.assert_array_equal(got, want)
 
 
+# the pendulum's linear target as a system of its own, with the identity
+# chart: its states are the target's, so one-step calls probe the update
+FLAT = SystemBundle(PENDULUM.linear.as_mechanical_system(),
+                    MFTransform(identity_diffeomorphism(2), alpha=lambda x: np.zeros(1),
+                                beta=lambda x: np.eye(1),
+                                gammaF=lambda x: np.zeros((1, 2, 2))),
+                    PENDULUM.linear)
+
+
 @pytest.mark.parametrize("builder", BUILDERS)
 @DERANDOMIZED
-@given(h=st.floats(1e-4, 1.0), closed_loop=st.booleans())
-def test_step_jacobian_is_its_assembled_derivation(builder, h, closed_loop):
-    lms = PENDULUM.linear
-    gains = pole_place(lms, [-10.0, -20.0, -30.0, -40.0]) if closed_loop else None
-    a, b = lms.stacked()
-    if closed_loop:
-        a = a - b @ gains
-    base = builder(2)
-    got = _linear_step_jacobian(tangent_lift(base), a, h)
-    npt.assert_array_equal(got, assembled_step_jacobian(base.kind, 2, a, h))
+@given(h=st.floats(1e-3, 0.5), closed_loop=st.booleans())
+def test_orbit_update_is_the_probed_one_step_update(builder, h, closed_loop):
+    # one-step fl_discretize calls from each unit state (and, in open loop,
+    # under a unit utilde) are certified, and their states are the columns
+    # of the (M, N) that linear_one_step probes with Newton solves
+    gains = pole_place(PENDULUM.linear, [-1.0, -2.0, -3.0, -4.0]) if closed_loop else None
+    M, N, _ = linear_one_step(PENDULUM.linear, builder(2), h, gains=gains)
+    control = {"gains": gains} if closed_loop else {"utilde": np.zeros(1)}
+    probes = [fl_discretize(FLAT, builder(2), e, h, 1, **control) for e in np.eye(4)]
+    want = [M]
+    if not closed_loop:
+        probes.append(fl_discretize(FLAT, builder(2), np.zeros(4), h, 1, utilde=np.ones(1)))
+        want.append(N)
+    for traj in probes:
+        npt.assert_array_equal(traj.iterations, 0)
+    got = np.column_stack([traj.states[1] for traj in probes])
+    want = np.hstack(want)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-10 * (1.0 + np.abs(want).max()))
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
