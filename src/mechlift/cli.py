@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .discretization import (
+    identity_diffeomorphism,
     make_explicit_euler,
     make_implicit_euler,
     make_midpoint,
@@ -43,15 +44,15 @@ from .integrators import (
     order_study,
     pole_place,
     so3_closed_loop_step,
-    step_sode,
 )
 from .linearizability import check_general, check_planar
 from .mechanics import (
     LinearMechanicalSystem,
     MechanicalSystem,
+    MFTransform,
+    SystemBundle,
     pendulum_system,
     rigid_body_system,
-    sode_field,
 )
 
 _MAP_BUILDERS = {
@@ -162,6 +163,9 @@ def run_simulate_pendulum(cfg: PendulumConfig) -> int:
     steps = grid_steps(cfg.t_final, cfg.h)
     if cfg.map_kind not in _MAP_BUILDERS:
         raise ValueError(f"unknown map kind {cfg.map_kind!r}")
+    if np.shape(cfg.initial_state) != (4,):
+        raise ValueError("pendulum initial_state must be 4 numbers (theta1, theta2, dtheta1, "
+                         f"dtheta2), got {json.dumps(cfg.initial_state)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle, gains, a_cl = _pendulum_loop(cfg.poles, cfg.gains)
@@ -207,6 +211,9 @@ def run_simulate_so3(cfg: So3Config) -> int:
     steps = grid_steps(cfg.t_final, cfg.h)
     if np.shape(cfg.gains) != (2,):
         raise ValueError(f"so3 gains must be 2 numbers (K1, K2), got {json.dumps(cfg.gains)}")
+    if np.shape(cfg.initial_state) != (6,):
+        raise ValueError("so3 initial_state must be 6 numbers (xi, Omega), "
+                         f"got {json.dumps(cfg.initial_state)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     z0 = np.asarray(cfg.initial_state, float)
@@ -381,14 +388,16 @@ def _pendulum_order_case(map_kind, t_final):
 
 def _harmonic_order_case(map_kind, t_final):
     lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
-    sys_ = lms.as_mechanical_system()
-    lifted = tangent_lift(_MAP_BUILDERS[map_kind](1))
+    # its own linear target: identity chart, u = utilde (alpha = 0, beta =
+    # 1, gammaF = 0), run open loop on utilde = 0
+    feedback = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
+                           beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
+    bundle = SystemBundle(lms.as_mechanical_system(), feedback, lms)
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
-        for _ in range(steps):
-            s = step_sode(lifted, lambda z: sode_field(sys_, z, np.zeros(1)), s, h).state
-        return s
+        return fl_discretize(bundle, _MAP_BUILDERS[map_kind](1), s, h, steps,
+                             utilde=np.zeros(steps)).states[-1]
 
     exact = np.array([np.cos(t_final), -np.sin(t_final)])
     return stepper, exact, s0

@@ -212,11 +212,13 @@ class Diffeomorphism:
     All four act row by row on (..., n) stacks, and a 1-d point is a
     stack of one; ``second``'s three arguments broadcast against each
     other, and a derivative that does not depend on the point may be
-    one n x n matrix for the whole stack.
+    one n x n matrix for the whole stack.  ``joint``, x -> (map, derivative)
+    in one evaluation, is given where the two share work (a tangent map).
     """
 
-    def __init__(self, dim, fwd, inv, jac, second=None):
+    def __init__(self, dim, fwd, inv, jac, second=None, joint=None):
         self.dim = int(dim)
+        self._joint = joint
         self._fwd = fwd
         self._inv = inv
         self._jac = jac
@@ -259,7 +261,7 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
 
     Its derivative is the block map
     (dx, dv) -> (Dphi dx, D2phi[dx, v] + Dphi dv), which is what a
-    second tangent lift consumes.
+    second tangent lift consumes; evaluated jointly, both share Dphi(x).
     """
     n = phi.dim
 
@@ -272,17 +274,22 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
         v = np.linalg.solve(phi.jacobian(x), xv[..., n:, None])[..., 0]
         return np.concatenate([x, v], axis=-1)
 
-    def jac(xv):
-        x, v = xv[..., None, :n], xv[..., None, n:]
-        d = phi.jacobian(xv[..., :n])
+    def jac(xv, d=None):
+        d = phi.jacobian(xv[..., :n]) if d is None else d
         out = np.zeros(xv.shape[:-1] + (2 * n, 2 * n))
         out[..., :n, :n] = d
         # D2phi(x)[e_j, v], one row per direction e_j, is column j
-        out[..., n:, :n] = np.swapaxes(phi.second_deriv(x, np.eye(n), v), -1, -2)
+        out[..., n:, :n] = np.swapaxes(
+            phi.second_deriv(xv[..., None, :n], np.eye(n), xv[..., None, n:]), -1, -2)
         out[..., n:, n:] = d
         return out
 
-    return Diffeomorphism(2 * n, fwd, inv, jac)
+    def joint(xv):
+        x = xv[..., :n]
+        d = phi.jacobian(x)
+        return np.concatenate([phi.forward(x), _matvec(d, xv[..., n:])], axis=-1), jac(xv, d)
+
+    return Diffeomorphism(2 * n, fwd, inv, jac, joint=joint)
 
 
 def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> DiscretizationMap:
@@ -290,8 +297,9 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
 
     The returned map acts on the source chart of ``phi``: push (x, v)
     through the tangent map, apply ``dmap``, pull both outputs back.
-    Its Jacobian is one joint evaluation with the forward map, so
-    phi(x), the tangent map's Jacobian, the base map and the two
+    The forward map takes phi(x) and Dphi(x) from one joint evaluation
+    of ``phi``.  Its Jacobian is one joint evaluation with the forward
+    map, so phi(x), the tangent map's Jacobian, the base map and the two
     pull-backs each run once.  Chart-domain errors (``OutsideChart``)
     propagate from ``phi``.
     """
@@ -303,7 +311,8 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
     tphi = tangent_map(phi)
 
     def forward(x, v):
-        a, b = dmap.forward(phi.forward(x), _matvec(phi.jacobian(x), v))
+        z, d = phi._joint(x) if phi._joint else (phi.forward(x), phi.jacobian(x))
+        a, b = dmap.forward(z, _matvec(d, v))
         return phi.inverse(a), phi.inverse(b)
 
     def inverse(a, b):

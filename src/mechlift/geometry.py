@@ -35,7 +35,8 @@ def _vec(a, name):
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    # a count of the finite entries: ndarray.all reduces at microseconds a call
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise NonFinite(f"{name} contains NaN/Inf")
     return v
 

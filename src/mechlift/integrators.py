@@ -42,6 +42,7 @@ from .geometry import (
 from .mechanics import (
     LinearMechanicalSystem,
     SystemBundle,
+    _acceleration,
     apply_feedback,
     sode_field,
 )
@@ -60,8 +61,9 @@ class StepResult:
 class Trajectory:
     """Uniform-grid trajectory with recorded controls.
 
-    ``fl_discretize`` also records, one entry per step, the step's
-    Newton ``iterations`` and its final residual norm (``residuals``).
+    Construction checks the grid; ``fl_discretize`` skips that on its own
+    grid, and also records, one entry per step, the step's Newton
+    ``iterations`` and its final residual norm (``residuals``).
     ``iterations == 0`` means the step was certified, not solved: its
     physical residual was already within the Newton tolerance where the
     step started, the orbit point M Z_k (plus N utilde_k in open loop)
@@ -121,54 +123,80 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
 
 _ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
 
+_SETUPS = {}  # _setup's memo: its last 16 setups, first in first out
+
+
+def _setup(linear: LinearMechanicalSystem, K, h, base_map: DiscretizationMap):
+    """-K^T (None in open loop) and, on a theta-family map, its lift, M
+    and the columns of (I - theta h A)^-1 B (none under gains) from one
+    solve, read-only, built once per content of (A, B, K, h) and the
+    map's dim and theta."""
+    theta = base_map.theta
+    key = (linear.A.shape, linear.A.tobytes(), linear.B.shape, linear.B.tobytes(),
+           None if K is None else K.tobytes(), type(h), float(h), base_map.dim, theta)
+    if key in _SETUPS:
+        return _SETUPS[key]
+    # only finite gains are kept, so a memo hit has finite gains
+    if K is not None and not np.isfinite(K).all():
+        raise NonFinite("gains contain NaN/Inf")
+    a, b = linear.stacked()
+    minus_kt = lifted = update = resolved_b = None
+    if K is not None:
+        a, minus_kt = a - b @ K, -K.T
+        minus_kt.flags.writeable = False
+    if theta is not None:
+        lifted = tangent_lift(base_map)
+        full = theta_update_matrix(a, h, theta, None if K is not None else b)
+        full.flags.writeable = False
+        update, resolved_b = full[:, :len(a)], full[:, len(a):]
+    if len(_SETUPS) == 16:
+        del _SETUPS[next(iter(_SETUPS))]
+    _SETUPS[key] = minus_kt, lifted, update, resolved_b
+    return _SETUPS[key]
+
 
 def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, steps,
                   gains=None, utilde=None) -> Trajectory:
     """Feedback-linearizable discretization of a mechanical system.
 
-    The scheme is the tangent lift of the base map transported by the
+    The scheme is the tangent lift of ``base_map`` transported by the
     linearizing chart change phi.  By the lift-order commutation
-    (criterion 3) it is exactly the tangent lift of ``base_map`` acting,
-    in the linearizing chart, on the closed-loop field pushed there, so
-    each step is taken in that chart: push the state through
-    Tphi = ``tangent_map(phi)``, step on DTphi(z) f(z) with
-    z = Tphi^-1(Z) and f the physical field under ``apply_feedback``,
-    pull the result back.  There that field is the linear target's
-    A Z + B utilde, so for a base map of the theta family the step is
-    the linear update the map induces on the target: under ``gains`` K,
-    Z+ = M Z with M = ``theta_update_matrix(A - B K, h, theta)``; under
-    an open-loop ``utilde``, Z+ = M Z + N utilde_k with
-    M = ``theta_update_matrix(A, h, theta)`` and N = h (I - theta h A)^-1 B.
+    (criterion 3) each step is the lift of ``base_map`` itself acting in
+    the linearizing chart on the physical closed-loop field pushed there
+    by Tphi = ``tangent_map(phi)``, DTphi(z) f(z) with z = Tphi^-1(Z) and
+    f under ``apply_feedback``: the target's A Z + B utilde.  So on a
+    theta-family map the step is Z+ = M Z under ``gains`` K, with
+    M = ``theta_update_matrix(A - B K, h, theta)``, and Z+ = M Z +
+    N utilde_k under an open-loop ``utilde``, with M and
+    N = h (I - theta h A)^-1 B from one solve on A.  M, N, -K^T and the
+    map's lift are kept, read-only, in a small private memo keyed by the
+    content of (A, B, K, h) and the map's dimension and theta.
 
-    Such a call certifies its whole orbit Z_0, Z_1, ... of that update
-    in one pass on stacks: it pulls back every orbit state and every
-    step's base point (1 - theta) Z_k + theta Z_{k+1}, then evaluates
-    every step's physical residual (Z_{k+1} - Z_k) - h DTphi f, against
-    its bound ``NEWTON_TOL * (1 + max|Z_k|)``, and its controls.  A
-    certified step has ``iterations == 0`` and makes no ``step_sode``
-    call.  When the pass raises (any ``MechliftError`` or
-    ``LinAlgError``, as when the orbit leaves the chart or meets a
-    singular feedback), it is rerun one step at a time up to the first
-    step that raises, which locates that step.  From the first step that
-    fails its certificate (as with a feedback, target or system that
-    does not linearize), raises or is not finite, and for every step of
-    a base map outside the family, Newton solves the step by
-    ``step_sode`` from Z_k, the push of its stored state.  A chain of
-    calls computes the states of one call to rounding: each call's orbit
-    starts from the push of its ``s0``.
+    Such a call certifies its whole orbit in one pass on stacks: each
+    step's physical residual (Z_{k+1} - Z_k) - h DTphi f at its base
+    point (1 - theta) Z_k + theta Z_{k+1}, against its bound
+    ``NEWTON_TOL * (1 + max|Z_k|)``.  A certified step has
+    ``iterations == 0`` and makes no ``step_sode`` call.  A pass that
+    raises (any ``MechliftError`` or ``LinAlgError``, as at a chart exit
+    or a singular feedback) is rerun one step at a time up to the step
+    that raises.  From the first step that fails its certificate (a
+    feedback, target or system that does not linearize), raises or is
+    not finite, and on every step of a map outside the family, Newton
+    solves the step by ``step_sode`` from the push of its stored state.
+    A chain of calls gives the states of one call to rounding.
 
-    Either closed-loop ``gains`` (an m x 2n matrix K, utilde = -K ztilde
-    at the base state) or an open-loop ``utilde`` sequence (steps x m
-    entries) must be given.  Refused at entry: an ``s0`` that is not a
-    finite 2n-vector, an h that is not a finite positive number,
-    ``steps`` that is not a non-negative integer (``ValueError``), gains
-    or ``utilde`` of another size (``DimensionMismatch``) or with NaN/Inf
-    (``NonFinite``), and, on a theta-family map, a singular resolvent
-    I - theta h (A - B K), or I - theta h A in open loop
-    (``SingularStep``).  The trajectory records each step's controls at
-    its base state, Newton iterations and final residual.  A
-    ``MechliftError`` raised in step k carries ``step = k`` and the
-    ``state`` that step started from.
+    Either ``gains`` (an m x 2n matrix K, utilde = -K ztilde at the base
+    state) or ``utilde`` (steps x m entries) must be given.  Refused at
+    entry, on every call: an ``s0`` that is not a finite 2n-vector, an h
+    that is not a finite positive number, ``steps`` that is not a
+    non-negative integer (``ValueError``), gains or ``utilde`` of another
+    size (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and on
+    a theta-family map a singular resolvent I - theta h (A - B K), or
+    I - theta h A in open loop (``SingularStep``).  The trajectory, on the
+    call's own grid and built without ``Trajectory``'s grid check,
+    records each step's controls at its base state, Newton iterations
+    and final residual.  A ``MechliftError`` raised in step k carries
+    ``step = k`` and the ``state`` that step started from.
     """
     if (gains is None) == (utilde is None):
         raise ValueError("provide exactly one of gains / utilde sequence")
@@ -176,7 +204,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     sys, transform = bundle.system, bundle.transform
     phi = transform.phi
-    lifted = tangent_lift(base_map)
     n, m = sys.n, sys.m
 
     s0 = _vec(s0, "s0")
@@ -184,15 +211,11 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
     _check_step_size(h)
 
-    a, b = bundle.linear.stacked()
+    K = None
     if gains is not None:
         K = np.atleast_2d(np.asarray(gains, float))
         if K.shape != (m, 2 * n):
             raise DimensionMismatch(f"gains must have shape {(m, 2 * n)}, got {K.shape}")
-        if not np.isfinite(K).all():
-            raise NonFinite("gains contain NaN/Inf")
-        a = a - b @ K
-        minus_kt = -K.T
     else:
         utilde = np.asarray(utilde, float)
         if utilde.size != steps * m:
@@ -200,10 +223,12 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         if not np.isfinite(utilde).all():
             raise NonFinite("utilde contains NaN/Inf")
         utilde = utilde.reshape(steps, m)
+    minus_kt, lifted, update, resolved_b = _setup(bundle.linear, K, h, base_map)
+    lifted = lifted or tangent_lift(base_map)
 
     def utilde_at(k, Z):
         """utilde of step k at the pushed base state Z."""
-        return Z @ minus_kt if gains is not None else utilde[k]
+        return Z.dot(minus_kt) if gains is not None else utilde[k]
 
     def pull(Z):
         """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
@@ -215,7 +240,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
         Tphi^-1(Z) under utilde ``ut``, and the physical control u."""
         u = apply_feedback(transform, x, y, ut)
-        ydot = sode_field(sys, np.concatenate([x, y], axis=-1), u)[..., n:]
+        ydot = _acceleration(sys, x, y, u)
         return np.concatenate([Z[..., n:], phi.second_deriv(x, y, y) + _matvec(d, ydot)],
                               axis=-1), u
 
@@ -223,25 +248,25 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     states[0] = s0
     u_log = np.empty((steps, m))
     ut_log = np.empty((steps, m))
-    iterations = np.empty(steps, int)
+    iterations = np.zeros(steps, int)
     residuals = np.empty(steps)
 
-    update = None if lifted.theta is None else theta_update_matrix(a, h, lifted.theta)
     done = 0
     if update is not None and steps:
         orbit = np.empty((steps + 1, 2 * n))
-        orbit[0] = transform.push_state(s0[:n], s0[n:])
+        z = orbit[0] = transform.push_state(s0[:n], s0[n:])
         if gains is not None:
+            # ndarray.dot, here and for -K^T: @'s product, less dispatch
             for k in range(steps):
-                orbit[k + 1] = update @ orbit[k]
+                z = orbit[k + 1] = update.dot(z)
         else:
             # N utilde_k for every step, N = h (I - theta h A)^-1 B
-            drive = h * utilde @ np.linalg.solve(np.eye(2 * n) - (lifted.theta * h) * a, b).T
+            drive = h * utilde @ resolved_b.T
             for k in range(steps):
-                orbit[k + 1] = update @ orbit[k] + drive[k]
+                z = orbit[k + 1] = update.dot(z) + drive[k]
 
         base, v = lifted.inverse(orbit[:-1], orbit[1:])
-        ut = base @ minus_kt if gains is not None else utilde
+        ut = base.dot(minus_kt) if gains is not None else utilde
 
         try:
             x, y, d = pull(np.concatenate([orbit[1:], base]))
@@ -261,15 +286,20 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         done = len(values[0]) if values else 0
         if done:
             x, y, field, u = values
-            norms = np.linalg.norm(v[:done] - h * field, axis=1)
-            ends = np.concatenate([x, y], axis=1)
-            certified = ((norms < NEWTON_TOL * (1.0 + np.abs(orbit[:done]).max(axis=1)))
-                         & np.isfinite(ends).all(axis=1))
-            if not certified.all():
+            r = v[:done] - h * field
+            # the 2-norm of each row, bit for bit np.linalg.norm's
+            norms = np.sqrt((r * r).sum(axis=1))
+            # the pulled ends; the Newton steps past a failing one rewrite theirs
+            ends = states[1:done + 1]
+            ends[:, :n], ends[:, n:] = x, y
+            certified = norms < NEWTON_TOL * (1.0 + np.abs(orbit[:done]).max(axis=1))
+            # and the end finite (counted: a reduction costs microseconds)
+            finite = np.isfinite(ends)
+            if np.count_nonzero(finite) < finite.size:
+                certified &= finite.all(axis=1)
+            if np.count_nonzero(certified) < done:
                 done = int(certified.argmin())
-            states[1:done + 1] = ends[:done]
             ut_log[:done], u_log[:done] = ut[:done], u[:done]
-            iterations[:done] = 0
             residuals[:done] = norms[:done]
 
     for k in range(done, steps):
@@ -289,8 +319,11 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         iterations[k] = result.iterations
         residuals[k] = result.residual
 
-    t = h * np.arange(steps + 1)
-    return Trajectory(t, states, u_log, ut_log, iterations, residuals)
+    # the grid is this call's own uniform one: Trajectory's check is skipped
+    traj = Trajectory.__new__(Trajectory)
+    traj.t, traj.states, traj.u, traj.utilde = h * np.arange(steps + 1), states, u_log, ut_log
+    traj.iterations, traj.residuals = iterations, residuals
+    return traj
 
 
 def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
@@ -415,18 +448,20 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     return K
 
 
-def theta_update_matrix(a, h, theta) -> np.ndarray:
-    """One-step matrix (I - theta h A)^-1 (I + (1 - theta) h A) of x+ = M x.
+def theta_update_matrix(a, h, theta, b=None) -> np.ndarray:
+    """One-step matrix M = (I - theta h A)^-1 (I + (1 - theta) h A) of x+ = M x.
 
     The update the theta-family map induces on the linear field x' = A x:
     explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
-    at 1/2.  Raises ``SingularStep`` when the resolvent I - theta h A is
-    singular.
+    at 1/2.  Given ``b``, the columns of (I - theta h A)^-1 B follow M's,
+    from the same solve (x+ = M x + h (I - theta h A)^-1 B u in open
+    loop).  Raises ``SingularStep`` when I - theta h A is singular.
     """
     a = np.atleast_2d(np.asarray(a, float))
     eye = np.eye(a.shape[0])
+    rhs = eye + ((1.0 - theta) * h) * a
     try:
-        return np.linalg.solve(eye - (theta * h) * a, eye + ((1.0 - theta) * h) * a)
+        return np.linalg.solve(eye - (theta * h) * a, rhs if b is None else np.hstack([rhs, b]))
     except np.linalg.LinAlgError as exc:
         raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
 

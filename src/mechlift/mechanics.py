@@ -131,24 +131,30 @@ def _quadratic(q, y):
 def sode_field(sys: MechanicalSystem, s, u):
     """Second-order vector field of a mechanical system on the packed (x, y).
 
-    Returns the 2n-vector (xdot, ydot) with xdot = y and
-    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i under the m-vector
-    control u; ``DimensionMismatch`` unless s has 2n entries and u m.
-    On a (..., 2n) stack of states and a (..., m) stack of controls it
-    returns the stack of fields.
+    Returns the 2n-vector (xdot, ydot) with xdot = y and ydot the
+    :func:`_acceleration` at (x, y) under the m-vector control u;
+    ``DimensionMismatch`` unless s has 2n entries and u m.  On a
+    (..., 2n) stack of states and a (..., m) stack of controls it returns
+    the stack of fields.
     """
-    n = sys.n
     s = float_array(s)
-    u = np.atleast_1d(float_array(u))
-    if s.shape[-1] != 2 * n or u.shape[-1] != sys.m:
+    y = s[..., sys.n:]
+    return np.concatenate([y, _acceleration(sys, s[..., :sys.n], y, u)], axis=-1)
+
+
+def _acceleration(sys: MechanicalSystem, x, y, u):
+    """ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i at float (..., n) stacks
+    x and y, unpacked; ``DimensionMismatch`` unless each has n entries and
+    u m, naming the packed (x, y)'s size."""
+    n = sys.n
+    u = np.array(u, float, copy=None, ndmin=1)
+    if x.shape[-1] != n or y.shape[-1] != n or u.shape[-1] != sys.m:
         raise DimensionMismatch(
-            f"state size {s.shape[-1]} / control dim {u.shape[-1]} do not match system "
-            f"({sys.n}, {sys.m})"
+            f"state size {x.shape[-1] + y.shape[-1]} / control dim {u.shape[-1]} do not match "
+            f"system ({sys.n}, {sys.m})"
         )
-    x, y = s[..., :n], s[..., n:]
     G = float_array(sys.gamma(x))
-    ydot = -_quadratic(G, y) + float_array(sys.e(x)) + _matvec(float_array(sys.g(x)), u)
-    return np.concatenate([y, ydot], axis=-1)
+    return -_quadratic(G, y) + float_array(sys.e(x)) + _matvec(float_array(sys.g(x)), u)
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
@@ -159,9 +165,10 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     """
     x = float_array(x)
     y = float_array(y)
-    utilde = np.atleast_1d(float_array(utilde))
+    # np.array with ndmin: atleast_1d and atleast_2d with less dispatch
+    utilde = np.array(utilde, float, copy=None, ndmin=1)
     gam = float_array(t.gammaF(x))
-    beta = np.atleast_2d(float_array(t.beta(x)))
+    beta = np.array(t.beta(x), float, copy=None, ndmin=2)
     if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
         raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
     return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
@@ -172,9 +179,9 @@ def apply_feedback(t: MFTransform, x, y, utilde):
 # ---------------------------------------------------------------------------
 
 def _any(flags):
-    """Whether any flag is set: a reduction over an array of flags, a plain
-    test of a numpy scalar one (a reduction costs microseconds per point)."""
-    return flags.any() if flags.ndim else flags
+    """Whether any flag is set: a count over an array of flags (``any``
+    reduces at microseconds a call), a plain test of a numpy scalar one."""
+    return np.count_nonzero(flags) > 0 if flags.ndim else flags
 
 
 @dataclass(frozen=True)
@@ -234,18 +241,16 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     c2 = m0 / J2
     g_mat = np.array([[-1.0 / md], [(md + J2) / (md * J2)]])
     zero_gamma = np.zeros((2, 2, 2))
+    zero_one, plus_minus = np.array([0.0, 1.0]), np.array([1.0, -1.0])
 
-    # Every callable acts row by row on (..., 2) stacks: it reads coordinate
-    # i as x.T[i] (leading axes reversed), and np.array([...]).T puts the
-    # components of its value back last; a matrix value lists its entries
-    # in row-major order and is reshaped.  On one point this stays scalar
-    # numpy work.  The chart Jacobian, whose rows hold two entries, is
-    # filled in place instead: every matrix of a stack is then C-contiguous
-    # like a single one, and numpy's matrix product rounds them alike only
-    # on a like memory layout.
+    # Every callable acts row by row on (..., 2) stacks.  The chart map reads
+    # coordinate i as x.T[i] and np.array([...]).T puts its components back
+    # last; the drift and the feedback read x1 as x[..., 0].  The chart
+    # Jacobian is filled in place, so every matrix of a stack is C-contiguous
+    # like a single one: numpy's matrix product rounds them alike only then.
     def e(x):
-        s = m0 / md * np.sin(x.T[0])
-        return np.array([s, -s]).T
+        # (s, -s) in one product: s (-1.0) rounds as -s
+        return m0 / md * np.sin(x[..., :1]) * plus_minus
 
     system = MechanicalSystem(
         n=2, m=1,
@@ -275,30 +280,30 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         return out
 
     def second(x, u, v):
-        w = -c2 * np.sin(x[..., :1]) * u[..., :1] * v[..., :1]
-        return np.concatenate([0.0 * w, w], axis=-1)
+        # (0 w, w) in one product: w 0.0 and w 1.0 round as 0.0 w and w
+        return -c2 * np.sin(x[..., :1]) * u[..., :1] * v[..., :1] * zero_one
 
     phi = Diffeomorphism(2, fwd, inv, jac, second)
 
     def regular_cos(x):
         """cos x1, guarded: the feedback is singular where it vanishes."""
-        c = np.cos(x.T[0])
+        c = np.cos(x[..., 0])
         if _any(abs(c) < 1e-9):
             raise SingularFeedback("feedback singular at x1 = +/- pi/2")
         return c
 
     def beta(x):
-        return np.array([-md * J2 / (m0 * regular_cos(x))]).T.reshape(x.shape[:-1] + (1, 1))
+        return (-md * J2 / (m0 * regular_cos(x)))[..., None, None]
 
     def alpha(x):
         # -(md J2/(m0 cos)) * (-(m0^2/(2 md J2)) sin 2x1) = m0 sin x1
-        return np.array([m0 * np.sin(x.T[0])]).T
+        return m0 * np.sin(x[..., :1])
 
     def gammaF(x):
         c = regular_cos(x)
-        zero = 0.0 * c
-        return np.array([-md * np.sin(x.T[0]) / c, zero, zero, zero]).T.reshape(
-            x.shape[:-1] + (1, 2, 2))
+        out = np.zeros(x.shape[:-1] + (1, 2, 2))
+        out[..., 0, 0, 0] = -md * np.sin(x[..., 0]) / c
+        return out
 
     transform = MFTransform(phi, alpha, beta, gammaF)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -494,7 +499,7 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
         raise ValueError("verify_mf_equivalence needs at least one sample")
     x, y, ut = (float_array([np.atleast_1d(s[i]) for s in samples]) for i in range(3))
     u = apply_feedback(t, x, y, ut)
-    ydot = sode_field(sys, np.concatenate([x, y], axis=-1), u)[..., sys.n:]
+    ydot = _acceleration(sys, x, y, u)
     # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
     pushed = t.phi.second_deriv(x, y, y) + _matvec(t.phi.jacobian(x), ydot)
     target = t.phi.forward(x) @ lms.A.T + ut @ lms.B.T

@@ -91,6 +91,22 @@ def central_differences(monkeypatch):
 
 
 @pytest.fixture()
+def update_builds(monkeypatch):
+    """The calls ``fl_discretize``'s setup makes to ``theta_update_matrix``,
+    counted from an empty setup memo (which the test gets to itself)."""
+    build = mechlift.integrators.theta_update_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mechlift.integrators, "theta_update_matrix", counting)
+    monkeypatch.setattr(mechlift.integrators, "_SETUPS", {})
+    return calls
+
+
+@pytest.fixture()
 def chart_calls(monkeypatch):
     """The calls made to the methods of every chart change (a
     ``Diffeomorphism``, tangent maps included), one method name per call."""

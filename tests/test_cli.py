@@ -325,6 +325,19 @@ class TestOrderStudy:
         assert lines[0] == "map,h,error"
         assert len(lines) == 5
 
+    def test_harmonic_runs_no_newton(self, monkeypatch, capsys):
+        # one certified open-loop fl_discretize call per step size
+        def newton(*args):
+            raise AssertionError("a step was solved by Newton")
+
+        monkeypatch.setattr(mechlift.integrators, "_damped_newton", newton)
+        assert main(["order-study", "harmonic", "--map",
+                     "explicit-euler,implicit-euler,midpoint"]) == 0
+        assert capsys.readouterr().out == (
+            "harmonic/explicit-euler: slope 1.002 (fit residual 4.54e-04)\n"
+            "harmonic/implicit-euler: slope 0.998 (fit residual 4.93e-04)\n"
+            "harmonic/midpoint: slope 2.000 (fit residual 1.09e-05)\n")
+
     def test_so3_scheme_is_first_order(self, capsys):
         assert main(["order-study", "so3", "--t-final", "2.0",
                      "--h-list", "0.02,0.01,0.005,0.0025"]) == 0
@@ -404,6 +417,22 @@ class TestUsage:
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, wanted", [
+        ("simulate-pendulum", "pendulum initial_state must be 4 numbers (theta1, theta2, "
+                              "dtheta1, dtheta2)"),
+        ("simulate-so3", "so3 initial_state must be 6 numbers (xi, Omega)"),
+    ], ids=["pendulum", "so3"])
+    @pytest.mark.parametrize("state", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]],
+                             ids=["three", "nested"])
+    def test_an_initial_state_of_another_length_is_usage_error(self, command, wanted, state,
+                                                                tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_state": state}))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: {wanted}, got {json.dumps(state)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("gains", [[1, 2, 3], [5.0]], ids=["three", "one"])

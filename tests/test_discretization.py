@@ -421,6 +421,26 @@ class TestJointEvaluation:
         assert Counter(chart_calls) == {"forward": 1, "jacobian": 4, "second_deriv": 1,
                                         "inverse": 2}
 
+    def test_a_chart_lift_through_a_tangent_map_evaluates_dphi_once(self, chart_calls):
+        route = commutation_routes()["chart-of-tangent"]
+        s, w = commutation_samples()
+        route.forward(s[0], w[0])
+        # the tangent map and its Jacobian in one evaluation, with phi(x),
+        # Dphi(x) and D2phi(x) inside it; and each output's pull-back
+        # through the tangent map, with phi's inverse and Jacobian inside it
+        assert Counter(chart_calls) == {"forward": 1, "jacobian": 3, "second_deriv": 1,
+                                        "inverse": 4}
+
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    def test_a_tangent_map_evaluates_itself_and_its_jacobian_jointly(self, chart, rng):
+        tmap = tangent_map(chart)
+        x = np.array(chart_points(rng, 6, lim=1.0))
+        xv = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
+        for point in (xv, xv[0]):
+            joint = tmap._joint(point)
+            apart = (tmap.forward(point), tmap.jacobian(point))
+            assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
+
     @pytest.mark.parametrize("route", PINNED_ROUTES)
     def test_the_routes_keep_their_values(self, route):
         dmap = commutation_routes()[route]

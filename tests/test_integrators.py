@@ -607,6 +607,98 @@ class TestFlDiscretize:
                                 rtol=1e-10, atol=1e-12)
 
 
+def trajectory_bytes(traj):
+    return [getattr(traj, field).tobytes()
+            for field in ("t", "states", "u", "utilde", "iterations", "residuals")]
+
+
+class TestSetupMemo:
+    """fl_discretize builds the setup of a call (-K^T, the update M, in
+    open loop (I - theta h A)^-1 B, and the map's lift) once per distinct
+    content of (A, B, K, h) and of the map's dimension and theta."""
+
+    def test_a_chain_of_calls_builds_the_update_once(self, pendulum, update_builds):
+        # twelve 10-step segments, as a warm process chains them
+        gains = pole_place(pendulum.linear, POLES)
+        state = S0
+        for _ in range(12):
+            traj = fl_discretize(pendulum, make_midpoint(2), state, 0.01, 10, gains=gains)
+            npt.assert_array_equal(traj.iterations, 0)
+            state = traj.states[-1]
+        assert len(update_builds) == 1
+
+    def test_cold_and_warm_calls_agree_bit_for_bit(self, pendulum, update_builds):
+        gains = pole_place(pendulum.linear, POLES)
+        useq = np.random.default_rng(3).normal(scale=2.0, size=(20, 1))
+        s0 = np.array([0.3, -0.2, 0.5, -0.4])
+        for make_map in THETA_MAPS:
+            for kwargs in ({"gains": gains}, {"utilde": useq}):
+                mechlift.integrators._SETUPS.clear()
+                cold = fl_discretize(pendulum, make_map(2), s0, 0.01, 20, **kwargs)
+                warm = fl_discretize(pendulum, make_map(2), s0, 0.01, 20, **kwargs)
+                assert trajectory_bytes(cold) == trajectory_bytes(warm)
+        assert len(update_builds) == 6
+
+    def test_gains_changed_in_place_give_the_fresh_update(self, pendulum, update_builds):
+        gains = pole_place(pendulum.linear, POLES)
+        fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        gains[...] = pole_place(pendulum.linear, [-1.0, -2.0, -3.0, -4.0])
+        warm = fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        mechlift.integrators._SETUPS.clear()
+        cold = fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 10, gains=gains.copy())
+        assert trajectory_bytes(warm) == trajectory_bytes(cold)
+        assert len(update_builds) == 3
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new-A", "A-in-place"])
+    def test_a_new_target_gives_the_fresh_update(self, update_builds, in_place):
+        # the target (3A, B) fails the certificate: Newton solves every step
+        bundle = mechlift.pendulum_system()
+        gains = pole_place(bundle.linear, POLES)
+        fl_discretize(bundle, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        if in_place:
+            bundle.linear.A *= 3.0
+        else:
+            bundle.linear.A = 3.0 * bundle.linear.A
+        warm = fl_discretize(bundle, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        assert warm.iterations.min() >= 1
+        mechlift.integrators._SETUPS.clear()
+        cold = fl_discretize(bundle, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        assert trajectory_bytes(warm) == trajectory_bytes(cold)
+        assert len(update_builds) == 3
+
+    def test_the_setup_is_read_only(self, pendulum, update_builds):
+        gains = pole_place(pendulum.linear, POLES)
+        # -K^T, M and the (here empty) columns of N; M and N in open loop
+        for K, count in ((gains, 3), (None, 2)):
+            setup = mechlift.integrators._setup(pendulum.linear, K, 0.01, make_midpoint(2))
+            arrays = [a for a in setup if isinstance(a, np.ndarray)]
+            assert len(arrays) == count
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+
+    def test_nan_gains_are_refused_on_every_call(self, pendulum, update_builds):
+        gains = pole_place(pendulum.linear, POLES)
+        gains[0, 1] = np.nan
+        for _ in range(2):
+            with pytest.raises(NonFinite, match="gains contain NaN/Inf"):
+                fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 10, gains=gains)
+        assert mechlift.integrators._SETUPS == {} and update_builds == []
+
+    def test_a_singular_resolvent_is_refused_on_every_call(self, update_builds):
+        # x'' = x + u under implicit Euler at h = 1: I - h A is singular
+        lms = LinearMechanicalSystem(A=np.eye(1), B=np.eye(1))
+        t = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
+                        beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
+        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        for _ in range(2):
+            with pytest.raises(SingularStep):
+                fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1.0, 3,
+                              utilde=np.zeros(3))
+        assert mechlift.integrators._SETUPS == {} and len(update_builds) == 2
+
+
 class TestLinearTwoStep:
     def test_double_integrator_midpoint(self):
         rec = linear_two_step(double_integrator_lms(), make_midpoint(1), 0.1)

@@ -60,10 +60,19 @@ class TestSodeField:
         assert np.abs((a - b) - (c - d)).max() < 1e-12 * scale
 
     def test_dimension_mismatch(self, pendulum):
-        with pytest.raises(DimensionMismatch):
-            sode_field(pendulum.system, np.zeros(2), np.zeros(1))
-        with pytest.raises(DimensionMismatch):
-            sode_field(pendulum.system, np.zeros(4), np.zeros(2))
+        for size, m in [(2, 1), (5, 1), (4, 2)]:
+            with pytest.raises(DimensionMismatch, match=f"state size {size} / control dim {m} "
+                                                        r"do not match system \(2, 1\)"):
+                sode_field(pendulum.system, np.zeros(size), np.zeros(m))
+
+    def test_the_acceleration_is_the_field_without_packing(self, pendulum, rigid_body, rng):
+        # on unpacked (x, y), laid out apart, bit for bit the packed field's ydot
+        from mechlift.mechanics import _acceleration
+        for sys, n, m in [(pendulum.system, 2, 1), (rigid_body.exp_chart_system(), 3, 3)]:
+            s = rng.normal(size=(7, 2 * n)) * 0.5
+            u = rng.normal(size=(7, m))
+            ydot = _acceleration(sys, s[:, :n].copy(), s[:, n:].copy(), u)
+            assert ydot.tobytes() == sode_field(sys, s, u)[:, n:].tobytes()
 
 
 class TestApplyFeedback:
