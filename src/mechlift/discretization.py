@@ -212,13 +212,14 @@ class Diffeomorphism:
     All four act row by row on (..., n) stacks, and a 1-d point is a
     stack of one; ``second``'s three arguments broadcast against each
     other, and a derivative that does not depend on the point may be
-    one n x n matrix for the whole stack.  ``joint``, x -> (map, derivative)
-    in one evaluation, is given where the two share work (a tangent map).
+    one n x n matrix for the whole stack.  ``_joint`` is set where the map
+    and derivative share work (a tangent map) and is None elsewhere.
     """
 
-    def __init__(self, dim, fwd, inv, jac, second=None, joint=None):
+    _joint = None
+
+    def __init__(self, dim, fwd, inv, jac, second=None):
         self.dim = int(dim)
-        self._joint = joint
         self._fwd = fwd
         self._inv = inv
         self._jac = jac
@@ -232,6 +233,12 @@ class Diffeomorphism:
 
     def jacobian(self, x):
         return float_array(self._jac(float_array(x)))
+
+    def _forward_and_jacobian(self, x):
+        """(phi(x), Dphi(x)) in one evaluation, each bit for bit its own call's."""
+        if self._joint is not None:
+            return self._joint(float_array(x))
+        return self.forward(x), self.jacobian(x)
 
     def second_deriv(self, x, u, v):
         """Bilinear action D2(x)[u, v] of the second derivative, with x, u
@@ -289,7 +296,9 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
         d = phi.jacobian(x)
         return np.concatenate([phi.forward(x), _matvec(d, xv[..., n:])], axis=-1), jac(xv, d)
 
-    return Diffeomorphism(2 * n, fwd, inv, jac, joint=joint)
+    tmap = Diffeomorphism(2 * n, fwd, inv, jac)
+    tmap._joint = joint
+    return tmap
 
 
 def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> DiscretizationMap:
@@ -311,7 +320,7 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
     tphi = tangent_map(phi)
 
     def forward(x, v):
-        z, d = phi._joint(x) if phi._joint else (phi.forward(x), phi.jacobian(x))
+        z, d = phi._forward_and_jacobian(x)
         a, b = dmap.forward(z, _matvec(d, v))
         return phi.inverse(a), phi.inverse(b)
 

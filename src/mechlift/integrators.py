@@ -61,9 +61,8 @@ class StepResult:
 class Trajectory:
     """Uniform-grid trajectory with recorded controls.
 
-    Construction checks the grid; ``fl_discretize`` skips that on its own
-    grid, and also records, one entry per step, the step's Newton
-    ``iterations`` and its final residual norm (``residuals``).
+    ``fl_discretize`` also records, one entry per step, the step's
+    Newton ``iterations`` and its final residual norm (``residuals``).
     ``iterations == 0`` means the step was certified, not solved: its
     physical residual was already within the Newton tolerance where the
     step started, the orbit point M Z_k (plus N utilde_k in open loop)
@@ -81,10 +80,10 @@ class Trajectory:
         self.t = np.asarray(self.t, float)
         self.states = np.asarray(self.states, float)
         if self.t.size > 1:
-            dt = np.diff(self.t)
-            # every step positive and within 1e-9 of the first, relative; a
-            # NaN step fails both comparisons
-            if not ((dt > 0.0).all() and (np.abs(dt - dt[0]) <= 1e-9 * dt[0]).all()):
+            # the first step positive and every step within 1e-9 of it, relative
+            # (counted: ndarray.all reduces at microseconds); NaN fails a test
+            dt = self.t[1:] - self.t[:-1]
+            if not (dt[0] > 0.0 and np.count_nonzero(abs(dt - dt[0]) <= 1e-9 * dt[0]) == dt.size):
                 raise ValueError("time grid must be uniform and strictly increasing")
         if self.states.shape[0] != self.t.size:
             raise DimensionMismatch("one state row per grid point required")
@@ -126,32 +125,28 @@ _ORBIT_FAULTS = (MechliftError, np.linalg.LinAlgError)
 _SETUPS = {}  # _setup's memo: its last 16 setups, first in first out
 
 
-def _setup(linear: LinearMechanicalSystem, K, h, base_map: DiscretizationMap):
-    """-K^T (None in open loop) and, on a theta-family map, its lift, M
-    and the columns of (I - theta h A)^-1 B (none under gains) from one
-    solve, read-only, built once per content of (A, B, K, h) and the
-    map's dim and theta."""
-    theta = base_map.theta
+def _setup(linear: LinearMechanicalSystem, K, h, theta):
+    """-K^T (None in open loop) and, at a theta, M and (I - theta h A)^-1 B (no
+    columns under gains) from one solve, read-only, once per content of its arguments."""
     key = (linear.A.shape, linear.A.tobytes(), linear.B.shape, linear.B.tobytes(),
-           None if K is None else K.tobytes(), type(h), float(h), base_map.dim, theta)
+           None if K is None else K.tobytes(), type(h), float(h), theta)
     if key in _SETUPS:
         return _SETUPS[key]
     # only finite gains are kept, so a memo hit has finite gains
     if K is not None and not np.isfinite(K).all():
         raise NonFinite("gains contain NaN/Inf")
     a, b = linear.stacked()
-    minus_kt = lifted = update = resolved_b = None
+    minus_kt = update = resolved_b = None
     if K is not None:
         a, minus_kt = a - b @ K, -K.T
         minus_kt.flags.writeable = False
     if theta is not None:
-        lifted = tangent_lift(base_map)
-        full = theta_update_matrix(a, h, theta, None if K is not None else b)
+        full = _theta_update(a, h, theta, None if K is not None else b)
         full.flags.writeable = False
         update, resolved_b = full[:, :len(a)], full[:, len(a):]
     if len(_SETUPS) == 16:
         del _SETUPS[next(iter(_SETUPS))]
-    _SETUPS[key] = minus_kt, lifted, update, resolved_b
+    _SETUPS[key] = minus_kt, update, resolved_b
     return _SETUPS[key]
 
 
@@ -168,9 +163,9 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     theta-family map the step is Z+ = M Z under ``gains`` K, with
     M = ``theta_update_matrix(A - B K, h, theta)``, and Z+ = M Z +
     N utilde_k under an open-loop ``utilde``, with M and
-    N = h (I - theta h A)^-1 B from one solve on A.  M, N, -K^T and the
-    map's lift are kept, read-only, in a small private memo keyed by the
-    content of (A, B, K, h) and the map's dimension and theta.
+    N = h (I - theta h A)^-1 B from one solve on A.  M, N and -K^T are
+    kept, read-only, in a small private memo keyed by the content of
+    (A, B, K, h) and the map's theta.
 
     Such a call certifies its whole orbit in one pass on stacks: each
     step's physical residual (Z_{k+1} - Z_k) - h DTphi f at its base
@@ -192,8 +187,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     non-negative integer (``ValueError``), gains or ``utilde`` of another
     size (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and on
     a theta-family map a singular resolvent I - theta h (A - B K), or
-    I - theta h A in open loop (``SingularStep``).  The trajectory, on the
-    call's own grid and built without ``Trajectory``'s grid check,
+    I - theta h A in open loop (``SingularStep``).  The trajectory
     records each step's controls at its base state, Newton iterations
     and final residual.  A ``MechliftError`` raised in step k carries
     ``step = k`` and the ``state`` that step started from.
@@ -223,8 +217,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         if not np.isfinite(utilde).all():
             raise NonFinite("utilde contains NaN/Inf")
         utilde = utilde.reshape(steps, m)
-    minus_kt, lifted, update, resolved_b = _setup(bundle.linear, K, h, base_map)
-    lifted = lifted or tangent_lift(base_map)
+    minus_kt, update, resolved_b = _setup(bundle.linear, K, h, base_map.theta)
+    lifted = tangent_lift(base_map)
 
     def utilde_at(k, Z):
         """utilde of step k at the pushed base state Z."""
@@ -254,16 +248,14 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     done = 0
     if update is not None and steps:
         orbit = np.empty((steps + 1, 2 * n))
-        z = orbit[0] = transform.push_state(s0[:n], s0[n:])
-        if gains is not None:
-            # ndarray.dot, here and for -K^T: @'s product, less dispatch
-            for k in range(steps):
-                z = orbit[k + 1] = update.dot(z)
-        else:
-            # N utilde_k for every step, N = h (I - theta h A)^-1 B
-            drive = h * utilde @ resolved_b.T
-            for k in range(steps):
-                z = orbit[k + 1] = update.dot(z) + drive[k]
+        orbit[0] = transform.push_state(s0[:n], s0[n:])
+        # in open loop N utilde_k for every step, N = h (I - theta h A)^-1 B
+        drive = None if gains is not None else h * utilde @ resolved_b.T
+        for k in range(steps):
+            # ndarray.dot into the next row, here and for -K^T: @'s product
+            update.dot(orbit[k], orbit[k + 1])
+            if drive is not None:
+                orbit[k + 1] += drive[k]
 
         base, v = lifted.inverse(orbit[:-1], orbit[1:])
         ut = base.dot(minus_kt) if gains is not None else utilde
@@ -319,11 +311,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         iterations[k] = result.iterations
         residuals[k] = result.residual
 
-    # the grid is this call's own uniform one: Trajectory's check is skipped
-    traj = Trajectory.__new__(Trajectory)
-    traj.t, traj.states, traj.u, traj.utilde = h * np.arange(steps + 1), states, u_log, ut_log
-    traj.iterations, traj.residuals = iterations, residuals
-    return traj
+    return Trajectory(h * np.arange(steps + 1), states, u_log, ut_log, iterations, residuals)
 
 
 def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
@@ -448,16 +436,19 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     return K
 
 
-def theta_update_matrix(a, h, theta, b=None) -> np.ndarray:
+def theta_update_matrix(a, h, theta) -> np.ndarray:
     """One-step matrix M = (I - theta h A)^-1 (I + (1 - theta) h A) of x+ = M x.
 
     The update the theta-family map induces on the linear field x' = A x:
     explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
-    at 1/2.  Given ``b``, the columns of (I - theta h A)^-1 B follow M's,
-    from the same solve (x+ = M x + h (I - theta h A)^-1 B u in open
-    loop).  Raises ``SingularStep`` when I - theta h A is singular.
+    at 1/2.  Raises ``SingularStep`` when the resolvent I - theta h A is
+    singular.
     """
-    a = np.atleast_2d(np.asarray(a, float))
+    return _theta_update(np.atleast_2d(np.asarray(a, float)), h, theta)
+
+
+def _theta_update(a, h, theta, b=None):
+    """M for a float matrix ``a``, then (I - theta h A)^-1 B's columns given ``b``."""
     eye = np.eye(a.shape[0])
     rhs = eye + ((1.0 - theta) * h) * a
     try:

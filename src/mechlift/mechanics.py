@@ -143,18 +143,21 @@ def sode_field(sys: MechanicalSystem, s, u):
 
 
 def _acceleration(sys: MechanicalSystem, x, y, u):
-    """ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i at float (..., n) stacks
-    x and y, unpacked; ``DimensionMismatch`` unless each has n entries and
-    u m, naming the packed (x, y)'s size."""
+    """ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i at float (..., n) stacks x, y;
+    ``DimensionMismatch`` unless each has n entries and u m (sized as packed)."""
     n = sys.n
-    u = np.array(u, float, copy=None, ndmin=1)
+    u = np.atleast_1d(float_array(u))
     if x.shape[-1] != n or y.shape[-1] != n or u.shape[-1] != sys.m:
         raise DimensionMismatch(
             f"state size {x.shape[-1] + y.shape[-1]} / control dim {u.shape[-1]} do not match "
             f"system ({sys.n}, {sys.m})"
         )
-    G = float_array(sys.gamma(x))
-    return -_quadratic(G, y) + float_array(sys.e(x)) + _matvec(float_array(sys.g(x)), u)
+    G, ydot = float_array(sys.gamma(x)), float_array(sys.e(x))
+    # a zero Gamma (a flat chart) is skipped: at finite y, -Gamma(y, y) + e
+    # is e up to the sign of a zero sum
+    if np.count_nonzero(G):
+        ydot = -_quadratic(G, y) + ydot
+    return ydot + _matvec(float_array(sys.g(x)), u)
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
@@ -165,10 +168,9 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     """
     x = float_array(x)
     y = float_array(y)
-    # np.array with ndmin: atleast_1d and atleast_2d with less dispatch
-    utilde = np.array(utilde, float, copy=None, ndmin=1)
+    utilde = np.atleast_1d(float_array(utilde))
     gam = float_array(t.gammaF(x))
-    beta = np.array(t.beta(x), float, copy=None, ndmin=2)
+    beta = np.atleast_2d(float_array(t.beta(x)))
     if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
         raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
     return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)

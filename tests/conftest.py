@@ -92,16 +92,16 @@ def central_differences(monkeypatch):
 
 @pytest.fixture()
 def update_builds(monkeypatch):
-    """The calls ``fl_discretize``'s setup makes to ``theta_update_matrix``,
+    """The theta-family updates ``fl_discretize``'s setup solves for,
     counted from an empty setup memo (which the test gets to itself)."""
-    build = mechlift.integrators.theta_update_matrix
+    build = mechlift.integrators._theta_update
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(mechlift.integrators, "theta_update_matrix", counting)
+    monkeypatch.setattr(mechlift.integrators, "_theta_update", counting)
     monkeypatch.setattr(mechlift.integrators, "_SETUPS", {})
     return calls
 

@@ -613,9 +613,9 @@ def trajectory_bytes(traj):
 
 
 class TestSetupMemo:
-    """fl_discretize builds the setup of a call (-K^T, the update M, in
-    open loop (I - theta h A)^-1 B, and the map's lift) once per distinct
-    content of (A, B, K, h) and of the map's dimension and theta."""
+    """fl_discretize builds the setup of a call (-K^T, the update M and, in
+    open loop, (I - theta h A)^-1 B) once per distinct content of
+    (A, B, K, h) and of the map's theta."""
 
     def test_a_chain_of_calls_builds_the_update_once(self, pendulum, update_builds):
         # twelve 10-step segments, as a warm process chains them
@@ -670,13 +670,24 @@ class TestSetupMemo:
         gains = pole_place(pendulum.linear, POLES)
         # -K^T, M and the (here empty) columns of N; M and N in open loop
         for K, count in ((gains, 3), (None, 2)):
-            setup = mechlift.integrators._setup(pendulum.linear, K, 0.01, make_midpoint(2))
+            setup = mechlift.integrators._setup(pendulum.linear, K, 0.01, 0.5)
             arrays = [a for a in setup if isinstance(a, np.ndarray)]
             assert len(arrays) == count
             for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0.0
+
+    def test_an_integer_step_size_gives_a_float_grid(self):
+        # x'' = -x under implicit Euler at h = 1, certified on every step
+        lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
+        t = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
+                        beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
+        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        traj = fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1, 3,
+                             utilde=np.zeros(3))
+        assert traj.t.dtype == float and traj.t.tolist() == [0.0, 1.0, 2.0, 3.0]
+        npt.assert_array_equal(traj.iterations, 0)
 
     def test_nan_gains_are_refused_on_every_call(self, pendulum, update_builds):
         gains = pole_place(pendulum.linear, POLES)

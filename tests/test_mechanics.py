@@ -74,6 +74,22 @@ class TestSodeField:
             ydot = _acceleration(sys, s[:, :n].copy(), s[:, n:].copy(), u)
             assert ydot.tobytes() == sode_field(sys, s, u)[:, n:].tobytes()
 
+    def test_a_zero_connection_is_skipped(self, pendulum, rigid_body, rng, monkeypatch):
+        # the pendulum's chart is flat: its acceleration is e + g u, equal
+        # (up to the sign of a zero) to the value with -Gamma(y, y) added
+        from mechlift import mechanics
+        sys = pendulum.system
+        s, u = rng.normal(size=(7, 4)) * 0.5, rng.normal(size=(7, 1))
+        with_form = (-mechanics._quadratic(sys.gamma(s[:, :2]), s[:, 2:]) + sys.e(s[:, :2])
+                     + (sys.g(s[:, :2]) @ u[..., None])[..., 0])
+        forms = []
+        quadratic = mechanics._quadratic
+        monkeypatch.setattr(mechanics, "_quadratic", lambda q, y: forms.append(q) or quadratic(q, y))
+        npt.assert_array_equal(sode_field(sys, s, u)[:, 2:], with_form)
+        assert forms == []
+        sode_field(rigid_body.exp_chart_system(), rng.normal(size=(7, 6)) * 0.5, u.repeat(3, 1))
+        assert len(forms) == 1
+
 
 class TestApplyFeedback:
     def test_identity_feedback(self, rng):
