@@ -232,21 +232,19 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     """Central-difference Jacobian of ``f`` at ``x0``, shape (m, n).
 
     Column j is (f(x0 + e_j) - f(x0 - e_j)) / (2 step), with e_j the j-th
-    row of ``step * I``; the probes run in that order, + before -.
-
-    On a (..., n) stack of points ``f`` is called once, on the
-    (..., 2n, n) stack of all probes (the n + probes, then the n -
-    probes), and the result is the (..., m, n) stack of Jacobians.
-    ``f`` must then act row by row on stacks and return one value per
-    probe, a (..., 2n) + value-shape stack; a value of any shape is
-    flattened to its m entries.  Each Jacobian of the stack is, bit for
-    bit, the one of a 1-d call at its point when ``f`` gives each row
-    exactly its value at that row.
+    row of ``step * I``.  ``f`` acts row by row on stacks, as every
+    callable of a ``MechanicalSystem`` does, and is called once, on the
+    (..., 2n, n) stack of every point's probes (the n + probes, then the
+    n - probes); it returns one value per probe, each flattened to its m
+    entries.  On a (..., n) stack of points the result is the
+    (..., m, n) stack of Jacobians, each bit for bit the 1-d call's at
+    its point when ``f`` gives each row exactly its value at that row.
 
     Parameters
     ----------
     f : callable
-        Maps an n-vector to an m-vector; a scalar result counts as m = 1.
+        Maps a stack of n-vectors to the stack of their m-vectors; a
+        scalar value counts as m = 1.
     x0 : array, shape (n,) or (..., n)
         Expansion point, or a stack of them.
     step : float
@@ -256,25 +254,12 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     Raises
     ------
     NonFinite
-        At the first probe pair with a NaN/Inf in either evaluation; on
-        a stack, when any probe's value has one.
+        When ``x0`` or any probe's value has a NaN/Inf.
     DimensionMismatch
-        On a stack, when ``f`` does not return one value per probe.
+        When ``x0`` is a scalar, or ``f`` does not return one value per
+        probe (as a callable of one point at a time does not).
     """
-    if np.ndim(x0) > 1:
-        return _stacked_jacobian(f, float_array(x0), step)
-    x0 = _vec(x0, "x0")
-    cols = []
-    for e in step * np.eye(x0.size):
-        fp = np.asarray(f(x0 + e), dtype=float)
-        fm = np.asarray(f(x0 - e), dtype=float)
-        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-            raise NonFinite("function evaluation returned NaN/Inf")
-        cols.append((fp - fm) / (2.0 * step))
-    return np.array(cols).reshape(x0.size, -1).T
-
-
-def _stacked_jacobian(f, x0, step):
+    x0 = float_array(x0) if np.ndim(x0) > 1 else _vec(x0, "x0")
     if not np.isfinite(x0).all():
         raise NonFinite("x0 contains NaN/Inf")
     n = x0.shape[-1]
@@ -310,23 +295,25 @@ def _damped_newton(residual, guess):
     """Damped Newton iteration in plain float64.
 
     Each iteration takes a fresh central-difference Jacobian
-    (:func:`numeric_jacobian`, with a step scaled to the iterate) and
-    halves its step until the residual norm drops.  The tolerance is
-    ``NEWTON_TOL * (1 + m)``, m the largest entry of the guess or of the
-    iterate, whichever is larger, as the residual's rounding floor grows
-    with the state.  Past it the solve takes one more full step, the
-    polish step, and accepts it only if it lowers the norm, so it can
-    end above the residual's rounding floor.  Returns the best iterate,
-    the iteration count and the final norm; raises ``NoConvergence``
-    when ``NEWTON_MAX_ITER`` iterations, a singular Jacobian or a
-    stalled line search leave the norm above the tolerance.  A guess
-    whose residual norm is already below the tolerance is returned as it
-    is, after that one evaluation, with 0 iterations and no polish step.
+    (:func:`numeric_jacobian`, with a step scaled to the iterate), one
+    call of ``residual`` on the stack of all its probes, and halves its
+    step until the residual norm drops.  The tolerance is
+    ``NEWTON_TOL * (1 + m)``, m the largest entry of the guess, of its
+    residual or of the iterate, as the residual's rounding floor grows
+    with the state and with its terms (h X, for a step's residual).
+    Past it the solve takes one more full step, the polish step, and
+    accepts it only if it lowers the norm, so it can end above the
+    residual's rounding floor.  Returns the best iterate, the iteration
+    count and the final norm; raises ``NoConvergence`` when
+    ``NEWTON_MAX_ITER`` iterations, a singular Jacobian or a stalled
+    line search leave the norm above the tolerance.  A guess whose
+    residual norm is already below the tolerance is returned as it is,
+    after that one evaluation, with 0 iterations and no polish step.
     """
     q = np.asarray(guess, float)
-    start = float(np.abs(q).max())
     r = residual(q)
     norm = float(np.linalg.norm(r))
+    start = max(float(np.abs(q).max()), float(np.abs(r).max()))
     if norm < NEWTON_TOL * (1.0 + start):
         return q, 0, norm
     converged = False

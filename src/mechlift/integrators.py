@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     NEWTON_TOL,
     _damped_newton,
-    _matvec,
     _log,
     _entries,
     _rodrigues,
@@ -42,7 +41,7 @@ from .geometry import (
 from .mechanics import (
     LinearMechanicalSystem,
     SystemBundle,
-    _acceleration,
+    _pushed_acceleration,
     apply_feedback,
     sode_field,
 )
@@ -107,6 +106,11 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     ``iterations == 0``.  A state that is not a finite vector of the
     map's dimension, or a step size that is not a finite positive
     number, is refused before Newton starts.
+
+    ``field`` acts row by row on (..., dim) stacks, as every callable of
+    a ``MechanicalSystem`` does: the residual takes s_k against the
+    whole stack of a Jacobian's probes, so each Newton iteration's
+    Jacobian is one call of ``field``.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
@@ -114,7 +118,7 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     _check_step_size(h)
 
     def residual(s_next):
-        z, v = dmap.inverse(s_k, s_next)
+        z, v = dmap.inverse(np.broadcast_to(s_k, s_next.shape), s_next)
         return v - h * field(z)
 
     return StepResult(*_damped_newton(residual, s_k))
@@ -233,10 +237,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     def pushed_field(Z, x, y, d, ut):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
         Tphi^-1(Z) under utilde ``ut``, and the physical control u."""
-        u = apply_feedback(transform, x, y, ut)
-        ydot = _acceleration(sys, x, y, u)
-        return np.concatenate([Z[..., n:], phi.second_deriv(x, y, y) + _matvec(d, ydot)],
-                              axis=-1), u
+        pushed, u = _pushed_acceleration(sys, transform, x, y, ut, d)
+        return np.concatenate([Z[..., n:], pushed], axis=-1), u
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
@@ -331,7 +333,7 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
 
     def advance(z, ut):
-        return step_sode(lifted, lambda base: sode_field(sys, base, ut - K @ base), z, h).state
+        return step_sode(lifted, lambda base: sode_field(sys, base, ut - base @ K.T), z, h).state
 
     zero = advance(np.zeros(2 * n), np.zeros(m))
     M = np.column_stack([advance(e, np.zeros(m)) - zero for e in np.eye(2 * n)])

@@ -62,9 +62,11 @@ def _gam(G, a, b):
 def lie_bracket(x_field, y_field, x) -> np.ndarray:
     """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x), Jacobians by central differences.
 
-    ``x`` may be a (..., n) stack of points; the fields must then act
-    row by row and return the full stack of their values, and the
-    result is the stack of brackets.
+    The fields act row by row on (..., n) stacks and return the full
+    stack of their values, as every callable of a ``MechanicalSystem``
+    does: each Jacobian evaluates its field once, on the stack of all
+    probes.  ``x`` is a point or a (..., n) stack of points, and the
+    result is the bracket there or the stack of brackets.
     """
     x = float_array(x)
     xv = float_array(x_field(x))
@@ -84,7 +86,8 @@ def _bracket(xv, yv, dy, dx):
 def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarray:
     """(nabla_X Y)^i = dY^i/dx^j X^j + Gamma^i_jk X^j Y^k.
 
-    On a (..., n) stack of points as for :func:`lie_bracket`.
+    The fields act on stacks, and ``x`` is a point or a (..., n) stack
+    of points, as for :func:`lie_bracket`.
     """
     x = float_array(x)
     xv = float_array(x_field(x))
@@ -120,9 +123,9 @@ def _second_directional(f, x, f0, u, v):
     ``u``, the u - v probes are x itself, and ``f0`` stands for them.
 
     ``f0`` is f at x.  Row by row on a (..., n) stack of points and of
-    directions, for a field ``f`` that acts row by row: ``f`` is called
-    once, on the stack of every point's probes.  At a single point it
-    takes the probes one at a time.  A row with a zero direction gives 0.
+    directions, a 1-d point being a stack of one, for a field ``f`` that
+    acts row by row: ``f`` is called once, on the stack of every point's
+    probes.  A row with a zero direction gives 0.
     """
     nu, nv = _norms(u), _norms(v)
     uh = u / np.where(nu > 0.0, nu, 1.0)[..., None]
@@ -134,12 +137,7 @@ def _second_directional(f, x, f0, u, v):
     h = np.stack([s / 2.0, s], axis=-1)[..., None, None]
     hw = h * np.stack([uh + vh] if v is u else [uh + vh, uh - vh], axis=-2)[..., None, :, :]
     xp = x[..., None, None, :]
-    probes = np.stack([xp + hw, xp - hw], axis=-2)
-    if x.ndim == 1:  # a field of one point takes one probe at a time
-        fs = float_array([f(p) for p in probes.reshape(-1, x.size)]).reshape(
-            probes.shape[:-1] + f0.shape)
-    else:
-        fs = float_array(f(probes))
+    fs = float_array(f(np.stack([xp + hw, xp - hw], axis=-2)))
     if v is u:
         fs = np.concatenate([fs, np.broadcast_to(f0[..., None, None, None, :], fs.shape)],
                             axis=-3)
@@ -167,8 +165,9 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     nesting of the covariant derivative amplifies rounding noise by the
     field magnitudes over the squared step, which is fatal for systems
     with large control fields; the expanded form is mathematically
-    identical and loses nothing to nesting.  On a (..., n) stack of
-    points as for :func:`covariant_derivative`.
+    identical and loses nothing to nesting.  The fields act on stacks,
+    and ``x`` is a point or a (..., n) stack of points, as for
+    :func:`lie_bracket`.
     """
     x = float_array(x)
     xv = float_array(x_field(x))

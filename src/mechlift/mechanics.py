@@ -176,6 +176,16 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
 
 
+def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d):
+    """D2phi(x)[y, y] + Dphi(x) ydot, the velocity part of the closed-loop
+    field pushed through Tphi, with ydot the acceleration under
+    ``apply_feedback`` and d = Dphi(x); and the physical control u.  Row
+    by row on (..., n) stacks of (x, y)."""
+    u = apply_feedback(t, x, y, utilde)
+    ydot = _acceleration(sys, x, y, u)
+    return t.phi.second_deriv(x, y, y) + _matvec(d, ydot), u
+
+
 # ---------------------------------------------------------------------------
 # inertia wheel pendulum
 # ---------------------------------------------------------------------------
@@ -500,10 +510,8 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
     if not samples:
         raise ValueError("verify_mf_equivalence needs at least one sample")
     x, y, ut = (float_array([np.atleast_1d(s[i]) for s in samples]) for i in range(3))
-    u = apply_feedback(t, x, y, ut)
-    ydot = _acceleration(sys, x, y, u)
     # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
-    pushed = t.phi.second_deriv(x, y, y) + _matvec(t.phi.jacobian(x), ydot)
+    pushed, _ = _pushed_acceleration(sys, t, x, y, ut, t.phi.jacobian(x))
     target = t.phi.forward(x) @ lms.A.T + ut @ lms.B.T
     defects = np.abs(pushed - target).max(axis=-1)
     i = int(np.where(np.isfinite(defects), defects, np.inf).argmax())

@@ -108,19 +108,20 @@ class TestNumericJacobian:
                             atol=1e-10)
 
     def test_quadratic_against_analytic(self):
-        f = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
+        f = lambda x: np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
         jac = numeric_jacobian(f, np.array([1.0, 1.0]), step=1e-5)
         npt.assert_allclose(jac, [[2.0, 0.0], [1.0, 1.0]], atol=1e-8)
 
     def test_constant_map(self):
-        jac = numeric_jacobian(lambda x: np.array([3.0, -1.0]), np.zeros(3))
+        jac = numeric_jacobian(lambda x: np.broadcast_to([3.0, -1.0], x.shape[:-1] + (2,)),
+                               np.zeros(3))
         npt.assert_allclose(jac, np.zeros((2, 3)), atol=1e-10)
 
     def test_quadratic_error_bound(self, rng):
         # invariant: quadratic polynomials are exact up to 10 * step**2
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
-        f = lambda x: a @ x + (x @ b @ x) * np.ones(3)
+        f = lambda x: x @ a.T + np.einsum("...i,ij,...j->...", x, b, x)[..., None] * np.ones(3)
         x0 = rng.normal(size=3)
         analytic = a + np.outer(np.ones(3), (b + b.T) @ x0)
         for step in (1e-6, 1e-4):
@@ -128,26 +129,35 @@ class TestNumericJacobian:
             assert np.abs(jac - analytic).max() < 10 * step**2 + 1e-9
 
     def test_non_finite_detection(self):
-        f = lambda x: np.array([np.inf if x[0] < 0 else x[0]])
+        f = lambda x: np.where(x[..., :1] < 0, np.inf, x[..., :1])
         with pytest.raises(NonFinite):
             numeric_jacobian(f, np.zeros(1))
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["plus-probe", "minus-probe"])
-    def test_non_finite_probe_ends_at_its_pair(self, side):
-        # only one probe of the second pair is non-finite; no later pair runs
-        probes = []
+    @pytest.mark.parametrize("pair", range(3))
+    def test_non_finite_probe_of_any_pair_is_refused(self, side, pair):
+        # only one probe, of this pair, is non-finite; f runs once, on all probes
+        calls = []
 
         def f(x):
-            probes.append(x)
-            return np.array([np.inf if side * x[1] > 0 else x.sum()])
+            calls.append(x.shape)
+            return np.where(side * x[..., pair:pair + 1] > 0, np.inf,
+                            x.sum(axis=-1, keepdims=True))
 
         with pytest.raises(NonFinite):
             numeric_jacobian(f, np.zeros(3))
-        assert len(probes) == 4
+        assert calls == [(6, 3)]
+
+    def test_a_point_only_map_is_refused(self):
+        # a map written for one point at a time, handed the (4, 2) stack of
+        # probes, returns the value at its first two rows only
+        f = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
+        with pytest.raises(DimensionMismatch, match=r"probes of shape \(4, 2\)"):
+            numeric_jacobian(f, np.array([1.0, 1.0]))
 
     def test_scalar_valued_map_is_one_row(self, rng):
         x0 = rng.normal(size=3)
-        jac = numeric_jacobian(lambda x: x @ x, x0)
+        jac = numeric_jacobian(lambda x: (x * x).sum(axis=-1), x0)
         assert jac.shape == (1, 3)
         npt.assert_allclose(jac[0], 2.0 * x0, atol=1e-8)
 

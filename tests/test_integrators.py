@@ -154,8 +154,8 @@ class TestStepSode:
         gains = pole_place(pendulum.linear, POLES)
 
         def field(s):
-            x, y = s[:2], s[2:]
-            return sode_field(sys, s, apply_feedback(t, x, y, -gains @ t.push_state(x, y)))
+            x, y = s[..., :2], s[..., 2:]
+            return sode_field(sys, s, apply_feedback(t, x, y, t.push_state(x, y) @ -gains.T))
 
         out = step_sode(tangent_lift(make_midpoint(2)), field, S0, h)
         assert np.abs(out.state).max() > 1e3
@@ -264,6 +264,17 @@ class TestFlDiscretize:
         assert traj.iterations.min() >= 1
         one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
         assert conjugacy_defect(bundle, traj, one_step) > 1e-8
+
+    def test_each_newton_iteration_is_one_jacobian_call(self, pendulum, field_evaluations):
+        # the bent run from (0.3, -0.2, 0.5, -0.4): every step is solved by
+        # Newton, whose Jacobian takes the field once on the stack of its
+        # probes, so a step makes one evaluation at its start and two per
+        # iteration (the Jacobian and the full step)
+        bundle = bent_feedback(pendulum)
+        traj = fl_discretize(bundle, make_midpoint(2), np.array([0.3, -0.2, 0.5, -0.4]), 0.01,
+                             100, gains=pole_place(pendulum.linear, POLES))
+        assert traj.iterations.min() >= 1
+        assert field_evaluations == (1 + 2 * traj.iterations).tolist()
 
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_feedback_bent_from_a_step_falls_back_from_it(self, pendulum, make_map,
@@ -552,8 +563,8 @@ class TestFlDiscretize:
         def pushed(k):
             def field(z):
                 s = tphi.inverse(z)
-                u = apply_feedback(t, s[:2], s[2:], useq[k])
-                return tphi.jacobian(s) @ sode_field(pendulum.system, s, u)
+                u = apply_feedback(t, s[..., :2], s[..., 2:], useq[k])
+                return (tphi.jacobian(s) @ sode_field(pendulum.system, s, u)[..., None])[..., 0]
             return field
 
         lift, states = tangent_lift(make_midpoint(2)), [s0]
@@ -751,18 +762,36 @@ class TestLinearTwoStep:
         npt.assert_allclose(m, theta_update_matrix(a_full - b_full @ gains, 0.01, 0.5),
                             rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    @pytest.mark.parametrize("h", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0])
+    def test_a_stiff_closed_loop_one_step_converges(self, pendulum, make_map, h):
+        # poles to -40 (gain entries up to 2.4e5): at h = 0.5 under implicit
+        # Euler and h = 1 under midpoint the residual's rounding floor,
+        # h |A - B K| |z|, lies above a tolerance scaled to the state alone
+        gains = pole_place(pendulum.linear, POLES)
+        a_full, b_full = pendulum.linear.stacked()
+        m, _, _ = linear_one_step(pendulum.linear, make_map(2), h, gains=gains)
+        want = theta_update_matrix(a_full - b_full @ gains, h, make_map(2).theta)
+        assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_nonlinear_map_rejected(self):
         # cubic distortion keeps both axioms but breaks linearity
         def forward(x, v):
             return x - v / 2.0, x + v / 2.0 + 0.2 * v**3
 
         def inverse(a, b):
-            roots = np.roots([0.2, 0.0, 1.0, -(b[0] - a[0])])
-            v = float(np.real(roots[np.argmin(np.abs(np.imag(roots)))]))
-            return np.array([a[0] + v / 2.0]), np.array([v])
+            # the real root of 0.2 v^3 + v = b - a, row by row
+            v = np.empty(b.shape)
+            for i, c in np.ndenumerate((b - a)[..., 0]):
+                roots = np.roots([0.2, 0.0, 1.0, -c])
+                v[i] = float(np.real(roots[np.argmin(np.abs(np.imag(roots)))]))
+            return a + v / 2.0, v
 
         def jacobian(x, v):
-            return np.array([[1.0, -0.5], [1.0, 0.5 + 0.6 * v[0] ** 2]])
+            out = np.empty(v.shape[:-1] + (2, 2))
+            out[..., 0, :] = 1.0, -0.5
+            out[..., 1, 0], out[..., 1, 1] = 1.0, 0.5 + 0.6 * v[..., 0] ** 2
+            return out
 
         crooked = DiscretizationMap(1, "midpoint", forward, inverse, jacobian)
         with pytest.raises(NotLinearityPreserving):

@@ -25,10 +25,15 @@ M0, MD = PARAMS["m0"], PARAMS["md"]
 
 def pendulum_fields(pendulum):
     sys = pendulum.system
-    g = lambda x: np.asarray(sys.g(x))[:, 0]
+    g = lambda x: np.broadcast_to(sys.g(x)[:, 0], x.shape)
     e = lambda x: np.asarray(sys.e(x))
     ad = lambda x: lie_bracket(e, g, x)
     return sys, g, e, ad
+
+
+def constant(c):
+    """The field with the value ``c`` at every point, on stacks."""
+    return lambda x: np.broadcast_to(c, x.shape[:-1] + np.shape(c))
 
 
 def flat(n, gamma=None, e=None, g=None):
@@ -58,7 +63,7 @@ def checker_differences(monkeypatch):
 class TestLieBracket:
     def test_constant_fields(self, rng):
         c1, c2 = rng.normal(size=2), rng.normal(size=2)
-        out = lie_bracket(lambda x: c1, lambda x: c2, rng.normal(size=2))
+        out = lie_bracket(constant(c1), constant(c2), rng.normal(size=2))
         assert np.abs(out).max() < 1e-9
 
     def test_pendulum_drift_bracket_value(self, pendulum):
@@ -71,8 +76,9 @@ class TestLieBracket:
 
     def test_antisymmetry_on_polynomial_fields(self, rng):
         a, b = rng.normal(size=(2, 3, 3))
-        f1 = lambda x: a @ x + x[0] * x[1] * np.ones(3)
-        f2 = lambda x: b @ x + np.array([x[2] ** 2, x[0], x[1] * x[2]])
+        f1 = lambda x: x @ a.T + (x[..., 0] * x[..., 1])[..., None] * np.ones(3)
+        f2 = lambda x: x @ b.T + np.stack([x[..., 2] ** 2, x[..., 0], x[..., 1] * x[..., 2]],
+                                          axis=-1)
         for _ in range(10):
             x = rng.normal(size=3)
             lhs = lie_bracket(f1, f2, x)
@@ -81,11 +87,11 @@ class TestLieBracket:
 
     def test_bilinearity(self, rng):
         a, b = rng.normal(size=(2, 2, 2))
-        f1 = lambda x: a @ x
-        f2 = lambda x: b @ x + x[0] * x[1] * np.ones(2)
+        f1 = lambda x: x @ a.T
+        f2 = lambda x: x @ b.T + (x[..., 0] * x[..., 1])[..., None] * np.ones(2)
         x = rng.normal(size=2)
         combo = lambda x_: 2.0 * f1(x_) + 0.5 * f2(x_)
-        g_ = lambda x_: np.array([np.sin(x_[0]), x_[1]])
+        g_ = lambda x_: np.stack([np.sin(x_[..., 0]), x_[..., 1]], axis=-1)
         lhs = lie_bracket(combo, g_, x)
         rhs = 2.0 * lie_bracket(f1, g_, x) + 0.5 * lie_bracket(f2, g_, x)
         assert np.abs(lhs - rhs).max() < 1e-7 * (1 + np.abs(rhs).max())
@@ -101,7 +107,7 @@ class TestCovariantDerivative:
         a = rng.normal(size=(3, 3))
         c = rng.normal(size=3)
         sys = flat(3)
-        out = covariant_derivative(sys, lambda x: c, lambda x: a @ x,
+        out = covariant_derivative(sys, constant(c), lambda x: x @ a.T,
                                    rng.normal(size=3))
         npt.assert_allclose(out, a @ c, atol=1e-8)
 
@@ -114,8 +120,8 @@ class TestCovariantDerivative:
             return G
 
         sys = flat(2, gamma=gamma)
-        f1 = lambda x: np.array([np.cos(x[1]), x[0] ** 2])
-        f2 = lambda x: np.array([x[1], np.sin(x[0])])
+        f1 = lambda x: np.stack([np.cos(x[..., 1]), x[..., 0] ** 2], axis=-1)
+        f2 = lambda x: np.stack([x[..., 1], np.sin(x[..., 0])], axis=-1)
         for _ in range(10):
             x = rng.normal(size=2)
             lhs = (covariant_derivative(sys, f1, f2, x)
@@ -137,8 +143,8 @@ class TestSecondCovariantDerivative:
     def test_flat_constant_field(self, rng):
         sys = flat(2)
         c = rng.normal(size=2)
-        out = second_covariant_derivative(sys, lambda x: c, lambda x: c,
-                                          lambda x: np.array([1.0, -2.0]),
+        out = second_covariant_derivative(sys, constant(c), constant(c),
+                                          constant(np.array([1.0, -2.0])),
                                           rng.normal(size=2))
         assert np.abs(out).max() < 1e-9
 
@@ -146,9 +152,9 @@ class TestSecondCovariantDerivative:
         # oracle: direct nested differencing of D(DZ . Y) . X - DZ . (DY . X)
         sys = flat(2)
         a = rng.normal(size=(2, 2))
-        x_f = lambda p: np.array([np.sin(p[1]), p[0]])
-        y_f = lambda p: a @ p
-        z_f = lambda p: np.array([p[0] ** 2 * p[1], np.cos(p[0])])
+        x_f = lambda p: np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1)
+        y_f = lambda p: p @ a.T
+        z_f = lambda p: np.stack([p[..., 0] ** 2 * p[..., 1], np.cos(p[..., 0])], axis=-1)
 
         def nested_oracle(p, s=1e-5):
             def dz_dot_y(q):

@@ -275,8 +275,9 @@ def written_out_central_difference(f, x0, step):
 
 def sign_sensitive(x):
     # copysign tells -0.0 from 0.0, so a probe whose arithmetic flips the
-    # sign of a zero changes the result
-    return np.concatenate([np.copysign(1.0, x), x * x[::-1], [np.sin(x).sum()]])
+    # sign of a zero changes the result; row by row on (..., n) stacks
+    return np.concatenate([np.copysign(1.0, x), x * x[..., ::-1],
+                           np.sin(x).sum(axis=-1, keepdims=True)], axis=-1)
 
 
 @DERANDOMIZED
@@ -287,6 +288,23 @@ def test_central_difference_is_the_written_out_one(x0, step):
     want = written_out_central_difference(sign_sensitive, x0, step)
     assert jac.shape == want.shape
     assert jac.tobytes() == want.tobytes()
+
+
+@DERANDOMIZED
+@given(x0=st.lists(entries, min_size=1, max_size=5).map(np.array),
+       step=st.sampled_from([1e-6, 1e-4, 0.3]))
+def test_a_point_is_one_call_on_all_its_probes(x0, step):
+    # f runs once, on the (2n, n) stack of the + probes then the - probes,
+    # and the Jacobian is still the written-out one, bit for bit
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return sign_sensitive(x)
+
+    jac = numeric_jacobian(f, x0, step)
+    assert [probes.shape for probes in calls] == [(2 * x0.size, x0.size)]
+    assert jac.tobytes() == written_out_central_difference(sign_sensitive, x0, step).tobytes()
 
 
 @DERANDOMIZED
