@@ -232,13 +232,13 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     """Central-difference Jacobian of ``f`` at ``x0``, shape (m, n).
 
     Column j is (f(x0 + e_j) - f(x0 - e_j)) / (2 step), with e_j the j-th
-    row of ``step * I``.  ``f`` acts row by row on stacks, as every
-    callable of a ``MechanicalSystem`` does, and is called once, on the
-    (..., 2n, n) stack of every point's probes (the n + probes, then the
-    n - probes); it returns one value per probe, each flattened to its m
-    entries.  On a (..., n) stack of points the result is the
-    (..., m, n) stack of Jacobians, each bit for bit the 1-d call's at
-    its point when ``f`` gives each row exactly its value at that row.
+    row of ``step * I``.  ``f`` is called once, on the (..., 2n, n) stack
+    of every point's probes (the n + probes, then the n - probes), and
+    must return one value per probe, each flattened to its m entries; on
+    a (..., n) stack of points the result is the (..., m, n) stack of
+    Jacobians.  This is not checked: an ``f`` of one point at a time, or
+    one value shared by every probe, is refused by its shape (below) or
+    gives a wrong Jacobian without an error.
 
     Parameters
     ----------
@@ -256,10 +256,12 @@ def numeric_jacobian(f, x0, step=FIRST_ORDER_STEP) -> np.ndarray:
     NonFinite
         When ``x0`` or any probe's value has a NaN/Inf.
     DimensionMismatch
-        When ``x0`` is a scalar, or ``f`` does not return one value per
-        probe (as a callable of one point at a time does not).
+        When ``x0`` is a scalar, or the shape ``f`` returns does not
+        begin with the probe stack's.
     """
-    x0 = float_array(x0) if np.ndim(x0) > 1 else _vec(x0, "x0")
+    x0 = float_array(x0)
+    if x0.ndim == 0:
+        raise DimensionMismatch("x0 must be a 1-d vector, got shape ()")
     if not np.isfinite(x0).all():
         raise NonFinite("x0 contains NaN/Inf")
     n = x0.shape[-1]
@@ -291,31 +293,33 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
+def _newton_bound(scale):
+    """A step whose residual norm is below this, ``scale`` the largest entry of its
+    start, is taken with 0 iterations (Newton's guess, the orbit certificate)."""
+    return NEWTON_TOL * (1.0 + scale)
+
+
 def _damped_newton(residual, guess):
     """Damped Newton iteration in plain float64.
 
-    Each iteration takes a fresh central-difference Jacobian
-    (:func:`numeric_jacobian`, with a step scaled to the iterate), one
-    call of ``residual`` on the stack of all its probes, and halves its
-    step until the residual norm drops.  The tolerance is
-    ``NEWTON_TOL * (1 + m)``, m the largest entry of the guess, of its
-    residual or of the iterate, as the residual's rounding floor grows
-    with the state and with its terms (h X, for a step's residual).
-    Past it the solve takes one more full step, the polish step, and
-    accepts it only if it lowers the norm, so it can end above the
-    residual's rounding floor.  Returns the best iterate, the iteration
-    count and the final norm; raises ``NoConvergence`` when
-    ``NEWTON_MAX_ITER`` iterations, a singular Jacobian or a stalled
-    line search leave the norm above the tolerance.  A guess whose
-    residual norm is already below the tolerance is returned as it is,
-    after that one evaluation, with 0 iterations and no polish step.
+    A guess within ``_newton_bound`` is returned with 0 iterations.
+    Otherwise each iteration takes a fresh central-difference Jacobian
+    (:func:`numeric_jacobian`: one call of ``residual`` on its probes)
+    and halves its step until the residual norm drops, and stops at
+    ``_newton_bound(m)``, m the largest entry of the guess, of its
+    residual (h X dwarfs the state on a stiff step) or of the iterate.
+    One more full step, the polish step, is kept if it lowers the norm.
+    Returns the best iterate, the iteration count and the final norm;
+    raises ``NoConvergence`` if ``NEWTON_MAX_ITER`` iterations, a
+    singular Jacobian or a stalled line search leave it above the bound.
     """
     q = np.asarray(guess, float)
     r = residual(q)
     norm = float(np.linalg.norm(r))
-    start = max(float(np.abs(q).max()), float(np.abs(r).max()))
-    if norm < NEWTON_TOL * (1.0 + start):
+    start = float(np.abs(q).max())
+    if norm < _newton_bound(start):
         return q, 0, norm
+    start = max(start, float(np.abs(r).max()))
     converged = False
     it = 0
     while norm > 0.0 and it < NEWTON_MAX_ITER:
@@ -338,7 +342,7 @@ def _damped_newton(residual, guess):
         q, r, norm = q_try, r_try, norm_try
         if converged:
             break  # the polish step is done
-        converged = norm < NEWTON_TOL * (1.0 + max(start, float(np.abs(q).max())))
+        converged = norm < _newton_bound(max(start, float(np.abs(q).max())))
     if not converged:
         raise NoConvergence(it, norm)
     return q, it, norm

@@ -30,10 +30,10 @@ from .errors import (
     Uncontrollable,
 )
 from .geometry import (
-    NEWTON_TOL,
     _damped_newton,
     _log,
     _entries,
+    _newton_bound,
     _rodrigues,
     _rotation,
     _vec,
@@ -108,9 +108,9 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     number, is refused before Newton starts.
 
     ``field`` acts row by row on (..., dim) stacks, as every callable of
-    a ``MechanicalSystem`` does: the residual takes s_k against the
-    whole stack of a Jacobian's probes, so each Newton iteration's
-    Jacobian is one call of ``field``.
+    a ``MechanicalSystem`` does (unchecked, as for ``numeric_jacobian``):
+    the residual takes s_k against the probe stack, so each Newton
+    iteration's Jacobian is one call of ``field``.
     """
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
@@ -167,14 +167,14 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     theta-family map the step is Z+ = M Z under ``gains`` K, with
     M = ``theta_update_matrix(A - B K, h, theta)``, and Z+ = M Z +
     N utilde_k under an open-loop ``utilde``, with M and
-    N = h (I - theta h A)^-1 B from one solve on A.  M, N and -K^T are
-    kept, read-only, in a small private memo keyed by the content of
-    (A, B, K, h) and the map's theta.
+    N = h (I - theta h A)^-1 B from one solve on A, kept with -K^T in
+    a small read-only memo keyed by content.
 
     Such a call certifies its whole orbit in one pass on stacks: each
     step's physical residual (Z_{k+1} - Z_k) - h DTphi f at its base
     point (1 - theta) Z_k + theta Z_{k+1}, against its bound
-    ``NEWTON_TOL * (1 + max|Z_k|)``.  A certified step has
+    ``NEWTON_TOL * (1 + max|Z_k|)``, Newton's 0-iteration acceptance
+    (``geometry._newton_bound``).  A certified step has
     ``iterations == 0`` and makes no ``step_sode`` call.  A pass that
     raises (any ``MechliftError`` or ``LinAlgError``, as at a chart exit
     or a singular feedback) is rerun one step at a time up to the step
@@ -286,7 +286,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             # the pulled ends; the Newton steps past a failing one rewrite theirs
             ends = states[1:done + 1]
             ends[:, :n], ends[:, n:] = x, y
-            certified = norms < NEWTON_TOL * (1.0 + np.abs(orbit[:done]).max(axis=1))
+            certified = norms < _newton_bound(np.abs(orbit[:done]).max(axis=1))
             # and the end finite (counted: a reduction costs microseconds)
             finite = np.isfinite(ends)
             if np.count_nonzero(finite) < finite.size:

@@ -33,16 +33,16 @@ def _values(f, x, shape) -> np.ndarray:
     values = float_array(f(x))
     lead = x.shape[:-1]
     if values.shape != lead + shape:
-        values = np.broadcast_to(values, lead + shape)
+        try:
+            values = np.broadcast_to(values, lead + shape)
+        except ValueError:
+            raise DimensionMismatch(f"shape {values.shape} at points of shape {x.shape}") from None
     return np.ascontiguousarray(values)
 
 
-def _drift_field(sys):
-    return lambda p: _values(sys.e, p, (sys.n,))
-
-
-def _control_matrix(sys):
-    return lambda p: _values(sys.g, p, (sys.n, sys.m))
+def _field(f, shape):
+    """``f`` returning the full stack of its values, as ``numeric_jacobian`` needs."""
+    return lambda p: _values(f, p, shape)
 
 
 def _part(jac, rows=Ellipsis, entries=slice(None)):
@@ -62,15 +62,15 @@ def _gam(G, a, b):
 def lie_bracket(x_field, y_field, x) -> np.ndarray:
     """Bracket [X, Y](x) = DY(x) X(x) - DX(x) Y(x), Jacobians by central differences.
 
-    The fields act row by row on (..., n) stacks and return the full
-    stack of their values, as every callable of a ``MechanicalSystem``
-    does: each Jacobian evaluates its field once, on the stack of all
-    probes.  ``x`` is a point or a (..., n) stack of points, and the
-    result is the bracket there or the stack of brackets.
+    The fields act row by row on (..., n) stacks, as every callable of a
+    ``MechanicalSystem`` does (a value shared by every row is broadcast;
+    a field of one point at a time is refused or gives a wrong Jacobian,
+    as for ``numeric_jacobian``).  ``x`` is a point or a (..., n) stack
+    of points, and the result is the bracket there or the stack of them.
     """
     x = float_array(x)
-    xv = float_array(x_field(x))
-    yv = float_array(y_field(x))
+    x_field, y_field = (_field(f, x.shape[-1:]) for f in (x_field, y_field))
+    xv, yv = x_field(x), y_field(x)
     dy = numeric_jacobian(y_field, x)
     return _bracket(xv, yv, dy, numeric_jacobian(x_field, x))
 
@@ -90,8 +90,8 @@ def covariant_derivative(sys: MechanicalSystem, x_field, y_field, x) -> np.ndarr
     of points, as for :func:`lie_bracket`.
     """
     x = float_array(x)
-    xv = float_array(x_field(x))
-    yv = float_array(y_field(x))
+    x_field, y_field = (_field(f, x.shape[-1:]) for f in (x_field, y_field))
+    xv, yv = x_field(x), y_field(x)
     dy = numeric_jacobian(y_field, x)
     return _covariant(xv, yv, dy, _values(sys.gamma, x, (sys.n,) * 3))
 
@@ -170,9 +170,8 @@ def second_covariant_derivative(sys: MechanicalSystem, x_field, y_field, z_field
     :func:`lie_bracket`.
     """
     x = float_array(x)
-    xv = float_array(x_field(x))
-    yv = float_array(y_field(x))
-    zv = float_array(z_field(x))
+    x_field, y_field, z_field = (_field(f, x.shape[-1:]) for f in (x_field, y_field, z_field))
+    xv, yv, zv = x_field(x), y_field(x), z_field(x)
     dz = numeric_jacobian(z_field, x)
     G = _values(sys.gamma, x, (sys.n,) * 3)
     return _second_covariant(_second_directional(z_field, x, zv, xv, yv)[0], xv, yv, zv, dz, G,
@@ -329,7 +328,7 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
 
     xs = _sample_stack(sys, samples)
-    e_field, g_matrix = _drift_field(sys), _control_matrix(sys)
+    e_field, g_matrix = _field(sys.e, (sys.n,)), _field(sys.g, (sys.n, sys.m))
     g_field = lambda p: g_matrix(p)[..., 0]
     ad_field = lambda p: lie_bracket(e_field, g_field, p)
     evs, gvs = e_field(xs), g_field(xs)
@@ -393,7 +392,7 @@ def _nabla2_e_tensor(sys, x, ev, de):
     derivative once per direction j, and the drift once per distinct
     probe, the pairs (j, k) and (k, j) sharing theirs."""
     n = sys.n
-    e_field = _drift_field(sys)
+    e_field = _field(sys.e, (sys.n,))
     G = _values(sys.gamma, x, (n,) * 3)
     directions = [np.broadcast_to(v, x.shape) for v in np.eye(n)]
     dGs = [_connection_along(sys, x, xj) for xj in directions]
@@ -425,7 +424,7 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     """
     xs = _sample_stack(sys, samples)
     n, m = sys.n, sys.m
-    e_field, g_matrix = _drift_field(sys), _control_matrix(sys)
+    e_field, g_matrix = _field(sys.e, (sys.n,)), _field(sys.g, (sys.n, sys.m))
     evs, e0s = e_field(xs), g_matrix(xs)
     dgs = numeric_jacobian(g_matrix, xs)
     de = numeric_jacobian(e_field, xs)

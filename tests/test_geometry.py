@@ -155,6 +155,17 @@ class TestNumericJacobian:
         with pytest.raises(DimensionMismatch, match=r"probes of shape \(4, 2\)"):
             numeric_jacobian(f, np.array([1.0, 1.0]))
 
+    def test_a_point_only_map_may_give_a_wrong_jacobian(self):
+        # the contract is not checked: a point-only map that slices rows
+        # returns a (4, 2) stack, so it is not refused, and its Jacobian is
+        # not the rotation's; the same map on stacks gives the rotation
+        point_only = lambda s: np.concatenate([s[1:], -s[:1]])
+        on_stacks = lambda s: np.concatenate([s[..., 1:], -s[..., :1]], axis=-1)
+        x0 = np.array([1.0, 0.0])
+        npt.assert_allclose(numeric_jacobian(on_stacks, x0), [[0.0, 1.0], [-1.0, 0.0]],
+                            atol=1e-9)
+        assert np.abs(numeric_jacobian(point_only, x0) - [[0.0, 1.0], [-1.0, 0.0]]).max() > 1.0
+
     def test_scalar_valued_map_is_one_row(self, rng):
         x0 = rng.normal(size=3)
         jac = numeric_jacobian(lambda x: (x * x).sum(axis=-1), x0)

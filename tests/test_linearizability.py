@@ -8,6 +8,7 @@ import pytest
 import mechlift
 from conftest import PARAMS, row_by_row
 from mechlift import (
+    DimensionMismatch,
     LinearMechanicalSystem,
     MechanicalSystem,
     NonFinite,
@@ -25,15 +26,10 @@ M0, MD = PARAMS["m0"], PARAMS["md"]
 
 def pendulum_fields(pendulum):
     sys = pendulum.system
-    g = lambda x: np.broadcast_to(sys.g(x)[:, 0], x.shape)
+    g = lambda x: np.asarray(sys.g(x))[:, 0]
     e = lambda x: np.asarray(sys.e(x))
     ad = lambda x: lie_bracket(e, g, x)
     return sys, g, e, ad
-
-
-def constant(c):
-    """The field with the value ``c`` at every point, on stacks."""
-    return lambda x: np.broadcast_to(c, x.shape[:-1] + np.shape(c))
 
 
 def flat(n, gamma=None, e=None, g=None):
@@ -63,8 +59,20 @@ def checker_differences(monkeypatch):
 class TestLieBracket:
     def test_constant_fields(self, rng):
         c1, c2 = rng.normal(size=2), rng.normal(size=2)
-        out = lie_bracket(constant(c1), constant(c2), rng.normal(size=2))
+        out = lie_bracket(lambda x: c1, lambda x: c2, rng.normal(size=2))
         assert np.abs(out).max() < 1e-9
+
+    def test_a_shared_value_is_broadcast(self, rigid_body, rng):
+        # the rigid body's drift is one zero vector for the whole stack
+        x = rng.normal(size=3)
+        out = lie_bracket(rigid_body.exp_chart_system().e, lambda p: p * p, x)
+        npt.assert_allclose(out, np.zeros(3), atol=1e-12)
+
+    def test_a_point_only_field_is_refused(self, rng):
+        # at the (4, 2) probe stack it returns a (2, 2) value
+        rotation = lambda p: np.array([p[1], -p[0]])
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) at points of shape \(4, 2\)"):
+            lie_bracket(rotation, lambda p: p, rng.normal(size=2))
 
     def test_pendulum_drift_bracket_value(self, pendulum):
         # arithmetic oracle: (m0/md^2) cos(x1) in both slots, opposite signs
@@ -107,7 +115,7 @@ class TestCovariantDerivative:
         a = rng.normal(size=(3, 3))
         c = rng.normal(size=3)
         sys = flat(3)
-        out = covariant_derivative(sys, constant(c), lambda x: x @ a.T,
+        out = covariant_derivative(sys, lambda x: c, lambda x: x @ a.T,
                                    rng.normal(size=3))
         npt.assert_allclose(out, a @ c, atol=1e-8)
 
@@ -143,8 +151,8 @@ class TestSecondCovariantDerivative:
     def test_flat_constant_field(self, rng):
         sys = flat(2)
         c = rng.normal(size=2)
-        out = second_covariant_derivative(sys, constant(c), constant(c),
-                                          constant(np.array([1.0, -2.0])),
+        out = second_covariant_derivative(sys, lambda x: c, lambda x: c,
+                                          lambda x: np.array([1.0, -2.0]),
                                           rng.normal(size=2))
         assert np.abs(out).max() < 1e-9
 
