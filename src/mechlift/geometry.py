@@ -293,21 +293,22 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-def _newton_bound(scale):
-    """A step whose residual norm is below this, ``scale`` the largest entry of its
-    start, is taken with 0 iterations (Newton's guess, the orbit certificate)."""
-    return NEWTON_TOL * (1.0 + scale)
+def _newton_bound(*terms):
+    """The one 0-iteration bound of Newton and the orbit certificate, NEWTON_TOL (1 + m),
+    m the largest entry of ``terms`` (of a row, on stacks): a step's start and h X(start),
+    X its field (and the iterate, in Newton's stop), as rounding grows with h X."""
+    return NEWTON_TOL * (1.0 + np.abs(np.concatenate(terms, axis=-1)).max(axis=-1))
 
 
 def _damped_newton(residual, guess):
     """Damped Newton iteration in plain float64.
 
-    A guess within ``_newton_bound`` is returned with 0 iterations.
-    Otherwise each iteration takes a fresh central-difference Jacobian
-    (:func:`numeric_jacobian`: one call of ``residual`` on its probes)
-    and halves its step until the residual norm drops, and stops at
-    ``_newton_bound(m)``, m the largest entry of the guess, of its
-    residual (h X dwarfs the state on a stiff step) or of the iterate.
+    A guess within ``_newton_bound(guess, r)`` is returned with 0
+    iterations, r its residual: h X(guess) = -r, as the step map's
+    inverse takes (s, s) to (s, 0).  Otherwise each iteration takes a
+    fresh central-difference Jacobian (:func:`numeric_jacobian`: one call
+    of ``residual`` on its probes) and halves its step until the residual
+    norm drops, and stops within ``_newton_bound(guess, r, iterate)``.
     One more full step, the polish step, is kept if it lowers the norm.
     Returns the best iterate, the iteration count and the final norm;
     raises ``NoConvergence`` if ``NEWTON_MAX_ITER`` iterations, a
@@ -316,10 +317,9 @@ def _damped_newton(residual, guess):
     q = np.asarray(guess, float)
     r = residual(q)
     norm = float(np.linalg.norm(r))
-    start = float(np.abs(q).max())
-    if norm < _newton_bound(start):
+    start = q, r
+    if norm < _newton_bound(*start):
         return q, 0, norm
-    start = max(start, float(np.abs(r).max()))
     converged = False
     it = 0
     while norm > 0.0 and it < NEWTON_MAX_ITER:
@@ -342,7 +342,7 @@ def _damped_newton(residual, guess):
         q, r, norm = q_try, r_try, norm_try
         if converged:
             break  # the polish step is done
-        converged = norm < _newton_bound(max(start, float(np.abs(q).max())))
+        converged = norm < _newton_bound(*start, q)
     if not converged:
         raise NoConvergence(it, norm)
     return q, it, norm

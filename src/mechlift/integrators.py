@@ -34,6 +34,7 @@ from .geometry import (
     _log,
     _entries,
     _newton_bound,
+    _norms,
     _rodrigues,
     _rotation,
     _vec,
@@ -63,9 +64,9 @@ class Trajectory:
     ``fl_discretize`` also records, one entry per step, the step's
     Newton ``iterations`` and its final residual norm (``residuals``).
     ``iterations == 0`` means the step was certified, not solved: its
-    physical residual was already within the Newton tolerance where the
-    step started, the orbit point M Z_k (plus N utilde_k in open loop)
-    on a theta-family map and Z_k otherwise, and no Newton step ran.
+    physical residual at the orbit point M Z_k (plus N utilde_k in open
+    loop) on a theta-family map, and at Z_k otherwise, was within the
+    0-iteration bound ``geometry._newton_bound``, and no Newton step ran.
     """
 
     t: np.ndarray
@@ -130,8 +131,9 @@ _SETUPS = {}  # _setup's memo: its last 16 setups, first in first out
 
 
 def _setup(linear: LinearMechanicalSystem, K, h, theta):
-    """-K^T (None in open loop) and, at a theta, M and (I - theta h A)^-1 B (no
-    columns under gains) from one solve, read-only, once per content of its arguments."""
+    """-K^T (None in open loop) and, at a theta, M and (I - theta h A)^-1 B (no columns
+    under gains) from one solve and h A_cl (h [A B] on (Z, utilde) in open loop),
+    read-only, once per content of its arguments."""
     key = (linear.A.shape, linear.A.tobytes(), linear.B.shape, linear.B.tobytes(),
            None if K is None else K.tobytes(), type(h), float(h), theta)
     if key in _SETUPS:
@@ -140,7 +142,7 @@ def _setup(linear: LinearMechanicalSystem, K, h, theta):
     if K is not None and not np.isfinite(K).all():
         raise NonFinite("gains contain NaN/Inf")
     a, b = linear.stacked()
-    minus_kt = update = resolved_b = None
+    minus_kt = update = resolved_b = step_field = None
     if K is not None:
         a, minus_kt = a - b @ K, -K.T
         minus_kt.flags.writeable = False
@@ -148,9 +150,11 @@ def _setup(linear: LinearMechanicalSystem, K, h, theta):
         full = _theta_update(a, h, theta, None if K is not None else b)
         full.flags.writeable = False
         update, resolved_b = full[:, :len(a)], full[:, len(a):]
+        step_field = h * (a if K is not None else np.hstack([a, b]))
+        step_field.flags.writeable = False
     if len(_SETUPS) == 16:
         del _SETUPS[next(iter(_SETUPS))]
-    _SETUPS[key] = minus_kt, update, resolved_b
+    _SETUPS[key] = minus_kt, update, resolved_b, step_field
     return _SETUPS[key]
 
 
@@ -172,9 +176,9 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
 
     Such a call certifies its whole orbit in one pass on stacks: each
     step's physical residual (Z_{k+1} - Z_k) - h DTphi f at its base
-    point (1 - theta) Z_k + theta Z_{k+1}, against its bound
-    ``NEWTON_TOL * (1 + max|Z_k|)``, Newton's 0-iteration acceptance
-    (``geometry._newton_bound``).  A certified step has
+    point (1 - theta) Z_k + theta Z_{k+1}, against Newton's 0-iteration
+    bound ``geometry._newton_bound`` at its start Z_k and the target's
+    h A Z_k + h B utilde_k there.  A certified step has
     ``iterations == 0`` and makes no ``step_sode`` call.  A pass that
     raises (any ``MechliftError`` or ``LinAlgError``, as at a chart exit
     or a singular feedback) is rerun one step at a time up to the step
@@ -198,7 +202,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     """
     if (gains is None) == (utilde is None):
         raise ValueError("provide exactly one of gains / utilde sequence")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     sys, transform = bundle.system, bundle.transform
     phi = transform.phi
@@ -221,7 +225,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         if not np.isfinite(utilde).all():
             raise NonFinite("utilde contains NaN/Inf")
         utilde = utilde.reshape(steps, m)
-    minus_kt, update, resolved_b = _setup(bundle.linear, K, h, base_map.theta)
+    minus_kt, update, resolved_b, step_field = _setup(bundle.linear, K, h, base_map.theta)
     lifted = tangent_lift(base_map)
 
     def utilde_at(k, Z):
@@ -280,13 +284,12 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         done = len(values[0]) if values else 0
         if done:
             x, y, field, u = values
-            r = v[:done] - h * field
-            # the 2-norm of each row, bit for bit np.linalg.norm's
-            norms = np.sqrt((r * r).sum(axis=1))
+            norms = _norms(v[:done] - h * field)
             # the pulled ends; the Newton steps past a failing one rewrite theirs
             ends = states[1:done + 1]
             ends[:, :n], ends[:, n:] = x, y
-            certified = norms < _newton_bound(np.abs(orbit[:done]).max(axis=1))
+            start = orbit[:done] if gains is not None else np.hstack([orbit[:done], utilde[:done]])
+            certified = norms < _newton_bound(orbit[:done], start.dot(step_field.T))
             # and the end finite (counted: a reduction costs microseconds)
             finite = np.isfinite(ends)
             if np.count_nonzero(finite) < finite.size:

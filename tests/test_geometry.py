@@ -5,6 +5,7 @@ import pytest
 from mechlift import (
     AngleAtPi,
     DimensionMismatch,
+    NoConvergence,
     NonFinite,
     NotSkew,
     Rotation,
@@ -14,6 +15,7 @@ from mechlift import (
     so3_log,
     vee,
 )
+from mechlift.geometry import _damped_newton
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
@@ -171,6 +173,35 @@ class TestNumericJacobian:
         jac = numeric_jacobian(lambda x: (x * x).sum(axis=-1), x0)
         assert jac.shape == (1, 3)
         npt.assert_allclose(jac[0], 2.0 * x0, atol=1e-8)
+
+
+class TestDampedNewton:
+    def test_step_halving_reaches_a_far_root(self):
+        # undamped Newton on arctan diverges from |q0| > 1.39; halving the
+        # step until the residual drops converges from 3
+        q, iterations, norm = _damped_newton(np.arctan, np.array([3.0]))
+        assert iterations == 5
+        assert abs(q[0]) < 1e-12 and norm < 1e-12
+
+    def test_a_stalled_line_search_raises(self):
+        # q^2 + 1 has no root: the iterates stall at its minimum, residual 1
+        with pytest.raises(NoConvergence) as info:
+            _damped_newton(lambda q: q * q + 1.0, np.array([0.5]))
+        assert info.value.residual == 1.0
+
+    def test_a_singular_jacobian_raises(self):
+        # a constant residual: the first Jacobian is zero and the solve
+        # stops there, after the guess's residual and the Jacobian's one call
+        calls = []
+
+        def residual(q):
+            calls.append(q.shape)
+            return np.ones_like(q)
+
+        with pytest.raises(NoConvergence) as info:
+            _damped_newton(residual, np.zeros(2))
+        assert (info.value.iterations, info.value.residual) == (1, np.sqrt(2.0))
+        assert calls == [(2,), (4, 2)]
 
 
 def stacked_field(x):

@@ -253,6 +253,55 @@ class TestFlDiscretize:
         scale = np.array([1.0 + np.abs(push(s[:2], s[2:])).max() for s in traj.states[:-1]])
         assert np.all(traj.residuals < NEWTON_TOL * scale)
 
+    @pytest.mark.parametrize("top, make_map, h", [
+        (80.0, make_midpoint, 1.0),
+        (120.0, make_implicit_euler, 0.1),
+        (120.0, make_implicit_euler, 1.0),
+        (200.0, make_midpoint, 0.1),
+    ], ids=["poles-80-midpoint-h1", "poles-120-implicit-h0.1", "poles-120-implicit-h1",
+            "poles-200-midpoint-h0.1"])
+    def test_a_stiff_loop_is_certified(self, pendulum, monkeypatch, top, make_map, h):
+        # h |A_cl| up to ~4e6: the residual's rounding floor grows with h A_cl Z_k,
+        # which the 0-iteration bound takes in, so every step is certified, its
+        # residual well within the bound, at the states Newton solves for
+        s0 = np.array([0.05, 0.0, 0.0, 0.0])
+        gains = pole_place(pendulum.linear, top * np.array([-1.0, -2.0, -3.0, -4.0]) / 4.0)
+        traj = fl_discretize(pendulum, make_map(2), s0, h, 50, gains=gains)
+        npt.assert_array_equal(traj.iterations, 0)
+        a, b = pendulum.linear.stacked()
+        push = pendulum.transform.push_state
+        z = np.array([push(s[:2], s[2:]) for s in traj.states[:-1]])
+        scale = np.maximum(np.abs(z).max(axis=1), np.abs(h * z @ (a - b @ gains).T).max(axis=1))
+        assert np.all(traj.residuals <= 0.5 * NEWTON_TOL * (1.0 + scale))
+        # every certificate failed: Newton takes each step from its pushed state
+        monkeypatch.setattr(mechlift.integrators, "_newton_bound", lambda *terms: 0.0)
+        newton = fl_discretize(pendulum, make_map(2), s0, h, 50, gains=gains)
+        assert newton.iterations.max() >= 1
+        npt.assert_allclose(traj.states, newton.states, rtol=0,
+                            atol=1e-10 * np.abs(newton.states).max())
+
+    def test_a_non_finite_pull_back_is_not_certified(self, pendulum, monkeypatch):
+        # a chart whose inverse returns inf, without raising, at the orbit
+        # point Z_j alone: step j - 1 fails its certificate, Newton takes it
+        # and the steps after it, and the states stay the clean run's
+        j, phi, pulls = 5, pendulum.transform.phi, []
+        inverse = phi._inv
+        monkeypatch.setattr(phi, "_inv", lambda z: pulls.append(z.copy()) or inverse(z))
+        clean, _ = pendulum_closed_loop(pendulum, steps=10)
+        z_j = pulls[0][j - 1]  # the pull-back stack starts with Z_1
+
+        def inverse_inf_at_z_j(z):
+            x = inverse(z)
+            x[(z == z_j).all(axis=-1), 1] = np.inf
+            return x
+
+        monkeypatch.setattr(phi, "_inv", inverse_inf_at_z_j)
+        traj, _ = pendulum_closed_loop(pendulum, steps=10)
+        npt.assert_array_equal(traj.iterations[:j - 1], 0)
+        assert traj.iterations[j - 1:].min() >= 1
+        assert np.isfinite(traj.states).all()
+        npt.assert_allclose(traj.states, clean.states, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_bent_feedback_fails_certificate(self, pendulum, make_map,
                                              field_evaluations):
@@ -476,7 +525,7 @@ class TestFlDiscretize:
         with pytest.raises(error):
             pendulum_closed_loop(pendulum, s0=np.array(s0))
 
-    @pytest.mark.parametrize("steps", [-1, 2.0], ids=["negative", "float"])
+    @pytest.mark.parametrize("steps", [-1, 2.0, True], ids=["negative", "float", "bool"])
     def test_rejects_a_bad_step_count(self, pendulum, steps):
         with pytest.raises(ValueError, match="non-negative integer"):
             pendulum_closed_loop(pendulum, steps=steps)
@@ -679,8 +728,9 @@ class TestSetupMemo:
 
     def test_the_setup_is_read_only(self, pendulum, update_builds):
         gains = pole_place(pendulum.linear, POLES)
-        # -K^T, M and the (here empty) columns of N; M and N in open loop
-        for K, count in ((gains, 3), (None, 2)):
+        # -K^T, M, the (here empty) columns of N and h A_cl; M, N and h [A B]
+        # in open loop
+        for K, count in ((gains, 4), (None, 3)):
             setup = mechlift.integrators._setup(pendulum.linear, K, 0.01, 0.5)
             arrays = [a for a in setup if isinstance(a, np.ndarray)]
             assert len(arrays) == count
