@@ -48,9 +48,8 @@ from .integrators import (
 from .linearizability import check_general, check_planar
 from .mechanics import (
     LinearMechanicalSystem,
-    MechanicalSystem,
-    MFTransform,
     SystemBundle,
+    mf_transform,
     pendulum_system,
     rigid_body_system,
 )
@@ -134,6 +133,12 @@ def _write_csv(path, header, columns):
 def _write_summary(out_dir, cfg, metrics):
     payload = {"config": asdict(cfg), "metrics": metrics}
     Path(out_dir, "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _where(exc):
+    """Where a stepping loop failed: " at step k from state [...]", or ""."""
+    return "" if exc.step is None else (
+        f" at step {exc.step} from state [{', '.join(_FMT % v for v in exc.state)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +257,6 @@ def run_simulate_so3(cfg: So3Config) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-def _double_integrator() -> MechanicalSystem:
-    lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                 B=np.array([[0.0], [1.0]]))
-    return lms.as_mechanical_system()
-
-
 def _parse_grid(spec):
     """LO:HI:N as N evenly spaced points from LO to HI; N must be at
     least 1 and LO and HI finite, or the spec is a usage error."""
@@ -292,7 +291,8 @@ def run_check(system, grid_spec, out_dir=None) -> int:
     elif system == "double-integrator":
         grid = _parse_grid(grid_spec or "-1:1:11")
         samples = [np.array([x1, 0.3]) for x1 in grid]
-        sys_ = _double_integrator()
+        sys_ = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                      B=np.array([[0.0], [1.0]])).as_mechanical_system()
         reports["planar"] = check_planar(sys_, samples)
         reports["general"] = check_general(sys_, samples)
     else:
@@ -387,12 +387,10 @@ def _pendulum_order_case(map_kind, t_final):
 
 
 def _harmonic_order_case(map_kind, t_final):
+    # its own linear target under the identity chart, run open loop on utilde = 0
     lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
-    # its own linear target: identity chart, u = utilde (alpha = 0, beta =
-    # 1, gammaF = 0), run open loop on utilde = 0
-    feedback = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
-                           beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
-    bundle = SystemBundle(lms.as_mechanical_system(), feedback, lms)
+    sys_ = lms.as_mechanical_system()
+    bundle = SystemBundle(sys_, mf_transform(sys_, identity_diffeomorphism(1), lms), lms)
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
@@ -430,8 +428,10 @@ def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int
         else:
             raise UnknownSystem(f"no registered system named {system!r}")
         study = order_study(stepper, ref, s0, t_final, h_list)
-        for h, err in zip(study.h, study.errors):
+        for h, err, exc in zip(study.h, study.errors, study.exits):
             rows.append((kind, h, err))
+            if exc is not None:
+                print(f"{system}/{kind}: h = {_FMT % h} left the chart{_where(exc)}: {exc}")
         if study.slope is None:
             notice = "floor" if study.floored else "insufficient points"
             print(f"{system}/{kind}: slope omitted ({notice}); errors {study.errors}")
@@ -441,9 +441,7 @@ def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["map,h,error"]
-        for kind, h, err in rows:
-            lines.append(f"{kind},{_FMT % h},{_FMT % err}")
+        lines = ["map,h,error"] + [f"{kind},{_FMT % h},{_FMT % err}" for kind, h, err in rows]
         (out / "order_study.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -524,11 +522,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except MechliftError as exc:
-        where = ""
-        if exc.step is not None:
-            state = ", ".join(_FMT % v for v in exc.state)
-            where = f" at step {exc.step} from state [{state}]"
-        print(f"numerical failure{where}: {exc}", file=sys.stderr)
+        print(f"numerical failure{_where(exc)}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,8 @@ FIRST_ORDER_STEP = 1e-6
 SECOND_ORDER_STEP = 1e-4
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# a singular value at most this, relative to the scale of its matrix, counts as zero
+RANK_TOL = 1e-8
 
 
 def float_array(a):

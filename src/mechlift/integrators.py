@@ -26,6 +26,7 @@ from .errors import (
     MultiInputUnsupported,
     NonFinite,
     NotLinearityPreserving,
+    OutsideChart,
     SingularStep,
     Uncontrollable,
 )
@@ -241,7 +242,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     def pushed_field(Z, x, y, d, ut):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
         Tphi^-1(Z) under utilde ``ut``, and the physical control u."""
-        pushed, u = _pushed_acceleration(sys, transform, x, y, ut, d)
+        pushed, u = _pushed_acceleration(sys, transform, x, y, ut, d, Z[..., :n])
         return np.concatenate([Z[..., n:], pushed], axis=-1), u
 
     states = np.empty((steps + 1, 2 * n))
@@ -549,19 +550,16 @@ ORDER_FLOOR = 1e-10
 
 @dataclass
 class OrderStudy:
-    """Log-log fit of global error against step size."""
+    """Log-log fit of global error against step size; ``exits`` holds, per
+    step size, the ``OutsideChart`` its run raised (its error is NaN and
+    the fit leaves it out), else None."""
 
     h: np.ndarray
     errors: np.ndarray
     slope: float | None
     fit_residual: float | None
     floored: bool
-
-    def __repr__(self):
-        if self.slope is None:
-            return f"OrderStudy(no fit, errors {self.errors})"
-        tag = " [floor]" if self.floored else ""
-        return f"OrderStudy(slope {self.slope:.3f}{tag})"
+    exits: list
 
 
 def grid_steps(t_final, h) -> int:
@@ -570,7 +568,8 @@ def grid_steps(t_final, h) -> int:
     relative."""
     for name, value in (("step size", h), ("final time", t_final)):
         if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
+            kind = "positive" if value <= 0 else "finite"
+            raise ValueError(f"{name} must be {kind}, got {value}")
     if t_final / h == math.inf:
         raise ValueError(f"t_final / h overflows: {t_final} / {h}")
     steps = int(round(t_final / h))
@@ -585,21 +584,25 @@ def order_study(stepper, reference_state, s0, t_final, h_list) -> OrderStudy:
     ``stepper(s0, h, steps)`` must return the state at t_final = h * steps;
     ``reference_state`` is the accurate terminal state the errors are
     measured against.  Errors below ``ORDER_FLOOR`` flag the fit as
-    floored (self-comparison / interpolation noise).
+    floored (self-comparison / interpolation noise).  A run that raises
+    ``OutsideChart`` is recorded in ``exits``; the fit takes the others.
     """
     h_list = np.asarray(h_list, float)
     reference_state = np.asarray(reference_state, float)
-    errors = []
-    for h in h_list:
-        steps = grid_steps(t_final, h)
-        final = np.asarray(stepper(s0, h, steps), float)
-        errors.append(float(np.linalg.norm(final - reference_state)))
-    errors = np.asarray(errors)
+    errors, exits = np.full(h_list.size, np.nan), [None] * h_list.size
+    for i, h in enumerate(h_list):
+        try:
+            final = stepper(s0, h, grid_steps(t_final, h))
+        except OutsideChart as exc:
+            exits[i] = exc
+            continue
+        errors[i] = np.linalg.norm(np.asarray(final, float) - reference_state)
+    ran = np.array([exc is None for exc in exits], bool)
 
-    floored = bool(np.max(errors) < ORDER_FLOOR)
-    if h_list.size < 2 or np.any(errors == 0.0) or floored:
-        return OrderStudy(h_list, errors, None, None, floored)
-    logs_h, logs_e = np.log(h_list), np.log(errors)
+    floored = bool(ran.any() and np.max(errors[ran]) < ORDER_FLOOR)
+    if ran.sum() < 2 or np.any(errors[ran] == 0.0) or floored:
+        return OrderStudy(h_list, errors, None, None, floored, exits)
+    logs_h, logs_e = np.log(h_list[ran]), np.log(errors[ran])
     slope, intercept = np.polyfit(logs_h, logs_e, 1)
     resid = float(np.sqrt(np.mean((logs_e - (slope * logs_h + intercept)) ** 2)))
-    return OrderStudy(h_list, errors, float(slope), resid, floored)
+    return OrderStudy(h_list, errors, float(slope), resid, floored, exits)

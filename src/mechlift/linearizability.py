@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, WrongDimensions
-from .geometry import SECOND_ORDER_STEP, _matvec, _norms, float_array, numeric_jacobian
+from .geometry import RANK_TOL, SECOND_ORDER_STEP, _matvec, _norms, float_array, numeric_jacobian
 from .mechanics import MechanicalSystem
 
-RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-6
 
 

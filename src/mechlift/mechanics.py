@@ -15,7 +15,7 @@ Two systems ship with the package: the inertia wheel pendulum and the
 rigid body on SO(3).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,6 +24,7 @@ from .discretization import Diffeomorphism, identity_diffeomorphism
 from .errors import DimensionMismatch, NonFinite, OutsideChart, SingularFeedback
 from .geometry import (
     _EYE3,
+    RANK_TOL,
     Rotation,
     _matvec,
     _norms,
@@ -57,18 +58,21 @@ class MechanicalSystem:
     g: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MFTransform:
     """Chart change plus velocity-quadratic feedback data.
 
     The feedback realizes u = y^T gamma y + alpha(x) + beta(x) utilde,
-    with gammaF(x) an m x n x n stack of symmetric quadratic forms.
+    with gammaF(x) an m x n x n stack of symmetric quadratic forms.  One
+    from :func:`mf_transform` keeps its system and target in ``_source``
+    for :func:`_joint_control`; ``dataclasses.replace`` makes one without.
     """
 
     phi: Diffeomorphism
     alpha: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
     gammaF: Callable[[np.ndarray], np.ndarray]
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def push_state(self, x, y):
         """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked,
@@ -103,24 +107,15 @@ class LinearMechanicalSystem:
 
     def stacked(self):
         """First-order pair on the stacked state z = (xtilde, ytilde)."""
-        n, m = self.n, self.m
-        A_full = np.zeros((2 * n, 2 * n))
-        A_full[:n, n:] = np.eye(n)
-        A_full[n:, :n] = self.A
-        B_full = np.zeros((2 * n, m))
-        B_full[n:] = self.B
-        return A_full, B_full
+        zero = np.zeros((self.n, self.n))
+        return (np.block([[zero, np.eye(self.n)], [self.A, zero]]),
+                np.vstack([np.zeros((self.n, self.m)), self.B]))
 
     def as_mechanical_system(self) -> MechanicalSystem:
         """View as a flat-connection mechanical system with linear drift."""
-        n, m = self.n, self.m
-        zero_gamma = np.zeros((n, n, n))
-        return MechanicalSystem(
-            n, m,
-            gamma=lambda x: zero_gamma,
-            e=lambda x: x @ self.A.T,
-            g=lambda x: self.B,
-        )
+        zero_gamma = np.zeros((self.n,) * 3)
+        return MechanicalSystem(self.n, self.m, gamma=lambda x: zero_gamma,
+                                e=lambda x: x @ self.A.T, g=lambda x: self.B)
 
 
 def _quadratic(q, y):
@@ -161,7 +156,8 @@ def _acceleration(sys: MechanicalSystem, x, y, u):
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
-    """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde.
+    """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde
+    (:func:`_joint_control`'s for a derived transform).
 
     Row by row on (..., n) stacks of (x, y) and (..., m) stacks of
     utilde.
@@ -169,6 +165,8 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     x = float_array(x)
     y = float_array(y)
     utilde = np.atleast_1d(float_array(utilde))
+    if t._source is not None:
+        return _joint_control(t, x, y, utilde, t.phi.jacobian(x), t.phi.forward(x))[1]
     gam = float_array(t.gammaF(x))
     beta = np.atleast_2d(float_array(t.beta(x)))
     if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
@@ -176,14 +174,72 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
 
 
-def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d):
+def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d, z):
     """D2phi(x)[y, y] + Dphi(x) ydot, the velocity part of the closed-loop
     field pushed through Tphi, with ydot the acceleration under
-    ``apply_feedback`` and d = Dphi(x); and the physical control u.  Row
-    by row on (..., n) stacks of (x, y)."""
+    ``apply_feedback``, d = Dphi(x) and z = phi(x); and the physical
+    control u.  On the system ``t`` was derived from, in one pass
+    (:func:`_joint_control`).  Row by row on (..., n) stacks of (x, y)."""
+    if t._source is not None and t._source[0] is sys:
+        return _joint_control(t, x, y, utilde, d, z)
     u = apply_feedback(t, x, y, utilde)
-    ydot = _acceleration(sys, x, y, u)
-    return t.phi.second_deriv(x, y, y) + _matvec(d, ydot), u
+    return t.phi.second_deriv(x, y, y) + _matvec(d, _acceleration(sys, x, y, u)), u
+
+
+def mf_transform(system: MechanicalSystem, phi: Diffeomorphism,
+                 linear: LinearMechanicalSystem) -> MFTransform:
+    """The feedback that makes ``system``, in the chart ``phi``, the flat ``linear``
+    system: with P = (Dphi g)^+ (:func:`_pinv`), alpha = P (A phi - Dphi e),
+    beta = P B and gammaF = P (Dphi Gamma - D2phi), each on (..., n) stacks."""
+    A, B, eye = linear.A, linear.B, np.eye(system.n)
+
+    def pinv(x):
+        d, g = phi.jacobian(x), float_array(system.g(x))
+        return d, _pinv(d @ g, d, g, float_array(x))
+
+    def alpha(x):
+        d, p = pinv(x)
+        return _matvec(p, phi.forward(x) @ A.T - _matvec(d, float_array(system.e(x))))
+
+    def gammaF(x):
+        (d, p), x = pinv(x), float_array(x)
+        # D2phi^i_jk = D2phi[e_j, e_k]_i, with i moved to the front
+        d2 = np.moveaxis(phi.second_deriv(x[..., None, None, :], eye[:, None], eye), -1, -3)
+        dgamma = np.einsum("...il,...ljk->...ijk", d, float_array(system.gamma(x)))
+        return np.einsum("...ri,...ijk->...rjk", p, dgamma - d2)
+
+    t = MFTransform(phi, alpha, lambda x: pinv(x)[1] @ B, gammaF)
+    object.__setattr__(t, "_source", (system, linear))
+    return t
+
+
+def _pinv(dg, d, g, x):
+    """(Dphi g)^+ on (..., n, m) stacks, in closed form for m = 1, by SVD above;
+    ``SingularFeedback`` names the first point of the stack x where
+    sigma_min(Dphi g) <= RANK_TOL |Dphi|_F |g|_F."""
+    one = dg.shape[-1] == 1
+    low = (dg * dg).sum(axis=(-2, -1)) if one else np.linalg.svd(dg, compute_uv=False)[..., -1] ** 2
+    bad = low <= (RANK_TOL * RANK_TOL) * (d * d).sum(axis=(-2, -1)) * (g * g).sum(axis=(-2, -1))
+    if _any(bad):
+        i = np.unravel_index(np.broadcast_to(bad, x.shape[:-1]).argmax(), x.shape[:-1])
+        raise SingularFeedback(f"feedback singular at x = {x[i]}: sigma_min(Dphi g) <= "
+                               "RANK_TOL |Dphi|_F |g|_F")
+    return np.swapaxes(dg, -1, -2) / low[..., None, None] if one else np.linalg.pinv(dg)
+
+
+def _joint_control(t: MFTransform, x, y, utilde, d, z):
+    """The pushed acceleration q + Dphi g u and the control u = P (A z + B utilde - q),
+    q = D2phi[y, y] + Dphi (e - Gamma(y, y)), of ``t`` from :func:`mf_transform`, at
+    float (..., n) stacks x, y with d = Dphi(x) and z = phi(x): each callable runs once."""
+    sys, linear = t._source
+    if y.shape[-1] != sys.n or utilde.shape[-1] != sys.m:
+        raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
+    G, w, g = float_array(sys.gamma(x)), float_array(sys.e(x)), float_array(sys.g(x))
+    if np.count_nonzero(G):  # a zero Gamma is skipped, as in _acceleration
+        w = -_quadratic(G, y) + w
+    q, dg = t.phi.second_deriv(x, y, y) + _matvec(d, w), d @ g
+    u = _matvec(_pinv(dg, d, g, x), z @ linear.A.T + utilde @ linear.B.T - q)
+    return q + _matvec(dg, u), u
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +300,8 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
 
     valid on |x1| < pi/2, and the linear target has
     A = [[0, 1], [0, 0]], B = [[0], [1]] in second-order form.  The
-    feedback inverts the published auxiliary control for u; it is
-    singular where cos x1 = 0.
+    feedback is :func:`mf_transform`'s; its guard refuses |cos x1| below
+    about 2.0e-8, x1 = +/- pi/2 included.
     """
     p = params or PendulumParams()
     m0, md, J2 = p.m0, p.md, p.J2
@@ -255,21 +311,15 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     zero_gamma = np.zeros((2, 2, 2))
     zero_one, plus_minus = np.array([0.0, 1.0]), np.array([1.0, -1.0])
 
-    # Every callable acts row by row on (..., 2) stacks.  The chart map reads
-    # coordinate i as x.T[i] and np.array([...]).T puts its components back
-    # last; the drift and the feedback read x1 as x[..., 0].  The chart
-    # Jacobian is filled in place, so every matrix of a stack is C-contiguous
-    # like a single one: numpy's matrix product rounds them alike only then.
+    # Every callable acts row by row on (..., 2) stacks: the chart map reads
+    # coordinate i as x.T[i], np.array([...]).T puts its components back last,
+    # and the Jacobian is filled in place, so every matrix of a stack is
+    # C-contiguous like a single one, which numpy's matrix product rounds alike.
     def e(x):
         # (s, -s) in one product: s (-1.0) rounds as -s
         return m0 / md * np.sin(x[..., :1]) * plus_minus
 
-    system = MechanicalSystem(
-        n=2, m=1,
-        gamma=lambda x: zero_gamma,
-        e=e,
-        g=lambda x: g_mat,
-    )
+    system = MechanicalSystem(2, 1, gamma=lambda x: zero_gamma, e=e, g=lambda x: g_mat)
 
     def fwd(x):
         x1, x2 = x.T[0], x.T[1]
@@ -296,31 +346,9 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
         return -c2 * np.sin(x[..., :1]) * u[..., :1] * v[..., :1] * zero_one
 
     phi = Diffeomorphism(2, fwd, inv, jac, second)
-
-    def regular_cos(x):
-        """cos x1, guarded: the feedback is singular where it vanishes."""
-        c = np.cos(x[..., 0])
-        if _any(abs(c) < 1e-9):
-            raise SingularFeedback("feedback singular at x1 = +/- pi/2")
-        return c
-
-    def beta(x):
-        return (-md * J2 / (m0 * regular_cos(x)))[..., None, None]
-
-    def alpha(x):
-        # -(md J2/(m0 cos)) * (-(m0^2/(2 md J2)) sin 2x1) = m0 sin x1
-        return m0 * np.sin(x[..., :1])
-
-    def gammaF(x):
-        c = regular_cos(x)
-        out = np.zeros(x.shape[:-1] + (1, 2, 2))
-        out[..., 0, 0, 0] = -md * np.sin(x[..., 0]) / c
-        return out
-
-    transform = MFTransform(phi, alpha, beta, gammaF)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     B=np.array([[0.0], [1.0]]))
-    return SystemBundle(system, transform, linear)
+    return SystemBundle(system, mf_transform(system, phi, linear), linear)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +393,10 @@ def _rotation_rates_matrix_inv(xi):
 
 @dataclass
 class RigidBodySystem:
-    """Rotational rigid-body dynamics with inertia J.
-
-    Carries the group-level state evolution, the torque/control
-    substitution, the log/exp chart, the flat linear target, and the
-    exponential-chart mechanical system with its linearizing feedback,
-    used by the linearizability and equivalence checks.
-    """
+    """Rotational rigid-body dynamics with inertia J: the group-level state
+    evolution, the torque/control substitution, the log/exp chart, the flat
+    linear target, and the exponential-chart mechanical system with its
+    derived feedback, used by the linearizability and equivalence checks."""
 
     inertia: np.ndarray
 
@@ -387,15 +412,10 @@ class RigidBodySystem:
     # -- group-level dynamics -------------------------------------------------
 
     def derivative(self, rotation, omega, torque):
-        """(Rdot, Omegadot) under dynamics Rdot = R hat(Omega),
-        Omegadot = J^-1 (-Omega x J Omega + torque)."""
+        """(Rdot, Omegadot) under dynamics Rdot = R hat(Omega), Omegadot =
+        J^-1 (-Omega x J Omega + torque), the control the torque realizes."""
         R = rotation.r if isinstance(rotation, Rotation) else np.asarray(rotation, float)
-        omega = np.asarray(omega, float)
-        rdot = R @ hat(omega)
-        omdot = np.linalg.solve(
-            self.inertia, -np.cross(omega, self.inertia @ omega) + np.asarray(torque, float)
-        )
-        return rdot, omdot
+        return R @ hat(omega), self.control_from_torque(omega, torque)
 
     def torque_from_control(self, omega, u):
         """Physical torque realizing the normalized control: tau = Omega x J Omega + J u."""
@@ -443,32 +463,12 @@ class RigidBodySystem:
             t = np.einsum("...jil,...lk->...ijk", dB, A)
             return -0.5 * (t + np.swapaxes(t, -1, -2))
 
-        return MechanicalSystem(
-            n=3, m=3,
-            gamma=gamma,
-            e=lambda x: np.zeros(3),
-            g=_rotation_rates_matrix_inv,
-        )
+        return MechanicalSystem(3, 3, gamma=gamma, e=lambda x: np.zeros(3),
+                                g=_rotation_rates_matrix_inv)
 
     def exp_chart_transform(self) -> MFTransform:
-        """Feedback data linearizing :meth:`exp_chart_system` in place.
-
-        The chart is already the linearizing one, so the chart change is
-        the identity; beta = A(xi) and the quadratic form cancels the
-        connection term exactly.
-        """
-        sys3 = self.exp_chart_system()
-
-        def gammaF(x):
-            A = _rotation_rates_matrix(x)
-            return np.einsum("...ri,...ijk->...rjk", A, sys3.gamma(x))
-
-        return MFTransform(
-            phi=identity_diffeomorphism(3),
-            alpha=lambda x: np.zeros(3),
-            beta=_rotation_rates_matrix,
-            gammaF=gammaF,
-        )
+        """:func:`mf_transform` of :meth:`exp_chart_system`, in place (identity chart)."""
+        return mf_transform(self.exp_chart_system(), identity_diffeomorphism(3), self.linear)
 
 
 def rigid_body_system(inertia) -> RigidBodySystem:
@@ -511,8 +511,9 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
         raise ValueError("verify_mf_equivalence needs at least one sample")
     x, y, ut = (float_array([np.atleast_1d(s[i]) for s in samples]) for i in range(3))
     # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
-    pushed, _ = _pushed_acceleration(sys, t, x, y, ut, t.phi.jacobian(x))
-    target = t.phi.forward(x) @ lms.A.T + ut @ lms.B.T
+    z = t.phi.forward(x)
+    pushed, _ = _pushed_acceleration(sys, t, x, y, ut, t.phi.jacobian(x), z)
+    target = z @ lms.A.T + ut @ lms.B.T
     defects = np.abs(pushed - target).max(axis=-1)
     i = int(np.where(np.isfinite(defects), defects, np.inf).argmax())
     worst = float(defects[i])

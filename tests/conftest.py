@@ -7,6 +7,7 @@ from mechlift import (
     MFTransform,
     MechanicalSystem,
     SystemBundle,
+    mf_transform,
     pendulum_system,
     rigid_body_system,
 )
@@ -46,15 +47,22 @@ def _rows(f):
 def row_by_row(obj):
     """The twin of a system or a bundle whose every callable loops over
     the rows of a stack: the reference a system written one point at a
-    time gives for the stacked paths."""
+    time gives for the stacked paths.  A feedback derived by
+    ``mf_transform`` is derived again, from the twins of its system and
+    chart, so that the twin runs the same path: joint where the bundle's
+    system is the feedback's own, through three callables elsewhere."""
     if isinstance(obj, SystemBundle):
-        t = obj.transform
+        t, system = obj.transform, row_by_row(obj.system)
         phi = t.phi
         chart = Diffeomorphism(phi.dim, *map(_rows, (phi.forward, phi.inverse, phi.jacobian,
                                                      phi.second_deriv)))
-        return SystemBundle(row_by_row(obj.system),
-                            MFTransform(chart, *map(_rows, (t.alpha, t.beta, t.gammaF))),
-                            obj.linear)
+        if t._source is None:
+            feedback = MFTransform(chart, *map(_rows, (t.alpha, t.beta, t.gammaF)))
+        else:
+            own, target = t._source
+            feedback = mf_transform(system if own is obj.system else row_by_row(own), chart,
+                                    target)
+        return SystemBundle(system, feedback, obj.linear)
     return MechanicalSystem(obj.n, obj.m, *map(_rows, (obj.gamma, obj.e, obj.g)))
 
 

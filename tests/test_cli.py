@@ -157,6 +157,15 @@ class TestSimulatePendulum:
         assert "t_final is not an integer multiple of h = 0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_map_kind_in_a_config_is_usage_error(self, tmp_path, capsys):
+        # --map has argparse's choices; a config file's map_kind is checked by the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_kind": "rk4"}))
+        out = tmp_path / "x"
+        assert main(["simulate-pendulum", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", "error: unknown map kind 'rk4'\n")
+        assert not out.exists()
+
     def test_invalid_step_size_is_usage_error(self, tmp_path):
         assert main(["simulate-pendulum", "--h", "-0.01",
                      "--out", str(tmp_path / "x")]) == 4
@@ -338,6 +347,26 @@ class TestOrderStudy:
             "harmonic/implicit-euler: slope 0.998 (fit residual 4.93e-04)\n"
             "harmonic/midpoint: slope 2.000 (fit residual 1.09e-05)\n")
 
+    def test_pendulum_at_its_defaults_reports_a_chart_exit_as_its_row(self, tmp_path, capsys):
+        # at h = 0.02 the explicit-Euler loop leaves the chart in step 1: that h
+        # is a NaN row, named on stdout, and each map is fitted over the rest
+        out = tmp_path / "os"
+        assert main(["order-study", "pendulum", "--map", "explicit-euler,implicit-euler,midpoint",
+                     "--out", str(out)]) == 0
+        exit_line, *fits = capsys.readouterr().out.splitlines()
+        assert exit_line.startswith("pendulum/explicit-euler: h = 0.02 left the chart at step 1 "
+                                    "from state [0.78539816339744839, ")
+        assert exit_line.endswith("|sin x1| = 1.253260 > 1: point not in chart image")
+        slopes = {line.split(":")[0]: float(line.split("slope")[1].split()[0]) for line in fits}
+        assert slopes.keys() == {f"pendulum/{kind}" for kind in
+                                 ("explicit-euler", "implicit-euler", "midpoint")}
+        assert abs(slopes["pendulum/midpoint"] - 1.996) < 0.1
+        assert abs(slopes["pendulum/explicit-euler"] - 0.901) < 0.05
+        assert abs(slopes["pendulum/implicit-euler"] - 1.133) < 0.05
+        lines = (out / "order_study.csv").read_text().splitlines()
+        assert len(lines) == 13 and lines[1] == "explicit-euler,0.02,nan"
+        assert all(np.isfinite(float(line.split(",")[2])) for line in lines[2:])
+
     def test_so3_scheme_is_first_order(self, capsys):
         assert main(["order-study", "so3", "--t-final", "2.0",
                      "--h-list", "0.02,0.01,0.005,0.0025"]) == 0
@@ -395,12 +424,28 @@ class TestUsage:
         (["simulate-so3", "--t-final", "inf"], "final time must be finite, got inf"),
         (["simulate-so3", "--h", "inf"], "step size must be finite, got inf"),
         (["order-study", "so3", "--h-list", "inf,0.01"], "step size must be finite, got inf"),
-    ], ids=["t-final", "h", "h-list"])
+        (["simulate-so3", "--t-final", "nan"], "final time must be finite, got nan"),
+        (["simulate-so3", "--h", "nan"], "step size must be finite, got nan"),
+        (["order-study", "so3", "--h-list", "nan,0.01"], "step size must be finite, got nan"),
+    ], ids=["t-final", "h", "h-list", "t-final-nan", "h-nan", "h-list-nan"])
     def test_an_infinite_step_grid_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate-pendulum", "--config", "missing.json"], "No such file or directory"),
+        (["simulate-so3", "--t-final", "0.1", "--out", "blocker/out"], "Not a directory"),
+        (["order-study", "harmonic", "--out", "blocker"], "File exists"),
+    ], ids=["config-missing", "out-under-a-file", "out-is-a-file"])
+    def test_an_io_failure_exits_3(self, argv, error, tmp_path, monkeypatch, capsys):
+        # README's exit code 3, with the operating system's reason on stderr
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and error in captured.err
 
     @pytest.mark.parametrize("command", ["simulate-pendulum", "simulate-so3"])
     @pytest.mark.parametrize("config, message", [

@@ -201,6 +201,10 @@ class TestLiftByDiffeo:
         report = verify_axioms(lifted, chart_points(rng, 20))
         assert report.passed
 
+    def test_a_chart_of_another_dimension_is_refused(self, pendulum):
+        with pytest.raises(DimensionMismatch, match="map dimension 3 != diffeomorphism dimension 2"):
+            lift_by_diffeo(make_midpoint(3), pendulum.transform.phi)
+
     def test_outside_chart_propagates(self, pendulum):
         lifted = lift_by_diffeo(make_explicit_euler(2), pendulum.transform.phi)
         # a velocity large enough to push the second point past the fold

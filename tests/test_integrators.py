@@ -331,10 +331,12 @@ class TestFlDiscretize:
         # one 10-step segment of criterion 4's run, its feedback bent only
         # where x1 has swung below the base point of step j = 4: the steps
         # before j are the unbent run's, bit for bit, and from j on every
-        # step falls back to Newton
+        # step falls back to Newton.  Both runs evaluate the feedback through
+        # its three callables: a replaced transform is no longer derived
         j, steps = 4, 10
-        right, a_cl = pendulum_closed_loop(pendulum, steps=steps, make_map=make_map)
         t, lifted = pendulum.transform, tangent_lift(make_map(2))
+        right, a_cl = pendulum_closed_loop(pendulum._replace(transform=dataclasses.replace(t)),
+                                           steps=steps, make_map=make_map)
         z = np.array([t.push_state(s[:2], s[2:]) for s in right.states])
         base_x1 = t.phi.inverse(lifted.inverse(z[:-1], z[1:])[0][:, :2])[:, 0]
         cut = (base_x1[j - 1] + base_x1[j]) / 2.0
@@ -890,6 +892,11 @@ class TestPolePlace:
                                      B=np.array([[0.0], [0.0]]))
         with pytest.raises(Uncontrollable):
             pole_place(lms, [-1, -2, -3, -4])
+
+    @pytest.mark.parametrize("poles", [[-1, -2, -3], [-1, -2, -3, -4, -5]], ids=["three", "five"])
+    def test_wrong_number_of_poles_rejected(self, pendulum, poles):
+        with pytest.raises(DimensionMismatch, match=f"need 4 poles, got {len(poles)}"):
+            pole_place(pendulum.linear, poles)
 
     def test_conjugation_closure_required(self, pendulum):
         with pytest.raises(ValueError):

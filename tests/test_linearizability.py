@@ -485,6 +485,7 @@ BENT = [np.array([x1, 0.3]) for x1 in np.linspace(-1.0, 1.0, 11)]
 SPHERE = [np.array([x1, 0.3]) for x1 in np.linspace(0.4, 1.2, 5)]
 BRACKET = [np.array([x1, 0.2, -0.1]) for x1 in np.linspace(-1.0, 1.0, 7)]
 TANH = [np.array([x1, 0.4, -0.3]) for x1 in np.linspace(-1.0, 1.0, 7)]
+WEAK = [np.array([x1, 0.3]) for x1 in np.linspace(-1.0, 1.0, 5)]
 PINNED = {
     "crossing-MD1": (check_planar, lambda p: p.system, CROSSING, [
         ("MD1", "fail", 0.0, 0, 1e-8), ("MD2", "pass", 0.0, None, 1e-6),
@@ -510,6 +511,13 @@ PINNED = {
         ("ML2", "fail", 0.15451771359186978, 0, 1e-8),
         ("ML3", "pass", 0.0, None, 1e-6), ("ML4", "fail", 0.87509076879964, 6, 1e-6),
         ("ML5", "pass", 0.0, None, 1e-6)]),
+    # a double integrator whose drift couples by 5e-8: g and ad_e g are
+    # independent at every sample, by a margin within 10x RANK_TOL
+    "weak-coupling-ML1": (check_general, lambda p: LinearMechanicalSystem(
+        A=np.array([[0.0, 5e-8], [0.0, 0.0]]), B=np.array([[0.0], [1.0]])).as_mechanical_system(),
+        WEAK, [("ML1", "inconclusive", 4.999999999939495e-08, 0, 1e-8),
+               ("ML2", "pass", 0.0, None, 1e-8), ("ML3", "pass", 0.0, None, 1e-6),
+               ("ML4", "pass", 0.0, None, 1e-6), ("ML5", "pass", 0.0, None, 1e-6)]),
 }
 
 

@@ -17,6 +17,7 @@ from mechlift import (
     SingularFeedback,
     apply_feedback,
     identity_diffeomorphism,
+    mf_transform,
     rigid_body_system,
     sode_field,
     so3_exp,
@@ -280,6 +281,60 @@ class TestBatchAware:
         x[6, 0] = -np.pi / 2
         refused_without_warning(SingularFeedback, getattr(pendulum.transform, name), x)
         refused_without_warning(SingularFeedback, apply_feedback, pendulum.transform, x, y, ut)
+
+
+class TestMfTransform:
+    """The feedback derived from the system, the chart and the target."""
+
+    def test_pendulum_feedback_is_the_published_one(self, pendulum, rng):
+        # the published auxiliary control, inverted for u in closed form
+        x = np.column_stack([rng.uniform(-1.4, 1.4, 200), rng.normal(size=200)])
+        s, c = np.sin(x[:, 0]), np.cos(x[:, 0])
+        t = pendulum.transform
+        npt.assert_allclose(t.alpha(x)[:, 0], M0 * s, rtol=1e-15)
+        npt.assert_allclose(t.beta(x)[:, 0, 0], -MD * J2 / (M0 * c), rtol=1e-15)
+        gam = t.gammaF(x)
+        npt.assert_allclose(gam[:, 0, 0, 0], -MD * s / c, rtol=1e-15)
+        assert not gam.reshape(200, 4)[:, 1:].any()
+
+    # sigma_min(Dphi g) = |Dphi g| falls to RANK_TOL |Dphi|_F |g|_F at |cos x1| = 1.98e-8
+    @pytest.mark.parametrize("x1", [np.arccos(1e-9), -np.arccos(1e-9), np.arccos(1.9e-8),
+                                    np.pi / 2, -np.pi / 2],
+                             ids=["cos-1e-9", "minus-cos-1e-9", "cos-1.9e-8", "pi/2", "-pi/2"])
+    def test_the_pendulum_guard_names_the_row_it_refuses(self, pendulum, rng, x1):
+        x = np.column_stack([rng.uniform(-1.4, 1.4, 6), rng.normal(size=6)])
+        x[3, 0] = x1
+        y, ut = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
+        t = pendulum.transform
+        for f, args in [(t.alpha, (x,)), (t.beta, (x,)), (t.gammaF, (x,)),
+                        (apply_feedback, (t, x, y, ut))]:
+            exc = refused_without_warning(SingularFeedback, f, *args)
+            assert str(exc).startswith(f"feedback singular at x = {x[3]}: "), f
+
+    @pytest.mark.parametrize("cos", [1e-7, 2.1e-8])
+    def test_the_pendulum_guard_passes_a_regular_row(self, pendulum, cos):
+        x = np.array([[np.arccos(cos), 0.3], [-np.arccos(cos), -0.3]])
+        npt.assert_allclose(pendulum.transform.beta(x)[:, 0, 0], -MD * J2 / (M0 * cos),
+                            rtol=1e-6)
+
+    def test_the_multi_input_guard_refuses_a_rank_deficient_row(self, rng):
+        # the two control columns align where x1 = 0; elsewhere P = g^-1
+        def g(x):
+            out = np.zeros(x.shape + (2,))
+            out[..., 0, :] = 1.0
+            out[..., 1, 1] = x[..., 0]
+            return out
+
+        sys2 = MechanicalSystem(2, 2, gamma=lambda x: np.zeros((2, 2, 2)),
+                                e=lambda x: np.zeros(2), g=g)
+        t = mf_transform(sys2, identity_diffeomorphism(2),
+                         LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.eye(2)))
+        x = rng.normal(size=(5, 2))
+        npt.assert_allclose(t.beta(x) @ g(x), np.broadcast_to(np.eye(2), (5, 2, 2)),
+                            rtol=0, atol=1e-12)
+        x[2, 0] = 0.0
+        exc = refused_without_warning(SingularFeedback, t.beta, x)
+        assert str(exc).startswith(f"feedback singular at x = {x[2]}: ")
 
 
 class TestLinearMechanicalSystem:

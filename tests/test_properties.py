@@ -5,8 +5,9 @@ chart, the closed form of the built-in maps' tangent lift against its
 structural derivation, the orbit's one-step update against the one
 Newton probes, the pendulum's closed loop under each built-in map
 against that map's exact linear update and its orbit pass on stacks
-against the same pass row by row,
-the rotation logarithm around its pi guard band, and the attitude loop
+against the same pass row by row, the rigid body's derived feedback
+against the rates matrix, the rotation logarithm around its pi guard
+band, and the attitude loop
 against a re-run of it on scipy's matrix exponential."""
 
 import numpy as np
@@ -31,6 +32,7 @@ from mechlift import (
     numeric_jacobian,
     pendulum_system,
     pole_place,
+    rigid_body_system,
     so3_closed_loop_step,
     so3_exp,
     so3_log,
@@ -40,9 +42,11 @@ from mechlift import (
     verify_axioms,
 )
 from conftest import row_by_row, stack_rows_are_the_points
+from mechlift.mechanics import _rotation_rates_matrix
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
 PENDULUM = pendulum_system()
+BODY = rigid_body_system(np.diag([1.0, 2.0, 3.0]))
 PHI = PENDULUM.transform.phi
 DERANDOMIZED = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -245,6 +249,20 @@ def test_orbit_pass_is_the_per_step_path(builder, s0, h):
         return
     for field in ("states", "u", "utilde", "iterations", "residuals"):
         npt.assert_array_equal(getattr(orbit, field), getattr(per_step, field), field)
+
+
+@DERANDOMIZED
+@given(axis=axes, angle=st.floats(0.0, np.pi - 0.15))
+def test_derived_rigid_body_feedback_is_the_rates_matrix(axis, angle):
+    # identity chart, target (0, I) and e = 0: P = (R(xi)^-1)^+ = R(xi), R the
+    # rates matrix, so beta = R(xi), gammaF = R(xi) Gamma and alpha = 0
+    xi, t = angle * axis, BODY.exp_chart_transform()
+    rates = _rotation_rates_matrix(xi)
+    npt.assert_allclose(t.beta(xi), rates, rtol=0, atol=1e-12)
+    npt.assert_allclose(t.gammaF(xi),
+                        np.einsum("ri,ijk->rjk", rates, BODY.exp_chart_system().gamma(xi)),
+                        rtol=0, atol=1e-12)
+    assert not t.alpha(xi).any()
 
 
 @DERANDOMIZED
