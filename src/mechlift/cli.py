@@ -123,10 +123,7 @@ def load_config(path, overrides, cfg):
 
 
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join(_FMT % col[i] for col in columns))
+    lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -321,13 +318,12 @@ def run_check(system, grid_spec, out_dir=None) -> int:
 # verify-maps
 # ---------------------------------------------------------------------------
 
-def run_verify_maps(extra_maps=None) -> int:
+def run_verify_maps() -> int:
     """Axiom checks for built-ins, tangent lifts, and pendulum-chart lifts.
 
     Each map of the roster is checked on 50 samples drawn from one
     generator seeded with 11; a map that fails names its first failing
-    sample.  ``extra_maps`` is a test hook: an
-    iterable of (name, map, samples) triples appended to the roster.
+    sample.
     """
     rng = np.random.default_rng(11)
     bundle = pendulum_system()
@@ -342,7 +338,6 @@ def run_verify_maps(extra_maps=None) -> int:
         chart_samples = [np.array([rng.uniform(-1.2, 1.2), rng.uniform(-1.5, 1.5)])
                          for _ in range(50)]
         roster.append((f"{kind}+pendulum-chart", lift_by_diffeo(base, phi), chart_samples))
-    roster.extend(extra_maps or [])
 
     ok = True
     for name, dmap, samples in roster:

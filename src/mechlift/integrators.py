@@ -44,7 +44,6 @@ from .mechanics import (
     LinearMechanicalSystem,
     SystemBundle,
     _pushed_acceleration,
-    apply_feedback,
     sode_field,
 )
 
@@ -168,8 +167,9 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     (criterion 3) each step is the lift of ``base_map`` itself acting in
     the linearizing chart on the physical closed-loop field pushed there
     by Tphi = ``tangent_map(phi)``, DTphi(z) f(z) with z = Tphi^-1(Z) and
-    f under ``apply_feedback``: the target's A Z + B utilde.  So on a
-    theta-family map the step is Z+ = M Z under ``gains`` K, with
+    f the physical field under the feedback (``mechanics._pushed_acceleration``):
+    the target's A Z + B utilde.  So on a theta-family map the step is
+    Z+ = M Z under ``gains`` K, with
     M = ``theta_update_matrix(A - B K, h, theta)``, and Z+ = M Z +
     N utilde_k under an open-loop ``utilde``, with M and
     N = h (I - theta h A)^-1 B from one solve on A, kept with -K^T in
@@ -309,7 +309,7 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             # log the controls at the converged base state of the step
             base, _ = lifted.inverse(z_k, result.state)
             ut_log[k] = utilde_at(k, base)
-            u_log[k] = apply_feedback(transform, *pull(base)[:2], ut_log[k])
+            u_log[k] = pushed_field(base, *pull(base), ut_log[k])[1]
         except MechliftError as exc:
             exc.step = k
             exc.state = states[k].copy()

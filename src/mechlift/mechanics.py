@@ -15,7 +15,7 @@ Two systems ship with the package: the inertia wheel pendulum and the
 rigid body on SO(3).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,7 +65,7 @@ class MFTransform:
     The feedback realizes u = y^T gamma y + alpha(x) + beta(x) utilde,
     with gammaF(x) an m x n x n stack of symmetric quadratic forms.  One
     from :func:`mf_transform` keeps its system and target in ``_source``
-    for :func:`_joint_control`; ``dataclasses.replace`` makes one without.
+    for :func:`_pushed_acceleration`; ``dataclasses.replace`` makes one without.
     """
 
     phi: Diffeomorphism
@@ -140,33 +140,40 @@ def sode_field(sys: MechanicalSystem, s, u):
 def _acceleration(sys: MechanicalSystem, x, y, u):
     """ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i at float (..., n) stacks x, y;
     ``DimensionMismatch`` unless each has n entries and u m (sized as packed)."""
-    n = sys.n
+    w, u = _drift(sys, x, y, u)
+    return w + _matvec(float_array(sys.g(x)), u)
+
+
+def _sized(sys: MechanicalSystem, x, y, u, where=""):
+    """u as a float (..., m) stack; ``DimensionMismatch``, its message led by
+    ``where``, unless the float (..., n) stacks x and y have n entries and u m."""
     u = np.atleast_1d(float_array(u))
-    if x.shape[-1] != n or y.shape[-1] != n or u.shape[-1] != sys.m:
-        raise DimensionMismatch(
-            f"state size {x.shape[-1] + y.shape[-1]} / control dim {u.shape[-1]} do not match "
-            f"system ({sys.n}, {sys.m})"
-        )
-    G, ydot = float_array(sys.gamma(x)), float_array(sys.e(x))
+    if x.shape[-1] != sys.n or y.shape[-1] != sys.n or u.shape[-1] != sys.m:
+        raise DimensionMismatch(f"{where}state size {x.shape[-1] + y.shape[-1]} / control dim "
+                                f"{u.shape[-1]} do not match system ({sys.n}, {sys.m})")
+    return u
+
+
+def _drift(sys: MechanicalSystem, x, y, u):
+    """e - Gamma(y, y) at float (..., n) stacks x, y, and u as :func:`_sized`
+    gives it, which checks the sizes before any callable runs."""
+    u = _sized(sys, x, y, u)
+    G, w = float_array(sys.gamma(x)), float_array(sys.e(x))
     # a zero Gamma (a flat chart) is skipped: at finite y, -Gamma(y, y) + e
     # is e up to the sign of a zero sum
     if np.count_nonzero(G):
-        ydot = -_quadratic(G, y) + ydot
-    return ydot + _matvec(float_array(sys.g(x)), u)
+        w = -_quadratic(G, y) + w
+    return w, u
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
-    """Physical control from feedback data: u = y^T gamma y + alpha + beta utilde
-    (:func:`_joint_control`'s for a derived transform).
-
-    Row by row on (..., n) stacks of (x, y) and (..., m) stacks of
-    utilde.
-    """
-    x = float_array(x)
-    y = float_array(y)
-    utilde = np.atleast_1d(float_array(utilde))
+    """Physical control u = y^T gamma y + alpha + beta utilde (a derived transform's
+    from :func:`_pushed_acceleration` on its own system), row by row on (..., n)
+    stacks of (x, y) and (..., m) stacks of utilde."""
+    x, y = float_array(x), float_array(y)
     if t._source is not None:
-        return _joint_control(t, x, y, utilde, t.phi.jacobian(x), t.phi.forward(x))[1]
+        return _pushed_acceleration(t._source[0], t, x, y, utilde)[1]
+    utilde = np.atleast_1d(float_array(utilde))
     gam = float_array(t.gammaF(x))
     beta = np.atleast_2d(float_array(t.beta(x)))
     if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
@@ -174,16 +181,27 @@ def apply_feedback(t: MFTransform, x, y, utilde):
     return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
 
 
-def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d, z):
-    """D2phi(x)[y, y] + Dphi(x) ydot, the velocity part of the closed-loop
-    field pushed through Tphi, with ydot the acceleration under
-    ``apply_feedback``, d = Dphi(x) and z = phi(x); and the physical
-    control u.  On the system ``t`` was derived from, in one pass
-    (:func:`_joint_control`).  Row by row on (..., n) stacks of (x, y)."""
-    if t._source is not None and t._source[0] is sys:
-        return _joint_control(t, x, y, utilde, d, z)
-    u = apply_feedback(t, x, y, utilde)
-    return t.phi.second_deriv(x, y, y) + _matvec(d, _acceleration(sys, x, y, u)), u
+def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d=None, z=None):
+    """q + Dphi g u, the closed-loop acceleration of ``sys`` pushed through Tphi,
+    q = D2phi[y, y] + Dphi (e - Gamma(y, y)), and the control u, at float (..., n)
+    stacks x, y, d = Dphi(x) and z = phi(x) (evaluated here if not given).  A derived
+    ``t`` takes u = P (A z + B utilde - q), P = (Dphi g)^+, from its own system (reusing
+    the terms of ``sys`` when it is that) and target; any other, apply_feedback's."""
+    w, utilde = _drift(sys, x, y, utilde)
+    if d is None:
+        d, z = t.phi.jacobian(x), t.phi.forward(x)
+    d2, g = t.phi.second_deriv(x, y, y), float_array(sys.g(x))
+    q, dg = d2 + _matvec(d, w), d @ g
+    if t._source is None:
+        u = apply_feedback(t, x, y, utilde)
+    else:
+        own, linear = t._source
+        q_own, dg_own, g_own = q, dg, g
+        if own is not sys:
+            g_own = float_array(own.g(x))
+            q_own, dg_own = d2 + _matvec(d, _drift(own, x, y, utilde)[0]), d @ g_own
+        u = _matvec(_pinv(dg_own, d, g_own, x), z @ linear.A.T + utilde @ linear.B.T - q_own)
+    return q + _matvec(dg, u), u
 
 
 def mf_transform(system: MechanicalSystem, phi: Diffeomorphism,
@@ -227,21 +245,6 @@ def _pinv(dg, d, g, x):
     return np.swapaxes(dg, -1, -2) / low[..., None, None] if one else np.linalg.pinv(dg)
 
 
-def _joint_control(t: MFTransform, x, y, utilde, d, z):
-    """The pushed acceleration q + Dphi g u and the control u = P (A z + B utilde - q),
-    q = D2phi[y, y] + Dphi (e - Gamma(y, y)), of ``t`` from :func:`mf_transform`, at
-    float (..., n) stacks x, y with d = Dphi(x) and z = phi(x): each callable runs once."""
-    sys, linear = t._source
-    if y.shape[-1] != sys.n or utilde.shape[-1] != sys.m:
-        raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
-    G, w, g = float_array(sys.gamma(x)), float_array(sys.e(x)), float_array(sys.g(x))
-    if np.count_nonzero(G):  # a zero Gamma is skipped, as in _acceleration
-        w = -_quadratic(G, y) + w
-    q, dg = t.phi.second_deriv(x, y, y) + _matvec(d, w), d @ g
-    u = _matvec(_pinv(dg, d, g, x), z @ linear.A.T + utilde @ linear.B.T - q)
-    return q + _matvec(dg, u), u
-
-
 # ---------------------------------------------------------------------------
 # inertia wheel pendulum
 # ---------------------------------------------------------------------------
@@ -272,8 +275,7 @@ class PendulumParams:
     md: float = 49e-4
 
     def __post_init__(self):
-        if min(self.L1, self.m1, self.m2, self.J1, self.J2, self.a,
-               self.m0, self.md) <= 0:
+        if min(astuple(self)) <= 0:
             raise ValueError("all pendulum parameters must be positive")
         m0_f = self.a * self.L1 * (self.m1 + 2 * self.m2)
         md_f = self.L1**2 * (self.m1 + 4 * self.m2) + self.J1
@@ -335,10 +337,8 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
 
     def jac(x):
         out = np.empty(x.shape + (2,))
-        out[..., 0, 0] = c1
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = c2 * np.cos(x[..., 0])
-        out[..., 1, 1] = 0.0
+        out[..., 0, 0], out[..., 0, 1] = c1, 1.0
+        out[..., 1, 0], out[..., 1, 1] = c2 * np.cos(x[..., 0]), 0.0
         return out
 
     def second(x, u, v):
@@ -370,10 +370,8 @@ def _exp_chart_terms(xi):
 
 
 def _rotation_rates_matrix(xi):
-    """Matrix mapping exp-chart rates to body angular velocity.
-
-    Row by row on (..., 3) stacks.
-    """
+    """Matrix mapping exp-chart rates to body angular velocity, row by row
+    on (..., 3) stacks."""
     th, X, small, t = _exp_chart_terms(float_array(xi))
     a = np.where(small, 0.5 - th * th / 24.0, (1.0 - np.cos(t)) / (t * t))
     b = np.where(small, 1.0 / 6.0 - th * th / 120.0, (t - np.sin(t)) / (t * t * t))
@@ -381,10 +379,8 @@ def _rotation_rates_matrix(xi):
 
 
 def _rotation_rates_matrix_inv(xi):
-    """Inverse of :func:`_rotation_rates_matrix` in closed form.
-
-    Row by row on (..., 3) stacks.
-    """
+    """Inverse of :func:`_rotation_rates_matrix` in closed form, row by row
+    on (..., 3) stacks."""
     th, X, small, t = _exp_chart_terms(float_array(xi))
     c = np.where(small, 1.0 / 12.0 + th * th / 720.0,
                  1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
@@ -408,6 +404,9 @@ class RigidBodySystem:
             raise ValueError("inertia must be symmetric positive definite")
         self.inertia = J
         self.linear = LinearMechanicalSystem(A=np.zeros((3, 3)), B=np.eye(3))
+        system = MechanicalSystem(3, 3, gamma=_exp_chart_gamma, e=lambda x: np.zeros(3),
+                                  g=_rotation_rates_matrix_inv)
+        self._exp_chart = mf_transform(system, identity_diffeomorphism(3), self.linear)
 
     # -- group-level dynamics -------------------------------------------------
 
@@ -447,28 +446,29 @@ class RigidBodySystem:
         Body angular velocity relates to chart rates via Omega = A(xi) y;
         differentiating gives a velocity-quadratic drift term that
         defines the connection coefficients, and control fields
-        g(xi) = A(xi)^-1.  Valid for |xi| < pi.
+        g(xi) = A(xi)^-1.  Valid for |xi| < pi.  Built once per body: the
+        system :meth:`exp_chart_transform` is derived from.
         """
-
-        def gamma(x):
-            x = float_array(x)
-            A = _rotation_rates_matrix(x)
-            # dB[..., j, i, l] = d(Binv)_il/dxi_j; the six probes of every
-            # point go to Binv in one call
-            dB = numeric_jacobian(
-                lambda p: _rotation_rates_matrix_inv(p).reshape(p.shape[:-1] + (9,)),
-                x[..., None, :])
-            dB = np.swapaxes(dB[..., 0, :, :], -1, -2).reshape(x.shape[:-1] + (3, 3, 3))
-            # quadratic term of xi'' is  dB[y] A y; Gamma is minus its symmetrization
-            t = np.einsum("...jil,...lk->...ijk", dB, A)
-            return -0.5 * (t + np.swapaxes(t, -1, -2))
-
-        return MechanicalSystem(3, 3, gamma=gamma, e=lambda x: np.zeros(3),
-                                g=_rotation_rates_matrix_inv)
+        return self.exp_chart_transform()._source[0]
 
     def exp_chart_transform(self) -> MFTransform:
         """:func:`mf_transform` of :meth:`exp_chart_system`, in place (identity chart)."""
-        return mf_transform(self.exp_chart_system(), identity_diffeomorphism(3), self.linear)
+        return self._exp_chart
+
+
+def _exp_chart_gamma(x):
+    """Connection coefficients of the exp-chart system, row by row on (..., 3) stacks."""
+    x = float_array(x)
+    A = _rotation_rates_matrix(x)
+    # dB[..., j, i, l] = d(Binv)_il/dxi_j; the six probes of every
+    # point go to Binv in one call
+    dB = numeric_jacobian(
+        lambda p: _rotation_rates_matrix_inv(p).reshape(p.shape[:-1] + (9,)),
+        x[..., None, :])
+    dB = np.swapaxes(dB[..., 0, :, :], -1, -2).reshape(x.shape[:-1] + (3, 3, 3))
+    # quadratic term of xi'' is  dB[y] A y; Gamma is minus its symmetrization
+    t = np.einsum("...jil,...lk->...ijk", dB, A)
+    return -0.5 * (t + np.swapaxes(t, -1, -2))
 
 
 def rigid_body_system(inertia) -> RigidBodySystem:
@@ -504,12 +504,15 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
     samples go to each callable as one stack.  The witness is the first
     sample with a defect that is not finite, else the first with the
     largest defect above 0; a defect that is not finite fails.  An empty
-    ``samples`` raises ``ValueError``.
+    ``samples`` raises ``ValueError``, and a sample whose flat x, y and utilde
+    do not have n, n and m entries ``DimensionMismatch`` naming its index.
     """
-    samples = list(samples)
-    if not samples:
+    rows = [[float_array(s[i]).ravel() for i in range(3)] for s in samples]
+    if not rows:
         raise ValueError("verify_mf_equivalence needs at least one sample")
-    x, y, ut = (float_array([np.atleast_1d(s[i]) for s in samples]) for i in range(3))
+    for i, row in enumerate(rows):
+        _sized(sys, *row, f"sample {i}: ")
+    x, y, ut = (np.array(column) for column in zip(*rows))
     # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
     z = t.phi.forward(x)
     pushed, _ = _pushed_acceleration(sys, t, x, y, ut, t.phi.jacobian(x), z)

@@ -48,9 +48,9 @@ def row_by_row(obj):
     """The twin of a system or a bundle whose every callable loops over
     the rows of a stack: the reference a system written one point at a
     time gives for the stacked paths.  A feedback derived by
-    ``mf_transform`` is derived again, from the twins of its system and
-    chart, so that the twin runs the same path: joint where the bundle's
-    system is the feedback's own, through three callables elsewhere."""
+    ``mf_transform`` is derived again, from the twins of its own system
+    and chart: its control takes the same values from that system,
+    whether or not it is the bundle's."""
     if isinstance(obj, SystemBundle):
         t, system = obj.transform, row_by_row(obj.system)
         phi = t.phi
@@ -60,8 +60,7 @@ def row_by_row(obj):
             feedback = MFTransform(chart, *map(_rows, (t.alpha, t.beta, t.gammaF)))
         else:
             own, target = t._source
-            feedback = mf_transform(system if own is obj.system else row_by_row(own), chart,
-                                    target)
+            feedback = mf_transform(row_by_row(own), chart, target)
         return SystemBundle(system, feedback, obj.linear)
     return MechanicalSystem(obj.n, obj.m, *map(_rows, (obj.gamma, obj.e, obj.g)))
 

@@ -296,9 +296,10 @@ class TestVerifyMaps:
     def test_shipped_maps_pass(self):
         assert run_verify_maps() == 0
 
-    def test_injected_bad_map_fails(self, capsys):
+    def test_injected_bad_map_fails(self, capsys, monkeypatch):
         # only samples with x1 > 0 see the doubled velocity, so the first
-        # failing sample is the first with a positive x1
+        # failing sample is the first with a positive x1; the bad map's
+        # builder goes first, so its samples are the first 50 draws
         bad = DiscretizationMap(
             2, "explicit-euler",
             forward=lambda x, v: (x.copy(), x + np.where(x[..., :1] > 0, 2.0, 1.0) * v),
@@ -306,10 +307,13 @@ class TestVerifyMaps:
             jacobian=lambda x, v: np.block([[np.eye(2), np.zeros((2, 2))],
                                             [np.eye(2), 2.0 * np.eye(2)]]),
         )
-        samples = [np.array([-1.0, 0.5]), np.array([0.25, -3.0]), np.array([2.0, 1.0])]
-        assert run_verify_maps(extra_maps=[("bad-map", bad, samples)]) == 1
-        line, = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bad-map")]
-        assert line.endswith("FAIL, first at sample (0.25, -3)")
+        monkeypatch.setattr(mechlift.cli, "_MAP_BUILDERS",
+                            {"bad-map": lambda dim: bad, **mechlift.cli._MAP_BUILDERS})
+        rng = np.random.default_rng(11)
+        first = next(x for x in (rng.normal(size=2) for _ in range(50)) if x[0] > 0)
+        assert run_verify_maps() == 1
+        line, = [l for l in capsys.readouterr().out.splitlines() if l.split()[0] == "bad-map"]
+        assert line.endswith(f"FAIL, first at sample ({first[0]:.6g}, {first[1]:.6g})")
 
     def test_cli_entry_reports_small_defects(self, capsys):
         assert main(["verify-maps"]) == 0

@@ -18,6 +18,7 @@ from mechlift import (
     NonFinite,
     NotLinearityPreserving,
     OutsideChart,
+    PendulumParams,
     Rotation,
     SingularFeedback,
     SingularStep,
@@ -33,6 +34,7 @@ from mechlift import (
     make_implicit_euler,
     make_midpoint,
     order_study,
+    pendulum_system,
     pole_place,
     so3_closed_loop_step,
     so3_exp,
@@ -45,7 +47,7 @@ from mechlift import (
 )
 from mechlift.integrators import Trajectory
 from mechlift.geometry import NEWTON_TOL
-from conftest import row_by_row
+from conftest import PARAMS, row_by_row
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 POLES = [-10.0, -20.0, -30.0, -40.0]
@@ -380,6 +382,56 @@ class TestFlDiscretize:
         a_full, b_full = rigid_body.linear.stacked()
         one_step = theta_update_matrix(a_full - b_full @ gains, 0.01, 0.5)
         assert conjugacy_defect(bundle, traj, one_step) <= 1e-8
+
+    def test_the_exp_chart_connection_is_differenced_once_a_call(self, rigid_body,
+                                                                monkeypatch):
+        # the bundle built from the body's two methods has the feedback's own
+        # system, so a certified call evaluates Gamma, a central difference
+        # of the rates matrix inverse, once, on the orbit's stack
+        jacobian = mechlift.mechanics.numeric_jacobian
+        calls = []
+        monkeypatch.setattr(mechlift.mechanics, "numeric_jacobian",
+                            lambda *args: calls.append(args) or jacobian(*args))
+        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform(),
+                              rigid_body.linear)
+        assert bundle.system is rigid_body.exp_chart_system()
+        gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
+        traj = fl_discretize(bundle, make_midpoint(3), np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2]),
+                             0.01, 100, gains=gains)
+        npt.assert_array_equal(traj.iterations, 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_a_mismatched_plant_forms_the_feedback_once_an_evaluation(self, pendulum, make_map,
+                                                                      monkeypatch, chart_calls):
+        # a plant whose m0 is off by one part in a thousand, under the feedback
+        # derived from the nominal model: every step falls back to Newton,
+        # each closed-loop evaluation (the Newton steps' residuals and their
+        # logged controls) forms P = (Dphi g)^+ once, from the model's terms,
+        # and D2phi[y, y] once, for plant and model, and the states are the
+        # three-callable feedback's
+        plant = pendulum_system(PendulumParams(m0=PARAMS["m0"] * (1 + 1e-3)))
+        t = pendulum.transform
+        reference, _ = pendulum_closed_loop(plant._replace(transform=dataclasses.replace(t)),
+                                            make_map=make_map)
+        counts = {"pinv": 0, "pushed": 0}
+
+        def counting(name, f):
+            def counted(*args):
+                counts[name] += 1
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(mechlift.mechanics, "_pinv",
+                            counting("pinv", mechlift.mechanics._pinv))
+        monkeypatch.setattr(mechlift.integrators, "_pushed_acceleration",
+                            counting("pushed", mechlift.integrators._pushed_acceleration))
+        chart_calls.clear()
+        traj, _ = pendulum_closed_loop(plant._replace(transform=t), make_map=make_map)
+        assert traj.iterations.min() >= 1
+        assert counts["pinv"] == counts["pushed"] == chart_calls.count("second_deriv") > 100
+        scale = np.abs(reference.states).max()
+        assert np.abs(traj.states - reference.states).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("s0, step", [
         ((1.2, 0.0, 0.0, 0.0), 5),

@@ -138,6 +138,28 @@ class TestApplyFeedback:
                            np.zeros(2), np.zeros(1))
 
 
+def _verify(bundle, *samples):
+    return verify_mf_equivalence(bundle.system, bundle.transform, bundle.linear,
+                                 [tuple(map(np.zeros, sizes)) for sizes in samples])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b: _verify(b, (2, 2, 1), (3, 2, 1)), "sample 1: state size 5 / control dim 1"),
+    (lambda b: _verify(b, (2, 2, 1), (2, 3, 1)), "sample 1: state size 5 / control dim 1"),
+    (lambda b: _verify(b, (2, 2, 2)), "sample 0: state size 4 / control dim 2"),
+    (lambda b: apply_feedback(b.transform, np.zeros(3), np.zeros(2), np.zeros(1)),
+     "state size 5 / control dim 1"),
+    (lambda b: apply_feedback(b.transform, np.zeros(2), np.zeros(2), np.zeros(2)),
+     "state size 4 / control dim 2"),
+], ids=["verify-x3", "verify-ragged", "verify-utilde2", "feedback-x3", "feedback-utilde2"])
+def test_a_wrong_size_is_refused_before_the_chart_runs(pendulum, chart_calls, call, message):
+    # the one size check names the sizes, and a sample by its index, before
+    # numpy meets operands that do not fit
+    with pytest.raises(DimensionMismatch, match=message + r" do not match system \(2, 1\)"):
+        call(pendulum)
+    assert chart_calls == []
+
+
 class TestPendulumSystem:
     def test_composite_constants_match_formulas(self):
         p = PendulumParams()
