@@ -47,7 +47,6 @@ from .mechanics import (
     RigidBodySystem,
     SystemBundle,
     apply_feedback,
-    mf_transform,
     pendulum_system,
     rigid_body_system,
     sode_field,

@@ -48,8 +48,8 @@ from .integrators import (
 from .linearizability import check_general, check_planar
 from .mechanics import (
     LinearMechanicalSystem,
+    MFTransform,
     SystemBundle,
-    mf_transform,
     pendulum_system,
     rigid_body_system,
 )
@@ -385,7 +385,7 @@ def _harmonic_order_case(map_kind, t_final):
     # its own linear target under the identity chart, run open loop on utilde = 0
     lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
     sys_ = lms.as_mechanical_system()
-    bundle = SystemBundle(sys_, mf_transform(sys_, identity_diffeomorphism(1), lms), lms)
+    bundle = SystemBundle(sys_, MFTransform(sys_, identity_diffeomorphism(1), lms), lms)
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):

@@ -8,14 +8,15 @@ dynamics read
 
 A mechanical feedback transformation is a chart change plus a
 velocity-quadratic control substitution u = y^T gamma y + alpha + beta
-utilde; applying one to a suitable system yields a flat linear system
-xtildedot = ytilde, ytildedot = A xtilde + B utilde.
+utilde that makes a suitable system the flat linear system
+xtildedot = ytilde, ytildedot = A xtilde + B utilde; the system, the
+chart and that target fix it.
 
 Two systems ship with the package: the inertia wheel pendulum and the
 rigid body on SO(3).
 """
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,12 +44,12 @@ class MechanicalSystem:
     gamma(x) returns the n x n x n array Gamma^i_jk, symmetric in (j, k);
     e(x) the drift n-vector; g(x) the n x m matrix of control fields.
 
-    Every callable of a system, of its chart and of its feedback acts
-    row by row on (..., n) stacks of points: it returns the stack of its
-    values, each row exactly the value at that row's point, and a 1-d
-    point is a stack of one.  A value that does not depend on the point
-    may be returned once for the whole stack.  A guard raises when any
-    row offends.
+    Every callable of a system and of its chart acts row by row on
+    (..., n) stacks of points, and so does the feedback derived from
+    them: it returns the stack of its values, each row exactly the value
+    at that row's point, and a 1-d point is a stack of one.  A value
+    that does not depend on the point may be returned once for the whole
+    stack.  A guard raises when any row offends.
     """
 
     n: int
@@ -58,21 +59,26 @@ class MechanicalSystem:
     g: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MFTransform:
-    """Chart change plus velocity-quadratic feedback data.
-
-    The feedback realizes u = y^T gamma y + alpha(x) + beta(x) utilde,
-    with gammaF(x) an m x n x n stack of symmetric quadratic forms.  One
-    from :func:`mf_transform` keeps its system and target in ``_source``
-    for :func:`_pushed_acceleration`; ``dataclasses.replace`` makes one without.
+    """The mechanical feedback that makes ``system``, in the chart ``phi``, the
+    flat ``linear`` system: u = gammaF(y, y) + alpha + beta utilde, with
+    P = (Dphi g)^+ (:func:`_pinv`), alpha = P (A phi - Dphi e), beta = P B and
+    gammaF = P (Dphi Gamma - D2phi), an m x n x n stack of symmetric forms, each
+    on (..., n) stacks.  ``DimensionMismatch`` unless phi has the system's n and
+    the target its n and m.  Compared and hashed by identity.
     """
 
+    system: MechanicalSystem
     phi: Diffeomorphism
-    alpha: Callable[[np.ndarray], np.ndarray]
-    beta: Callable[[np.ndarray], np.ndarray]
-    gammaF: Callable[[np.ndarray], np.ndarray]
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    linear: "LinearMechanicalSystem"
+
+    def __post_init__(self):
+        n, m = self.system.n, self.system.m
+        if self.phi.dim != n or (self.linear.n, self.linear.m) != (n, m):
+            raise DimensionMismatch(
+                f"chart dim {self.phi.dim} / target ({self.linear.n}, {self.linear.m}) do not "
+                f"match system ({n}, {m})")
 
     def push_state(self, x, y):
         """Tangent-lifted chart change (x, y) -> (phi(x), Dphi(x) y), stacked,
@@ -80,6 +86,27 @@ class MFTransform:
         x = float_array(x)
         return np.concatenate([self.phi.forward(x), _matvec(self.phi.jacobian(x), float_array(y))],
                               axis=-1)
+
+    def _terms(self, x):
+        """Dphi(x) and P = (Dphi g)^+ at x."""
+        d, g = self.phi.jacobian(x), float_array(self.system.g(x))
+        return d, _pinv(d @ g, d, g, float_array(x))
+
+    def alpha(self, x):
+        d, p = self._terms(x)
+        return _matvec(p, self.phi.forward(x) @ self.linear.A.T
+                       - _matvec(d, float_array(self.system.e(x))))
+
+    def beta(self, x):
+        return self._terms(x)[1] @ self.linear.B
+
+    def gammaF(self, x):
+        (d, p), x = self._terms(x), float_array(x)
+        eye = np.eye(self.system.n)
+        # D2phi^i_jk = D2phi[e_j, e_k]_i, with i moved to the front
+        d2 = np.moveaxis(self.phi.second_deriv(x[..., None, None, :], eye[:, None], eye), -1, -3)
+        dgamma = np.einsum("...il,...ljk->...ijk", d, float_array(self.system.gamma(x)))
+        return np.einsum("...ri,...ijk->...rjk", p, dgamma - d2)
 
 
 @dataclass
@@ -167,68 +194,30 @@ def _drift(sys: MechanicalSystem, x, y, u):
 
 
 def apply_feedback(t: MFTransform, x, y, utilde):
-    """Physical control u = y^T gamma y + alpha + beta utilde (a derived transform's
-    from :func:`_pushed_acceleration` on its own system), row by row on (..., n)
-    stacks of (x, y) and (..., m) stacks of utilde."""
-    x, y = float_array(x), float_array(y)
-    if t._source is not None:
-        return _pushed_acceleration(t._source[0], t, x, y, utilde)[1]
-    utilde = np.atleast_1d(float_array(utilde))
-    gam = float_array(t.gammaF(x))
-    beta = np.atleast_2d(float_array(t.beta(x)))
-    if beta.shape[-1] != utilde.shape[-1] or gam.shape[-1] != y.shape[-1]:
-        raise DimensionMismatch("feedback data inconsistent with (x, y, utilde)")
-    return _quadratic(gam, y) + float_array(t.alpha(x)) + _matvec(beta, utilde)
+    """Physical control u = gammaF(y, y) + alpha + beta utilde of ``t``, from
+    :func:`_pushed_acceleration` on its own system, row by row on (..., n) stacks
+    of (x, y) and (..., m) stacks of utilde."""
+    return _pushed_acceleration(t.system, t, float_array(x), float_array(y), utilde)[1]
 
 
 def _pushed_acceleration(sys: MechanicalSystem, t: MFTransform, x, y, utilde, d=None, z=None):
     """q + Dphi g u, the closed-loop acceleration of ``sys`` pushed through Tphi,
-    q = D2phi[y, y] + Dphi (e - Gamma(y, y)), and the control u, at float (..., n)
-    stacks x, y, d = Dphi(x) and z = phi(x) (evaluated here if not given).  A derived
-    ``t`` takes u = P (A z + B utilde - q), P = (Dphi g)^+, from its own system (reusing
-    the terms of ``sys`` when it is that) and target; any other, apply_feedback's."""
+    q = D2phi[y, y] + Dphi (e - Gamma(y, y)), and the control u = P (A z + B utilde - q),
+    P = (Dphi g)^+, from the system and target of ``t`` (reusing the terms of ``sys``
+    when it is that system), at float (..., n) stacks x, y, d = Dphi(x) and
+    z = phi(x) (evaluated here if not given)."""
     w, utilde = _drift(sys, x, y, utilde)
     if d is None:
         d, z = t.phi.jacobian(x), t.phi.forward(x)
     d2, g = t.phi.second_deriv(x, y, y), float_array(sys.g(x))
     q, dg = d2 + _matvec(d, w), d @ g
-    if t._source is None:
-        u = apply_feedback(t, x, y, utilde)
-    else:
-        own, linear = t._source
-        q_own, dg_own, g_own = q, dg, g
-        if own is not sys:
-            g_own = float_array(own.g(x))
-            q_own, dg_own = d2 + _matvec(d, _drift(own, x, y, utilde)[0]), d @ g_own
-        u = _matvec(_pinv(dg_own, d, g_own, x), z @ linear.A.T + utilde @ linear.B.T - q_own)
+    own, linear = t.system, t.linear
+    q_own, dg_own, g_own = q, dg, g
+    if own is not sys:
+        g_own = float_array(own.g(x))
+        q_own, dg_own = d2 + _matvec(d, _drift(own, x, y, utilde)[0]), d @ g_own
+    u = _matvec(_pinv(dg_own, d, g_own, x), z @ linear.A.T + utilde @ linear.B.T - q_own)
     return q + _matvec(dg, u), u
-
-
-def mf_transform(system: MechanicalSystem, phi: Diffeomorphism,
-                 linear: LinearMechanicalSystem) -> MFTransform:
-    """The feedback that makes ``system``, in the chart ``phi``, the flat ``linear``
-    system: with P = (Dphi g)^+ (:func:`_pinv`), alpha = P (A phi - Dphi e),
-    beta = P B and gammaF = P (Dphi Gamma - D2phi), each on (..., n) stacks."""
-    A, B, eye = linear.A, linear.B, np.eye(system.n)
-
-    def pinv(x):
-        d, g = phi.jacobian(x), float_array(system.g(x))
-        return d, _pinv(d @ g, d, g, float_array(x))
-
-    def alpha(x):
-        d, p = pinv(x)
-        return _matvec(p, phi.forward(x) @ A.T - _matvec(d, float_array(system.e(x))))
-
-    def gammaF(x):
-        (d, p), x = pinv(x), float_array(x)
-        # D2phi^i_jk = D2phi[e_j, e_k]_i, with i moved to the front
-        d2 = np.moveaxis(phi.second_deriv(x[..., None, None, :], eye[:, None], eye), -1, -3)
-        dgamma = np.einsum("...il,...ljk->...ijk", d, float_array(system.gamma(x)))
-        return np.einsum("...ri,...ijk->...rjk", p, dgamma - d2)
-
-    t = MFTransform(phi, alpha, lambda x: pinv(x)[1] @ B, gammaF)
-    object.__setattr__(t, "_source", (system, linear))
-    return t
 
 
 def _pinv(dg, d, g, x):
@@ -302,8 +291,8 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
 
     valid on |x1| < pi/2, and the linear target has
     A = [[0, 1], [0, 0]], B = [[0], [1]] in second-order form.  The
-    feedback is :func:`mf_transform`'s; its guard refuses |cos x1| below
-    about 2.0e-8, x1 = +/- pi/2 included.
+    feedback is the :class:`MFTransform` of this system, chart and target;
+    its guard refuses |cos x1| below about 2.0e-8, x1 = +/- pi/2 included.
     """
     p = params or PendulumParams()
     m0, md, J2 = p.m0, p.md, p.J2
@@ -348,7 +337,7 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     phi = Diffeomorphism(2, fwd, inv, jac, second)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     B=np.array([[0.0], [1.0]]))
-    return SystemBundle(system, mf_transform(system, phi, linear), linear)
+    return SystemBundle(system, MFTransform(system, phi, linear), linear)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +395,7 @@ class RigidBodySystem:
         self.linear = LinearMechanicalSystem(A=np.zeros((3, 3)), B=np.eye(3))
         system = MechanicalSystem(3, 3, gamma=_exp_chart_gamma, e=lambda x: np.zeros(3),
                                   g=_rotation_rates_matrix_inv)
-        self._exp_chart = mf_transform(system, identity_diffeomorphism(3), self.linear)
+        self._exp_chart = MFTransform(system, identity_diffeomorphism(3), self.linear)
 
     # -- group-level dynamics -------------------------------------------------
 
@@ -449,10 +438,10 @@ class RigidBodySystem:
         g(xi) = A(xi)^-1.  Valid for |xi| < pi.  Built once per body: the
         system :meth:`exp_chart_transform` is derived from.
         """
-        return self.exp_chart_transform()._source[0]
+        return self._exp_chart.system
 
     def exp_chart_transform(self) -> MFTransform:
-        """:func:`mf_transform` of :meth:`exp_chart_system`, in place (identity chart)."""
+        """The :class:`MFTransform` of :meth:`exp_chart_system`, in place (identity chart)."""
         return self._exp_chart
 
 
@@ -498,10 +487,15 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
                           lms: LinearMechanicalSystem, samples) -> MFEquivalenceReport:
     """Check that feedback plus chart change linearizes the system.
 
-    At each sample (x, y, utilde) the closed-loop second-order field is
-    pushed through the tangent-lifted chart change and compared with the
-    flat field (ytilde, A xtilde + B utilde) at the image point.  The
-    samples go to each callable as one stack.  The witness is the first
+    At each sample (x, y, utilde) the closed-loop second-order field of
+    ``sys`` under ``t`` is pushed through the tangent-lifted chart change
+    (:func:`_pushed_acceleration`) and compared with the flat field
+    (ytilde, A xtilde + B utilde) of ``lms`` at the image point.  When
+    ``sys`` and ``lms`` are the transform's own system and target, the
+    defect is the range defect (I - Dphi g P)(A phi + B utilde - q): the
+    part of the target's field that the controls cannot reach; a plant or
+    a target other than the transform's adds its mismatch.  The samples
+    go to each callable as one stack.  The witness is the first
     sample with a defect that is not finite, else the first with the
     largest defect above 0; a defect that is not finite fails.  An empty
     ``samples`` raises ``ValueError``, and a sample whose flat x, y and utilde

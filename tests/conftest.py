@@ -7,7 +7,7 @@ from mechlift import (
     MFTransform,
     MechanicalSystem,
     SystemBundle,
-    mf_transform,
+    identity_diffeomorphism,
     pendulum_system,
     rigid_body_system,
 )
@@ -47,22 +47,26 @@ def _rows(f):
 def row_by_row(obj):
     """The twin of a system or a bundle whose every callable loops over
     the rows of a stack: the reference a system written one point at a
-    time gives for the stacked paths.  A feedback derived by
-    ``mf_transform`` is derived again, from the twins of its own system
-    and chart: its control takes the same values from that system,
-    whether or not it is the bundle's."""
+    time gives for the stacked paths.  A bundle's feedback is derived
+    again, from the twins of its own system and chart, so its control
+    takes the same values from that system, whether or not it is the
+    bundle's."""
     if isinstance(obj, SystemBundle):
         t, system = obj.transform, row_by_row(obj.system)
         phi = t.phi
         chart = Diffeomorphism(phi.dim, *map(_rows, (phi.forward, phi.inverse, phi.jacobian,
                                                      phi.second_deriv)))
-        if t._source is None:
-            feedback = MFTransform(chart, *map(_rows, (t.alpha, t.beta, t.gammaF)))
-        else:
-            own, target = t._source
-            feedback = mf_transform(row_by_row(own), chart, target)
-        return SystemBundle(system, feedback, obj.linear)
+        return SystemBundle(system, MFTransform(row_by_row(t.system), chart, t.linear),
+                            obj.linear)
     return MechanicalSystem(obj.n, obj.m, *map(_rows, (obj.gamma, obj.e, obj.g)))
+
+
+def flat_bundle(lms):
+    """The linear target ``lms`` as a system of its own, under the identity
+    chart: its feedback is alpha = 0, beta = I and gammaF = 0, and its
+    states are the target's."""
+    system = lms.as_mechanical_system()
+    return SystemBundle(system, MFTransform(system, identity_diffeomorphism(lms.n), lms), lms)
 
 
 def stack_rows_are_the_points(f, *stacks):

@@ -12,7 +12,6 @@ from mechlift import (
     DimensionMismatch,
     DiscretizationMap,
     LinearMechanicalSystem,
-    MFTransform,
     MechanicalSystem,
     MultiInputUnsupported,
     NonFinite,
@@ -26,7 +25,6 @@ from mechlift import (
     Uncontrollable,
     apply_feedback,
     fl_discretize,
-    identity_diffeomorphism,
     linear_flow,
     linear_one_step,
     linear_two_step,
@@ -47,7 +45,7 @@ from mechlift import (
 )
 from mechlift.integrators import Trajectory
 from mechlift.geometry import NEWTON_TOL
-from conftest import PARAMS, row_by_row
+from conftest import PARAMS, flat_bundle, row_by_row
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 POLES = [-10.0, -20.0, -30.0, -40.0]
@@ -208,11 +206,33 @@ def original_chart_defect(bundle, traj, one_step):
                for s, s_next in zip(traj.states[:-1], traj.states[1:]))
 
 
-def bent_feedback(bundle):
-    """The bundle with its feedback alpha off by one part in a million."""
-    t = bundle.transform
-    return bundle._replace(
-        transform=dataclasses.replace(t, alpha=lambda x: (1.0 + 1e-6) * t.alpha(x)))
+def bent_drift(bundle, factor=lambda x: 1.0 + 1e-6):
+    """The bundle under the feedback derived from a model of its system whose
+    drift e is scaled by ``factor`` (off by one part in a million)."""
+    sys, t = bundle.system, bundle.transform
+    model = dataclasses.replace(sys, e=lambda x: factor(x) * sys.e(x))
+    return bundle._replace(transform=dataclasses.replace(t, system=model))
+
+
+def three_callable_loop(plant, t, make_map, h=0.01, steps=100, s0=S0):
+    """The states of ``plant``'s closed loop under pole-placed gains K and the
+    control u = gammaF(y, y) + alpha + beta utilde from the methods of ``t``,
+    utilde = -K Z at the base point, each step a Newton solve of the
+    tangent-lifted map in the linearizing chart."""
+    gains = pole_place(t.linear, POLES)
+    tphi, lifted = tangent_map(t.phi), tangent_lift(make_map(2))
+
+    def field(z):
+        s = tphi.inverse(z)
+        x, y = s[..., :2], s[..., 2:]
+        u = (np.einsum("...rjk,...j,...k->...r", t.gammaF(x), y, y) + t.alpha(x)
+             + (t.beta(x) @ (-z @ gains.T)[..., None])[..., 0])
+        return (tphi.jacobian(s) @ sode_field(plant, s, u)[..., None])[..., 0]
+
+    states = [s0]
+    for _ in range(steps):
+        states.append(tphi.inverse(step_sode(lifted, field, tphi.forward(states[-1]), h).state))
+    return np.array(states)
 
 
 THETA_MAPS = [make_explicit_euler, make_implicit_euler, make_midpoint]
@@ -233,11 +253,9 @@ class TestFlDiscretize:
             assert original_chart_defect(pendulum, traj, one_step) < 1e-8, (make_map, h)
 
     def test_conjugacy_checks_the_physical_feedback(self, pendulum):
-        # the step runs on the real model: a feedback off by one part in a
-        # million must break the conjugacy
-        t = pendulum.transform
-        bent = dataclasses.replace(t, alpha=lambda x: (1.0 + 1e-6) * t.alpha(x))
-        bundle = pendulum._replace(transform=bent)
+        # the step runs on the real plant: a feedback derived from a drift
+        # off by one part in a million must break the conjugacy
+        bundle = bent_drift(pendulum)
         traj, a_cl = pendulum_closed_loop(bundle)
         assert conjugacy_defect(bundle, traj, theta_update_matrix(a_cl, 0.01, 0.5)) > 1e-8
 
@@ -307,9 +325,10 @@ class TestFlDiscretize:
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_bent_feedback_fails_certificate(self, pendulum, make_map,
                                              field_evaluations):
-        # off by one part in a million, the feedback no longer linearizes:
-        # every step falls back to Newton, and the conjugacy shows the fault
-        bundle = bent_feedback(pendulum)
+        # derived from a drift off by one part in a million, the feedback no
+        # longer linearizes the plant: every step falls back to Newton, and
+        # the conjugacy shows the fault
+        bundle = bent_drift(pendulum)
         traj, a_cl = pendulum_closed_loop(bundle, make_map=make_map)
         assert len(field_evaluations) == 100 and min(field_evaluations) > 1
         assert traj.iterations.min() >= 1
@@ -321,7 +340,7 @@ class TestFlDiscretize:
         # Newton, whose Jacobian takes the field once on the stack of its
         # probes, so a step makes one evaluation at its start and two per
         # iteration (the Jacobian and the full step)
-        bundle = bent_feedback(pendulum)
+        bundle = bent_drift(pendulum)
         traj = fl_discretize(bundle, make_midpoint(2), np.array([0.3, -0.2, 0.5, -0.4]), 0.01,
                              100, gains=pole_place(pendulum.linear, POLES))
         assert traj.iterations.min() >= 1
@@ -330,21 +349,18 @@ class TestFlDiscretize:
     @pytest.mark.parametrize("make_map", THETA_MAPS)
     def test_feedback_bent_from_a_step_falls_back_from_it(self, pendulum, make_map,
                                                           field_evaluations):
-        # one 10-step segment of criterion 4's run, its feedback bent only
-        # where x1 has swung below the base point of step j = 4: the steps
-        # before j are the unbent run's, bit for bit, and from j on every
-        # step falls back to Newton.  Both runs evaluate the feedback through
-        # its three callables: a replaced transform is no longer derived
+        # one 10-step segment of criterion 4's run, its feedback derived from
+        # a drift bent only where x1 has swung below the base point of step
+        # j = 4: the steps before j are the unbent run's, bit for bit, and
+        # from j on every step falls back to Newton
         j, steps = 4, 10
         t, lifted = pendulum.transform, tangent_lift(make_map(2))
-        right, a_cl = pendulum_closed_loop(pendulum._replace(transform=dataclasses.replace(t)),
-                                           steps=steps, make_map=make_map)
+        right, a_cl = pendulum_closed_loop(pendulum, steps=steps, make_map=make_map)
         z = np.array([t.push_state(s[:2], s[2:]) for s in right.states])
         base_x1 = t.phi.inverse(lifted.inverse(z[:-1], z[1:])[0][:, :2])[:, 0]
         cut = (base_x1[j - 1] + base_x1[j]) / 2.0
         assert base_x1[:j].min() > cut > base_x1[j:].max()
-        bundle = pendulum._replace(transform=dataclasses.replace(
-            t, alpha=lambda x: np.where(x[..., :1] < cut, 1.0 + 1e-6, 1.0) * t.alpha(x)))
+        bundle = bent_drift(pendulum, lambda x: np.where(x[..., :1] < cut, 1.0 + 1e-6, 1.0))
         traj, _ = pendulum_closed_loop(bundle, steps=steps, make_map=make_map)
         npt.assert_array_equal(traj.states[:j + 1], right.states[:j + 1])
         for got, want in [(traj.u, right.u), (traj.utilde, right.utilde),
@@ -355,6 +371,15 @@ class TestFlDiscretize:
         assert len(field_evaluations) == steps - j and min(field_evaluations) > 1
         one_step = theta_update_matrix(a_cl, 0.01, make_map(2).theta)
         assert conjugacy_defect(bundle, traj, one_step) > 1e-8
+
+    def test_a_copy_of_the_feedback_gives_the_same_run(self, pendulum):
+        # a dataclasses.replace copy keeps the system, chart and target of the
+        # feedback, so criterion 4's run is the same, bit for bit
+        copy, _ = pendulum_closed_loop(
+            pendulum._replace(transform=dataclasses.replace(pendulum.transform)))
+        traj, _ = pendulum_closed_loop(pendulum)
+        for field in ("states", "u", "utilde", "iterations", "residuals"):
+            npt.assert_array_equal(getattr(copy, field), getattr(traj, field), field)
 
     def test_a_per_point_bundle_is_certified_row_by_row(self, pendulum, field_evaluations):
         # a bundle written one point at a time, kept to the stack contract by
@@ -408,12 +433,11 @@ class TestFlDiscretize:
         # derived from the nominal model: every step falls back to Newton,
         # each closed-loop evaluation (the Newton steps' residuals and their
         # logged controls) forms P = (Dphi g)^+ once, from the model's terms,
-        # and D2phi[y, y] once, for plant and model, and the states are the
-        # three-callable feedback's
+        # and D2phi[y, y] once, for plant and model, and the states are those
+        # of the feedback's three methods
         plant = pendulum_system(PendulumParams(m0=PARAMS["m0"] * (1 + 1e-3)))
         t = pendulum.transform
-        reference, _ = pendulum_closed_loop(plant._replace(transform=dataclasses.replace(t)),
-                                            make_map=make_map)
+        reference = three_callable_loop(plant.system, t, make_map)
         counts = {"pinv": 0, "pushed": 0}
 
         def counting(name, f):
@@ -430,8 +454,8 @@ class TestFlDiscretize:
         traj, _ = pendulum_closed_loop(plant._replace(transform=t), make_map=make_map)
         assert traj.iterations.min() >= 1
         assert counts["pinv"] == counts["pushed"] == chart_calls.count("second_deriv") > 100
-        scale = np.abs(reference.states).max()
-        assert np.abs(traj.states - reference.states).max() <= 1e-10 * scale
+        scale = np.abs(reference).max()
+        assert np.abs(traj.states - reference).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("s0, step", [
         ((1.2, 0.0, 0.0, 0.0), 5),
@@ -533,12 +557,11 @@ class TestFlDiscretize:
         cut = (base_x1[k - 1] + base_x1[k]) / 2.0
         assert base_x1[:k].min() > cut > base_x1[k:].max()
 
-        def beta(x):
-            if (x[..., 0] < cut).any():
-                raise SingularFeedback("feedback singular below the cut")
-            return t.beta(x)
-
-        bundle = pendulum._replace(transform=dataclasses.replace(t, beta=beta))
+        # the model's control column vanishes below the cut
+        g = pendulum.system.g
+        model = dataclasses.replace(pendulum.system,
+                                    g=lambda x: np.where(x[..., :1, None] < cut, 0.0, g(x)))
+        bundle = pendulum._replace(transform=dataclasses.replace(t, system=model))
         errors = []
         for twin in (bundle, row_by_row(bundle)):
             with pytest.raises(SingularFeedback) as info:
@@ -615,12 +638,8 @@ class TestFlDiscretize:
                                   -2.0 * np.sin(x[..., 1]) * np.cos(x[..., 0])], axis=-1),
             g=lambda x: np.array([[0.0], [1.0]]),
         )
-        t = MFTransform(identity_diffeomorphism(2),
-                        alpha=lambda x: np.zeros(1),
-                        beta=lambda x: np.eye(1),
-                        gammaF=lambda x: np.zeros((1, 2, 2)))
-        bundle = SystemBundle(sys, t, LinearMechanicalSystem(A=np.zeros((2, 2)),
-                                                             B=np.array([[0.0], [1.0]])))
+        flat = flat_bundle(LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.array([[0.0], [1.0]])))
+        bundle = flat._replace(system=sys)
         s0 = np.array([1.0, -0.5, 0.3, 0.8])
         useq = rng.normal(size=(40, 1))
         traj = fl_discretize(bundle, make_midpoint(2), s0, 0.1, 40, utilde=useq)
@@ -635,12 +654,8 @@ class TestFlDiscretize:
     def test_identity_chart_matches_plain_stepper(self, rng):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                      B=np.array([[0.0], [1.0]]))
-        sys = lms.as_mechanical_system()
-        t = MFTransform(identity_diffeomorphism(2),
-                        alpha=lambda x: np.zeros(1),
-                        beta=lambda x: np.eye(1),
-                        gammaF=lambda x: np.zeros((1, 2, 2)))
-        bundle = SystemBundle(sys, t, lms)
+        bundle = flat_bundle(lms)
+        sys = bundle.system
         s0 = rng.normal(size=4)
         useq = rng.normal(size=(20, 1))
         traj = fl_discretize(bundle, make_midpoint(2), s0, 0.05, 20, utilde=useq)
@@ -678,12 +693,7 @@ class TestFlDiscretize:
 
     def test_an_open_loop_singular_resolvent_is_refused_at_entry(self, field_evaluations):
         # x'' = x + u under implicit Euler at h = 1: I - h A is singular
-        lms = LinearMechanicalSystem(A=np.eye(1), B=np.eye(1))
-        t = MFTransform(identity_diffeomorphism(1),
-                        alpha=lambda x: np.zeros(1),
-                        beta=lambda x: np.eye(1),
-                        gammaF=lambda x: np.zeros((1, 1, 1)))
-        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        bundle = flat_bundle(LinearMechanicalSystem(A=np.eye(1), B=np.eye(1)))
         with pytest.raises(SingularStep) as info:
             fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1.0, 3,
                           utilde=np.zeros(3))
@@ -795,10 +805,7 @@ class TestSetupMemo:
 
     def test_an_integer_step_size_gives_a_float_grid(self):
         # x'' = -x under implicit Euler at h = 1, certified on every step
-        lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
-        t = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
-                        beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
-        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        bundle = flat_bundle(LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1)))
         traj = fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1, 3,
                              utilde=np.zeros(3))
         assert traj.t.dtype == float and traj.t.tolist() == [0.0, 1.0, 2.0, 3.0]
@@ -814,10 +821,7 @@ class TestSetupMemo:
 
     def test_a_singular_resolvent_is_refused_on_every_call(self, update_builds):
         # x'' = x + u under implicit Euler at h = 1: I - h A is singular
-        lms = LinearMechanicalSystem(A=np.eye(1), B=np.eye(1))
-        t = MFTransform(identity_diffeomorphism(1), alpha=lambda x: np.zeros(1),
-                        beta=lambda x: np.eye(1), gammaF=lambda x: np.zeros((1, 1, 1)))
-        bundle = SystemBundle(lms.as_mechanical_system(), t, lms)
+        bundle = flat_bundle(LinearMechanicalSystem(A=np.eye(1), B=np.eye(1)))
         for _ in range(2):
             with pytest.raises(SingularStep):
                 fl_discretize(bundle, make_implicit_euler(1), np.array([1.0, 0.0]), 1.0, 3,

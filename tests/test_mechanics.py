@@ -1,10 +1,12 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import PARAMS, stack_rows_are_the_points
+import mechlift.cli
+from conftest import PARAMS, flat_bundle, stack_rows_are_the_points
 from mechlift import (
     Diffeomorphism,
     DimensionMismatch,
@@ -15,9 +17,10 @@ from mechlift import (
     OutsideChart,
     PendulumParams,
     SingularFeedback,
+    SystemBundle,
     apply_feedback,
     identity_diffeomorphism,
-    mf_transform,
+    pendulum_system,
     rigid_body_system,
     sode_field,
     so3_exp,
@@ -26,6 +29,20 @@ from mechlift import (
 )
 
 M0, MD, J2 = PARAMS["m0"], PARAMS["md"], PARAMS["J2"]
+
+
+def exp_chart_bundle(body):
+    return SystemBundle(body.exp_chart_system(), body.exp_chart_transform(), body.linear)
+
+
+def harmonic_order_bundle(monkeypatch):
+    """The bundle ``order-study harmonic`` steps, caught at its first call."""
+    bundles, run = [], mechlift.cli.fl_discretize
+    monkeypatch.setattr(mechlift.cli, "fl_discretize",
+                        lambda bundle, *rest, **kw: bundles.append(bundle) or run(bundle, *rest, **kw))
+    stepper, _, s0 = mechlift.cli._harmonic_order_case("midpoint", 1.0)
+    stepper(s0, 0.1, 10)
+    return bundles[0]
 
 
 class TestSodeField:
@@ -94,10 +111,7 @@ class TestSodeField:
 
 class TestApplyFeedback:
     def test_identity_feedback(self, rng):
-        t = MFTransform(identity_diffeomorphism(2),
-                        alpha=lambda x: np.zeros(2),
-                        beta=lambda x: np.eye(2),
-                        gammaF=lambda x: np.zeros((2, 2, 2)))
+        t = flat_bundle(LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.eye(2))).transform
         ut = rng.normal(size=2)
         npt.assert_array_equal(apply_feedback(t, np.zeros(2), np.zeros(2), ut), ut)
 
@@ -339,6 +353,30 @@ class TestMfTransform:
         npt.assert_allclose(pendulum.transform.beta(x)[:, 0, 0], -MD * J2 / (M0 * cos),
                             rtol=1e-6)
 
+    @pytest.mark.parametrize("dim, A, B, sizes", [
+        (3, np.zeros((2, 2)), np.array([[0.0], [1.0]]), "chart dim 3 / target (2, 1)"),
+        (2, np.zeros((3, 3)), np.ones((3, 1)), "chart dim 2 / target (3, 1)"),
+        (2, np.zeros((2, 2)), np.eye(2), "chart dim 2 / target (2, 2)"),
+    ], ids=["chart-3", "target-3", "target-m-2"])
+    def test_sizes_are_checked_at_construction(self, pendulum, dim, A, B, sizes):
+        # a chart or a target of another size than the pendulum's (2, 1) is
+        # refused here, not in numpy at the first evaluation
+        with pytest.raises(DimensionMismatch) as info:
+            MFTransform(pendulum.system, identity_diffeomorphism(dim),
+                        LinearMechanicalSystem(A=A, B=B))
+        assert str(info.value) == f"{sizes} do not match system (2, 1)"
+
+    @pytest.mark.parametrize("shipped", [
+        lambda monkeypatch: pendulum_system(),
+        lambda monkeypatch: exp_chart_bundle(rigid_body_system(np.diag([1.0, 2.0, 3.0]))),
+        lambda monkeypatch: harmonic_order_bundle(monkeypatch),
+    ], ids=["pendulum", "rigid-body-exp-chart", "cli-harmonic"])
+    def test_a_shipped_bundle_derives_its_feedback_from_its_plant(self, shipped, monkeypatch):
+        # the plant's own e, Gamma and g serve the feedback: another system
+        # object would have them evaluated a second time on each call
+        bundle = shipped(monkeypatch)
+        assert bundle.transform.system is bundle.system
+
     def test_the_multi_input_guard_refuses_a_rank_deficient_row(self, rng):
         # the two control columns align where x1 = 0; elsewhere P = g^-1
         def g(x):
@@ -349,8 +387,8 @@ class TestMfTransform:
 
         sys2 = MechanicalSystem(2, 2, gamma=lambda x: np.zeros((2, 2, 2)),
                                 e=lambda x: np.zeros(2), g=g)
-        t = mf_transform(sys2, identity_diffeomorphism(2),
-                         LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.eye(2)))
+        t = MFTransform(sys2, identity_diffeomorphism(2),
+                        LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.eye(2)))
         x = rng.normal(size=(5, 2))
         npt.assert_allclose(t.beta(x) @ g(x), np.broadcast_to(np.eye(2), (5, 2, 2)),
                             rtol=0, atol=1e-12)
@@ -476,21 +514,19 @@ class TestMFEquivalence:
     def test_identity_transform_on_linear_system(self, rng):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [-2.0, 0.0]]),
                                      B=np.eye(2))
-        sys = lms.as_mechanical_system()
-        t = MFTransform(identity_diffeomorphism(2),
-                        alpha=lambda x: np.zeros(2),
-                        beta=lambda x: np.eye(2),
-                        gammaF=lambda x: np.zeros((2, 2, 2)))
+        sys, t, _ = flat_bundle(lms)
         samples = [(rng.normal(size=2), rng.normal(size=2), rng.normal(size=2))
                    for _ in range(20)]
         report = verify_mf_equivalence(sys, t, lms, samples)
         assert report.max_defect == 0.0
 
-    def test_corrupted_alpha_fails(self, pendulum, rng):
-        bad = MFTransform(pendulum.transform.phi,
-                          alpha=lambda x: pendulum.transform.alpha(x) + 0.01,
-                          beta=pendulum.transform.beta,
-                          gammaF=pendulum.transform.gammaF)
+    def test_a_feedback_of_a_wrong_model_fails(self, pendulum, rng):
+        # derived from a model whose drift is off by 0.01, the feedback no
+        # longer linearizes the plant
+        e = pendulum.system.e
+        bad = dataclasses.replace(pendulum.transform,
+                                  system=dataclasses.replace(pendulum.system,
+                                                             e=lambda x: e(x) + 0.01))
         samples = [(np.array([rng.uniform(-1.0, 1.0), rng.normal()]),
                     rng.normal(size=2), rng.normal(size=1)) for _ in range(50)]
         report = verify_mf_equivalence(pendulum.system, bad, pendulum.linear,
@@ -512,15 +548,16 @@ class TestMFEquivalence:
         assert report.max_defect < 1e-10
 
     def test_a_non_finite_defect_fails_at_its_sample(self, pendulum, rng):
-        # alpha is NaN at sample 3 alone: the check fails there, with that
-        # sample as its witness, not at the largest finite defect
+        # the feedback's model has a NaN drift at sample 3 alone: the check
+        # fails there, with that sample as its witness, not at the largest
+        # finite defect
         samples = [(np.array([rng.uniform(-1.0, 1.0), rng.normal()]),
                     rng.normal(size=2), rng.normal(size=1)) for _ in range(8)]
         marked = samples[3][0][0]
-        t = pendulum.transform
-        bad = MFTransform(t.phi,
-                          alpha=lambda x: np.where(x[..., :1] == marked, np.nan, t.alpha(x)),
-                          beta=t.beta, gammaF=t.gammaF)
+        sys, t = pendulum.system, pendulum.transform
+        model = dataclasses.replace(sys, e=lambda x: np.where(x[..., :1] == marked, np.nan,
+                                                              sys.e(x)))
+        bad = dataclasses.replace(t, system=model)
         report = verify_mf_equivalence(pendulum.system, bad, pendulum.linear, samples)
         assert np.isnan(report.max_defect)
         assert not report.passed
@@ -544,14 +581,12 @@ class TestMFEquivalence:
         phi = t.phi
         chart = Diffeomorphism(2, *(watch(name, getattr(phi, name))
                                     for name in ("forward", "inverse", "jacobian", "second_deriv")))
+        watched = MechanicalSystem(2, 1, *(watch(name, getattr(sys, name))
+                                           for name in ("gamma", "e", "g")))
         report = verify_mf_equivalence(
-            MechanicalSystem(2, 1, *(watch(name, getattr(sys, name))
-                                     for name in ("gamma", "e", "g"))),
-            MFTransform(chart, *(watch(name, getattr(t, name))
-                                 for name in ("alpha", "beta", "gammaF"))),
-            pendulum.linear,
+            watched, MFTransform(watched, chart, pendulum.linear), pendulum.linear,
             [(np.array([x1, 0.2]), rng.normal(size=2), rng.normal(size=1))
              for x1 in np.linspace(-1.0, 1.0, 10)])
         assert report.passed
         assert shapes == {name: [(10, 2)] for name in (
-            "alpha", "beta", "gammaF", "gamma", "e", "g", "second_deriv", "jacobian", "forward")}
+            "gamma", "e", "g", "second_deriv", "jacobian", "forward")}

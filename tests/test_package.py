@@ -13,7 +13,7 @@ PUBLIC = {
     "tangent_lift", "tangent_map", "verify_axioms",
     # mechanics
     "LinearMechanicalSystem", "MFTransform", "MechanicalSystem", "PendulumParams",
-    "RigidBodySystem", "SystemBundle", "apply_feedback", "mf_transform", "pendulum_system",
+    "RigidBodySystem", "SystemBundle", "apply_feedback", "pendulum_system",
     "rigid_body_system", "sode_field", "verify_mf_equivalence",
     # linearizability
     "ConditionReport", "ConditionResult", "check_general", "check_planar",

@@ -18,12 +18,9 @@ from hypothesis import strategies as st
 
 from mechlift import (
     AngleAtPi,
-    MFTransform,
     MechliftError,
     OutsideChart,
-    SystemBundle,
     fl_discretize,
-    identity_diffeomorphism,
     lift_by_diffeo,
     linear_one_step,
     make_explicit_euler,
@@ -41,7 +38,7 @@ from mechlift import (
     theta_update_matrix,
     verify_axioms,
 )
-from conftest import row_by_row, stack_rows_are_the_points
+from conftest import flat_bundle, row_by_row, stack_rows_are_the_points
 from mechlift.mechanics import _rotation_rates_matrix
 
 BUILDERS = (make_explicit_euler, make_implicit_euler, make_midpoint)
@@ -164,13 +161,9 @@ def test_tangent_lift_is_its_structural_derivation(builder, s, w, n):
         npt.assert_array_equal(got, want)
 
 
-# the pendulum's linear target as a system of its own, with the identity
-# chart: its states are the target's, so one-step calls probe the update
-FLAT = SystemBundle(PENDULUM.linear.as_mechanical_system(),
-                    MFTransform(identity_diffeomorphism(2), alpha=lambda x: np.zeros(1),
-                                beta=lambda x: np.eye(1),
-                                gammaF=lambda x: np.zeros((1, 2, 2))),
-                    PENDULUM.linear)
+# the pendulum's linear target as a system of its own: one-step calls
+# probe the update
+FLAT = flat_bundle(PENDULUM.linear)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
