@@ -385,7 +385,7 @@ def _harmonic_order_case(map_kind, t_final):
     # its own linear target under the identity chart, run open loop on utilde = 0
     lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
     sys_ = lms.as_mechanical_system()
-    bundle = SystemBundle(sys_, MFTransform(sys_, identity_diffeomorphism(1), lms), lms)
+    bundle = SystemBundle(sys_, MFTransform(sys_, identity_diffeomorphism(1), lms))
     s0 = np.array([1.0, 0.0])
 
     def stepper(s, h, steps):
@@ -411,7 +411,10 @@ def _so3_order_case(t_final):
 
 
 def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int:
-    """Global-error order fits; writes one (map, h, error) table."""
+    """Global-error order fits, every map kind checked first; writes one (map, h, error) table."""
+    for kind in map_kinds:
+        if kind not in _MAP_BUILDERS:
+            raise ValueError(f"unknown map kind {kind!r}")
     rows = []
     for kind in map_kinds:
         if system == "pendulum":

@@ -20,6 +20,8 @@ from .errors import DimensionMismatch
 from .geometry import SECOND_ORDER_STEP, _matvec, float_array, numeric_jacobian
 
 _KINDS = ("explicit-euler", "implicit-euler", "midpoint", "lifted", "tangent-lift")
+AXIOM_ZERO_TOL = 1e-10
+AXIOM_JACOBIAN_TOL = 1e-6
 
 
 class DiscretizationMap:
@@ -126,12 +128,12 @@ def make_midpoint(n) -> DiscretizationMap:
 class AxiomReport:
     """Per-sample defects of the two discretization-map axioms."""
 
-    def __init__(self, kind, points, zero_defects, jacobian_defects, tols):
+    def __init__(self, kind, points, zero_defects, jacobian_defects):
         self.kind = kind
         self.points = points
         self.zero_defects = np.asarray(zero_defects)
         self.jacobian_defects = np.asarray(jacobian_defects)
-        self.tols = tols
+        self.tols = (AXIOM_ZERO_TOL, AXIOM_JACOBIAN_TOL)
 
     @property
     def worst_zero(self):
@@ -162,16 +164,16 @@ class AxiomReport:
         )
 
 
-def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomReport:
+def verify_axioms(dmap, samples) -> AxiomReport:
     """Check both discretization-map axioms at each sample point.
 
-    Axiom 1: forward(x, 0) == (x, x).  Axiom 2: the velocity derivative
-    of (second component - first component) at (x, 0) is the identity,
-    estimated by central differences.  The map acts row by row on
-    stacks, so both are checked in one pass over the (N, n) stack of
-    samples, with one ``numeric_jacobian`` call for all N points; each
-    sample's defects are the ones it gets when checked alone.  An empty
-    ``samples`` raises ``ValueError``, and a sample that is not a
+    Axiom 1: forward(x, 0) == (x, x), to ``AXIOM_ZERO_TOL``.  Axiom 2: the
+    velocity derivative of (second component - first component) at (x, 0) is
+    the identity, estimated by central differences, to ``AXIOM_JACOBIAN_TOL``.
+    The map acts row by row on stacks, so both are checked in one pass over
+    the (N, n) stack of samples, with one ``numeric_jacobian`` call for all N
+    points; each sample's defects are the ones it gets when checked alone.  An
+    empty ``samples`` raises ``ValueError``, and a sample that is not a
     ``dim``-vector ``DimensionMismatch`` naming its index.
     """
     n = dmap.dim
@@ -191,8 +193,7 @@ def verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6) -> AxiomRepo
         return hi - lo
 
     dv = numeric_jacobian(second_minus_first, zero)
-    return AxiomReport(dmap.kind, points, zero_defects, np.abs(dv - np.eye(n)).max(axis=(-2, -1)),
-                       (zero_tol, jacobian_tol))
+    return AxiomReport(dmap.kind, points, zero_defects, np.abs(dv - np.eye(n)).max(axis=(-2, -1)))
 
 
 class Diffeomorphism:

@@ -499,8 +499,7 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
         _vec(omega, "omega")
     if len(w) != 3:
         raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step size must be a finite positive number, got {h}")
+    _check_step_size(h)
     xi = _log(r)
     e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
     r_next = _rotation([

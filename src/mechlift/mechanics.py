@@ -109,9 +109,9 @@ class MFTransform:
         return np.einsum("...ri,...ijk->...rjk", p, dgamma - d2)
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearMechanicalSystem:
-    """Flat linear mechanical system ytildedot = A xtilde + B utilde."""
+    """Flat linear mechanical system ytildedot = A xtilde + B utilde; compared by identity."""
 
     A: np.ndarray
     B: np.ndarray
@@ -273,11 +273,12 @@ class PendulumParams:
 
 
 class SystemBundle(NamedTuple):
-    """A mechanical system together with its linearizing transformation."""
+    """A plant and its linearizing feedback, whose target is read as ``linear``."""
 
     system: MechanicalSystem
     transform: MFTransform
-    linear: LinearMechanicalSystem
+
+    linear = property(lambda self: self.transform.linear)
 
 
 def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
@@ -337,7 +338,7 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     phi = Diffeomorphism(2, fwd, inv, jac, second)
     linear = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     B=np.array([[0.0], [1.0]]))
-    return SystemBundle(system, MFTransform(system, phi, linear), linear)
+    return SystemBundle(system, MFTransform(system, phi, linear))
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +484,17 @@ class MFEquivalenceReport:
         return self.max_defect < self.tol
 
 
-def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
-                          lms: LinearMechanicalSystem, samples) -> MFEquivalenceReport:
+def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform, samples) -> MFEquivalenceReport:
     """Check that feedback plus chart change linearizes the system.
 
     At each sample (x, y, utilde) the closed-loop second-order field of
     ``sys`` under ``t`` is pushed through the tangent-lifted chart change
     (:func:`_pushed_acceleration`) and compared with the flat field
-    (ytilde, A xtilde + B utilde) of ``lms`` at the image point.  When
-    ``sys`` and ``lms`` are the transform's own system and target, the
-    defect is the range defect (I - Dphi g P)(A phi + B utilde - q): the
-    part of the target's field that the controls cannot reach; a plant or
-    a target other than the transform's adds its mismatch.  The samples
+    (ytilde, A xtilde + B utilde) of ``t``'s target at the image point.
+    When ``sys`` is the transform's own system, the defect is the range
+    defect (I - Dphi g P)(A phi + B utilde - q): the part of the target's
+    field that the controls cannot reach; a plant other than the
+    transform's adds its mismatch.  The samples
     go to each callable as one stack.  The witness is the first
     sample with a defect that is not finite, else the first with the
     largest defect above 0; a defect that is not finite fails.  An empty
@@ -510,7 +510,7 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform,
     # d/dt (Dphi(x) y) = D2phi[y, xdot] + Dphi ydot with xdot = y
     z = t.phi.forward(x)
     pushed, _ = _pushed_acceleration(sys, t, x, y, ut, t.phi.jacobian(x), z)
-    target = z @ lms.A.T + ut @ lms.B.T
+    target = z @ t.linear.A.T + ut @ t.linear.B.T
     defects = np.abs(pushed - target).max(axis=-1)
     i = int(np.where(np.isfinite(defects), defects, np.inf).argmax())
     worst = float(defects[i])

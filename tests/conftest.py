@@ -56,8 +56,7 @@ def row_by_row(obj):
         phi = t.phi
         chart = Diffeomorphism(phi.dim, *map(_rows, (phi.forward, phi.inverse, phi.jacobian,
                                                      phi.second_deriv)))
-        return SystemBundle(system, MFTransform(row_by_row(t.system), chart, t.linear),
-                            obj.linear)
+        return SystemBundle(system, MFTransform(row_by_row(t.system), chart, t.linear))
     return MechanicalSystem(obj.n, obj.m, *map(_rows, (obj.gamma, obj.e, obj.g)))
 
 
@@ -66,7 +65,7 @@ def flat_bundle(lms):
     chart: its feedback is alpha = 0, beta = I and gammaF = 0, and its
     states are the target's."""
     system = lms.as_mechanical_system()
-    return SystemBundle(system, MFTransform(system, identity_diffeomorphism(lms.n), lms), lms)
+    return SystemBundle(system, MFTransform(system, identity_diffeomorphism(lms.n), lms))
 
 
 def stack_rows_are_the_points(f, *stacks):

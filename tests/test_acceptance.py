@@ -94,7 +94,8 @@ def test_criterion_2_map_axioms(pendulum, rng):
             (lift_by_diffeo(builder(2), phi), chart_samples(50)),
         ]
         for dmap, samples in cases:
-            rep = verify_axioms(dmap, samples, zero_tol=1e-10, jacobian_tol=1e-6)
+            rep = verify_axioms(dmap, samples)
+            assert rep.tols == (1e-10, 1e-6)  # the criterion's bounds are the checker's
             worst_zero = max(worst_zero, rep.worst_zero)
             worst_jac = max(worst_jac, rep.worst_jacobian)
             all_pass &= rep.passed

@@ -385,6 +385,15 @@ class TestOrderStudy:
     def test_unknown_system(self):
         assert main(["order-study", "wobbler"]) == 4
 
+    @pytest.mark.parametrize("system", ["pendulum", "harmonic", "so3"])
+    @pytest.mark.parametrize("kinds", ["bogus", "midpoint,bogus"])
+    def test_an_unknown_map_is_usage_error_before_any_run(self, system, kinds, tmp_path, capsys):
+        # every kind is checked first: no fit is printed and no table written
+        out = tmp_path / "os"
+        assert main(["order-study", system, "--map", kinds, "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", "error: unknown map kind 'bogus'\n")
+        assert not out.exists()
+
     def test_nonpositive_step_is_usage_error(self, capsys):
         # the simulate commands' step-grid rule: no zero-step "study"
         assert main(["order-study", "harmonic", "--h-list=-0.1"]) == 4

@@ -214,12 +214,13 @@ def bent_drift(bundle, factor=lambda x: 1.0 + 1e-6):
     return bundle._replace(transform=dataclasses.replace(t, system=model))
 
 
-def three_callable_loop(plant, t, make_map, h=0.01, steps=100, s0=S0):
-    """The states of ``plant``'s closed loop under pole-placed gains K and the
-    control u = gammaF(y, y) + alpha + beta utilde from the methods of ``t``,
+def three_callable_loop(plant, t, make_map, h=0.01, steps=100, s0=S0, gains=None):
+    """The states of ``plant``'s closed loop under the gains K (pole-placed for
+    the target of ``t`` if not given) and the control
+    u = gammaF(y, y) + alpha + beta utilde from the methods of ``t``,
     utilde = -K Z at the base point, each step a Newton solve of the
     tangent-lifted map in the linearizing chart."""
-    gains = pole_place(t.linear, POLES)
+    gains = pole_place(t.linear, POLES) if gains is None else gains
     tphi, lifted = tangent_map(t.phi), tangent_lift(make_map(2))
 
     def field(z):
@@ -395,8 +396,7 @@ class TestFlDiscretize:
     def test_a_shared_chart_jacobian_is_certified(self, rigid_body):
         # the exp-chart bundle's identity chart returns one Jacobian for a
         # whole stack; the orbit pass certifies every step of the loop
-        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform(),
-                              rigid_body.linear)
+        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform())
         gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
         s0 = np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2])
         traj = fl_discretize(bundle, make_midpoint(3), s0, 0.01, 100, gains=gains)
@@ -417,8 +417,7 @@ class TestFlDiscretize:
         calls = []
         monkeypatch.setattr(mechlift.mechanics, "numeric_jacobian",
                             lambda *args: calls.append(args) or jacobian(*args))
-        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform(),
-                              rigid_body.linear)
+        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform())
         assert bundle.system is rigid_body.exp_chart_system()
         gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
         traj = fl_discretize(bundle, make_midpoint(3), np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2]),
@@ -581,17 +580,22 @@ class TestFlDiscretize:
             assert len(central_differences) == 0, make_map
             assert traj.iterations.max() <= 2, make_map
 
-    def test_a_wrong_target_jacobian_is_replaced_at_once(self, pendulum):
-        # a target of (3A, 2B) fails the certificate, so Newton solves every
-        # step of the physical loop, in a few iterations each, and lands on
-        # the states of the right target
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_a_wrong_target_jacobian_is_replaced_at_once(self, pendulum, make_map):
+        # a feedback written for the target (3A, 2B), which the pendulum's one
+        # control cannot reach, under the gains of the true target: the loop
+        # is not the target's update, so every step from the first fails its
+        # certificate and Newton solves it, in a few iterations each, on the
+        # states of that physical loop
         gains = pole_place(pendulum.linear, POLES)
-        lin = pendulum.linear
-        wrong = pendulum._replace(linear=LinearMechanicalSystem(A=3 * lin.A, B=2 * lin.B))
-        traj = fl_discretize(wrong, make_midpoint(2), S0, 0.01, 100, gains=gains)
+        lin, t = pendulum.linear, pendulum.transform
+        t = dataclasses.replace(t, linear=LinearMechanicalSystem(A=3 * lin.A, B=2 * lin.B))
+        traj = fl_discretize(pendulum._replace(transform=t), make_map(2), S0, 0.01, 100,
+                             gains=gains)
+        assert traj.iterations.min() >= 1
         assert traj.iterations.max() <= 4
-        right, _ = pendulum_closed_loop(pendulum)
-        npt.assert_allclose(traj.states, right.states, rtol=0, atol=1e-9)
+        reference = three_callable_loop(pendulum.system, t, make_map, gains=gains)
+        assert np.abs(traj.states - reference).max() <= 1e-10 * np.abs(reference).max()
 
     @pytest.mark.parametrize("s0, error", [
         ((np.nan, 0.0, 0.0, 0.0), NonFinite),

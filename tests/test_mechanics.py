@@ -32,7 +32,7 @@ M0, MD, J2 = PARAMS["m0"], PARAMS["md"], PARAMS["J2"]
 
 
 def exp_chart_bundle(body):
-    return SystemBundle(body.exp_chart_system(), body.exp_chart_transform(), body.linear)
+    return SystemBundle(body.exp_chart_system(), body.exp_chart_transform())
 
 
 def harmonic_order_bundle(monkeypatch):
@@ -153,7 +153,7 @@ class TestApplyFeedback:
 
 
 def _verify(bundle, *samples):
-    return verify_mf_equivalence(bundle.system, bundle.transform, bundle.linear,
+    return verify_mf_equivalence(bundle.system, bundle.transform,
                                  [tuple(map(np.zeros, sizes)) for sizes in samples])
 
 
@@ -377,6 +377,21 @@ class TestMfTransform:
         bundle = shipped(monkeypatch)
         assert bundle.transform.system is bundle.system
 
+    @pytest.mark.parametrize("bundle", [
+        lambda monkeypatch: pendulum_system(),
+        lambda monkeypatch: flat_bundle(pendulum_system().linear),
+        lambda monkeypatch: flat_bundle(LinearMechanicalSystem(A=-np.eye(3), B=np.eye(3)[:, :2])),
+        lambda monkeypatch: harmonic_order_bundle(monkeypatch),
+    ], ids=["pendulum", "flat-pendulum-target", "flat-3-2", "cli-harmonic"])
+    def test_a_bundle_reads_its_target_from_its_feedback(self, bundle, monkeypatch):
+        # the feedback holds the one target; the bundle has no copy to set apart
+        bundle = bundle(monkeypatch)
+        assert bundle.linear is bundle.transform.linear
+        with pytest.raises(AttributeError):
+            bundle.linear = bundle.linear
+        with pytest.raises(ValueError, match="unexpected field names"):
+            bundle._replace(linear=bundle.linear)
+
     def test_the_multi_input_guard_refuses_a_rank_deficient_row(self, rng):
         # the two control columns align where x1 = 0; elsewhere P = g^-1
         def g(x):
@@ -405,6 +420,12 @@ class TestLinearMechanicalSystem:
     def test_refuses_non_finite_data(self, a, b):
         with pytest.raises(NonFinite, match="finite"):
             LinearMechanicalSystem(A=np.array(a), B=np.array(b))
+
+    def test_compared_and_hashed_by_identity(self):
+        # equal arrays do not make equal targets, and a target is a dict key
+        a, b = (LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.ones((2, 1))) for _ in range(2))
+        assert a == a and a != b and dataclasses.replace(a) != a
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     @pytest.mark.parametrize("name", ["gamma", "e", "g"])
     def test_mechanical_view_is_batch_aware(self, rng, name):
@@ -506,18 +527,17 @@ class TestMFEquivalence:
     def test_pendulum_passes(self, pendulum, rng):
         samples = [(np.array([rng.uniform(-1.3, 1.3), rng.normal()]),
                     rng.normal(size=2), rng.normal(size=1)) for _ in range(100)]
-        report = verify_mf_equivalence(pendulum.system, pendulum.transform,
-                                       pendulum.linear, samples)
+        report = verify_mf_equivalence(pendulum.system, pendulum.transform, samples)
         assert report.passed
         assert report.max_defect < 1e-7
 
     def test_identity_transform_on_linear_system(self, rng):
         lms = LinearMechanicalSystem(A=np.array([[0.0, 1.0], [-2.0, 0.0]]),
                                      B=np.eye(2))
-        sys, t, _ = flat_bundle(lms)
+        sys, t = flat_bundle(lms)
         samples = [(rng.normal(size=2), rng.normal(size=2), rng.normal(size=2))
                    for _ in range(20)]
-        report = verify_mf_equivalence(sys, t, lms, samples)
+        report = verify_mf_equivalence(sys, t, samples)
         assert report.max_defect == 0.0
 
     def test_a_feedback_of_a_wrong_model_fails(self, pendulum, rng):
@@ -529,11 +549,26 @@ class TestMFEquivalence:
                                                              e=lambda x: e(x) + 0.01))
         samples = [(np.array([rng.uniform(-1.0, 1.0), rng.normal()]),
                     rng.normal(size=2), rng.normal(size=1)) for _ in range(50)]
-        report = verify_mf_equivalence(pendulum.system, bad, pendulum.linear,
-                                       samples)
+        report = verify_mf_equivalence(pendulum.system, bad, samples)
         assert not report.passed
         assert report.max_defect > 1e-3
         assert report.witness is not None
+
+    def test_a_feedback_for_a_wrong_target_fails(self, pendulum, rng):
+        # a feedback written for (3A, 2B): the pendulum's one control cannot
+        # reach the first row, where the plant gives phi_2 = (m0/J2) sin x1
+        # and the target 3 phi_2, so the defect is 2 (m0/J2) |sin x1|, first
+        # largest at x1 = -1
+        lin = pendulum.linear
+        bad = dataclasses.replace(pendulum.transform,
+                                  linear=LinearMechanicalSystem(A=3 * lin.A, B=2 * lin.B))
+        samples = [(np.array([x1, 0.3]), rng.normal(size=2), rng.normal(size=1))
+                   for x1 in np.linspace(-1.0, 1.0, 9)]
+        report = verify_mf_equivalence(pendulum.system, bad, samples)
+        assert not report.passed
+        assert report.max_defect == pytest.approx(2 * M0 / J2 * np.sin(1.0), rel=1e-12)
+        for got, want in zip(report.witness, samples[0]):
+            npt.assert_array_equal(got, want)
 
     def test_rigid_body_exp_chart_passes(self, rigid_body, rng):
         sys3 = rigid_body.exp_chart_system()
@@ -543,7 +578,7 @@ class TestMFEquivalence:
             xi = rng.normal(size=3)
             xi *= rng.uniform(0.05, np.pi - 0.1) / np.linalg.norm(xi)
             samples.append((xi, rng.normal(size=3), rng.normal(size=3)))
-        report = verify_mf_equivalence(sys3, t3, rigid_body.linear, samples)
+        report = verify_mf_equivalence(sys3, t3, samples)
         assert report.passed
         assert report.max_defect < 1e-10
 
@@ -558,7 +593,7 @@ class TestMFEquivalence:
         model = dataclasses.replace(sys, e=lambda x: np.where(x[..., :1] == marked, np.nan,
                                                               sys.e(x)))
         bad = dataclasses.replace(t, system=model)
-        report = verify_mf_equivalence(pendulum.system, bad, pendulum.linear, samples)
+        report = verify_mf_equivalence(pendulum.system, bad, samples)
         assert np.isnan(report.max_defect)
         assert not report.passed
         for got, want in zip(report.witness, samples[3]):
@@ -566,7 +601,7 @@ class TestMFEquivalence:
 
     def test_no_samples_is_refused(self, pendulum):
         with pytest.raises(ValueError, match="at least one sample"):
-            verify_mf_equivalence(pendulum.system, pendulum.transform, pendulum.linear, [])
+            verify_mf_equivalence(pendulum.system, pendulum.transform, [])
 
     def test_one_call_per_callable_on_the_sample_stack(self, pendulum, rng):
         shapes = {}
@@ -584,7 +619,7 @@ class TestMFEquivalence:
         watched = MechanicalSystem(2, 1, *(watch(name, getattr(sys, name))
                                            for name in ("gamma", "e", "g")))
         report = verify_mf_equivalence(
-            watched, MFTransform(watched, chart, pendulum.linear), pendulum.linear,
+            watched, MFTransform(watched, chart, pendulum.linear),
             [(np.array([x1, 0.2]), rng.normal(size=2), rng.normal(size=1))
              for x1 in np.linspace(-1.0, 1.0, 10)])
         assert report.passed

@@ -1,3 +1,5 @@
+import inspect
+
 import mechlift
 
 PUBLIC = {
@@ -29,3 +31,13 @@ def test_public_names_are_pinned():
     # an added or removed public name is an edit to this set; no submodule
     # is exported
     assert set(mechlift.__all__) == PUBLIC
+
+
+def test_a_bundle_and_the_checks_have_their_pinned_shapes():
+    # a bundle is (plant, feedback) and reads its target from the feedback;
+    # the checks take no tolerance or target of their own, so an option
+    # dropped from them cannot come back unnoticed
+    assert mechlift.SystemBundle._fields == ("system", "transform")
+    for check, names in ((mechlift.verify_mf_equivalence, ["sys", "t", "samples"]),
+                         (mechlift.verify_axioms, ["dmap", "samples"])):
+        assert list(inspect.signature(check).parameters) == names, check.__name__
