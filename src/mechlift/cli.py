@@ -411,20 +411,21 @@ def _so3_order_case(t_final):
 
 
 def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int:
-    """Global-error order fits, every map kind checked first; writes one (map, h, error) table."""
-    for kind in map_kinds:
+    """Global-error order fits per kind of ``map_kinds`` (midpoint if None), all checked first,
+    in one (map, h, error) table; ``so3`` takes no kinds and runs its group PD loop, as ``group``."""
+    for kind in map_kinds or ():
         if kind not in _MAP_BUILDERS:
             raise ValueError(f"unknown map kind {kind!r}")
+    if system == "so3" and map_kinds is not None:
+        raise ValueError("order-study so3 runs the group PD loop on SO(3), not a "
+                         "discretization map: --map does not apply")
+    cases = {"pendulum": _pendulum_order_case, "harmonic": _harmonic_order_case,
+             "so3": lambda kind, t_final: _so3_order_case(t_final)}
+    if system not in cases:
+        raise UnknownSystem(f"no registered system named {system!r}")
     rows = []
-    for kind in map_kinds:
-        if system == "pendulum":
-            stepper, ref, s0 = _pendulum_order_case(kind, t_final)
-        elif system == "harmonic":
-            stepper, ref, s0 = _harmonic_order_case(kind, t_final)
-        elif system == "so3":
-            stepper, ref, s0 = _so3_order_case(t_final)
-        else:
-            raise UnknownSystem(f"no registered system named {system!r}")
+    for kind in map_kinds or ["group" if system == "so3" else "midpoint"]:
+        stepper, ref, s0 = cases[system](kind, t_final)
         study = order_study(stepper, ref, s0, t_final, h_list)
         for h, err, exc in zip(study.h, study.errors, study.exits):
             rows.append((kind, h, err))
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order-study")
     p.add_argument("system")
-    p.add_argument("--map", default="midpoint")
+    p.add_argument("--map", default=None)
     p.add_argument("--h-list", default="0.02,0.01,0.005,0.0025")
     p.add_argument("--t-final", type=float, default=1.0)
     p.add_argument("--out", default=None)
@@ -511,8 +512,8 @@ def main(argv=None) -> int:
             return run_verify_maps()
         if args.command == "order-study":
             h_list = [float(v) for v in args.h_list.split(",")]
-            return run_order_study(args.system, args.map.split(","), h_list,
-                                   args.out, args.t_final)
+            kinds = None if args.map is None else args.map.split(",")
+            return run_order_study(args.system, kinds, h_list, args.out, args.t_final)
     except (UnknownSystem, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4

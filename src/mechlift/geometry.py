@@ -47,7 +47,7 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
-@dataclass
+@dataclass(eq=False)
 class Rotation:
     """Orthogonal 3x3 matrix with determinant +1.
 

@@ -48,7 +48,7 @@ from .mechanics import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class StepResult:
     """State after one implicit step plus solver diagnostics."""
 
@@ -57,7 +57,7 @@ class StepResult:
     residual: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Uniform-grid trajectory with recorded controls.
 
@@ -356,7 +356,7 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     return M, N, zero
 
 
-@dataclass
+@dataclass(eq=False)
 class TwoStepRecurrence:
     """Position-only recurrence x+2 = A2 x_k + B2 x_{k+1} + P0 u_k + P1 u_{k+1}."""
 
@@ -547,7 +547,7 @@ def linear_flow(a, z0, times) -> np.ndarray:
 ORDER_FLOOR = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class OrderStudy:
     """Log-log fit of global error against step size; ``exits`` holds, per
     step size, the ``OutsideChart`` its run raised (its error is NaN and
@@ -585,8 +585,11 @@ def order_study(stepper, reference_state, s0, t_final, h_list) -> OrderStudy:
     measured against.  Errors below ``ORDER_FLOOR`` flag the fit as
     floored (self-comparison / interpolation noise).  A run that raises
     ``OutsideChart`` is recorded in ``exits``; the fit takes the others.
+    A step size given twice is refused with ``ValueError`` before any run.
     """
     h_list = np.asarray(h_list, float)
+    if len(set(h_list.tolist())) < h_list.size:
+        raise ValueError(f"an order fit needs distinct step sizes, got {h_list.tolist()}")
     reference_state = np.asarray(reference_state, float)
     errors, exits = np.full(h_list.size, np.nan), [None] * h_list.size
     for i, h in enumerate(h_list):

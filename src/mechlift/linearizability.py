@@ -225,7 +225,7 @@ def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
     return term1 - term2 + term3 - term4
 
 
-@dataclass
+@dataclass(eq=False)
 class ConditionResult:
     """Verdict for one linearizability condition."""
 

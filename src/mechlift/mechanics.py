@@ -377,12 +377,13 @@ def _rotation_rates_matrix_inv(xi):
     return _EYE3 + 0.5 * X + c[..., None, None] * (X @ X)
 
 
-@dataclass
+@dataclass(eq=False)
 class RigidBodySystem:
     """Rotational rigid-body dynamics with inertia J: the group-level state
-    evolution, the torque/control substitution, the log/exp chart, the flat
-    linear target, and the exponential-chart mechanical system with its
-    derived feedback, used by the linearizability and equivalence checks."""
+    evolution, the torque/control substitution, the log/exp chart, and
+    ``bundle``, built once: the second-order system in exp coordinates xi,
+    valid for |xi| < pi, with velocity y = xidot, and its derived feedback
+    toward the flat target ``linear``.  Compared and hashed by identity."""
 
     inertia: np.ndarray
 
@@ -393,10 +394,13 @@ class RigidBodySystem:
         if np.abs(J - J.T).max() > 1e-12 or np.any(np.linalg.eigvalsh(J) <= 0):
             raise ValueError("inertia must be symmetric positive definite")
         self.inertia = J
-        self.linear = LinearMechanicalSystem(A=np.zeros((3, 3)), B=np.eye(3))
         system = MechanicalSystem(3, 3, gamma=_exp_chart_gamma, e=lambda x: np.zeros(3),
                                   g=_rotation_rates_matrix_inv)
-        self._exp_chart = MFTransform(system, identity_diffeomorphism(3), self.linear)
+        linear = LinearMechanicalSystem(A=np.zeros((3, 3)), B=np.eye(3))
+        self._bundle = SystemBundle(system, MFTransform(system, identity_diffeomorphism(3), linear))
+
+    bundle = property(lambda self: self._bundle)
+    linear = property(lambda self: self._bundle.linear)
 
     # -- group-level dynamics -------------------------------------------------
 
@@ -431,19 +435,9 @@ class RigidBodySystem:
     # -- mechanical-system chart views ------------------------------------------
 
     def exp_chart_system(self) -> MechanicalSystem:
-        """Second-order system in exp coordinates with velocity y = xidot.
-
-        Body angular velocity relates to chart rates via Omega = A(xi) y;
-        differentiating gives a velocity-quadratic drift term that
-        defines the connection coefficients, and control fields
-        g(xi) = A(xi)^-1.  Valid for |xi| < pi.  Built once per body: the
-        system :meth:`exp_chart_transform` is derived from.
-        """
-        return self._exp_chart.system
-
-    def exp_chart_transform(self) -> MFTransform:
-        """The :class:`MFTransform` of :meth:`exp_chart_system`, in place (identity chart)."""
-        return self._exp_chart
+        """``bundle.system``: body angular velocity Omega = A(xi) y, whose derivative
+        gives the connection coefficients, and control fields g(xi) = A(xi)^-1."""
+        return self._bundle.system
 
 
 def _exp_chart_gamma(x):
@@ -462,7 +456,7 @@ def _exp_chart_gamma(x):
 
 
 def rigid_body_system(inertia) -> RigidBodySystem:
-    """Rigid-body bundle for a symmetric positive definite inertia matrix."""
+    """Rigid body, with its exp-chart ``bundle``, of an SPD inertia matrix."""
     return RigidBodySystem(np.asarray(inertia, float))
 
 
@@ -473,7 +467,7 @@ def rigid_body_system(inertia) -> RigidBodySystem:
 MF_EQUIVALENCE_TOL = 1e-7
 
 
-@dataclass
+@dataclass(eq=False)
 class MFEquivalenceReport:
     max_defect: float
     witness: tuple | None

@@ -371,12 +371,35 @@ class TestOrderStudy:
         assert len(lines) == 13 and lines[1] == "explicit-euler,0.02,nan"
         assert all(np.isfinite(float(line.split(",")[2])) for line in lines[2:])
 
-    def test_so3_scheme_is_first_order(self, capsys):
+    def test_so3_scheme_is_first_order(self, tmp_path, capsys):
+        out = tmp_path / "os"
         assert main(["order-study", "so3", "--t-final", "2.0",
-                     "--h-list", "0.02,0.01,0.005,0.0025"]) == 0
+                     "--h-list", "0.02,0.01,0.005,0.0025", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
+        assert printed.startswith("so3/group: slope ")
         slope = float(printed.split("slope")[1].split()[0])
         assert abs(slope - 1.0) < 0.2
+        # the rows are labelled by what ran: the group PD loop, not a map
+        rows = (out / "order_study.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["group", h] for h in ("0.02", "0.01", "0.0050000000000000001", "0.0025000000000000001")]
+
+    @pytest.mark.parametrize("kinds", ["midpoint", "implicit-euler,midpoint"])
+    def test_so3_refuses_a_map(self, kinds, tmp_path, capsys):
+        # the group loop is no discretization map: a --map would be ignored
+        out = tmp_path / "os"
+        assert main(["order-study", "so3", "--map", kinds, "--out", str(out)]) == 4
+        assert capsys.readouterr() == (
+            "", "error: order-study so3 runs the group PD loop on SO(3), not a "
+                "discretization map: --map does not apply\n")
+        assert not out.exists()
+
+    def test_a_repeated_step_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "os"
+        assert main(["order-study", "pendulum", "--h-list", "0.02,0.02", "--out", str(out)]) == 4
+        assert capsys.readouterr() == (
+            "", "error: an order fit needs distinct step sizes, got [0.02, 0.02]\n")
+        assert not out.exists()
 
     def test_single_h_omits_slope(self, capsys):
         assert main(["order-study", "harmonic", "--h-list", "0.1"]) == 0

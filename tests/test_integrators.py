@@ -21,7 +21,6 @@ from mechlift import (
     Rotation,
     SingularFeedback,
     SingularStep,
-    SystemBundle,
     Uncontrollable,
     apply_feedback,
     fl_discretize,
@@ -396,7 +395,7 @@ class TestFlDiscretize:
     def test_a_shared_chart_jacobian_is_certified(self, rigid_body):
         # the exp-chart bundle's identity chart returns one Jacobian for a
         # whole stack; the orbit pass certifies every step of the loop
-        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform())
+        bundle = rigid_body.bundle
         gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
         s0 = np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2])
         traj = fl_discretize(bundle, make_midpoint(3), s0, 0.01, 100, gains=gains)
@@ -410,14 +409,14 @@ class TestFlDiscretize:
 
     def test_the_exp_chart_connection_is_differenced_once_a_call(self, rigid_body,
                                                                 monkeypatch):
-        # the bundle built from the body's two methods has the feedback's own
-        # system, so a certified call evaluates Gamma, a central difference
-        # of the rates matrix inverse, once, on the orbit's stack
+        # the body's bundle has the feedback's own system, so a certified
+        # call evaluates Gamma, a central difference of the rates matrix
+        # inverse, once, on the orbit's stack
         jacobian = mechlift.mechanics.numeric_jacobian
         calls = []
         monkeypatch.setattr(mechlift.mechanics, "numeric_jacobian",
                             lambda *args: calls.append(args) or jacobian(*args))
-        bundle = SystemBundle(rigid_body.exp_chart_system(), rigid_body.exp_chart_transform())
+        bundle = rigid_body.bundle
         assert bundle.system is rigid_body.exp_chart_system()
         gains = np.hstack([5.0 * np.eye(3), 10.0 * np.eye(3)])
         traj = fl_discretize(bundle, make_midpoint(3), np.array([0.3, -0.5, 0.2, 0.1, 0.4, -0.2]),
@@ -1223,3 +1222,12 @@ class TestOrderStudy:
                             1.0, [0.1])
         assert study.slope is None
         assert len(study.errors) == 1
+
+    @pytest.mark.parametrize("h_list", [[0.02, 0.02], [0.02, 0.01, 0.02]])
+    def test_a_repeated_step_size_is_refused_before_any_run(self, h_list):
+        # a fit over a repeated h is rank-deficient: no slope to report
+        def stepper(s, h, steps):
+            raise AssertionError("a run started")
+
+        with pytest.raises(ValueError, match="an order fit needs distinct step sizes, got"):
+            order_study(stepper, np.array([np.exp(-1.0)]), np.array([1.0]), 1.0, h_list)

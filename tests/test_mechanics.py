@@ -17,7 +17,6 @@ from mechlift import (
     OutsideChart,
     PendulumParams,
     SingularFeedback,
-    SystemBundle,
     apply_feedback,
     identity_diffeomorphism,
     pendulum_system,
@@ -29,10 +28,6 @@ from mechlift import (
 )
 
 M0, MD, J2 = PARAMS["m0"], PARAMS["md"], PARAMS["J2"]
-
-
-def exp_chart_bundle(body):
-    return SystemBundle(body.exp_chart_system(), body.exp_chart_transform())
 
 
 def harmonic_order_bundle(monkeypatch):
@@ -293,13 +288,13 @@ class TestBatchAware:
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "gammaF"])
     def test_rigid_body_feedback_callables(self, rigid_body, rng, name):
-        stack_rows_are_the_points(getattr(rigid_body.exp_chart_transform(), name),
+        stack_rows_are_the_points(getattr(rigid_body.bundle.transform, name),
                                   self.body_stack(rng))
 
     def test_rigid_body_leading_axes(self, rigid_body, rng):
         xi = self.body_stack(rng)
         sys3 = rigid_body.exp_chart_system()
-        for f in (sys3.gamma, sys3.g, rigid_body.exp_chart_transform().gammaF):
+        for f in (sys3.gamma, sys3.g, rigid_body.bundle.transform.gammaF):
             flat = f(xi)
             npt.assert_array_equal(f(xi.reshape(3, 3, 3)), flat.reshape((3, 3) + flat.shape[1:]))
 
@@ -368,7 +363,7 @@ class TestMfTransform:
 
     @pytest.mark.parametrize("shipped", [
         lambda monkeypatch: pendulum_system(),
-        lambda monkeypatch: exp_chart_bundle(rigid_body_system(np.diag([1.0, 2.0, 3.0]))),
+        lambda monkeypatch: rigid_body_system(np.diag([1.0, 2.0, 3.0])).bundle,
         lambda monkeypatch: harmonic_order_bundle(monkeypatch),
     ], ids=["pendulum", "rigid-body-exp-chart", "cli-harmonic"])
     def test_a_shipped_bundle_derives_its_feedback_from_its_plant(self, shipped, monkeypatch):
@@ -467,6 +462,17 @@ class TestRigidBody:
             z = rigid_body.to_chart(r, om)
             npt.assert_allclose(z[:3], xi, atol=1e-10)
             npt.assert_array_equal(z[3:], omega)
+
+    def test_the_body_reads_its_target_from_its_bundle(self):
+        # one exp-chart bundle per body, built once; the target has no second
+        # copy on the body to set apart
+        body = rigid_body_system(np.diag([1.0, 2.0, 3.0]))
+        assert body.linear is body.bundle.transform.linear
+        assert body.bundle.system is body.exp_chart_system() is body.bundle.transform.system
+        with pytest.raises(AttributeError):
+            body.linear = LinearMechanicalSystem(A=np.eye(3), B=np.eye(3))
+        with pytest.raises(AttributeError):
+            body.bundle = body.bundle
 
     def test_linear_target(self, rigid_body):
         a_full, b_full = rigid_body.linear.stacked()
@@ -572,7 +578,7 @@ class TestMFEquivalence:
 
     def test_rigid_body_exp_chart_passes(self, rigid_body, rng):
         sys3 = rigid_body.exp_chart_system()
-        t3 = rigid_body.exp_chart_transform()
+        t3 = rigid_body.bundle.transform
         samples = []
         for _ in range(50):
             xi = rng.normal(size=3)

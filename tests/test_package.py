@@ -1,5 +1,8 @@
 import inspect
 
+import numpy as np
+import pytest
+
 import mechlift
 
 PUBLIC = {
@@ -41,3 +44,29 @@ def test_a_bundle_and_the_checks_have_their_pinned_shapes():
     for check, names in ((mechlift.verify_mf_equivalence, ["sys", "t", "samples"]),
                          (mechlift.verify_axioms, ["dmap", "samples"])):
         assert list(inspect.signature(check).parameters) == names, check.__name__
+
+
+_EYE = np.eye(3)
+VALUES_HOLDING_ARRAYS = {
+    "Rotation": lambda: mechlift.Rotation(_EYE),
+    "Trajectory": lambda: mechlift.Trajectory(np.arange(3.0), np.zeros((3, 2))),
+    "StepResult": lambda: mechlift.StepResult(np.zeros(2), 1, 0.0),
+    "OrderStudy": lambda: mechlift.OrderStudy(np.ones(2), np.ones(2), None, None, False,
+                                              [None, None]),
+    "TwoStepRecurrence": lambda: mechlift.integrators.TwoStepRecurrence(_EYE, _EYE, _EYE, _EYE),
+    "ConditionResult": lambda: mechlift.ConditionResult("MD1", "fail", 1.0, np.zeros(2), 1e-8),
+    "MFEquivalenceReport": lambda: mechlift.mechanics.MFEquivalenceReport(
+        1.0, (np.zeros(2), np.zeros(2), np.zeros(1)), 1e-7),
+    "RigidBodySystem": lambda: mechlift.rigid_body_system(_EYE),
+    "LinearMechanicalSystem": lambda: mechlift.LinearMechanicalSystem(_EYE, _EYE),
+    "MFTransform": lambda: mechlift.pendulum_system().transform,
+}
+
+
+@pytest.mark.parametrize("make", VALUES_HOLDING_ARRAYS.values(), ids=VALUES_HOLDING_ARRAYS)
+def test_a_value_holding_arrays_compares_and_hashes_by_identity(make):
+    # a generated == would compare the arrays inside a tuple and raise on
+    # their ambiguous truth value, and would leave the class unhashable
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

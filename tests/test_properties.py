@@ -249,7 +249,7 @@ def test_orbit_pass_is_the_per_step_path(builder, s0, h):
 def test_derived_rigid_body_feedback_is_the_rates_matrix(axis, angle):
     # identity chart, target (0, I) and e = 0: P = (R(xi)^-1)^+ = R(xi), R the
     # rates matrix, so beta = R(xi), gammaF = R(xi) Gamma and alpha = 0
-    xi, t = angle * axis, BODY.exp_chart_transform()
+    xi, t = angle * axis, BODY.bundle.transform
     rates = _rotation_rates_matrix(xi)
     npt.assert_allclose(t.beta(xi), rates, rtol=0, atol=1e-12)
     npt.assert_allclose(t.gammaF(xi),
