@@ -14,10 +14,12 @@ and commute.  Charts and maps act row by row on (..., n) stacks of
 points, so the axioms of any map are checked on a whole stack at once.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import SECOND_ORDER_STEP, _matvec, float_array, numeric_jacobian
+from .geometry import SECOND_ORDER_STEP, _matvec, _sample_stack, float_array, numeric_jacobian
 
 _KINDS = ("explicit-euler", "implicit-euler", "midpoint", "lifted", "tangent-lift")
 AXIOM_ZERO_TOL = 1e-10
@@ -125,43 +127,26 @@ def make_midpoint(n) -> DiscretizationMap:
     return _theta_map(int(n), "midpoint", 0.5)
 
 
+@dataclass(eq=False)
 class AxiomReport:
-    """Per-sample defects of the two discretization-map axioms."""
+    """Per-sample defects of the two discretization-map axioms.  A sample
+    fails unless both its defects are below ``tols``, so a NaN defect
+    fails; the report passes when no sample fails.  Compared and hashed
+    by identity."""
 
-    def __init__(self, kind, points, zero_defects, jacobian_defects):
-        self.kind = kind
-        self.points = points
-        self.zero_defects = np.asarray(zero_defects)
-        self.jacobian_defects = np.asarray(jacobian_defects)
-        self.tols = (AXIOM_ZERO_TOL, AXIOM_JACOBIAN_TOL)
+    kind: str
+    points: np.ndarray
+    zero_defects: np.ndarray
+    jacobian_defects: np.ndarray
 
-    @property
-    def worst_zero(self):
-        return float(self.zero_defects.max())
-
-    @property
-    def worst_jacobian(self):
-        return float(self.jacobian_defects.max())
-
-    @property
-    def passed(self):
-        return bool(
-            (self.zero_defects < self.tols[0]).all()
-            and (self.jacobian_defects < self.tols[1]).all()
-        )
+    tols = (AXIOM_ZERO_TOL, AXIOM_JACOBIAN_TOL)
+    worst_zero = property(lambda self: float(self.zero_defects.max()))
+    worst_jacobian = property(lambda self: float(self.jacobian_defects.max()))
+    passed = property(lambda self: not self.failures())
 
     def failures(self):
-        bad = (self.zero_defects >= self.tols[0]) | (
-            self.jacobian_defects >= self.tols[1]
-        )
-        return [self.points[i] for i in np.nonzero(bad)[0]]
-
-    def __repr__(self):
-        flag = "pass" if self.passed else "FAIL"
-        return (
-            f"AxiomReport({self.kind}: {flag}, "
-            f"zero {self.worst_zero:.2e}, jacobian {self.worst_jacobian:.2e})"
-        )
+        ok = (self.zero_defects < self.tols[0]) & (self.jacobian_defects < self.tols[1])
+        return [self.points[i] for i in np.nonzero(~ok)[0]]
 
 
 def verify_axioms(dmap, samples) -> AxiomReport:
@@ -173,17 +158,15 @@ def verify_axioms(dmap, samples) -> AxiomReport:
     The map acts row by row on stacks, so both are checked in one pass over
     the (N, n) stack of samples, with one ``numeric_jacobian`` call for all N
     points; each sample's defects are the ones it gets when checked alone.  An
-    empty ``samples`` raises ``ValueError``, and a sample that is not a
-    ``dim``-vector ``DimensionMismatch`` naming its index.
+    empty ``samples`` raises ``ValueError``; a sample that is not a ``dim``-vector
+    raises ``DimensionMismatch``, and one with a NaN/Inf ``NonFinite``, each
+    naming its index before the map runs.
     """
     n = dmap.dim
-    points = [np.asarray(x, float) for x in samples]
-    if not points:
+    x = _sample_stack(samples, n)
+    if not len(x):
         raise ValueError("verify_axioms needs at least one sample")
-    for i, x in enumerate(points):
-        if x.shape != (n,):
-            raise DimensionMismatch(f"sample {i} must be a {n}-vector, got shape {x.shape}")
-    x, zero = np.array(points), np.zeros((len(points), n))
+    zero = np.zeros(x.shape)
     a, b = dmap.forward(x, zero)
     zero_defects = np.maximum(np.abs(a - x).max(axis=-1), np.abs(b - x).max(axis=-1))
 
@@ -193,7 +176,7 @@ def verify_axioms(dmap, samples) -> AxiomReport:
         return hi - lo
 
     dv = numeric_jacobian(second_minus_first, zero)
-    return AxiomReport(dmap.kind, points, zero_defects, np.abs(dv - np.eye(n)).max(axis=(-2, -1)))
+    return AxiomReport(dmap.kind, x, zero_defects, np.abs(dv - np.eye(n)).max(axis=(-2, -1)))
 
 
 class Diffeomorphism:

@@ -43,6 +43,21 @@ def _vec(a, name):
     return v
 
 
+def _sample_stack(samples, n):
+    """The sample points as one float (k, n) stack; a sample that is not a
+    finite n-vector is refused, by its index, before any callable sees it."""
+    points = [float_array(x) for x in samples]
+    for i, x in enumerate(points):
+        if x.shape != (n,):
+            raise DimensionMismatch(f"sample {i} must be a {n}-vector, got shape {x.shape}")
+    xs = np.array(points).reshape(len(points), n)
+    # one test on the stack: ndarray.all reduces at microseconds a call
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise NonFinite(f"sample {int(finite.argmin())} contains NaN/Inf")
+    return xs
+
+
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, WrongDimensions
-from .geometry import RANK_TOL, SECOND_ORDER_STEP, _matvec, _norms, float_array, numeric_jacobian
+from .geometry import (RANK_TOL, SECOND_ORDER_STEP, _matvec, _norms, _sample_stack, float_array,
+                       numeric_jacobian)
 from .mechanics import MechanicalSystem
 
 MEMBERSHIP_TOL = 1e-6
@@ -209,7 +210,8 @@ def _second_covariant(d2z, xv, yv, zv, dz, G, dG):
 def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
     """Curvature R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
 
-    At a point, or row by row on a (..., n) stack of points.
+    At a point, or row by row on a (..., n) stack of points; ``NonFinite``
+    if any entry is NaN/Inf.
     """
     x = float_array(x)
     n = sys.n
@@ -222,7 +224,10 @@ def curvature_tensor(sys: MechanicalSystem, x) -> np.ndarray:
     term2 = np.einsum("...likj->...ijkl", dG)
     term3 = np.einsum("...ikm,...mlj->...ijkl", G, G)
     term4 = np.einsum("...ilm,...mkj->...ijkl", G, G)
-    return term1 - term2 + term3 - term4
+    out = term1 - term2 + term3 - term4
+    if not np.isfinite(out).all():
+        raise NonFinite("curvature tensor returned NaN/Inf")
+    return out
 
 
 @dataclass(eq=False)
@@ -246,7 +251,7 @@ class ConditionReport:
 
     @property
     def passed(self):
-        return all(c.verdict == "pass" for c in self.conditions)
+        return all(c.passed for c in self.conditions)
 
     def __getitem__(self, name):
         for c in self.conditions:
@@ -295,20 +300,6 @@ def _least(xs, values):
     return values[i], xs[i].copy()
 
 
-def _sample_stack(sys, samples):
-    """The sample points as one (k, n) stack; a sample that is not
-    finite is refused, by its index, before any field sees it."""
-    xs = float_array(list(samples))
-    if xs.size == 0:
-        return xs.reshape(0, sys.n)
-    if xs.ndim != 2 or xs.shape[1] != sys.n:
-        raise DimensionMismatch(f"samples must be {sys.n}-vectors, got shape {xs.shape}")
-    finite = np.isfinite(xs).all(axis=1)
-    if not finite.all():
-        raise NonFinite(f"sample {int(finite.argmin())} contains NaN/Inf")
-    return xs
-
-
 def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     """Planar (n = 2, m = 1) linearizability conditions on a sample grid.
 
@@ -326,7 +317,7 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
 
-    xs = _sample_stack(sys, samples)
+    xs = _sample_stack(samples, sys.n)
     e_field, g_matrix = _field(sys.e, (sys.n,)), _field(sys.g, (sys.n, sys.m))
     g_field = lambda p: g_matrix(p)[..., 0]
     ad_field = lambda p: lie_bracket(e_field, g_field, p)
@@ -421,7 +412,7 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     bracket ad_e g_r and [g_r, g_s] and every nabla g_r is read from
     those two Jacobians column by column.
     """
-    xs = _sample_stack(sys, samples)
+    xs = _sample_stack(samples, sys.n)
     n, m = sys.n, sys.m
     e_field, g_matrix = _field(sys.e, (sys.n,)), _field(sys.g, (sys.n, sys.m))
     evs, e0s = e_field(xs), g_matrix(xs)
@@ -463,6 +454,8 @@ def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
         G0, g0 = _values(sys.gamma, x0, (n,) * 3), e0s[at0]
         ngs = np.stack([dg[r][at0] + np.einsum("...ijk,...k->...ij", G0, g0[..., r])
                         for r in range(m)], axis=1)
+        if not np.isfinite(ngs).all():
+            raise NonFinite("covariant derivative of a control field returned NaN/Inf")
         ml4 = _worst(x0, np.abs(np.swapaxes(ann0, -1, -2)[:, None] @ ngs).max(axis=(2, 3)),
                      np.maximum(np.abs(ngs).max(axis=(2, 3)), 1.0))
     at1 = ranks1 < n

@@ -32,8 +32,6 @@ from .geometry import (
     float_array,
     hat,
     numeric_jacobian,
-    so3_exp,
-    so3_log,
 )
 
 
@@ -153,22 +151,16 @@ def _quadratic(q, y):
 def sode_field(sys: MechanicalSystem, s, u):
     """Second-order vector field of a mechanical system on the packed (x, y).
 
-    Returns the 2n-vector (xdot, ydot) with xdot = y and ydot the
-    :func:`_acceleration` at (x, y) under the m-vector control u;
-    ``DimensionMismatch`` unless s has 2n entries and u m.  On a
-    (..., 2n) stack of states and a (..., m) stack of controls it returns
-    the stack of fields.
+    Returns the 2n-vector (xdot, ydot) with xdot = y and
+    ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i under the m-vector control u;
+    ``DimensionMismatch`` unless s has 2n entries and u m.  On a (..., 2n)
+    stack of states and a (..., m) stack of controls it returns the stack of
+    fields.
     """
     s = float_array(s)
-    y = s[..., sys.n:]
-    return np.concatenate([y, _acceleration(sys, s[..., :sys.n], y, u)], axis=-1)
-
-
-def _acceleration(sys: MechanicalSystem, x, y, u):
-    """ydot_i = -Gamma^i_jk y_j y_k + e_i + (g u)_i at float (..., n) stacks x, y;
-    ``DimensionMismatch`` unless each has n entries and u m (sized as packed)."""
+    x, y = s[..., :sys.n], s[..., sys.n:]
     w, u = _drift(sys, x, y, u)
-    return w + _matvec(float_array(sys.g(x)), u)
+    return np.concatenate([y, w + _matvec(float_array(sys.g(x)), u)], axis=-1)
 
 
 def _sized(sys: MechanicalSystem, x, y, u, where=""):
@@ -380,10 +372,12 @@ def _rotation_rates_matrix_inv(xi):
 @dataclass(eq=False)
 class RigidBodySystem:
     """Rotational rigid-body dynamics with inertia J: the group-level state
-    evolution, the torque/control substitution, the log/exp chart, and
-    ``bundle``, built once: the second-order system in exp coordinates xi,
-    valid for |xi| < pi, with velocity y = xidot, and its derived feedback
-    toward the flat target ``linear``.  Compared and hashed by identity."""
+    evolution, the torque/control substitution, and ``bundle``, built once:
+    the second-order system in exp coordinates xi, valid for |xi| < pi, with
+    velocity y = xidot, and its derived feedback toward the flat target
+    ``linear``.  A rotation goes to and from its chart point by ``so3_log``
+    and ``so3_exp``; the bundle's state pairs xi with xidot, not with the body
+    angular velocity.  Compared and hashed by identity."""
 
     inertia: np.ndarray
 
@@ -422,16 +416,6 @@ class RigidBodySystem:
             self.inertia, np.asarray(tau, float) - np.cross(omega, self.inertia @ omega)
         )
 
-    # -- log/exp chart ---------------------------------------------------------
-
-    def to_chart(self, rotation, omega):
-        """Stacked (xi, Omega) with xi the axis-angle coordinates of the rotation."""
-        return np.concatenate([so3_log(rotation), np.asarray(omega, float)])
-
-    def from_chart(self, z):
-        z = np.asarray(z, float)
-        return so3_exp(z[:3]), z[3:].copy()
-
     # -- mechanical-system chart views ------------------------------------------
 
     def exp_chart_system(self) -> MechanicalSystem:
@@ -464,14 +448,12 @@ def rigid_body_system(inertia) -> RigidBodySystem:
 # equivalence check
 # ---------------------------------------------------------------------------
 
-MF_EQUIVALENCE_TOL = 1e-7
-
-
 @dataclass(eq=False)
 class MFEquivalenceReport:
     max_defect: float
     witness: tuple | None
-    tol: float
+
+    tol = 1e-7
 
     @property
     def passed(self):
@@ -509,4 +491,4 @@ def verify_mf_equivalence(sys: MechanicalSystem, t: MFTransform, samples) -> MFE
     i = int(np.where(np.isfinite(defects), defects, np.inf).argmax())
     worst = float(defects[i])
     witness = None if worst == 0.0 else (x[i].copy(), y[i].copy(), ut[i].copy())
-    return MFEquivalenceReport(worst, witness, MF_EQUIVALENCE_TOL)
+    return MFEquivalenceReport(worst, witness)

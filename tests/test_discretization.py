@@ -7,9 +7,11 @@ import pytest
 
 import mechlift
 from mechlift import (
+    AxiomReport,
     Diffeomorphism,
     DimensionMismatch,
     DiscretizationMap,
+    NonFinite,
     OutsideChart,
     identity_diffeomorphism,
     lift_by_diffeo,
@@ -110,6 +112,12 @@ class TestBuiltins:
             npt.assert_allclose(v2, v, atol=1e-14)
 
 
+def test_an_unknown_kind_is_refused():
+    midpoint = make_midpoint(2)
+    with pytest.raises(ValueError, match="unknown kind 'rk4'"):
+        DiscretizationMap(2, "rk4", midpoint.forward, midpoint.inverse, midpoint.jacobian)
+
+
 class TestVerifyAxioms:
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_builtins_pass(self, builder, rng):
@@ -167,6 +175,33 @@ class TestVerifyAxioms:
     def test_refuses_no_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
             verify_axioms(make_midpoint(2), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_non_finite_sample_by_its_index_before_the_map_runs(self, bad):
+        calls = []
+        midpoint = make_midpoint(2)
+        watched = DiscretizationMap(2, "midpoint",
+                                    lambda x, v: calls.append(x) or midpoint.forward(x, v),
+                                    midpoint.inverse, midpoint.jacobian)
+        with pytest.raises(NonFinite, match="sample 1 contains NaN/Inf"):
+            verify_axioms(watched, [np.zeros(2), np.array([0.0, bad]), np.ones(2)])
+        assert calls == []
+
+    @pytest.mark.parametrize("zero, jac", [
+        ([0.0, np.nan, 0.0], [0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan]),
+        ([0.0, 0.0, 0.0], [0.0, 1e-6, 0.0]),
+    ], ids=["nan-zero-defect", "nan-jacobian-defect", "at-the-bound"])
+    def test_passed_is_false_exactly_when_a_sample_fails(self, zero, jac):
+        # a NaN defect fails its sample, so the report cannot fail with no
+        # failing sample to name
+        points = [np.zeros(2), np.ones(2), np.full(2, 2.0)]
+        report = AxiomReport("midpoint", points, np.array(zero), np.array(jac))
+        bad = [i for i in range(3) if not (zero[i] < 1e-10 and jac[i] < 1e-6)]
+        assert not report.passed
+        assert [p.tobytes() for p in report.failures()] == [points[i].tobytes() for i in bad]
+        clean = AxiomReport("midpoint", points, np.zeros(3), np.zeros(3))
+        assert clean.passed and clean.failures() == []
 
 
 class TestLiftByDiffeo:

@@ -55,6 +55,18 @@ class TestHatVee:
         with pytest.raises(NotSkew):
             vee(np.diag([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("f", [hat, so3_exp], ids=["hat", "so3_exp"])
+    @pytest.mark.parametrize("w", [np.zeros(2), np.zeros(4)], ids=["2-vector", "4-vector"])
+    def test_a_non_3_vector_is_refused(self, f, w):
+        with pytest.raises(DimensionMismatch, match="expects a 3-vector"):
+            f(w)
+
+    @pytest.mark.parametrize("s", [np.zeros((2, 2)), np.zeros(3), np.zeros((3, 4))],
+                             ids=["2x2", "vector", "3x4"])
+    def test_vee_refuses_a_non_3x3_matrix(self, s):
+        with pytest.raises(DimensionMismatch, match="vee expects a 3x3 matrix"):
+            vee(s)
+
     def test_mutually_inverse_bit_exact(self, rng):
         for _ in range(20):
             w = rng.normal(size=3)
@@ -129,6 +141,10 @@ class TestNumericJacobian:
         for step in (1e-6, 1e-4):
             jac = numeric_jacobian(f, x0, step=step)
             assert np.abs(jac - analytic).max() < 10 * step**2 + 1e-9
+
+    def test_a_scalar_point_is_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"x0 must be a 1-d vector, got shape \(\)"):
+            numeric_jacobian(lambda x: x, 0.5)
 
     def test_non_finite_detection(self):
         f = lambda x: np.where(x[..., :1] < 0, np.inf, x[..., :1])

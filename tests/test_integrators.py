@@ -129,6 +129,11 @@ class TestStepSode:
         out = step_sode(tangent_lift(make_midpoint(2)), unforced(sys), s0, 0.05)
         npt.assert_allclose(out.state, s0, atol=1e-14)
 
+    @pytest.mark.parametrize("s_k", [np.zeros(3), np.zeros(5)], ids=["short", "long"])
+    def test_rejects_a_state_of_another_size(self, s_k):
+        with pytest.raises(DimensionMismatch, match="state dimension does not match the map"):
+            step_sode(tangent_lift(make_midpoint(2)), lambda s: s, s_k, 0.1)
+
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.01])
     def test_rejects_a_step_size_that_is_not_finite_positive(self, pendulum, h):
         lift = tangent_lift(make_midpoint(1))
@@ -1124,6 +1129,16 @@ class TestTrajectoryGrid:
     def test_non_uniform_grid_refused(self, t):
         with pytest.raises(ValueError, match="uniform and strictly increasing"):
             Trajectory(t, np.zeros((3, 1)))
+
+
+    def test_a_state_row_per_grid_point_required(self):
+        with pytest.raises(DimensionMismatch, match="one state row per grid point"):
+            Trajectory([0.0, 0.01, 0.02], np.zeros((2, 4)))
+
+
+def test_grid_steps_refuses_an_overflowing_ratio():
+    with pytest.raises(ValueError, match="t_final / h overflows"):
+        mechlift.integrators.grid_steps(1e300, 1e-300)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -290,6 +290,64 @@ class TestRefusedSamples:
         assert evaluated == []
 
 
+    @pytest.mark.parametrize("check", [check_planar, check_general])
+    def test_a_sample_of_another_size_is_named_before_any_field_runs(self, pendulum, check):
+        # ragged samples get the package's error, not numpy's
+        sys = pendulum.system
+        ran = []
+        watched = MechanicalSystem(sys.n, sys.m, lambda x: ran.append(x) or sys.gamma(x),
+                                   lambda x: ran.append(x) or sys.e(x),
+                                   lambda x: ran.append(x) or sys.g(x))
+        with pytest.raises(DimensionMismatch, match=r"sample 1 must be a 2-vector, got shape \(3,\)"):
+            check(watched, [np.zeros(2), np.zeros(3)])
+        assert ran == []
+
+
+def inverse_square_connection():
+    """Gamma^0_11 = 1/|x|^2, e = (x2, 0), g = (0, 1): Gamma is infinite at 0."""
+    def gamma(x):
+        G = np.zeros(x.shape[:-1] + (2, 2, 2))
+        with np.errstate(divide="ignore"):
+            G[..., 0, 1, 1] = 1.0 / (x * x).sum(axis=-1)
+        return G
+
+    return MechanicalSystem(2, 1, gamma=gamma,
+                            e=lambda x: np.stack([x[..., 1], 0.0 * x[..., 0]], axis=-1),
+                            g=lambda x: np.array([[0.0], [1.0]]))
+
+
+class TestNonFiniteTensors:
+    """A NaN/Inf curvature or covariant derivative of g raises, rather than
+    reading as no defect and hiding another sample's failure."""
+
+    def test_a_finite_sample_fails_ml3_and_ml4(self):
+        report = check_general(inverse_square_connection(), [np.array([0.5, 0.1])])
+        for name, defect in (("ML3", 14.79), ("ML4", 3.85)):
+            assert report[name].verdict == "fail", name
+            assert report[name].defect == pytest.approx(defect, abs=0.01), name
+
+    def test_an_infinite_connection_on_the_grid_raises(self):
+        with pytest.raises(NonFinite, match="curvature tensor returned NaN/Inf"):
+            check_general(inverse_square_connection(), [np.zeros(2), np.array([0.5, 0.1])])
+
+    def test_curvature_tensor_refuses_a_non_finite_value(self):
+        with pytest.raises(NonFinite, match="curvature tensor returned NaN/Inf"):
+            curvature_tensor(inverse_square_connection(), np.zeros((2, 2)))
+
+    def test_an_overflowing_covariant_derivative_of_g_raises(self):
+        # a finite curvature, but Gamma g overflows in nabla g
+        def gamma(x):
+            G = np.zeros(x.shape[:-1] + (2, 2, 2))
+            G[..., 0, 1, 1] = 10.0
+            return G
+
+        sys = MechanicalSystem(2, 1, gamma=gamma,
+                               e=lambda x: np.stack([x[..., 1], 0.0 * x[..., 0]], axis=-1),
+                               g=lambda x: np.array([[0.0], [1e308]]))
+        with pytest.raises(NonFinite, match="covariant derivative of a control field"):
+            check_general(sys, [np.array([0.5, 0.1])])
+
+
 class TestCheckGeneral:
     def test_pendulum_passes(self, pendulum):
         samples = [np.array([x1, 0.0]) for x1 in np.linspace(-1.3, 1.3, 21)]
@@ -537,6 +595,13 @@ def test_controls_keep_their_pinned_reports(pendulum, control):
             assert c.witness is None, name
         else:
             assert c.witness.tobytes() == samples[witness].tobytes(), name
+
+
+def test_a_report_refuses_an_unknown_condition_name(pendulum):
+    report = check_planar(pendulum.system, [np.array([0.1, 0.0])])
+    assert report["MD2"] is report.conditions[1]
+    with pytest.raises(KeyError, match="ML9"):
+        report["ML9"]
 
 
 def test_ml2_with_zero_control_fields_has_a_finite_defect():

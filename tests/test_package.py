@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +58,9 @@ VALUES_HOLDING_ARRAYS = {
     "TwoStepRecurrence": lambda: mechlift.integrators.TwoStepRecurrence(_EYE, _EYE, _EYE, _EYE),
     "ConditionResult": lambda: mechlift.ConditionResult("MD1", "fail", 1.0, np.zeros(2), 1e-8),
     "MFEquivalenceReport": lambda: mechlift.mechanics.MFEquivalenceReport(
-        1.0, (np.zeros(2), np.zeros(2), np.zeros(1)), 1e-7),
+        1.0, (np.zeros(2), np.zeros(2), np.zeros(1))),
+    "AxiomReport": lambda: mechlift.AxiomReport("midpoint", [np.zeros(2)], np.zeros(1),
+                                                np.zeros(1)),
     "RigidBodySystem": lambda: mechlift.rigid_body_system(_EYE),
     "LinearMechanicalSystem": lambda: mechlift.LinearMechanicalSystem(_EYE, _EYE),
     "MFTransform": lambda: mechlift.pendulum_system().transform,
@@ -70,3 +74,15 @@ def test_a_value_holding_arrays_compares_and_hashes_by_identity(make):
     a, b = make(), make()
     assert a == a and not a == b and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_the_readme_example_stabilizes_the_pendulum():
+    # the documented usage runs as written; from pi/4 the pendulum angle and
+    # its rate end near the upright equilibrium (the wheel keeps spinning)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {"print": lambda *args: None}
+    exec(example, scope)
+    states = scope["traj"].states
+    assert states[0, 0] == np.pi / 4 and len(states) == 101
+    assert np.abs(states[-1, [0, 2]]).max() < 0.01
