@@ -157,15 +157,12 @@ def verify_axioms(dmap, samples) -> AxiomReport:
     the identity, estimated by central differences, to ``AXIOM_JACOBIAN_TOL``.
     The map acts row by row on stacks, so both are checked in one pass over
     the (N, n) stack of samples, with one ``numeric_jacobian`` call for all N
-    points; each sample's defects are the ones it gets when checked alone.  An
-    empty ``samples`` raises ``ValueError``; a sample that is not a ``dim``-vector
-    raises ``DimensionMismatch``, and one with a NaN/Inf ``NonFinite``, each
-    naming its index before the map runs.
+    points; each sample's defects are the ones it gets when checked alone.
+    Empty ``samples`` raise ``ValueError``, and a sample that is not a finite
+    ``dim``-vector ``DimensionMismatch`` or ``NonFinite``, before the map runs.
     """
     n = dmap.dim
     x = _sample_stack(samples, n)
-    if not len(x):
-        raise ValueError("verify_axioms needs at least one sample")
     zero = np.zeros(x.shape)
     a, b = dmap.forward(x, zero)
     zero_defects = np.maximum(np.abs(a - x).max(axis=-1), np.abs(b - x).max(axis=-1))

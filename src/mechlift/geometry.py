@@ -44,13 +44,15 @@ def _vec(a, name):
 
 
 def _sample_stack(samples, n):
-    """The sample points as one float (k, n) stack; a sample that is not a
-    finite n-vector is refused, by its index, before any callable sees it."""
+    """The sample points as one float (k, n) stack, k >= 1; a sample that is
+    not a finite n-vector is refused, by its index, before any callable sees it."""
     points = [float_array(x) for x in samples]
+    if not points:
+        raise ValueError("need at least one sample")
     for i, x in enumerate(points):
         if x.shape != (n,):
             raise DimensionMismatch(f"sample {i} must be a {n}-vector, got shape {x.shape}")
-    xs = np.array(points).reshape(len(points), n)
+    xs = np.array(points)
     # one test on the stack: ndarray.all reduces at microseconds a call
     finite = np.isfinite(xs).all(axis=1)
     if not finite.all():
@@ -171,8 +173,9 @@ def vee(s) -> np.ndarray:
 
 
 def _rodrigues(x, y, z):
-    """The nine entries of exp(hat(w)), row by row, for finite floats
-    w = (x, y, z): I + a K + b K^2 with K = hat(w) and K^2 = w w^T - |w|^2 I.
+    """The nine entries of exp(hat(w)), row by row, for floats w = (x, y, z),
+    none NaN: I + a K + b K^2 with K = hat(w) and K^2 = w w^T - |w|^2 I.
+    An angle |w| that overflows to inf raises ``NonFinite``.
 
     Series expansions of a = sin(t)/t and b = (1-cos(t))/t^2 take over
     below t = 1e-4 to avoid cancellation.
@@ -182,6 +185,8 @@ def _rodrigues(x, y, z):
     if th < 1e-4:
         a = 1.0 - th**2 / 6.0 + th**4 / 120.0
         b = 0.5 - th**2 / 24.0 + th**4 / 720.0
+    elif th == math.inf:
+        raise NonFinite(f"rotation angle |w| overflows, w = ({x!r}, {y!r}, {z!r})")
     else:
         a = math.sin(th) / th
         b = (1.0 - math.cos(th)) / th**2
@@ -193,7 +198,8 @@ def _rodrigues(x, y, z):
 
 
 def so3_exp(w) -> Rotation:
-    """Rotation about axis w/|w| by angle |w| (Rodrigues formula)."""
+    """Rotation about axis w/|w| by angle |w| (Rodrigues formula); an
+    angle that overflows to inf raises ``NonFinite``."""
     w = _vec(w, "w")
     if w.size != 3:
         raise DimensionMismatch("so3_exp expects a 3-vector")
@@ -204,8 +210,8 @@ def so3_log(r) -> np.ndarray:
     """Axis-angle 3-vector of a rotation, principal branch (angle < pi).
 
     Past 2 pi / 3 the axis comes from the symmetric part of r, so the
-    result keeps full accuracy up to the guard band.  The nine entries
-    are read once as Python floats; the scalar work runs in ``math``.
+    result keeps full accuracy up to the guard band.  ``r`` is read as the
+    attitude step reads it (:func:`_entries`), refused as ``Rotation(r)`` is.
 
     Raises
     ------
@@ -213,8 +219,7 @@ def so3_log(r) -> np.ndarray:
         When trace(r) <= -1 + 1e-9: the angle is within the branch cut's
         guard band and the axis sign is ambiguous.
     """
-    m = r.r if isinstance(r, Rotation) else np.asarray(r, dtype=float)
-    return np.array(_log(m.ravel().tolist()))
+    return np.array(_log(_entries(r)))
 
 
 def _log(entries):

@@ -404,8 +404,9 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     """Single-input state feedback by Ackermann's formula.
 
     Places the eigenvalues of the stacked closed-loop matrix A - B K at
-    ``poles``; the result is validated against an eigensolver to 1e-6
-    relative.
+    ``poles``, which must be finite (``NonFinite``) and closed under
+    conjugation (``ValueError``); the result is validated against an
+    eigensolver to 1e-6 relative.
     """
     if lms.m != 1:
         raise MultiInputUnsupported("pole placement implemented for m = 1 only")
@@ -414,6 +415,8 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     dim = A.shape[0]
     if poles.size != dim:
         raise DimensionMismatch(f"need {dim} poles, got {poles.size}")
+    if not np.isfinite(poles).all():
+        raise NonFinite("poles contain NaN/Inf")
     if not np.allclose(np.sort_complex(poles), np.sort_complex(poles.conj())):
         raise ValueError("pole set must be closed under conjugation")
 
@@ -464,14 +467,18 @@ def _theta_update(a, h, theta, b=None):
 
 
 def _times_gain(k, v, name):
-    """K v as three floats, for a gain K that is a scalar or a 3x3 matrix
-    and three floats v."""
+    """K v as three floats, for a gain K that is a finite scalar or 3x3
+    matrix and three floats v."""
     if isinstance(k, (int, float)) or np.ndim(k) == 0:
         k = float(k)
+        if not math.isfinite(k):
+            raise NonFinite(f"{name} is not finite, got {k}")
         return k * v[0], k * v[1], k * v[2]
     k = np.asarray(k, float)
     if k.shape != (3, 3):
         raise DimensionMismatch(f"{name} must be a scalar or a 3x3 matrix, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise NonFinite(f"{name} contains NaN/Inf")
     return (k @ v).tolist()
 
 
@@ -482,15 +489,14 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     The rotation update is a group product, so orthogonality is
     preserved to roundoff regardless of step size; R+ is the one
     ``Rotation`` the step builds, validated as every rotation is, on the
-    nine floats of the product before they are put in its array.  The
-    entries of R and Omega are read once as Python floats and checked
-    there: R as ``Rotation`` checks a matrix (a ``Rotation`` whose ``r``
-    was replaced is refused with the same error), Omega as a finite
-    3-vector (``DimensionMismatch``, ``NonFinite`` for NaN/Inf).  The
-    logarithm, the increment and the product R exp(h hat(Omega)) run on
-    them in ``math``.  Each gain is a scalar (K I) or a 3x3 matrix; any
-    other shape raises ``DimensionMismatch``.  A ``float`` gain and h are
-    used as they are.  h must be a finite positive number.
+    nine floats of the product before they are put in its array.  R is
+    read as :func:`so3_log` reads it and Omega as a finite 3-vector
+    (``DimensionMismatch``, ``NonFinite``), each once as Python floats;
+    the logarithm, the increment and the product R exp(h hat(Omega))
+    run on them in ``math``.  Each gain is a finite scalar (K I) or 3x3
+    matrix (``DimensionMismatch``, ``NonFinite`` otherwise), and h a
+    finite positive number; an h Omega whose angle overflows raises
+    ``NonFinite``.  A ``float`` gain and h are used as they are.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
     omega = np.asarray(omega, dtype=float)
@@ -509,10 +515,10 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
         r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
         r20 * e02 + r21 * e12 + r22 * e22,
     ])
-    a0, a1, a2 = (k1 * xi[0], k1 * xi[1], k1 * xi[2]) if type(k1) is float else \
-        _times_gain(k1, xi, "K1")
-    b0, b1, b2 = (k2 * w[0], k2 * w[1], k2 * w[2]) if type(k2) is float else \
-        _times_gain(k2, w, "K2")
+    a0, a1, a2 = (k1 * xi[0], k1 * xi[1], k1 * xi[2]) if type(k1) is float and \
+        math.isfinite(k1) else _times_gain(k1, xi, "K1")
+    b0, b1, b2 = (k2 * w[0], k2 * w[1], k2 * w[2]) if type(k2) is float and \
+        math.isfinite(k2) else _times_gain(k2, w, "K2")
     return r_next, np.array([w[0] - h * a0 - h * b0, w[1] - h * a1 - h * b1,
                              w[2] - h * a2 - h * b2])
 

@@ -284,7 +284,7 @@ def _worst(xs, defects, scales=1.0):
     larger quotients picks it; (0.0, None, 1.0) if none is."""
     defects, scales = np.broadcast_arrays(defects, scales)
     ratios = (defects / scales).reshape(-1)
-    if not ratios.size or not ratios.max() > 0.0:
+    if not ratios.max() > 0.0:
         return 0.0, None, 1.0
     j = int(ratios.argmax())
     return (float(defects.flat[j]), xs[j // (ratios.size // len(xs))].copy(),
@@ -294,7 +294,7 @@ def _worst(xs, defects, scales=1.0):
 def _least(xs, values):
     """(value, witness) where ``values``, one per point of ``xs``, is least
     and below inf, first occurrence; (inf, None) if none is."""
-    if not len(xs) or not values.min() < np.inf:
+    if not values.min() < np.inf:
         return np.inf, None
     i = int(values.argmin())
     return values[i], xs[i].copy()
@@ -312,7 +312,8 @@ def check_planar(sys: MechanicalSystem, samples) -> ConditionReport:
     once, and so is the rank and projection algebra: g, ad_e g, their
     Jacobians and the connection once each, and every derivative formed
     from them.  A failed condition's witness is the first point, in
-    sample order, with the worst defect, and a passed one has none.
+    sample order, with the worst defect, and a passed one has none.  An
+    empty grid, or a sample that is not a finite 2-vector, is refused first.
     """
     if sys.n != 2 or sys.m != 1:
         raise WrongDimensions(f"planar check needs (n, m) = (2, 1), got ({sys.n}, {sys.m})")
@@ -399,18 +400,18 @@ def _nabla2_e_tensor(sys, x, ev, de):
 def check_general(sys: MechanicalSystem, samples) -> ConditionReport:
     """General linearizability conditions on a sample grid.
 
-    ML1: both control distributions keep a constant numeric rank across
-    the samples (a margin within 10x of ``RANK_TOL`` downgrades the
-    verdict to inconclusive).  ML2: brackets of control fields do not
-    enlarge the control span.  ML3/ML4/ML5: an orthonormal basis of the
-    relevant annihilator kills the curvature tensor, the covariant
-    derivatives of the control fields, and the second covariant
-    derivative of the drift.  As in :func:`check_planar`, every
-    differentiated quantity and the rank and annihilator algebra are
-    evaluated for all the points that need them at once.  The drift and
-    the whole n x m matrix g are differentiated once each; every
-    bracket ad_e g_r and [g_r, g_s] and every nabla g_r is read from
-    those two Jacobians column by column.
+    ML1: both control distributions keep a constant numeric rank across the
+    samples (a margin within 10x of ``RANK_TOL`` downgrades the verdict to
+    inconclusive).  ML2: brackets of control fields do not enlarge the
+    control span.  ML3/ML4/ML5: an orthonormal basis of the relevant
+    annihilator kills the curvature tensor, the covariant derivatives of the
+    control fields, and the second covariant derivative of the drift.  As in
+    :func:`check_planar`, the grid is refused if it is empty or a sample is
+    not a finite n-vector, and every differentiated quantity and the rank
+    and annihilator algebra are evaluated for all the points that need them
+    at once.  The drift and the whole n x m matrix g are differentiated once
+    each; every bracket ad_e g_r and [g_r, g_s] and every nabla g_r is read
+    from those two Jacobians column by column.
     """
     xs = _sample_stack(samples, sys.n)
     n, m = sys.n, sys.m

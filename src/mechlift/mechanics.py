@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, NonFinite, OutsideChart, SingularFeedback
 from .geometry import (
     _EYE3,
     RANK_TOL,
-    Rotation,
+    _entries,
     _matvec,
     _norms,
     float_array,
@@ -399,9 +399,9 @@ class RigidBodySystem:
     # -- group-level dynamics -------------------------------------------------
 
     def derivative(self, rotation, omega, torque):
-        """(Rdot, Omegadot) under dynamics Rdot = R hat(Omega), Omegadot =
-        J^-1 (-Omega x J Omega + torque), the control the torque realizes."""
-        R = rotation.r if isinstance(rotation, Rotation) else np.asarray(rotation, float)
+        """(Rdot, Omegadot) under Rdot = R hat(Omega), R read as ``so3_log`` reads it,
+        and Omegadot = J^-1 (-Omega x J Omega + torque), the control the torque realizes."""
+        R = np.reshape(_entries(rotation), (3, 3))
         return R @ hat(omega), self.control_from_torque(omega, torque)
 
     def torque_from_control(self, omega, u):

@@ -9,13 +9,18 @@ from mechlift import (
     NonFinite,
     NotSkew,
     Rotation,
+    check_general,
+    check_planar,
     hat,
+    make_midpoint,
     numeric_jacobian,
+    pendulum_system,
     so3_exp,
     so3_log,
+    verify_axioms,
     vee,
 )
-from mechlift.geometry import _damped_newton
+from mechlift.geometry import _damped_newton, _sample_stack
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
@@ -109,10 +114,82 @@ class TestExpLog:
             w *= rng.uniform(1e-3, np.pi - 1e-3) / np.linalg.norm(w)
             npt.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-10)
 
+    @pytest.mark.parametrize("w", [[1e308, 1e308, 0.0], [1e200, 0.0, 0.0]],
+                             ids=["sum-overflows", "square-overflows"])
+    def test_an_overflowing_angle_is_refused(self, w):
+        with pytest.raises(NonFinite, match="rotation angle"):
+            so3_exp(w)
+
     def test_small_angle_series_branch(self):
         w = np.array([1e-6, -2e-6, 5e-7])
         npt.assert_allclose(so3_exp(w).r, rodrigues(w), atol=1e-18)
         npt.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-18)
+
+
+def _replaced(m):
+    r = so3_exp([0.3, -0.2, 0.5])
+    r.r = m
+    return r
+
+
+def _edited_in_place():
+    r = so3_exp([0.3, -0.2, 0.5])
+    r.r[0, 0] = 5.0
+    return r
+
+
+def _log_refusal(make):
+    """so3_log of what ``make`` builds, and Rotation of the matrix it holds."""
+    r = make()
+    m = np.array(r.r if isinstance(r, Rotation) else r)
+    return lambda: so3_log(r), lambda: Rotation(m)
+
+
+def _empty_grid_refusal(check, subject):
+    """``check`` of ``subject`` on no samples, and the sample reader on them."""
+    return lambda: check(subject, []), lambda: _sample_stack([], 2)
+
+
+# each second reader of an input, against the one reader it goes through
+REFUSALS = {
+    "log-2x2": _log_refusal(lambda: np.eye(2)),
+    "log-nan": _log_refusal(lambda: np.full((3, 3), np.nan)),
+    "log-stretched": _log_refusal(lambda: np.diag([1.0, 1.0, 1.1])),
+    "log-reflection": _log_refusal(lambda: np.diag([1.0, 1.0, -1.0])),
+    "log-replaced": _log_refusal(lambda: _replaced(np.diag([1.0, 1.0, 1.1]))),
+    "log-edited-in-place": _log_refusal(_edited_in_place),
+    "check_planar-empty": _empty_grid_refusal(check_planar, pendulum_system().system),
+    "check_general-empty": _empty_grid_refusal(check_general, pendulum_system().system),
+    "verify_axioms-empty": _empty_grid_refusal(verify_axioms, make_midpoint(2)),
+}
+
+
+@pytest.mark.parametrize("call, reader", REFUSALS.values(), ids=REFUSALS.keys())
+def test_an_input_is_refused_as_its_one_reader_refuses_it(call, reader):
+    with pytest.raises(Exception) as want:
+        reader()
+    with pytest.raises(type(want.value)) as got:
+        call()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+# so3_log(so3_exp(w)), bytes recorded before so3_log read its rotation
+# through _entries; the last two angles are past 2 pi / 3, on the
+# symmetric-part branch
+LOG_BYTES = {
+    (0.3, -0.2, 0.1): "343333333333d33f9b9999999999c9bf9b9999999999b93f",
+    (1e-6, -2e-6, 5e-7): "8dedb5a0f7c6b03e8dedb5a0f7c6c0be8dedb5a0f7c6a03e",
+    (2.0, 1.5, -1.2): "feffffffffffff3ffffffffffffff73f333333333333f3bf",
+    (0.0, -2.9, 0.4): "000000000000008033333333333307c0989999999999d93f",
+}
+
+
+@pytest.mark.parametrize("w", LOG_BYTES)
+def test_log_of_exp_is_pinned_bit_for_bit(w):
+    r = so3_exp(w)
+    assert so3_log(r).tobytes().hex() == LOG_BYTES[w]
+    assert so3_log(r.r).tobytes().hex() == LOG_BYTES[w]
 
 
 class TestNumericJacobian:

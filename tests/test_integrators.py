@@ -962,6 +962,12 @@ class TestPolePlace:
         with pytest.raises(DimensionMismatch, match=f"need 4 poles, got {len(poles)}"):
             pole_place(pendulum.linear, poles)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_poles_are_refused(self, pendulum, bad):
+        # NaN never equals its conjugate, so the closure test would misreport it
+        with pytest.raises(NonFinite, match="poles contain NaN/Inf"):
+            pole_place(pendulum.linear, [bad, -1, -2, -3])
+
     def test_conjugation_closure_required(self, pendulum):
         with pytest.raises(ValueError):
             pole_place(pendulum.linear, [-1, -2, -3, -4 + 1j])
@@ -1072,6 +1078,19 @@ class TestSo3ClosedLoop:
     def test_refuses_bad_gains_and_rates(self, k1, k2, omega, error, match):
         with pytest.raises(error, match=match):
             so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), omega, k1, k2, 0.01)
+
+    @pytest.mark.parametrize("k1, k2, match", [
+        (float("nan"), 10.0, "K1"), (5.0, np.float64(np.inf), "K2"),
+        (np.diag([5.0, np.inf, 5.0]), 10.0, "K1"), (5.0, float("-inf"), "K2"),
+    ], ids=["nan-K1", "float64-inf-K2", "matrix-inf-K1", "minus-inf-K2"])
+    def test_refuses_non_finite_gains(self, k1, k2, match):
+        with pytest.raises(NonFinite, match=match):
+            so3_closed_loop_step(so3_exp([0.1, 0.0, 0.0]), [0.1, 0.2, 0.3], k1, k2, 0.01)
+
+    def test_refuses_an_increment_whose_angle_overflows(self):
+        # h Omega = (inf, 0, 0): its angle has no sine
+        with pytest.raises(NonFinite, match="rotation angle"):
+            so3_closed_loop_step(so3_exp([0.1, 0.0, 0.0]), [1e10, 0.0, 0.0], 5.0, 10.0, 1e300)
 
     @pytest.mark.parametrize("h", [0.0, -0.01, np.inf, np.nan])
     def test_refuses_bad_step_sizes(self, h):

@@ -474,10 +474,15 @@ class TestStackedEvaluation:
             for row, point in zip(stacked, points):
                 assert row[i].tobytes() == point.tobytes()
 
-    def test_empty_grid(self, pendulum):
-        for sys in (pendulum.system, row_by_row(pendulum.system)):
-            assert check_planar(sys, []).passed
-            assert check_general(sys, []).passed
+    def test_empty_grid(self):
+        # refused before any callable runs: an empty grid has no point at
+        # which a condition could fail
+        def unreachable(x):
+            raise AssertionError("a callable ran on an empty grid")
+        sys = MechanicalSystem(2, 1, gamma=unreachable, e=unreachable, g=unreachable)
+        for check in (check_planar, check_general):
+            with pytest.raises(ValueError, match="at least one sample"):
+                check(sys, [])
 
 
 def bracket_control():

@@ -437,6 +437,25 @@ class TestRigidBody:
         npt.assert_array_equal(rdot, np.zeros((3, 3)))
         npt.assert_array_equal(omdot, np.zeros(3))
 
+    def test_derivative_is_pinned_bit_for_bit(self):
+        # bytes recorded before the derivative read R through _entries
+        body = rigid_body_system(np.diag([1.0, 2.0, 3.0]) + 0.1)
+        r = so3_exp([0.4, -0.7, 1.1])
+        for rotation in (r, r.r):
+            rdot, omdot = body.derivative(rotation, [0.3, -1.2, 0.5], [0.2, 0.1, -0.4])
+            assert rdot.tobytes().hex() == (
+                "26cc91255f9deabf7ecd91130b99cdbf164033533fa3acbf6a78809ce003e1bf"
+                "d4ef5e2effa0e0bfef90631144b3edbfa6ef60b38511eb3f0f9aca1f1f70c0bf"
+                "a0524d18961aeabf")
+            assert omdot.tobytes().hex() == (
+                "8d891d00f4dfe43ffe3741817d03c53f119ec5b7575d94bf")
+
+    def test_derivative_refuses_what_a_rotation_refuses(self, rigid_body):
+        r = so3_exp([0.4, -0.7, 1.1])
+        r.r[0, 0] = 5.0
+        with pytest.raises(ValueError, match="orthogonality defect"):
+            rigid_body.derivative(r, np.zeros(3), np.zeros(3))
+
     def test_torque_for_axis_aligned_spin(self, rigid_body):
         # cross-product oracle: Omega x J Omega vanishes on a principal axis
         omega = np.array([1.0, 0.0, 0.0])
