@@ -87,10 +87,13 @@ class PendulumConfig(So3Config):
 
 
 def _json_type(value):
-    """A config value's type: float for a JSON number (not a boolean), list
-    for a list of numbers or of such lists (a gain matrix's rows)."""
+    """A config value's type: float for a JSON number a float holds (not a
+    boolean, nor an integer beyond float range), list for a list of numbers
+    or of such lists (a gain matrix's rows)."""
     if isinstance(value, list):
         return list if all(_json_type(v) in (float, list) for v in value) else None
+    if type(value) is int and abs(value) > sys.float_info.max:
+        return int
     return float if type(value) in (int, float) else type(value)
 
 
@@ -411,8 +414,9 @@ def _so3_order_case(t_final):
 
 
 def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int:
-    """Global-error order fits per kind of ``map_kinds`` (midpoint if None), all checked first,
-    in one (map, h, error) table; ``so3`` takes no kinds and runs its group PD loop, as ``group``."""
+    """Global-error order fits per kind of ``map_kinds`` (midpoint if None), every kind and
+    every step grid checked first, in one (map, h, error) table; ``so3`` takes no kinds and
+    runs its group PD loop, as ``group``."""
     for kind in map_kinds or ():
         if kind not in _MAP_BUILDERS:
             raise ValueError(f"unknown map kind {kind!r}")
@@ -423,6 +427,8 @@ def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int
              "so3": lambda kind, t_final: _so3_order_case(t_final)}
     if system not in cases:
         raise UnknownSystem(f"no registered system named {system!r}")
+    for h in h_list:
+        grid_steps(t_final, h)  # before any reference is computed at t_final
     rows = []
     for kind in map_kinds or ["group" if system == "so3" else "midpoint"]:
         stepper, ref, s0 = cases[system](kind, t_final)

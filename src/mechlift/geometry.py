@@ -5,10 +5,12 @@ n-dimensional configuration manifold, packed as one 2n-vector (x, y)
 wherever a state is passed.  Rotations are 3x3 orthogonal
 matrices with unit determinant; the hat/vee pair, the exponential and
 the logarithm connect them to axis-angle 3-vectors.  The package's one
-central-difference Jacobian and its one damped Newton solver live here.
+scalar reader, its one central-difference Jacobian and its one damped
+Newton solver live here.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,30 @@ def _vec(a, name):
     if np.count_nonzero(np.isfinite(v)) < v.size:
         raise NonFinite(f"{name} contains NaN/Inf")
     return v
+
+
+def _scalar(x, name, positive=False):
+    """``x``, one real number, as a Python float, refused by ``name``: a bool, str, complex
+    or array (``TypeError``), NaN/Inf or an int beyond float range (``NonFinite``), and
+    where ``positive`` (a step size or horizon) also a value <= 0, each then with
+    ``ValueError``.  A float passes the first test and is only range-checked."""
+    if type(x) is not float:
+        if isinstance(x, np.ndarray) and x.ndim == 0:
+            x = x[()]
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise (ValueError if positive else TypeError)(
+                f"{name} must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise (ValueError if positive else NonFinite)(
+                f"{name} must be finite, got an integer beyond float range") from None
+    if positive:
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be {'positive' if x <= 0.0 else 'finite'}, got {x}")
+    elif not math.isfinite(x):
+        raise NonFinite(f"{name} must be finite, got {x}")
+    return x
 
 
 def _sample_stack(samples, n):

@@ -38,6 +38,7 @@ from .geometry import (
     _norms,
     _rodrigues,
     _rotation,
+    _scalar,
     _vec,
 )
 from .mechanics import (
@@ -89,11 +90,6 @@ class Trajectory:
             raise DimensionMismatch("one state row per grid point required")
 
 
-def _check_step_size(h):
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"step size must be a finite positive number, got {h}")
-
-
 def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     """One step of the scheme ``dmap`` induces on the vector ``field``.
 
@@ -105,8 +101,9 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     each iteration) starts at s_k, in the chart the step is taken in; a
     start already within its tolerance is the next state with
     ``iterations == 0``.  A state that is not a finite vector of the
-    map's dimension, or a step size that is not a finite positive
-    number, is refused before Newton starts.
+    map's dimension is refused before Newton starts, and so is an h that
+    ``geometry._scalar`` refuses as a step size (``ValueError``); h is
+    read once, as a float.
 
     ``field`` acts row by row on (..., dim) stacks, as every callable of
     a ``MechanicalSystem`` does (unchecked, as for ``numeric_jacobian``):
@@ -116,7 +113,7 @@ def step_sode(dmap: DiscretizationMap, field, s_k, h) -> StepResult:
     s_k = _vec(s_k, "s_k")
     if s_k.size != dmap.dim:
         raise DimensionMismatch("state dimension does not match the map")
-    _check_step_size(h)
+    h = _scalar(h, "step size", positive=True)
 
     def residual(s_next):
         z, v = dmap.inverse(np.broadcast_to(s_k, s_next.shape), s_next)
@@ -135,12 +132,9 @@ def _setup(linear: LinearMechanicalSystem, K, h, theta):
     under gains) from one solve and h A_cl (h [A B] on (Z, utilde) in open loop),
     read-only, once per content of its arguments."""
     key = (linear.A.shape, linear.A.tobytes(), linear.B.shape, linear.B.tobytes(),
-           None if K is None else K.tobytes(), type(h), float(h), theta)
+           None if K is None else K.tobytes(), h, theta)
     if key in _SETUPS:
         return _SETUPS[key]
-    # only finite gains are kept, so a memo hit has finite gains
-    if K is not None and not np.isfinite(K).all():
-        raise NonFinite("gains contain NaN/Inf")
     a, b = linear.stacked()
     minus_kt = update = resolved_b = step_field = None
     if K is not None:
@@ -191,14 +185,17 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
 
     Either ``gains`` (an m x 2n matrix K, utilde = -K ztilde at the base
     state) or ``utilde`` (steps x m entries) must be given.  Refused at
-    entry, on every call: an ``s0`` that is not a finite 2n-vector, an h
-    that is not a finite positive number, ``steps`` that is not a
-    non-negative integer (``ValueError``), gains or ``utilde`` of another
-    size (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and on
-    a theta-family map a singular resolvent I - theta h (A - B K), or
-    I - theta h A in open loop (``SingularStep``).  The trajectory
-    records each step's controls at its base state, Newton iterations
-    and final residual.  A ``MechliftError`` raised in step k carries
+    entry, on every call: a ``base_map`` whose ``dim`` is not n or an
+    ``s0`` that is not a finite 2n-vector (``DimensionMismatch``,
+    ``NonFinite``), an h that ``geometry._scalar`` refuses as a step
+    size and ``steps`` that is not a non-negative integer
+    (``ValueError``), gains or ``utilde`` of another size
+    (``DimensionMismatch``) or with NaN/Inf (``NonFinite``), and on a
+    theta-family map a singular resolvent I - theta h (A - B K), or
+    I - theta h A in open loop (``SingularStep``).  h is read once, as a
+    float, so every output is float64 whatever real type h has.  The
+    trajectory records each step's controls at its base state, Newton
+    iterations and final residual.  A ``MechliftError`` raised in step k carries
     ``step = k`` and the ``state`` that step started from.
     """
     if (gains is None) == (utilde is None):
@@ -208,17 +205,17 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     sys, transform = bundle.system, bundle.transform
     phi = transform.phi
     n, m = sys.n, sys.m
+    if base_map.dim != n:
+        raise DimensionMismatch(f"base map must have dim {n}, got {base_map.dim}")
 
     s0 = _vec(s0, "s0")
     if s0.size != 2 * n:
         raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
-    _check_step_size(h)
+    h = _scalar(h, "step size", positive=True)
 
     K = None
     if gains is not None:
-        K = np.atleast_2d(np.asarray(gains, float))
-        if K.shape != (m, 2 * n):
-            raise DimensionMismatch(f"gains must have shape {(m, 2 * n)}, got {K.shape}")
+        K = _gain_matrix(gains, (m, 2 * n))
     else:
         utilde = np.asarray(utilde, float)
         if utilde.size != steps * m:
@@ -329,12 +326,14 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     probing verifies it is affine and raises ``NotLinearityPreserving``
     otherwise.  Each probe is one ``step_sode`` solve; on a theta-family
     ``dmap`` the result is, to the Newton tolerance, the closed form
-    ``fl_discretize`` certifies.
+    ``fl_discretize`` certifies.  ``gains`` are read as ``fl_discretize``
+    reads them: another shape than m x 2n raises ``DimensionMismatch`` and
+    a NaN/Inf ``NonFinite``, before any solve; h is read by ``step_sode``.
     """
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
-    K = np.zeros((m, 2 * n)) if gains is None else np.atleast_2d(np.asarray(gains, float))
+    K = np.zeros((m, 2 * n)) if gains is None else _gain_matrix(gains, (m, 2 * n))
 
     def advance(z, ut):
         return step_sode(lifted, lambda base: sode_field(sys, base, ut - base @ K.T), z, h).state
@@ -450,10 +449,13 @@ def theta_update_matrix(a, h, theta) -> np.ndarray:
 
     The update the theta-family map induces on the linear field x' = A x:
     explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
-    at 1/2.  Raises ``SingularStep`` when the resolvent I - theta h A is
-    singular.
+    at 1/2.  h and theta are read as floats by ``geometry._scalar``: each
+    must be a finite real number (``TypeError``, ``NonFinite``), and h may
+    be negative, as a step backwards.  Raises ``SingularStep`` when the
+    resolvent I - theta h A is singular.
     """
-    return _theta_update(np.atleast_2d(np.asarray(a, float)), h, theta)
+    return _theta_update(np.atleast_2d(np.asarray(a, float)), _scalar(h, "step size"),
+                         _scalar(theta, "theta"))
 
 
 def _theta_update(a, h, theta, b=None):
@@ -466,13 +468,24 @@ def _theta_update(a, h, theta, b=None):
         raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
 
 
+def _gain_matrix(gains, shape):
+    """``gains`` as a float matrix of ``shape``, a 1-d row read as one row: refused by
+    its shape (``DimensionMismatch``) or a NaN/Inf (``NonFinite``)."""
+    K = np.atleast_2d(np.asarray(gains, float))
+    if K.shape != shape:
+        raise DimensionMismatch(f"gains must have shape {shape}, got {K.shape}")
+    # a count of the finite entries, as _vec's
+    if np.count_nonzero(np.isfinite(K)) < K.size:
+        raise NonFinite("gains contain NaN/Inf")
+    return K
+
+
 def _times_gain(k, v, name):
-    """K v as three floats, for a gain K that is a finite scalar or 3x3
-    matrix and three floats v."""
-    if isinstance(k, (int, float)) or np.ndim(k) == 0:
-        k = float(k)
-        if not math.isfinite(k):
-            raise NonFinite(f"{name} is not finite, got {k}")
+    """K v as three floats, for a gain K that is a scalar (read by ``_scalar``) or a
+    finite 3x3 matrix and three floats v."""
+    # a float skips np.ndim, which costs ~1 us, a sixth of an attitude step
+    if type(k) is float or np.ndim(k) == 0:
+        k = _scalar(k, name)
         return k * v[0], k * v[1], k * v[2]
     k = np.asarray(k, float)
     if k.shape != (3, 3):
@@ -493,21 +506,27 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     read as :func:`so3_log` reads it and Omega as a finite 3-vector
     (``DimensionMismatch``, ``NonFinite``), each once as Python floats;
     the logarithm, the increment and the product R exp(h hat(Omega))
-    run on them in ``math``.  Each gain is a finite scalar (K I) or 3x3
-    matrix (``DimensionMismatch``, ``NonFinite`` otherwise), and h a
-    finite positive number; an h Omega whose angle overflows raises
-    ``NonFinite``.  A ``float`` gain and h are used as they are.
+    run on them in ``math``.  Each gain is a scalar (K I), read as a
+    float by ``geometry._scalar`` (``TypeError``, ``NonFinite``), or a
+    finite 3x3 matrix (``DimensionMismatch``, ``NonFinite``), and h is
+    read as a float step size (``ValueError``), so R+ and Omega+ are
+    float64 whatever real types they have.  An h Omega whose angle
+    overflows raises ``NonFinite``, and so does an Omega+ that is not
+    finite, where h K1 log(R) or h K2 Omega overflows.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
     omega = np.asarray(omega, dtype=float)
-    # _vec's checks in floats; where one fails, _vec raises its error
-    if omega.ndim != 1 or not all(map(math.isfinite, w := omega.tolist())):
+    if omega.shape != (3,):
         _vec(omega, "omega")
-    if len(w) != 3:
         raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
-    _check_step_size(h)
+    w0, w1, w2 = w = omega.tolist()
+    # one test on the sum; only a sum that is not finite looks at each float, and
+    # where one is not, _vec raises its error
+    if not math.isfinite(w0 + w1 + w2) and not all(map(math.isfinite, w)):
+        _vec(omega, "omega")
+    h = _scalar(h, "step size", positive=True)
     xi = _log(r)
-    e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w[0], h * w[1], h * w[2])
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = _rodrigues(h * w0, h * w1, h * w2)
     r_next = _rotation([
         r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
         r00 * e02 + r01 * e12 + r02 * e22, r10 * e00 + r11 * e10 + r12 * e20,
@@ -515,12 +534,14 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
         r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
         r20 * e02 + r21 * e12 + r22 * e22,
     ])
-    a0, a1, a2 = (k1 * xi[0], k1 * xi[1], k1 * xi[2]) if type(k1) is float and \
-        math.isfinite(k1) else _times_gain(k1, xi, "K1")
-    b0, b1, b2 = (k2 * w[0], k2 * w[1], k2 * w[2]) if type(k2) is float and \
-        math.isfinite(k2) else _times_gain(k2, w, "K2")
-    return r_next, np.array([w[0] - h * a0 - h * b0, w[1] - h * a1 - h * b1,
-                             w[2] - h * a2 - h * b2])
+    a0, a1, a2 = _times_gain(k1, xi, "K1")
+    b0, b1, b2 = _times_gain(k2, w, "K2")
+    omega_next = o0, o1, o2 = w0 - h * a0 - h * b0, w1 - h * a1 - h * b1, w2 - h * a2 - h * b2
+    # the same test on Omega+: a non-finite rate from finite inputs is refused here
+    if not math.isfinite(o0 + o1 + o2) and not all(map(math.isfinite, omega_next)):
+        raise NonFinite(f"Omega+ = {omega_next} is not finite: h K1 log(R) or h K2 Omega "
+                        "overflows")
+    return r_next, np.array(omega_next)
 
 
 def linear_flow(a, z0, times) -> np.ndarray:
@@ -568,13 +589,11 @@ class OrderStudy:
 
 
 def grid_steps(t_final, h) -> int:
-    """Steps of size h to t_final; ``ValueError`` unless both are finite
-    and positive and t_final / h is a finite whole number to 1e-9
-    relative."""
-    for name, value in (("step size", h), ("final time", t_final)):
-        if not 0 < value < math.inf:
-            kind = "positive" if value <= 0 else "finite"
-            raise ValueError(f"{name} must be {kind}, got {value}")
+    """Steps of size h to t_final; ``ValueError`` unless ``geometry._scalar``
+    reads both as finite positive floats and t_final / h is a finite whole
+    number to 1e-9 relative."""
+    h = _scalar(h, "step size", positive=True)
+    t_final = _scalar(t_final, "final time", positive=True)
     if t_final / h == math.inf:
         raise ValueError(f"t_final / h overflows: {t_final} / {h}")
     steps = int(round(t_final / h))

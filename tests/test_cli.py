@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -490,13 +491,33 @@ class TestUsage:
         ({"h": True}, "config key 'h' must be a number, got true"),
         ({"t_final": None}, "config key 't_final' must be a number, got null"),
         ({"out_dir": 7}, "config key 'out_dir' must be a string, got 7"),
-    ], ids=["not-an-object", "h-string", "h-boolean", "t_final-null", "out_dir-number"])
+        ({"h": 10**400}, f"config key 'h' must be a number, got {10**400}"),
+        ({"t_final": -10**400}, f"config key 't_final' must be a number, got {-10**400}"),
+        ({"initial_state": [0.1, 10**400]},
+         f"config key 'initial_state' must be a list of numbers, got [0.1, {10**400}]"),
+    ], ids=["not-an-object", "h-string", "h-boolean", "t_final-null", "out_dir-number",
+            "h-huge-int", "t_final-huge-int", "initial_state-huge-int"])
     def test_a_config_value_of_another_type_is_usage_error(self, command, config, message,
                                                            tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"gains": [[1.0, 2.0, 3.0, 10**400]]},
+         f"config key 'gains' must be a list of numbers or null, got [[1.0, 2.0, 3.0, {10**400}]]"),
+        ({"poles": [-1, -2, -3, -10**400]},
+         f"config key 'poles' must be a list of numbers, got [-1, -2, -3, {-10**400}]"),
+    ], ids=["gains", "poles"])
+    def test_an_integer_beyond_float_range_is_usage_error(self, config, message, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        assert main(["simulate-pendulum", "--config", str(cfg), "--out", str(out)]) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
@@ -525,3 +546,27 @@ class TestUsage:
         assert capsys.readouterr().err == (
             f"error: so3 gains must be 2 numbers (K1, K2), got {json.dumps(gains)}\n")
         assert not out.exists()
+
+
+# one refused input per subcommand, in a fresh interpreter: a usage or
+# numerical failure (exit 4 or 2) says why on stderr, never with a traceback
+@pytest.mark.parametrize("argv, config, code", [
+    (["simulate-pendulum"], {"h": 10**400}, 4),
+    (["simulate-so3"], {"t_final": 10**400}, 4),
+    (["simulate-so3"], {"gains": [5.0, 1e300], "initial_state": [0, 0, 0, 1e300, 0, 0],
+                        "h": 1e-300, "t_final": 1e-299}, 2),
+    (["check", "pendulum", "--grid=0:1:0"], None, 4),
+    (["verify-maps", "--out", "x"], None, 4),
+    (["order-study", "so3", "--h-list", "0.01", "--t-final", "1e400"], None, 4),
+], ids=["simulate-pendulum", "simulate-so3", "simulate-so3-numerical", "check", "verify-maps",
+        "order-study"])
+def test_a_refused_input_exits_without_a_traceback(argv, config, code, tmp_path):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    paths = [str(Path(mechlift.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-m", "mechlift.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == code
+    assert run.stderr and "Traceback" not in run.stderr

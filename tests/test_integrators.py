@@ -42,8 +42,8 @@ from mechlift import (
     tangent_map,
     theta_update_matrix,
 )
-from mechlift.integrators import Trajectory
-from mechlift.geometry import NEWTON_TOL
+from mechlift.integrators import Trajectory, grid_steps
+from mechlift.geometry import NEWTON_TOL, _scalar
 from conftest import PARAMS, flat_bundle, row_by_row
 
 PAPER_R0 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -137,9 +137,9 @@ class TestStepSode:
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.01])
     def test_rejects_a_step_size_that_is_not_finite_positive(self, pendulum, h):
         lift = tangent_lift(make_midpoint(1))
-        with pytest.raises(ValueError, match="finite positive"):
+        with pytest.raises(ValueError, match="step size must be (finite|positive), got"):
             step_sode(lift, unforced(harmonic_oscillator()), np.array([1.0, 0.0]), h)
-        with pytest.raises(ValueError, match="finite positive"):
+        with pytest.raises(ValueError, match="step size must be (finite|positive), got"):
             fl_discretize(pendulum, make_midpoint(2), S0, h, 5,
                           gains=pole_place(pendulum.linear, POLES))
 
@@ -625,6 +625,28 @@ class TestFlDiscretize:
         with pytest.raises(error, match="gains"):
             fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, gains=gains)
 
+    @pytest.mark.parametrize("dim", [1, 5])
+    @pytest.mark.parametrize("kwargs", [{"gains": np.ones((1, 4))}, {"utilde": np.zeros(5)}],
+                             ids=["closed-loop", "open-loop"])
+    def test_rejects_a_base_map_of_another_dimension(self, pendulum, dim, kwargs):
+        # a 1-d or 5-d midpoint map on the 2-dof pendulum, refused before any step
+        with pytest.raises(DimensionMismatch, match=f"base map must have dim 2, got {dim}"):
+            fl_discretize(pendulum, make_midpoint(dim), S0, 0.01, 5, **kwargs)
+
+    @pytest.mark.parametrize("gains", [
+        np.ones((1, 3)), np.ones((2, 4)),
+        np.array([[240000.0, np.nan, 50000.0, 100.0]]),
+        np.array([[np.inf, 3500.0, 50000.0, 100.0]]),
+    ], ids=["1x3", "2x4", "nan", "inf"])
+    def test_linear_one_step_reads_gains_as_fl_discretize_does(self, pendulum, gains):
+        with pytest.raises(Exception) as want:
+            fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 5, gains=gains)
+        with pytest.raises(type(want.value)) as got:
+            linear_one_step(pendulum.linear, make_midpoint(2), 0.01, gains)
+        assert type(want.value) in (DimensionMismatch, NonFinite)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("utilde, error", [
         (np.zeros((4, 1)), DimensionMismatch),
         (np.zeros((5, 2)), DimensionMismatch),
@@ -818,6 +840,26 @@ class TestSetupMemo:
                              utilde=np.zeros(3))
         assert traj.t.dtype == float and traj.t.tolist() == [0.0, 1.0, 2.0, 3.0]
         npt.assert_array_equal(traj.iterations, 0)
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    @pytest.mark.parametrize("h", [np.float64(0.01), np.array(0.01), np.float32(0.01),
+                                   np.longdouble(0.01)],
+                             ids=["float64", "0-d", "float32", "longdouble"])
+    def test_a_step_size_of_any_real_type_gives_the_bytes_of_its_float(self, pendulum,
+                                                                         make_map, h):
+        gains = pole_place(pendulum.linear, POLES)
+        got = fl_discretize(pendulum, make_map(2), S0, h, 20, gains=gains)
+        want = fl_discretize(pendulum, make_map(2), S0, float(h), 20, gains=gains)
+        assert got.t.dtype == got.states.dtype == np.float64
+        assert trajectory_bytes(got) == trajectory_bytes(want)
+
+    @pytest.mark.parametrize("make_map", THETA_MAPS)
+    def test_an_integer_step_size_gives_the_bytes_of_its_float(self, make_map):
+        # x'' = -x + u under u = -(x + 2 x'), poles -1 +- i, at h = 1
+        bundle = flat_bundle(LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1)))
+        runs = [fl_discretize(bundle, make_map(1), np.array([1.0, 0.0]), h, 10,
+                              gains=np.array([[1.0, 2.0]])) for h in (1, 1.0)]
+        assert trajectory_bytes(runs[0]) == trajectory_bytes(runs[1])
 
     def test_nan_gains_are_refused_on_every_call(self, pendulum, update_builds):
         gains = pole_place(pendulum.linear, POLES)
@@ -1097,6 +1139,27 @@ class TestSo3ClosedLoop:
         with pytest.raises(ValueError, match="step size"):
             so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), np.zeros(3), 5.0, 10.0, h)
 
+    def test_refuses_a_rate_that_overflows_where_it_arises(self):
+        # every input finite, but K2 Omega = 1e600: Omega+ is refused in this step
+        # rather than by the next one
+        with pytest.raises(NonFinite, match=r"Omega\+ = \(-inf, 0.0, 0.0\) is not finite"):
+            so3_closed_loop_step(so3_exp([0.1, 0.0, 0.0]), [1e300, 0.0, 0.0], 1.0, 1e300, 1e-300)
+
+    @pytest.mark.parametrize("h", [np.float64(0.01), np.array(0.01), np.float32(0.01),
+                                   np.longdouble(0.01), 1],
+                             ids=["float64", "0-d", "float32", "longdouble", "int"])
+    def test_a_step_size_of_any_real_type_gives_the_bytes_of_its_float(self, h):
+        # 100 steps, each read once as a float: float64 rotations and rates
+        runs = []
+        for step in (h, float(h)):
+            r, om, out = so3_exp([0.3, -0.2, 0.5]), np.array([0.1, 0.2, 0.3]), []
+            for _ in range(100):
+                r, om = so3_closed_loop_step(r, om, 0.5, 1.0, step)
+                assert r.r.dtype == om.dtype == np.float64
+                out += [r.r.tobytes(), om.tobytes()]
+            runs.append(out)
+        assert runs[0] == runs[1]
+
     def test_benchmark_scenario_converges(self):
         r, om = Rotation(PAPER_R0), np.zeros(3)
         errs = [3.0 - np.trace(r.r)]
@@ -1153,6 +1216,54 @@ class TestTrajectoryGrid:
     def test_a_state_row_per_grid_point_required(self):
         with pytest.raises(DimensionMismatch, match="one state row per grid point"):
             Trajectory([0.0, 0.01, 0.02], np.zeros((2, 4)))
+
+
+_A_CL = np.array([[0.0, 1.0], [-2.0, -2.0]])
+
+# every scalar integrators reads: its call on a value x, the name the
+# reader gives it, and whether it must be positive (a step size or horizon)
+SCALARS = {
+    "step_sode-h": (lambda x: step_sode(tangent_lift(make_midpoint(1)),
+                                        unforced(harmonic_oscillator()), np.ones(2), x),
+                    "step size", True),
+    "fl_discretize-h": (lambda x: fl_discretize(pendulum_system(), make_midpoint(2), S0, x, 5,
+                                                gains=np.ones((1, 4))), "step size", True),
+    "so3-h": (lambda x: so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), np.ones(3), 5.0, 10.0, x),
+              "step size", True),
+    "so3-K1": (lambda x: so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), np.ones(3), x, 10.0,
+                                              0.01), "K1", False),
+    "so3-K2": (lambda x: so3_closed_loop_step(so3_exp([0.3, -0.2, 0.5]), np.ones(3), 5.0, x,
+                                              0.01), "K2", False),
+    "theta_update_matrix-h": (lambda x: theta_update_matrix(_A_CL, x, 0.5), "step size", False),
+    "theta_update_matrix-theta": (lambda x: theta_update_matrix(_A_CL, 0.01, x), "theta", False),
+    "grid_steps-h": (lambda x: grid_steps(1.0, x), "step size", True),
+    "grid_steps-t_final": (lambda x: grid_steps(x, 0.01), "final time", True),
+}
+BAD_SCALARS = {"bool": True, "str": "0.01", "complex": 0.01 + 0j, "nan": np.nan, "inf": np.inf,
+               "minus-inf": -np.inf, "huge-int": 10**400}
+NOT_POSITIVE = {"zero": 0.0, "negative": -0.01}
+SCALAR_REFUSALS = {
+    f"{entry}-{label}": (call, name, positive, value)
+    for entry, (call, name, positive) in SCALARS.items()
+    for label, value in {**BAD_SCALARS, **(NOT_POSITIVE if positive else {})}.items()
+}
+
+
+@pytest.mark.parametrize("call, name, positive, value", SCALAR_REFUSALS.values(),
+                         ids=SCALAR_REFUSALS.keys())
+def test_a_scalar_is_refused_as_its_one_reader_refuses_it(call, name, positive, value):
+    with pytest.raises(Exception) as want:
+        _scalar(value, name, positive)
+    with pytest.raises(type(want.value)) as got:
+        call(value)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_theta_update_matrix_takes_a_negative_step():
+    # a step back undoes a step forward at theta = 1/2: M(-h) = M(h)^-1
+    back, forward = theta_update_matrix(_A_CL, -0.1, 0.5), theta_update_matrix(_A_CL, 0.1, 0.5)
+    npt.assert_allclose(back @ forward, np.eye(2), atol=1e-15)
 
 
 def test_grid_steps_refuses_an_overflowing_ratio():
