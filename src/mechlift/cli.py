@@ -6,7 +6,7 @@ Subcommands::
     mechlift simulate-so3      [--h H] [--t-final T] [--out DIR] [--config FILE]
     mechlift check SYSTEM      [--grid LO:HI:N] [--out DIR]
     mechlift verify-maps
-    mechlift order-study SYSTEM [--map KINDS] [--h-list H1,H2,...] [--out DIR]
+    mechlift order-study SYSTEM [--map KINDS] [--h-list H1,H2,...] [--t-final T] [--out DIR]
 
 A negative LO must be joined to its flag, as in ``--grid=-1.3:1.3:21``:
 argparse reads a separate ``-1.3:1.3:21`` as an option.
@@ -87,14 +87,15 @@ class PendulumConfig(So3Config):
 
 
 def _json_type(value):
-    """A config value's type: float for a JSON number a float holds (not a
-    boolean, nor an integer beyond float range), list for a list of numbers
-    or of such lists (a gain matrix's rows)."""
+    """A config value's type: float for a JSON number a finite float holds (not a
+    boolean, nor NaN, Infinity or an integer beyond float range), list for a list
+    of numbers or of such lists (a gain matrix's rows)."""
     if isinstance(value, list):
         return list if all(_json_type(v) in (float, list) for v in value) else None
-    if type(value) is int and abs(value) > sys.float_info.max:
-        return int
-    return float if type(value) in (int, float) else type(value)
+    if type(value) in (int, float):
+        # NaN compares false, and an int compares exactly
+        return float if abs(value) <= sys.float_info.max else None
+    return type(value)
 
 
 _TYPE_NAMES = {float: "a number", str: "a string", list: "a list of numbers", type(None): "null"}
@@ -211,6 +212,21 @@ def _attitude_closed_loop(k1, k2):
     return np.block([[zero, eye], [-k1 * eye, -k2 * eye]])
 
 
+def _attitude_loop(z0, k1, k2, h, steps):
+    """(R, Omega) from z0 = (xi, Omega) and after each of ``steps`` attitude steps; a
+    ``MechliftError`` raised in step k carries ``step = k`` and the ``state`` it started
+    from, R's nine entries then Omega."""
+    rotation, omega = so3_exp(z0[:3]), z0[3:].copy()
+    yield rotation, omega
+    for k in range(steps):
+        try:
+            rotation, omega = so3_closed_loop_step(rotation, omega, k1, k2, h)
+        except MechliftError as exc:
+            exc.step, exc.state = k, np.concatenate([rotation.r.ravel(), omega])
+            raise
+        yield rotation, omega
+
+
 def run_simulate_so3(cfg: So3Config) -> int:
     """Closed-loop rigid-body attitude run with the linear chart reference."""
     steps = grid_steps(cfg.t_final, cfg.h)
@@ -224,16 +240,11 @@ def run_simulate_so3(cfg: So3Config) -> int:
     z0 = np.asarray(cfg.initial_state, float)
     k1, k2 = float(cfg.gains[0]), float(cfg.gains[1])
 
-    rotation = so3_exp(z0[:3])
-    omega = z0[3:].copy()
     trace_err = np.empty(steps + 1)
     omegas = np.empty((steps + 1, 3))
-    trace_err[0] = 3.0 - np.trace(rotation.r)
-    omegas[0] = omega
-    for k in range(steps):
-        rotation, omega = so3_closed_loop_step(rotation, omega, k1, k2, cfg.h)
-        trace_err[k + 1] = 3.0 - np.trace(rotation.r)
-        omegas[k + 1] = omega
+    for k, (rotation, omega) in enumerate(_attitude_loop(z0, k1, k2, cfg.h, steps)):
+        trace_err[k] = 3.0 - np.trace(rotation.r)
+        omegas[k] = omega
 
     t = cfg.h * np.arange(steps + 1)
     ref = linear_flow(_attitude_closed_loop(k1, k2), z0, t)
@@ -404,10 +415,8 @@ def _so3_order_case(t_final):
     z0 = np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
 
     def stepper(z, h, steps):
-        rotation = so3_exp(z[:3])
-        omega = z[3:].copy()
-        for _ in range(steps):
-            rotation, omega = so3_closed_loop_step(rotation, omega, k1, k2, h)
+        for rotation, omega in _attitude_loop(z, k1, k2, h, steps):
+            pass  # to the last state
         return np.concatenate([so3_log(rotation), omega])
 
     return stepper, linear_flow(_attitude_closed_loop(k1, k2), z0, [t_final])[-1], z0

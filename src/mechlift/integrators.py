@@ -128,8 +128,8 @@ _SETUPS = {}  # _setup's memo: its last 16 setups, first in first out
 
 
 def _setup(linear: LinearMechanicalSystem, K, h, theta):
-    """-K^T (None in open loop) and, at a theta, M and (I - theta h A)^-1 B (no columns
-    under gains) from one solve and h A_cl (h [A B] on (Z, utilde) in open loop),
+    """-K^T (None in open loop) and, at a theta, M and (I - theta h A)^-1 B from one solve
+    and h [A B] on (Z, utilde), with A - B K for A and a B of no columns under gains,
     read-only, once per content of its arguments."""
     key = (linear.A.shape, linear.A.tobytes(), linear.B.shape, linear.B.tobytes(),
            None if K is None else K.tobytes(), h, theta)
@@ -138,13 +138,13 @@ def _setup(linear: LinearMechanicalSystem, K, h, theta):
     a, b = linear.stacked()
     minus_kt = update = resolved_b = step_field = None
     if K is not None:
-        a, minus_kt = a - b @ K, -K.T
+        a, b, minus_kt = a - b @ K, b[:, :0], -K.T
         minus_kt.flags.writeable = False
     if theta is not None:
-        full = _theta_update(a, h, theta, None if K is not None else b)
+        full = _theta_update(a, h, theta, b)
         full.flags.writeable = False
         update, resolved_b = full[:, :len(a)], full[:, len(a):]
-        step_field = h * (a if K is not None else np.hstack([a, b]))
+        step_field = h * np.hstack([a, b])
         step_field.flags.writeable = False
     if len(_SETUPS) == 16:
         del _SETUPS[next(iter(_SETUPS))]
@@ -181,7 +181,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     feedback, target or system that does not linearize), raises or is
     not finite, and on every step of a map outside the family, Newton
     solves the step by ``step_sode`` from the push of its stored state.
-    A chain of calls gives the states of one call to rounding.
+    The pass, its rerun and each solved step's end and controls share one
+    evaluation.  A chain of calls gives the states of one call to rounding.
 
     Either ``gains`` (an m x 2n matrix K, utilde = -K ztilde at the base
     state) or ``utilde`` (steps x m entries) must be given.  Refused at
@@ -213,11 +214,10 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
     h = _scalar(h, "step size", positive=True)
 
-    K = None
     if gains is not None:
-        K = _gain_matrix(gains, (m, 2 * n))
+        K, utilde = _gain_matrix(gains, (m, 2 * n)), np.empty((steps, 0))
     else:
-        utilde = np.asarray(utilde, float)
+        K, utilde = None, np.asarray(utilde, float)
         if utilde.size != steps * m:
             raise DimensionMismatch(f"utilde must have {steps} x {m} entries, not {utilde.size}")
         if not np.isfinite(utilde).all():
@@ -226,21 +226,30 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     minus_kt, update, resolved_b, step_field = _setup(bundle.linear, K, h, base_map.theta)
     lifted = tangent_lift(base_map)
 
-    def utilde_at(k, Z):
-        """utilde of step k at the pushed base state Z."""
-        return Z.dot(minus_kt) if gains is not None else utilde[k]
-
     def pull(Z):
         """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
         x = phi.inverse(Z[..., :n])
         d = phi.jacobian(x)
         return x, np.linalg.solve(d, Z[..., n:, None])[..., 0], d
 
-    def pushed_field(Z, x, y, d, ut):
+    def field(Z, ut, x, y, d):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
-        Tphi^-1(Z) under utilde ``ut``, and the physical control u."""
+        Tphi^-1(Z), d = Dphi(x), under utilde ``ut`` (-K^T Z under gains), with
+        the physical control u and that utilde."""
+        if gains is not None:
+            ut = Z.dot(minus_kt)
         pushed, u = _pushed_acceleration(sys, transform, x, y, ut, d, Z[..., :n])
-        return np.concatenate([Z[..., n:], pushed], axis=-1), u
+        return np.concatenate([Z[..., n:], pushed], axis=-1), u, ut
+
+    def evaluate(z0, z1, ut):
+        """The step z0 -> z1, or a stack of steps, under utilde ``ut``, from one
+        lifted-map inverse, one pull-back and one pushed field: the pulled end
+        (x, y), and at the base point the pushed field, u and utilde, and v."""
+        base, v = lifted.inverse(z0, z1)
+        # ends, then base points, as rows of one stack; a chart may give one d for all rows
+        x, y, d = pull(np.concatenate([z1, base]).reshape(-1, 2 * n))
+        end, at = (slice(len(z1)), slice(len(z1), None)) if z1.ndim > 1 else (0, 1)
+        return (x[end], y[end]) + field(base, ut, x[at], y[at], d[at] if d.ndim > 2 else d) + (v,)
 
     states = np.empty((steps + 1, 2 * n))
     states[0] = s0
@@ -261,32 +270,25 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
             if drive is not None:
                 orbit[k + 1] += drive[k]
 
-        base, v = lifted.inverse(orbit[:-1], orbit[1:])
-        ut = base.dot(minus_kt) if gains is not None else utilde
-
         try:
-            x, y, d = pull(np.concatenate([orbit[1:], base]))
-            # a chart may return one Jacobian shared by every row
-            values = (x[:steps], y[:steps]) + pushed_field(
-                base, x[steps:], y[steps:], d[steps:] if d.ndim > 2 else d, ut)
+            values = evaluate(orbit[:-1], orbit[1:], utilde)
         except _ORBIT_FAULTS:
             # the first step that raises: one step at a time, up to it
             rows = []
             for k in range(steps):
                 try:
-                    x, y, _ = pull(orbit[k + 1])
-                    rows.append((x, y) + pushed_field(base[k], *pull(base[k]), ut[k]))
+                    rows.append(evaluate(orbit[k], orbit[k + 1], utilde[k]))
                 except _ORBIT_FAULTS:
                     break
             values = [np.array(column) for column in zip(*rows)]
         done = len(values[0]) if values else 0
         if done:
-            x, y, field, u = values
-            norms = _norms(v[:done] - h * field)
+            x, y, pushed, u, ut, v = values
+            norms = _norms(v - h * pushed)
             # the pulled ends; the Newton steps past a failing one rewrite theirs
             ends = states[1:done + 1]
             ends[:, :n], ends[:, n:] = x, y
-            start = orbit[:done] if gains is not None else np.hstack([orbit[:done], utilde[:done]])
+            start = np.concatenate([orbit[:done], utilde[:done]], axis=1)
             certified = norms < _newton_bound(orbit[:done], start.dot(step_field.T))
             # and the end finite (counted: a reduction costs microseconds)
             finite = np.isfinite(ends)
@@ -300,13 +302,10 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     for k in range(done, steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
-            result = step_sode(
-                lifted, lambda Z, k=k: pushed_field(Z, *pull(Z), utilde_at(k, Z))[0], z_k, h)
-            states[k + 1, :n], states[k + 1, n:], _ = pull(result.state)
-            # log the controls at the converged base state of the step
-            base, _ = lifted.inverse(z_k, result.state)
-            ut_log[k] = utilde_at(k, base)
-            u_log[k] = pushed_field(base, *pull(base), ut_log[k])[1]
+            result = step_sode(lifted, lambda Z, k=k: field(Z, utilde[k], *pull(Z))[0], z_k, h)
+            # the end, and the controls at the converged base state of the step
+            x, y, _, u_log[k], ut_log[k], _ = evaluate(z_k, result.state, utilde[k])
+            states[k + 1, :n], states[k + 1, n:] = x, y
         except MechliftError as exc:
             exc.step = k
             exc.state = states[k].copy()
@@ -449,23 +448,33 @@ def theta_update_matrix(a, h, theta) -> np.ndarray:
 
     The update the theta-family map induces on the linear field x' = A x:
     explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
-    at 1/2.  h and theta are read as floats by ``geometry._scalar``: each
-    must be a finite real number (``TypeError``, ``NonFinite``), and h may
-    be negative, as a step backwards.  Raises ``SingularStep`` when the
-    resolvent I - theta h A is singular.
+    at 1/2.  A NaN/Inf in A is refused (``NonFinite``), and h and theta
+    are read as floats by ``geometry._scalar``: each must be a finite real
+    number (``TypeError``, ``NonFinite``), and h may be negative, as a
+    step backwards; all before any arithmetic.  Raises ``SingularStep``
+    when the resolvent I - theta h A is singular.
     """
-    return _theta_update(np.atleast_2d(np.asarray(a, float)), _scalar(h, "step size"),
-                         _scalar(theta, "theta"))
+    a = _finite_matrix(a)
+    return _theta_update(a, _scalar(h, "step size"), _scalar(theta, "theta"), a[:, :0])
 
 
-def _theta_update(a, h, theta, b=None):
-    """M for a float matrix ``a``, then (I - theta h A)^-1 B's columns given ``b``."""
+def _theta_update(a, h, theta, b):
+    """M for a float matrix ``a``, then (I - theta h A)^-1 ``b``'s columns."""
     eye = np.eye(a.shape[0])
-    rhs = eye + ((1.0 - theta) * h) * a
+    rhs = np.hstack([eye + ((1.0 - theta) * h) * a, b])
     try:
-        return np.linalg.solve(eye - (theta * h) * a, rhs if b is None else np.hstack([rhs, b]))
+        return np.linalg.solve(eye - (theta * h) * a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
+
+
+def _finite_matrix(a):
+    """``a`` as a float matrix, refused with ``NonFinite`` on a NaN/Inf."""
+    a = np.atleast_2d(np.asarray(a, float))
+    # a count of the finite entries, as _vec's
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise NonFinite("a contains NaN/Inf")
+    return a
 
 
 def _gain_matrix(gains, shape):
@@ -553,9 +562,10 @@ def linear_flow(a, z0, times) -> np.ndarray:
     most 1/2, exponentiated by a degree-18 Taylor sum (truncation below
     1e-22) and squared s times.  No eigendecomposition, so defective
     matrices such as a double integrator are handled as well; t = 0
-    returns ``z0`` bit for bit.
+    returns ``z0`` bit for bit.  A NaN/Inf in ``a`` is refused
+    (``NonFinite``) before any arithmetic.
     """
-    a = np.atleast_2d(np.asarray(a, float))
+    a = _finite_matrix(a)
     at = np.asarray(times, float)[:, None, None] * a
     # s = e + 1 gives |a t|_1 2^-s = m / 2 < 1/2, where frexp splits the
     # 1-norm (largest column sum) as m 2^e with 1/2 <= m < 1

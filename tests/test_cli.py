@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ import numpy.testing as npt
 import pytest
 
 import mechlift
-from mechlift import pendulum_system, pole_place, so3_exp, theta_update_matrix
-from mechlift.cli import main, run_verify_maps
+from mechlift import (pendulum_system, pole_place, so3_closed_loop_step, so3_exp,
+                      theta_update_matrix)
+from mechlift.cli import build_parser, main, run_verify_maps
 from mechlift.discretization import DiscretizationMap
 
 
@@ -242,6 +245,26 @@ class TestSimulateSo3:
         assert main(["simulate-so3", "--map", "midpoint",
                      "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("config, step", [
+        ({"gains": [5, 1e300], "initial_state": [0, 0, 0, 1e300, 0, 0], "h": 1e-300,
+          "t_final": 1e-299}, 0),
+        ({"gains": [5, -1e200], "initial_state": [0, 0, 0, 1, 0, 0], "h": 1e-100,
+          "t_final": 1e-99}, 2),
+    ], ids=["step-0", "step-2"])
+    def test_a_failing_step_names_the_step_and_its_state(self, config, step, tmp_path,
+                                                        capsys):
+        # h K2 Omega overflows Omega+ in step `step`; the state it started from
+        # is R's nine entries, then Omega
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate-so3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        rotation, omega = so3_exp(config["initial_state"][:3]), config["initial_state"][3:]
+        for _ in range(step):
+            rotation, omega = so3_closed_loop_step(rotation, omega, *config["gains"], config["h"])
+        state = ", ".join("%.17g" % v for v in [*rotation.r.ravel(), *omega])
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure at step {step} from state [{state}]: Omega+ = ")
+
 
 class TestCheck:
     def test_pendulum_passes(self, capsys):
@@ -457,6 +480,29 @@ class TestUsage:
     def test_missing_command(self):
         assert main([]) == 4
 
+    @pytest.mark.parametrize("doc", ["README", "cli docstring"])
+    def test_the_usage_lines_name_what_the_parser_defines(self, doc):
+        # each "mechlift COMMAND ..." line names the command's positionals and,
+        # in brackets, its option strings (a trailing "# ..." is a comment)
+        if doc == "README":
+            readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+            text = readme.split("## Command line")[1].split("```")[1]
+        else:
+            text = mechlift.cli.__doc__
+        documented = {}
+        for line in text.splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] == ["mechlift"]:
+                positionals = re.sub(r"\[[^]]*\]", "", " ".join(words[2:])).split()
+                documented[words[1]] = (positionals, re.findall(r"\[(--[a-z-]+)", line))
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        defined = {name: ([a.dest.upper() for a in p._actions if not a.option_strings],
+                          [o for a in p._actions for o in a.option_strings if o[1] == "-"
+                           and o != "--help"])
+                   for name, p in commands.choices.items()}
+        assert documented == defined
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate-so3", "--t-final", "inf"], "final time must be finite, got inf"),
         (["simulate-so3", "--h", "inf"], "step size must be finite, got inf"),
@@ -495,8 +541,13 @@ class TestUsage:
         ({"t_final": -10**400}, f"config key 't_final' must be a number, got {-10**400}"),
         ({"initial_state": [0.1, 10**400]},
          f"config key 'initial_state' must be a list of numbers, got [0.1, {10**400}]"),
+        ({"h": float("nan")}, "config key 'h' must be a number, got NaN"),
+        ({"t_final": float("inf")}, "config key 't_final' must be a number, got Infinity"),
+        ({"initial_state": [0.1, float("-inf")]},
+         "config key 'initial_state' must be a list of numbers, got [0.1, -Infinity]"),
     ], ids=["not-an-object", "h-string", "h-boolean", "t_final-null", "out_dir-number",
-            "h-huge-int", "t_final-huge-int", "initial_state-huge-int"])
+            "h-huge-int", "t_final-huge-int", "initial_state-huge-int", "h-nan",
+            "t_final-infinity", "initial_state-minus-infinity"])
     def test_a_config_value_of_another_type_is_usage_error(self, command, config, message,
                                                            tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -511,7 +562,11 @@ class TestUsage:
          f"config key 'gains' must be a list of numbers or null, got [[1.0, 2.0, 3.0, {10**400}]]"),
         ({"poles": [-1, -2, -3, -10**400]},
          f"config key 'poles' must be a list of numbers, got [-1, -2, -3, {-10**400}]"),
-    ], ids=["gains", "poles"])
+        ({"gains": [[1.0, 2.0, 3.0, float("nan")]]},
+         "config key 'gains' must be a list of numbers or null, got [[1.0, 2.0, 3.0, NaN]]"),
+        ({"poles": [-1, -2, -3, float("-inf")]},
+         "config key 'poles' must be a list of numbers, got [-1, -2, -3, -Infinity]"),
+    ], ids=["gains", "poles", "gains-nan", "poles-minus-infinity"])
     def test_an_integer_beyond_float_range_is_usage_error(self, config, message, tmp_path,
                                                           capsys):
         cfg = tmp_path / "cfg.json"

@@ -508,8 +508,8 @@ class TestFlDiscretize:
     ], ids=["theta1=1.2", "theta1=1.4", "dtheta1=5", "dtheta1=20"])
     def test_a_raising_stacked_pass_is_rerun_row_by_row(self, pendulum, monkeypatch, s0,
                                                          step):
-        # one pull-back of the whole orbit, which raises, then the row loop
-        # up to the first step that leaves the chart
+        # one pull-back of the whole orbit, which raises, then one of each
+        # step's end and base point, up to the first step that leaves the chart
         phi, pulls = pendulum.transform.phi, []
         inverse = phi._inv
         monkeypatch.setattr(phi, "_inv", lambda x: pulls.append(np.shape(x)) or inverse(x))
@@ -521,8 +521,8 @@ class TestFlDiscretize:
         with pytest.raises(RuntimeError, match="orbit pass is over"):
             pendulum_closed_loop(pendulum, s0=np.array(s0))
         assert pulls[0] == (200, 2)
-        assert all(len(shape) == 1 for shape in pulls[1:])
-        assert len(pulls) - 1 <= 2 * step + 2
+        assert all(shape == (2, 2) for shape in pulls[1:])
+        assert len(pulls) - 1 <= step + 1
 
     def test_newton_work_per_step(self, pendulum):
         traj, _ = pendulum_closed_loop(pendulum)
@@ -1049,6 +1049,13 @@ class TestCayley:
         with pytest.raises(SingularStep):
             theta_update_matrix(np.eye(2), 2.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_matrix_with_nan_or_inf_is_refused(self, bad):
+        # before any arithmetic, as h and theta are: the solve would spread a
+        # NaN of A over M with no error
+        with pytest.raises(NonFinite, match="^a contains NaN/Inf$"):
+            theta_update_matrix([[bad, 1.0], [0.0, 0.0]], 0.01, 0.5)
+
 
 class TestSo3ClosedLoop:
     def test_fixed_point(self):
@@ -1313,6 +1320,13 @@ class TestLinearFlow:
         _, a_cl = pendulum_closed_loop(pendulum, steps=0)
         z0 = rng.normal(size=4) * 1e3
         assert np.array_equal(linear_flow(a_cl, z0, [0.0])[0], z0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_matrix_with_nan_or_inf_is_refused(self, bad):
+        # before any arithmetic: at t = 0 an infinite A gives A t = inf * 0 =
+        # NaN, which the Taylor sum spreads with only numpy's RuntimeWarning
+        with pytest.raises(NonFinite, match="^a contains NaN/Inf$"):
+            linear_flow([[bad]], [1.0], [0.0])
 
 
 class TestOrderStudy:
