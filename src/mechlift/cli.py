@@ -172,8 +172,6 @@ def run_simulate_pendulum(cfg: PendulumConfig) -> int:
     if np.shape(cfg.initial_state) != (4,):
         raise ValueError("pendulum initial_state must be 4 numbers (theta1, theta2, dtheta1, "
                          f"dtheta2), got {json.dumps(cfg.initial_state)}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     bundle, gains, a_cl = _pendulum_loop(cfg.poles, cfg.gains)
     s0 = np.asarray(cfg.initial_state, float)
     base_map = _MAP_BUILDERS[cfg.map_kind](2)
@@ -186,6 +184,8 @@ def run_simulate_pendulum(cfg: PendulumConfig) -> int:
 
     cols = lambda S: (traj.t, S[:, 0], S[:, 1], S[:, 2], S[:, 3])
     header = ["t", "theta1", "theta2", "dtheta1", "dtheta2"]
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "pendulum_states.csv", header, cols(traj.states))
     _write_csv(out / "pendulum_reference.csv", header, cols(ref_states))
     _write_csv(out / "pendulum_errors.csv", ["t", "e1", "ed1"], (traj.t, e1, ed1))
@@ -235,8 +235,6 @@ def run_simulate_so3(cfg: So3Config) -> int:
     if np.shape(cfg.initial_state) != (6,):
         raise ValueError("so3 initial_state must be 6 numbers (xi, Omega), "
                          f"got {json.dumps(cfg.initial_state)}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     z0 = np.asarray(cfg.initial_state, float)
     k1, k2 = float(cfg.gains[0]), float(cfg.gains[1])
 
@@ -250,6 +248,8 @@ def run_simulate_so3(cfg: So3Config) -> int:
     ref = linear_flow(_attitude_closed_loop(k1, k2), z0, t)
     trace_ref = np.array([3.0 - np.trace(so3_exp(z[:3]).r) for z in ref])
 
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rigid_body.csv",
                ["t", "trace_err", "trace_err_ref", "p", "q", "r"],
                (t, trace_err, trace_ref, omegas[:, 0], omegas[:, 1], omegas[:, 2]))
@@ -290,10 +290,12 @@ def run_check(system, grid_spec, out_dir=None) -> int:
         reports["planar"] = check_planar(bundle.system, samples)
         reports["general"] = check_general(bundle.system, samples)
     elif system == "so3":
-        count = int(_parse_grid(grid_spec or "0:1:13").size)
+        if grid_spec is not None:
+            raise ValueError("check so3 runs on 13 seeded random rotations, not on a grid: "
+                             "--grid does not apply")
         rng = np.random.default_rng(2024)
         samples = []
-        for _ in range(count):
+        for _ in range(13):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             samples.append(axis * rng.uniform(0.05, np.pi - 0.15))

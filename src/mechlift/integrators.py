@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscretizationMap, tangent_lift
+from .discretization import DiscretizationMap, _pull, tangent_lift
 from .errors import (
     DimensionMismatch,
     MechliftError,
@@ -182,7 +182,9 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     not finite, and on every step of a map outside the family, Newton
     solves the step by ``step_sode`` from the push of its stored state.
     The pass, its rerun and each solved step's end and controls share one
-    evaluation.  A chain of calls gives the states of one call to rounding.
+    evaluation, and every pull-back through Tphi, Newton's residual's too,
+    is one ``discretization._pull``.  A chain of calls gives the states of
+    one call to rounding.
 
     Either ``gains`` (an m x 2n matrix K, utilde = -K ztilde at the base
     state) or ``utilde`` (steps x m entries) must be given.  Refused at
@@ -226,12 +228,6 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     minus_kt, update, resolved_b, step_field = _setup(bundle.linear, K, h, base_map.theta)
     lifted = tangent_lift(base_map)
 
-    def pull(Z):
-        """Tphi^-1(Z) = (x, y), with d = Dphi(x)."""
-        x = phi.inverse(Z[..., :n])
-        d = phi.jacobian(x)
-        return x, np.linalg.solve(d, Z[..., n:, None])[..., 0], d
-
     def field(Z, ut, x, y, d):
         """DTphi(z) f(z) = (Y, D2phi(x)[y, y] + Dphi(x) ydot) at z = (x, y) =
         Tphi^-1(Z), d = Dphi(x), under utilde ``ut`` (-K^T Z under gains), with
@@ -247,7 +243,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         (x, y), and at the base point the pushed field, u and utilde, and v."""
         base, v = lifted.inverse(z0, z1)
         # ends, then base points, as rows of one stack; a chart may give one d for all rows
-        x, y, d = pull(np.concatenate([z1, base]).reshape(-1, 2 * n))
+        Z = np.concatenate([z1, base]).reshape(-1, 2 * n)
+        x, y, d = _pull(phi, Z[:, :n], Z[:, n:])
         end, at = (slice(len(z1)), slice(len(z1), None)) if z1.ndim > 1 else (0, 1)
         return (x[end], y[end]) + field(base, ut, x[at], y[at], d[at] if d.ndim > 2 else d) + (v,)
 
@@ -302,7 +299,8 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     for k in range(done, steps):
         try:
             z_k = transform.push_state(states[k][:n], states[k][n:])
-            result = step_sode(lifted, lambda Z, k=k: field(Z, utilde[k], *pull(Z))[0], z_k, h)
+            result = step_sode(lifted, lambda Z, k=k: field(
+                Z, utilde[k], *_pull(phi, Z[..., :n], Z[..., n:]))[0], z_k, h)
             # the end, and the controls at the converged base state of the step
             x, y, _, u_log[k], ut_log[k], _ = evaluate(z_k, result.state, utilde[k])
             states[k + 1, :n], states[k + 1, n:] = x, y

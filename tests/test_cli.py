@@ -123,11 +123,13 @@ class TestSimulatePendulum:
     def test_chart_exit_names_step_and_state(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"initial_state": [1.2, 0.0, 0.0, 0.0]}))
-        assert main(["simulate-pendulum", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["simulate-pendulum", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure at step 5 from state [-1.22")
         assert err.rstrip().endswith("point not in chart image")
+        # nothing is written, the output directory included
+        assert not out.exists()
 
     def test_config_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -254,10 +256,13 @@ class TestSimulateSo3:
     def test_a_failing_step_names_the_step_and_its_state(self, config, step, tmp_path,
                                                         capsys):
         # h K2 Omega overflows Omega+ in step `step`; the state it started from
-        # is R's nine entries, then Omega
+        # is R's nine entries, then Omega; nothing is written, the output
+        # directory included
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["simulate-so3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main(["simulate-so3", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
         rotation, omega = so3_exp(config["initial_state"][:3]), config["initial_state"][3:]
         for _ in range(step):
             rotation, omega = so3_closed_loop_step(rotation, omega, *config["gains"], config["h"])
@@ -302,6 +307,15 @@ class TestCheck:
         assert main(["check", "pendulum", f"--grid={grid}", "--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:0.001:3", "0:1:13"])
+    def test_a_grid_for_so3_is_usage_error(self, grid, tmp_path, capsys):
+        # so3 samples seeded random rotations: LO and HI would go unread
+        out = tmp_path / "rep"
+        assert main(["check", "so3", f"--grid={grid}", "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", "error: check so3 runs on 13 seeded random "
+                                           "rotations, not on a grid: --grid does not apply\n")
         assert not out.exists()
 
     def test_negative_lo_joined_to_its_flag(self, tmp_path, capsys):

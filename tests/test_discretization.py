@@ -242,9 +242,12 @@ class TestLiftByDiffeo:
 
     def test_outside_chart_propagates(self, pendulum):
         lifted = lift_by_diffeo(make_explicit_euler(2), pendulum.transform.phi)
-        # a velocity large enough to push the second point past the fold
-        with pytest.raises(OutsideChart):
-            lifted.forward(np.array([1.4, 0.0]), np.array([4.0, 0.0]))
+        # a velocity large enough to push the second point past the fold, at a
+        # point and in the second row of a stack
+        x, v = np.array([[0.3, 0.0], [1.4, 0.0]]), np.array([[0.01, 0.0], [4.0, 0.0]])
+        for args in ((x[1], v[1]), (x, v)):
+            with pytest.raises(OutsideChart, match=r"\|sin x1\| = 1\.\d{6} > 1"):
+                lifted.forward(*args)
 
 
 class TestTangentLift:
@@ -425,9 +428,10 @@ def commutation_samples():
     return s, rng.normal(size=(100, 4)) * 0.1
 
 
-def commutation_routes():
-    """The two lift orders of the midpoint map through the pendulum chart."""
-    base = make_midpoint(2)
+def commutation_routes(builder=make_midpoint):
+    """The two lift orders of a built-in map (midpoint unless given) through
+    the pendulum chart."""
+    base = builder(2)
     return {"tangent-of-chart": tangent_lift(lift_by_diffeo(base, PHI)),
             "chart-of-tangent": lift_by_diffeo(tangent_lift(base), tangent_map(PHI))}
 
@@ -446,39 +450,71 @@ PINNED_ROUTES = {
 }
 
 
+def digest(*arrays):
+    """SHA-256 of the arrays' bytes, one after the other."""
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+# SHA-256 of a chart-lifted map's inverse of (x, x + v) and its Jacobian at
+# (x, v), at the first sample and then on the stack of all 100, with (x, v)
+# the samples' first two coordinates
+PINNED_LIFTS = {
+    ("explicit_euler", "pendulum"):
+        "f21befa9d0d6d8e3bfb630276d96d8a26e173b209fe4f62db588d1d285508780",
+    ("explicit_euler", "identity"):
+        "80dde8f50d964e3acf88b003675c276436415e965aa7b88f7a4ebd7c6eead4b4",
+    ("implicit_euler", "pendulum"):
+        "db4f3643edea50916aee987e8972317e57fb0fad9f3496dd99deef5e0da223f5",
+    ("implicit_euler", "identity"):
+        "c922601a648b1c1dbd6f90540182d2b6090df1e6357196f7790645f6bb65a26c",
+    ("midpoint", "pendulum"):
+        "a189eedf36ea5ccdf7a530cf01d42932957c3d042471fe28b44390814a33b62d",
+    ("midpoint", "identity"):
+        "855d29641b3d366449e28f088d599034ab2d0c2a535d96d72b02333a9ae151f2",
+}
+# SHA-256 of each route's inverse of (s, s + w), at the first sample and then
+# on the stack of all 100
+PINNED_ROUTE_INVERSES = {
+    ("explicit_euler", "tangent-of-chart"):
+        "00cf7b80682b7e456a4b75f5a0836be1921ae3ac93e62c6e92da35c00f3f0ee1",
+    ("explicit_euler", "chart-of-tangent"):
+        "4feaf0bbcadba079da141a0debefe6c5c8f84e1ffd7510ba5758a1dc8074e5b3",
+    ("implicit_euler", "tangent-of-chart"):
+        "6c8160713e72e60072bf4ddaa2f6b235ea615460549bb8a1190ff472cbed2940",
+    ("implicit_euler", "chart-of-tangent"):
+        "309d00ff1134a664105ad8eb22eb10b735063e420bc73f243a85cc4b0ec54d9b",
+    ("midpoint", "tangent-of-chart"):
+        "7bf7b38a35f64e891dd6b5f179aa6c6505e6aadfc0680a9c4d7afe1609ec7c3f",
+    ("midpoint", "chart-of-tangent"):
+        "ddf57beaf68ade9ed658cf214ee96d9810290099000ca4f5d875c5bbe2202295",
+}
+
+
 class TestJointEvaluation:
     """A chart-lifted map evaluates phi(x), the tangent map's Jacobian, the
-    base map and the two pull-backs once for its forward map and Jacobian
-    together."""
+    base map and the pull-back of both ends once for its forward map and
+    Jacobian together, and its chart once per stage on the stacked ends."""
 
-    def test_the_tangent_of_a_chart_lift_calls_the_chart_eight_times(self, chart_calls):
+    def test_the_tangent_of_a_chart_lift_calls_the_chart_six_times(self, chart_calls):
         route = commutation_routes()["tangent-of-chart"]
         s, w = commutation_samples()
         route.forward(s[0], w[0])
         # phi(x); the tangent map's Jacobian, with Dphi(x) and D2phi(x)
-        # inside it; and each output's pull-back and its Jacobian
-        assert Counter(chart_calls) == {"forward": 1, "jacobian": 4, "second_deriv": 1,
-                                        "inverse": 2}
+        # inside it; and the pull-back of both outputs and of both row blocks
+        # of its Jacobian, one phi inverse and one Dphi on the stacked ends
+        assert Counter(chart_calls) == {"forward": 1, "jacobian": 3, "second_deriv": 1,
+                                        "inverse": 1}
 
-    def test_a_chart_lift_through_a_tangent_map_evaluates_dphi_once(self, chart_calls):
+    def test_a_chart_lift_through_a_tangent_map_pulls_both_ends_back_at_once(self,
+                                                                           chart_calls):
         route = commutation_routes()["chart-of-tangent"]
         s, w = commutation_samples()
         route.forward(s[0], w[0])
-        # the tangent map and its Jacobian in one evaluation, with phi(x),
-        # Dphi(x) and D2phi(x) inside it; and each output's pull-back
-        # through the tangent map, with phi's inverse and Jacobian inside it
-        assert Counter(chart_calls) == {"forward": 1, "jacobian": 3, "second_deriv": 1,
-                                        "inverse": 4}
-
-    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
-    def test_a_tangent_map_evaluates_itself_and_its_jacobian_jointly(self, chart, rng):
-        tmap = tangent_map(chart)
-        x = np.array(chart_points(rng, 6, lim=1.0))
-        xv = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
-        for point in (xv, xv[0]):
-            joint = tmap._forward_and_jacobian(point)
-            apart = (tmap.forward(point), tmap.jacobian(point))
-            assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
+        # the tangent map, with phi(x) and Dphi(x) inside it; its Jacobian,
+        # with Dphi(x) and D2phi(x); and one pull-back of both outputs through
+        # the tangent map, with phi's inverse and Jacobian inside it
+        assert Counter(chart_calls) == {"forward": 2, "jacobian": 4, "second_deriv": 1,
+                                        "inverse": 2}
 
     @pytest.mark.parametrize("route", PINNED_ROUTES)
     def test_the_routes_keep_their_values(self, route):
@@ -490,6 +526,22 @@ class TestJointEvaluation:
         each = np.array([np.hstack(dmap.forward(a, b)) for a, b in zip(s, w)])
         assert hashlib.sha256(stacked.tobytes()).hexdigest() == digest
         assert hashlib.sha256(each.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("builder, chart", PINNED_LIFTS)
+    def test_a_chart_lift_keeps_its_inverse_and_jacobian(self, builder, chart):
+        dmap = lift_by_diffeo(getattr(mechlift, "make_" + builder)(2), CHARTS[chart])
+        s, w = commutation_samples()
+        x, v = s[:, :2], w[:, :2]
+        outputs = [out for a, b in ((x[0], v[0]), (x, v))
+                   for out in (*dmap.inverse(a, a + b), dmap.jacobian(a, b))]
+        assert digest(*outputs) == PINNED_LIFTS[builder, chart]
+
+    @pytest.mark.parametrize("builder, route", PINNED_ROUTE_INVERSES)
+    def test_the_routes_keep_their_inverses(self, builder, route):
+        dmap = commutation_routes(getattr(mechlift, "make_" + builder))[route]
+        s, w = commutation_samples()
+        outputs = [*dmap.inverse(s[0], s[0] + w[0]), *dmap.inverse(s, s + w)]
+        assert digest(*outputs) == PINNED_ROUTE_INVERSES[builder, route]
 
     @pytest.mark.parametrize("builder", BUILDERS)
     @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
