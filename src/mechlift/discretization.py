@@ -251,6 +251,10 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     second tangent lift consumes.
     """
     n = phi.dim
+    # the directions e_j of the Jacobian's lower-left block, built once per map
+    # and read-only, as every call shares them
+    eye = np.eye(n)
+    eye.flags.writeable = False
 
     def fwd(xv):
         x = xv[..., :n]
@@ -262,11 +266,10 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     def jac(xv):
         d = phi.jacobian(xv[..., :n])
         out = np.zeros(xv.shape[:-1] + (2 * n, 2 * n))
-        out[..., :n, :n] = d
+        out[..., :n, :n] = out[..., n:, n:] = d
         # D2phi(x)[e_j, v], one row per direction e_j, is column j
         out[..., n:, :n] = np.swapaxes(
-            phi.second_deriv(xv[..., None, :n], np.eye(n), xv[..., None, n:]), -1, -2)
-        out[..., n:, n:] = d
+            phi.second_deriv(xv[..., None, :n], eye, xv[..., None, n:]), -1, -2)
         return out
 
     return Diffeomorphism(2 * n, fwd, inv, jac)

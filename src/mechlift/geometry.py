@@ -109,19 +109,18 @@ class Rotation:
     """
 
     r: np.ndarray
-    _entries = None
 
     def __post_init__(self):
-        self.r, self._entries = _validated(self.r, self._entries)
+        self.r, self._entries = _validated(self.r)
 
 
 def _rotation(entries):
     """The :class:`Rotation` with these nine entries, a list of floats,
-    row by row: checked on the floats as ``Rotation`` checks a matrix,
-    then made its one array."""
+    row by row: one :func:`_validated` call checks the floats as
+    ``Rotation`` checks a matrix and makes its one array; no
+    ``__post_init__`` runs on the way."""
     rotation = Rotation.__new__(Rotation)
-    rotation.r, rotation._entries = None, entries
-    rotation.__post_init__()
+    rotation.r, rotation._entries = _validated(None, entries)
     return rotation
 
 
@@ -136,27 +135,31 @@ def _entries(rotation):
 def _validated(r, entries=None):
     """``r`` checked as :class:`Rotation` checks it, and re-orthonormalized
     where the defect calls for it: the 3x3 float array and its nine
-    entries, row by row, as floats.  With ``r`` None the nine ``entries``
-    are checked as they are, and the array is built from them."""
-    if r is not None or entries is None:
-        r = np.asarray(r, dtype=float)
+    entries, row by row, as floats.  Given the nine ``entries`` (``r``
+    None), the floats are checked as they are and the array is built from
+    them.  One chain of comparisons settles the common case, every entry
+    of R^T R - I within 1e-12 of 0; only where one is not is the defect
+    max|R^T R - I| taken, for the same decisions and messages."""
+    if entries is None:
+        r = float_array(r)
         if r.shape != (3, 3):
             raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
         entries = r.ravel().tolist()
-    a, b, c, d, e, f, g, h, i = entries
-    # the Gram matrix's diagonal sums squares, so it is finite unless an
-    # entry is not finite (or so large that its square overflows)
-    g00, g11, g22 = a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i
-    if not math.isfinite(g00 + g11 + g22) and not all(map(math.isfinite, entries)):
-        raise NonFinite("rotation contains NaN/Inf")
-    # max|R^T R - I| over the six distinct entries of the symmetric Gram matrix
-    defect = max(abs(g00 - 1.0), abs(g11 - 1.0), abs(g22 - 1.0), abs(a * b + d * e + g * h),
-                 abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
-    if not defect <= 1e-9:
-        raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
-    if r is None:
+    else:
         r = np.array(entries).reshape(3, 3)
-    if defect > 1e-12:
+    a, b, c, d, e, f, g, h, i = entries
+    # the six distinct entries of the symmetric R^T R - I
+    t00, t11, t22, t01, t02, t12 = (
+        a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,
+        a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i)
+    # each within 1e-12 of 0, by one chain of comparisons between the two bounds,
+    # which a NaN fails: only a matrix that fails it is looked at further
+    if not (-1e-12 <= t00 <= 1e-12 >= t11 >= -1e-12 <= t22 <= 1e-12 >= t01 >= -1e-12
+            <= t02 <= 1e-12 >= t12 >= -1e-12):
+        if not all(map(math.isfinite, entries)):
+            raise NonFinite("rotation contains NaN/Inf")
+        if not (defect := max(map(abs, (t00, t11, t22, t01, t02, t12)))) <= 1e-9:
+            raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
         u, _, vt = np.linalg.svd(r)
         r = u @ vt
         if np.linalg.det(r) < 0:

@@ -508,18 +508,19 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     R+ = R exp(h hat(Omega)); Omega+ = Omega - h K1 log(R) - h K2 Omega.
     The rotation update is a group product, so orthogonality is
     preserved to roundoff regardless of step size; R+ is the one
-    ``Rotation`` the step builds, validated as every rotation is, on the
-    nine floats of the product before they are put in its array.  R is
-    read as :func:`so3_log` reads it and Omega as a finite 3-vector
-    (``DimensionMismatch``, ``NonFinite``), each once as Python floats;
-    the logarithm, the increment and the product R exp(h hat(Omega))
-    run on them in ``math``.  Each gain is a scalar (K I), read as a
-    float by ``geometry._scalar`` (``TypeError``, ``NonFinite``), or a
-    finite 3x3 matrix (``DimensionMismatch``, ``NonFinite``), and h is
-    read as a float step size (``ValueError``), so R+ and Omega+ are
-    float64 whatever real types they have.  An h Omega whose angle
-    overflows raises ``NonFinite``, and so does an Omega+ that is not
-    finite, where h K1 log(R) or h K2 Omega overflows.
+    ``Rotation`` the step builds, by one ``geometry._validated`` call on
+    the nine floats of the product, which checks them as every rotation
+    is checked and then makes its array.  R is read as :func:`so3_log`
+    reads it and Omega as a finite 3-vector (``DimensionMismatch``,
+    ``NonFinite``), each once as Python floats; the logarithm, the
+    increment and the product R exp(h hat(Omega)) run on them in
+    ``math``.  Each gain is a scalar (K I), read as a float by
+    ``geometry._scalar`` (``TypeError``, ``NonFinite``), or a finite 3x3
+    matrix (``DimensionMismatch``, ``NonFinite``), and h is read as a
+    float step size (``ValueError``), so R+ and Omega+ are float64
+    whatever real types they have.  An h Omega whose angle overflows
+    raises ``NonFinite``, and so does an Omega+ that is not finite, where
+    h K1 log(R) or h K2 Omega overflows.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
     omega = np.asarray(omega, dtype=float)

@@ -16,7 +16,7 @@ Two systems ship with the package: the inertia wheel pendulum and the
 rigid body on SO(3).
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -256,7 +256,7 @@ class PendulumParams:
     md: float = 49e-4
 
     def __post_init__(self):
-        if min(astuple(self)) <= 0:
+        if min(vars(self).values()) <= 0:
             raise ValueError("all pendulum parameters must be positive")
         m0_f = self.a * self.L1 * (self.m1 + 2 * self.m2)
         md_f = self.L1**2 * (self.m1 + 4 * self.m2) + self.J1

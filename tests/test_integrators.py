@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -70,15 +71,17 @@ def unforced(sys):
 
 @pytest.fixture()
 def rotations(monkeypatch):
-    """The rotations built and validated, one entry per construction."""
-    post_init = Rotation.__post_init__
+    """The rotations validated, one entry per call of the one validation,
+    ``_validated``, which ``Rotation(m)``, ``so3_exp`` and the attitude
+    step each make once for the rotation they build."""
+    validated = mechlift.geometry._validated
     built = []
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(r, entries=None):
+        built.append(validated(r, entries))
+        return built[-1]
 
-    monkeypatch.setattr(Rotation, "__post_init__", counting)
+    monkeypatch.setattr(mechlift.geometry, "_validated", counting)
     return built
 
 
@@ -1057,6 +1060,17 @@ class TestCayley:
             theta_update_matrix([[bad, 1.0], [0.0, 0.0]], 0.01, 0.5)
 
 
+# SHA-256 of R and Omega, step after step, over 1,000 attitude steps from rest
+# at xi0 with K1 = 5, K2 = 10 and h = 0.01; the last angle is past 2 pi / 3,
+# on the logarithm's symmetric-part branch
+ATTITUDE_RUNS = {
+    (0.05, -0.03, 0.02): "b1048a43c20c72d4b459b52866e7f3022db37202572243093c20ca27892c220d",
+    (0.6, 0.5, -0.55): "d630ef541191c985ae71ce4be30db46caa16cc0fbd1b891e338e763d411d8367",
+    (-1.2, 0.9, 1.1): "e3cc6b7b204dd4eb3291deab11878891d1e8f34e61ace4b7f7c8cef026cd422e",
+    (0.4, -2.8, 0.9): "bd45918ec197ab83c831dd1450252eecb24254a33cfb7ea4ccd28e304130e401",
+}
+
+
 class TestSo3ClosedLoop:
     def test_fixed_point(self):
         r, om = so3_closed_loop_step(Rotation(np.eye(3)), np.zeros(3),
@@ -1086,6 +1100,7 @@ class TestSo3ClosedLoop:
 
     def test_one_rotation_per_step(self, rotations):
         r, om = so3_exp([0.3, -0.2, 0.5]), np.array([0.1, 0.2, 0.3])
+        assert len(rotations) == 1
         rotations.clear()
         for _ in range(10):
             r, om = so3_closed_loop_step(r, om, 5.0, 10.0, 0.01)
@@ -1104,6 +1119,16 @@ class TestSo3ClosedLoop:
         _, floats = so3_closed_loop_step(r, [0.1, 0.2, 0.3], 5.0, 10.0, 0.01)
         assert om.tobytes() == floats.tobytes()
 
+    @pytest.mark.parametrize("xi0, digest", ATTITUDE_RUNS.items(),
+                             ids=["0.06", "0.96", "1.86", "2.97"])
+    def test_the_attitude_loop_keeps_its_bytes(self, xi0, digest):
+        r, om, run = so3_exp(xi0), np.zeros(3), hashlib.sha256()
+        for _ in range(1000):
+            r, om = so3_closed_loop_step(r, om, 5.0, 10.0, 0.01)
+            run.update(r.r.tobytes())
+            run.update(om.tobytes())
+        assert run.hexdigest() == digest
+
     def test_a_replaced_matrix_is_refused_as_a_rotation_refuses_it(self):
         # the step checks R itself: the defect of R+ = R exp(h hat(Omega))
         # would read 2.021e-01 here
@@ -1115,6 +1140,21 @@ class TestSo3ClosedLoop:
         r.r = bad
         with pytest.raises(ValueError) as stepped:
             so3_closed_loop_step(r, [10.0, -20.0, 30.0], 5.0, 10.0, 0.01)
+        assert str(stepped.value) == str(built.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.r.__setitem__((0, 0), 5.0),
+        lambda r: setattr(r, "r", r.r.astype(np.float32)),
+    ], ids=["edited-in-place", "float32"])
+    def test_an_edited_rotation_is_refused_as_a_rotation_refuses_it(self, edit):
+        # the entries R holds now, not the ones it was validated with, are read
+        r = so3_exp([0.3, -0.2, 0.5])
+        edit(r)
+        with pytest.raises(Exception) as built:
+            Rotation(np.array(r.r))
+        with pytest.raises(type(built.value)) as stepped:
+            so3_closed_loop_step(r, [0.1, 0.2, 0.3], 5.0, 10.0, 0.01)
+        assert type(stepped.value) is type(built.value)
         assert str(stepped.value) == str(built.value)
 
     @pytest.mark.parametrize("k1, k2, omega, error, match", [
