@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import SECOND_ORDER_STEP, _matvec, _sample_stack, float_array, numeric_jacobian
+from .geometry import (SECOND_ORDER_STEP, _matvec, _read_only, _sample_stack, float_array,
+                       numeric_jacobian)
 
 _KINDS = ("explicit-euler", "implicit-euler", "midpoint", "lifted", "tangent-lift")
 AXIOM_ZERO_TOL = 1e-10
@@ -90,7 +91,8 @@ def _theta_map(dim, kind, theta) -> DiscretizationMap:
     The built-in maps are its members theta = 0, 1 and 1/2; the inverse
     is ((1 - theta) x0 + theta x1, x1 - x0).  Both act row by row on
     stacks of (..., dim) points.  The constant Jacobian is built on the
-    first ``jacobian`` call, since most users of a map never ask for it.
+    first ``jacobian`` call, since most users of a map never ask for it,
+    and is read-only, as every later call hands it out again.
     """
     jac = None
 
@@ -98,7 +100,7 @@ def _theta_map(dim, kind, theta) -> DiscretizationMap:
         nonlocal jac
         if jac is None:
             eye = np.eye(dim)
-            jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
+            jac = _read_only(np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]]))
         return jac
 
     dmap = DiscretizationMap(
@@ -225,7 +227,7 @@ class Diffeomorphism:
 
 def identity_diffeomorphism(n) -> Diffeomorphism:
     n = int(n)
-    eye = np.eye(n)
+    eye = _read_only(np.eye(n))
     return Diffeomorphism(
         n,
         fwd=lambda x: x.copy(),
@@ -253,8 +255,7 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     n = phi.dim
     # the directions e_j of the Jacobian's lower-left block, built once per map
     # and read-only, as every call shares them
-    eye = np.eye(n)
-    eye.flags.writeable = False
+    eye = _read_only(np.eye(n))
 
     def fwd(xv):
         x = xv[..., :n]

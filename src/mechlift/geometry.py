@@ -4,9 +4,9 @@ Positions and velocities live in local chart coordinates on an
 n-dimensional configuration manifold, packed as one 2n-vector (x, y)
 wherever a state is passed.  Rotations are 3x3 orthogonal
 matrices with unit determinant; the hat/vee pair, the exponential and
-the logarithm connect them to axis-angle 3-vectors.  The package's one
-scalar reader, its one central-difference Jacobian and its one damped
-Newton solver live here.
+the logarithm connect them to axis-angle 3-vectors.  The package's
+readers of the vectors, matrices and scalars a caller hands it, its one
+central-difference Jacobian and its one damped Newton solver live here.
 """
 
 import math
@@ -35,14 +35,40 @@ def float_array(a):
     return np.asarray(a, dtype=float)
 
 
-def _vec(a, name):
+def _vec(a, name, size=None):
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
     # a count of the finite entries: ndarray.all reduces at microseconds a call
     if np.count_nonzero(np.isfinite(v)) < v.size:
         raise NonFinite(f"{name} contains NaN/Inf")
+    if size is not None and v.size != size:
+        raise DimensionMismatch(f"{name} must have {size} entries, got {v.size}")
     return v
+
+
+def _matrix(a, name, shape=None):
+    """``a`` as a float matrix, a 1-d row read as one row, refused by ``name``: a shape
+    other than ``shape``, whose None entries take any size, or where ``shape`` is None
+    a matrix that is not square (``DimensionMismatch``), and a NaN/Inf (``NonFinite``)."""
+    v = np.asarray(a, dtype=float)
+    m = np.atleast_2d(v)
+    if shape is None:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"{name} must be a square matrix, got shape {v.shape}")
+    elif m.shape != shape and (m.ndim != 2 or any(k not in (None, j)
+                                                  for k, j in zip(shape, m.shape))):
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {v.shape}")
+    # a count of the finite entries, as _vec's
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        raise NonFinite(f"{name} contains NaN/Inf")
+    return m
+
+
+def _read_only(a):
+    """``a``, made read-only: an array a callable hands to every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _scalar(x, name, positive=False):
@@ -86,8 +112,7 @@ def _sample_stack(samples, n):
     return xs
 
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+_EYE3 = _read_only(np.eye(3))
 
 
 @dataclass(eq=False)
@@ -103,9 +128,10 @@ class Rotation:
     projection, and a projection that lands on a reflection is
     rejected.  So accumulated drift cannot hide behind silent clean-up.
     The validated entries are kept: :func:`_entries` checks them again
-    only once ``r`` no longer holds them.  A rotation the package
-    computes in floats (:func:`so3_exp`, the attitude step) is built by
-    :func:`_rotation`, with the same checks on those floats.
+    only once ``r`` is no longer a 3x3 matrix that holds them.  A
+    rotation the package computes in floats (:func:`so3_exp`, the
+    attitude step) is built by :func:`_rotation`, with the same checks
+    on those floats.
     """
 
     r: np.ndarray
@@ -126,10 +152,13 @@ def _rotation(entries):
 
 def _entries(rotation):
     """The nine entries, row by row, as floats, of a ``Rotation`` or of a
-    3x3 matrix, checked as ``Rotation`` checks a matrix."""
-    r = rotation.r if isinstance(rotation, Rotation) else rotation
-    entries = np.asarray(r, dtype=float).ravel().tolist()
-    return entries if entries == getattr(rotation, "_entries", None) else _validated(r)[1]
+    3x3 matrix, checked as ``Rotation`` checks a matrix: a rotation's kept
+    entries stand only while its ``r`` is a 3x3 matrix that holds them."""
+    if not isinstance(rotation, Rotation):
+        return _validated(rotation)[1]
+    r = np.asarray(rotation.r, dtype=float)
+    entries = r.ravel().tolist()
+    return entries if entries == rotation._entries and r.shape == (3, 3) else _validated(r)[1]
 
 
 def _validated(r, entries=None):
@@ -186,16 +215,14 @@ def hat(w) -> np.ndarray:
 
 
 def vee(s) -> np.ndarray:
-    """Inverse of :func:`hat`.
+    """Inverse of :func:`hat`; ``s`` is read by :func:`_matrix` as a 3x3 matrix.
 
     Raises
     ------
     NotSkew
         If ``s + s.T`` is not zero within 1e-9.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3, 3):
-        raise DimensionMismatch("vee expects a 3x3 matrix")
+    s = _matrix(s, "s", (3, 3))
     if np.abs(s + s.T).max() >= 1e-9:
         raise NotSkew("matrix is not skew-symmetric")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])

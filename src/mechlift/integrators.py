@@ -34,8 +34,10 @@ from .geometry import (
     _damped_newton,
     _log,
     _entries,
+    _matrix,
     _newton_bound,
     _norms,
+    _read_only,
     _rodrigues,
     _rotation,
     _scalar,
@@ -138,14 +140,11 @@ def _setup(linear: LinearMechanicalSystem, K, h, theta):
     a, b = linear.stacked()
     minus_kt = update = resolved_b = step_field = None
     if K is not None:
-        a, b, minus_kt = a - b @ K, b[:, :0], -K.T
-        minus_kt.flags.writeable = False
+        a, b, minus_kt = a - b @ K, b[:, :0], _read_only(-K.T)
     if theta is not None:
-        full = _theta_update(a, h, theta, b)
-        full.flags.writeable = False
+        full = _read_only(_theta_update(a, h, theta, b))
         update, resolved_b = full[:, :len(a)], full[:, len(a):]
-        step_field = h * np.hstack([a, b])
-        step_field.flags.writeable = False
+        step_field = _read_only(h * np.hstack([a, b]))
     if len(_SETUPS) == 16:
         del _SETUPS[next(iter(_SETUPS))]
     _SETUPS[key] = minus_kt, update, resolved_b, step_field
@@ -211,19 +210,15 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
     if base_map.dim != n:
         raise DimensionMismatch(f"base map must have dim {n}, got {base_map.dim}")
 
-    s0 = _vec(s0, "s0")
-    if s0.size != 2 * n:
-        raise DimensionMismatch(f"s0 must have {2 * n} entries, got {s0.size}")
+    s0 = _vec(s0, "s0", 2 * n)
     h = _scalar(h, "step size", positive=True)
 
     if gains is not None:
-        K, utilde = _gain_matrix(gains, (m, 2 * n)), np.empty((steps, 0))
+        K, utilde = _matrix(gains, "gains", (m, 2 * n)), np.empty((steps, 0))
     else:
-        K, utilde = None, np.asarray(utilde, float)
+        K, utilde = None, _vec(np.ravel(utilde), "utilde")
         if utilde.size != steps * m:
             raise DimensionMismatch(f"utilde must have {steps} x {m} entries, not {utilde.size}")
-        if not np.isfinite(utilde).all():
-            raise NonFinite("utilde contains NaN/Inf")
         utilde = utilde.reshape(steps, m)
     minus_kt, update, resolved_b, step_field = _setup(bundle.linear, K, h, base_map.theta)
     lifted = tangent_lift(base_map)
@@ -330,7 +325,7 @@ def linear_one_step(lms: LinearMechanicalSystem, dmap: DiscretizationMap, h,
     n, m = lms.n, lms.m
     sys = lms.as_mechanical_system()
     lifted = tangent_lift(dmap)
-    K = np.zeros((m, 2 * n)) if gains is None else _gain_matrix(gains, (m, 2 * n))
+    K = np.zeros((m, 2 * n)) if gains is None else _matrix(gains, "gains", (m, 2 * n))
 
     def advance(z, ut):
         return step_sode(lifted, lambda base: sode_field(sys, base, ut - base @ K.T), z, h).state
@@ -446,13 +441,13 @@ def theta_update_matrix(a, h, theta) -> np.ndarray:
 
     The update the theta-family map induces on the linear field x' = A x:
     explicit Euler at theta = 0, implicit Euler at 1, the Cayley update
-    at 1/2.  A NaN/Inf in A is refused (``NonFinite``), and h and theta
-    are read as floats by ``geometry._scalar``: each must be a finite real
-    number (``TypeError``, ``NonFinite``), and h may be negative, as a
-    step backwards; all before any arithmetic.  Raises ``SingularStep``
-    when the resolvent I - theta h A is singular.
+    at 1/2.  ``a`` is read by ``geometry._matrix`` as a square matrix,
+    and h and theta as floats by ``geometry._scalar``: each must be a
+    finite real number (``TypeError``, ``NonFinite``), and h may be
+    negative, as a step backwards; all before any arithmetic.  Raises
+    ``SingularStep`` when the resolvent I - theta h A is singular.
     """
-    a = _finite_matrix(a)
+    a = _matrix(a, "a")
     return _theta_update(a, _scalar(h, "step size"), _scalar(theta, "theta"), a[:, :0])
 
 
@@ -466,40 +461,14 @@ def _theta_update(a, h, theta, b):
         raise SingularStep(f"resolvent I - {theta} h A is singular") from exc
 
 
-def _finite_matrix(a):
-    """``a`` as a float matrix, refused with ``NonFinite`` on a NaN/Inf."""
-    a = np.atleast_2d(np.asarray(a, float))
-    # a count of the finite entries, as _vec's
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise NonFinite("a contains NaN/Inf")
-    return a
-
-
-def _gain_matrix(gains, shape):
-    """``gains`` as a float matrix of ``shape``, a 1-d row read as one row: refused by
-    its shape (``DimensionMismatch``) or a NaN/Inf (``NonFinite``)."""
-    K = np.atleast_2d(np.asarray(gains, float))
-    if K.shape != shape:
-        raise DimensionMismatch(f"gains must have shape {shape}, got {K.shape}")
-    # a count of the finite entries, as _vec's
-    if np.count_nonzero(np.isfinite(K)) < K.size:
-        raise NonFinite("gains contain NaN/Inf")
-    return K
-
-
 def _times_gain(k, v, name):
     """K v as three floats, for a gain K that is a scalar (read by ``_scalar``) or a
-    finite 3x3 matrix and three floats v."""
+    3x3 matrix (read by ``_matrix``) and three floats v."""
     # a float skips np.ndim, which costs ~1 us, a sixth of an attitude step
     if type(k) is float or np.ndim(k) == 0:
         k = _scalar(k, name)
         return k * v[0], k * v[1], k * v[2]
-    k = np.asarray(k, float)
-    if k.shape != (3, 3):
-        raise DimensionMismatch(f"{name} must be a scalar or a 3x3 matrix, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise NonFinite(f"{name} contains NaN/Inf")
-    return (k @ v).tolist()
+    return (_matrix(k, name, (3, 3)) @ v).tolist()
 
 
 def so3_closed_loop_step(rotation, omega, k1, k2, h):
@@ -515,8 +484,8 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     ``NonFinite``), each once as Python floats; the logarithm, the
     increment and the product R exp(h hat(Omega)) run on them in
     ``math``.  Each gain is a scalar (K I), read as a float by
-    ``geometry._scalar`` (``TypeError``, ``NonFinite``), or a finite 3x3
-    matrix (``DimensionMismatch``, ``NonFinite``), and h is read as a
+    ``geometry._scalar`` (``TypeError``, ``NonFinite``), or a 3x3 matrix,
+    read by ``geometry._matrix``, and h is read as a
     float step size (``ValueError``), so R+ and Omega+ are float64
     whatever real types they have.  An h Omega whose angle overflows
     raises ``NonFinite``, and so does an Omega+ that is not finite, where
@@ -561,11 +530,13 @@ def linear_flow(a, z0, times) -> np.ndarray:
     most 1/2, exponentiated by a degree-18 Taylor sum (truncation below
     1e-22) and squared s times.  No eigendecomposition, so defective
     matrices such as a double integrator are handled as well; t = 0
-    returns ``z0`` bit for bit.  A NaN/Inf in ``a`` is refused
-    (``NonFinite``) before any arithmetic.
+    returns ``z0`` bit for bit.  ``a`` is read by ``geometry._matrix`` as a
+    square matrix, and ``z0``, one entry per row of ``a``, and ``times`` by
+    ``geometry._vec``, before any arithmetic.
     """
-    a = _finite_matrix(a)
-    at = np.asarray(times, float)[:, None, None] * a
+    a = _matrix(a, "a")
+    z0 = _vec(z0, "z0", len(a))
+    at = _vec(times, "times")[:, None, None] * a
     # s = e + 1 gives |a t|_1 2^-s = m / 2 < 1/2, where frexp splits the
     # 1-norm (largest column sum) as m 2^e with 1/2 <= m < 1
     squarings = np.maximum(np.frexp(np.abs(at).sum(axis=1).max(axis=1))[1] + 1, 0)
@@ -577,7 +548,7 @@ def linear_flow(a, z0, times) -> np.ndarray:
     for i in range(int(squarings.max(initial=0))):
         more = squarings > i
         e[more] = e[more] @ e[more]
-    return e @ np.asarray(z0, float)
+    return e @ z0
 
 
 ORDER_FLOOR = 1e-10

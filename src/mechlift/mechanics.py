@@ -22,13 +22,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .discretization import Diffeomorphism, identity_diffeomorphism
-from .errors import DimensionMismatch, NonFinite, OutsideChart, SingularFeedback
+from .errors import DimensionMismatch, OutsideChart, SingularFeedback
 from .geometry import (
     _EYE3,
     RANK_TOL,
     _entries,
+    _matrix,
     _matvec,
     _norms,
+    _read_only,
+    _scalar,
     float_array,
     hat,
     numeric_jacobian,
@@ -109,18 +112,15 @@ class MFTransform:
 
 @dataclass(eq=False)
 class LinearMechanicalSystem:
-    """Flat linear mechanical system ytildedot = A xtilde + B utilde; compared by identity."""
+    """Flat linear mechanical system ytildedot = A xtilde + B utilde; compared by identity.
+    A is read by ``geometry._matrix`` as a square n x n matrix and B as an n x m one."""
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, float))
-        self.B = np.atleast_2d(np.asarray(self.B, float))
-        if self.A.shape[0] != self.A.shape[1] or self.B.shape[0] != self.A.shape[0]:
-            raise DimensionMismatch("A must be n x n and B n x m")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
-            raise NonFinite("A, B must be finite")
+        self.A = _matrix(self.A, "A")
+        self.B = _matrix(self.B, "B", (self.n, None))
 
     @property
     def n(self):
@@ -138,7 +138,7 @@ class LinearMechanicalSystem:
 
     def as_mechanical_system(self) -> MechanicalSystem:
         """View as a flat-connection mechanical system with linear drift."""
-        zero_gamma = np.zeros((self.n,) * 3)
+        zero_gamma = _read_only(np.zeros((self.n,) * 3))
         return MechanicalSystem(self.n, self.m, gamma=lambda x: zero_gamma,
                                 e=lambda x: x @ self.A.T, g=lambda x: self.B)
 
@@ -243,7 +243,7 @@ class PendulumParams:
     The composite constants m0 = a L1 (m1 + 2 m2) and
     md = L1^2 (m1 + 4 m2) + J1 are stored at their published rounded
     values; construction asserts they agree with the defining formulas
-    to 0.5%.
+    to 0.5%.  Each is read by ``geometry._scalar`` as a finite positive number.
     """
 
     L1: float = 0.063
@@ -256,8 +256,8 @@ class PendulumParams:
     md: float = 49e-4
 
     def __post_init__(self):
-        if min(vars(self).values()) <= 0:
-            raise ValueError("all pendulum parameters must be positive")
+        for name, value in vars(self).items():
+            _scalar(value, name, positive=True)
         m0_f = self.a * self.L1 * (self.m1 + 2 * self.m2)
         md_f = self.L1**2 * (self.m1 + 4 * self.m2) + self.J1
         if abs(m0_f - self.m0) > 0.005 * self.m0 or abs(md_f - self.md) > 0.005 * self.md:
@@ -291,8 +291,8 @@ def pendulum_system(params: PendulumParams | None = None) -> SystemBundle:
     m0, md, J2 = p.m0, p.md, p.J2
     c1 = (md + J2) / J2
     c2 = m0 / J2
-    g_mat = np.array([[-1.0 / md], [(md + J2) / (md * J2)]])
-    zero_gamma = np.zeros((2, 2, 2))
+    g_mat = _read_only(np.array([[-1.0 / md], [(md + J2) / (md * J2)]]))
+    zero_gamma = _read_only(np.zeros((2, 2, 2)))
     zero_one, plus_minus = np.array([0.0, 1.0]), np.array([1.0, -1.0])
 
     # Every callable acts row by row on (..., 2) stacks: the chart map reads
@@ -377,14 +377,13 @@ class RigidBodySystem:
     velocity y = xidot, and its derived feedback toward the flat target
     ``linear``.  A rotation goes to and from its chart point by ``so3_log``
     and ``so3_exp``; the bundle's state pairs xi with xidot, not with the body
-    angular velocity.  Compared and hashed by identity."""
+    angular velocity.  J, read by ``geometry._matrix`` as a 3x3 matrix, must be
+    symmetric positive definite (``ValueError``).  Compared and hashed by identity."""
 
     inertia: np.ndarray
 
     def __post_init__(self):
-        J = np.asarray(self.inertia, float)
-        if J.shape != (3, 3):
-            raise DimensionMismatch("inertia must be 3x3")
+        J = _matrix(self.inertia, "inertia", (3, 3))
         if np.abs(J - J.T).max() > 1e-12 or np.any(np.linalg.eigvalsh(J) <= 0):
             raise ValueError("inertia must be symmetric positive definite")
         self.inertia = J
@@ -441,7 +440,7 @@ def _exp_chart_gamma(x):
 
 def rigid_body_system(inertia) -> RigidBodySystem:
     """Rigid body, with its exp-chart ``bundle``, of an SPD inertia matrix."""
-    return RigidBodySystem(np.asarray(inertia, float))
+    return RigidBodySystem(inertia)
 
 
 # ---------------------------------------------------------------------------

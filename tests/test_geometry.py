@@ -69,7 +69,7 @@ class TestHatVee:
     @pytest.mark.parametrize("s", [np.zeros((2, 2)), np.zeros(3), np.zeros((3, 4))],
                              ids=["2x2", "vector", "3x4"])
     def test_vee_refuses_a_non_3x3_matrix(self, s):
-        with pytest.raises(DimensionMismatch, match="vee expects a 3x3 matrix"):
+        with pytest.raises(DimensionMismatch, match=r"^s must have shape \(3, 3\), got \("):
             vee(s)
 
     def test_mutually_inverse_bit_exact(self, rng):
@@ -138,6 +138,12 @@ def _edited_in_place():
     return r
 
 
+def _flattened():
+    r = so3_exp([0.3, -0.2, 0.5])
+    r.r = r.r.ravel().copy()
+    return r
+
+
 def _log_refusal(make):
     """so3_log of what ``make`` builds, and Rotation of the matrix it holds."""
     r = make()
@@ -158,6 +164,7 @@ REFUSALS = {
     "log-reflection": _log_refusal(lambda: np.diag([1.0, 1.0, -1.0])),
     "log-replaced": _log_refusal(lambda: _replaced(np.diag([1.0, 1.0, 1.1]))),
     "log-edited-in-place": _log_refusal(_edited_in_place),
+    "log-flattened": _log_refusal(_flattened),
     "check_planar-empty": _empty_grid_refusal(check_planar, pendulum_system().system),
     "check_general-empty": _empty_grid_refusal(check_general, pendulum_system().system),
     "verify_axioms-empty": _empty_grid_refusal(verify_axioms, make_midpoint(2)),

@@ -868,7 +868,7 @@ class TestSetupMemo:
         gains = pole_place(pendulum.linear, POLES)
         gains[0, 1] = np.nan
         for _ in range(2):
-            with pytest.raises(NonFinite, match="gains contain NaN/Inf"):
+            with pytest.raises(NonFinite, match="^gains contains NaN/Inf$"):
                 fl_discretize(pendulum, make_midpoint(2), S0, 0.01, 10, gains=gains)
         assert mechlift.integrators._SETUPS == {} and update_builds == []
 
@@ -958,6 +958,12 @@ class TestLinearTwoStep:
         with pytest.raises(NotLinearityPreserving):
             linear_two_step(double_integrator_lms(), crooked, 0.1)
 
+    def test_a_step_that_leaves_every_probe_in_place_is_refused(self):
+        # at h = 1e-20 each probe's start is within Newton's 0-iteration bound,
+        # so the one-step update is I and its velocity block is 0
+        with pytest.raises(SingularStep, match="^velocity block of the one-step update is singular$"):
+            linear_two_step(double_integrator_lms(), make_midpoint(1), 1e-20)
+
 
 class TestPolePlace:
     def test_benchmark_gain(self, pendulum):
@@ -1000,6 +1006,21 @@ class TestPolePlace:
         lms = LinearMechanicalSystem(A=np.zeros((2, 2)),
                                      B=np.array([[0.0], [0.0]]))
         with pytest.raises(Uncontrollable):
+            pole_place(lms, [-1, -2, -3, -4])
+
+    def test_a_singular_controllability_matrix_of_tiny_scale_is_refused_by_the_solve(self):
+        # the second mode is unreachable, but 1e-12 times the largest singular
+        # value, ~1e-313, underflows to 0, so the singular-value test lets the
+        # matrix through; the solve then refuses it
+        lms = LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.array([[1e-313], [0.0]]))
+        with pytest.raises(Uncontrollable, match="^controllability matrix is singular$"):
+            pole_place(lms, [-1, -2, -3, -4])
+
+    def test_a_placement_the_eigensolver_misses_is_refused(self):
+        # two modes 1e-3 apart need gains of ~4e4, and the closed loop's computed
+        # eigenvalues miss the poles by ~1.4e-5, beyond 1e-6 relative
+        lms = LinearMechanicalSystem(A=np.diag([-1.0, -1.001]), B=np.ones((2, 1)))
+        with pytest.raises(Uncontrollable, match="^placed eigenvalues failed validation$"):
             pole_place(lms, [-1, -2, -3, -4])
 
     @pytest.mark.parametrize("poles", [[-1, -2, -3], [-1, -2, -3, -4, -5]], ids=["three", "five"])
@@ -1145,7 +1166,8 @@ class TestSo3ClosedLoop:
     @pytest.mark.parametrize("edit", [
         lambda r: r.r.__setitem__((0, 0), 5.0),
         lambda r: setattr(r, "r", r.r.astype(np.float32)),
-    ], ids=["edited-in-place", "float32"])
+        lambda r: setattr(r, "r", r.r.ravel().copy()),
+    ], ids=["edited-in-place", "float32", "flattened"])
     def test_an_edited_rotation_is_refused_as_a_rotation_refuses_it(self, edit):
         # the entries R holds now, not the ones it was validated with, are read
         r = so3_exp([0.3, -0.2, 0.5])

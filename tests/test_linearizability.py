@@ -334,6 +334,24 @@ class TestNonFiniteTensors:
         with pytest.raises(NonFinite, match="curvature tensor returned NaN/Inf"):
             curvature_tensor(inverse_square_connection(), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda f, x: lie_bracket(f, np.cos, x), "^lie bracket evaluation returned NaN/Inf$"),
+        (lambda f, x: covariant_derivative(flat(2), f, np.cos, x),
+         "^covariant derivative returned NaN/Inf$"),
+        (lambda f, x: second_covariant_derivative(flat(2), f, np.cos, np.sin, x),
+         "^second covariant derivative returned NaN/Inf$"),
+    ], ids=["lie_bracket", "covariant_derivative", "second_covariant_derivative"])
+    def test_a_field_that_is_nan_at_the_point_raises(self, call, match):
+        # NaN at x alone: every difference probe around x is finite, so the
+        # NaN enters through the field's value and the result is what is refused
+        x = np.array([0.5, 0.1])
+
+        def nan_at_x(p):
+            return np.where((p == x).all(axis=-1, keepdims=True), np.nan, p)
+
+        with pytest.raises(NonFinite, match=match):
+            call(nan_at_x, x)
+
     def test_an_overflowing_covariant_derivative_of_g_raises(self):
         # a finite curvature, but Gamma g overflows in nabla g
         def gamma(x):

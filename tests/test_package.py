@@ -1,5 +1,7 @@
 import inspect
 import re
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,72 @@ def test_a_value_holding_arrays_compares_and_hashes_by_identity(make):
     a, b = make(), make()
     assert a == a and not a == b and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+_A_CL = [[0.0, 1.0], [-1.0, -1.0]]
+_NAN, _INF = float("nan"), float("inf")
+# every matrix a caller hands the package goes through geometry._matrix, and
+# linear_flow's z0 and times through geometry._vec: each refusal names its argument
+BAD_ARGUMENTS = {
+    "theta_update_matrix-non-square-a": (
+        lambda: mechlift.theta_update_matrix([[1.0, 2.0, 3.0]], 0.1, 0.5),
+        mechlift.DimensionMismatch, r"^a must be a square matrix, got shape \(1, 3\)$"),
+    "linear_flow-non-square-a": (
+        lambda: mechlift.linear_flow([[1.0, 2.0, 3.0]], [1.0], [0.0, 1.0]),
+        mechlift.DimensionMismatch, r"^a must be a square matrix, got shape \(1, 3\)$"),
+    "linear_flow-long-z0": (
+        lambda: mechlift.linear_flow(np.eye(2), [1.0, 2.0, 3.0], [0.0]),
+        mechlift.DimensionMismatch, "^z0 must have 2 entries, got 3$"),
+    "linear_flow-nan-time": (
+        lambda: mechlift.linear_flow(_A_CL, [1.0, 0.0], [0.0, _NAN]),
+        mechlift.NonFinite, "^times contains NaN/Inf$"),
+    "linear_flow-nan-z0": (
+        lambda: mechlift.linear_flow(_A_CL, [_NAN, 0.0], [0.0, _NAN]),
+        mechlift.NonFinite, "^z0 contains NaN/Inf$"),
+    "rigid_body_system-nan-inertia": (
+        lambda: mechlift.rigid_body_system(np.diag([1.0, _NAN, 3.0])),
+        mechlift.NonFinite, "^inertia contains NaN/Inf$"),
+    "PendulumParams-nan-m0": (lambda: mechlift.PendulumParams(m0=_NAN), ValueError,
+                              "^m0 must be finite, got nan$"),
+    "PendulumParams-nan-a": (lambda: mechlift.PendulumParams(a=_NAN), ValueError,
+                             "^a must be finite, got nan$"),
+    "PendulumParams-inf-md": (lambda: mechlift.PendulumParams(md=_INF), ValueError,
+                              "^md must be finite, got inf$"),
+    "vee-nan": (lambda: mechlift.vee(np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0],
+                                               [-2.0, _NAN, 0.0]])),
+                mechlift.NonFinite, "^s contains NaN/Inf$"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_a_bad_argument_is_refused_by_its_name(call, error, match):
+    # before any arithmetic: no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
+
+
+# callables that hand every caller one array
+SHARED_ARRAYS = {
+    "identity_diffeomorphism-jacobian": lambda: mechlift.identity_diffeomorphism(2).jacobian,
+    "theta-map-jacobian": lambda: partial(mechlift.make_midpoint(2).jacobian, v=np.zeros(2)),
+    "pendulum-g": lambda: mechlift.pendulum_system().system.g,
+    "pendulum-gamma": lambda: mechlift.pendulum_system().system.gamma,
+    "linear-system-gamma": lambda: mechlift.LinearMechanicalSystem(
+        np.eye(2), np.ones((2, 1))).as_mechanical_system().gamma,
+}
+
+
+@pytest.mark.parametrize("make", SHARED_ARRAYS.values(), ids=SHARED_ARRAYS)
+def test_a_shared_array_is_read_only(make):
+    # an edit by one caller would change what every later call returns
+    f = make()
+    got = f(np.zeros(2))
+    want = got.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        got[(0,) * got.ndim] = 5.0
+    assert np.array_equal(f(np.array([0.3, -0.2])), want)
 
 
 def test_the_readme_example_stabilizes_the_pendulum():
