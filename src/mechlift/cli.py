@@ -14,6 +14,10 @@ argparse reads a separate ``-1.3:1.3:21`` as an option.
 Exit codes: 0 success, 1 condition/check failure, 2 numerical failure,
 3 I/O failure, 4 usage error.  All floating-point output is printed with
 17 significant digits, so repeated runs produce bit-identical files.
+
+Every command loads ``geometry``, ``discretization`` and ``mechanics``;
+``check`` alone loads ``linearizability``, and the simulations and the
+order study alone load ``integrators``, each inside the command.
 """
 
 import argparse
@@ -37,15 +41,6 @@ from .discretization import (
 )
 from .errors import MechliftError, UnknownSystem
 from .geometry import so3_exp, so3_log
-from .integrators import (
-    fl_discretize,
-    grid_steps,
-    linear_flow,
-    order_study,
-    pole_place,
-    so3_closed_loop_step,
-)
-from .linearizability import check_general, check_planar
 from .mechanics import (
     LinearMechanicalSystem,
     MFTransform,
@@ -148,6 +143,7 @@ def _where(exc):
 
 def _pendulum_loop(poles, gains=None):
     """Pendulum bundle, feedback gains (pole-placed unless given), A - B K."""
+    from .integrators import pole_place
     bundle = pendulum_system()
     if gains is None:
         gains = pole_place(bundle.linear, poles)
@@ -160,12 +156,14 @@ def _pendulum_loop(poles, gains=None):
 
 def _pendulum_reference(bundle, a_cl, s0, times):
     """Exact linear flow from the pushed s0, pulled back through the chart."""
+    from .integrators import linear_flow
     tmap = tangent_map(bundle.transform.phi)
     return tmap.inverse(linear_flow(a_cl, tmap.forward(s0), times))
 
 
 def run_simulate_pendulum(cfg: PendulumConfig) -> int:
     """Closed-loop pendulum run against the exact-linear reference."""
+    from .integrators import fl_discretize, grid_steps
     steps = grid_steps(cfg.t_final, cfg.h)
     if cfg.map_kind not in _MAP_BUILDERS:
         raise ValueError(f"unknown map kind {cfg.map_kind!r}")
@@ -216,6 +214,7 @@ def _attitude_loop(z0, k1, k2, h, steps):
     """(R, Omega) from z0 = (xi, Omega) and after each of ``steps`` attitude steps; a
     ``MechliftError`` raised in step k carries ``step = k`` and the ``state`` it started
     from, R's nine entries then Omega."""
+    from .integrators import so3_closed_loop_step
     rotation, omega = so3_exp(z0[:3]), z0[3:].copy()
     yield rotation, omega
     for k in range(steps):
@@ -229,6 +228,7 @@ def _attitude_loop(z0, k1, k2, h, steps):
 
 def run_simulate_so3(cfg: So3Config) -> int:
     """Closed-loop rigid-body attitude run with the linear chart reference."""
+    from .integrators import grid_steps, linear_flow
     steps = grid_steps(cfg.t_final, cfg.h)
     if np.shape(cfg.gains) != (2,):
         raise ValueError(f"so3 gains must be 2 numbers (K1, K2), got {json.dumps(cfg.gains)}")
@@ -246,7 +246,8 @@ def run_simulate_so3(cfg: So3Config) -> int:
 
     t = cfg.h * np.arange(steps + 1)
     ref = linear_flow(_attitude_closed_loop(k1, k2), z0, t)
-    trace_ref = np.array([3.0 - np.trace(so3_exp(z[:3]).r) for z in ref])
+    # 3 - trace exp(hat xi) = 2 - 2 cos|xi|
+    trace_ref = 4.0 * np.sin(np.linalg.norm(ref[:, :3], axis=1) / 2.0) ** 2
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,6 +283,7 @@ def _parse_grid(spec):
 
 def run_check(system, grid_spec, out_dir=None) -> int:
     """Run the linearizability conditions for a registered system."""
+    from .linearizability import check_general, check_planar
     reports = {}
     if system == "pendulum":
         grid = _parse_grid(grid_spec or "-1.3:1.3:21")
@@ -387,6 +389,7 @@ def run_verify_maps() -> int:
 # ---------------------------------------------------------------------------
 
 def _pendulum_order_case(map_kind, t_final):
+    from .integrators import fl_discretize
     bundle, gains, a_cl = _pendulum_loop([-10.0, -20.0, -30.0, -40.0])
     s0 = np.array([np.pi / 4, 0.0, 0.0, 0.0])
 
@@ -398,6 +401,7 @@ def _pendulum_order_case(map_kind, t_final):
 
 
 def _harmonic_order_case(map_kind, t_final):
+    from .integrators import fl_discretize
     # its own linear target under the identity chart, run open loop on utilde = 0
     lms = LinearMechanicalSystem(A=-np.eye(1), B=np.eye(1))
     sys_ = lms.as_mechanical_system()
@@ -413,6 +417,7 @@ def _harmonic_order_case(map_kind, t_final):
 
 
 def _so3_order_case(t_final):
+    from .integrators import linear_flow
     k1, k2 = 5.0, 10.0
     z0 = np.array([0.0, -np.pi / 2, 0.0, 0.0, 0.0, 0.0])
 
@@ -428,6 +433,7 @@ def run_order_study(system, map_kinds, h_list, out_dir=None, t_final=1.0) -> int
     """Global-error order fits per kind of ``map_kinds`` (midpoint if None), every kind and
     every step grid checked first, in one (map, h, error) table; ``so3`` takes no kinds and
     runs its group PD loop, as ``group``."""
+    from .integrators import grid_steps, order_study
     for kind in map_kinds or ():
         if kind not in _MAP_BUILDERS:
             raise ValueError(f"unknown map kind {kind!r}")

@@ -462,18 +462,23 @@ class TestOrderStudy:
 
 
 def test_cli_runs_import_no_scipy(tmp_path):
+    # no command loads scipy, and each loads only the modules it runs: check
+    # no integrators, the simulations, order study and map checks no linearizability
     src = Path(mechlift.__file__).resolve().parents[1]
-    code = (
-        "import sys\n"
-        "from mechlift.cli import main\n"
-        "for argv in (['simulate-pendulum', '--t-final', '0.1'],\n"
-        "             ['simulate-so3', '--t-final', '1'], ['order-study', 'so3']):\n"
-        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    out = ["--out", str(tmp_path)]
+    for argv, unused in ((["simulate-pendulum", "--t-final", "0.1", *out], "linearizability"),
+                         (["simulate-so3", "--t-final", "1", *out], "linearizability"),
+                         (["order-study", "so3", *out], "linearizability"),
+                         (["verify-maps"], "linearizability"),
+                         (["check", "pendulum", *out], "integrators")):
+        code = ("import sys\n"
+                "from mechlift.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print([m for m in sys.modules if m.startswith('scipy')],\n"
+                f"      'mechlift.{unused}' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.splitlines()[-1] == "[] False", argv
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1008,17 +1009,43 @@ class TestPolePlace:
         with pytest.raises(Uncontrollable):
             pole_place(lms, [-1, -2, -3, -4])
 
-    def test_a_singular_controllability_matrix_of_tiny_scale_is_refused_by_the_solve(self):
-        # the second mode is unreachable, but 1e-12 times the largest singular
-        # value, ~1e-313, underflows to 0, so the singular-value test lets the
-        # matrix through; the solve then refuses it
+    def test_a_singular_controllability_matrix_of_tiny_scale_is_refused_by_the_ratio(self):
+        # the second mode is unreachable; 1e-12 times the largest singular value,
+        # ~1e-313, would underflow to 0, but the smallest over the largest does not
         lms = LinearMechanicalSystem(A=np.zeros((2, 2)), B=np.array([[1e-313], [0.0]]))
-        with pytest.raises(Uncontrollable, match="^controllability matrix is singular$"):
+        with pytest.raises(Uncontrollable,
+                           match=r"^controllability matrix near-singular \(ratio 0\.0e\+00\)$"):
             pole_place(lms, [-1, -2, -3, -4])
 
-    def test_a_placement_the_eigensolver_misses_is_refused(self):
-        # two modes 1e-3 apart need gains of ~4e4, and the closed loop's computed
-        # eigenvalues miss the poles by ~1.4e-5, beyond 1e-6 relative
+    @pytest.mark.parametrize("a, b, match", [
+        # A^3 B overflows
+        (1e200 * np.eye(2), [[1.0], [0.5]], "^controllability matrix overflows$"),
+        # subnormal columns, whose smallest singular values the SVD rounds to 0;
+        # the gain, ~1e323, would overflow
+        ([[0.0, 1.0], [1.0, -1.0]], [[1.5e-323], [1e-323]],
+         r"^controllability matrix near-singular \(ratio 0\.0e\+00\)$"),
+    ], ids=["overflow", "underflow"])
+    def test_a_finite_target_out_of_float_range_is_refused(self, a, b, match):
+        # before numpy warns or raises
+        lms = LinearMechanicalSystem(A=np.array(a), B=np.array(b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Uncontrollable, match=match):
+                pole_place(lms, [-1, -2, -3, -4])
+
+    @pytest.mark.parametrize("poles", [[-5.0] * 4, [-1.0] * 4, [-10.0] * 4,
+                                       [-1.0, -1.0001, -1.0002, -1.0003]],
+                             ids=["-5x4", "-1x4", "-10x4", "cluster"])
+    def test_a_repeated_pole_set_is_placed(self, pendulum, poles):
+        # a solver returns a fourfold eigenvalue only to ~eps^(1/4), ~1e-4 away;
+        # the characteristic polynomial is exact to rounding
+        k1, k2, k3, k4 = pole_place(pendulum.linear, poles).ravel()
+        npt.assert_allclose([1.0, k4, k2, k3, k1], np.poly(poles), rtol=1e-12)
+
+    def test_a_placement_whose_polynomial_misses_is_refused(self):
+        # two modes 1e-3 apart need gains of ~4e4, and the closed loop's
+        # characteristic polynomial misses np.poly(poles) by ~1.8e-7 of its
+        # largest coefficient, beyond 1e-8
         lms = LinearMechanicalSystem(A=np.diag([-1.0, -1.001]), B=np.ones((2, 1)))
         with pytest.raises(Uncontrollable, match="^placed eigenvalues failed validation$"):
             pole_place(lms, [-1, -2, -3, -4])
@@ -1341,11 +1368,14 @@ def test_grid_steps_refuses_an_overflowing_ratio():
 
 
 def test_import_leaves_scipy_unloaded():
+    # a bare import loads the exception types and nothing numerical: every
+    # other module, numpy with it, waits for its first use
     src = Path(mechlift.__file__).resolve().parents[1]
-    code = "import sys, mechlift; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = ("import sys, mechlift\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy', 'mechlift'))))")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['mechlift', 'mechlift.errors']"
 
 
 class TestLinearFlow:

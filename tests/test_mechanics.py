@@ -32,8 +32,8 @@ M0, MD, J2 = PARAMS["m0"], PARAMS["md"], PARAMS["J2"]
 
 def harmonic_order_bundle(monkeypatch):
     """The bundle ``order-study harmonic`` steps, caught at its first call."""
-    bundles, run = [], mechlift.cli.fl_discretize
-    monkeypatch.setattr(mechlift.cli, "fl_discretize",
+    bundles, run = [], mechlift.integrators.fl_discretize
+    monkeypatch.setattr(mechlift.integrators, "fl_discretize",
                         lambda bundle, *rest, **kw: bundles.append(bundle) or run(bundle, *rest, **kw))
     stepper, _, s0 = mechlift.cli._harmonic_order_case("midpoint", 1.0)
     stepper(s0, 0.1, 10)

@@ -1,5 +1,6 @@
 import inspect
 import re
+import sys
 import warnings
 from functools import partial
 from pathlib import Path
@@ -34,10 +35,28 @@ PUBLIC = {
 }
 
 
-def test_public_names_are_pinned():
+SUBMODULES = {"errors", "geometry", "discretization", "mechanics", "linearizability",
+              "integrators"}
+
+
+def test_public_names_are_pinned(monkeypatch):
     # an added or removed public name is an edit to this set; no submodule
-    # is exported
+    # is exported, but each is an attribute
     assert set(mechlift.__all__) == PUBLIC
+    assert PUBLIC | SUBMODULES <= set(dir(mechlift))
+    # all but the exception types resolve on first use: forget them, then
+    # resolve each by a star import and as an attribute
+    for name in (PUBLIC | SUBMODULES) - set(vars(mechlift.errors)) - {"errors"}:
+        monkeypatch.delattr(mechlift, name)
+    star = {}
+    exec("from mechlift import *", star)
+    assert star.keys() - {"__builtins__"} == PUBLIC
+    for name in PUBLIC:
+        assert star[name] is getattr(mechlift, name) is vars(mechlift)[name], name
+    for name in SUBMODULES:
+        assert getattr(mechlift, name) is sys.modules[f"mechlift.{name}"], name
+    with pytest.raises(AttributeError, match="^module 'mechlift' has no attribute 'nope'$"):
+        mechlift.nope
 
 
 def test_a_bundle_and_the_checks_have_their_pinned_shapes():
