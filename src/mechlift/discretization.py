@@ -49,13 +49,13 @@ class DiscretizationMap:
     agree, and a 1-d point is a stack of one; a Jacobian that does not
     depend on the point may be one 2n x 2n matrix for the whole stack.
     ``theta`` is set on the members of the affine family built by
-    :func:`_theta_map` and is None on every other map.  ``_joint`` is
-    set on a map whose forward and Jacobian share work (a chart lift's)
-    and is None on every other map.
+    :func:`_theta_map` and is None on every other map.  The push ``_push(x, v, t)``
+    = (x0, x1, J(x, v) t) is the forward-mode derivative along a direction t per
+    point (k at each: t of shape (..., k, 2n), x and v of (..., 1, n); the push of
+    the identity is J's transpose).  Only ``jacobian`` builds a matrix.
     """
 
     theta = None
-    _joint = None
 
     def __init__(self, dim, kind, forward, inverse, jacobian):
         if kind not in _KINDS:
@@ -76,13 +76,8 @@ class DiscretizationMap:
         """Derivative of the packed forward map at (x, v)."""
         return self._jacobian(float_array(x), float_array(v))
 
-    def _forward_and_jacobian(self, x, v):
-        """(x0, x1, J): ``forward`` and ``jacobian`` at (x, v) in one
-        evaluation, each bit for bit its own call's value."""
-        x, v = float_array(x), float_array(v)
-        if self._joint is not None:
-            return self._joint(x, v)
-        return (*self._forward(x, v), self._jacobian(x, v))
+    def _push(self, x, v, t):
+        return (*self._forward(x, v), _matvec(self._jacobian(x, v), t))
 
 
 def _theta_map(dim, kind, theta) -> DiscretizationMap:
@@ -190,12 +185,14 @@ class Diffeomorphism:
         x -> n x n derivative.
     second : callable, optional
         (x, u, v) -> n-vector bilinear second-derivative action
-        D2(x)[u, v]; central differences of ``jac`` when omitted.
+        D2(x)[u, v]; central differences of ``jac`` along each unit
+        direction, whatever the size of u and v, when omitted.
 
     All four act row by row on (..., n) stacks, and a 1-d point is a
     stack of one; ``second``'s three arguments broadcast against each
     other, and a derivative that does not depend on the point may be
-    one n x n matrix for the whole stack.
+    one n x n matrix for the whole stack.  The push ``_push(x, t)`` is
+    (phi(x), Dphi(x) t), broadcast as a map's push.
     """
 
     def __init__(self, dim, fwd, inv, jac, second=None):
@@ -214,15 +211,19 @@ class Diffeomorphism:
     def jacobian(self, x):
         return float_array(self._jac(float_array(x)))
 
+    def _push(self, x, t):
+        return self.forward(x), _matvec(self.jacobian(x), t)
+
     def second_deriv(self, x, u, v):
         """Bilinear action D2(x)[u, v] of the second derivative, with x, u
         and v broadcast against each other."""
         x, u, v = float_array(x), float_array(u), float_array(v)
         if self._second is not None:
             return float_array(self._second(x, u, v))
-        x, u, v = np.broadcast_arrays(x, u, v)
-        s = SECOND_ORDER_STEP
-        return _matvec(self.jacobian(x + s * u) - self.jacobian(x - s * u), v) / (2.0 * s)
+        # sum_j u_j D2(x)[e_j, v], so no step scales with u
+        x, s = x[..., None, :], SECOND_ORDER_STEP * np.eye(self.dim)
+        dv = _matvec(self.jacobian(x + s) - self.jacobian(x - s), v[..., None, :])
+        return (u[..., :, None] * dv).sum(axis=-2) / (2.0 * SECOND_ORDER_STEP)
 
 
 def identity_diffeomorphism(n) -> Diffeomorphism:
@@ -245,12 +246,19 @@ def _pull(phi, z, w):
     return x, np.linalg.solve(d, w[..., None])[..., 0], d
 
 
+def _tangent_push(phi, x, v, t):
+    """phi(x), Dphi(x) v and Tphi's derivative along (t1, t2), (Dphi t1, D2phi[v, t1] + Dphi t2)."""
+    n, d = phi.dim, phi.jacobian(x)
+    du, dv = _matvec(d, t[..., :n]), phi.second_deriv(x, v, t[..., :n]) + _matvec(d, t[..., n:])
+    return phi.forward(x), _matvec(d, v), np.concatenate([du, dv], axis=-1)
+
+
 def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     """Tangent lift of a chart change: (x, v) -> (phi(x), Dphi(x) v).
 
-    Its inverse is the pull-back ``_pull``.  Its derivative is the block map
-    (dx, dv) -> (Dphi dx, D2phi[dx, v] + Dphi dv), which is what a
-    second tangent lift consumes.
+    Its inverse is the pull-back ``_pull``.  Its push along (t1, t2) is the
+    closed form (Dphi t1, D2phi[v, t1] + Dphi t2), with one Dphi(x), and its
+    Jacobian is the block matrix of that map.
     """
     n = phi.dim
     # the directions e_j of the Jacobian's lower-left block, built once per map
@@ -258,11 +266,14 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
     eye = _read_only(np.eye(n))
 
     def fwd(xv):
-        x = xv[..., :n]
-        return np.concatenate([phi.forward(x), _matvec(phi.jacobian(x), xv[..., n:])], axis=-1)
+        return np.concatenate(phi._push(xv[..., :n], xv[..., n:]), axis=-1)
 
     def inv(xv):
         return np.concatenate(_pull(phi, xv[..., :n], xv[..., n:])[:2], axis=-1)
+
+    def push(xv, t):
+        z, w, dt = _tangent_push(phi, xv[..., :n], xv[..., n:], t)
+        return np.concatenate([z, w], axis=-1), dt
 
     def jac(xv):
         d = phi.jacobian(xv[..., :n])
@@ -273,7 +284,9 @@ def tangent_map(phi: Diffeomorphism) -> Diffeomorphism:
             phi.second_deriv(xv[..., None, :n], eye, xv[..., None, n:]), -1, -2)
         return out
 
-    return Diffeomorphism(2 * n, fwd, inv, jac)
+    tmap = Diffeomorphism(2 * n, fwd, inv, jac)
+    tmap._push = push
+    return tmap
 
 
 def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> DiscretizationMap:
@@ -284,12 +297,12 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
     Each stage evaluates the chart once on the pair of ends stacked along
     a new leading axis: the forward map pulls (x0, x1) back in one
     ``phi.inverse``, the inverse pushes (a, b) in one ``phi.forward`` and
-    pulls the result back by ``_pull``.  The Jacobian is one joint
-    evaluation with the forward map, so phi(x), the tangent map's
-    Jacobian, the base map, and the pull-back of both ends and of both
-    row blocks of the derivative each run once.  Chart-domain errors
-    (``OutsideChart``) propagate from ``phi``; one raised by the stacked
-    pull-back speaks of both ends.
+    pulls the result back by ``_pull``.  Its push composes the tangent
+    map's push, the base map's push and one pull-back of both ends and both
+    halves of the derivative, a right-hand column each (5 chart calls in a
+    one-point forward of its tangent lift); its Jacobian takes the same
+    steps on matrices.  Chart-domain errors (``OutsideChart``) propagate
+    from ``phi``; one raised by the stacked pull-back speaks of both ends.
     """
     if dmap.dim != phi.dim:
         raise DimensionMismatch(
@@ -300,25 +313,24 @@ def lift_by_diffeo(dmap: DiscretizationMap, phi: Diffeomorphism) -> Discretizati
 
     # the two ends stack by np.array: on one point, ~2 us a call less than np.stack
     def forward(x, v):
-        a, b = dmap.forward(phi.forward(x), _matvec(phi.jacobian(x), v))
-        return tuple(phi.inverse(np.array([a, b])))
+        return tuple(phi.inverse(np.array(dmap.forward(*phi._push(x, v)))))
 
     def inverse(a, b):
         return _pull(phi, *dmap.inverse(*phi.forward(np.array([a, b]))))[:2]
 
-    def joint(x, v):
-        # chain rule through Tphi, the base map, and the pullback of both ends;
-        # Dphi(x) is the top-left block of Tphi's Jacobian
-        z, jt = phi.forward(x), tphi.jacobian(np.concatenate([x, v], axis=-1))
-        a, b, jac = dmap._forward_and_jacobian(z, _matvec(jt[..., :n, :n], v))
-        pulled = jac @ jt
-        ends = phi.inverse(np.array([a, b]))
-        rows = np.linalg.solve(phi.jacobian(ends),
-                               np.array([pulled[..., :n, :], pulled[..., n:, :]]))
-        return (*ends, np.concatenate(rows, axis=-2))
+    def pull_back(a, b, m, k):
+        # both ends, and the vector (k = 1) or matrix (k = 2) m as two row blocks, on one axis
+        ends = phi.inverse(np.concatenate([a, b], axis=-1).reshape(a.shape[:-1] + (2, n)))
+        rows = np.linalg.solve(phi.jacobian(ends), m.reshape(m.shape[:m.ndim - k] + (2, n, -1)))
+        return ends[..., 0, :], ends[..., 1, :], rows.reshape(m.shape)
 
-    lifted = DiscretizationMap(n, "lifted", forward, inverse, lambda x, v: joint(x, v)[2])
-    lifted._joint = joint
+    def jacobian(x, v):
+        z, jt = phi.forward(x), tphi.jacobian(np.concatenate([x, v], axis=-1))
+        w = _matvec(jt[..., :n, :n], v)
+        return pull_back(*dmap.forward(z, w), dmap.jacobian(z, w) @ jt, 2)[2]
+
+    lifted = DiscretizationMap(n, "lifted", forward, inverse, jacobian)
+    lifted._push = lambda x, v, t: pull_back(*dmap._push(*_tangent_push(phi, x, v, t)), 1)
     return lifted
 
 
@@ -331,11 +343,11 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
     points (x0, v0) and (x1, v1).
 
     A member of the affine theta family is its own tangent: its lift is
-    the same member on the 2n chart.  For any other map the inverse is
-    structural: recover (x, y) from the base inverse, then solve the
-    base Jacobian for (xdot, ydot); the lift's Jacobian would need the
-    base map's second derivative, and is a central difference of the
-    forward map.
+    the same member on the 2n chart.  For any other map the forward map is
+    the base map's push at (x, y) along (xdot, ydot), and the inverse is
+    structural: recover (x, y) from the base inverse, then solve the base
+    Jacobian for (xdot, ydot); the lift's Jacobian would need the base
+    map's second derivative, and is a central difference of the forward map.
 
     The lift commutes with chart transport (criterion 3): the lift of
     ``lift_by_diffeo(dmap, phi)`` is ``lift_by_diffeo(tangent_lift(dmap),
@@ -348,9 +360,8 @@ def tangent_lift(dmap: DiscretizationMap) -> DiscretizationMap:
         return _theta_map(2 * n, "tangent-lift", dmap.theta)
 
     def forward(s, w):
-        x, y = s[..., :n], w[..., :n]
-        a, b, jac = dmap._forward_and_jacobian(x, y)
-        t = _matvec(jac, np.concatenate([s[..., n:], w[..., n:]], axis=-1))
+        a, b, t = dmap._push(s[..., :n], w[..., :n], np.concatenate([s[..., n:], w[..., n:]],
+                                                                    axis=-1))
         return (np.concatenate([a, t[..., :n]], axis=-1),
                 np.concatenate([b, t[..., n:]], axis=-1))
 

@@ -256,18 +256,21 @@ def fl_discretize(bundle: SystemBundle, base_map: DiscretizationMap, s0, h, step
         orbit[0] = transform.push_state(s0[:n], s0[n:])
         # in open loop N utilde_k for every step, N = h (I - theta h A)^-1 B
         drive = None if gains is not None else h * utilde @ resolved_b.T
-        for k in range(steps):
-            # ndarray.dot into the next row, here and for -K^T: @'s product
-            update.dot(orbit[k], orbit[k + 1])
-            if drive is not None:
-                orbit[k + 1] += drive[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                # ndarray.dot into the next row, here and for -K^T: @'s product
+                update.dot(orbit[k], orbit[k + 1])
+                if drive is not None:
+                    orbit[k + 1] += drive[k]
+        # a non-finite end is its step's fault, as a raise is; every later end takes it in
+        good = np.count_nonzero(np.isfinite(orbit[1:])) // (2 * n)
 
         try:
-            values = evaluate(orbit[:-1], orbit[1:], utilde)
+            values = evaluate(orbit[:good], orbit[1:good + 1], utilde[:good]) if good else ()
         except _ORBIT_FAULTS:
             # the first step that raises: one step at a time, up to it
             rows = []
-            for k in range(steps):
+            for k in range(good):
                 try:
                     rows.append(evaluate(orbit[k], orbit[k + 1], utilde[k]))
                 except _ORBIT_FAULTS:

@@ -335,6 +335,16 @@ class TestLiftInteraction:
             worst = max(worst, np.abs(a0 - b0).max(), np.abs(a1 - b1).max())
         assert worst < 1e-8
 
+    def test_lift_orders_agree_on_a_chart_with_a_differenced_second_derivative(self):
+        # both orders push with the same central differences of Dphi, so they
+        # agree to rounding, not to the differences' truncation
+        s, w = commutation_samples()
+        chart = CHARTS["no-second"]
+        base = make_midpoint(2)
+        a = tangent_lift(lift_by_diffeo(base, chart)).forward(s, w)
+        b = lift_by_diffeo(tangent_lift(base), tangent_map(chart)).forward(s, w)
+        assert max(np.abs(p - q).max() for p, q in zip(a, b)) < 1e-12
+
     def test_pushforward_identity(self, pendulum, rng):
         # pushing the chart-lifted tangent map through T(phi) x T(phi)
         # reproduces the plain tangent lift at the image point
@@ -420,6 +430,16 @@ class TestStacks:
                                chart.second_deriv(np.array([0.3, 0.1]), np.array([1.0, 0.0]),
                                                   np.array([0.5, 2.0])))
 
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+    def test_a_central_difference_second_derivative_steps_along_unit_directions(self, scale,
+                                                                                rng):
+        # the differences are taken along each e_j, so the error does not grow
+        # with the size of the vectors it acts on
+        x, (u, v) = np.array(chart_points(rng, 20)), rng.normal(size=(2, 20, 2)) * scale
+        exact = PHI.second_deriv(x, u, v)
+        got = CHARTS["no-second"].second_deriv(x, u, v)
+        assert np.abs(got - exact).max() <= 1e-8 * np.abs(exact).max()
+
 
 def commutation_samples():
     """100 (s, w) pairs on the pendulum chart's tangent bundle, seed 19."""
@@ -437,16 +457,15 @@ def commutation_routes(builder=make_midpoint):
 
 
 # each route's forward at the first sample, and the SHA-256 of its 100
-# forwards (both outputs side by side, one row per sample) on the samples
+# forwards (both outputs side by side, one row per sample) on the samples;
+# both routes push one tangent vector through the same stages, and on the
+# midpoint map they agree bit for bit
 PINNED_ROUTES = {
-    "tangent-of-chart": (
-        [-0.14473305522650787, 0.9041596018938627, -0.3818481894118972, -0.03361761752741901,
-         -0.17378565410191701, 0.8045414197057461, -0.34390610696554164, -0.0654682385786778],
-        "ee7bef04867072e054271a9c86acfd6aaccb05d0bcc8ca957c0313817db16a3f"),
-    "chart-of-tangent": (
+    route: (
         [-0.14473305522650787, 0.9041596018938627, -0.3818481894118972, -0.03361761752741445,
          -0.17378565410191701, 0.8045414197057461, -0.34390610696554147, -0.06546823857868504],
-        "5697ad2fa5cb8c7b16e84430d31450189a5c7ce3e5d34ebb6e53aa2cde2e93de"),
+        "407fd48b82f20a168eda805bdee6b061cfdd23f42b0e4bcb39cb1fa58f89f3f8")
+    for route in ("tangent-of-chart", "chart-of-tangent")
 }
 
 
@@ -491,18 +510,18 @@ PINNED_ROUTE_INVERSES = {
 
 
 class TestJointEvaluation:
-    """A chart-lifted map evaluates phi(x), the tangent map's Jacobian, the
-    base map and the pull-back of both ends once for its forward map and
-    Jacobian together, and its chart once per stage on the stacked ends."""
+    """A chart-lifted map pushes a tangent vector through phi(x) and Dphi(x),
+    the base map and one pull-back of both ends, and evaluates its chart once
+    per stage on the stacked ends."""
 
-    def test_the_tangent_of_a_chart_lift_calls_the_chart_six_times(self, chart_calls):
+    def test_the_tangent_of_a_chart_lift_calls_the_chart_five_times(self, chart_calls):
         route = commutation_routes()["tangent-of-chart"]
         s, w = commutation_samples()
         route.forward(s[0], w[0])
-        # phi(x); the tangent map's Jacobian, with Dphi(x) and D2phi(x)
-        # inside it; and the pull-back of both outputs and of both row blocks
-        # of its Jacobian, one phi inverse and one Dphi on the stacked ends
-        assert Counter(chart_calls) == {"forward": 1, "jacobian": 3, "second_deriv": 1,
+        # the tangent map's push, with phi(x), Dphi(x) and D2phi(x); and the
+        # pull-back of both outputs and both halves of the pushed vector, one
+        # phi inverse and one Dphi on the stacked ends
+        assert Counter(chart_calls) == {"forward": 1, "jacobian": 2, "second_deriv": 1,
                                         "inverse": 1}
 
     def test_a_chart_lift_through_a_tangent_map_pulls_both_ends_back_at_once(self,
@@ -510,10 +529,10 @@ class TestJointEvaluation:
         route = commutation_routes()["chart-of-tangent"]
         s, w = commutation_samples()
         route.forward(s[0], w[0])
-        # the tangent map, with phi(x) and Dphi(x) inside it; its Jacobian,
-        # with Dphi(x) and D2phi(x); and one pull-back of both outputs through
-        # the tangent map, with phi's inverse and Jacobian inside it
-        assert Counter(chart_calls) == {"forward": 2, "jacobian": 4, "second_deriv": 1,
+        # the tangent map's push, with phi(x), one Dphi(x) and D2phi(x); and
+        # one pull-back of both outputs through the tangent map, with phi's
+        # inverse and Jacobian inside it
+        assert Counter(chart_calls) == {"forward": 1, "jacobian": 2, "second_deriv": 1,
                                         "inverse": 2}
 
     @pytest.mark.parametrize("route", PINNED_ROUTES)
@@ -543,16 +562,56 @@ class TestJointEvaluation:
         outputs = [*dmap.inverse(s[0], s[0] + w[0]), *dmap.inverse(s, s + w)]
         assert digest(*outputs) == PINNED_ROUTE_INVERSES[builder, route]
 
+
+def pushed_maps(builder, chart):
+    """A chart lift of a theta map, and a chart lift of that."""
+    lifted = lift_by_diffeo(builder(2), chart)
+    return lifted, lift_by_diffeo(lifted, identity_diffeomorphism(2))
+
+
+def push_shapes(rng):
+    """(x, v) on one point, on a (100, 2) stack and on a (2, 50, 2) stack."""
+    x = np.array(chart_points(rng, 100, lim=1.0))
+    v = rng.normal(size=x.shape) * 0.02
+    return [(x[0], v[0]), (x, v), (x.reshape(2, 50, 2), v.reshape(2, 50, 2))]
+
+
+def relative_defect(got, want, axes):
+    """The largest |got - want| of each point, over the largest |want| there."""
+    return (np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)).max()
+
+
+class TestPush:
+    """A map's push (x0, x1, J(x, v) t) is its forward map and its Jacobian
+    applied to t, with no Jacobian built on a chart lift."""
+
     @pytest.mark.parametrize("builder", BUILDERS)
-    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
-    def test_the_joint_evaluation_is_the_forward_map_and_the_jacobian(self, builder, chart,
-                                                                       rng):
-        # a chart lift of a theta map, and one of a chart-lifted map
-        lifted = lift_by_diffeo(builder(2), chart)
-        for dmap in (lifted, lift_by_diffeo(lifted, identity_diffeomorphism(2))):
-            x = np.array(chart_points(rng, 6, lim=1.0))
-            v = rng.normal(size=x.shape) * 0.02
-            for args in ((x, v), (x[0], v[0])):
-                joint = dmap._forward_and_jacobian(*args)
-                apart = (*dmap.forward(*args), dmap.jacobian(*args))
-                assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
+    @pytest.mark.parametrize("chart", ["pendulum", "identity"])
+    def test_the_push_of_the_identity_is_the_jacobian(self, builder, chart, rng):
+        for dmap in pushed_maps(builder, CHARTS[chart]):
+            for x, v in push_shapes(rng):
+                # the four directions e_j at every point, on a new axis
+                eye = np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4))
+                pushed = dmap._push(x[..., None, :], v[..., None, :], eye)[2]
+                jac = dmap.jacobian(x, v)
+                assert relative_defect(np.swapaxes(pushed, -1, -2), jac, (-2, -1)) <= 1e-15
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("chart", ["pendulum", "identity"])
+    def test_the_ends_of_a_push_are_the_forward_map(self, builder, chart, rng):
+        for dmap in pushed_maps(builder, CHARTS[chart]):
+            for x, v in push_shapes(rng):
+                t = rng.normal(size=x.shape[:-1] + (4,))
+                ends = dmap._push(x, v, t)[:2]
+                assert [a.tobytes() for a in ends] == [a.tobytes() for a in dmap.forward(x, v)]
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("chart", ["pendulum", "identity"])
+    def test_a_push_is_the_jacobian_applied(self, builder, chart, rng):
+        for dmap in pushed_maps(builder, CHARTS[chart]):
+            for x, v in push_shapes(rng):
+                t = rng.normal(size=x.shape[:-1] + (4,))
+                want = (dmap.jacobian(x, v) @ t[..., None])[..., 0]
+                got = dmap._push(x, v, t)[2]
+                assert got.shape == want.shape
+                assert relative_defect(got, want, -1) <= 1e-13

@@ -551,6 +551,21 @@ class TestFlDiscretize:
         assert info.value.step == step
         npt.assert_array_equal(info.value.state, traj.states[-1])
 
+    @pytest.mark.parametrize("steps", [200, 300])
+    def test_an_orbit_that_overflows_names_its_chart_exit(self, pendulum, steps):
+        # explicit Euler at h = 0.5 under poles to -40: the exact update grows
+        # ~19x a step, so 300 steps overflow the orbit; no numpy warning may
+        # escape (the suite turns each into an error), and both calls name the
+        # step that leaves the chart and the state it started from
+        gains = pole_place(pendulum.linear, POLES)
+        with pytest.raises(OutsideChart) as info:
+            fl_discretize(pendulum, make_explicit_euler(2), (0.1, 0.0, 0.0, 0.0), 0.5, steps,
+                          gains=gains)
+        first = fl_discretize(pendulum, make_explicit_euler(2), (0.1, 0.0, 0.0, 0.0), 0.5, 1,
+                              gains=gains)
+        assert info.value.step == 1
+        npt.assert_array_equal(info.value.state, first.states[1])
+
     def test_singular_feedback_is_located_at_its_step(self, pendulum):
         # one 10-step segment of criterion 4's run, its feedback singular
         # where x1 has swung below the base point of step k = 4: the stacked
