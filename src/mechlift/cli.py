@@ -21,6 +21,7 @@ order study alone load ``integrators``, each inside the command.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import typing
@@ -121,6 +122,15 @@ def load_config(path, overrides, cfg):
     return cfg
 
 
+def _config_array(value, wanted, *shapes):
+    """A config list as a float array of one of ``shapes``; any other shape, a
+    ragged list too, is a usage error: ``wanted``, then the list as given."""
+    with contextlib.suppress(ValueError):  # numpy's "inhomogeneous shape": a ragged list
+        if np.shape(value) in shapes:
+            return np.asarray(value, float)
+    raise ValueError(f"{wanted}, got {json.dumps(value)}")
+
+
 def _write_csv(path, header, columns):
     lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -142,15 +152,15 @@ def _where(exc):
 # ---------------------------------------------------------------------------
 
 def _pendulum_loop(poles, gains=None):
-    """Pendulum bundle, feedback gains (pole-placed unless given), A - B K."""
+    """Pendulum bundle, gains K (the config's poles placed, or its gains) and A - B K."""
     from .integrators import pole_place
     bundle = pendulum_system()
     if gains is None:
+        poles = _config_array(poles, "pendulum poles must be 4 numbers", (4,))
         gains = pole_place(bundle.linear, poles)
-    gains = np.atleast_2d(np.asarray(gains, float))
+    else:
+        gains = _config_array(gains, "pendulum gains must be 4 numbers", (4,), (1, 4)).reshape(1, 4)
     a, b = bundle.linear.stacked()
-    if gains.shape != b.T.shape:
-        raise ValueError(f"pendulum gains must be {b.shape[0]} numbers, got {gains.size}")
     return bundle, gains, a - b @ gains
 
 
@@ -167,11 +177,9 @@ def run_simulate_pendulum(cfg: PendulumConfig) -> int:
     steps = grid_steps(cfg.t_final, cfg.h)
     if cfg.map_kind not in _MAP_BUILDERS:
         raise ValueError(f"unknown map kind {cfg.map_kind!r}")
-    if np.shape(cfg.initial_state) != (4,):
-        raise ValueError("pendulum initial_state must be 4 numbers (theta1, theta2, dtheta1, "
-                         f"dtheta2), got {json.dumps(cfg.initial_state)}")
+    s0 = _config_array(cfg.initial_state, "pendulum initial_state must be 4 numbers "
+                       "(theta1, theta2, dtheta1, dtheta2)", (4,))
     bundle, gains, a_cl = _pendulum_loop(cfg.poles, cfg.gains)
-    s0 = np.asarray(cfg.initial_state, float)
     base_map = _MAP_BUILDERS[cfg.map_kind](2)
 
     traj = fl_discretize(bundle, base_map, s0, cfg.h, steps, gains=gains)
@@ -230,13 +238,8 @@ def run_simulate_so3(cfg: So3Config) -> int:
     """Closed-loop rigid-body attitude run with the linear chart reference."""
     from .integrators import grid_steps, linear_flow
     steps = grid_steps(cfg.t_final, cfg.h)
-    if np.shape(cfg.gains) != (2,):
-        raise ValueError(f"so3 gains must be 2 numbers (K1, K2), got {json.dumps(cfg.gains)}")
-    if np.shape(cfg.initial_state) != (6,):
-        raise ValueError("so3 initial_state must be 6 numbers (xi, Omega), "
-                         f"got {json.dumps(cfg.initial_state)}")
-    z0 = np.asarray(cfg.initial_state, float)
-    k1, k2 = float(cfg.gains[0]), float(cfg.gains[1])
+    k1, k2 = _config_array(cfg.gains, "so3 gains must be 2 numbers (K1, K2)", (2,)).tolist()
+    z0 = _config_array(cfg.initial_state, "so3 initial_state must be 6 numbers (xi, Omega)", (6,))
 
     trace_err = np.empty(steps + 1)
     omegas = np.empty((steps + 1, 3))
@@ -270,10 +273,13 @@ def run_simulate_so3(cfg: So3Config) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(spec):
-    """LO:HI:N as N evenly spaced points from LO to HI; N must be at
-    least 1 and LO and HI finite, or the spec is a usage error."""
-    lo, hi, count = spec.split(":")
-    lo, hi, count = float(lo), float(hi), int(count)
+    """LO:HI:N as N evenly spaced points from LO to HI; N must be a whole
+    number at least 1 and LO and HI finite, or the spec is a usage error."""
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(f"grid must be LO:HI:N with N a whole number, got {spec!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"grid ends must be finite, got {spec}")
     if count < 1:
@@ -534,7 +540,11 @@ def main(argv=None) -> int:
         if args.command == "verify-maps":
             return run_verify_maps()
         if args.command == "order-study":
-            h_list = [float(v) for v in args.h_list.split(",")]
+            try:
+                h_list = [float(v) for v in args.h_list.split(",")]
+            except ValueError:
+                raise ValueError("--h-list must be comma-separated numbers, "
+                                 f"got {args.h_list!r}") from None
             kinds = None if args.map is None else args.map.split(",")
             return run_order_study(args.system, kinds, h_list, args.out, args.t_final)
     except (UnknownSystem, ValueError) as exc:  # JSONDecodeError is a ValueError

@@ -35,8 +35,10 @@ def float_array(a):
     return np.asarray(a, dtype=float)
 
 
-def _vec(a, name, size=None):
-    v = np.asarray(a, dtype=float)
+def _vec(a, name, size=None, dtype=float):
+    """``a`` as a 1-d ``dtype`` vector of ``size`` entries (any size where None), refused
+    by ``name``: another shape or size (``DimensionMismatch``) and a NaN/Inf (``NonFinite``)."""
+    v = np.asarray(a, dtype=dtype)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
     # a count of the finite entries: ndarray.all reduces at microseconds a call
@@ -201,10 +203,9 @@ def _validated(r, entries=None):
 
 
 def hat(w) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector, so that hat(w) @ v == cross(w, v)."""
-    w = _vec(w, "w")
-    if w.size != 3:
-        raise DimensionMismatch("hat expects a 3-vector")
+    """Skew-symmetric matrix of a 3-vector, so that hat(w) @ v == cross(w, v);
+    ``w`` is read by :func:`_vec` as a finite 3-vector."""
+    w = _vec(w, "w", 3)
     return np.array(
         [
             [0.0, -w[2], w[1]],
@@ -254,11 +255,9 @@ def _rodrigues(x, y, z):
 
 
 def so3_exp(w) -> Rotation:
-    """Rotation about axis w/|w| by angle |w| (Rodrigues formula); an
-    angle that overflows to inf raises ``NonFinite``."""
-    w = _vec(w, "w")
-    if w.size != 3:
-        raise DimensionMismatch("so3_exp expects a 3-vector")
+    """Rotation about axis w/|w| by angle |w| (Rodrigues formula), w a 3-vector read by
+    :func:`_vec`; an angle that overflows to inf raises ``NonFinite``."""
+    w = _vec(w, "w", 3)
     return _rotation(_rodrigues(*w.tolist()))
 
 

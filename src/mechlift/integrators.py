@@ -82,6 +82,8 @@ class Trajectory:
     def __post_init__(self):
         self.t = np.asarray(self.t, float)
         self.states = np.asarray(self.states, float)
+        if self.t.ndim != 1:
+            raise DimensionMismatch(f"t must be a 1-d time grid, got shape {self.t.shape}")
         if self.t.size > 1:
             # the first step positive and every step within 1e-9 of it, relative
             # (counted: ndarray.all reduces at microseconds); NaN fails a test
@@ -360,9 +362,14 @@ class TwoStepRecurrence:
     P1: np.ndarray
 
     def iterate(self, x0, x1, u_seq):
-        """Run the recurrence; returns positions including the two seeds."""
-        u_seq = np.atleast_2d(np.asarray(u_seq, float))
-        out = [np.asarray(x0, float), np.asarray(x1, float)]
+        """Positions, the two seeds (n-vectors read by ``geometry._vec``) first, under ``u_seq``
+        read as ``fl_discretize`` reads ``utilde``: k x m entries, raveled (m = 1: k controls)."""
+        n, m = self.P0.shape
+        u_seq = _vec(np.ravel(u_seq), "u_seq")
+        if u_seq.size % m:
+            raise DimensionMismatch(f"u_seq must have k x {m} entries, not {u_seq.size}")
+        u_seq = u_seq.reshape(-1, m)
+        out = [_vec(x0, "x0", n), _vec(x1, "x1", n)]
         for k in range(len(u_seq) - 1):
             out.append(self.A2 @ out[k] + self.B2 @ out[k + 1]
                        + self.P0 @ u_seq[k] + self.P1 @ u_seq[k + 1])
@@ -398,7 +405,7 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     """Single-input state feedback by Ackermann's formula.
 
     Places the eigenvalues of the stacked closed-loop matrix A - B K at
-    ``poles``, which must be finite (``NonFinite``) and closed under
+    ``poles``, 2n complex numbers read by ``geometry._vec``, closed under
     conjugation (``ValueError``).  Raises ``Uncontrollable`` when the
     controllability matrix is not finite or its smallest singular value
     is below 1e-12 of its largest, and when the characteristic polynomial
@@ -408,13 +415,9 @@ def pole_place(lms: LinearMechanicalSystem, poles) -> np.ndarray:
     """
     if lms.m != 1:
         raise MultiInputUnsupported("pole placement implemented for m = 1 only")
-    poles = np.atleast_1d(np.asarray(poles, complex))
     A, B = lms.stacked()
     dim = A.shape[0]
-    if poles.size != dim:
-        raise DimensionMismatch(f"need {dim} poles, got {poles.size}")
-    if not np.isfinite(poles).all():
-        raise NonFinite("poles contain NaN/Inf")
+    poles = _vec(poles, "poles", dim, complex)
     if not np.allclose(np.sort_complex(poles), np.sort_complex(poles.conj())):
         raise ValueError("pole set must be closed under conjugation")
 
@@ -500,14 +503,10 @@ def so3_closed_loop_step(rotation, omega, k1, k2, h):
     h K1 log(R) or h K2 Omega overflows.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = _entries(rotation)
+    # one shape test and one sum in the common case; _vec refuses any other Omega by name
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        _vec(omega, "omega")
-        raise DimensionMismatch(f"omega must be a 3-vector, got {omega.size} entries")
-    w0, w1, w2 = w = omega.tolist()
-    # one test on the sum; only a sum that is not finite looks at each float, and
-    # where one is not, _vec raises its error
-    if not math.isfinite(w0 + w1 + w2) and not all(map(math.isfinite, w)):
+    w0, w1, w2 = w = (omega if omega.shape == (3,) else _vec(omega, "omega", 3)).tolist()
+    if not math.isfinite(w0 + w1 + w2):
         _vec(omega, "omega")
     h = _scalar(h, "step size", positive=True)
     xi = _log(r)
@@ -598,12 +597,13 @@ def order_study(stepper, reference_state, s0, t_final, h_list) -> OrderStudy:
     measured against.  Errors below ``ORDER_FLOOR`` flag the fit as
     floored (self-comparison / interpolation noise).  A run that raises
     ``OutsideChart`` is recorded in ``exits``; the fit takes the others.
-    A step size given twice is refused with ``ValueError`` before any run.
+    Before any run ``geometry._vec`` reads ``h_list`` (a repeated h raises ``ValueError``)
+    and ``reference_state``, of s0's size; it reads each final state too, named by its h.
     """
-    h_list = np.asarray(h_list, float)
+    h_list = _vec(h_list, "h_list")
     if len(set(h_list.tolist())) < h_list.size:
         raise ValueError(f"an order fit needs distinct step sizes, got {h_list.tolist()}")
-    reference_state = np.asarray(reference_state, float)
+    ref = _vec(reference_state, "reference_state", np.size(s0))
     errors, exits = np.full(h_list.size, np.nan), [None] * h_list.size
     for i, h in enumerate(h_list):
         try:
@@ -611,7 +611,7 @@ def order_study(stepper, reference_state, s0, t_final, h_list) -> OrderStudy:
         except OutsideChart as exc:
             exits[i] = exc
             continue
-        errors[i] = np.linalg.norm(np.asarray(final, float) - reference_state)
+        errors[i] = np.linalg.norm(_vec(final, f"final state at h = {h}", ref.size) - ref)
     ran = np.array([exc is None for exc in exits], bool)
 
     floored = bool(ran.any() and np.max(errors[ran]) < ORDER_FLOOR)

@@ -32,6 +32,7 @@ from .geometry import (
     _norms,
     _read_only,
     _scalar,
+    _vec,
     float_array,
     hat,
     numeric_jacobian,
@@ -401,19 +402,19 @@ class RigidBodySystem:
         """(Rdot, Omegadot) under Rdot = R hat(Omega), R read as ``so3_log`` reads it,
         and Omegadot = J^-1 (-Omega x J Omega + torque), the control the torque realizes."""
         R = np.reshape(_entries(rotation), (3, 3))
-        return R @ hat(omega), self.control_from_torque(omega, torque)
+        return R @ hat(_vec(omega, "omega", 3)), self.control_from_torque(omega, torque)
 
     def torque_from_control(self, omega, u):
-        """Physical torque realizing the normalized control: tau = Omega x J Omega + J u."""
-        omega = np.asarray(omega, float)
-        return np.cross(omega, self.inertia @ omega) + self.inertia @ np.asarray(u, float)
+        """Physical torque realizing the normalized control: tau = Omega x J Omega + J u;
+        Omega and u are read by ``geometry._vec`` as finite 3-vectors."""
+        omega = _vec(omega, "omega", 3)
+        return np.cross(omega, self.inertia @ omega) + self.inertia @ _vec(u, "u", 3)
 
     def control_from_torque(self, omega, tau):
-        """Inverse of :meth:`torque_from_control`."""
-        omega = np.asarray(omega, float)
-        return np.linalg.solve(
-            self.inertia, np.asarray(tau, float) - np.cross(omega, self.inertia @ omega)
-        )
+        """Inverse of :meth:`torque_from_control`, Omega and tau read as it reads Omega and u."""
+        omega = _vec(omega, "omega", 3)
+        return np.linalg.solve(self.inertia,
+                               _vec(tau, "tau", 3) - np.cross(omega, self.inertia @ omega))
 
     # -- mechanical-system chart views ------------------------------------------
 

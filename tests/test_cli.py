@@ -118,7 +118,21 @@ class TestSimulatePendulum:
         cfg.write_text(json.dumps({"gains": [1.0, 2.0]}))
         assert main(["simulate-pendulum", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 4
-        assert "pendulum gains must be 4 numbers, got 2" in capsys.readouterr().err
+        assert "pendulum gains must be 4 numbers, got [1.0, 2.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("poles", [-1, -2, -3]), ("poles", [-1, -2, -3, -4, -5]), ("poles", [[-1, -2], [-3, -4]]),
+        ("gains", [[1, 2], [3, 4]]), ("gains", [1, [2, 3], 4, 5]),
+    ], ids=["three-poles", "five-poles", "nested-poles", "square-gains", "ragged-gains"])
+    def test_poles_or_gains_of_another_shape_are_usage_error(self, key, value, tmp_path, capsys):
+        # refused by key, in the "got <json>" form, before any pole placement or run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        assert main(["simulate-pendulum", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: pendulum {key} must be 4 numbers, got {json.dumps(value)}\n")
+        assert not out.exists()
 
     def test_chart_exit_names_step_and_state(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -300,7 +314,12 @@ class TestCheck:
         ("0:1:0", "at least one point"), ("0:1:-3", "at least one point"),
         ("nan:1:3", "must be finite"), ("0:inf:3", "must be finite"),
         ("-inf:1:3", "must be finite"),
-    ], ids=["no-points", "negative-count", "nan-end", "inf-end", "minus-inf-end"])
+        ("1:2", "grid must be LO:HI:N with N a whole number, got '1:2'"),
+        ("0:1:2:3", "grid must be LO:HI:N with N a whole number, got '0:1:2:3'"),
+        ("0:1:2.5", "grid must be LO:HI:N with N a whole number, got '0:1:2.5'"),
+        ("a:1:3", "grid must be LO:HI:N with N a whole number, got 'a:1:3'"),
+    ], ids=["no-points", "negative-count", "nan-end", "inf-end", "minus-inf-end", "two-fields",
+            "four-fields", "fractional-count", "word"])
     def test_bad_grid_is_usage_error(self, grid, message, tmp_path, capsys):
         # refused before any check runs: no report is written
         out = tmp_path / "rep"
@@ -529,7 +548,12 @@ class TestUsage:
         (["simulate-so3", "--t-final", "nan"], "final time must be finite, got nan"),
         (["simulate-so3", "--h", "nan"], "step size must be finite, got nan"),
         (["order-study", "so3", "--h-list", "nan,0.01"], "step size must be finite, got nan"),
-    ], ids=["t-final", "h", "h-list", "t-final-nan", "h-nan", "h-list-nan"])
+        (["order-study", "so3", "--h-list", "0.01,abc"],
+         "--h-list must be comma-separated numbers, got '0.01,abc'"),
+        (["order-study", "so3", "--h-list", "0.01,,0.005"],
+         "--h-list must be comma-separated numbers, got '0.01,,0.005'"),
+    ], ids=["t-final", "h", "h-list", "t-final-nan", "h-nan", "h-list-nan", "h-list-word",
+            "h-list-empty-entry"])
     def test_an_infinite_step_grid_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == 4
@@ -600,8 +624,8 @@ class TestUsage:
                               "dtheta1, dtheta2)"),
         ("simulate-so3", "so3 initial_state must be 6 numbers (xi, Omega)"),
     ], ids=["pendulum", "so3"])
-    @pytest.mark.parametrize("state", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]],
-                             ids=["three", "nested"])
+    @pytest.mark.parametrize("state", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]],
+                                       [0.1, [0.2, 0.3], 0.4]], ids=["three", "nested", "ragged"])
     def test_an_initial_state_of_another_length_is_usage_error(self, command, wanted, state,
                                                                 tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -611,7 +635,8 @@ class TestUsage:
         assert capsys.readouterr() == ("", f"error: {wanted}, got {json.dumps(state)}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("gains", [[1, 2, 3], [5.0]], ids=["three", "one"])
+    @pytest.mark.parametrize("gains", [[1, 2, 3], [5.0], [5, [1, 2]]],
+                             ids=["three", "one", "ragged"])
     def test_so3_gains_other_than_two_numbers_are_usage_error(self, gains, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gains": gains}))

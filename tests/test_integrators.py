@@ -928,6 +928,14 @@ class TestLinearTwoStep:
         xs = rec.iterate(zs[0][:2], zs[1][:2], useq)
         assert np.abs(xs - zs[:, :2]).max() < 1e-10
 
+    def test_a_1d_control_list_is_one_control_per_step(self, pendulum, rng):
+        # m = 1: k controls given flat run k steps, bit for bit as their (k, 1) form
+        rec = linear_two_step(pendulum.linear, make_midpoint(2), 0.01)
+        useq = rng.normal(size=(20, 1))
+        xs = rec.iterate([0.1, 0.0], [0.1, 0.01], useq.ravel().tolist())
+        assert xs.shape == (21, 2)
+        assert np.array_equal(xs, rec.iterate([0.1, 0.0], [0.1, 0.01], useq))
+
     def test_closed_loop_one_step_equals_cayley(self, pendulum):
         # dual path: probe the implicit stepper on the closed loop vs the
         # closed-form resolvent update
@@ -1067,13 +1075,13 @@ class TestPolePlace:
 
     @pytest.mark.parametrize("poles", [[-1, -2, -3], [-1, -2, -3, -4, -5]], ids=["three", "five"])
     def test_wrong_number_of_poles_rejected(self, pendulum, poles):
-        with pytest.raises(DimensionMismatch, match=f"need 4 poles, got {len(poles)}"):
+        with pytest.raises(DimensionMismatch, match=f"^poles must have 4 entries, got {len(poles)}$"):
             pole_place(pendulum.linear, poles)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_poles_are_refused(self, pendulum, bad):
         # NaN never equals its conjugate, so the closure test would misreport it
-        with pytest.raises(NonFinite, match="poles contain NaN/Inf"):
+        with pytest.raises(NonFinite, match="^poles contains NaN/Inf$"):
             pole_place(pendulum.linear, [bad, -1, -2, -3])
 
     def test_conjugation_closure_required(self, pendulum):
@@ -1323,6 +1331,11 @@ class TestTrajectoryGrid:
         with pytest.raises(ValueError, match="uniform and strictly increasing"):
             Trajectory(t, np.zeros((3, 1)))
 
+
+    @pytest.mark.parametrize("t", [[[0.0, 1.0]], 0.0], ids=["row", "scalar"])
+    def test_a_grid_that_is_not_1d_is_refused(self, t):
+        with pytest.raises(DimensionMismatch, match=r"^t must be a 1-d time grid, got shape \("):
+            Trajectory(t, np.zeros((2, 4)))
 
     def test_a_state_row_per_grid_point_required(self):
         with pytest.raises(DimensionMismatch, match="one state row per grid point"):

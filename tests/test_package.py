@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 import sys
@@ -99,9 +100,62 @@ def test_a_value_holding_arrays_compares_and_hashes_by_identity(make):
 
 _A_CL = [[0.0, 1.0], [-1.0, -1.0]]
 _NAN, _INF = float("nan"), float("inf")
+
+
+def _no_run(s, h, steps):
+    raise AssertionError("a run started")
+
+
+def _two_step(m):
+    """A recurrence on two positions with m controls."""
+    return mechlift.integrators.TwoStepRecurrence(_EYE[:2, :2], _EYE[:2, :2], np.ones((2, m)),
+                                                  np.ones((2, m)))
+
+
 # every matrix a caller hands the package goes through geometry._matrix, and
-# linear_flow's z0 and times through geometry._vec: each refusal names its argument
+# every vector through geometry._vec: each refusal names its argument
 BAD_ARGUMENTS = {
+    "pole_place-nested-poles": (
+        lambda: mechlift.pole_place(mechlift.pendulum_system().linear, [[-1, -2], [-3, -4]]),
+        mechlift.DimensionMismatch, r"^poles must be a 1-d vector, got shape \(2, 2\)$"),
+    "order_study-nested-h_list": (
+        lambda: mechlift.order_study(_no_run, [1.0], [1.0], 1.0, [[0.1, 0.05]]),
+        mechlift.DimensionMismatch, r"^h_list must be a 1-d vector, got shape \(1, 2\)$"),
+    "order_study-short-reference": (
+        lambda: mechlift.order_study(_no_run, [1.0], [1.0, 0.0], 1.0, [0.1, 0.05]),
+        mechlift.DimensionMismatch, "^reference_state must have 2 entries, got 1$"),
+    "order_study-nan-reference": (
+        lambda: mechlift.order_study(_no_run, [_NAN], [1.0], 1.0, [0.1, 0.05]),
+        mechlift.NonFinite, "^reference_state contains NaN/Inf$"),
+    "order_study-nan-final-state": (
+        lambda: mechlift.order_study(lambda s, h, steps: [_NAN], [1.0], [1.0], 1.0, [0.1]),
+        mechlift.NonFinite, "^final state at h = 0.1 contains NaN/Inf$"),
+    "order_study-long-final-state": (
+        lambda: mechlift.order_study(lambda s, h, steps: [1.0, 0.0], [1.0], [1.0], 1.0, [0.1]),
+        mechlift.DimensionMismatch, "^final state at h = 0.1 must have 1 entries, got 2$"),
+    "iterate-short-seed": (lambda: _two_step(1).iterate([0.0], [0.0, 0.0], [1.0, 2.0]),
+                           mechlift.DimensionMismatch, "^x0 must have 2 entries, got 1$"),
+    "iterate-nan-seed": (lambda: _two_step(1).iterate([0.0, 0.0], [_NAN, 0.0], [1.0, 2.0]),
+                         mechlift.NonFinite, "^x1 contains NaN/Inf$"),
+    "iterate-controls-not-k-by-m": (
+        lambda: _two_step(2).iterate([0.0, 0.0], [0.0, 0.0], [1.0, 2.0, 3.0]),
+        mechlift.DimensionMismatch, "^u_seq must have k x 2 entries, not 3$"),
+    "torque_from_control-2-vector-omega": (
+        lambda: mechlift.rigid_body_system(_EYE).torque_from_control([0.0, 1.0], np.zeros(3)),
+        mechlift.DimensionMismatch, "^omega must have 3 entries, got 2$"),
+    "derivative-2-vector-omega": (
+        lambda: mechlift.rigid_body_system(_EYE).derivative(_EYE, [0.0, 1.0], np.zeros(3)),
+        mechlift.DimensionMismatch, "^omega must have 3 entries, got 2$"),
+    "torque_from_control-nan-u": (
+        lambda: mechlift.rigid_body_system(_EYE).torque_from_control(np.ones(3), [_NAN, 0, 0]),
+        mechlift.NonFinite, "^u contains NaN/Inf$"),
+    "control_from_torque-2-vector-tau": (
+        lambda: mechlift.rigid_body_system(_EYE).control_from_torque(np.ones(3), [0.0, 1.0]),
+        mechlift.DimensionMismatch, "^tau must have 3 entries, got 2$"),
+    "hat-2-vector": (lambda: mechlift.hat([1.0, 2.0]), mechlift.DimensionMismatch,
+                     "^w must have 3 entries, got 2$"),
+    "so3_exp-2-vector": (lambda: mechlift.so3_exp([1.0, 2.0]), mechlift.DimensionMismatch,
+                         "^w must have 3 entries, got 2$"),
     "theta_update_matrix-non-square-a": (
         lambda: mechlift.theta_update_matrix([[1.0, 2.0, 3.0]], 0.1, 0.5),
         mechlift.DimensionMismatch, r"^a must be a square matrix, got shape \(1, 3\)$"),
@@ -139,6 +193,44 @@ def test_a_bad_argument_is_refused_by_its_name(call, error, match):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             call()
+
+
+# the functions that may read a caller's input with a bare np.asarray, np.atleast_1d or
+# np.atleast_2d: the readers themselves, Newton's guess (a point it made), a trajectory's
+# record, the attitude step's own omega read (kept for the step's cost) and the
+# CLI's config lists; float_array, the stack promotion that charts and maps use, is one too
+HAND_READERS = {
+    ("geometry", "float_array"), ("geometry", "_vec"), ("geometry", "_matrix"),
+    ("geometry", "_entries"), ("geometry", "_damped_newton"), ("mechanics", "_sized"),
+    ("integrators", "Trajectory.__post_init__"), ("integrators", "so3_closed_loop_step"),
+    ("cli", "_config_array"),
+}
+
+
+def _hand_readers(module, tree):
+    """(module, qualified name of the innermost def) of every bare array read in ``tree``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("asarray", "atleast_1d", "atleast_2d")):
+            found.add((module, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_bare_array_read_is_a_pinned_reader():
+    # a vector or matrix a caller hands the package goes through geometry._vec or
+    # _matrix; a new hand reader anywhere else is an edit to HAND_READERS
+    found = set()
+    for path in Path(mechlift.__file__).parent.glob("*.py"):
+        found |= _hand_readers(path.stem, ast.parse(path.read_text()))
+    assert found == HAND_READERS
 
 
 # callables that hand every caller one array
